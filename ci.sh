@@ -66,8 +66,8 @@ echo "==> worker-count determinism (1 and 8 workers, golden dumps)"
 cargo test -q --test determinism golden_dumps_are_byte_identical_across_worker_counts
 cargo test -q --test executor_stress
 
-echo "==> differential quantile sweep (Fenwick vs sorted brute force)"
-cargo test -q -p cackle differential_quantile_fenwick_vs_sorted
+echo "==> differential quantile sweep (value list vs sorted brute force)"
+cargo test -q -p cackle differential_quantile_value_list_vs_sorted
 
 echo "==> telemetry dump round-trip"
 cargo run -q --release --example quickstart
@@ -101,5 +101,18 @@ test -s results/env_grid.csv \
     || { echo "bench_env_grid: missing results/env_grid.csv" >&2; exit 1; }
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/env_grid_telemetry.jsonl
+
+echo "==> bench_all smoke (the benchmark's correctness gate on all four workloads)"
+# ~10 ops per workload, ~20 s, writes only under target/smoke/. A pass
+# whose gate fails exits 1 and takes run.sh with it; the `failed` counts
+# are checked too, so the gate still bites if that exit code ever goes.
+mkdir -p target/smoke
+bench/run.sh --smoke > target/smoke/bench_all.txt \
+    || { cat target/smoke/bench_all.txt; echo "bench/run.sh --smoke failed" >&2; exit 1; }
+grep ' attempted, ' target/smoke/bench_all.txt
+if grep ' attempted, ' target/smoke/bench_all.txt | grep -qv ' attempted, 0 failed'; then
+    echo "bench_all --smoke: failed ops" >&2
+    exit 1
+fi
 
 echo "CI gate passed."

@@ -40,12 +40,14 @@ fn main() {
     });
 
     let demand = sine_demand(10_000);
-    bench_wall("sliding_quantile_push_and_query_10k", 10, || {
+    // What one meta-strategy tick asks of a lookback: five pushes, then
+    // every percentile 0..=100 in one pass.
+    bench_wall("sliding_quantile_push5_and_sweep_10k", 10, || {
         let mut q = SlidingQuantile::new(3600);
         let mut acc = 0u32;
-        for &d in &demand {
-            q.push(d);
-            acc ^= q.percentile(80);
+        for tick in demand.chunks(5) {
+            tick.iter().for_each(|&d| q.push(d));
+            acc ^= q.percentiles()[80];
         }
         black_box(acc)
     });

@@ -14,6 +14,11 @@ use crate::config::Env;
 use std::collections::VecDeque;
 
 /// Incremental fleet/cost simulator driven one second at a time.
+///
+/// VMs requested in the same second are interchangeable, so the fleet is
+/// kept as run-length cohorts `(second, count)`: a request, a cancel or a
+/// promotion touches one entry per cohort, not one per VM, and a target
+/// of `u32::MAX` is one entry.
 #[derive(Debug, Clone)]
 pub struct AllocationSim {
     startup_s: u64,
@@ -25,10 +30,15 @@ pub struct AllocationSim {
     vm_dollars: f64,
     pool_dollars: f64,
     now: u64,
-    /// Start seconds of running VMs, oldest first.
-    active: VecDeque<u64>,
-    /// Ready seconds of requested-but-not-started VMs, soonest first.
-    pending: VecDeque<u64>,
+    /// `(start second, VMs)` of running VMs, oldest first.
+    active: VecDeque<(u64, usize)>,
+    /// `(ready second, VMs)` of requested-but-not-started VMs, soonest
+    /// first.
+    pending: VecDeque<(u64, usize)>,
+    /// VMs across all `active` cohorts.
+    active_n: usize,
+    /// VMs across all `pending` cohorts.
+    pending_n: usize,
     /// Accumulated billed VM-seconds (min billing applied at termination).
     vm_billed_s: f64,
     /// Accumulated elastic-pool slot-seconds.
@@ -62,6 +72,8 @@ impl AllocationSim {
             now: 0,
             active: VecDeque::new(),
             pending: VecDeque::new(),
+            active_n: 0,
+            pending_n: 0,
             vm_billed_s: 0.0,
             pool_s: 0.0,
             vm_dollars: 0.0,
@@ -71,12 +83,12 @@ impl AllocationSim {
 
     /// Number of currently running VMs.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.active_n
     }
 
     /// Number of requested VMs not yet started.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending_n
     }
 
     /// Current simulated second.
@@ -84,20 +96,33 @@ impl AllocationSim {
         self.now
     }
 
-    fn terminate_oldest(&mut self) {
-        let start = self
-            .active
-            .pop_front()
-            .expect("terminate with no active VM");
-        let ran = self.now - start;
-        // Runtime seconds were already accrued second-by-second in `step`;
-        // terminating early bills the minimum-billing shortfall on top,
-        // at the rate in force at termination time.
-        if ran < self.min_billing_s {
-            let shortfall = (self.min_billing_s - ran) as f64;
-            self.vm_billed_s += shortfall;
-            // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
-            self.vm_dollars += shortfall * self.vm_rate_per_s;
+    /// Terminate the `n` oldest running VMs.
+    fn terminate_oldest(&mut self, mut n: usize) {
+        self.active_n -= n;
+        while n > 0 {
+            let (start, count) = self
+                .active
+                .front_mut()
+                .expect("terminate with no active VM");
+            let take = n.min(*count);
+            let ran = self.now - *start;
+            *count -= take;
+            if *count == 0 {
+                self.active.pop_front();
+            }
+            n -= take;
+            // Runtime seconds were already accrued second-by-second in `step`;
+            // terminating early bills the minimum-billing shortfall on top,
+            // at the rate in force at termination time — one accrual per
+            // VM, so the f64 sums round exactly as a per-VM fleet's would.
+            if ran < self.min_billing_s {
+                let shortfall = (self.min_billing_s - ran) as f64;
+                for _ in 0..take {
+                    self.vm_billed_s += shortfall;
+                    // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
+                    self.vm_dollars += shortfall * self.vm_rate_per_s;
+                }
+            }
         }
     }
 
@@ -110,12 +135,28 @@ impl AllocationSim {
     }
 
     fn promote_ready(&mut self) {
-        while let Some(&ready) = self.pending.front() {
+        while let Some(&(ready, count)) = self.pending.front() {
             if ready > self.now {
                 break;
             }
             self.pending.pop_front();
-            self.active.push_back(ready);
+            self.pending_n -= count;
+            self.active.push_back((ready, count));
+            self.active_n += count;
+        }
+    }
+
+    /// Cancel the `n` most recently requested pending VMs (free).
+    fn cancel_newest(&mut self, mut n: usize) {
+        self.pending_n -= n;
+        while n > 0 {
+            let (_, count) = self.pending.back_mut().expect("cancel with none pending");
+            let take = n.min(*count);
+            *count -= take;
+            if *count == 0 {
+                self.pending.pop_back();
+            }
+            n -= take;
         }
     }
 
@@ -130,35 +171,30 @@ impl AllocationSim {
         // 1. Promote pending VMs that are ready.
         self.promote_ready();
         // 2. Apply the target.
-        let total = self.active.len() + self.pending.len();
+        let total = self.active_n + self.pending_n;
         let target = target as usize;
         if target > total {
-            for _ in 0..target - total {
-                self.pending.push_back(self.now + self.startup_s);
-            }
+            self.pending
+                .push_back((self.now + self.startup_s, target - total));
+            self.pending_n += target - total;
         } else if target < total {
-            let mut excess = total - target;
+            let excess = total - target;
             // Cancel pending first (free).
-            while excess > 0 && !self.pending.is_empty() {
-                self.pending.pop_back();
-                excess -= 1;
-            }
+            let cancelled = excess.min(self.pending_n);
+            self.cancel_newest(cancelled);
             // Terminate idle VMs (beyond demand), oldest first.
-            let busy = (demand as usize).min(self.active.len());
-            let idle = self.active.len() - busy;
-            for _ in 0..excess.min(idle) {
-                self.terminate_oldest();
-            }
+            let idle = self.active_n.saturating_sub(demand as usize);
+            self.terminate_oldest((excess - cancelled).min(idle));
         }
         // 2b. With zero startup latency, fresh requests are usable at once.
         if self.startup_s == 0 {
             self.promote_ready();
         }
         // 3. Bill the second at the rates currently in force.
-        self.vm_billed_s += self.active.len() as f64;
+        self.vm_billed_s += self.active_n as f64;
         // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
-        self.vm_dollars += self.active.len() as f64 * self.vm_rate_per_s;
-        let overflow = (demand as usize).saturating_sub(self.active.len());
+        self.vm_dollars += self.active_n as f64 * self.vm_rate_per_s;
+        let overflow = (demand as usize).saturating_sub(self.active_n);
         self.pool_s += overflow as f64;
         // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
         self.pool_dollars += overflow as f64 * self.pool_rate_per_s;
@@ -195,9 +231,8 @@ impl AllocationSim {
     /// Terminate everything and return the final cost.
     pub fn finalize(&mut self) -> f64 {
         self.pending.clear();
-        while !self.active.is_empty() {
-            self.terminate_oldest();
-        }
+        self.pending_n = 0;
+        self.terminate_oldest(self.active_n);
         self.cost()
     }
 }
@@ -214,10 +249,115 @@ pub fn cost_of_target_history(targets: &[u32], demand: &[u32], env: &Env) -> f64
     sim.finalize()
 }
 
+/// The per-VM fleet the cohort representation replaced — one deque entry
+/// per VM — kept as the reference the differential test compares
+/// against bit for bit.
+#[cfg(test)]
+mod reference {
+    use std::collections::VecDeque;
+
+    pub struct PerVmSim {
+        startup_s: u64,
+        min_billing_s: u64,
+        vm_rate_per_s: f64,
+        pool_rate_per_s: f64,
+        pub vm_dollars: f64,
+        pub pool_dollars: f64,
+        now: u64,
+        pub active: VecDeque<u64>,
+        pub pending: VecDeque<u64>,
+        pub vm_billed_s: f64,
+        pub pool_s: f64,
+    }
+
+    impl PerVmSim {
+        pub fn with_rates(startup_s: u64, min_billing_s: u64, vm: f64, pool: f64) -> Self {
+            PerVmSim {
+                startup_s,
+                min_billing_s,
+                vm_rate_per_s: vm,
+                pool_rate_per_s: pool,
+                vm_dollars: 0.0,
+                pool_dollars: 0.0,
+                now: 0,
+                active: VecDeque::new(),
+                pending: VecDeque::new(),
+                vm_billed_s: 0.0,
+                pool_s: 0.0,
+            }
+        }
+
+        fn terminate_oldest(&mut self) {
+            let start = self.active.pop_front().expect("active VM");
+            let ran = self.now - start;
+            if ran < self.min_billing_s {
+                let shortfall = (self.min_billing_s - ran) as f64;
+                self.vm_billed_s += shortfall;
+                self.vm_dollars += shortfall * self.vm_rate_per_s;
+            }
+        }
+
+        pub fn set_rates(&mut self, vm: f64, pool: f64) {
+            self.vm_rate_per_s = vm;
+            self.pool_rate_per_s = pool;
+        }
+
+        fn promote_ready(&mut self) {
+            while let Some(&ready) = self.pending.front() {
+                if ready > self.now {
+                    break;
+                }
+                self.pending.pop_front();
+                self.active.push_back(ready);
+            }
+        }
+
+        pub fn step(&mut self, target: u32, demand: u32) {
+            self.promote_ready();
+            let total = self.active.len() + self.pending.len();
+            let target = target as usize;
+            if target > total {
+                for _ in 0..target - total {
+                    self.pending.push_back(self.now + self.startup_s);
+                }
+            } else if target < total {
+                let mut excess = total - target;
+                while excess > 0 && !self.pending.is_empty() {
+                    self.pending.pop_back();
+                    excess -= 1;
+                }
+                let busy = (demand as usize).min(self.active.len());
+                let idle = self.active.len() - busy;
+                for _ in 0..excess.min(idle) {
+                    self.terminate_oldest();
+                }
+            }
+            if self.startup_s == 0 {
+                self.promote_ready();
+            }
+            self.vm_billed_s += self.active.len() as f64;
+            self.vm_dollars += self.active.len() as f64 * self.vm_rate_per_s;
+            let overflow = (demand as usize).saturating_sub(self.active.len());
+            self.pool_s += overflow as f64;
+            self.pool_dollars += overflow as f64 * self.pool_rate_per_s;
+            self.now += 1;
+        }
+
+        pub fn finalize(&mut self) {
+            self.pending.clear();
+            while !self.active.is_empty() {
+                self.terminate_oldest();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::PerVmSim;
     use super::*;
     use cackle_cloud::SimDuration;
+    use cackle_prng::Pcg32;
 
     fn env() -> Env {
         Env::default()
@@ -374,5 +514,98 @@ mod tests {
         // pool = sum(max(0, d-4)) = 4 + 5 = 9.
         assert!((sim.pool_seconds() - 9.0).abs() < 1e-9);
         assert!((sim.vm_billed_seconds() - 4.0 * 6.0).abs() < 1e-9);
+    }
+
+    fn assert_same(sim: &AllocationSim, per_vm: &PerVmSim, at: impl std::fmt::Debug) {
+        assert_eq!(sim.active_count(), per_vm.active.len(), "active {at:?}");
+        assert_eq!(sim.pending_count(), per_vm.pending.len(), "pending {at:?}");
+        for (name, got, want) in [
+            ("vm_dollars", sim.vm_dollars(), per_vm.vm_dollars),
+            ("pool_dollars", sim.pool_dollars(), per_vm.pool_dollars),
+            ("cost", sim.cost(), per_vm.vm_dollars + per_vm.pool_dollars),
+            ("vm_billed_s", sim.vm_billed_seconds(), per_vm.vm_billed_s),
+            ("pool_s", sim.pool_seconds(), per_vm.pool_s),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{name} {at:?}: {got} vs {want}"
+            );
+        }
+    }
+
+    /// Cohorts against the per-VM reference, bit for bit after every
+    /// step: targets that follow demand, swing ×20 and collapse to 0,
+    /// a price change mid-run, one second of `u32::MAX` demand, and a
+    /// `finalize` that lands while requests are still starting up.
+    #[test]
+    fn differential_cohorts_vs_per_vm_fleet() {
+        let mut rng = Pcg32::seed_from_u64(0xA110C);
+        for (startup, min_billing) in [(0u64, 5u64), (0, 60), (3, 5), (3, 60), (180, 60)] {
+            for round in 0..6 {
+                let (vm, pool) = (0.0123, 0.0731);
+                let mut sim = AllocationSim::with_rates(startup, min_billing, vm, pool);
+                let mut per_vm = PerVmSim::with_rates(startup, min_billing, vm, pool);
+                let len = rng.gen_range(200usize..700);
+                let rate_change = rng.gen_range(0..len);
+                let extreme = rng.gen_range(0..len);
+                let mut demand = rng.gen_range(0u32..60);
+                let mut target = demand;
+                for t in 0..len {
+                    demand = (demand + rng.gen_range(0u32..7)).saturating_sub(3).min(90);
+                    // Hold a target for a few seconds, then move it.
+                    if rng.gen_ratio(1, 4) {
+                        target = match rng.gen_range(0u32..6) {
+                            0 => 0,
+                            1 => demand * 20,
+                            2 => target.saturating_sub(1),
+                            3 => target + 1,
+                            _ => demand + rng.gen_range(0u32..5),
+                        };
+                    }
+                    if t == rate_change {
+                        sim.set_rates(vm * 1.7, pool * 0.6);
+                        per_vm.set_rates(vm * 1.7, pool * 0.6);
+                    }
+                    let d = if t == extreme { u32::MAX } else { demand };
+                    sim.step(target, d);
+                    per_vm.step(target, d);
+                    assert_same(&sim, &per_vm, (startup, min_billing, round, t));
+                }
+                // Leave requests in flight so finalize cancels mid-startup.
+                sim.step(target + 40, demand);
+                per_vm.step(target + 40, demand);
+                sim.finalize();
+                per_vm.finalize();
+                assert_same(&sim, &per_vm, (startup, min_billing, round, "finalize"));
+            }
+        }
+    }
+
+    /// A request is one cohort whatever its size: a target at the top of
+    /// the type's range costs no memory or time per VM to request, cancel,
+    /// bring online, bill, or terminate past min billing.
+    #[test]
+    fn extreme_target_is_one_cohort() {
+        let mut sim = AllocationSim::with_rates(180, 60, 0.01, 0.06);
+        sim.step(u32::MAX, 0);
+        assert_eq!(sim.pending_count(), u32::MAX as usize);
+        sim.step(0, 0);
+        assert_eq!(sim.pending_count(), 0);
+        assert_eq!(sim.active_count(), 0);
+        assert_eq!(sim.cost(), 0.0);
+
+        // Online at once: every VM bills each second exactly once.
+        let mut sim = AllocationSim::with_rates(0, 1, 0.01, 0.06);
+        sim.step(u32::MAX, 0);
+        assert_eq!(sim.active_count(), u32::MAX as usize);
+        assert_eq!(sim.vm_billed_seconds(), u32::MAX as f64);
+        sim.step(u32::MAX, u32::MAX);
+        assert_eq!(sim.vm_billed_seconds(), 2.0 * u32::MAX as f64);
+        assert_eq!(sim.pool_seconds(), 0.0);
+        // Past min billing, terminating the whole cohort adds nothing.
+        sim.step(0, 0);
+        assert_eq!(sim.active_count(), 0);
+        assert_eq!(sim.vm_billed_seconds(), 2.0 * u32::MAX as f64);
     }
 }

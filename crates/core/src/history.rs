@@ -70,19 +70,17 @@ impl WorkloadHistory {
     }
 }
 
-/// Maximum demand value tracked exactly by [`SlidingQuantile`]; larger
-/// samples clamp (the Fenwick tree is sized to this domain).
-pub const QUANTILE_DOMAIN: u32 = 1 << 16;
-
 /// A sliding-window order-statistics structure: push one sample per second,
-/// query any percentile in `O(log D)`. This is what lets the meta-strategy
-/// evaluate 100 percentile experts per lookback without re-sorting.
+/// query one percentile by walking the distinct values, or all 101 in the
+/// same single walk. This is what lets the meta-strategy evaluate 100
+/// percentile experts per lookback without re-sorting.
 #[derive(Debug, Clone)]
 pub struct SlidingQuantile {
     capacity: usize,
     window: std::collections::VecDeque<u32>,
-    /// Fenwick tree over the value domain, counts per value.
-    tree: Vec<u32>,
+    /// `(value, multiplicity)` of the window's samples, ascending by
+    /// value. Demand repeats, so this is far shorter than the window.
+    counts: Vec<(u32, u32)>,
 }
 
 impl SlidingQuantile {
@@ -92,26 +90,27 @@ impl SlidingQuantile {
         SlidingQuantile {
             capacity,
             window: std::collections::VecDeque::with_capacity(capacity + 1),
-            tree: vec![0; QUANTILE_DOMAIN as usize + 1],
-        }
-    }
-
-    fn add(&mut self, v: u32, delta: i32) {
-        let mut i = v as usize + 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
-            i += i & i.wrapping_neg();
+            counts: Vec::new(),
         }
     }
 
     /// Push the next sample, evicting the oldest when full.
     pub fn push(&mut self, v: u32) {
-        let v = v.min(QUANTILE_DOMAIN - 1);
         self.window.push_back(v);
-        self.add(v, 1);
+        match self.counts.binary_search_by_key(&v, |&(value, _)| value) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (v, 1)),
+        }
         if self.window.len() > self.capacity {
             let old = self.window.pop_front().expect("non-empty");
-            self.add(old, -1);
+            let i = self
+                .counts
+                .binary_search_by_key(&old, |&(value, _)| value)
+                .expect("every window sample is counted");
+            self.counts[i].1 -= 1;
+            if self.counts[i].1 == 0 {
+                self.counts.remove(i);
+            }
         }
     }
 
@@ -125,6 +124,14 @@ impl SlidingQuantile {
         self.window.is_empty()
     }
 
+    /// Nearest-rank rank (1-based) of percentile `pct` in a non-empty
+    /// window: `pct` 0 is the minimum, not p1 — clamping 0 up to 1
+    /// diverges from the true minimum once the window exceeds 100
+    /// samples (rank ⌈n/100⌉ instead of rank 1).
+    fn rank(&self, pct: usize) -> usize {
+        (pct.min(100) * self.window.len()).div_ceil(100).max(1)
+    }
+
     /// The `k`-th smallest sample (1-based). Panics if `k` is out of range.
     pub fn kth(&self, k: usize) -> u32 {
         assert!(
@@ -132,32 +139,45 @@ impl SlidingQuantile {
             "k={k} of {}",
             self.window.len()
         );
-        let mut remaining = k as u32;
-        let mut pos = 0usize;
-        let mut bit = (self.tree.len() - 1).next_power_of_two() / 2;
-        while bit > 0 {
-            let next = pos + bit;
-            if next < self.tree.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
+        let mut seen = 0usize;
+        for &(value, count) in &self.counts {
+            seen += count as usize;
+            if seen >= k {
+                return value;
             }
-            bit /= 2;
         }
-        pos as u32
+        unreachable!("multiplicities sum to the window length")
     }
 
     /// Nearest-rank percentile (0–100) of the current window; 0 if empty.
     /// Matches [`percentile_of_sorted`] bit-for-bit on every `(window,
-    /// pct)` pair: `pct` 0 is the minimum, not p1 — clamping 0 up to 1
-    /// diverges from the true minimum once the window exceeds 100
-    /// samples (rank ⌈n/100⌉ instead of rank 1).
+    /// pct)` pair.
     pub fn percentile(&self, pct: u8) -> u32 {
         if self.window.is_empty() {
             return 0;
         }
-        let pct = pct.min(100) as usize;
-        let rank = (pct * self.window.len()).div_ceil(100).max(1);
-        self.kth(rank)
+        self.kth(self.rank(pct as usize))
+    }
+
+    /// Every nearest-rank percentile 0..=100 of the current window in one
+    /// ascending walk (`out[p] == self.percentile(p)`; all 0 if empty).
+    pub fn percentiles(&self) -> [u32; 101] {
+        let mut out = [0u32; 101];
+        if self.window.is_empty() {
+            return out;
+        }
+        let mut runs = self.counts.iter();
+        let (mut value, mut seen) = (0u32, 0usize);
+        for (pct, slot) in out.iter_mut().enumerate() {
+            let rank = self.rank(pct);
+            while seen < rank {
+                let &(v, count) = runs.next().expect("rank within the window");
+                value = v;
+                seen += count as usize;
+            }
+            *slot = value;
+        }
+        out
     }
 }
 
@@ -208,12 +228,12 @@ mod tests {
         assert_eq!(sq.len(), 50);
     }
 
-    /// Differential sweep between the Fenwick-tree quantile and a sorted
+    /// Differential sweep between the value-list quantile and a sorted
     /// brute force over every interesting `(window, pct)` edge: empty
     /// window, partial fill (window shorter than capacity), post-eviction
     /// steady state, capacities above 100 samples, and pct 0 / 1 / 100.
     #[test]
-    fn differential_quantile_fenwick_vs_sorted() {
+    fn differential_quantile_value_list_vs_sorted() {
         let mut rng = Pcg32::seed_from_u64(41);
         for capacity in [1usize, 2, 3, 7, 50, 128, 250] {
             let mut sq = SlidingQuantile::new(capacity);
@@ -237,7 +257,7 @@ mod tests {
                     assert_eq!(
                         sq.percentile(pct),
                         expect,
-                        "fenwick: cap {capacity} step {step} pct {pct}"
+                        "value list: cap {capacity} step {step} pct {pct}"
                     );
                     assert_eq!(
                         percentile_of_sorted(&w, pct),
@@ -304,11 +324,46 @@ mod tests {
         assert_eq!(sq.percentile(100), 40);
     }
 
+    /// Samples are held exactly over the whole `u32` domain, so `dynamic`
+    /// and the plain percentile strategies agree on demand of any size.
     #[test]
-    fn domain_clamping() {
-        let mut sq = SlidingQuantile::new(2);
-        sq.push(10_000_000);
-        assert_eq!(sq.percentile(100), QUANTILE_DOMAIN - 1);
+    fn large_samples_are_exact() {
+        let mut sq = SlidingQuantile::new(5);
+        let mut h = WorkloadHistory::new();
+        for v in [10_000_000, 7, u32::MAX, 70_000, u32::MAX - 1] {
+            sq.push(v);
+            h.push(v);
+            for pct in 0..=100u8 {
+                assert_eq!(sq.percentile(pct), h.percentile(5, pct), "pct {pct}");
+            }
+        }
+        assert_eq!(sq.percentile(100), u32::MAX);
+        assert_eq!(sq.percentile(80), u32::MAX - 1);
+        assert_eq!(sq.percentile(60), 10_000_000);
+        assert_eq!(sq.percentile(40), 70_000);
+        assert_eq!(sq.percentile(0), 7);
+    }
+
+    /// The one-pass table equals 101 single queries at every fill level
+    /// from empty through 2× capacity.
+    #[test]
+    fn percentile_sweep_matches_single_queries() {
+        let mut rng = Pcg32::seed_from_u64(77);
+        for capacity in [1usize, 10, 128, 3600] {
+            let mut sq = SlidingQuantile::new(capacity);
+            for fill in 0..=capacity * 2 {
+                let table = sq.percentiles();
+                for pct in 0..=100u8 {
+                    assert_eq!(
+                        table[pct as usize],
+                        sq.percentile(pct),
+                        "cap {capacity} fill {fill} pct {pct}"
+                    );
+                }
+                // Few distinct values early, many later.
+                sq.push(rng.gen_range(0..(fill as u32 + 2).min(500)));
+            }
+        }
     }
 
     #[test]

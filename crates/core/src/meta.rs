@@ -7,9 +7,9 @@
 //!    history seconds using the target it chose last tick — this maintains
 //!    that expert's predicted *allocation history* and running cost;
 //! 2. each expert produces a new target (its percentile over its lookback
-//!    window, times its multiplier) from shared per-lookback
-//!    [`SlidingQuantile`] structures (one order-statistics query per
-//!    expert, no per-expert sorting);
+//!    window, times its multiplier) from a 0..=100 percentile table swept
+//!    once per lookback out of the shared [`SlidingQuantile`] structures
+//!    (no per-expert query, no per-expert sorting);
 //! 3. expert weights are multiplied by `1 − ε·ĉ`, where `ĉ` is the
 //!    expert's interval cost normalized to the worst expert's;
 //! 4. an expert is drawn from the weight distribution and its target
@@ -110,8 +110,12 @@ pub struct MetaStrategy {
     sims: Vec<AllocationSim>,
     weights: Vec<f64>,
     last_costs: Vec<f64>,
+    /// Scratch for `update_weights`: each expert's cost over the interval.
+    interval_costs: Vec<f64>,
     expert_targets: Vec<u32>,
     quantiles: Vec<SlidingQuantile>,
+    /// Scratch for `recompute_targets`: percentiles 0..=100 per lookback.
+    percentile_tables: Vec<[u32; 101]>,
     epsilon: f64,
     rng: Pcg32,
     fed: u64,
@@ -137,6 +141,7 @@ impl MetaStrategy {
         let n = experts.len();
         assert!(n >= 2, "family needs at least two experts");
         MetaStrategy {
+            percentile_tables: vec![[0; 101]; cfg.lookbacks.len()],
             quantiles: cfg
                 .lookbacks
                 .iter()
@@ -146,6 +151,7 @@ impl MetaStrategy {
             sims: (0..n).map(|_| AllocationSim::new(env)).collect(),
             weights: vec![1.0; n],
             last_costs: vec![0.0; n],
+            interval_costs: vec![0.0; n],
             expert_targets: vec![0; n],
             experts,
             epsilon: cfg.epsilon,
@@ -206,23 +212,37 @@ impl MetaStrategy {
     }
 
     fn advance_sims(&mut self, history: &WorkloadHistory) {
-        let until = history.len() as u64;
-        while self.fed < until {
-            let demand = history.at(self.fed);
-            for (sim, &target) in self.sims.iter_mut().zip(&self.expert_targets) {
+        let samples = history.samples();
+        let fresh = &samples[(self.fed as usize).min(samples.len())..];
+        // Expert-major: each simulator takes the tick's seconds in one go,
+        // while it is in cache. Experts share nothing, so this is the
+        // same arithmetic as second-major in another order.
+        for (sim, &target) in self.sims.iter_mut().zip(&self.expert_targets) {
+            for &demand in fresh {
                 sim.step(target, demand);
             }
-            for q in &mut self.quantiles {
+        }
+        for q in &mut self.quantiles {
+            for &demand in fresh {
                 q.push(demand);
             }
-            self.fed += 1;
         }
+        self.fed += fresh.len() as u64;
     }
 
     fn recompute_targets(&mut self) {
-        for (i, e) in self.experts.iter().enumerate() {
-            let p = self.quantiles[e.lookback_idx].percentile(e.percentile);
-            self.expert_targets[i] = (p as f64 * e.multiplier).round() as u32;
+        for (table, q) in self.percentile_tables.iter_mut().zip(&self.quantiles) {
+            *table = q.percentiles();
+        }
+        for (target, e) in self.expert_targets.iter_mut().zip(&self.experts) {
+            let p = self.percentile_tables[e.lookback_idx][e.percentile.min(100) as usize];
+            // ×1.0 is exact, and five experts in six are unit experts:
+            // skip their float round trip.
+            *target = if e.multiplier == 1.0 {
+                p
+            } else {
+                (p as f64 * e.multiplier).round() as u32
+            };
         }
     }
 
@@ -230,13 +250,17 @@ impl MetaStrategy {
         // Interval cost per expert since the previous tick.
         let mut max_cost = f64::MIN;
         let mut min_cost = f64::MAX;
-        let mut interval = vec![0.0; self.sims.len()];
-        for (i, sim) in self.sims.iter().enumerate() {
+        for ((sim, last), interval) in self
+            .sims
+            .iter()
+            .zip(&mut self.last_costs)
+            .zip(&mut self.interval_costs)
+        {
             let c = sim.cost();
-            interval[i] = c - self.last_costs[i];
-            self.last_costs[i] = c;
-            max_cost = max_cost.max(interval[i]);
-            min_cost = min_cost.min(interval[i]);
+            *interval = c - *last;
+            *last = c;
+            max_cost = max_cost.max(*interval);
+            min_cost = min_cost.min(*interval);
         }
         if max_cost <= min_cost {
             return; // indistinguishable interval: no information
@@ -245,11 +269,12 @@ impl MetaStrategy {
         // scaling keeps discrimination sharp even when one runaway expert
         // would otherwise compress everyone else's penalty toward zero.
         let range = max_cost - min_cost;
-        for (w, cost) in self.weights.iter_mut().zip(&interval) {
+        let mut max_w = 0.0f64;
+        for (w, cost) in self.weights.iter_mut().zip(&self.interval_costs) {
             *w *= 1.0 - self.epsilon * ((cost - min_cost) / range);
+            max_w = max_w.max(*w);
         }
         // Guard against global underflow.
-        let max_w = self.weights.iter().cloned().fold(0.0f64, f64::max);
         if max_w < 1e-100 {
             for w in &mut self.weights {
                 *w = (*w / max_w).max(1e-12);
@@ -452,6 +477,71 @@ mod tests {
         assert_eq!(t.counter("meta.ticks_total"), 40);
         assert_eq!(t.series("meta.chosen_target").unwrap().len(), 40);
         assert_eq!(t.counter("meta.switches_total"), m.switch_count());
+    }
+
+    /// FNV-1a over everything a full-family run decides: the three
+    /// `meta.*` series (timestamps and value bits) and the final weight
+    /// bits, over an hour of sine-plus-noise demand with a price change
+    /// halfway.
+    fn decision_trace_hash(seed: u64) -> u64 {
+        let e = env();
+        let t = Telemetry::new();
+        let cfg = FamilyConfig {
+            seed,
+            ..FamilyConfig::default()
+        };
+        let mut m = MetaStrategy::with_family(cfg, &e);
+        m.set_telemetry(&t);
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut h = WorkloadHistory::new();
+        for s in 0..3600u64 {
+            let base = 60.0 + 50.0 * (s as f64 * std::f64::consts::TAU / 1200.0).sin();
+            h.push((base + rng.gen_range(0.0..20.0)) as u32);
+            if s == 1800 {
+                m.on_rates_changed(e.pricing.vm_per_sec() * 1.5, e.pricing.pool_per_sec() * 0.8);
+            }
+            if s % 5 == 4 {
+                m.target(s, &h, &e);
+            }
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for b in word.to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for name in [
+            "meta.chosen_target",
+            "meta.expert_percentile",
+            "meta.expert_multiplier",
+        ] {
+            let series = t.series(name).expect("series recorded");
+            assert_eq!(series.len(), 720);
+            for (t_ms, v) in series {
+                eat(t_ms);
+                eat(v.to_bits());
+            }
+        }
+        for w in &m.weights {
+            eat(w.to_bits());
+        }
+        hash
+    }
+
+    /// Decisions are pinned to the hashes recorded from the per-VM-deque /
+    /// Fenwick-tree implementation this module started from: any change
+    /// to the simulators, the percentile tables or the weight update that
+    /// moves one f64 bit of one expert's cost shows up here.
+    #[test]
+    fn full_family_decision_trace_is_pinned() {
+        for (seed, want) in [
+            (17u64, 0xc502_e0a1_2e67_c80bu64),
+            (12, 0x00f1_ea78_4038_a63d),
+            (2023, 0x939a_0226_dcba_6849),
+        ] {
+            let got = decision_trace_hash(seed);
+            assert_eq!(got, want, "seed {seed}: {got:#018x}");
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn cost_monotone_in_pool_price() {
     }
 }
 
-/// The Fenwick-backed sliding quantile agrees with naive nearest-rank
+/// The value-list sliding quantile agrees with naive nearest-rank
 /// percentile over the trailing window at every step.
 #[test]
 fn sliding_quantile_matches_naive() {
