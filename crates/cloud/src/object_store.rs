@@ -38,7 +38,7 @@ fn write_objects(
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
-fn lock_ledger(l: &Mutex<CostLedger>) -> MutexGuard<'_, CostLedger> {
+fn lock_billing(l: &Mutex<Billing>) -> MutexGuard<'_, Billing> {
     l.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -46,12 +46,27 @@ fn lock_faults(l: &Mutex<FaultInjector>) -> MutexGuard<'_, FaultInjector> {
     l.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// What concurrent requests touch under the store lock is integer
+/// counters only: integer adds commute, so the totals do not depend on
+/// the order tasks reach the store. Dollars are f64 and their sums do
+/// depend on order, so requests are priced in bulk by
+/// [`ObjectStore::ledger`], never one by one.
+#[derive(Debug, Default)]
+struct Billing {
+    /// Request and byte counters, plus every request priced so far.
+    ledger: CostLedger,
+    /// PUT attempts counted but not yet priced.
+    pending_puts: u64,
+    /// GET attempts counted but not yet priced.
+    pending_gets: u64,
+}
+
 /// A shared, internally synchronized object store with request billing.
 #[derive(Debug)]
 pub struct ObjectStore {
     pricing: Pricing,
     objects: RwLock<BTreeMap<String, Bytes>>,
-    ledger: Mutex<CostLedger>,
+    billing: Mutex<Billing>,
     /// Fault plan consulted per request (disabled by default); see
     /// [`ObjectStore::inject_faults`].
     faults: Mutex<FaultInjector>,
@@ -63,15 +78,18 @@ impl ObjectStore {
         ObjectStore {
             pricing,
             objects: RwLock::new(BTreeMap::new()),
-            ledger: Mutex::new(CostLedger::new()),
+            billing: Mutex::new(Billing::default()),
             faults: Mutex::new(FaultInjector::disabled()),
         }
     }
 
     /// Report the store's request charges to `telemetry` under the `store`
-    /// component. Instrument before sharing the store with tasks.
+    /// component, written when [`ObjectStore::ledger`] prices them.
+    /// Instrument before sharing the store with tasks.
     pub fn instrument(&self, telemetry: &cackle_telemetry::Telemetry) {
-        lock_ledger(&self.ledger).instrument("store", telemetry);
+        lock_billing(&self.billing)
+            .ledger
+            .instrument("store", telemetry);
     }
 
     /// Consult `faults` on every subsequent request: an injected
@@ -92,35 +110,30 @@ impl ObjectStore {
         lock_faults(&self.faults).store_attempts_keyed(op, op_key(key.as_bytes()))
     }
 
-    /// PUT an object, billing one request per attempt (injected
+    /// PUT an object, counting one billable request per attempt (injected
     /// transient errors retry internally and each attempt bills).
     pub fn put(&self, key: &str, data: Vec<u8>) {
         let attempts = self.attempts(StoreOp::Put, key);
         let len = data.len() as u64;
         write_objects(&self.objects).insert(key.to_string(), Bytes::from(data));
-        let mut l = lock_ledger(&self.ledger);
-        l.charge_requests(CostCategory::S3Put, attempts, self.pricing.s3_put);
-        l.put_requests += attempts;
-        l.bytes_put += len;
+        let mut b = lock_billing(&self.billing);
+        b.pending_puts += attempts;
+        b.ledger.put_requests += attempts;
+        b.ledger.bytes_put += len;
     }
 
-    /// GET an object, billing one request per attempt. Returns `None`
-    /// (still billed, as S3 bills failed GETs) when the key does not
-    /// exist; injected transient errors retry internally and each
+    /// GET an object, counting one billable request per attempt. Returns
+    /// `None` (still billed, as S3 bills failed GETs) when the key does
+    /// not exist; injected transient errors retry internally and each
     /// attempt bills.
     pub fn get(&self, key: &str) -> Option<Bytes> {
         let attempts = self.attempts(StoreOp::Get, key);
         let out = read_objects(&self.objects).get(key).cloned();
-        let mut l = lock_ledger(&self.ledger);
-        // Request billing is deliberately immediate, not barrier-buffered:
-        // the store ledger is lock-guarded, bills exactly once per attempt,
-        // and attempt counts come from keyed draws, so totals are
-        // order-independent (only dollar sums, never sequences, publish).
-        // cackle-lint: allow(L17)
-        l.charge_requests(CostCategory::S3Get, attempts, self.pricing.s3_get);
-        l.get_requests += attempts;
-        if let Some(b) = &out {
-            l.bytes_get += b.len() as u64;
+        let mut b = lock_billing(&self.billing);
+        b.pending_gets += attempts;
+        b.ledger.get_requests += attempts;
+        if let Some(data) = &out {
+            b.ledger.bytes_get += data.len() as u64;
         }
         out
     }
@@ -159,9 +172,25 @@ impl ObjectStore {
             .sum()
     }
 
-    /// Snapshot of the accumulated billing ledger.
+    /// Snapshot of the billing ledger. The requests counted since the
+    /// previous call are priced here, each category in one
+    /// `count × unit` charge (mirrored to telemetry on an instrumented
+    /// store), so a run that takes the ledger once, when it finishes,
+    /// bills every category exactly once and the same at any worker
+    /// count. Call it from serial code only.
     pub fn ledger(&self) -> CostLedger {
-        lock_ledger(&self.ledger).clone()
+        let mut b = lock_billing(&self.billing);
+        let puts = std::mem::take(&mut b.pending_puts);
+        if puts > 0 {
+            b.ledger
+                .charge_requests(CostCategory::S3Put, puts, self.pricing.s3_put);
+        }
+        let gets = std::mem::take(&mut b.pending_gets);
+        if gets > 0 {
+            b.ledger
+                .charge_requests(CostCategory::S3Get, gets, self.pricing.s3_get);
+        }
+        b.ledger.clone()
     }
 }
 
@@ -235,6 +264,67 @@ mod tests {
         // Payload accounting is per-operation, not per-attempt.
         assert_eq!(l.bytes_put, 200);
         assert_eq!(l.bytes_get, 200);
+    }
+
+    #[test]
+    fn billing_is_independent_of_request_order() {
+        use cackle_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
+        use cackle_telemetry::Telemetry;
+        // One fixed multiset of keyed requests whose attempt counts vary
+        // (1–4 per request), issued in two orders — what two worker
+        // counts do to the store. Per-request f64 charges summed in
+        // arrival order differ in the last digits between the two.
+        let spec = FaultSpec::default().with_store_errors(0.2, 0.2);
+        let inj = FaultInjector::new(
+            FaultPlan::compile(&spec, 29).unwrap(),
+            RecoveryPolicy::default().with_max_retries(3),
+        );
+        let requests: Vec<(bool, String)> = (0..800)
+            .flat_map(|i| [(true, format!("q{}/t{i}", i % 7)), (false, format!("k{i}"))])
+            .collect();
+        let run = |order: &mut dyn Iterator<Item = &(bool, String)>| {
+            let t = Telemetry::new();
+            let s = ObjectStore::new(Pricing::default());
+            s.instrument(&t);
+            s.inject_faults(&inj);
+            for (put, key) in order {
+                if *put {
+                    s.put(key, vec![3; 8]);
+                } else {
+                    s.get(key);
+                }
+            }
+            (s.ledger(), t)
+        };
+        let (a, ta) = run(&mut requests.iter());
+        let (b, tb) = run(&mut requests.iter().rev());
+        assert!(a.put_requests > 800 && a.get_requests > 800, "no retries");
+        assert_eq!(
+            (a.put_requests, a.get_requests, a.bytes_put, a.bytes_get),
+            (b.put_requests, b.get_requests, b.bytes_put, b.bytes_get)
+        );
+        for (category, name) in [
+            (CostCategory::S3Put, "s3_put"),
+            (CostCategory::S3Get, "s3_get"),
+        ] {
+            assert_eq!(
+                a.category(category).to_bits(),
+                b.category(category).to_bits(),
+                "{name}: {:?} vs {:?}",
+                a.category(category),
+                b.category(category)
+            );
+            assert_eq!(
+                ta.cost("store", name).to_bits(),
+                tb.cost("store", name).to_bits()
+            );
+            // The telemetry row is the ledger's dollars, not a second sum.
+            assert_eq!(
+                ta.cost("store", name).to_bits(),
+                a.category(category).to_bits()
+            );
+        }
+        assert_eq!(a.total().to_bits(), b.total().to_bits());
     }
 
     #[test]

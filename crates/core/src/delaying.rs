@@ -9,7 +9,9 @@
 
 use crate::model::QueryArrival;
 use crate::report::{ComputeCost, RunResult};
+use crate::runloop::validate_stage_graph;
 use crate::spec::{RunError, RunSpec};
+use crate::system::profile_graphs;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,6 +44,11 @@ pub fn try_run_delaying(
             name: "slots",
             value: 0.0,
         });
+    }
+    // A stage graph that cannot execute would leave its query unscheduled
+    // and reported as finishing in zero seconds.
+    for (qi, q) in profile_graphs(workload).enumerate() {
+        validate_stage_graph(qi, &q.stages)?;
     }
     let env = &spec.env;
     let telemetry = spec.effective_telemetry();

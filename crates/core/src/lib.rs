@@ -31,6 +31,7 @@ pub mod model;
 pub mod oracle;
 pub mod prices;
 pub mod report;
+mod runloop;
 pub mod shuffleprov;
 pub mod spec;
 pub mod strategy;

@@ -11,7 +11,9 @@
 //!
 //! This is the closest analogue of the paper's §7.1 implementation: the
 //! same coordinator/compute/shuffle split, with the cloud simulated and
-//! the relational work real.
+//! the relational work real. The coordinator is the same code, too: the
+//! crate-private `runloop` module drives this module's task source
+//! exactly as it drives the profile replay.
 //!
 //! Entry points mirror the other runners: [`run_live`] takes a
 //! [`RunSpec`] and returns the shared [`RunResult`]; [`run_live_collect`]
@@ -23,27 +25,24 @@
 //! [`RunError::FaultUnrecovered`] through [`try_run_live`]), object-store
 //! transient errors (retried and billed inside [`ObjectStore`]), and
 //! transport drops (recovered by S3 fallback on writes and bounded
-//! retries on reads). Spot reclaims and duplicate launches are
-//! system-runner-only: live tasks execute eagerly at launch, so there is
-//! no mid-flight copy to reclaim or duplicate.
+//! retries on reads). Spot reclaims and duplicate launches never happen
+//! here: a live task executes eagerly when it is launched, so it hands
+//! the loop no recovery data and there is no mid-flight copy to reclaim
+//! or duplicate.
 
-use crate::factory::try_make_strategy;
-use crate::history::WorkloadHistory;
-use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
-use crate::shuffleprov::ShuffleProvisioner;
+use crate::report::RunResult;
+use crate::runloop::{self, QueryGraph, Stage, TaskLaunch, TaskSource};
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use crate::transport::HybridShuffle;
-use cackle_cloud::{
-    CostCategory, ElasticPool, EventQueue, InvocationId, ObjectStore, SimDuration, SimTime,
-    VmFleet, VmId,
-};
+use cackle_cloud::{CostLedger, ObjectStore};
 use cackle_engine::batch::Batch;
 use cackle_engine::executor::Executor;
 use cackle_engine::plan::StageDag;
 use cackle_engine::shuffle::ShuffleTransport;
 use cackle_engine::table::Catalog;
-use cackle_faults::InjectionPoint;
+use cackle_faults::FaultInjector;
+use cackle_telemetry::Telemetry;
 use std::sync::Arc;
 
 /// A query to run live: arrival time plus its physical plan.
@@ -55,84 +54,70 @@ pub struct LiveQuery {
     pub plan: Arc<StageDag>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Vm(VmId),
-    Pool(InvocationId),
+/// Real execution: a stage's tasks run through the engine when the stage
+/// is launched, and their simulated durations come from the rows they
+/// processed.
+struct LiveSource<'a> {
+    workload: &'a [LiveQuery],
+    catalog: &'a Catalog,
+    spec: &'a RunSpec,
+    store: Arc<ObjectStore>,
+    shuffle: HybridShuffle,
+    telemetry: Telemetry,
+    faults: FaultInjector,
+    /// Each query's final output batches, when the caller wants them.
+    results: Option<Vec<Vec<Batch>>>,
 }
 
-enum Ev {
-    Arrive(usize),
-    TaskDone {
-        query: usize,
-        stage: usize,
-        slot: Slot,
-    },
-    /// Retry a pool launch whose invoke was failed by the fault plan,
-    /// after deterministic backoff.
-    PoolLaunch {
-        query: usize,
-        stage: usize,
-        dur: f64,
-        attempt: u32,
-    },
-    Second,
-    Tick,
-}
-
-struct QueryState {
-    arrival: SimTime,
-    remaining_tasks: Vec<u32>,
-    unfinished_deps: Vec<usize>,
-    stages_left: usize,
-}
-
-/// Check every plan can execute: at least one stage, at least one task per
-/// stage, dependency indices in range, acyclic stage graph.
-fn validate_live_workload(workload: &[LiveQuery]) -> Result<(), RunError> {
-    for (qi, q) in workload.iter().enumerate() {
-        let n = q.plan.stages.len();
-        if n == 0 {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has no stages"
-            )));
-        }
-        let deps: Vec<Vec<usize>> = q.plan.stages.iter().map(|s| s.dependencies()).collect();
-        for (si, stage) in q.plan.stages.iter().enumerate() {
-            if stage.tasks == 0 {
-                return Err(RunError::InvalidWorkload(format!(
-                    "query {qi} stage {si} has zero tasks"
-                )));
+impl TaskSource for LiveSource<'_> {
+    /// Execute the engine tasks NOW across `spec.workers` threads (their
+    /// wall time is irrelevant to the simulation; bytes move through the
+    /// shuffle at the stage barrier, in task-index order) and report the
+    /// simulated time each task's row count implies. The straggler draws
+    /// happen after the executor returns, serially and in task order, so
+    /// the sequential fault stream sees the same order at any worker
+    /// count.
+    fn launch_stage(&mut self, query: usize, stage: usize, _: usize) -> Vec<TaskLaunch> {
+        let task_results = Executor::new(self.spec.workers).execute_stage(
+            &self.workload[query].plan,
+            stage,
+            query as u64,
+            self.catalog,
+            &self.shuffle,
+            &self.telemetry,
+            &self.faults,
+        );
+        let launches = task_results.into_iter().map(|r| {
+            if let (Some(batches), Some(results)) = (r.output, &mut self.results) {
+                results[query].extend(batches);
             }
-            for &d in &deps[si] {
-                if d >= n {
-                    return Err(RunError::InvalidWorkload(format!(
-                        "query {qi} stage {si} depends on missing stage {d}"
-                    )));
-                }
+            // Straggler injection stretches the simulated duration
+            // (zero-rate plans make no draw at all).
+            let slowdown = self.faults.straggler().unwrap_or(1.0);
+            let work_s =
+                (r.rows_in.max(1) as f64 / self.spec.rows_per_task_second).max(0.2) * slowdown;
+            TaskLaunch {
+                vm_secs: work_s,
+                pool_secs: work_s * self.spec.pool_slowdown,
+                recovery: None,
             }
-        }
-        let mut indegree: Vec<usize> = deps.iter().map(|d| d.len()).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut processed = 0usize;
-        while let Some(finished) = ready.pop() {
-            processed += 1;
-            for si in 0..n {
-                if deps[si].contains(&finished) {
-                    indegree[si] = indegree[si].saturating_sub(1);
-                    if indegree[si] == 0 {
-                        ready.push(si);
-                    }
-                }
-            }
-        }
-        if processed < n {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has a stage dependency cycle"
-            )));
-        }
+        });
+        launches.collect()
     }
-    Ok(())
+
+    fn query_finished(&mut self, query: usize) {
+        self.shuffle.delete_query(query as u64);
+    }
+
+    /// Shuffle-node billing tracks the provisioner target driven by
+    /// *real* resident bytes on the transport.
+    fn resident_bytes(&self) -> u64 {
+        self.shuffle.node_resident_bytes()
+    }
+
+    fn store_ledger(&mut self) -> CostLedger {
+        self.store.ledger()
+    }
 }
 
 /// Execute a live workload; the strategy comes from `spec.strategy`.
@@ -149,10 +134,7 @@ pub fn try_run_live(
     catalog: &Catalog,
     spec: &RunSpec,
 ) -> Result<RunResult, RunError> {
-    spec.validate()?;
-    validate_live_workload(workload)?;
-    let mut strategy = try_make_strategy(&spec.strategy, &spec.env)?;
-    run_live_inner(workload, catalog, strategy.as_mut(), spec, false).map(|(run, _)| run)
+    live(workload, catalog, None, spec, false).map(|(run, _)| run)
 }
 
 /// Execute a live workload under an explicitly constructed strategy.
@@ -165,16 +147,7 @@ pub fn run_live_with(
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> RunResult {
-    let outcome = spec
-        .validate()
-        .and_then(|()| validate_live_workload(workload));
-    debug_assert!(outcome.is_ok(), "invalid live run: {outcome:?}");
-    if outcome.is_err() {
-        return RunResult::default();
-    }
-    run_live_inner(workload, catalog, strategy, spec, false)
-        .map(|(run, _)| run)
-        .unwrap_or_default()
+    live_or_empty(workload, catalog, strategy, spec, false).0
 }
 
 /// [`run_live_with`], additionally gathering each query's final output
@@ -185,339 +158,74 @@ pub fn run_live_collect(
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> (RunResult, Vec<Vec<Batch>>) {
-    let outcome = spec
-        .validate()
-        .and_then(|()| validate_live_workload(workload));
-    debug_assert!(outcome.is_ok(), "invalid live run: {outcome:?}");
-    if outcome.is_err() {
-        return (RunResult::default(), vec![Vec::new(); workload.len()]);
-    }
-    run_live_inner(workload, catalog, strategy, spec, true)
-        .unwrap_or_else(|_| (RunResult::default(), vec![Vec::new(); workload.len()]))
+    live_or_empty(workload, catalog, strategy, spec, true)
 }
 
-/// The shared event loop behind every live entry point.
-///
-/// Single-process: engine tasks run at event-processing time — across
-/// `spec.workers` threads via the deterministic stage executor (their
-/// wall time is irrelevant — simulated durations come from processed
-/// rows) — which keeps the run byte-identical at any worker count.
-fn run_live_inner(
+/// The infallible entry points: a malformed spec or workload trips a
+/// debug assertion, and any error yields an empty result with one empty
+/// output per query.
+fn live_or_empty(
     workload: &[LiveQuery],
     catalog: &Catalog,
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
     keep_results: bool,
+) -> (RunResult, Vec<Vec<Batch>>) {
+    let outcome = live(workload, catalog, Some(strategy), spec, keep_results);
+    debug_assert!(
+        matches!(outcome, Ok(_) | Err(RunError::FaultUnrecovered { .. })),
+        "invalid live run: {:?}",
+        outcome.as_ref().err()
+    );
+    outcome.unwrap_or_else(|_| (RunResult::default(), vec![Vec::new(); workload.len()]))
+}
+
+/// Every live entry point: hand the plans' stage graphs to the run loop
+/// behind a [`LiveSource`] (without a `strategy` the loop builds one from
+/// the spec's label).
+fn live(
+    workload: &[LiveQuery],
+    catalog: &Catalog,
+    strategy: Option<&mut dyn ProvisioningStrategy>,
+    spec: &RunSpec,
+    keep_results: bool,
 ) -> Result<(RunResult, Vec<Vec<Batch>>), RunError> {
-    let env = &spec.env;
-    let pricing = env.pricing.clone();
-    let telemetry = spec.effective_telemetry();
-    strategy.set_telemetry(&telemetry);
-    let faults = spec.fault_injector(&telemetry)?;
-    let market = faults.price_timeline();
-    let store = Arc::new(ObjectStore::new(pricing.clone()));
-    store.instrument(&telemetry);
-    store.inject_faults(&faults);
-    // Shuffle nodes sized by the provisioner's floor; the node count is
-    // refreshed each second from the resident-state window like the
-    // simulated system. For placement we rebuild capacity by adjusting a
-    // target on the hybrid's node list — the transport is recreated is
-    // avoided by sizing to the floor (nodes beyond it only reduce S3
-    // traffic further, which keeps the cost accounting conservative).
-    let floor_nodes = (env.shuffle_min_bytes / pricing.shuffle_node_capacity_bytes).max(1) as usize;
-    let shuffle = HybridShuffle::new(
-        floor_nodes,
-        pricing.shuffle_node_capacity_bytes,
-        store.clone(),
-    )
-    .with_faults(&faults);
-
-    let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut fleet = VmFleet::new(pricing.clone());
-    let mut pool = ElasticPool::new(pricing.clone());
-    let mut shuffle_fleet = VmFleet::with_category(pricing.clone(), CostCategory::ShuffleNode);
-    fleet.instrument("fleet", &telemetry);
-    pool.instrument(&telemetry);
-    shuffle_fleet.instrument("shuffle_fleet", &telemetry);
-    if !market.is_flat() {
-        // Spot-market motion from the environment model: both fleets
-        // integrate the compiled schedule at termination time.
-        fleet.set_price_timeline(market.clone());
-        shuffle_fleet.set_price_timeline(market);
-    }
-    let mut shuffle_prov = ShuffleProvisioner::new(env);
-    let mut history = WorkloadHistory::new();
-    let executor = Executor::new(spec.workers);
-
-    let mut queries: Vec<QueryState> = workload
-        .iter()
-        .map(|q| QueryState {
-            arrival: SimTime::from_secs(q.at_s),
-            remaining_tasks: q.plan.stages.iter().map(|s| s.tasks).collect(),
-            unfinished_deps: q
-                .plan
-                .stages
-                .iter()
-                .map(|s| s.dependencies().len())
-                .collect(),
-            stages_left: q.plan.stages.len(),
-        })
-        .collect();
-    let mut latencies = vec![0.0f64; workload.len()];
-    let mut results: Vec<Vec<Batch>> = vec![Vec::new(); workload.len()];
-    let mut done = 0usize;
-    let mut running = 0u32;
-    let mut max_since = 0u32;
-    let mut target = 0u32;
-    let mut fatal: Option<RunError> = None;
-
-    for (i, q) in workload.iter().enumerate() {
-        events.schedule(SimTime::from_secs(q.at_s), Ev::Arrive(i));
-    }
-    if !workload.is_empty() {
-        events.schedule(SimTime::ZERO, Ev::Second);
-        events.schedule(SimTime::ZERO, Ev::Tick);
-    }
-
-    // Poll the execution fleet and tag every newly started VM with its
-    // persistent environment traits (env.* telemetry + remote-region
-    // billing rate; a zero environment records and tags nothing).
-    macro_rules! poll_fleet {
-        ($now:expr) => {{
-            for id in fleet.poll($now) {
-                let traits = faults.vm_started(id.0);
-                if traits.rate_milli != 1000 {
-                    fleet.set_vm_rate_milli(id, traits.rate_milli);
-                }
-            }
-        }};
-    }
-
-    // Launch a task's simulated run on the pool; an injected invoke
-    // failure backs off deterministically and retries via Ev::PoolLaunch,
-    // surfacing RunError::FaultUnrecovered once the bound is exhausted.
-    macro_rules! pool_launch {
-        ($now:expr, $qi:expr, $si:expr, $dur:expr, $attempt:expr) => {{
-            match pool.invoke_faulted($now, &faults) {
-                Some((id, start)) => {
-                    events.schedule(
-                        start + SimDuration::from_secs_f64($dur),
-                        Ev::TaskDone {
-                            query: $qi,
-                            stage: $si,
-                            slot: Slot::Pool(id),
-                        },
-                    );
-                }
-                None => {
-                    let policy = faults.policy();
-                    if policy.allows_retry($attempt) {
-                        let backoff = policy.backoff_ms($attempt);
-                        faults.note_retry(backoff);
-                        events.schedule(
-                            $now + SimDuration::from_millis(backoff),
-                            Ev::PoolLaunch {
-                                query: $qi,
-                                stage: $si,
-                                dur: $dur,
-                                attempt: $attempt + 1,
-                            },
-                        );
-                    } else {
-                        faults.note_unrecovered(InjectionPoint::PoolInvoke);
-                        fatal = Some(RunError::FaultUnrecovered {
-                            point: InjectionPoint::PoolInvoke.as_str(),
-                            attempts: $attempt + 1,
-                        });
-                    }
-                }
-            }
-        }};
-    }
-
-    // Launch every task of a stage: execute the engine tasks NOW across
-    // the worker pool (bytes move through the shuffle at the stage
-    // barrier, in task-index order) and schedule each task's completion
-    // at the simulated time its row count implies. The serial loop below
-    // the executor call draws stragglers and claims fleet/pool slots in
-    // task order, so the sequential fault streams and the scheduler see
-    // the same order at any worker count.
-    macro_rules! launch_stage {
-        ($now:expr, $qi:expr, $si:expr) => {{
-            let plan = &workload[$qi].plan;
-            let task_results = executor.execute_stage(
-                plan, $si, $qi as u64, catalog, &shuffle, &telemetry, &faults,
-            );
-            for r in task_results {
-                if let Some(batches) = r.output {
-                    if keep_results {
-                        results[$qi].extend(batches);
-                    }
-                }
-                // Straggler injection stretches the simulated duration
-                // (zero-rate plans make no draw at all).
-                let slowdown = faults.straggler().unwrap_or(1.0);
-                let work_s =
-                    (r.rows_in.max(1) as f64 / spec.rows_per_task_second).max(0.2) * slowdown;
-                running += 1;
-                max_since = max_since.max(running);
-                match fleet.try_assign($now) {
-                    Some(id) => {
-                        // Persistent per-VM heterogeneity: the seed-keyed
-                        // slowdown stretches every task this VM runs
-                        // (exactly 1.0 when the environment is inert).
-                        let dur_s = work_s * faults.vm_traits(id.0).slowdown;
-                        events.schedule(
-                            $now + SimDuration::from_secs_f64(dur_s),
-                            Ev::TaskDone {
-                                query: $qi,
-                                stage: $si,
-                                slot: Slot::Vm(id),
-                            },
-                        );
-                    }
-                    None => {
-                        pool_launch!($now, $qi, $si, work_s * spec.pool_slowdown, 0);
-                    }
-                }
-            }
-        }};
-    }
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(qi) => {
-                let plan = workload[qi].plan.clone();
-                for si in 0..plan.stages.len() {
-                    if plan.stages[si].dependencies().is_empty() {
-                        launch_stage!(now, qi, si);
-                    }
-                }
-            }
-            Ev::TaskDone { query, stage, slot } => {
-                match slot {
-                    Slot::Vm(id) => fleet.release(now, id),
-                    Slot::Pool(id) => {
-                        pool.complete(now, id);
-                    }
-                }
-                running = running.saturating_sub(1);
-                let q = &mut queries[query];
-                q.remaining_tasks[stage] = q.remaining_tasks[stage].saturating_sub(1);
-                if q.remaining_tasks[stage] == 0 {
-                    q.stages_left = q.stages_left.saturating_sub(1);
-                    if q.stages_left == 0 {
-                        let latency = (now - q.arrival).as_secs_f64();
-                        latencies[query] = latency;
-                        shuffle.delete_query(query as u64);
-                        done += 1;
-                        telemetry.counter_add("run.queries_total", 1);
-                        telemetry.observe("run.query_latency_seconds", latency);
-                        telemetry.span_event(
-                            q.arrival.as_millis(),
-                            now.as_millis().saturating_sub(q.arrival.as_millis()),
-                            "query",
-                            Some(query as u64),
-                            None,
-                            &workload[query].plan.name,
-                        );
-                    } else {
-                        let plan = workload[query].plan.clone();
-                        for si in 0..plan.stages.len() {
-                            if plan.stages[si].dependencies().contains(&stage) {
-                                let q = &mut queries[query];
-                                q.unfinished_deps[si] = q.unfinished_deps[si].saturating_sub(1);
-                                if q.unfinished_deps[si] == 0 {
-                                    launch_stage!(now, query, si);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::PoolLaunch {
-                query,
-                stage,
-                dur,
-                attempt,
-            } => {
-                pool_launch!(now, query, stage, dur, attempt);
-            }
-            Ev::Second => {
-                poll_fleet!(now);
-                shuffle_fleet.poll(now);
-                history.push(max_since.max(running));
-                max_since = running;
-                // Shuffle-node billing tracks the provisioner target driven
-                // by *real* resident bytes on the transport.
-                let st = shuffle_prov.target_nodes(shuffle.node_resident_bytes());
-                shuffle_fleet.set_target(now, st as usize);
-                if telemetry.is_enabled() {
-                    let t_ms = now.as_millis();
-                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
-                    telemetry.sample("run.target", t_ms, target as f64);
-                    telemetry.sample("run.active", t_ms, fleet.running_count() as f64);
-                }
-                if done < workload.len() || running > 0 {
-                    events.schedule(now + SimDuration::from_secs(1), Ev::Second);
-                } else {
-                    fleet.set_target(now, 0);
-                    shuffle_fleet.set_target(now, 0);
-                }
-            }
-            Ev::Tick => {
-                target = strategy.target(now.as_secs(), &history, env);
-                fleet.set_target(now, target as usize);
-                poll_fleet!(now);
-                if done < workload.len() || running > 0 {
-                    events.schedule(now + env.strategy_tick, Ev::Tick);
-                }
-            }
+    let graphs = workload.iter().map(|q| {
+        let stages = q.plan.stages.iter().map(|s| Stage {
+            remaining_tasks: s.tasks,
+            deps: s.dependencies(),
+        });
+        QueryGraph {
+            at_s: q.at_s,
+            name: &q.plan.name,
+            stages: stages.collect(),
         }
-        if fatal.is_some() {
-            break;
+    });
+    let source = |telemetry: &Telemetry, faults: &FaultInjector| {
+        let pricing = &spec.env.pricing;
+        let store = Arc::new(ObjectStore::new(pricing.clone()));
+        store.instrument(telemetry);
+        store.inject_faults(faults);
+        // The transport holds the provisioner's floor of shuffle nodes for
+        // the whole run rather than being rebuilt as the shuffle fleet's
+        // target moves each second: nodes beyond the floor would only
+        // reduce S3 traffic further, so sizing placement to the floor
+        // keeps the cost accounting conservative.
+        let node_bytes = pricing.shuffle_node_capacity_bytes;
+        let floor_nodes = (spec.env.shuffle_min_bytes / node_bytes).max(1) as usize;
+        LiveSource {
+            workload,
+            catalog,
+            spec,
+            shuffle: HybridShuffle::new(floor_nodes, node_bytes, store.clone()).with_faults(faults),
+            store,
+            telemetry: telemetry.clone(),
+            faults: faults.clone(),
+            results: keep_results.then(|| vec![Vec::new(); workload.len()]),
         }
-    }
-    if let Some(e) = fatal.take() {
-        return Err(e);
-    }
-
-    let end = SimTime::from_secs(history.len() as u64);
-    fleet.set_target(end, 0);
-    fleet.finalize(end);
-    shuffle_fleet.finalize(end);
-    let store_ledger = store.ledger();
-    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
-
-    let run = RunResult {
-        compute: ComputeCost {
-            vm_cost: fleet.ledger().category(CostCategory::VmCompute),
-            pool_cost: pool.ledger().category(CostCategory::ElasticPool),
-            vm_seconds: fleet.ledger().vm_seconds,
-            pool_seconds: pool.ledger().pool_seconds,
-        },
-        shuffle: ShuffleCost {
-            node_cost: shuffle_fleet.ledger().category(CostCategory::ShuffleNode),
-            s3_put_cost: store_ledger.category(CostCategory::S3Put),
-            s3_get_cost: store_ledger.category(CostCategory::S3Get),
-            // Regions (and their egress) are modeled by the system
-            // runner and the analytical model; live tasks all execute
-            // in-process, like spot reclaims are system-runner-only.
-            egress_cost: 0.0,
-            puts: store_ledger.put_requests,
-            gets: store_ledger.get_requests,
-        },
-        latencies,
-        timeseries: if spec.record_timeseries {
-            Timeseries::from_telemetry(&telemetry)
-        } else {
-            None
-        },
-        duration_s: history.len() as u64,
-        strategy: strategy.name(),
-        telemetry,
     };
-    Ok((run, results))
+    let (run, source) = runloop::run(spec, graphs, strategy, source)?;
+    Ok((run, source.results.unwrap_or_default()))
 }
 
 #[cfg(test)]

@@ -1,0 +1,674 @@
+//! The coordinator's event loop (§3, §7.1), shared by every runner that
+//! schedules individual tasks.
+//!
+//! The loop owns what the paper's coordinator owns: the event queue, the
+//! execution [`VmFleet`] and the [`ElasticPool`] it overflows to, the
+//! shuffle-node fleet and its provisioner, the [`WorkloadHistory`] the
+//! strategy ticks off, per-query stage counters, and the table of task
+//! attempts with its recovery (see [`TaskAttempt`]). It is also the one
+//! place a [`RunResult`] is assembled.
+//!
+//! What a task *is* does not enter into any of that: a [`TaskSource`] —
+//! profile replay in [`crate::system`], real engine plans in
+//! [`crate::live`] — hands the loop one [`TaskLaunch`] per task. The loop
+//! is generic over the source (no dispatch on the per-task path) and
+//! selects events by the data a launch carries, never by who is calling.
+
+use crate::factory::try_make_strategy;
+use crate::history::WorkloadHistory;
+use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
+use crate::shuffleprov::ShuffleProvisioner;
+use crate::spec::{RunError, RunSpec};
+use crate::strategy::ProvisioningStrategy;
+use cackle_cloud::{
+    egress_micros, CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, SimDuration,
+    SimTime, VmFleet, VmId,
+};
+use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint};
+use cackle_telemetry::Telemetry;
+use std::collections::BTreeMap;
+
+/// One task handed to the loop: how long it occupies whichever slot the
+/// scheduler finds for it.
+pub(crate) struct TaskLaunch {
+    /// Simulated seconds on a provisioned VM, before that VM's own
+    /// environment slowdown.
+    pub vm_secs: f64,
+    /// Simulated seconds on the elastic pool.
+    pub pool_secs: f64,
+    /// `None` when the task has executed and published by the time it is
+    /// launched: the loop then draws no spot hazard and schedules no
+    /// duplicate check for it.
+    pub recovery: Option<Recovery>,
+}
+
+/// What the reclaim draw and the duplicate check need to know about a
+/// task that is still running while its slot is occupied.
+#[derive(Clone, Copy)]
+pub(crate) struct Recovery {
+    /// Nominal seconds before jitter and slowdowns; a re-execution or a
+    /// duplicate runs this long (times the pool slowdown).
+    pub base_secs: f64,
+    /// Un-straggled VM seconds of a task that drew a straggler slowdown;
+    /// a duplicate check is due after them (times the policy's patience).
+    pub unstraggled_secs: Option<f64>,
+}
+
+/// What a stage *is*: how long its tasks run, where its intermediate
+/// state lives, and what it costs the object store.
+pub(crate) trait TaskSource {
+    /// Start every task of a stage, with `shuffle_nodes` nodes running,
+    /// and return one launch per task in task order. Sequential draws
+    /// happen here, serially, so no stream position depends on a worker
+    /// count.
+    fn launch_stage(&mut self, query: usize, stage: usize, shuffle_nodes: usize)
+        -> Vec<TaskLaunch>;
+
+    /// Bytes one task of the stage ships out of region when it publishes
+    /// from a remote-region VM; zero where regions are not modeled.
+    fn remote_egress_bytes(&self, _query: usize, _stage: usize) -> u64 {
+        0
+    }
+
+    /// The last task of a stage published; nothing to account where
+    /// tasks move their bytes as they run.
+    fn stage_finished(&mut self, _query: usize, _stage: usize, _shuffle_nodes: usize) {}
+
+    /// The last stage of a query finished; its intermediate state can go.
+    fn query_finished(&mut self, query: usize);
+
+    /// Intermediate bytes the shuffle-node provisioner should size for.
+    fn resident_bytes(&self) -> u64;
+
+    /// The object-store ledger, taken once, when the run finishes.
+    fn store_ledger(&mut self) -> CostLedger;
+}
+
+/// One stage of a query's graph.
+pub(crate) struct Stage {
+    /// Tasks that have not published yet; the stage's task count at first.
+    pub remaining_tasks: u32,
+    /// Upstream stages.
+    pub deps: Vec<usize>,
+}
+
+/// One query as the loop sees it.
+pub(crate) struct QueryGraph<'a> {
+    /// Arrival second.
+    pub at_s: u64,
+    /// What telemetry calls the query.
+    pub name: &'a str,
+    pub stages: Vec<Stage>,
+}
+
+impl QueryGraph<'_> {
+    /// A stage can launch once every upstream stage has published.
+    fn is_ready(&self, stage: usize) -> bool {
+        let mut deps = self.stages[stage].deps.iter();
+        deps.all(|&d| self.stages[d].remaining_tasks == 0)
+    }
+}
+
+/// Check that query number `query`'s stage graph can actually execute: at
+/// least one stage, at least one task per stage, dependency indices in
+/// range, and no cycle (a cycle would deadlock the event loop).
+pub(crate) fn validate_stage_graph(query: usize, stages: &[Stage]) -> Result<(), RunError> {
+    let invalid = |what: String| Err(RunError::InvalidWorkload(format!("query {query} {what}")));
+    let n = stages.len();
+    if n == 0 {
+        return invalid("has no stages".to_string());
+    }
+    for (si, stage) in stages.iter().enumerate() {
+        if stage.remaining_tasks == 0 {
+            return invalid(format!("stage {si} has zero tasks"));
+        }
+        if let Some(d) = stage.deps.iter().find(|&&d| d >= n) {
+            return invalid(format!("stage {si} depends on missing stage {d}"));
+        }
+    }
+    // Kahn's algorithm over the stage DAG: anything left unprocessed sits
+    // on a dependency cycle (or names one upstream stage twice, which the
+    // comparator's per-stage dependency counters cannot run).
+    let mut indegree: Vec<usize> = stages.iter().map(|s| s.deps.len()).collect();
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut processed = 0usize;
+    while let Some(done) = ready.pop() {
+        processed += 1;
+        for (si, stage) in stages.iter().enumerate() {
+            if stage.deps.contains(&done) {
+                indegree[si] = indegree[si].saturating_sub(1);
+                if indegree[si] == 0 {
+                    ready.push(si);
+                }
+            }
+        }
+    }
+    if processed < n {
+        return invalid("has a stage dependency cycle".to_string());
+    }
+    Ok(())
+}
+
+/// Where a task ran.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Vm(VmId),
+    Pool(InvocationId),
+}
+
+#[derive(Debug)]
+enum Ev {
+    Arrive(usize),
+    TaskDone {
+        token: u64,
+        slot: Slot,
+        /// This copy is the straggler duplicate, not the primary.
+        dup: bool,
+    },
+    /// A spot VM is reclaimed mid-task; the attempt re-executes on the
+    /// pool (unless a duplicate already finished it).
+    Interrupted {
+        token: u64,
+        vm: VmId,
+    },
+    /// Retry a pool launch whose invoke was failed by the fault plan,
+    /// after deterministic backoff.
+    PoolLaunch {
+        token: u64,
+        dur_s: f64,
+        attempt: u32,
+        dup: bool,
+    },
+    /// Straggler patience elapsed: launch a duplicate if the task is
+    /// still unfinished.
+    DupCheck {
+        token: u64,
+    },
+    Second,
+    Tick,
+}
+
+/// One logical task in flight, possibly backed by several physical
+/// copies over its lifetime (spot re-executions, pool retry chains, a
+/// straggler duplicate). Shuffle writes are idempotent: only the first
+/// completion publishes stage output, so extra copies cost compute but
+/// never double-count work.
+#[derive(Debug)]
+struct TaskAttempt {
+    query: usize,
+    stage: usize,
+    /// [`Recovery::base_secs`]; zero and unused without recovery data.
+    base_secs: f64,
+    /// A copy already completed and was credited to the stage.
+    done: bool,
+    /// Physical copies alive: scheduled completion/interruption events
+    /// plus pool retry chains still backing off.
+    copies: u32,
+}
+
+/// Run a workload to completion: validate the spec's knobs and every
+/// query's stage graph before any event is scheduled, then drive the
+/// event loop. Without a `strategy` one is built from the spec's label
+/// (after validation, so a malformed workload is reported first).
+/// `make_source` gets the run's telemetry sink and fault injector; the
+/// finished source comes back beside the result.
+pub(crate) fn run<'a, S: TaskSource>(
+    spec: &RunSpec,
+    workload: impl Iterator<Item = QueryGraph<'a>>,
+    strategy: Option<&mut dyn ProvisioningStrategy>,
+    make_source: impl FnOnce(&Telemetry, &FaultInjector) -> S,
+) -> Result<(RunResult, S), RunError> {
+    spec.validate()?;
+    let queries: Vec<_> = workload.collect();
+    for (qi, q) in queries.iter().enumerate() {
+        validate_stage_graph(qi, &q.stages)?;
+    }
+    let mut from_label;
+    let strategy = match strategy {
+        Some(strategy) => strategy,
+        None => {
+            from_label = try_make_strategy(&spec.strategy, &spec.env)?;
+            from_label.as_mut()
+        }
+    };
+    let env = &spec.env;
+    let pricing = &env.pricing;
+    let telemetry = spec.effective_telemetry();
+    strategy.set_telemetry(&telemetry);
+    let faults = spec.fault_injector(&telemetry)?;
+    let market = faults.price_timeline();
+    let mut st = Coordinator {
+        spec,
+        source: make_source(&telemetry, &faults),
+        events: EventQueue::new(),
+        fleet: VmFleet::new(pricing.clone()),
+        pool: ElasticPool::new(pricing.clone()),
+        shuffle_fleet: VmFleet::with_category(pricing.clone(), CostCategory::ShuffleNode),
+        running: 0,
+        max_since_sample: 0,
+        environment: faults.environment(),
+        faults,
+        attempts: BTreeMap::new(),
+        next_token: 0,
+        recovery_ledger: CostLedger::new(),
+        env_ledger: CostLedger::new(),
+        queries,
+        fatal: None,
+    };
+    st.fleet.instrument("fleet", &telemetry);
+    st.pool.instrument(&telemetry);
+    st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
+    st.recovery_ledger.instrument("recovery", &telemetry);
+    st.env_ledger.instrument("env", &telemetry);
+    if !market.is_flat() {
+        // Spot-market motion: both fleets integrate the compiled
+        // schedule at termination time (a flat timeline keeps the
+        // legacy f64 billing path bit-for-bit).
+        st.fleet.set_price_timeline(market.clone());
+        st.shuffle_fleet.set_price_timeline(market);
+    }
+    let mut shuffle_prov = ShuffleProvisioner::new(env);
+    let mut history = WorkloadHistory::new();
+    let total = st.queries.len();
+    let mut latencies = vec![0.0f64; total];
+    let mut done = 0usize;
+
+    for (i, q) in st.queries.iter().enumerate() {
+        st.events
+            .schedule(SimTime::from_secs(q.at_s), Ev::Arrive(i));
+    }
+    if total > 0 {
+        st.events.schedule(SimTime::ZERO, Ev::Second);
+        st.events.schedule(SimTime::ZERO, Ev::Tick);
+    }
+    let mut target = 0u32;
+
+    while let Some((now, ev)) = st.events.pop() {
+        match ev {
+            Ev::Arrive(query) => {
+                for stage in 0..st.queries[query].stages.len() {
+                    if st.queries[query].stages[stage].deps.is_empty() {
+                        st.launch_stage(now, query, stage);
+                    }
+                }
+            }
+            Ev::TaskDone { token, slot, dup } => {
+                match slot {
+                    Slot::Vm(id) => st.fleet.release(now, id),
+                    Slot::Pool(id) => {
+                        st.pool.complete(now, id);
+                    }
+                }
+                st.running = st.running.saturating_sub(1);
+                let Some(a) = st.attempts.get_mut(&token) else {
+                    debug_assert!(false, "completion for unknown attempt {token}");
+                    continue;
+                };
+                a.copies = a.copies.saturating_sub(1);
+                let first = !a.done;
+                a.done = true;
+                let (query, stage) = (a.query, a.stage);
+                if a.copies == 0 {
+                    st.attempts.remove(&token);
+                }
+                if !first {
+                    // The losing copy of a duplicate pair: its slot is
+                    // released and its compute was billed, but shuffle
+                    // writes are idempotent — nothing further publishes.
+                    continue;
+                }
+                if dup {
+                    st.faults.note_duplicate_win();
+                }
+                if let Slot::Vm(id) = slot {
+                    st.bill_egress(&telemetry, id, query, stage);
+                }
+                let q = &mut st.queries[query];
+                let remaining = &mut q.stages[stage].remaining_tasks;
+                *remaining = remaining.saturating_sub(1);
+                if *remaining > 0 {
+                    continue;
+                }
+                st.source
+                    .stage_finished(query, stage, st.shuffle_fleet.running_count());
+                let q = &st.queries[query];
+                if q.stages.iter().all(|s| s.remaining_tasks == 0) {
+                    let arrival = SimTime::from_secs(q.at_s);
+                    let latency = (now - arrival).as_secs_f64();
+                    latencies[query] = latency;
+                    st.source.query_finished(query);
+                    done += 1;
+                    telemetry.counter_add("run.queries_total", 1);
+                    telemetry.observe("run.query_latency_seconds", latency);
+                    telemetry.span_event(
+                        arrival.as_millis(),
+                        now.as_millis().saturating_sub(arrival.as_millis()),
+                        "query",
+                        Some(query as u64),
+                        None,
+                        q.name,
+                    );
+                    continue;
+                }
+                for si in 0..q.stages.len() {
+                    let q = &st.queries[query];
+                    if q.stages[si].deps.contains(&stage) && q.is_ready(si) {
+                        st.launch_stage(now, query, si);
+                    }
+                }
+            }
+            Ev::Interrupted { token, vm } => {
+                // The provider reclaims the VM; the attempt re-executes
+                // from scratch on the elastic pool (run-to-completion
+                // tasks have no partial progress to save).
+                st.fleet.reclaim(now, vm);
+                match st.attempts.get(&token) {
+                    // A duplicate already finished this task; the
+                    // reclaimed copy just disappears.
+                    Some(a) if a.done => st.drop_copy(token),
+                    Some(a) => {
+                        let base_secs = a.base_secs;
+                        st.faults.note_reexec();
+                        st.recover_on_pool(now, token, base_secs, false);
+                    }
+                    None => debug_assert!(false, "interrupt for unknown attempt {token}"),
+                }
+            }
+            Ev::PoolLaunch {
+                token,
+                dur_s,
+                attempt,
+                dup,
+            } => {
+                if st.attempts.get(&token).is_some_and(|a| !a.done) {
+                    st.launch_on_pool(now, token, dur_s, attempt, dup);
+                } else {
+                    // A duplicate finished the task while this copy was
+                    // backing off; abandon the retry chain.
+                    st.drop_copy(token);
+                }
+            }
+            Ev::DupCheck { token } => {
+                // Each task gets at most one check. First completed copy
+                // wins; the duplicate runs at nominal (non-straggled)
+                // speed on the pool.
+                if let Some(a) = st.attempts.get_mut(&token).filter(|a| !a.done) {
+                    a.copies += 1;
+                    let base_secs = a.base_secs;
+                    st.faults.note_duplicate();
+                    st.running += 1;
+                    st.max_since_sample = st.max_since_sample.max(st.running);
+                    st.recover_on_pool(now, token, base_secs, true);
+                }
+            }
+            Ev::Second => {
+                st.poll_fleet(now);
+                st.shuffle_fleet.poll(now);
+                history.push(st.max_since_sample.max(st.running));
+                st.max_since_sample = st.running;
+                let shuffle_target = shuffle_prov.target_nodes(st.source.resident_bytes());
+                st.shuffle_fleet.set_target(now, shuffle_target as usize);
+                if telemetry.is_enabled() {
+                    let t_ms = now.as_millis();
+                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
+                    telemetry.sample("run.target", t_ms, target as f64);
+                    telemetry.sample("run.active", t_ms, st.fleet.running_count() as f64);
+                }
+                if done < total || st.running > 0 {
+                    st.events
+                        .schedule(now + SimDuration::from_secs(1), Ev::Second);
+                } else {
+                    st.fleet.set_target(now, 0);
+                    st.shuffle_fleet.set_target(now, 0);
+                }
+            }
+            Ev::Tick => {
+                target = strategy.target(now.as_secs(), &history, env);
+                st.fleet.set_target(now, target as usize);
+                st.poll_fleet(now);
+                if done < total || st.running > 0 {
+                    st.events.schedule(now + env.strategy_tick, Ev::Tick);
+                }
+            }
+        }
+        // An event that exhausted a recovery bound is still handled to
+        // its end, so the sink counts everything it injected.
+        if let Some(e) = st.fatal.take() {
+            return Err(e);
+        }
+    }
+
+    let end = SimTime::from_secs(history.len() as u64);
+    st.fleet.set_target(end, 0);
+    st.fleet.finalize(end);
+    st.shuffle_fleet.finalize(end);
+    let vm_ledger = st.fleet.ledger();
+    let pool_ledger = st.pool.ledger();
+    let node_ledger = st.shuffle_fleet.ledger();
+    let store_ledger = st.source.store_ledger();
+    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
+
+    let result = RunResult {
+        compute: ComputeCost {
+            vm_cost: vm_ledger.category(CostCategory::VmCompute),
+            pool_cost: pool_ledger.category(CostCategory::ElasticPool),
+            vm_seconds: vm_ledger.vm_seconds,
+            pool_seconds: pool_ledger.pool_seconds,
+        },
+        shuffle: ShuffleCost {
+            node_cost: node_ledger.category(CostCategory::ShuffleNode),
+            s3_put_cost: store_ledger.category(CostCategory::S3Put),
+            s3_get_cost: store_ledger.category(CostCategory::S3Get),
+            egress_cost: st.env_ledger.category(CostCategory::Egress),
+            puts: store_ledger.put_requests,
+            gets: store_ledger.get_requests,
+        },
+        latencies,
+        timeseries: if spec.record_timeseries {
+            Timeseries::from_telemetry(&telemetry)
+        } else {
+            None
+        },
+        duration_s: history.len() as u64,
+        strategy: strategy.name(),
+        telemetry,
+    };
+    Ok((result, st.source))
+}
+
+/// Everything the event handlers mutate while scheduling tasks.
+struct Coordinator<'a, S> {
+    spec: &'a RunSpec,
+    source: S,
+    events: EventQueue<Ev>,
+    fleet: VmFleet,
+    pool: ElasticPool,
+    shuffle_fleet: VmFleet,
+    running: u32,
+    max_since_sample: u32,
+    /// Seeded fault plan + recovery policy; disabled when the effective
+    /// spec is all-zero (the guaranteed no-op path).
+    faults: FaultInjector,
+    /// The effective environment spec (zero when the run carries none),
+    /// cached so the hot completion path never locks the injector just
+    /// to learn the environment is inert.
+    environment: EnvironmentSpec,
+    /// Live task attempts keyed by token (BTreeMap for deterministic
+    /// iteration, lint L3).
+    attempts: BTreeMap<u64, TaskAttempt>,
+    next_token: u64,
+    /// Extra compute attributable to fault recovery — duplicate launches
+    /// and spot re-executions. Telemetry attribution only; the pool's own
+    /// ledger already bills the real resources, so this is never added to
+    /// the `RunResult` totals.
+    recovery_ledger: CostLedger,
+    /// Cross-region shuffle-egress charges from the environment model's
+    /// second region, instrumented as component `env`. Its `Egress`
+    /// category becomes [`ShuffleCost::egress_cost`] in the result.
+    env_ledger: CostLedger,
+    queries: Vec<QueryGraph<'a>>,
+    /// Set when recovery exhausts its bound; aborts the event loop with a
+    /// typed error instead of panicking or hanging.
+    fatal: Option<RunError>,
+}
+
+impl<S: TaskSource> Coordinator<'_, S> {
+    /// Poll the execution fleet and tag every newly started VM with its
+    /// persistent environment traits: records the `env.vm_slowdown`
+    /// histogram and regional counters, and installs the remote-region
+    /// billing rate on the fleet. A zero environment records and tags
+    /// nothing, so the poll stays a bit-identical no-op.
+    fn poll_fleet(&mut self, now: SimTime) {
+        for id in self.fleet.poll(now) {
+            let traits = self.faults.vm_started(id.0);
+            if traits.rate_milli != 1000 {
+                self.fleet.set_vm_rate_milli(id, traits.rate_milli);
+            }
+        }
+    }
+
+    /// Cross-region egress: a remote VM publishing its shuffle output
+    /// ships the task's bytes out of region, billed in exact
+    /// micro-dollars through the env ledger (only the winning copy
+    /// publishes, so egress is never double-charged).
+    fn bill_egress(&mut self, telemetry: &Telemetry, vm: VmId, query: usize, stage: usize) {
+        if self.environment.remote_vm_fraction > 0.0 && self.faults.vm_traits(vm.0).remote {
+            let bytes = self.source.remote_egress_bytes(query, stage);
+            if bytes > 0 {
+                telemetry.counter_add("env.egress_bytes_total", bytes);
+                self.env_ledger.charge_micros(
+                    CostCategory::Egress,
+                    egress_micros(bytes, self.environment.egress_micros_per_gib),
+                );
+            }
+        }
+    }
+
+    /// A physical copy ended without completing (abandoned retry chain,
+    /// reclaimed after a duplicate won); drop the attempt record once the
+    /// last copy is gone.
+    fn drop_copy(&mut self, token: u64) {
+        self.running = self.running.saturating_sub(1);
+        if let Some(a) = self.attempts.get_mut(&token) {
+            a.copies = a.copies.saturating_sub(1);
+            if a.copies == 0 && a.done {
+                self.attempts.remove(&token);
+            }
+        }
+    }
+
+    /// Launch a fresh copy of a recoverable task on the pool — the
+    /// re-execution after a reclaim, or a straggler's duplicate — and
+    /// attribute its compute to the recovery ledger.
+    fn recover_on_pool(&mut self, now: SimTime, token: u64, base_secs: f64, dup: bool) {
+        let dur_s = base_secs * self.spec.pool_slowdown;
+        let pricing = &self.spec.env.pricing;
+        let cost = pricing.pool_cost(SimDuration::from_secs_f64(dur_s));
+        self.recovery_ledger.charge(CostCategory::ElasticPool, cost);
+        self.launch_on_pool(now, token, dur_s, 0, dup);
+    }
+
+    /// Launch (or relaunch) a copy of `token` on the elastic pool. An
+    /// injected invoke failure retries with deterministic backoff via a
+    /// [`Ev::PoolLaunch`] event; once the policy's bound is exhausted the
+    /// run aborts with [`RunError::FaultUnrecovered`].
+    fn launch_on_pool(&mut self, now: SimTime, token: u64, dur_s: f64, attempt: u32, dup: bool) {
+        if let Some((id, start)) = self.pool.invoke_faulted(now, &self.faults) {
+            let slot = Slot::Pool(id);
+            self.events.schedule(
+                start + SimDuration::from_secs_f64(dur_s),
+                Ev::TaskDone { token, slot, dup },
+            );
+            return;
+        }
+        let policy = self.faults.policy();
+        if !policy.allows_retry(attempt) {
+            self.faults.note_unrecovered(InjectionPoint::PoolInvoke);
+            self.fatal = Some(RunError::FaultUnrecovered {
+                point: InjectionPoint::PoolInvoke.as_str(),
+                attempts: attempt + 1,
+            });
+            return;
+        }
+        let backoff = policy.backoff_ms(attempt);
+        self.faults.note_retry(backoff);
+        self.events.schedule(
+            now + SimDuration::from_millis(backoff),
+            Ev::PoolLaunch {
+                token,
+                dur_s,
+                attempt: attempt + 1,
+                dup,
+            },
+        );
+    }
+
+    /// Ask the source for a stage's tasks and place each on a provisioned
+    /// VM if one is idle, on the elastic pool otherwise. Serial and in
+    /// task order: token allocation, capacity bookkeeping, the spot draw
+    /// and event scheduling are order-sensitive state.
+    fn launch_stage(&mut self, now: SimTime, query: usize, stage: usize) {
+        let nodes = self.shuffle_fleet.running_count();
+        for launch in self.source.launch_stage(query, stage, nodes) {
+            let token = self.next_token;
+            self.next_token += 1;
+            self.attempts.insert(
+                token,
+                TaskAttempt {
+                    query,
+                    stage,
+                    base_secs: launch.recovery.map_or(0.0, |r| r.base_secs),
+                    done: false,
+                    copies: 1,
+                },
+            );
+            self.running += 1;
+            self.max_since_sample = self.max_since_sample.max(self.running);
+            let vm = self.fleet.try_assign(now);
+            match vm {
+                Some(id) => {
+                    // Persistent per-VM heterogeneity: the environment's
+                    // seed-keyed slowdown stretches every task this VM
+                    // runs. An inert environment yields exactly 1.0, a
+                    // bit-identical no-op multiply.
+                    let dur_s = launch.vm_secs * self.faults.vm_traits(id.0).slowdown;
+                    // Spot interruptions: a VM task survives its duration
+                    // with probability exp(-rate × duration); otherwise
+                    // the VM is reclaimed at a uniformly random point
+                    // through the task. Drawn from the plan's spot stream
+                    // (the legacy RunSpec knob folds into the plan); the
+                    // hazard rises inside compiled reclaim-storm windows.
+                    let reclaimed_at = launch
+                        .recovery
+                        .and_then(|_| self.faults.vm_interrupt_at(now.as_secs(), dur_s));
+                    let (after_s, ev) = match reclaimed_at {
+                        Some(frac) => (dur_s * frac, Ev::Interrupted { token, vm: id }),
+                        None => {
+                            let slot = Slot::Vm(id);
+                            let dup = false;
+                            (dur_s, Ev::TaskDone { token, slot, dup })
+                        }
+                    };
+                    self.events
+                        .schedule(now + SimDuration::from_secs_f64(after_s), ev);
+                }
+                None => self.launch_on_pool(now, token, launch.pool_secs, 0, false),
+            }
+            // A straggler gets a duplicate check once its un-straggled
+            // duration (times the policy's patience factor) has elapsed.
+            if let Some(vm_nominal_s) = launch.recovery.and_then(|r| r.unstraggled_secs) {
+                let policy = self.faults.policy();
+                if policy.duplicate_stragglers {
+                    let nominal_s = match vm {
+                        Some(_) => vm_nominal_s,
+                        None => vm_nominal_s * self.spec.pool_slowdown,
+                    };
+                    self.events.schedule(
+                        now + SimDuration::from_secs_f64(nominal_s * policy.straggler_patience),
+                        Ev::DupCheck { token },
+                    );
+                }
+            }
+        }
+    }
+}

@@ -76,10 +76,12 @@ pub struct RunSpec {
     /// [`RunSpec::with_telemetry`] to collect metrics, traces, and cost
     /// attribution (see `crates/telemetry`).
     pub telemetry: Telemetry,
-    /// Worker threads for stage execution (`cackle_engine::executor`).
-    /// Defaults to 1 (serial). A pure throughput knob: changing it must
-    /// not move a single byte of any report or telemetry dump — worker
-    /// count is deliberately not part of the seed (DESIGN.md §9).
+    /// Worker threads for the live runner's stage execution
+    /// (`cackle_engine::executor`; the profile replay has no per-task
+    /// work worth a thread). Defaults to 1 (serial). A pure throughput
+    /// knob: changing it must not move a single byte of any report or
+    /// telemetry dump — worker count is deliberately not part of the
+    /// seed (DESIGN.md §9).
     pub workers: u32,
 }
 

@@ -3,13 +3,19 @@
 //!
 //! Unlike the analytical model — which replays profiles against a
 //! strategy-independent demand curve — this is the "real" system: the
-//! coordinator schedules individual tasks onto a [`VmFleet`] first and the
-//! [`ElasticPool`] as overflow, VMs start after real startup latency and
+//! coordinator schedules individual tasks onto a `VmFleet` first and the
+//! `ElasticPool` as overflow, VMs start after real startup latency and
 //! bill with a minimum, the dynamic strategy runs in the loop off the
 //! history the system itself records, intermediate results go to shuffle
 //! nodes with object-store fallback, and task runtimes carry noise: pool
 //! tasks run ~25 % slower than VM tasks (§7.1.2) with lognormal jitter.
 //! Figures 12–13 validate the analytical model against exactly this gap.
+//!
+//! The coordinator — events, fleets, pool, history, recovery, the result —
+//! is the crate-private `runloop` module, shared with [`crate::live`].
+//! This module is its profile-replay task source: what a profiled stage's
+//! tasks cost in simulated seconds, the modeled resident bytes behind the
+//! shuffle-node tier, and the object-store bill.
 //!
 //! Entry points: [`run_system`] builds the strategy from the spec label;
 //! [`run_system_with`] takes an explicit strategy; the `try_` variants
@@ -21,306 +27,97 @@
 //! Fault injection: the spec's [`FaultSpec`](cackle_faults::FaultSpec)
 //! compiles into a seeded [`FaultInjector`] whose per-injection-point
 //! streams drive spot reclaims, pool invoke failures/throttles, modeled
-//! object-store transient errors, and straggler slowdowns. Recovery
-//! follows the spec's [`RecoveryPolicy`](cackle_faults::RecoveryPolicy):
-//! pool launches retry with deterministic backoff (exhaustion surfaces
-//! [`RunError::FaultUnrecovered`]), reclaimed tasks re-execute on the
-//! pool, stragglers get a first-wins duplicate, and shuffle writes are
-//! idempotent (only the first completion of a task publishes stage
-//! output). Fault draws never touch the runner's main RNG, so a zero-rate
-//! plan leaves a run bit-identical to one without the subsystem.
+//! object-store transient errors, and straggler slowdowns. A replayed
+//! task is still running while its slot is occupied, so every launch
+//! carries the recovery data the loop needs to re-execute or duplicate
+//! it. Fault draws never touch the runner's main RNG, so a zero-rate plan
+//! leaves a run bit-identical to one without the subsystem.
 
 use crate::factory::try_make_strategy;
-use crate::history::WorkloadHistory;
 use crate::model::QueryArrival;
-use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
-use crate::shuffleprov::ShuffleProvisioner;
+use crate::report::RunResult;
+use crate::runloop::{self, QueryGraph, Recovery, Stage, TaskLaunch, TaskSource};
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
-use cackle_cloud::{
-    egress_micros, CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, Pricing,
-    SimDuration, SimTime, VmFleet, VmId,
-};
-use cackle_engine::executor::Executor;
-use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint, StoreOp};
+use cackle_cloud::{CostCategory, CostLedger};
+use cackle_faults::{FaultInjector, StoreOp};
 use cackle_prng::Pcg32;
-use std::collections::BTreeMap;
+use cackle_telemetry::Telemetry;
+use cackle_workload::profile::StageProfile;
 
-/// Where a task ran.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Vm(VmId),
-    Pool(InvocationId),
-}
-
-#[derive(Debug)]
-enum Ev {
-    Arrive(usize),
-    TaskDone {
-        token: u64,
-        slot: Slot,
-        /// This copy is the straggler duplicate, not the primary.
-        dup: bool,
-    },
-    /// A spot VM is reclaimed mid-task; the attempt re-executes on the
-    /// pool (unless a duplicate already finished it).
-    Interrupted {
-        token: u64,
-        vm: VmId,
-    },
-    /// Retry a pool launch whose invoke was failed by the fault plan,
-    /// after deterministic backoff.
-    PoolLaunch {
-        token: u64,
-        dur_s: f64,
-        attempt: u32,
-        dup: bool,
-    },
-    /// Straggler patience elapsed: launch a duplicate if the task is
-    /// still unfinished.
-    DupCheck {
-        token: u64,
-    },
-    Second,
-    Tick,
-}
-
-/// One logical task in flight, possibly backed by several physical
-/// copies over its lifetime (spot re-executions, pool retry chains, a
-/// straggler duplicate). Shuffle writes are idempotent: only the first
-/// completion publishes stage output, so extra copies cost compute but
-/// never double-count work.
-#[derive(Debug)]
-struct TaskAttempt {
-    query: usize,
-    stage: usize,
-    /// Nominal profile seconds before jitter and slowdown.
-    base_secs: f64,
-    /// A copy already completed and was credited to the stage.
-    done: bool,
-    /// Physical copies alive: scheduled completion/interruption events
-    /// plus pool retry chains still backing off.
-    copies: u32,
-    dup_launched: bool,
-}
-
-struct QueryState {
-    arrival: SimTime,
-    remaining_tasks: Vec<u32>,
-    unfinished_deps: Vec<usize>,
-    stages_left: usize,
-    resident_bytes: u64,
-}
-
-struct SystemState<'a> {
+/// Profile replay: stage durations from measured profiles plus noise,
+/// intermediate state as modeled byte counts.
+struct ProfileSource<'a> {
+    workload: &'a [QueryArrival],
     spec: &'a RunSpec,
+    /// Duration jitter; fault draws have their own streams.
     rng: Pcg32,
-    fleet: VmFleet,
-    pool: ElasticPool,
-    shuffle_fleet: VmFleet,
-    running: u32,
-    max_since_sample: u32,
+    faults: FaultInjector,
+    /// Modeled shuffle bytes of finished stages of unfinished queries.
     resident_total: u64,
-    puts: u64,
-    gets: u64,
-    /// Object-store request charges (puts/gets priced through the ledger
+    /// Object-store request counts and charges (priced through the ledger
     /// so no raw dollar arithmetic happens outside the billing layer).
     s3_ledger: CostLedger,
-    /// Seeded fault plan + recovery policy; disabled when the effective
-    /// spec is all-zero (the guaranteed no-op path).
-    faults: FaultInjector,
-    /// Live task attempts keyed by token (BTreeMap for deterministic
-    /// iteration, lint L3).
-    attempts: BTreeMap<u64, TaskAttempt>,
-    next_token: u64,
-    /// Extra spend attributable to fault recovery — duplicate launches,
-    /// spot re-executions, retried store requests. Telemetry attribution
-    /// only; the primary ledgers already bill the real resources, so this
-    /// is never added to the `RunResult` totals.
+    /// Retried store requests, attributed to the `recovery` component.
+    /// Telemetry attribution only; `s3_ledger` already bills every
+    /// attempt, so this is never added to the `RunResult` totals.
     recovery_ledger: CostLedger,
-    /// Cross-region shuffle-egress charges from the environment model's
-    /// second region, instrumented as component `env`. Its `Egress`
-    /// category becomes [`ShuffleCost::egress_cost`] in the result.
-    env_ledger: CostLedger,
-    /// The effective environment spec (zero when the run carries none),
-    /// cached so the hot completion path never locks the injector just
-    /// to learn the environment is inert.
-    environment: EnvironmentSpec,
-    /// Set when recovery exhausts its bound; aborts the event loop with a
-    /// typed error instead of panicking or hanging.
-    fatal: Option<RunError>,
-    /// Worker pool for per-task stage work (`spec.workers` threads). The
-    /// profile replay dispatches its pure duration arithmetic through it
-    /// so the system runner exercises the same worker-count-independent
-    /// path as the live runner.
-    executor: Executor,
 }
 
-impl SystemState<'_> {
-    /// Poll the execution fleet and tag every newly started VM with its
-    /// persistent environment traits: records the `env.vm_slowdown`
-    /// histogram and regional counters, and installs the remote-region
-    /// billing rate on the fleet. A zero environment records and tags
-    /// nothing, so the poll stays a bit-identical no-op.
-    fn poll_fleet(&mut self, now: SimTime) {
-        for id in self.fleet.poll(now) {
-            let traits = self.faults.vm_started(id.0);
-            if traits.rate_milli != 1000 {
-                self.fleet.set_vm_rate_milli(id, traits.rate_milli);
-            }
-        }
+impl<'a> ProfileSource<'a> {
+    fn stage(&self, query: usize, stage: usize) -> &'a StageProfile {
+        &self.workload[query].profile.stages[stage]
     }
 
-    /// Fraction of shuffle requests that miss the node tier right now.
-    fn overflow_fraction(&self) -> f64 {
-        let cap = self.shuffle_fleet.running_count() as u64
-            * self.spec.env.pricing.shuffle_node_capacity_bytes;
-        if self.resident_total > cap && self.resident_total > 0 {
+    /// Bill the object store for the share of `requests` that misses the
+    /// node tier right now. Injected transient 5xx errors retry
+    /// internally within the recovery bound, and every attempt bills (S3
+    /// bills errored requests too); the extra attempts are attributed to
+    /// the recovery ledger. Returns the billed request count.
+    fn bill_overflow(&mut self, requests: u64, op: StoreOp, shuffle_nodes: usize) -> u64 {
+        let pricing = &self.spec.env.pricing;
+        let cap = shuffle_nodes as u64 * pricing.shuffle_node_capacity_bytes;
+        let overflow = if self.resident_total > cap && self.resident_total > 0 {
             (self.resident_total - cap) as f64 / self.resident_total as f64
         } else {
             0.0
-        }
-    }
-
-    /// Billed object-store requests for `n` modeled requests: injected
-    /// transient 5xx errors retry internally within the recovery bound,
-    /// and every attempt bills (S3 bills errored requests too). The
-    /// extra attempts are attributed to the recovery ledger.
-    fn billed_store_requests(&mut self, n: u64, op: StoreOp) -> u64 {
-        if !self.faults.is_enabled() {
-            return n;
-        }
-        let mut total = 0u64;
-        for _ in 0..n {
-            total += self.faults.store_attempts(op);
-        }
-        let category = match op {
-            StoreOp::Get => CostCategory::S3Get,
-            StoreOp::Put => CostCategory::S3Put,
         };
-        let unit = match op {
-            StoreOp::Get => self.spec.env.pricing.s3_get,
-            StoreOp::Put => self.spec.env.pricing.s3_put,
+        let n = (requests as f64 * overflow).round() as u64;
+        let (category, unit) = match op {
+            StoreOp::Get => (CostCategory::S3Get, pricing.s3_get),
+            StoreOp::Put => (CostCategory::S3Put, pricing.s3_put),
         };
-        self.recovery_ledger
-            .charge_requests(category, total - n, unit);
-        total
-    }
-
-    /// Register one more physical copy of `token`.
-    fn add_copy(&mut self, token: u64) {
-        if let Some(a) = self.attempts.get_mut(&token) {
-            a.copies += 1;
+        let mut billed = n;
+        if self.faults.is_enabled() {
+            billed = (0..n).map(|_| self.faults.store_attempts(op)).sum();
+            self.recovery_ledger
+                .charge_requests(category, billed - n, unit);
         }
+        self.s3_ledger.charge_requests(category, billed, unit);
+        billed
     }
+}
 
-    /// A physical copy ended without completing (abandoned retry chain,
-    /// reclaimed after a duplicate won); drop the attempt record once the
-    /// last copy is gone.
-    fn drop_copy(&mut self, token: u64) {
-        self.running = self.running.saturating_sub(1);
-        if let Some(a) = self.attempts.get_mut(&token) {
-            a.copies = a.copies.saturating_sub(1);
-            if a.copies == 0 && a.done {
-                self.attempts.remove(&token);
-            }
-        }
-    }
-
-    /// Launch (or relaunch) a copy of `token` on the elastic pool. An
-    /// injected invoke failure retries with deterministic backoff via a
-    /// [`Ev::PoolLaunch`] event; once the policy's bound is exhausted the
-    /// run aborts with [`RunError::FaultUnrecovered`].
-    fn launch_on_pool(
-        &mut self,
-        events: &mut EventQueue<Ev>,
-        now: SimTime,
-        token: u64,
-        dur_s: f64,
-        attempt: u32,
-        dup: bool,
-    ) {
-        match self.pool.invoke_faulted(now, &self.faults) {
-            Some((id, start)) => {
-                events.schedule(
-                    start + SimDuration::from_secs_f64(dur_s),
-                    Ev::TaskDone {
-                        token,
-                        slot: Slot::Pool(id),
-                        dup,
-                    },
-                );
-            }
-            None => {
-                let policy = self.faults.policy();
-                if policy.allows_retry(attempt) {
-                    let backoff = policy.backoff_ms(attempt);
-                    self.faults.note_retry(backoff);
-                    events.schedule(
-                        now + SimDuration::from_millis(backoff),
-                        Ev::PoolLaunch {
-                            token,
-                            dur_s,
-                            attempt: attempt + 1,
-                            dup,
-                        },
-                    );
-                } else {
-                    self.faults.note_unrecovered(InjectionPoint::PoolInvoke);
-                    self.fatal = Some(RunError::FaultUnrecovered {
-                        point: InjectionPoint::PoolInvoke.as_str(),
-                        attempts: attempt + 1,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Schedule a straggler duplicate check once the non-straggled
-    /// duration (plus the policy's patience factor) has elapsed.
-    fn schedule_dup_check(
-        &mut self,
-        events: &mut EventQueue<Ev>,
-        now: SimTime,
-        token: u64,
-        nominal_s: f64,
-    ) {
-        let policy = self.faults.policy();
-        if policy.duplicate_stragglers {
-            events.schedule(
-                now + SimDuration::from_secs_f64(nominal_s * policy.straggler_patience),
-                Ev::DupCheck { token },
-            );
-        }
-    }
-
+impl TaskSource for ProfileSource<'_> {
     fn launch_stage(
         &mut self,
-        events: &mut EventQueue<Ev>,
-        now: SimTime,
-        workload: &[QueryArrival],
-        qi: usize,
-        si: usize,
-    ) {
-        let Some(stage) = workload.get(qi).and_then(|q| q.profile.stages.get(si)) else {
-            debug_assert!(false, "launch of missing stage {qi}/{si}");
-            return;
-        };
+        query: usize,
+        stage: usize,
+        shuffle_nodes: usize,
+    ) -> Vec<TaskLaunch> {
+        let stage = self.stage(query, stage);
         // Reads happen at stage start; the node tier serves what fits.
-        let f = self.overflow_fraction();
-        let gets = (stage.shuffle_reads as f64 * f).round() as u64;
-        let billed = self.billed_store_requests(gets, StoreOp::Get);
-        self.gets += billed;
-        self.s3_ledger
-            .charge_requests(CostCategory::S3Get, billed, self.spec.env.pricing.s3_get);
-        // Phase 1 (serial, task order): every stochastic draw whose stream
-        // position matters. Jitter comes from the main RNG and stragglers
-        // from the plan's dedicated stream, so both sequences stay
-        // byte-identical to the single-threaded runner regardless of
-        // `spec.workers` (zero-rate plans make no straggler draw at all,
-        // so the main RNG sequence is untouched).
+        self.s3_ledger.get_requests +=
+            self.bill_overflow(stage.shuffle_reads, StoreOp::Get, shuffle_nodes);
         let base = stage.task_seconds as f64;
-        let draws: Vec<(f64, f64)> = (0..stage.tasks)
+        let pool_slowdown = self.spec.pool_slowdown;
+        // Every stochastic draw whose stream position matters, serially
+        // and in task order: jitter from the main RNG, stragglers from
+        // the plan's dedicated stream (a zero-rate plan makes no straggler
+        // draw at all, so the main RNG sequence is untouched). The
+        // durations are four multiplies per task — far cheaper than any
+        // hand-off to a worker pool — so `spec.workers` plays no part here.
+        (0..stage.tasks)
             .map(|_| {
                 let jitter = if self.spec.duration_jitter > 0.0 {
                     let u: f64 = self.rng.gen_range(-1.0..1.0);
@@ -329,137 +126,50 @@ impl SystemState<'_> {
                     1.0
                 };
                 let slowdown = self.faults.straggler().unwrap_or(1.0);
-                (jitter, slowdown)
+                let nominal = base * jitter;
+                TaskLaunch {
+                    vm_secs: nominal * slowdown,
+                    pool_secs: nominal * pool_slowdown * slowdown,
+                    recovery: Some(Recovery {
+                        base_secs: base,
+                        unstraggled_secs: (slowdown > 1.0).then_some(nominal),
+                    }),
+                }
             })
-            .collect();
-        // Phase 2 (parallel): pure per-task duration arithmetic through
-        // the worker pool. Results land in index-addressed slots, so any
-        // worker count produces the same vector. Tuple layout:
-        // (vm duration, vm nominal, pool duration, pool nominal).
-        let pool_slowdown = self.spec.pool_slowdown;
-        let durations: Vec<(f64, f64, f64, f64)> = self.executor.run_indexed(draws.len(), |i| {
-            let (jitter, slowdown) = draws[i];
-            let nominal = base * jitter;
-            (
-                nominal * slowdown,
-                nominal,
-                nominal * pool_slowdown * slowdown,
-                nominal * pool_slowdown,
-            )
-        });
-        // Phase 3 (serial, task order): token allocation, capacity
-        // bookkeeping, and event scheduling — order-sensitive state that
-        // must advance exactly as in the single-threaded loop.
-        for (task, (jitter, slowdown)) in draws.into_iter().enumerate() {
-            let (vm_dur, vm_nominal, pool_dur, pool_nominal) = durations[task];
-            debug_assert!((vm_dur - base * jitter * slowdown).abs() < 1e-12);
-            let token = self.next_token;
-            self.next_token += 1;
-            self.attempts.insert(
-                token,
-                TaskAttempt {
-                    query: qi,
-                    stage: si,
-                    base_secs: base,
-                    done: false,
-                    copies: 0,
-                    dup_launched: false,
-                },
-            );
-            self.running += 1;
-            self.max_since_sample = self.max_since_sample.max(self.running);
-            self.add_copy(token);
-            match self.fleet.try_assign(now) {
-                Some(id) => {
-                    // Persistent per-VM heterogeneity: the environment's
-                    // seed-keyed slowdown stretches every task this VM
-                    // runs. An inert environment yields exactly 1.0, a
-                    // bit-identical no-op multiply.
-                    let dur_s = vm_dur * self.faults.vm_traits(id.0).slowdown;
-                    // Spot interruptions: a VM task survives its duration
-                    // with probability exp(-rate × duration); otherwise
-                    // the VM is reclaimed at a uniformly random point
-                    // through the task. Drawn from the plan's spot stream
-                    // (the legacy RunSpec knob folds into the plan); the
-                    // hazard rises inside compiled reclaim-storm windows.
-                    if let Some(frac) = self.faults.vm_interrupt_at(now.as_secs(), dur_s) {
-                        events.schedule(
-                            now + SimDuration::from_secs_f64(dur_s * frac),
-                            Ev::Interrupted { token, vm: id },
-                        );
-                    } else {
-                        events.schedule(
-                            now + SimDuration::from_secs_f64(dur_s),
-                            Ev::TaskDone {
-                                token,
-                                slot: Slot::Vm(id),
-                                dup: false,
-                            },
-                        );
-                    }
-                    if slowdown > 1.0 {
-                        self.schedule_dup_check(events, now, token, vm_nominal);
-                    }
-                }
-                None => {
-                    self.launch_on_pool(events, now, token, pool_dur, 0, false);
-                    if slowdown > 1.0 {
-                        self.schedule_dup_check(events, now, token, pool_nominal);
-                    }
-                }
-            }
-        }
+            .collect()
     }
-}
 
-/// Check that every profile in the workload can actually execute: at least
-/// one stage, at least one task per stage, dependency indices in range,
-/// and an acyclic stage graph (a cycle would deadlock the event loop).
-fn validate_workload(workload: &[QueryArrival]) -> Result<(), RunError> {
-    for (qi, q) in workload.iter().enumerate() {
-        let n = q.profile.stages.len();
-        if n == 0 {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has no stages"
-            )));
-        }
-        for (si, stage) in q.profile.stages.iter().enumerate() {
-            if stage.tasks == 0 {
-                return Err(RunError::InvalidWorkload(format!(
-                    "query {qi} stage {si} has zero tasks"
-                )));
-            }
-            for &d in &stage.deps {
-                if d >= n {
-                    return Err(RunError::InvalidWorkload(format!(
-                        "query {qi} stage {si} depends on missing stage {d}"
-                    )));
-                }
-            }
-        }
-        // Kahn's algorithm over the stage DAG: anything left unprocessed
-        // sits on a dependency cycle.
-        let mut indegree: Vec<usize> = q.profile.stages.iter().map(|s| s.deps.len()).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut processed = 0usize;
-        while let Some(done) = ready.pop() {
-            processed += 1;
-            for (si, stage) in q.profile.stages.iter().enumerate() {
-                if stage.deps.contains(&done) {
-                    indegree[si] = indegree[si].saturating_sub(1);
-                    if indegree[si] == 0 {
-                        ready.push(si);
-                    }
-                }
-            }
-        }
-        if processed < n {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has a stage dependency cycle"
-            )));
-        }
+    /// A task's share of the stage's shuffle bytes, rounded to nearest.
+    fn remote_egress_bytes(&self, query: usize, stage: usize) -> u64 {
+        let stage = self.stage(query, stage);
+        let tasks = u64::from(stage.tasks.max(1));
+        (stage.shuffle_bytes + tasks / 2) / tasks
     }
-    Ok(())
+
+    /// Stage output lands in the shuffle tier; what the nodes cannot hold
+    /// is written to the object store.
+    fn stage_finished(&mut self, query: usize, stage: usize, shuffle_nodes: usize) {
+        let stage = self.stage(query, stage);
+        self.resident_total += stage.shuffle_bytes;
+        self.s3_ledger.put_requests +=
+            self.bill_overflow(stage.shuffle_writes, StoreOp::Put, shuffle_nodes);
+    }
+
+    /// Every stage of the query has finished, so what it holds is the
+    /// sum of its stages' shuffle bytes.
+    fn query_finished(&mut self, query: usize) {
+        let stages = &self.workload[query].profile.stages;
+        let freed: u64 = stages.iter().map(|s| s.shuffle_bytes).sum();
+        self.resident_total = self.resident_total.saturating_sub(freed);
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.resident_total
+    }
+
+    fn store_ledger(&mut self) -> CostLedger {
+        self.s3_ledger.clone()
+    }
 }
 
 /// Run the full system over a workload; the strategy comes from
@@ -489,6 +199,22 @@ pub fn run_system_with(
     outcome.unwrap_or_default()
 }
 
+/// The stage graphs of a profile workload, as the run loop and the
+/// work-delaying comparator validate them.
+pub(crate) fn profile_graphs(workload: &[QueryArrival]) -> impl Iterator<Item = QueryGraph<'_>> {
+    workload.iter().map(|q| {
+        let stages = q.profile.stages.iter().map(|s| Stage {
+            remaining_tasks: s.tasks,
+            deps: s.deps.clone(),
+        });
+        QueryGraph {
+            at_s: q.at_s,
+            name: &q.profile.name,
+            stages: stages.collect(),
+        }
+    })
+}
+
 /// [`run_system_with`] as a fallible operation: the spec's knobs and the
 /// workload's stage graphs are validated before any event is scheduled.
 pub fn try_run_system_with(
@@ -496,313 +222,21 @@ pub fn try_run_system_with(
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> Result<RunResult, RunError> {
-    spec.validate()?;
-    validate_workload(workload)?;
-    let env = &spec.env;
-    let pricing: Pricing = env.pricing.clone();
-    let telemetry = spec.effective_telemetry();
-    strategy.set_telemetry(&telemetry);
-    let faults = spec.fault_injector(&telemetry)?;
-    let environment = faults.environment();
-    let market = faults.price_timeline();
-    let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut st = SystemState {
-        spec,
-        rng: Pcg32::seed_from_u64(spec.seed),
-        fleet: VmFleet::new(pricing.clone()),
-        pool: ElasticPool::new(pricing.clone()),
-        shuffle_fleet: VmFleet::with_category(pricing.clone(), CostCategory::ShuffleNode),
-        running: 0,
-        max_since_sample: 0,
-        resident_total: 0,
-        puts: 0,
-        gets: 0,
-        s3_ledger: CostLedger::new(),
-        faults,
-        attempts: BTreeMap::new(),
-        next_token: 0,
-        recovery_ledger: CostLedger::new(),
-        env_ledger: CostLedger::new(),
-        environment,
-        fatal: None,
-        executor: Executor::new(spec.workers),
+    let source = |telemetry: &Telemetry, faults: &FaultInjector| {
+        let mut source = ProfileSource {
+            workload,
+            spec,
+            rng: Pcg32::seed_from_u64(spec.seed),
+            faults: faults.clone(),
+            resident_total: 0,
+            s3_ledger: CostLedger::new(),
+            recovery_ledger: CostLedger::new(),
+        };
+        source.s3_ledger.instrument("store", telemetry);
+        source.recovery_ledger.instrument("recovery", telemetry);
+        source
     };
-    st.fleet.instrument("fleet", &telemetry);
-    st.pool.instrument(&telemetry);
-    st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
-    st.s3_ledger.instrument("store", &telemetry);
-    st.recovery_ledger.instrument("recovery", &telemetry);
-    st.env_ledger.instrument("env", &telemetry);
-    if !market.is_flat() {
-        // Spot-market motion: both fleets integrate the compiled
-        // schedule at termination time (a flat timeline keeps the
-        // legacy f64 billing path bit-for-bit).
-        st.fleet.set_price_timeline(market.clone());
-        st.shuffle_fleet.set_price_timeline(market);
-    }
-    let mut shuffle_prov = ShuffleProvisioner::new(env);
-    let mut history = WorkloadHistory::new();
-
-    let mut queries: Vec<QueryState> = workload
-        .iter()
-        .map(|q| QueryState {
-            arrival: SimTime::from_secs(q.at_s),
-            remaining_tasks: q.profile.stages.iter().map(|s| s.tasks).collect(),
-            unfinished_deps: q.profile.stages.iter().map(|s| s.deps.len()).collect(),
-            stages_left: q.profile.stages.len(),
-            resident_bytes: 0,
-        })
-        .collect();
-    let mut latencies = vec![0.0f64; workload.len()];
-    let mut done = 0usize;
-
-    for (i, q) in workload.iter().enumerate() {
-        events.schedule(SimTime::from_secs(q.at_s), Ev::Arrive(i));
-    }
-    if !workload.is_empty() {
-        events.schedule(SimTime::ZERO, Ev::Second);
-        events.schedule(SimTime::ZERO, Ev::Tick);
-    }
-
-    let mut target = 0u32;
-    let tick = env.strategy_tick;
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(qi) => {
-                let profile = &workload[qi].profile;
-                for si in 0..profile.stages.len() {
-                    if profile.stages[si].deps.is_empty() {
-                        st.launch_stage(&mut events, now, workload, qi, si);
-                    }
-                }
-            }
-            Ev::TaskDone { token, slot, dup } => {
-                match slot {
-                    Slot::Vm(id) => st.fleet.release(now, id),
-                    Slot::Pool(id) => {
-                        st.pool.complete(now, id);
-                    }
-                }
-                st.running = st.running.saturating_sub(1);
-                let Some(a) = st.attempts.get_mut(&token) else {
-                    debug_assert!(false, "completion for unknown attempt {token}");
-                    continue;
-                };
-                a.copies = a.copies.saturating_sub(1);
-                let first = !a.done;
-                a.done = true;
-                let (query, stage) = (a.query, a.stage);
-                if a.copies == 0 {
-                    st.attempts.remove(&token);
-                }
-                if !first {
-                    // The losing copy of a duplicate pair: its slot is
-                    // released and its compute was billed, but shuffle
-                    // writes are idempotent — nothing further publishes.
-                    continue;
-                }
-                if dup {
-                    st.faults.note_duplicate_win();
-                }
-                // Cross-region egress: a remote VM publishing its shuffle
-                // output ships this task's share of the stage's bytes out
-                // of region, billed in exact micro-dollars through the
-                // env ledger (only the winning copy publishes, so egress
-                // is never double-charged).
-                if st.environment.remote_vm_fraction > 0.0 {
-                    if let Slot::Vm(id) = slot {
-                        if st.faults.vm_traits(id.0).remote {
-                            let sp = &workload[query].profile.stages[stage];
-                            let tasks = u64::from(sp.tasks.max(1));
-                            let bytes = (sp.shuffle_bytes + tasks / 2) / tasks;
-                            if bytes > 0 {
-                                telemetry.counter_add("env.egress_bytes_total", bytes);
-                                st.env_ledger.charge_micros(
-                                    CostCategory::Egress,
-                                    egress_micros(bytes, st.environment.egress_micros_per_gib),
-                                );
-                            }
-                        }
-                    }
-                }
-                let q = &mut queries[query];
-                q.remaining_tasks[stage] = q.remaining_tasks[stage].saturating_sub(1);
-                if q.remaining_tasks[stage] == 0 {
-                    let profile = workload[query].profile.clone();
-                    // Stage output lands in the shuffle tier.
-                    let bytes = profile.stages[stage].shuffle_bytes;
-                    q.resident_bytes += bytes;
-                    st.resident_total += bytes;
-                    let f = st.overflow_fraction();
-                    let puts = (profile.stages[stage].shuffle_writes as f64 * f).round() as u64;
-                    let billed = st.billed_store_requests(puts, StoreOp::Put);
-                    st.puts += billed;
-                    st.s3_ledger
-                        .charge_requests(CostCategory::S3Put, billed, pricing.s3_put);
-                    let q = &mut queries[query];
-                    q.stages_left = q.stages_left.saturating_sub(1);
-                    if q.stages_left == 0 {
-                        let latency = (now - q.arrival).as_secs_f64();
-                        latencies[query] = latency;
-                        st.resident_total = st.resident_total.saturating_sub(q.resident_bytes);
-                        q.resident_bytes = 0;
-                        done += 1;
-                        telemetry.counter_add("run.queries_total", 1);
-                        telemetry.observe("run.query_latency_seconds", latency);
-                        telemetry.span_event(
-                            q.arrival.as_millis(),
-                            now.as_millis().saturating_sub(q.arrival.as_millis()),
-                            "query",
-                            Some(query as u64),
-                            None,
-                            &profile.name,
-                        );
-                    } else {
-                        for si in 0..profile.stages.len() {
-                            if profile.stages[si].deps.contains(&stage) {
-                                let q = &mut queries[query];
-                                q.unfinished_deps[si] = q.unfinished_deps[si].saturating_sub(1);
-                                if q.unfinished_deps[si] == 0 {
-                                    st.launch_stage(&mut events, now, workload, query, si);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::Interrupted { token, vm } => {
-                // The provider reclaims the VM; the attempt re-executes
-                // from scratch on the elastic pool (run-to-completion
-                // tasks have no partial progress to save).
-                st.fleet.reclaim(now, vm);
-                let Some(a) = st.attempts.get_mut(&token) else {
-                    debug_assert!(false, "interrupt for unknown attempt {token}");
-                    continue;
-                };
-                if a.done {
-                    // A duplicate already finished this task; the
-                    // reclaimed copy just disappears.
-                    st.drop_copy(token);
-                } else {
-                    let dur_s = a.base_secs * spec.pool_slowdown;
-                    st.faults.note_reexec();
-                    st.recovery_ledger.charge(
-                        CostCategory::ElasticPool,
-                        pricing.pool_cost(SimDuration::from_secs_f64(dur_s)),
-                    );
-                    st.launch_on_pool(&mut events, now, token, dur_s, 0, false);
-                }
-            }
-            Ev::PoolLaunch {
-                token,
-                dur_s,
-                attempt,
-                dup,
-            } => {
-                let alive = st.attempts.get(&token).map(|a| !a.done).unwrap_or(false);
-                if alive {
-                    st.launch_on_pool(&mut events, now, token, dur_s, attempt, dup);
-                } else {
-                    // A duplicate finished the task while this copy was
-                    // backing off; abandon the retry chain.
-                    st.drop_copy(token);
-                }
-            }
-            Ev::DupCheck { token } => {
-                let base = match st.attempts.get_mut(&token) {
-                    Some(a) if !a.done && !a.dup_launched => {
-                        a.dup_launched = true;
-                        a.copies += 1;
-                        Some(a.base_secs)
-                    }
-                    _ => None,
-                };
-                if let Some(base) = base {
-                    // First completed copy wins; the duplicate runs at
-                    // nominal (non-straggled) speed on the pool.
-                    let dur_s = base * spec.pool_slowdown;
-                    st.faults.note_duplicate();
-                    st.running += 1;
-                    st.max_since_sample = st.max_since_sample.max(st.running);
-                    st.recovery_ledger.charge(
-                        CostCategory::ElasticPool,
-                        pricing.pool_cost(SimDuration::from_secs_f64(dur_s)),
-                    );
-                    st.launch_on_pool(&mut events, now, token, dur_s, 0, true);
-                }
-            }
-            Ev::Second => {
-                st.poll_fleet(now);
-                st.shuffle_fleet.poll(now);
-                history.push(st.max_since_sample.max(st.running));
-                st.max_since_sample = st.running;
-                let shuffle_target = shuffle_prov.target_nodes(st.resident_total);
-                st.shuffle_fleet.set_target(now, shuffle_target as usize);
-                if telemetry.is_enabled() {
-                    let t_ms = now.as_millis();
-                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
-                    telemetry.sample("run.target", t_ms, target as f64);
-                    telemetry.sample("run.active", t_ms, st.fleet.running_count() as f64);
-                }
-                if done < workload.len() || st.running > 0 {
-                    events.schedule(now + SimDuration::from_secs(1), Ev::Second);
-                } else {
-                    st.fleet.set_target(now, 0);
-                    st.shuffle_fleet.set_target(now, 0);
-                }
-            }
-            Ev::Tick => {
-                target = strategy.target(now.as_secs(), &history, env);
-                st.fleet.set_target(now, target as usize);
-                st.poll_fleet(now);
-                if done < workload.len() || st.running > 0 {
-                    events.schedule(now + tick, Ev::Tick);
-                }
-            }
-        }
-        if st.fatal.is_some() {
-            break;
-        }
-    }
-    if let Some(e) = st.fatal.take() {
-        return Err(e);
-    }
-
-    let end = SimTime::from_secs(history.len() as u64);
-    st.fleet.set_target(end, 0);
-    st.fleet.finalize(end);
-    st.shuffle_fleet.finalize(end);
-    let vm_ledger = st.fleet.ledger();
-    let pool_ledger = st.pool.ledger();
-    let sh_ledger = st.shuffle_fleet.ledger();
-    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
-
-    Ok(RunResult {
-        compute: ComputeCost {
-            vm_cost: vm_ledger.category(CostCategory::VmCompute),
-            pool_cost: pool_ledger.category(CostCategory::ElasticPool),
-            vm_seconds: vm_ledger.vm_seconds,
-            pool_seconds: pool_ledger.pool_seconds,
-        },
-        shuffle: ShuffleCost {
-            node_cost: sh_ledger.category(CostCategory::ShuffleNode),
-            s3_put_cost: st.s3_ledger.category(CostCategory::S3Put),
-            s3_get_cost: st.s3_ledger.category(CostCategory::S3Get),
-            egress_cost: st.env_ledger.category(CostCategory::Egress),
-            puts: st.puts,
-            gets: st.gets,
-        },
-        latencies,
-        timeseries: if spec.record_timeseries {
-            Timeseries::from_telemetry(&telemetry)
-        } else {
-            None
-        },
-        duration_s: history.len() as u64,
-        strategy: strategy.name(),
-        telemetry,
-    })
+    runloop::run(spec, profile_graphs(workload), Some(strategy), source).map(|(run, _)| run)
 }
 
 #[cfg(test)]
@@ -1006,52 +440,92 @@ mod tests {
 
     #[test]
     fn try_run_rejects_malformed_workloads() {
+        use crate::delaying::try_run_delaying;
+        use crate::live::{try_run_live, LiveQuery};
+        use cackle_engine::plan::{ExchangeMode, PlanNode, Stage, StageDag};
+        use cackle_engine::schema::Schema;
+        use cackle_engine::table::Catalog;
         let spec = noiseless();
-        let mut s = FixedStrategy { vms: 0 };
-        // Build profiles directly (QueryProfile::new would assert first) —
-        // these model corrupt profiles arriving from outside the crate.
-        let case = |stages: Vec<StageProfile>| {
+        // A stage graph as `(tasks, deps)` per stage, built into profiles
+        // and plans directly (`QueryProfile::new`/`StageDag::new` would
+        // assert first) — these model corrupt workloads arriving from
+        // outside the crate.
+        type Shape = [(u32, Vec<usize>)];
+        let profiles = |shape: &Shape| {
+            let stages = shape.iter().map(|(tasks, deps)| StageProfile {
+                tasks: *tasks,
+                task_seconds: 1,
+                shuffle_bytes: 0,
+                shuffle_writes: 0,
+                shuffle_reads: 0,
+                deps: deps.clone(),
+            });
             vec![QueryArrival {
                 at_s: 0,
                 profile: Arc::new(QueryProfile {
                     name: "bad".to_string(),
-                    stages,
+                    stages: stages.collect(),
                 }),
             }]
         };
-        let stage = |tasks: u32, deps: Vec<usize>| StageProfile {
-            tasks,
-            task_seconds: 1,
-            shuffle_bytes: 0,
-            shuffle_writes: 0,
-            shuffle_reads: 0,
-            deps,
+        let plans = |shape: &Shape| {
+            let stages = shape.iter().enumerate().map(|(id, (tasks, deps))| Stage {
+                id,
+                root: PlanNode::Union {
+                    inputs: (deps.iter())
+                        .map(|&stage| PlanNode::ShuffleRead { stage })
+                        .collect(),
+                },
+                tasks: *tasks,
+                exchange: ExchangeMode::Gather,
+                output_schema: Arc::new(Schema::new(vec![])),
+            });
+            vec![LiveQuery {
+                at_s: 0,
+                plan: Arc::new(StageDag {
+                    name: "bad".to_string(),
+                    stages: stages.collect(),
+                }),
+            }]
         };
-        // No stages at all.
-        let empty = case(vec![]);
-        // A dependency on a stage index that does not exist.
-        let dangling = case(vec![stage(1, vec![5])]);
-        // A two-stage dependency cycle.
-        let cyclic = case(vec![stage(1, vec![1]), stage(1, vec![0])]);
-        // A stage that can never complete because it has no tasks.
-        let taskless = case(vec![stage(0, vec![])]);
-        for (name, w) in [
-            ("empty", empty),
-            ("dangling", dangling),
-            ("cyclic", cyclic),
-            ("taskless", taskless),
-        ] {
-            assert!(
-                matches!(
-                    try_run_system_with(&w, &mut s, &spec),
-                    Err(RunError::InvalidWorkload(_))
-                ),
-                "workload {name} should be rejected"
-            );
+        let catalog = Catalog::new();
+        type Runner<'a> = &'a dyn Fn(&Shape) -> Result<RunResult, RunError>;
+        let runners: [(&str, Runner); 3] = [
+            ("system", &|shape| {
+                try_run_system_with(&profiles(shape), &mut FixedStrategy { vms: 0 }, &spec)
+            }),
+            ("live", &|shape| {
+                try_run_live(&plans(shape), &catalog, &spec)
+            }),
+            ("delaying", &|shape| {
+                try_run_delaying(&profiles(shape), 4, &spec)
+            }),
+        ];
+        let shapes: [(&str, &Shape); 4] = [
+            ("no stages at all", &[]),
+            (
+                "a dependency on a stage that does not exist",
+                &[(1, vec![5])],
+            ),
+            (
+                "a two-stage dependency cycle",
+                &[(1, vec![1]), (1, vec![0])],
+            ),
+            ("a stage that can never complete: no tasks", &[(0, vec![])]),
+        ];
+        for (runner, run) in runners {
+            for (name, shape) in &shapes {
+                let out = run(shape);
+                assert!(
+                    matches!(out, Err(RunError::InvalidWorkload(_))),
+                    "{runner} should reject {name}, got {out:?}"
+                );
+            }
         }
         // A bad knob is caught before the workload is inspected.
+        let mut s = FixedStrategy { vms: 0 };
         let bad_spec = noiseless().with_duration_jitter(f64::NAN);
-        let ok = case(vec![stage(1, vec![])]);
+        let ok = profiles(&[(1, vec![])]);
         assert!(matches!(
             try_run_system_with(&ok, &mut s, &bad_spec),
             Err(RunError::InvalidKnob { .. })

@@ -1,0 +1,99 @@
+//! Behaviour pin: the report and the full telemetry dump of both runners
+//! hash to committed constants at 1, 2 and 8 workers.
+//!
+//! The worker-count tests compare a run with itself; this one compares
+//! it with the past. The `run_system` constants were recorded from the
+//! tree before the two runners were folded onto one event loop, the
+//! `run_live` constants from that tree plus exact object-store pricing,
+//! so a refactor of the loop that moves any byte of any scenario fails
+//! here. A deliberate behaviour change re-records the constant it moves
+//! (the failure message prints the new value) and says why in CHANGES.md.
+
+mod common;
+
+use cackle::model::build_workload;
+use cackle::system::run_system;
+use cackle::{run_live, EnvironmentSpec, RunResult, RunSpec, Telemetry};
+use cackle_tpch::profiles::profile_set;
+use cackle_workload::arrivals::WorkloadSpec;
+use common::{chaos, live_catalog, live_workload, report};
+
+/// FNV-1a over the report, then the dump.
+fn fnv1a(parts: [&str; 2]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in parts.iter().flat_map(|p| p.bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Run `scenario` at 1, 2 and 8 workers; every run must hit `pinned`.
+fn assert_pinned(name: &str, pinned: u64, scenario: impl Fn(RunSpec) -> RunResult) {
+    for workers in [1u32, 2, 8] {
+        let t = Telemetry::new();
+        let spec = RunSpec::new()
+            .with_strategy("dynamic")
+            .with_workers(workers)
+            .with_telemetry(&t);
+        let r = scenario(spec);
+        assert!(
+            r.latencies.iter().all(|&l| l > 0.0),
+            "{name}: a query never ran"
+        );
+        let got = fnv1a([&report(&r), &t.export_jsonl()]);
+        assert_eq!(
+            got, pinned,
+            "{name} at {workers} workers hashes to {got:#018x}, pinned {pinned:#018x}"
+        );
+    }
+}
+
+fn system_pinned(name: &str, pinned: u64, configure: impl Fn(RunSpec) -> RunSpec) {
+    let workload = build_workload(&WorkloadSpec::hour_long(250, 29), &profile_set(10.0));
+    assert_pinned(name, pinned, |spec| run_system(&workload, &configure(spec)));
+}
+
+fn live_pinned(name: &str, pinned: u64, configure: impl Fn(RunSpec) -> RunSpec) {
+    let (catalog, workload) = (live_catalog(), live_workload());
+    assert_pinned(name, pinned, |spec| {
+        let spec = configure(spec.with_rows_per_task_second(5_000.0));
+        run_live(&workload, &catalog, &spec)
+    });
+}
+
+#[test]
+fn system_chaos_run_is_pinned() {
+    system_pinned("system/chaos", 0x87bc_caa1_b729_abbb, |s| {
+        s.with_faults(chaos())
+    });
+}
+
+#[test]
+fn system_environment_run_is_pinned() {
+    // The environment of `golden_env_run_dumps_are_byte_identical_…`.
+    let env = EnvironmentSpec::default()
+        .with_vm_heterogeneity(0.25, 2.0, 0.5)
+        .with_market_motion(0.3, 900)
+        .with_reclaim_storms(24.0, 600, 12.0)
+        .with_remote_region(0.5, 700, 20_000);
+    system_pinned("system/environment", 0x5f9f_1194_bd2a_e0ac, |s| {
+        s.with_environment(env.clone())
+    });
+}
+
+#[test]
+fn system_fault_free_run_is_pinned() {
+    system_pinned("system/fault-free", 0xb6ed_88c2_64b2_ad53, |s| s);
+}
+
+#[test]
+fn live_chaos_run_is_pinned() {
+    live_pinned("live/chaos", 0x9219_133d_e98f_78a9, |s| {
+        s.with_faults(chaos())
+    });
+}
+
+#[test]
+fn live_fault_free_run_is_pinned() {
+    live_pinned("live/fault-free", 0x76ed_c38a_2d38_8079, |s| s);
+}

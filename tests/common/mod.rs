@@ -1,0 +1,61 @@
+//! Fixtures shared by the root tests that attack worker-count
+//! independence (`executor_stress`) and pin runner behaviour
+//! (`behaviour_pin`): one fault plan, one report rendering, one live
+//! catalog and workload.
+
+use cackle::{FaultSpec, LiveQuery, RunResult};
+use cackle_engine::table::Catalog;
+use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
+use cackle_tpch::plans::{self, Par};
+use std::sync::Arc;
+
+/// Everything the fault layer can throw, at punishing rates.
+pub fn chaos() -> FaultSpec {
+    FaultSpec::default()
+        .with_spot_reclaims(6.0)
+        .with_pool_invoke_failures(0.15)
+        .with_pool_throttles(0.1, 300)
+        .with_store_errors(0.2, 0.2)
+        .with_transport_drops(0.25)
+        .with_stragglers(0.2, 3.0)
+}
+
+/// `{:?}` on `f64` prints the shortest exact round-trip decimal, so any
+/// drift in any float shows up in the comparison.
+pub fn report(r: &RunResult) -> String {
+    format!(
+        "compute {:?}\nshuffle {:?}\ntotal {:?}\nlatencies {:?}\ntimeseries {:?}\n",
+        r.compute,
+        r.shuffle,
+        r.total_cost(),
+        r.latencies,
+        r.timeseries
+    )
+}
+
+/// A small generated TPC-H catalog for live runs.
+pub fn live_catalog() -> Catalog {
+    generate_catalog(&DbGenConfig {
+        scale_factor: 0.002,
+        rows_per_partition: 512,
+        seed: 7,
+    })
+}
+
+/// Six real queries through the engine: operator pipelines, hybrid
+/// shuffle, joins and aggregations, arriving seven seconds apart.
+pub fn live_workload() -> Vec<LiveQuery> {
+    let par = Par {
+        fact: 3,
+        mid: 2,
+        join: 2,
+    };
+    ["q01", "q06", "q03", "q13", "q04", "q06"]
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| LiveQuery {
+            at_s: i as u64 * 7,
+            plan: Arc::new(plans::plan(n, par)),
+        })
+        .collect()
+}

@@ -4,30 +4,20 @@
 //! parallel executor specifically. A seeded workload runs under an
 //! aggressive fault plan — spot reclaims (system runner), stragglers,
 //! pool invoke failures and throttles, store errors, and transport
-//! drops — at 1 and 8 workers, and must produce an identical report and
-//! identical fault/recovery counters: fault draws are keyed by operation
-//! identity and cross-task effects merge in task-index order, so thread
-//! scheduling never leaks into results.
+//! drops — at 1, 2 and 8 workers (the system runner at 1 and 8), and
+//! must produce an identical report and identical fault/recovery
+//! counters: fault draws are keyed by operation identity and cross-task
+//! effects merge in task-index order, so thread scheduling never leaks
+//! into results.
+
+mod common;
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
-use cackle::{run_live, FaultSpec, LiveQuery, RunResult, RunSpec, Telemetry};
-use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
-use cackle_tpch::plans::{self, Par};
+use cackle::{run_live, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use std::sync::Arc;
-
-/// Everything the fault layer can throw, at punishing rates.
-fn chaos() -> FaultSpec {
-    FaultSpec::default()
-        .with_spot_reclaims(6.0)
-        .with_pool_invoke_failures(0.15)
-        .with_pool_throttles(0.1, 300)
-        .with_store_errors(0.2, 0.2)
-        .with_transport_drops(0.25)
-        .with_stragglers(0.2, 3.0)
-}
+use common::{chaos, live_catalog, live_workload, report};
 
 /// Every fault and recovery counter the injector maintains.
 const COUNTERS: &[&str] = &[
@@ -51,42 +41,12 @@ fn counter_snapshot(t: &Telemetry) -> Vec<(&'static str, u64)> {
     COUNTERS.iter().map(|&c| (c, t.counter(c))).collect()
 }
 
-/// `{:?}` on `f64` prints the shortest exact round-trip decimal, so any
-/// drift in any float shows up in the comparison.
-fn report(r: &RunResult) -> String {
-    format!(
-        "compute {:?}\nshuffle {:?}\ntotal {:?}\nlatencies {:?}\ntimeseries {:?}\n",
-        r.compute,
-        r.shuffle,
-        r.total_cost(),
-        r.latencies,
-        r.timeseries
-    )
-}
-
 #[test]
 fn live_fault_runs_are_worker_count_independent() {
     // Real queries through the engine: operator pipelines, hybrid
     // shuffle with transport drops and billed store fallback, straggler
     // draws, pool invoke failures — all at once.
-    let catalog = generate_catalog(&DbGenConfig {
-        scale_factor: 0.002,
-        rows_per_partition: 512,
-        seed: 7,
-    });
-    let par = Par {
-        fact: 3,
-        mid: 2,
-        join: 2,
-    };
-    let workload: Vec<LiveQuery> = ["q01", "q06", "q03", "q13", "q04", "q06"]
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| LiveQuery {
-            at_s: i as u64 * 7,
-            plan: Arc::new(plans::plan(n, par)),
-        })
-        .collect();
+    let (catalog, workload) = (live_catalog(), live_workload());
     let run = |workers: u32| {
         let t = Telemetry::new();
         let spec = RunSpec::new()
@@ -103,18 +63,23 @@ fn live_fault_runs_are_worker_count_independent() {
         serial_counters.iter().any(|&(_, v)| v > 0),
         "fault plan was not active: {serial_counters:?}"
     );
-    let (parallel_report, parallel_counters, parallel_dump) = run(8);
-    assert_eq!(serial_counters, parallel_counters, "counters diverged");
-    assert!(
-        serial_report == parallel_report,
-        "reports diverged:\n--- 1 worker\n{serial_report}\n--- 8 workers\n{parallel_report}"
-    );
-    assert!(
-        serial_dump == parallel_dump,
-        "dumps diverged (lengths {} vs {})",
-        serial_dump.len(),
-        parallel_dump.len()
-    );
+    for workers in [2u32, 8] {
+        let (parallel_report, parallel_counters, parallel_dump) = run(workers);
+        assert_eq!(
+            serial_counters, parallel_counters,
+            "counters diverged at {workers} workers"
+        );
+        assert!(
+            serial_report == parallel_report,
+            "reports diverged:\n--- 1 worker\n{serial_report}\n--- {workers} workers\n{parallel_report}"
+        );
+        assert!(
+            serial_dump == parallel_dump,
+            "dumps diverged at {workers} workers (lengths {} vs {})",
+            serial_dump.len(),
+            parallel_dump.len()
+        );
+    }
 }
 
 #[test]
