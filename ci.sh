@@ -54,14 +54,6 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> operator-throughput bench smoke (kernel vs reference, CSV archived)"
-# --smoke shrinks the input so this exercises every kernel-vs-reference
-# pair end-to-end in well under a second; the full-size run (no flag)
-# is where the speedup self-checks apply.
-cargo run -q --release -p cackle-bench --bin bench_operator_throughput -- --smoke
-test -s results/operator_throughput.csv \
-    || { echo "bench_operator_throughput: missing results/operator_throughput.csv" >&2; exit 1; }
-
 echo "==> worker-count determinism (golden dumps, pinned behaviour, 10x executor stress)"
 cargo test -q --test determinism golden_dumps_are_byte_identical_across_worker_counts
 cargo test -q --test behaviour_pin

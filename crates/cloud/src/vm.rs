@@ -271,11 +271,6 @@ impl VmFleet {
         started
     }
 
-    /// Time at which the next pending instance becomes available, if any.
-    pub fn next_start_time(&self) -> Option<SimTime> {
-        self.pending.front().map(|&(_, t)| t)
-    }
-
     /// Claim an idle VM for a task. Prefers the most recently started idle
     /// instance, leaving the oldest idle (and min-billing-amortized)
     /// instances free to be terminated if the target drops.

@@ -34,6 +34,17 @@ impl ColumnData {
         self.len() == 0
     }
 
+    /// `len` placeholder rows of type `dtype` (zero, empty, false).
+    pub(crate) fn zeroed(dtype: DataType, len: usize) -> ColumnData {
+        match dtype {
+            DataType::I64 => ColumnData::I64(vec![0; len]),
+            DataType::F64 => ColumnData::F64(vec![0.0; len]),
+            DataType::Str => ColumnData::Str(vec![String::new(); len]),
+            DataType::Date => ColumnData::Date(vec![0; len]),
+            DataType::Bool => ColumnData::Bool(vec![false; len]),
+        }
+    }
+
     /// The column's data type.
     pub fn data_type(&self) -> DataType {
         match self {
@@ -244,13 +255,7 @@ impl Column {
 
     /// An all-null column of `len` rows and the given type.
     pub fn nulls(dtype: DataType, len: usize) -> Column {
-        let data = match dtype {
-            DataType::I64 => ColumnData::I64(vec![0; len]),
-            DataType::F64 => ColumnData::F64(vec![0.0; len]),
-            DataType::Str => ColumnData::Str(vec![String::new(); len]),
-            DataType::Date => ColumnData::Date(vec![0; len]),
-            DataType::Bool => ColumnData::Bool(vec![false; len]),
-        };
+        let data = ColumnData::zeroed(dtype, len);
         if len == 0 {
             Column::new(data)
         } else {

@@ -5,10 +5,19 @@
 //! Null semantics follow SQL: arithmetic and comparisons propagate null,
 //! `AND`/`OR` use Kleene three-valued logic, and filters keep only rows
 //! whose predicate is valid *and* true.
+//!
+//! [`Expr::eval`] is one recursive walk. Arithmetic and comparisons are
+//! not computed here: both sides become [`Operand`]s — a literal stays a
+//! borrowed [`Value`], it is broadcast only when it is itself the
+//! projection — and go to the one binary kernel in
+//! [`crate::kernels::scalar`], which `IN` lists and CASE results reuse.
+//! [`predicate_mask_into`] walks the same tree but sends comparison
+//! leaves to that kernel's keep-mask sink, so a filter never builds a
+//! Bool column.
 
 use crate::batch::Batch;
 use crate::column::{Column, ColumnData};
-use crate::kernels::scalar::{binary_col_scalar, cmp_scalar_mask_into, like_mask};
+use crate::kernels::scalar::{binary, compare_mask_into, like_mask, Operand};
 use crate::types::{date, DataType, Value};
 
 /// Binary operators.
@@ -227,13 +236,9 @@ impl Expr {
         match self {
             Expr::Col(i) => batch.columns[*i].clone(),
             Expr::Lit(v) => broadcast_literal(v, n),
-            Expr::Binary { op, lhs, rhs } => match eval_binary_scalar_fast(*op, lhs, rhs, batch) {
-                Some(col) => col,
-                None => {
-                    let l = lhs.eval(batch);
-                    let r = rhs.eval(batch);
-                    eval_binary(*op, &l, &r)
-                }
+            Expr::Binary { op, lhs, rhs } => match op {
+                BinOp::And | BinOp::Or => eval_kleene(*op, &lhs.eval(batch), &rhs.eval(batch)),
+                _ => binary(*op, &operand(lhs, batch), &operand(rhs, batch), n),
             },
             Expr::Not(e) => {
                 let c = e.eval(batch);
@@ -265,17 +270,22 @@ impl Expr {
                 }
             }
             Expr::InList { input, list } => {
+                // The OR of one equality mask per item: a null row
+                // matches nothing and a null item is matched by nothing,
+                // as under `Value::sql_cmp`.
                 let c = input.eval(batch);
-                let vals = (0..n)
-                    .map(|i| {
-                        let v = c.value(i);
-                        list.iter()
-                            .any(|item| v.sql_cmp(item) == Some(std::cmp::Ordering::Equal))
-                    })
-                    .collect();
+                let validity = c.validity.clone();
+                let probe = Operand::Col(c);
+                let mut vals = vec![false; n];
+                let mut hits = Vec::with_capacity(n);
+                for item in list.iter().filter(|item| !item.is_null()) {
+                    hits.clear();
+                    compare_mask_into(BinOp::Eq, &probe, &Operand::Lit(item), n, &mut hits);
+                    vals.iter_mut().zip(&hits).for_each(|(v, h)| *v |= h);
+                }
                 Column {
                     data: ColumnData::Bool(vals),
-                    validity: c.validity.clone(),
+                    validity,
                 }
             }
             Expr::ExtractYear(e) => {
@@ -291,11 +301,7 @@ impl Expr {
                 let vals = c
                     .strs()
                     .iter()
-                    .map(|s| {
-                        let from = (start - 1).min(s.len());
-                        let to = (from + len).min(s.len());
-                        s[from..to].to_string()
-                    })
+                    .map(|s| substr(s, *start, *len).to_string())
                     .collect();
                 Column {
                     data: ColumnData::Str(vals),
@@ -336,27 +342,24 @@ impl Expr {
     }
 }
 
-/// The `column ⊕ literal` fast path: evaluate the column side only and
-/// apply the scalar through [`binary_col_scalar`], skipping the literal
-/// broadcast. Returns `None` when the shape doesn't qualify — Kleene
-/// ops (which need both validity masks), literal ⊕ literal, and null
-/// literals (whose null-propagation bytes come from the broadcast
-/// path) — and the caller falls back to full materialization.
-fn eval_binary_scalar_fast(op: BinOp, lhs: &Expr, rhs: &Expr, batch: &Batch) -> Option<Column> {
-    if matches!(op, BinOp::And | BinOp::Or) {
-        return None;
+/// One side of a binary expression, or one CASE result: a non-null
+/// literal stays borrowed, anything else is evaluated. A null literal
+/// has no type for the kernel to dispatch on, so it takes the `eval`
+/// route and arrives as an all-null I64 column.
+fn operand<'a>(e: &'a Expr, batch: &Batch) -> Operand<'a> {
+    match e {
+        Expr::Lit(v) if !v.is_null() => Operand::Lit(v),
+        e => Operand::Col(e.eval(batch)),
     }
-    let (col_expr, scalar, scalar_is_lhs) = match (lhs, rhs) {
-        (Expr::Lit(_), Expr::Lit(_)) => return None,
-        (e, Expr::Lit(v)) => (e, v, false),
-        (Expr::Lit(v), e) => (e, v, true),
-        _ => return None,
-    };
-    if matches!(scalar, Value::Null) {
-        return None;
-    }
-    let col = col_expr.eval(batch);
-    Some(binary_col_scalar(op, &col, scalar, scalar_is_lhs))
+}
+
+/// `SUBSTRING(s FROM start FOR len)`: `start` is 1-based and, like
+/// `len`, counts characters; a start of 0 reads as 1 and a range
+/// running past the end stops at the end.
+fn substr(s: &str, start: usize, len: usize) -> &str {
+    let offset = |s: &str, chars: usize| s.char_indices().nth(chars).map_or(s.len(), |(i, _)| i);
+    let tail = &s[offset(s, start.saturating_sub(1))..];
+    &tail[..offset(tail, len)]
 }
 
 fn copy_row(dst: &mut ColumnData, src: &Column, i: usize) {
@@ -374,11 +377,9 @@ fn copy_row(dst: &mut ColumnData, src: &Column, i: usize) {
     }
 }
 
-/// Materialize a literal as a full column. Only top-level literal
-/// projections and the fallback paths above still pay for this —
-/// `column ⊕ literal` goes through [`eval_binary_scalar_fast`] and CASE
-/// literal branches copy the scalar directly, so no per-row `String`
-/// clones happen on the hot paths.
+/// Materialize a literal as a full column. Only a literal that is
+/// itself a projection, a Kleene or COALESCE operand, or null pays for
+/// this; everywhere else it stays an [`Operand::Lit`].
 fn broadcast_literal(v: &Value, n: usize) -> Column {
     match v {
         Value::Null => Column::nulls(DataType::I64, n),
@@ -387,24 +388,6 @@ fn broadcast_literal(v: &Value, n: usize) -> Column {
         Value::Str(x) => Column::from_str_vec(vec![x.clone(); n]),
         Value::Date(x) => Column::from_date(vec![*x; n]),
         Value::Bool(x) => Column::from_bool(vec![*x; n]),
-    }
-}
-
-fn merged_validity(l: &Column, r: &Column) -> Option<Vec<bool>> {
-    match (&l.validity, &r.validity) {
-        (None, None) => None,
-        (Some(a), None) => Some(a.clone()),
-        (None, Some(b)) => Some(b.clone()),
-        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(x, y)| *x && *y).collect()),
-    }
-}
-
-fn eval_binary(op: BinOp, l: &Column, r: &Column) -> Column {
-    use BinOp::*;
-    match op {
-        And | Or => eval_kleene(op, l, r),
-        Add | Sub | Mul | Div | Mod => eval_arith(op, l, r),
-        Eq | Neq | Lt | LtEq | Gt | GtEq => eval_cmp(op, l, r),
     }
 }
 
@@ -445,199 +428,40 @@ fn eval_kleene(op: BinOp, l: &Column, r: &Column) -> Column {
     Column::with_validity(ColumnData::Bool(vals), validity)
 }
 
-fn eval_arith(op: BinOp, l: &Column, r: &Column) -> Column {
-    let validity = merged_validity(l, r);
-    let data = match (&l.data, &r.data, op) {
-        // Division always goes to f64, SQL-decimal style.
-        (ColumnData::I64(a), ColumnData::I64(b), BinOp::Div) => ColumnData::F64(
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| *x as f64 / *y as f64)
-                .collect(),
-        ),
-        (ColumnData::I64(a), ColumnData::I64(b), BinOp::Mod) => {
-            ColumnData::I64(a.iter().zip(b).map(|(x, y)| x % y).collect())
-        }
-        (ColumnData::I64(a), ColumnData::I64(b), _) => ColumnData::I64(
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| apply_i64(op, *x, *y))
-                .collect(),
-        ),
-        (ColumnData::Date(a), ColumnData::I64(b), BinOp::Add) => {
-            ColumnData::Date(a.iter().zip(b).map(|(x, y)| x + *y as i32).collect())
-        }
-        (ColumnData::Date(a), ColumnData::I64(b), BinOp::Sub) => {
-            ColumnData::Date(a.iter().zip(b).map(|(x, y)| x - *y as i32).collect())
-        }
-        (a, b, _) => {
-            // Everything else coerces to f64.
-            let af = to_f64_vec(a);
-            let bf = to_f64_vec(b);
-            ColumnData::F64(
-                af.iter()
-                    .zip(&bf)
-                    .map(|(x, y)| apply_f64(op, *x, *y))
-                    .collect(),
-            )
-        }
-    };
-    match validity {
-        Some(v) => Column::with_validity(data, v),
-        None => Column::new(data),
-    }
-}
-
-fn apply_i64(op: BinOp, x: i64, y: i64) -> i64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        _ => unreachable!(),
-    }
-}
-
-fn apply_f64(op: BinOp, x: f64, y: f64) -> f64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => x / y,
-        BinOp::Mod => x % y,
-        _ => unreachable!(),
-    }
-}
-
-fn to_f64_vec(d: &ColumnData) -> Vec<f64> {
-    match d {
-        ColumnData::I64(v) => v.iter().map(|&x| x as f64).collect(),
-        ColumnData::F64(v) => v.clone(),
-        ColumnData::Date(v) => v.iter().map(|&x| x as f64).collect(),
-        other => panic!("cannot coerce {} to f64", other.data_type()),
-    }
-}
-
-fn eval_cmp(op: BinOp, l: &Column, r: &Column) -> Column {
-    use std::cmp::Ordering;
-    let n = l.len();
-    let validity = merged_validity(l, r);
-    let want = |o: Ordering| match op {
-        BinOp::Eq => o == Ordering::Equal,
-        BinOp::Neq => o != Ordering::Equal,
-        BinOp::Lt => o == Ordering::Less,
-        BinOp::LtEq => o != Ordering::Greater,
-        BinOp::Gt => o == Ordering::Greater,
-        BinOp::GtEq => o != Ordering::Less,
-        _ => unreachable!(),
-    };
-    let vals: Vec<bool> = match (&l.data, &r.data) {
-        (ColumnData::I64(a), ColumnData::I64(b)) => {
-            a.iter().zip(b).map(|(x, y)| want(x.cmp(y))).collect()
-        }
-        (ColumnData::Date(a), ColumnData::Date(b)) => {
-            a.iter().zip(b).map(|(x, y)| want(x.cmp(y))).collect()
-        }
-        (ColumnData::F64(a), ColumnData::F64(b)) => a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| x.partial_cmp(y).is_some_and(&want))
-            .collect(),
-        (ColumnData::Str(a), ColumnData::Str(b)) => {
-            a.iter().zip(b).map(|(x, y)| want(x.cmp(y))).collect()
-        }
-        (ColumnData::Bool(a), ColumnData::Bool(b)) => {
-            a.iter().zip(b).map(|(x, y)| want(x.cmp(y))).collect()
-        }
-        (a, b) => {
-            let af = to_f64_vec(a);
-            let bf = to_f64_vec(b);
-            af.iter()
-                .zip(&bf)
-                .map(|(x, y)| x.partial_cmp(y).is_some_and(&want))
-                .collect()
-        }
-    };
-    let _ = n;
-    match validity {
-        Some(v) => Column::with_validity(ColumnData::Bool(vals), v),
-        None => Column::new(ColumnData::Bool(vals)),
-    }
-}
-
-/// A CASE branch result (or the ELSE): literal branches stay a single
-/// scalar — the legacy evaluator broadcast `else 0.0` into a fresh
-/// column per batch (a per-row `String` clone for string literals).
-enum CaseSrc {
-    /// A computed result column.
-    Col(Column),
-    /// A literal result, copied directly where its branch wins.
-    Scalar(Value),
-}
-
-impl CaseSrc {
-    fn from_expr(e: &Expr, batch: &Batch) -> CaseSrc {
-        match e {
-            Expr::Lit(v) => CaseSrc::Scalar(v.clone()),
-            other => CaseSrc::Col(other.eval(batch)),
-        }
-    }
-
-    fn row_is_valid(&self, i: usize) -> bool {
-        match self {
-            CaseSrc::Col(c) => c.is_valid(i),
-            CaseSrc::Scalar(v) => !v.is_null(),
-        }
-    }
-
-    /// Placeholder output storage of this source's type (a null literal
-    /// protos as I64, matching `broadcast_literal`).
-    fn proto_data(&self, n: usize) -> ColumnData {
-        let dtype = match self {
-            CaseSrc::Col(c) => c.data_type(),
-            CaseSrc::Scalar(v) => v.data_type().unwrap_or(DataType::I64),
-        };
-        match dtype {
-            DataType::I64 => ColumnData::I64(vec![0; n]),
-            DataType::F64 => ColumnData::F64(vec![0.0; n]),
-            DataType::Str => ColumnData::Str(vec![String::new(); n]),
-            DataType::Date => ColumnData::Date(vec![0; n]),
-            DataType::Bool => ColumnData::Bool(vec![false; n]),
-        }
-    }
-
-    fn copy_into(&self, dst: &mut ColumnData, i: usize) {
-        match self {
-            CaseSrc::Col(c) => copy_row(dst, c, i),
-            CaseSrc::Scalar(v) => match (dst, v) {
-                (ColumnData::I64(d), Value::I64(s)) => d[i] = *s,
-                (ColumnData::F64(d), Value::F64(s)) => d[i] = *s,
-                (ColumnData::Str(d), Value::Str(s)) => d[i].clone_from(s),
-                (ColumnData::Date(d), Value::Date(s)) => d[i] = *s,
-                (ColumnData::Bool(d), Value::Bool(s)) => d[i] = *s,
-                (d, s) => panic!("CASE type mismatch {} vs {s:?}", d.data_type()),
-            },
-        }
+/// Copy a CASE result's row `i` into the output storage.
+fn copy_operand_row(dst: &mut ColumnData, src: &Operand, i: usize) {
+    match src {
+        Operand::Col(c) => copy_row(dst, c, i),
+        Operand::Lit(v) => match (dst, v) {
+            (ColumnData::I64(d), Value::I64(s)) => d[i] = *s,
+            (ColumnData::F64(d), Value::F64(s)) => d[i] = *s,
+            (ColumnData::Str(d), Value::Str(s)) => d[i].clone_from(s),
+            (ColumnData::Date(d), Value::Date(s)) => d[i] = *s,
+            (ColumnData::Bool(d), Value::Bool(s)) => d[i] = *s,
+            (d, s) => panic!("CASE type mismatch {} vs {s:?}", d.data_type()),
+        },
     }
 }
 
 fn eval_case(batch: &Batch, branches: &[(Expr, Expr)], else_expr: &Option<Box<Expr>>) -> Column {
     let n = batch.num_rows();
-    let results: Vec<(Column, CaseSrc)> = branches
+    // Literal results stay unbroadcast and are copied where they win.
+    let results: Vec<(Column, Operand)> = branches
         .iter()
-        .map(|(c, r)| (c.eval(batch), CaseSrc::from_expr(r, batch)))
+        .map(|(c, r)| (c.eval(batch), operand(r, batch)))
         .collect();
-    let else_src = else_expr.as_ref().map(|e| CaseSrc::from_expr(e, batch));
+    let else_src = else_expr.as_ref().map(|e| operand(e, batch));
     // Determine output type from the first result.
     let proto = &results.first().expect("CASE with no branches").1;
-    let mut data = proto.proto_data(n);
+    let mut data = ColumnData::zeroed(proto.data_type(), n);
     let mut validity = vec![false; n];
     #[allow(clippy::needless_range_loop)] // indexes three parallel structures
     for i in 0..n {
         let mut matched = false;
         for (cond, res) in &results {
             if cond.is_valid(i) && cond.bools()[i] {
-                if res.row_is_valid(i) {
-                    res.copy_into(&mut data, i);
+                if res.is_valid(i) {
+                    copy_operand_row(&mut data, res, i);
                     validity[i] = true;
                 }
                 matched = true;
@@ -646,8 +470,8 @@ fn eval_case(batch: &Batch, branches: &[(Expr, Expr)], else_expr: &Option<Box<Ex
         }
         if !matched {
             if let Some(e) = &else_src {
-                if e.row_is_valid(i) {
-                    e.copy_into(&mut data, i);
+                if e.is_valid(i) {
+                    copy_operand_row(&mut data, e, i);
                     validity[i] = true;
                 }
             }
@@ -704,36 +528,29 @@ pub fn predicate_mask_into(pred: &Expr, batch: &Batch, mask: &mut Vec<bool>) {
 /// null-folds-to-false convention, `mask(a AND b) = mask(a) & mask(b)`
 /// (the result is true-and-valid only when both sides are) and
 /// `mask(a OR b) = mask(a) | mask(b)` (a true side forces true even
-/// against null). Comparison-vs-literal leaves — the typical filter
-/// shape — fill the mask directly through [`cmp_scalar_mask_into`];
-/// everything else evaluates normally and folds.
+/// against null). A comparison leaf compares its two operands straight
+/// into the mask; everything else evaluates normally and folds.
 fn fill_pred_mask(pred: &Expr, batch: &Batch, mask: &mut Vec<bool>) {
+    use BinOp::*;
     if let Expr::Binary { op, lhs, rhs } = pred {
-        if matches!(op, BinOp::And | BinOp::Or) {
-            fill_pred_mask(lhs, batch, mask);
-            let mut rhs_mask = Vec::with_capacity(batch.num_rows());
-            fill_pred_mask(rhs, batch, &mut rhs_mask);
-            match op {
-                BinOp::And => mask.iter_mut().zip(&rhs_mask).for_each(|(m, r)| *m &= r),
-                _ => mask.iter_mut().zip(&rhs_mask).for_each(|(m, r)| *m |= r),
-            }
-            return;
-        }
-        if matches!(
-            op,
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-        ) {
-            let side = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Lit(_), Expr::Lit(_)) => None,
-                (e, Expr::Lit(v)) if !v.is_null() => Some((e, v, false)),
-                (Expr::Lit(v), e) if !v.is_null() => Some((e, v, true)),
-                _ => None,
-            };
-            if let Some((col_expr, scalar, scalar_is_lhs)) = side {
-                let c = col_expr.eval(batch);
-                cmp_scalar_mask_into(*op, &c, scalar, scalar_is_lhs, mask);
+        match op {
+            And | Or => {
+                fill_pred_mask(lhs, batch, mask);
+                let mut rhs_mask = Vec::with_capacity(batch.num_rows());
+                fill_pred_mask(rhs, batch, &mut rhs_mask);
+                match op {
+                    And => mask.iter_mut().zip(&rhs_mask).for_each(|(m, r)| *m &= r),
+                    _ => mask.iter_mut().zip(&rhs_mask).for_each(|(m, r)| *m |= r),
+                }
                 return;
             }
+            Eq | Neq | Lt | LtEq | Gt | GtEq => {
+                let (l, r) = (operand(lhs, batch), operand(rhs, batch));
+                compare_mask_into(*op, &l, &r, batch.num_rows(), mask);
+                return;
+            }
+            // Arithmetic is no predicate; `bools()` below says so.
+            Add | Sub | Mul | Div | Mod => {}
         }
     }
     let c = pred.eval(batch);

@@ -15,8 +15,9 @@
 //!   reuse accounting; checkout/recycle pairing is enforced by lint L16.
 //! * [`select`] — selection-bitmap filtering (mask → selection vector →
 //!   gather), including fused filter+project.
-//! * [`scalar`] — column ⊕ literal compute without broadcasting the
-//!   literal into a column.
+//! * [`scalar`] — the one binary-expression kernel (crate-private):
+//!   arithmetic and comparison over operands that are a column or an
+//!   unbroadcast literal, into a column or a keep-mask; plus `like_mask`.
 //! * [`agg`] — hash group-by: dense group-id assignment plus typed
 //!   per-group accumulators.
 //! * [`join`] — typed build-side key index and allocation-free probe.

@@ -1,7 +1,7 @@
 //! Reusable typed scratch buffers, checked out per task.
 //!
-//! Operators need index vectors, keep-masks, and key buffers once per
-//! batch. Allocating them fresh per batch is exactly the shape lint L14
+//! Operators need index vectors and keep-masks once per batch.
+//! Allocating them fresh per batch is exactly the shape lint L14
 //! polices; the arena makes its `reuse-buffer:` suggestion the default
 //! instead: a buffer is checked out (cleared, capacity preserved), used,
 //! and recycled back, so steady-state execution of a task allocates
@@ -37,7 +37,6 @@ pub struct PoolStats {
 pub struct ScratchArena {
     idx: Vec<Vec<usize>>,
     masks: Vec<Vec<bool>>,
-    bytes: Vec<Vec<u8>>,
     stats: PoolStats,
 }
 
@@ -91,29 +90,6 @@ impl ScratchArena {
         self.masks.push(buf);
     }
 
-    /// Check out a byte buffer (row-key scratch) with at least `cap`
-    /// capacity, cleared.
-    pub fn checkout_bytes(&mut self, cap: usize) -> Vec<u8> {
-        self.stats.checkouts += 1;
-        match self.bytes.pop() {
-            Some(mut v) => {
-                self.stats.reuses += 1;
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => {
-                self.stats.fresh += 1;
-                Vec::with_capacity(cap)
-            }
-        }
-    }
-
-    /// Return a byte buffer to the free list.
-    pub fn recycle_bytes(&mut self, buf: Vec<u8>) {
-        self.bytes.push(buf);
-    }
-
     /// A snapshot of the reuse counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
@@ -147,14 +123,14 @@ mod tests {
     fn typed_free_lists_are_independent() {
         let mut arena = ScratchArena::new();
         let m = arena.checkout_mask(4);
-        let k = arena.checkout_bytes(4);
+        let k = arena.checkout_idx(4);
         arena.recycle_mask(m);
-        arena.recycle_bytes(k);
+        arena.recycle_idx(k);
         assert_eq!(arena.stats().fresh, 2);
         let m2 = arena.checkout_mask(4);
-        let k2 = arena.checkout_bytes(4);
+        let k2 = arena.checkout_idx(4);
         arena.recycle_mask(m2);
-        arena.recycle_bytes(k2);
+        arena.recycle_idx(k2);
         assert_eq!(arena.stats().reuses, 2);
     }
 

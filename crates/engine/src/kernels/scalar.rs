@@ -1,269 +1,293 @@
-//! Column ⊕ scalar compute kernels.
+//! The binary-expression kernel: every `lhs ⊕ rhs` other than Kleene
+//! `AND`/`OR` is computed here, and nowhere else.
 //!
-//! The expression evaluator used to broadcast every literal operand into
-//! a full column (`vec![lit; n]` — a per-row `String` clone for string
-//! literals) and then run the column ⊕ column path. These kernels apply
-//! the scalar directly against the column's typed slice, producing bytes
-//! identical to the broadcast-then-evaluate path: the type-dispatch arms
-//! below mirror `expr::eval_arith` / `expr::eval_cmp` arm by arm, and the
-//! result validity is the column's validity (a non-null literal
-//! contributes an all-valid side to the merge).
+//! Each side is an [`Operand`] — an evaluated column, or a literal left
+//! unbroadcast — so `column ⊕ column`, `column ⊕ literal` and
+//! `literal ⊕ column` are one implementation, written in lhs/rhs order.
+//! A call dispatches once on the pair of operand types ([`arith`],
+//! [`compare`]), resolves the operator outside the row loop
+//! ([`apply_i64`], [`apply_f64`], [`compare_rows`]) and runs the one row
+//! loop there is ([`zip_rows`]), monomorphised per side shape. Mixed
+//! numeric sides coerce to f64 element by element; neither side is
+//! materialized first.
+//!
+//! Two sinks take the result. [`binary`] returns a column: the data
+//! vector plus the two sides' merged validity. [`compare_mask_into`]
+//! appends `valid AND result` to a keep-mask — the scan filter's inner
+//! loop — from the same comparison loop.
+//!
+//! What stays outside: Kleene `AND`/`OR` need both validity masks per
+//! row (`expr::eval_kleene`), and a null literal has no type to dispatch
+//! on, so it arrives as the all-null I64 column `Expr::eval` makes of it
+//! (no plan produces one).
 
 use crate::column::{Column, ColumnData};
 use crate::expr::{BinOp, LikePattern};
-use crate::types::Value;
-use std::cmp::Ordering;
+use crate::types::{DataType, Value};
 
-/// Apply `col ⊕ scalar` (or `scalar ⊕ col` when `scalar_is_lhs`) for any
-/// non-Kleene binary operator. `scalar` must not be [`Value::Null`] —
-/// null literals keep the materialized path so null-propagation bytes
-/// stay identical.
-pub fn binary_col_scalar(op: BinOp, col: &Column, scalar: &Value, scalar_is_lhs: bool) -> Column {
+/// One side of a binary expression (or one CASE result): an evaluated
+/// column, or a non-null literal that is never broadcast.
+pub(crate) enum Operand<'a> {
+    /// A computed column of the batch's row count.
+    Col(Column),
+    /// What `Expr::Lit` holds; never [`Value::Null`].
+    Lit(&'a Value),
+}
+
+impl Operand<'_> {
+    /// The operand's type.
+    pub(crate) fn data_type(&self) -> DataType {
+        match self {
+            Operand::Col(c) => c.data_type(),
+            Operand::Lit(v) => v.data_type().expect("null literals are materialized"),
+        }
+    }
+
+    /// Is row `i` non-null? A literal is valid on every row.
+    pub(crate) fn is_valid(&self, i: usize) -> bool {
+        match self {
+            Operand::Col(c) => c.is_valid(i),
+            Operand::Lit(_) => true,
+        }
+    }
+
+    fn validity(&self) -> Option<&[bool]> {
+        match self {
+            Operand::Col(c) => c.validity.as_deref(),
+            Operand::Lit(_) => None,
+        }
+    }
+
+    fn typed(&self) -> Typed<'_> {
+        match self {
+            Operand::Col(c) => match &c.data {
+                ColumnData::I64(v) => Typed::I64(Rows::Slice(v)),
+                ColumnData::F64(v) => Typed::F64(Rows::Slice(v)),
+                ColumnData::Str(v) => Typed::Str(Rows::Slice(v)),
+                ColumnData::Date(v) => Typed::Date(Rows::Slice(v)),
+                ColumnData::Bool(v) => Typed::Bool(Rows::Slice(v)),
+            },
+            Operand::Lit(v) => match v {
+                Value::I64(x) => Typed::I64(Rows::Repeat(x)),
+                Value::F64(x) => Typed::F64(Rows::Repeat(x)),
+                Value::Str(x) => Typed::Str(Rows::Repeat(x)),
+                Value::Date(x) => Typed::Date(Rows::Repeat(x)),
+                Value::Bool(x) => Typed::Bool(Rows::Repeat(x)),
+                Value::Null => unreachable!("null literals are materialized"),
+            },
+        }
+    }
+}
+
+/// One side as the row loop reads it.
+#[derive(Clone, Copy)]
+enum Rows<'a, T> {
+    /// A column's values, one per row.
+    Slice(&'a [T]),
+    /// A literal, the same on every row.
+    Repeat(&'a T),
+}
+
+/// An operand's rows by type: what the two dispatches match on.
+enum Typed<'a> {
+    I64(Rows<'a, i64>),
+    F64(Rows<'a, f64>),
+    Str(Rows<'a, String>),
+    Date(Rows<'a, i32>),
+    Bool(Rows<'a, bool>),
+}
+
+/// Numeric element types, read as f64 by the pairs with no typed arm.
+trait Num: Copy {
+    fn to_f64(self) -> f64;
+}
+
+impl Num for i64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Num for f64 {
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+impl Num for i32 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+/// `l ⊕ r` as a column of `n` rows, for any non-Kleene operator: null
+/// where either side is null.
+pub(crate) fn binary(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Column {
     use BinOp::*;
-    match op {
-        And | Or => panic!("Kleene ops have no scalar kernel"),
-        Add | Sub | Mul | Div | Mod => arith_col_scalar(op, col, scalar, scalar_is_lhs),
-        Eq | Neq | Lt | LtEq | Gt | GtEq => cmp_col_scalar(op, col, scalar, scalar_is_lhs),
+    let data = match op {
+        And | Or => panic!("Kleene ops need both validity masks per row"),
+        Add | Sub | Mul | Div | Mod => arith(op, l, r, n),
+        Eq | Neq | Lt | LtEq | Gt | GtEq => {
+            let mut vals = Vec::with_capacity(n);
+            compare(op, l, r, n, &mut vals);
+            ColumnData::Bool(vals)
+        }
+    };
+    let validity = match (l.validity(), r.validity()) {
+        (None, None) => return Column::new(data),
+        (Some(a), None) | (None, Some(a)) => a.to_vec(),
+        (Some(a), Some(b)) => a.iter().zip(b).map(|(x, y)| *x && *y).collect(),
+    };
+    Column::with_validity(data, validity)
+}
+
+/// Append the keep-mask of the comparison `l ⊕ r` — `valid AND true`
+/// per row — to `mask`, with no Bool column in between. An incomparable
+/// pair (NaN) is `false` under every operator, `Neq` included.
+pub(crate) fn compare_mask_into(
+    op: BinOp,
+    l: &Operand,
+    r: &Operand,
+    n: usize,
+    mask: &mut Vec<bool>,
+) {
+    let start = mask.len();
+    compare(op, l, r, n, mask);
+    for validity in [l.validity(), r.validity()].into_iter().flatten() {
+        for (m, v) in mask[start..].iter_mut().zip(validity) {
+            *m &= v;
+        }
     }
 }
 
-/// Arithmetic against a scalar; arms mirror `expr::eval_arith`.
-pub fn arith_col_scalar(op: BinOp, col: &Column, scalar: &Value, scalar_is_lhs: bool) -> Column {
-    let data = match (&col.data, scalar, op, scalar_is_lhs) {
+/// The arithmetic dispatch: result type and coercion per operand pair.
+fn arith(op: BinOp, l: &Operand, r: &Operand, n: usize) -> ColumnData {
+    use Typed::*;
+    match (l.typed(), r.typed(), op) {
         // Division always goes to f64, SQL-decimal style.
-        (ColumnData::I64(a), Value::I64(y), BinOp::Div, false) => {
-            ColumnData::F64(a.iter().map(|x| *x as f64 / *y as f64).collect())
+        (I64(a), I64(b), BinOp::Div) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (I64(a), I64(b), _) => ColumnData::I64(apply_i64(op, a, b, n)),
+        (Date(a), I64(b), BinOp::Add) => {
+            ColumnData::Date(collect_rows(a, b, n, |x, y| x + *y as i32))
         }
-        (ColumnData::I64(b), Value::I64(x), BinOp::Div, true) => {
-            ColumnData::F64(b.iter().map(|y| *x as f64 / *y as f64).collect())
+        (Date(a), I64(b), BinOp::Sub) => {
+            ColumnData::Date(collect_rows(a, b, n, |x, y| x - *y as i32))
         }
-        (ColumnData::I64(a), Value::I64(y), BinOp::Mod, false) => {
-            ColumnData::I64(a.iter().map(|x| x % y).collect())
-        }
-        (ColumnData::I64(b), Value::I64(x), BinOp::Mod, true) => {
-            ColumnData::I64(b.iter().map(|y| x % y).collect())
-        }
-        (ColumnData::I64(a), Value::I64(y), _, false) => {
-            ColumnData::I64(a.iter().map(|x| apply_i64(op, *x, *y)).collect())
-        }
-        (ColumnData::I64(b), Value::I64(x), _, true) => {
-            ColumnData::I64(b.iter().map(|y| apply_i64(op, *x, *y)).collect())
-        }
-        (ColumnData::Date(a), Value::I64(y), BinOp::Add, false) => {
-            ColumnData::Date(a.iter().map(|x| x + *y as i32).collect())
-        }
-        (ColumnData::Date(a), Value::I64(y), BinOp::Sub, false) => {
-            ColumnData::Date(a.iter().map(|x| x - *y as i32).collect())
-        }
-        (ColumnData::I64(b), Value::Date(x), BinOp::Add, true) => {
-            ColumnData::Date(b.iter().map(|y| x + *y as i32).collect())
-        }
-        (ColumnData::I64(b), Value::Date(x), BinOp::Sub, true) => {
-            ColumnData::Date(b.iter().map(|y| x - *y as i32).collect())
-        }
-        // The dominant float arm gets a direct loop: the boxed-iterator
-        // fallback below costs a virtual call per element.
-        (ColumnData::F64(a), Value::F64(y), _, false) => {
-            ColumnData::F64(a.iter().map(|x| apply_f64(op, *x, *y)).collect())
-        }
-        (ColumnData::F64(b), Value::F64(x), _, true) => {
-            ColumnData::F64(b.iter().map(|y| apply_f64(op, *x, *y)).collect())
-        }
-        (a, s, _, false) => {
-            // Everything else coerces to f64.
-            let y = scalar_to_f64(s);
-            ColumnData::F64(f64_iter(a).map(|x| apply_f64(op, x, y)).collect())
-        }
-        (b, s, _, true) => {
-            let x = scalar_to_f64(s);
-            ColumnData::F64(f64_iter(b).map(|y| apply_f64(op, x, y)).collect())
-        }
-    };
-    match &col.validity {
-        Some(v) => Column::with_validity(data, v.clone()),
-        None => Column::new(data),
+        // Every other numeric pair coerces to f64.
+        (F64(a), F64(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (F64(a), I64(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (I64(a), F64(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (F64(a), Date(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (Date(a), F64(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (I64(a), Date(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (Date(a), I64(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        (Date(a), Date(b), _) => ColumnData::F64(apply_f64(op, a, b, n)),
+        _ => panic!("no arithmetic on {} and {}", l.data_type(), r.data_type()),
     }
 }
 
-/// Comparison against a scalar; arms mirror `expr::eval_cmp`.
-pub fn cmp_col_scalar(op: BinOp, col: &Column, scalar: &Value, scalar_is_lhs: bool) -> Column {
-    let want = |o: Ordering| match op {
-        BinOp::Eq => o == Ordering::Equal,
-        BinOp::Neq => o != Ordering::Equal,
-        BinOp::Lt => o == Ordering::Less,
-        BinOp::LtEq => o != Ordering::Greater,
-        BinOp::Gt => o == Ordering::Greater,
-        BinOp::GtEq => o != Ordering::Less,
-        _ => unreachable!(),
-    };
-    // `x cmp y` with the scalar on the left is the reverse of the scalar
-    // on the right; flipping the ordering keeps one loop per type arm.
-    let orient = |o: Ordering| if scalar_is_lhs { o.reverse() } else { o };
-    let vals: Vec<bool> = match (&col.data, scalar) {
-        (ColumnData::I64(a), Value::I64(y)) => a.iter().map(|x| want(orient(x.cmp(y)))).collect(),
-        (ColumnData::Date(a), Value::Date(y)) => a.iter().map(|x| want(orient(x.cmp(y)))).collect(),
-        (ColumnData::F64(a), Value::F64(y)) => a
-            .iter()
-            .map(|x| x.partial_cmp(y).map(orient).is_some_and(&want))
-            .collect(),
-        (ColumnData::Str(a), Value::Str(y)) => a
-            .iter()
-            .map(|x| want(orient(x.as_str().cmp(y.as_str()))))
-            .collect(),
-        (ColumnData::Bool(a), Value::Bool(y)) => a.iter().map(|x| want(orient(x.cmp(y)))).collect(),
-        (a, s) => {
-            let y = scalar_to_f64(s);
-            f64_iter(a)
-                .map(|x| x.partial_cmp(&y).map(orient).is_some_and(&want))
-                .collect()
-        }
-    };
-    match &col.validity {
-        Some(v) => Column::with_validity(ColumnData::Bool(vals), v.clone()),
-        None => Column::new(ColumnData::Bool(vals)),
+/// The comparison dispatch: same-type pairs compare natively, mixed
+/// numeric pairs through f64. Appends `n` results to `out`, validity
+/// not yet applied.
+fn compare(op: BinOp, l: &Operand, r: &Operand, n: usize, out: &mut Vec<bool>) {
+    use Typed::*;
+    fn same<T>(x: &T) -> &T {
+        x
+    }
+    fn float<T: Num>(x: &T) -> f64 {
+        x.to_f64()
+    }
+    match (l.typed(), r.typed()) {
+        (I64(a), I64(b)) => compare_rows(op, a, b, n, out, same, same),
+        (Date(a), Date(b)) => compare_rows(op, a, b, n, out, same, same),
+        (F64(a), F64(b)) => compare_rows(op, a, b, n, out, same, same),
+        (Str(a), Str(b)) => compare_rows(op, a, b, n, out, same, same),
+        (Bool(a), Bool(b)) => compare_rows(op, a, b, n, out, same, same),
+        (I64(a), F64(b)) => compare_rows(op, a, b, n, out, float, float),
+        (F64(a), I64(b)) => compare_rows(op, a, b, n, out, float, float),
+        (I64(a), Date(b)) => compare_rows(op, a, b, n, out, float, float),
+        (Date(a), I64(b)) => compare_rows(op, a, b, n, out, float, float),
+        (F64(a), Date(b)) => compare_rows(op, a, b, n, out, float, float),
+        (Date(a), F64(b)) => compare_rows(op, a, b, n, out, float, float),
+        _ => panic!("cannot compare {} with {}", l.data_type(), r.data_type()),
     }
 }
 
-/// Append the keep-mask of `col ⊕ scalar` (`valid AND true` per row)
-/// directly to `mask`, skipping the intermediate Bool column that
-/// [`cmp_col_scalar`] materializes. This is the inner loop of every
-/// scan filter, so each operator is spelled as a direct comparison
-/// instead of an `Ordering` round-trip; the decisions are exactly those
-/// of [`cmp_col_scalar`] folded with validity — an incomparable pair
-/// (NaN) yields `false` for every operator, including `Neq`.
-pub fn cmp_scalar_mask_into(
-    op: BinOp,
-    col: &Column,
-    scalar: &Value,
-    scalar_is_lhs: bool,
-    mask: &mut Vec<bool>,
-) {
-    // `scalar op col` is `col flip(op) scalar`.
-    let op = if scalar_is_lhs { flip_cmp(op) } else { op };
-    let validity = col.validity.as_deref();
-    match (&col.data, scalar) {
-        (ColumnData::I64(a), Value::I64(y)) => cmp_mask_typed(a, *y, op, validity, mask),
-        (ColumnData::Date(a), Value::Date(y)) => cmp_mask_typed(a, *y, op, validity, mask),
-        (ColumnData::F64(a), Value::F64(y)) => cmp_mask_typed(a, *y, op, validity, mask),
-        (ColumnData::Bool(a), Value::Bool(y)) => cmp_mask_typed(a, *y, op, validity, mask),
-        (ColumnData::Str(a), Value::Str(y)) => {
-            let y = y.as_str();
-            match op {
-                BinOp::Eq => fill_str_mask(a, validity, mask, |x| x == y),
-                BinOp::Neq => fill_str_mask(a, validity, mask, |x| x != y),
-                BinOp::Lt => fill_str_mask(a, validity, mask, |x| x < y),
-                BinOp::LtEq => fill_str_mask(a, validity, mask, |x| x <= y),
-                BinOp::Gt => fill_str_mask(a, validity, mask, |x| x > y),
-                BinOp::GtEq => fill_str_mask(a, validity, mask, |x| x >= y),
-                _ => unreachable!("cmp mask on non-comparison op"),
-            }
-        }
-        (a, s) => {
-            // Mixed numeric types coerce to f64, one side materialized
-            // (still one buffer fewer than the column path).
-            let y = scalar_to_f64(s);
-            let vals: Vec<f64> = f64_iter(a).collect();
-            cmp_mask_typed(&vals, y, op, validity, mask)
-        }
-    }
-}
-
-/// Mirror a comparison around the operands: `s op c` ⇔ `c flip(op) s`.
-fn flip_cmp(op: BinOp) -> BinOp {
+fn apply_i64(op: BinOp, a: Rows<i64>, b: Rows<i64>, n: usize) -> Vec<i64> {
     match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other, // Eq / Neq are symmetric
+        BinOp::Add => collect_rows(a, b, n, |x, y| x + y),
+        BinOp::Sub => collect_rows(a, b, n, |x, y| x - y),
+        BinOp::Mul => collect_rows(a, b, n, |x, y| x * y),
+        BinOp::Mod => collect_rows(a, b, n, |x, y| x % y),
+        _ => unreachable!("{op:?} is not i64 arithmetic"),
     }
 }
 
-fn cmp_mask_typed<T: PartialOrd + Copy>(
-    vals: &[T],
-    y: T,
+fn apply_f64<A: Num, B: Num>(op: BinOp, a: Rows<A>, b: Rows<B>, n: usize) -> Vec<f64> {
+    match op {
+        BinOp::Add => collect_rows(a, b, n, |x, y| x.to_f64() + y.to_f64()),
+        BinOp::Sub => collect_rows(a, b, n, |x, y| x.to_f64() - y.to_f64()),
+        BinOp::Mul => collect_rows(a, b, n, |x, y| x.to_f64() * y.to_f64()),
+        BinOp::Div => collect_rows(a, b, n, |x, y| x.to_f64() / y.to_f64()),
+        BinOp::Mod => collect_rows(a, b, n, |x, y| x.to_f64() % y.to_f64()),
+        _ => unreachable!("{op:?} is not arithmetic"),
+    }
+}
+
+/// Compare two sides under the common key type `K`. Each operator is a
+/// direct comparison, not an `Ordering` round-trip.
+fn compare_rows<'a, A, B, K: PartialOrd>(
     op: BinOp,
-    validity: Option<&[bool]>,
-    mask: &mut Vec<bool>,
+    a: Rows<'a, A>,
+    b: Rows<'a, B>,
+    n: usize,
+    out: &mut Vec<bool>,
+    ka: impl Fn(&'a A) -> K,
+    kb: impl Fn(&'a B) -> K,
 ) {
     match op {
-        BinOp::Eq => fill_mask(vals, validity, mask, |x| x == y),
-        // `<`-or-`>` rather than `!=` so NaN comes out false, like the
-        // `partial_cmp` path; identical for totally ordered types.
-        BinOp::Neq => fill_mask(vals, validity, mask, |x| x < y || x > y),
-        BinOp::Lt => fill_mask(vals, validity, mask, |x| x < y),
-        BinOp::LtEq => fill_mask(vals, validity, mask, |x| x <= y),
-        BinOp::Gt => fill_mask(vals, validity, mask, |x| x > y),
-        BinOp::GtEq => fill_mask(vals, validity, mask, |x| x >= y),
-        _ => unreachable!("cmp mask on non-comparison op"),
+        BinOp::Eq => zip_rows(a, b, n, out, |x, y| ka(x) == kb(y)),
+        // `<`-or-`>` rather than `!=` so NaN comes out false, as under
+        // `partial_cmp`; the same thing for totally ordered types.
+        BinOp::Neq => zip_rows(a, b, n, out, |x, y| ka(x) < kb(y) || ka(x) > kb(y)),
+        BinOp::Lt => zip_rows(a, b, n, out, |x, y| ka(x) < kb(y)),
+        BinOp::LtEq => zip_rows(a, b, n, out, |x, y| ka(x) <= kb(y)),
+        BinOp::Gt => zip_rows(a, b, n, out, |x, y| ka(x) > kb(y)),
+        BinOp::GtEq => zip_rows(a, b, n, out, |x, y| ka(x) >= kb(y)),
+        _ => unreachable!("{op:?} is not a comparison"),
     }
 }
 
-fn fill_mask<T: Copy>(
-    vals: &[T],
-    validity: Option<&[bool]>,
-    mask: &mut Vec<bool>,
-    pred: impl Fn(T) -> bool,
-) {
-    match validity {
-        None => mask.extend(vals.iter().map(|&x| pred(x))),
-        Some(m) => mask.extend(vals.iter().zip(m).map(|(&x, &v)| v && pred(x))),
-    }
+fn collect_rows<'a, A, B, O>(
+    l: Rows<'a, A>,
+    r: Rows<'a, B>,
+    n: usize,
+    f: impl Fn(&'a A, &'a B) -> O,
+) -> Vec<O> {
+    let mut out = Vec::with_capacity(n);
+    zip_rows(l, r, n, &mut out, f);
+    out
 }
 
-fn fill_str_mask(
-    vals: &[String],
-    validity: Option<&[bool]>,
-    mask: &mut Vec<bool>,
-    pred: impl Fn(&str) -> bool,
+/// The row loop: append `f(l[i], r[i])` for each of `n` rows to `out`.
+/// Four copies per instantiation, one per side shape, so no row pays a
+/// branch on the shape.
+fn zip_rows<'a, A, B, O>(
+    l: Rows<'a, A>,
+    r: Rows<'a, B>,
+    n: usize,
+    out: &mut Vec<O>,
+    f: impl Fn(&'a A, &'a B) -> O,
 ) {
-    match validity {
-        None => mask.extend(vals.iter().map(|x| pred(x))),
-        Some(m) => mask.extend(vals.iter().zip(m).map(|(x, &v)| v && pred(x.as_str()))),
+    match (l, r) {
+        (Rows::Slice(a), Rows::Slice(b)) => out.extend(a.iter().zip(b).map(|(x, y)| f(x, y))),
+        (Rows::Slice(a), Rows::Repeat(y)) => out.extend(a.iter().map(|x| f(x, y))),
+        (Rows::Repeat(x), Rows::Slice(b)) => out.extend(b.iter().map(|y| f(x, y))),
+        (Rows::Repeat(x), Rows::Repeat(y)) => out.extend((0..n).map(|_| f(x, y))),
     }
 }
 
 /// Columnar LIKE: match every string against the pattern.
 pub fn like_mask(strs: &[String], pattern: &LikePattern, negated: bool) -> Vec<bool> {
     strs.iter().map(|s| pattern.matches(s) != negated).collect()
-}
-
-fn apply_i64(op: BinOp, x: i64, y: i64) -> i64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        _ => unreachable!(),
-    }
-}
-
-fn apply_f64(op: BinOp, x: f64, y: f64) -> f64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => x / y,
-        BinOp::Mod => x % y,
-        _ => unreachable!(),
-    }
-}
-
-/// Iterate a numeric column as f64 without materializing a coerced
-/// vector (the column ⊕ column path materializes both sides).
-fn f64_iter(d: &ColumnData) -> Box<dyn Iterator<Item = f64> + '_> {
-    match d {
-        ColumnData::I64(v) => Box::new(v.iter().map(|&x| x as f64)),
-        ColumnData::F64(v) => Box::new(v.iter().copied()),
-        ColumnData::Date(v) => Box::new(v.iter().map(|&x| x as f64)),
-        other => panic!("cannot coerce {} to f64", other.data_type()),
-    }
-}
-
-fn scalar_to_f64(v: &Value) -> f64 {
-    match v {
-        Value::I64(x) => *x as f64,
-        Value::F64(x) => *x,
-        Value::Date(x) => *x as f64,
-        other => panic!("cannot coerce {other:?} to f64"),
-    }
 }

@@ -86,9 +86,7 @@ pub mod kernel_prelude {
     pub use crate::kernels::hash::{FastBuildHasher, FastHasher};
     pub use crate::kernels::join::{probe_pairs, semi_anti_mask, KeyIndex};
     pub use crate::kernels::pool::{PoolStats, ScratchArena};
-    pub use crate::kernels::scalar::{
-        arith_col_scalar, binary_col_scalar, cmp_col_scalar, cmp_scalar_mask_into, like_mask,
-    };
+    pub use crate::kernels::scalar::like_mask;
     pub use crate::kernels::select::{filter_batch, filter_project, selection_from_mask};
     pub use crate::kernels::sort::{sort_permutation, SortKeyCol};
 }

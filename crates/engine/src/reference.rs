@@ -7,7 +7,8 @@
 //!
 //! * differential tests assert the kernelized operators produce
 //!   byte-identical batches (`tests/kernel_differential.rs`);
-//! * `bench_operator_throughput` measures kernel speedups against them.
+//! * `bench_all` measures kernel speedups against them (its
+//!   `engine.kernel.*.x_reference` rows).
 //!
 //! Everything is `row_`-prefixed: lint L14's hot-path domain is built
 //! from a *name-based* call graph, and unique names keep this module —
@@ -114,9 +115,10 @@ pub fn row_eval(expr: &Expr, batch: &Batch) -> Column {
                 .strs()
                 .iter()
                 .map(|s| {
-                    let from = (start - 1).min(s.len());
-                    let to = (from + len).min(s.len());
-                    s[from..to].to_string()
+                    // Character positions, 1-based; a start of 0 reads
+                    // as 1 and the range stops at the end of `s`.
+                    let skip = start.saturating_sub(1);
+                    s.chars().skip(skip).take(*len).collect::<String>()
                 })
                 .collect();
             Column {
@@ -256,8 +258,8 @@ fn row_eval_arith(op: BinOp, l: &Column, r: &Column) -> Column {
             ColumnData::Date(a.iter().zip(b).map(|(x, y)| x - *y as i32).collect())
         }
         (a, b, _) => {
-            let af = row_to_f64_vec(a);
-            let bf = row_to_f64_vec(b);
+            let af = row_coerce_f64(a);
+            let bf = row_coerce_f64(b);
             ColumnData::F64(
                 af.iter()
                     .zip(&bf)
@@ -292,7 +294,7 @@ fn row_apply_f64(op: BinOp, x: f64, y: f64) -> f64 {
     }
 }
 
-fn row_to_f64_vec(d: &ColumnData) -> Vec<f64> {
+fn row_coerce_f64(d: &ColumnData) -> Vec<f64> {
     match d {
         ColumnData::I64(v) => v.iter().map(|&x| x as f64).collect(),
         ColumnData::F64(v) => v.clone(),
@@ -331,8 +333,8 @@ fn row_eval_cmp(op: BinOp, l: &Column, r: &Column) -> Column {
             a.iter().zip(b).map(|(x, y)| want(x.cmp(y))).collect()
         }
         (a, b) => {
-            let af = row_to_f64_vec(a);
-            let bf = row_to_f64_vec(b);
+            let af = row_coerce_f64(a);
+            let bf = row_coerce_f64(b);
             af.iter()
                 .zip(&bf)
                 .map(|(x, y)| x.partial_cmp(y).is_some_and(&want))

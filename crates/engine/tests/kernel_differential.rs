@@ -7,7 +7,7 @@
 //! columns to the legacy code it replaced.
 
 use cackle_engine::kernel_prelude::{filter_batch, filter_project, ScratchArena};
-use cackle_engine::predicate_mask;
+use cackle_engine::predicate_mask_into;
 use cackle_engine::prelude::*;
 use cackle_engine::reference as reference_impl;
 use cackle_engine::types::Value;
@@ -101,11 +101,11 @@ fn test_batches(seed: u64, prefix: &str) -> Vec<Batch> {
         .collect()
 }
 
-/// Expressions covering every scalar kernel path: column-vs-literal
-/// comparisons in both operand orders, arithmetic (including the i64/i64
-/// division-to-f64 rule and date arithmetic), LIKE, Kleene AND/OR, CASE,
-/// and the null-literal fallback.
-fn scalar_exprs() -> Vec<Expr> {
+/// The hand-written cases: LIKE, Kleene AND/OR, CASE, the unary
+/// expressions, and the column-vs-literal shapes the scan filters and
+/// projections of the TPC-H plans use. [`binary_table`] adds every
+/// operand shape × type × operator combination on top.
+fn handwritten_exprs() -> Vec<Expr> {
     vec![
         Expr::col(0).lt(Expr::lit_i64(2)),
         Expr::col(0).eq(Expr::lit_i64(1)),
@@ -131,16 +131,24 @@ fn scalar_exprs() -> Vec<Expr> {
             pattern: LikePattern::Contains("mm".into()),
             negated: true,
         },
-        // Kleene logic falls back to the materialized path; still must match.
+        // Null-producing conjunction: nulls must fold to false identically.
         Expr::col(0)
             .lt(Expr::lit_i64(2))
             .and(Expr::col(1).gt(Expr::lit_f64(0.0))),
         Expr::col(0)
             .eq(Expr::lit_i64(0))
             .or(Expr::col(4).eq(Expr::lit_i64(1).eq(Expr::lit_i64(1)))),
+        Expr::col(4).or(Expr::IsNull(Box::new(Expr::col(2)))),
+        // Column-vs-column and literal-on-the-left leaves under AND/OR.
+        Expr::col(0)
+            .lt(year_col())
+            .and(Expr::lit_f64(0.5).lt_eq(Expr::col(1))),
+        Expr::col(1)
+            .neq(nan_expr())
+            .or(Expr::col(0).gt_eq(Expr::Lit(Value::Null))),
         Expr::Not(Box::new(Expr::col(4))),
         Expr::IsNull(Box::new(Expr::col(0))),
-        // Null literal: the scalar fast path must decline and match anyway.
+        // Null literal: an all-null operand, whichever side it is on.
         Expr::col(0).add(Expr::Lit(Value::Null)),
         Expr::Case {
             branches: vec![
@@ -148,6 +156,10 @@ fn scalar_exprs() -> Vec<Expr> {
                 (Expr::col(0).lt(Expr::lit_i64(3)), Expr::col(2)),
             ],
             else_expr: Some(Box::new(Expr::lit_str("hi"))),
+        },
+        Expr::Case {
+            branches: vec![(Expr::col(0).lt(Expr::lit_i64(1)), Expr::Lit(Value::Null))],
+            else_expr: Some(Box::new(Expr::col(0))),
         },
         Expr::ExtractYear(Box::new(Expr::col(3))),
         Expr::Substr {
@@ -160,43 +172,241 @@ fn scalar_exprs() -> Vec<Expr> {
             input: Box::new(Expr::col(0)),
             to: DataType::F64,
         },
-        Expr::InList {
-            input: Box::new(Expr::col(0)),
-            list: vec![Value::I64(0), Value::I64(3)],
-        },
+        in_list(Expr::col(0), vec![Value::I64(0), Value::I64(3)]),
+        in_list(
+            Expr::col(2),
+            vec![Value::Str("alpha".into()), Value::Str("".into())],
+        ),
+        // Mixed I64/F64 lists coerce; a null item matches nothing.
+        in_list(
+            Expr::col(0),
+            vec![Value::I64(1), Value::F64(2.0), Value::Null, Value::F64(0.5)],
+        ),
+        in_list(Expr::col(1), vec![Value::I64(1), Value::F64(-0.25)]),
+        in_list(nan_expr(), vec![Value::F64(f64::NAN), Value::I64(1)]),
+        in_list(Expr::col(3), vec![Value::Date(9100), Value::Date(9400)]),
+        in_list(Expr::col(0), vec![Value::Null]),
+        in_list(Expr::col(2), vec![]),
     ]
 }
 
+fn in_list(input: Expr, list: Vec<Value>) -> Expr {
+    Expr::InList {
+        input: Box::new(input),
+        list,
+    }
+}
+
+/// An I64 column expression with no zero row (a legal `Mod` divisor)
+/// whose validity is column 3's, not column 0's.
+fn year_col() -> Expr {
+    Expr::ExtractYear(Box::new(Expr::col(3)))
+}
+
+/// NaN wherever column 1 holds a valid or placeholder `0.0`.
+fn nan_expr() -> Expr {
+    Expr::col(1).div(Expr::col(1))
+}
+
+/// One side of a generated binary expression: the operand, the type it
+/// evaluates to (a null literal is an all-null I64 column) and whether
+/// it can hold a zero.
+struct Side {
+    expr: Expr,
+    dtype: DataType,
+    maybe_zero: bool,
+}
+
+fn sides() -> Vec<Side> {
+    let side = |expr, dtype, maybe_zero| Side {
+        expr,
+        dtype,
+        maybe_zero,
+    };
+    vec![
+        // Columns of the five types.
+        side(Expr::col(0), DataType::I64, true),
+        side(Expr::col(1), DataType::F64, true),
+        side(Expr::col(2), DataType::Str, false),
+        side(Expr::col(3), DataType::Date, false),
+        side(Expr::col(4), DataType::Bool, false),
+        // Computed columns: a second validity mask per numeric type.
+        side(year_col(), DataType::I64, false),
+        side(
+            Expr::Cast {
+                input: Box::new(Expr::col(0)),
+                to: DataType::F64,
+            },
+            DataType::F64,
+            true,
+        ),
+        // Non-null literals.
+        side(Expr::lit_i64(3), DataType::I64, false),
+        side(Expr::lit_i64(-2), DataType::I64, false),
+        side(Expr::lit_f64(0.5), DataType::F64, false),
+        side(Expr::lit_str("beta"), DataType::Str, false),
+        side(Expr::Lit(Value::Date(9400)), DataType::Date, false),
+        side(Expr::Lit(Value::Bool(true)), DataType::Bool, false),
+        side(Expr::Lit(Value::Null), DataType::I64, true),
+        // NaN, computed and literal.
+        side(nan_expr(), DataType::F64, true),
+        side(Expr::lit_f64(f64::NAN), DataType::F64, false),
+    ]
+}
+
+const ARITH_OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];
+const CMP_OPS: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::Neq,
+    BinOp::Lt,
+    BinOp::LtEq,
+    BinOp::Gt,
+    BinOp::GtEq,
+];
+
+/// Every `lhs ⊕ rhs` over [`sides`] × the eleven non-Kleene operators,
+/// minus the pairs that are a type error (Str or Bool against anything
+/// but itself, either in arithmetic) or an integer `Mod` by a possible
+/// zero — those panic in the evaluator and the reference alike.
+fn binary_table() -> Vec<Expr> {
+    let numeric = |t: DataType| matches!(t, DataType::I64 | DataType::F64 | DataType::Date);
+    let mut table = Vec::new();
+    for l in sides() {
+        for r in sides() {
+            let both_numeric = numeric(l.dtype) && numeric(r.dtype);
+            for op in ARITH_OPS.into_iter().chain(CMP_OPS) {
+                let legal = match op {
+                    BinOp::Mod if l.dtype == DataType::I64 && r.dtype == DataType::I64 => {
+                        !r.maybe_zero
+                    }
+                    op if ARITH_OPS.contains(&op) => both_numeric,
+                    _ => both_numeric || l.dtype == r.dtype,
+                };
+                if legal {
+                    table.push(Expr::Binary {
+                        op,
+                        lhs: Box::new(l.expr.clone()),
+                        rhs: Box::new(r.expr.clone()),
+                    });
+                }
+            }
+        }
+    }
+    table
+}
+
+fn expr_table() -> Vec<Expr> {
+    let mut table = handwritten_exprs();
+    table.extend(binary_table());
+    table
+}
+
+/// Each batch of [`test_batches`] twice: with every validity mask
+/// stripped, and with a mask forced onto every column.
+fn validity_variants(seed: u64) -> Vec<Batch> {
+    let mut rng = Rng::new(seed ^ 0xA5A5);
+    let mut out = Vec::new();
+    for batch in test_batches(seed, "") {
+        let n = batch.num_rows();
+        let stripped = batch
+            .columns
+            .iter()
+            .map(|c| Column::new(c.data.clone()))
+            .collect();
+        let masked = batch
+            .columns
+            .iter()
+            .map(|c| {
+                let mask = c
+                    .validity
+                    .clone()
+                    .unwrap_or_else(|| (0..n).map(|_| rng.chance(80)).collect());
+                Column::with_validity(c.data.clone(), mask)
+            })
+            .collect();
+        out.push(Batch::new(batch.schema.clone(), stripped));
+        out.push(Batch::new(batch.schema.clone(), masked));
+    }
+    out
+}
+
+/// Column equality with F64 data compared by bits, all NaNs equal (the
+/// payload bits of a NaN result depend on operand order).
+fn same_column(a: &Column, b: &Column) -> bool {
+    if a.validity != b.validity {
+        return false;
+    }
+    match (&a.data, &b.data) {
+        (ColumnData::F64(x), ColumnData::F64(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+        }
+        (x, y) => x == y,
+    }
+}
+
+/// The whole table through both public entry points: `Expr::eval`
+/// against `row_eval`, and — where the result is Bool — the keep-mask
+/// against `row_predicate_mask`.
 #[test]
-fn scalar_kernels_match_row_reference() {
-    for batch in test_batches(11, "") {
-        for (ei, expr) in scalar_exprs().iter().enumerate() {
-            let fast = expr.eval(&batch);
-            let slow = reference_impl::row_eval(expr, &batch);
-            assert_eq!(fast, slow, "expr #{ei} on {} rows", batch.num_rows());
+fn expression_table_matches_row_reference() {
+    let table = expr_table();
+    // No case may silently drop out of the generated part: 710 legal
+    // arithmetic and 912 legal comparison combinations.
+    assert_eq!(binary_table().len(), 1622, "generated table changed size");
+    let mut mask = Vec::new();
+    for batch in validity_variants(11).iter().chain(&test_batches(23, "")) {
+        for (ei, expr) in table.iter().enumerate() {
+            let n = batch.num_rows();
+            let fast = expr.eval(batch);
+            let slow = reference_impl::row_eval(expr, batch);
+            assert!(
+                same_column(&fast, &slow),
+                "expr #{ei} {expr:?} on {n} rows:\n{fast:?}\nvs\n{slow:?}"
+            );
+            if slow.data_type() == DataType::Bool {
+                predicate_mask_into(expr, batch, &mut mask);
+                assert_eq!(
+                    mask,
+                    reference_impl::row_predicate_mask(expr, batch),
+                    "mask of expr #{ei} {expr:?} on {n} rows"
+                );
+            }
         }
     }
 }
 
+/// SUBSTRING bounds count characters and saturate: the same strings in
+/// a debug and a release build, from the evaluator and the reference.
 #[test]
-fn predicate_masks_match_row_reference() {
-    let preds = [
-        Expr::col(0).lt(Expr::lit_i64(2)),
-        // Null-producing conjunction: nulls must fold to false identically.
-        Expr::col(0)
-            .lt(Expr::lit_i64(2))
-            .and(Expr::col(1).gt(Expr::lit_f64(0.0))),
-        Expr::col(4).or(Expr::IsNull(Box::new(Expr::col(2)))),
+fn substr_counts_characters_and_saturates() {
+    let schema = Schema::shared(&[("s", DataType::Str)]);
+    let strs = ["héllo wörld", "日本語", "abc", ""];
+    let batch = Batch::new(
+        schema,
+        vec![Column::from_str_vec(
+            strs.iter().map(|s| s.to_string()).collect(),
+        )],
+    );
+    let cases: [(usize, usize, [&str; 4]); 6] = [
+        (1, 4, ["héll", "日本語", "abc", ""]),
+        (2, 2, ["él", "本語", "bc", ""]),
+        (0, 2, ["hé", "日本", "ab", ""]), // start 0 reads as 1
+        (3, usize::MAX, ["llo wörld", "語", "c", ""]),
+        (4, 1, ["l", "", "", ""]), // start just past the end
+        (usize::MAX, usize::MAX, ["", "", "", ""]),
     ];
-    for batch in test_batches(23, "") {
-        for (pi, pred) in preds.iter().enumerate() {
-            assert_eq!(
-                predicate_mask(pred, &batch),
-                reference_impl::row_predicate_mask(pred, &batch),
-                "pred #{pi} on {} rows",
-                batch.num_rows()
-            );
-        }
+    for (start, len, want) in cases {
+        let expr = Expr::Substr {
+            input: Box::new(Expr::col(0)),
+            start,
+            len,
+        };
+        let fast = expr.eval(&batch);
+        assert_eq!(fast.strs(), &want, "start {start} len {len}");
+        assert_eq!(fast, reference_impl::row_eval(&expr, &batch));
     }
 }
 

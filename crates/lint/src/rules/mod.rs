@@ -308,8 +308,8 @@ pub fn explain(id: LintId) -> &'static str {
              \n\
              The kernels draw scratch space from `ScratchArena` in\n\
              checkout/recycle pairs (checkout_idx/recycle_idx,\n\
-             checkout_mask/recycle_mask, checkout_bytes/recycle_bytes). A\n\
-             checkout without a matching recycle in the same function drops\n\
+             checkout_mask/recycle_mask). A checkout without a matching\n\
+             recycle in the same function drops\n\
              the buffer instead of returning it: the pool degrades to a\n\
              plain allocator and the engine.scratch_reuses_total counter\n\
              goes flat. Checkout and recycle call sites must balance per\n\

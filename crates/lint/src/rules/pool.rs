@@ -2,8 +2,8 @@
 //!
 //! The kernels draw scratch space from `ScratchArena` in checkout /
 //! recycle pairs (`checkout_idx`/`recycle_idx`, `checkout_mask`/
-//! `recycle_mask`, `checkout_bytes`/`recycle_bytes`). A checkout
-//! without a matching recycle in the same function silently downgrades
+//! `recycle_mask`). A checkout without a matching recycle in the same
+//! function silently downgrades
 //! the pool to an allocator: the buffer is dropped instead of returned,
 //! every subsequent checkout of that type allocates fresh, and the
 //! reuse counters the telemetry layer reports go flat.
@@ -19,7 +19,7 @@ use crate::index::Workspace;
 use crate::LintId;
 
 /// The pooled buffer types, named by the API suffix.
-const SUFFIXES: [&str; 3] = ["idx", "mask", "bytes"];
+const SUFFIXES: [&str; 2] = ["idx", "mask"];
 
 pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
     for (id, f) in ws.index.fns.iter().enumerate() {
