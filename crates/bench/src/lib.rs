@@ -167,28 +167,6 @@ pub fn trace_cost_for(demand: &[u32], label: &str, env: &Env) -> f64 {
         .total()
 }
 
-/// A minimal wall-clock micro-benchmark harness for the `benches/`
-/// binaries (`harness = false`): one warmup iteration, then `iters`
-/// timed runs, reporting min / mean / max per iteration.
-///
-/// `cackle-bench` is the one crate allowed to read the host clock (the
-/// lint's L1 rule exempts it): benchmarks measure real elapsed time by
-/// definition and never feed results back into a simulation.
-pub fn bench_wall<R, F: FnMut() -> R>(name: &str, iters: u32, mut f: F) {
-    use std::time::Instant;
-    std::hint::black_box(f()); // warmup, and keep the work observable
-    let mut samples_us: Vec<u128> = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        samples_us.push(t0.elapsed().as_micros());
-    }
-    let min = samples_us.iter().min().copied().unwrap_or(0);
-    let max = samples_us.iter().max().copied().unwrap_or(0);
-    let mean = samples_us.iter().sum::<u128>() / samples_us.len().max(1) as u128;
-    println!("{name:<44} min {min:>9} us  mean {mean:>9} us  max {max:>9} us  ({iters} iters)");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

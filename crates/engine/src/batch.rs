@@ -98,11 +98,23 @@ impl Batch {
         let ncols = parts[0].num_columns();
         let columns = (0..ncols)
             .map(|ci| {
-                let cols: Vec<Column> = parts.iter().map(|b| b.columns[ci].clone()).collect();
+                let cols: Vec<&Column> = parts.iter().map(|b| &b.columns[ci]).collect();
                 Column::concat(&cols)
             })
             .collect();
         Batch { schema, columns }
+    }
+
+    /// [`Batch::concat`] of parts the caller is done with: a single part
+    /// is moved into the result instead of copied.
+    pub fn concat_owned(schema: SchemaRef, parts: Vec<Batch>) -> Batch {
+        match <[Batch; 1]>::try_from(parts) {
+            Ok([only]) => Batch {
+                schema,
+                columns: only.columns,
+            },
+            Err(parts) => Batch::concat(schema, &parts),
+        }
     }
 
     /// Approximate in-memory footprint in bytes, used for shuffle volume
@@ -117,7 +129,10 @@ impl Batch {
                     ColumnData::F64(v) => (v.len() * 8) as u64,
                     ColumnData::Date(v) => (v.len() * 4) as u64,
                     ColumnData::Bool(v) => v.len() as u64,
-                    ColumnData::Str(v) => v.iter().map(|s| s.len() as u64 + 4).sum(),
+                    ColumnData::Str(v) => {
+                        let length_bytes = 4 * v.len();
+                        (v.byte_len() + length_bytes) as u64
+                    }
                 };
                 data + c.validity.as_ref().map_or(0, |m| m.len() as u64 / 8 + 1)
             })

@@ -10,11 +10,23 @@
 //! column: u8 type_tag | u8 has_validity | [validity bitmap] | payload
 //! ```
 //!
-//! Strings are encoded as a u32 offset table plus a byte blob. The decoder
-//! validates tags against the expected schema.
+//! A string column's payload is `u32 total | u32 length × rows | blob`:
+//! the lengths are the differences of the flat column's offsets and the
+//! blob is its byte buffer as it stands, so encoding is one pass over the
+//! offsets and one copy, decoding one prefix sum, one copy and one UTF-8
+//! validation.
+//!
+//! The decoder trusts nothing it reads. Tags are checked against the
+//! expected schema, every count against the bytes that remain *before*
+//! anything is allocated for it, a string column's `total` against the
+//! sum of its lengths, and its blob for UTF-8 validity with every row
+//! boundary on a character boundary. Any failure panics with
+//! `corrupt shuffle payload: <what>` — payloads are engine-internal, so
+//! a bad one is a bug or a broken transport, not an input to recover
+//! from.
 
 use crate::batch::Batch;
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, StrColumn};
 use crate::schema::SchemaRef;
 use crate::types::DataType;
 
@@ -49,34 +61,44 @@ impl PutLe for Vec<u8> {
     }
 }
 
+/// The decoder's one failure mode.
+fn corrupt(what: impl std::fmt::Display) -> ! {
+    panic!("corrupt shuffle payload: {what}")
+}
+
 /// A bounds-checked little-endian reader over a byte slice. Panics on
 /// truncated input, matching the decoder's corrupt-payload contract.
 struct Reader<'a> {
     data: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(self.pos + n <= self.data.len(), "truncated shuffle payload");
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        if n > self.data.len() {
+            corrupt("truncated");
+        }
+        let (out, rest) = self.data.split_at(n);
+        self.data = rest;
         out
+    }
+    /// `rows` fixed-width values of `N` bytes each, checked against the
+    /// remaining payload before the caller allocates for them.
+    fn take_values<const N: usize>(
+        &mut self,
+        rows: usize,
+    ) -> impl ExactSizeIterator<Item = [u8; N]> + 'a {
+        let Some(bytes) = rows.checked_mul(N) else {
+            corrupt("truncated");
+        };
+        self.take(bytes)
+            .chunks_exact(N)
+            .map(|c| c.try_into().expect("chunks_exact yields N bytes"))
     }
     fn get_u8(&mut self) -> u8 {
         self.take(1)[0]
     }
     fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap_or([0; 4]))
-    }
-    fn get_i32_le(&mut self) -> i32 {
-        i32::from_le_bytes(self.take(4).try_into().unwrap_or([0; 4]))
-    }
-    fn get_i64_le(&mut self) -> i64 {
-        i64::from_le_bytes(self.take(8).try_into().unwrap_or([0; 8]))
-    }
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take(8).try_into().unwrap_or([0; 8]))
+        u32::from_le_bytes(self.take(4).try_into().expect("take yields 4 bytes"))
     }
 }
 
@@ -146,37 +168,43 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
                 }
             }
             ColumnData::Str(v) => {
-                let total: usize = v.iter().map(|s| s.len()).sum();
-                buf.put_u32_le(total as u32);
-                for s in v {
-                    buf.put_u32_le(s.len() as u32);
+                let total = u32::try_from(v.byte_len()).expect("string offsets are u32");
+                buf.put_u32_le(total);
+                for len in v.lengths() {
+                    buf.put_u32_le(len);
                 }
-                for s in v {
-                    buf.put_slice(s.as_bytes());
-                }
+                buf.put_slice(v.bytes());
             }
         }
     }
     buf
 }
 
-/// Decode one column's value buffer. Each `collect` pre-sizes from the
-/// range's exact length; this is the column's one-time output
-/// allocation, not a per-row temporary.
+/// Unpack one column's validity bitmap.
+fn decode_validity(buf: &mut Reader<'_>, nrows: usize) -> Vec<bool> {
+    let bits = buf.take(nrows.div_ceil(8));
+    (0..nrows)
+        .map(|i| bits[i / 8] & (1 << (i % 8)) != 0)
+        .collect()
+}
+
+/// Decode one column's value buffer. `take_values` has checked the row
+/// count against the payload by the time a `collect` pre-sizes from it;
+/// that is the column's one-time output allocation, not a per-row
+/// temporary.
 fn decode_column_data(buf: &mut Reader<'_>, expected: DataType, nrows: usize) -> ColumnData {
     match expected {
-        DataType::I64 => ColumnData::I64((0..nrows).map(|_| buf.get_i64_le()).collect()),
-        DataType::F64 => ColumnData::F64((0..nrows).map(|_| buf.get_f64_le()).collect()),
-        DataType::Date => ColumnData::Date((0..nrows).map(|_| buf.get_i32_le()).collect()),
-        DataType::Bool => ColumnData::Bool((0..nrows).map(|_| buf.get_u8() != 0).collect()),
+        DataType::I64 => ColumnData::I64(buf.take_values(nrows).map(i64::from_le_bytes).collect()),
+        DataType::F64 => ColumnData::F64(buf.take_values(nrows).map(f64::from_le_bytes).collect()),
+        DataType::Date => {
+            ColumnData::Date(buf.take_values(nrows).map(i32::from_le_bytes).collect())
+        }
+        DataType::Bool => ColumnData::Bool(buf.take(nrows).iter().map(|&b| b != 0).collect()),
         DataType::Str => {
-            let _total = buf.get_u32_le();
-            let lens: Vec<usize> = (0..nrows).map(|_| buf.get_u32_le() as usize).collect();
-            let strs = lens
-                .iter()
-                .map(|&len| String::from_utf8_lossy(buf.take(len)).into_owned())
-                .collect();
-            ColumnData::Str(strs)
+            let total = buf.get_u32_le() as usize;
+            let lengths = buf.take_values(nrows).map(u32::from_le_bytes);
+            let strs = StrColumn::from_lengths(lengths, buf.take(total));
+            ColumnData::Str(strs.unwrap_or_else(|what| corrupt(what)))
         }
     }
 }
@@ -184,30 +212,20 @@ fn decode_column_data(buf: &mut Reader<'_>, expected: DataType, nrows: usize) ->
 /// Deserialize a batch against its known schema. Panics on corrupt input or
 /// schema mismatch (shuffle payloads are engine-internal).
 pub fn decode_batch(data: &[u8], schema: SchemaRef) -> Batch {
-    let mut buf = Reader { data, pos: 0 };
+    let mut buf = Reader { data };
     let ncols = buf.get_u32_le() as usize;
     let nrows = buf.get_u32_le() as usize;
-    assert_eq!(ncols, schema.len(), "shuffle payload width != schema");
+    if ncols != schema.len() {
+        corrupt("width != schema");
+    }
     let mut columns = Vec::with_capacity(ncols);
     for ci in 0..ncols {
         let tag = buf.get_u8();
         let expected = schema.field(ci).dtype;
-        assert_eq!(tag, type_tag(expected), "column {ci} type tag mismatch");
-        let has_validity = buf.get_u8() == 1;
-        let validity = if has_validity {
-            let nbytes = nrows.div_ceil(8);
-            let mut mask = Vec::with_capacity(nrows);
-            let mut bytes_read = Vec::with_capacity(nbytes);
-            for _ in 0..nbytes {
-                bytes_read.push(buf.get_u8());
-            }
-            for i in 0..nrows {
-                mask.push(bytes_read[i / 8] & (1 << (i % 8)) != 0);
-            }
-            Some(mask)
-        } else {
-            None
-        };
+        if tag != type_tag(expected) {
+            corrupt(format_args!("column {ci} type tag mismatch"));
+        }
+        let validity = (buf.get_u8() == 1).then(|| decode_validity(&mut buf, nrows));
         let data = decode_column_data(&mut buf, expected, nrows);
         columns.push(match validity {
             Some(m) => Column::with_validity(data, m),
@@ -284,6 +302,81 @@ mod tests {
         let b = Batch::new(schema, vec![Column::from_i64(vec![1])]);
         let wrong = Schema::shared(&[("a", DataType::Str)]);
         decode_batch(&encode_batch(&b), wrong);
+    }
+
+    /// One string column of "é" and "ab", encoded: the bytes the corrupt
+    /// payload tests below damage. Layout: 8 header bytes, tag, validity
+    /// flag, `total` at 10..14, the two lengths at 14..22, the blob at 22.
+    fn str_payload() -> (Vec<u8>, SchemaRef) {
+        let schema = Schema::shared(&[("s", DataType::Str)]);
+        let column = Column::from_str_vec(vec!["é".into(), "ab".into()]);
+        let payload = encode_batch(&Batch::new(schema.clone(), vec![column]));
+        assert_eq!(payload[10..22], [4, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0]);
+        assert_eq!(&payload[22..], "éab".as_bytes());
+        (payload, schema)
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shuffle payload: truncated")]
+    fn truncated_payload_detected() {
+        let (payload, schema) = str_payload();
+        decode_batch(&payload[..payload.len() - 1], schema);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shuffle payload: string lengths fall short of their total")]
+    fn wrong_string_total_detected() {
+        let (mut payload, schema) = str_payload();
+        payload[10] = 5;
+        payload.push(b'c');
+        decode_batch(&payload, schema);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shuffle payload: string lengths exceed their total")]
+    fn string_lengths_past_the_total_detected() {
+        let (mut payload, schema) = str_payload();
+        payload[18] = 3;
+        decode_batch(&payload, schema);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shuffle payload: string data is not UTF-8")]
+    fn invalid_utf8_detected() {
+        let (mut payload, schema) = str_payload();
+        payload[23] = 0xff; // second byte of "é"
+        decode_batch(&payload, schema);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shuffle payload: string length ends inside a character")]
+    fn length_ending_inside_a_character_detected() {
+        let (mut payload, schema) = str_payload();
+        // 1 + 3 still sums to the total, but splits "é" down the middle.
+        payload[14] = 1;
+        payload[18] = 3;
+        decode_batch(&payload, schema);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt shuffle payload: truncated")]
+    fn row_count_beyond_the_payload_detected() {
+        // A header claiming u32::MAX rows must fail on the bytes that are
+        // not there, not on an allocation sized from the claim.
+        for dtype in [DataType::I64, DataType::Bool, DataType::Str] {
+            let schema = Schema::shared(&[("c", dtype)]);
+            let mut payload = encode_batch(&Batch::empty(schema.clone()));
+            payload[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+            let caught = std::panic::catch_unwind(|| decode_batch(&payload, schema));
+            let message = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert_eq!(message, "corrupt shuffle payload: truncated", "{dtype}");
+        }
+        // With a validity bitmap the claim is checked there first.
+        let schema = Schema::shared(&[("c", DataType::I64)]);
+        let mut payload = encode_batch(&Batch::empty(schema.clone()));
+        payload[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        payload[9] = 1;
+        decode_batch(&payload, schema);
     }
 
     #[test]

@@ -1,6 +1,228 @@
 //! Columnar storage: typed column vectors with optional validity masks.
+//!
+//! Four of the five types are a plain `Vec` of fixed-width values. Strings
+//! are a [`StrColumn`]: `len + 1` `u32` offsets over one UTF-8 buffer
+//! (Arrow's layout), so cloning, gathering, slicing, concatenating and
+//! decoding a string column copy two buffers and allocate nothing per
+//! row. There is one string representation — no dictionary form; see
+//! DESIGN.md §12 "String columns" for what would justify one.
 
 use crate::types::{DataType, Value};
+
+/// A column of UTF-8 strings: row `i` is `bytes[offsets[i]..offsets[i + 1]]`.
+///
+/// Always canonical — `offsets[0] == 0`, offsets never decrease, the last
+/// one is `bytes.len()`, every one falls on a character boundary, and
+/// `bytes` holds exactly the rows' concatenation — so two columns with
+/// the same rows have the same buffers and the derived `PartialEq` is
+/// equality of content, whichever way each was built or cut. The fields
+/// are private to keep it so: rows are only ever appended ([`push`],
+/// [`extend_from_range`]) or checked as a whole (`from_lengths`).
+///
+/// [`push`]: StrColumn::push
+/// [`extend_from_range`]: StrColumn::extend_from_range
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StrColumn {
+    offsets: Vec<u32>,
+    bytes: String,
+}
+
+impl StrColumn {
+    /// An empty column.
+    pub fn new() -> Self {
+        StrColumn::with_capacity(0, 0)
+    }
+
+    /// An empty column with room for `rows` strings of `bytes` bytes in
+    /// total.
+    pub fn with_capacity(rows: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        StrColumn {
+            offsets,
+            bytes: String::with_capacity(bytes),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total bytes of string data.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Row `i`. Panics if out of range.
+    pub fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> StrIter<'_> {
+        StrIter {
+            offsets: self.offsets.windows(2),
+            bytes: &self.bytes,
+        }
+    }
+
+    /// Append one row. Panics when the column would outgrow its `u32`
+    /// offsets (4 GiB of string data; batches are chunked far below).
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        let end = u32::try_from(self.bytes.len()).expect("string column exceeds u32 offsets");
+        self.offsets.push(end);
+    }
+
+    /// Append rows `start..end` of `other`: one copy of their bytes, one
+    /// pass rebasing their offsets. Panics if the range is out of bounds
+    /// or the column would outgrow its `u32` offsets.
+    pub fn extend_from_range(&mut self, other: &StrColumn, start: usize, end: usize) {
+        let window = &other.offsets[start..=end];
+        let (first, last) = (window[0], window[end - start]);
+        let base = u32::try_from(self.bytes.len())
+            .ok()
+            .filter(|base| base.checked_add(last - first).is_some())
+            .expect("string column exceeds u32 offsets");
+        self.bytes
+            .push_str(&other.bytes[first as usize..last as usize]);
+        self.offsets
+            .extend(window[1..].iter().map(|o| base + (o - first)));
+    }
+
+    /// Give back the capacity a builder reserved and did not fill.
+    pub fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.bytes.shrink_to_fit();
+    }
+
+    /// Gather the rows at `indices` into a new column.
+    pub fn take(&self, indices: &[usize]) -> StrColumn {
+        let bytes = indices
+            .iter()
+            .map(|&i| (self.offsets[i + 1] - self.offsets[i]) as usize)
+            .sum();
+        let mut out = StrColumn::with_capacity(indices.len(), bytes);
+        for &i in indices {
+            out.push(self.get(i));
+        }
+        out
+    }
+
+    /// Copy rows `start..end` into a new column.
+    pub fn slice(&self, start: usize, end: usize) -> StrColumn {
+        let bytes = (self.offsets[end] - self.offsets[start]) as usize;
+        let mut out = StrColumn::with_capacity(end - start, bytes);
+        out.extend_from_range(self, start, end);
+        out
+    }
+
+    /// The rows' byte lengths in order — with [`StrColumn::bytes`], the
+    /// column as the shuffle codec writes it.
+    pub(crate) fn lengths(&self) -> impl Iterator<Item = u32> + '_ {
+        self.offsets.windows(2).map(|w| w[1] - w[0])
+    }
+
+    /// Every row's bytes, concatenated.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        self.bytes.as_bytes()
+    }
+
+    /// Rebuild a column from what the codec wrote: one prefix sum over
+    /// `lengths`, one copy of `bytes`, one UTF-8 validation of the whole
+    /// buffer and of every row boundary in it. `Err` names what is wrong
+    /// with the input; nothing about it is trusted.
+    pub(crate) fn from_lengths(
+        lengths: impl ExactSizeIterator<Item = u32>,
+        bytes: &[u8],
+    ) -> Result<StrColumn, &'static str> {
+        let text = std::str::from_utf8(bytes).map_err(|_| "string data is not UTF-8")?;
+        let mut offsets = Vec::with_capacity(lengths.len() + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for len in lengths {
+            end = end
+                .checked_add(len)
+                .filter(|&end| end as usize <= text.len())
+                .ok_or("string lengths exceed their total")?;
+            if !text.is_char_boundary(end as usize) {
+                return Err("string length ends inside a character");
+            }
+            offsets.push(end);
+        }
+        if end as usize != text.len() {
+            return Err("string lengths fall short of their total");
+        }
+        Ok(StrColumn {
+            offsets,
+            bytes: text.to_owned(),
+        })
+    }
+}
+
+impl Default for StrColumn {
+    fn default() -> Self {
+        StrColumn::new()
+    }
+}
+
+impl std::ops::Index<usize> for StrColumn {
+    type Output = str;
+    fn index(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrColumn {
+    fn from_iter<I: IntoIterator<Item = S>>(rows: I) -> Self {
+        let rows = rows.into_iter();
+        let mut out = StrColumn::with_capacity(rows.size_hint().0, 0);
+        for s in rows {
+            out.push(s.as_ref());
+        }
+        out
+    }
+}
+
+impl From<Vec<String>> for StrColumn {
+    fn from(rows: Vec<String>) -> Self {
+        rows.iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a StrColumn {
+    type Item = &'a str;
+    type IntoIter = StrIter<'a>;
+    fn into_iter(self) -> StrIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`StrColumn`]'s rows.
+#[derive(Debug, Clone)]
+pub struct StrIter<'a> {
+    offsets: std::slice::Windows<'a, u32>,
+    bytes: &'a str,
+}
+
+impl<'a> Iterator for StrIter<'a> {
+    type Item = &'a str;
+    fn next(&mut self) -> Option<&'a str> {
+        let w = self.offsets.next()?;
+        Some(&self.bytes[w[0] as usize..w[1] as usize])
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.offsets.size_hint()
+    }
+}
+
+impl ExactSizeIterator for StrIter<'_> {}
 
 /// The typed payload of a column.
 #[derive(Debug, Clone, PartialEq)]
@@ -10,7 +232,7 @@ pub enum ColumnData {
     /// 64-bit floats.
     F64(Vec<f64>),
     /// UTF-8 strings.
-    Str(Vec<String>),
+    Str(StrColumn),
     /// Dates as days since epoch.
     Date(Vec<i32>),
     /// Booleans.
@@ -39,7 +261,10 @@ impl ColumnData {
         match dtype {
             DataType::I64 => ColumnData::I64(vec![0; len]),
             DataType::F64 => ColumnData::F64(vec![0.0; len]),
-            DataType::Str => ColumnData::Str(vec![String::new(); len]),
+            DataType::Str => ColumnData::Str(StrColumn {
+                offsets: vec![0; len + 1],
+                bytes: String::new(),
+            }),
             DataType::Date => ColumnData::Date(vec![0; len]),
             DataType::Bool => ColumnData::Bool(vec![false; len]),
         }
@@ -105,7 +330,7 @@ impl Column {
     }
     /// String column.
     pub fn from_str_vec(v: Vec<String>) -> Self {
-        Column::new(ColumnData::Str(v))
+        Column::new(ColumnData::Str(v.into()))
     }
     /// Date column.
     pub fn from_date(v: Vec<i32>) -> Self {
@@ -151,7 +376,7 @@ impl Column {
         match &self.data {
             ColumnData::I64(v) => Value::I64(v[i]),
             ColumnData::F64(v) => Value::F64(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
+            ColumnData::Str(v) => Value::Str(v[i].to_string()),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
         }
@@ -162,7 +387,7 @@ impl Column {
         let data = match &self.data {
             ColumnData::I64(v) => ColumnData::I64(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::F64(v) => ColumnData::F64(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Str(v) => ColumnData::Str(indices.iter().map(|&i| v[i].clone()).collect()),
+            ColumnData::Str(v) => ColumnData::Str(v.take(indices)),
             ColumnData::Date(v) => ColumnData::Date(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
         };
@@ -209,8 +434,9 @@ impl Column {
         self.take(&indices)
     }
 
-    /// Concatenate columns of the same type into one.
-    pub fn concat(parts: &[Column]) -> Column {
+    /// Concatenate columns of the same type into one: each part is copied
+    /// once, straight into the output.
+    pub fn concat(parts: &[&Column]) -> Column {
         assert!(!parts.is_empty(), "concat of zero columns");
         let dt = parts[0].data_type();
         let total: usize = parts.iter().map(|c| c.len()).sum();
@@ -221,7 +447,7 @@ impl Column {
             None
         };
         if let Some(v) = validity.as_mut() {
-            for p in parts {
+            for &p in parts {
                 match &p.validity {
                     Some(m) => v.extend_from_slice(m),
                     None => v.extend(std::iter::repeat_n(true, p.len())),
@@ -231,7 +457,7 @@ impl Column {
         macro_rules! cat {
             ($variant:ident, $ty:ty) => {{
                 let mut out: Vec<$ty> = Vec::with_capacity(total);
-                for p in parts {
+                for &p in parts {
                     match &p.data {
                         ColumnData::$variant(v) => out.extend_from_slice(v),
                         other => panic!("concat type mismatch: {dt} vs {}", other.data_type()),
@@ -243,7 +469,21 @@ impl Column {
         let data = match dt {
             DataType::I64 => cat!(I64, i64),
             DataType::F64 => cat!(F64, f64),
-            DataType::Str => cat!(Str, String),
+            DataType::Str => {
+                let strs: Vec<&StrColumn> = parts
+                    .iter()
+                    .map(|p| match &p.data {
+                        ColumnData::Str(v) => v,
+                        other => panic!("concat type mismatch: {dt} vs {}", other.data_type()),
+                    })
+                    .collect();
+                let bytes = strs.iter().map(|v| v.byte_len()).sum();
+                let mut out = StrColumn::with_capacity(total, bytes);
+                for v in strs {
+                    out.extend_from_range(v, 0, v.len());
+                }
+                ColumnData::Str(out)
+            }
             DataType::Date => cat!(Date, i32),
             DataType::Bool => cat!(Bool, bool),
         };
@@ -281,8 +521,8 @@ impl Column {
             other => panic!("expected f64 column, got {}", other.data_type()),
         }
     }
-    /// String slice accessor.
-    pub fn strs(&self) -> &[String] {
+    /// String column accessor.
+    pub fn strs(&self) -> &StrColumn {
         match &self.data {
             ColumnData::Str(v) => v,
             other => panic!("expected str column, got {}", other.data_type()),
@@ -347,7 +587,7 @@ impl ColumnSlice<'_> {
         match self.data {
             ColumnData::I64(v) => Value::I64(v[i]),
             ColumnData::F64(v) => Value::F64(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
+            ColumnData::Str(v) => Value::Str(v[i].to_string()),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
         }
@@ -389,7 +629,7 @@ impl ColumnSlice<'_> {
         let data = match self.data {
             ColumnData::I64(v) => ColumnData::I64(v[start..end].to_vec()),
             ColumnData::F64(v) => ColumnData::F64(v[start..end].to_vec()),
-            ColumnData::Str(v) => ColumnData::Str(v[start..end].to_vec()),
+            ColumnData::Str(v) => ColumnData::Str(v.slice(start, end)),
             ColumnData::Date(v) => ColumnData::Date(v[start..end].to_vec()),
             ColumnData::Bool(v) => ColumnData::Bool(v[start..end].to_vec()),
         };
@@ -432,7 +672,7 @@ mod tests {
     #[test]
     fn take_preserves_validity() {
         let c = Column::with_validity(
-            ColumnData::Str(vec!["a".into(), "b".into()]),
+            ColumnData::Str(vec!["a".to_string(), "b".to_string()].into()),
             vec![false, true],
         );
         let t = c.take(&[1, 0, 1]);
@@ -445,7 +685,7 @@ mod tests {
     fn concat_mixed_validity() {
         let a = Column::from_i64(vec![1, 2]);
         let b = Column::with_validity(ColumnData::I64(vec![3, 4]), vec![false, true]);
-        let c = Column::concat(&[a, b]);
+        let c = Column::concat(&[&a, &b]);
         assert_eq!(c.len(), 4);
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.value(2), Value::Null);
@@ -458,6 +698,83 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.null_count(), 3);
         assert_eq!(c.data_type(), DataType::F64);
+    }
+
+    #[test]
+    fn str_column_reads_back_what_was_pushed() {
+        let rows = ["", "R", "héllo", "", "日本語"];
+        let mut c = StrColumn::with_capacity(rows.len(), 0);
+        assert!(c.is_empty());
+        for s in rows {
+            c.push(s);
+        }
+        assert_eq!(c.len(), 5);
+        assert_eq!(c.byte_len(), rows.concat().len());
+        assert_eq!(c.get(2), "héllo");
+        assert_eq!(&c[4], "日本語");
+        assert_eq!(c.iter().collect::<Vec<_>>(), rows);
+        assert_eq!(c.iter().len(), 5);
+        assert_eq!(c, rows.iter().collect());
+        assert_eq!(c, rows.map(String::from).to_vec().into());
+        assert_eq!(StrColumn::default(), StrColumn::new());
+    }
+
+    #[test]
+    fn str_column_equality_is_by_content() {
+        // However a column was built or cut, equal rows are equal buffers.
+        let whole: StrColumn = ["ab", "", "çd", "e", ""].iter().collect();
+        let want: StrColumn = ["", "çd", "e"].iter().collect();
+        assert_eq!(whole.slice(1, 4), want);
+        assert_eq!(whole.slice(0, 5).slice(1, 5).slice(0, 3), want);
+        assert_eq!(whole.take(&[1, 2, 3]), want);
+        assert_eq!(whole.take(&[4, 2, 3]), want);
+        let mut appended = StrColumn::new();
+        appended.extend_from_range(&whole, 1, 2);
+        appended.extend_from_range(&whole, 3, 3);
+        appended.extend_from_range(&whole, 2, 4);
+        assert_eq!(appended, want);
+        let mut shrunk = want.clone();
+        shrunk.shrink_to_fit();
+        assert_eq!(shrunk, want);
+        // The all-null placeholder column is a column of empty strings.
+        let empties: StrColumn = ["", ""].iter().collect();
+        assert_eq!(
+            ColumnData::zeroed(DataType::Str, 2),
+            ColumnData::Str(empties)
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn str_column_slice_rejects_out_of_range() {
+        let c: StrColumn = ["a", "b"].iter().collect();
+        c.slice(1, 3);
+    }
+
+    #[test]
+    fn str_column_from_lengths_checks_everything() {
+        let build =
+            |lengths: &[u32], bytes: &[u8]| StrColumn::from_lengths(lengths.iter().copied(), bytes);
+        let want: StrColumn = ["é", "", "ab"].iter().collect();
+        assert_eq!(build(&[2, 0, 2], "éab".as_bytes()), Ok(want));
+        assert_eq!(build(&[], b""), Ok(StrColumn::new()));
+        assert_eq!(
+            build(&[2, 1], "éab".as_bytes()),
+            Err("string lengths fall short of their total")
+        );
+        assert_eq!(
+            build(&[2, 3], "éab".as_bytes()),
+            Err("string lengths exceed their total")
+        );
+        assert_eq!(
+            build(&[u32::MAX, u32::MAX], b"ab"),
+            Err("string lengths exceed their total")
+        );
+        assert_eq!(
+            build(&[1, 3], "éab".as_bytes()),
+            Err("string length ends inside a character")
+        );
+        assert_eq!(build(&[2], &[0xc3, 0x28]), Err("string data is not UTF-8"));
     }
 
     #[test]

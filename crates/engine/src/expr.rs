@@ -13,12 +13,17 @@
 //! [`crate::kernels::scalar`], which `IN` lists and CASE results reuse.
 //! [`predicate_mask_into`] walks the same tree but sends comparison
 //! leaves to that kernel's keep-mask sink, so a filter never builds a
-//! Bool column.
+//! Bool column. A column reference is not a copy: wherever a
+//! sub-expression's column is only read, it comes from
+//! `Expr::eval_borrowed`, which lends the batch's own column.
 
 use crate::batch::Batch;
 use crate::column::{Column, ColumnData};
-use crate::kernels::scalar::{binary, compare_mask_into, like_mask, Operand};
+use crate::kernels::scalar::{
+    binary, compare_mask_into, like_mask, select_rows, Operand, NO_SOURCE,
+};
 use crate::types::{date, DataType, Value};
+use std::borrow::Cow;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,11 +242,13 @@ impl Expr {
             Expr::Col(i) => batch.columns[*i].clone(),
             Expr::Lit(v) => broadcast_literal(v, n),
             Expr::Binary { op, lhs, rhs } => match op {
-                BinOp::And | BinOp::Or => eval_kleene(*op, &lhs.eval(batch), &rhs.eval(batch)),
+                BinOp::And | BinOp::Or => {
+                    eval_kleene(*op, &lhs.eval_borrowed(batch), &rhs.eval_borrowed(batch))
+                }
                 _ => binary(*op, &operand(lhs, batch), &operand(rhs, batch), n),
             },
             Expr::Not(e) => {
-                let c = e.eval(batch);
+                let c = e.eval_borrowed(batch);
                 let vals = c.bools().iter().map(|b| !b).collect();
                 Column {
                     data: ColumnData::Bool(vals),
@@ -249,7 +256,7 @@ impl Expr {
                 }
             }
             Expr::IsNull(e) => {
-                let c = e.eval(batch);
+                let c = e.eval_borrowed(batch);
                 let vals = (0..n).map(|i| !c.is_valid(i)).collect();
                 Column::from_bool(vals)
             }
@@ -262,7 +269,7 @@ impl Expr {
                 pattern,
                 negated,
             } => {
-                let c = input.eval(batch);
+                let c = input.eval_borrowed(batch);
                 let vals = like_mask(c.strs(), pattern, *negated);
                 Column {
                     data: ColumnData::Bool(vals),
@@ -273,7 +280,7 @@ impl Expr {
                 // The OR of one equality mask per item: a null row
                 // matches nothing and a null item is matched by nothing,
                 // as under `Value::sql_cmp`.
-                let c = input.eval(batch);
+                let c = input.eval_borrowed(batch);
                 let validity = c.validity.clone();
                 let probe = Operand::Col(c);
                 let mut vals = vec![false; n];
@@ -289,7 +296,7 @@ impl Expr {
                 }
             }
             Expr::ExtractYear(e) => {
-                let c = e.eval(batch);
+                let c = e.eval_borrowed(batch);
                 let vals = c.dates().iter().map(|&d| date::year_of(d) as i64).collect();
                 Column {
                     data: ColumnData::I64(vals),
@@ -297,59 +304,65 @@ impl Expr {
                 }
             }
             Expr::Substr { input, start, len } => {
-                let c = input.eval(batch);
-                let vals = c
-                    .strs()
-                    .iter()
-                    .map(|s| substr(s, *start, *len).to_string())
-                    .collect();
+                let c = input.eval_borrowed(batch);
+                let vals = c.strs().iter().map(|s| substr(s, *start, *len)).collect();
                 Column {
                     data: ColumnData::Str(vals),
                     validity: c.validity.clone(),
                 }
             }
             Expr::Coalesce(exprs) => {
-                let mut rest = exprs.iter().map(|e| e.eval(batch));
-                let first = rest.next().expect("COALESCE of nothing");
-                match first.validity {
-                    // Fully valid already: no alternative can contribute.
-                    None => first,
-                    Some(mut validity) => {
-                        // Fill nulls in place; one data/validity pair is
-                        // threaded through every alternative instead of
-                        // being re-cloned per column.
-                        let mut data = first.data;
-                        for alt in rest {
-                            if validity.iter().all(|&v| v) {
-                                break;
-                            }
-                            for i in 0..n {
-                                if !validity[i] && alt.is_valid(i) {
-                                    copy_row(&mut data, &alt, i);
-                                    validity[i] = true;
-                                }
-                            }
-                        }
-                        Column::with_validity(data, validity)
+                let first = exprs.first().expect("COALESCE of nothing");
+                let first = first.eval_borrowed(batch);
+                // Fully valid already: no alternative can contribute.
+                let Some(mut validity) = first.validity.clone() else {
+                    return first.into_owned();
+                };
+                // Every row starts as the first operand's (its placeholder
+                // where that is null); a null row moves to the first
+                // alternative with a value for it.
+                let mut pick = vec![0; n];
+                let mut sources = Vec::with_capacity(exprs.len());
+                sources.push(Operand::Col(first));
+                for (k, alt) in exprs.iter().enumerate().skip(1) {
+                    if validity.iter().all(|&v| v) {
+                        break;
                     }
+                    let alt = operand(alt, batch);
+                    for i in 0..n {
+                        if !validity[i] && alt.is_valid(i) {
+                            pick[i] = k;
+                            validity[i] = true;
+                        }
+                    }
+                    sources.push(alt);
                 }
+                Column::with_validity(select_rows(&sources, &pick), validity)
             }
-            Expr::Cast { input, to } => {
-                let c = input.eval(batch);
-                cast_column(&c, *to)
-            }
+            Expr::Cast { input, to } => cast_column(input.eval_borrowed(batch), *to),
+        }
+    }
+
+    /// [`Expr::eval`] for a caller that only reads the result: a bare
+    /// column reference lends the batch's own column instead of copying
+    /// it; everything else is computed as `eval` computes it.
+    pub(crate) fn eval_borrowed<'a>(&self, batch: &'a Batch) -> Cow<'a, Column> {
+        match self {
+            Expr::Col(i) => Cow::Borrowed(&batch.columns[*i]),
+            e => Cow::Owned(e.eval(batch)),
         }
     }
 }
 
-/// One side of a binary expression, or one CASE result: a non-null
-/// literal stays borrowed, anything else is evaluated. A null literal
-/// has no type for the kernel to dispatch on, so it takes the `eval`
-/// route and arrives as an all-null I64 column.
-fn operand<'a>(e: &'a Expr, batch: &Batch) -> Operand<'a> {
+/// One side of a binary expression, or one CASE/COALESCE result: a
+/// non-null literal stays borrowed, a column reference borrows the
+/// batch's column, anything else is evaluated. A null literal has no
+/// type for the kernel to dispatch on, so it takes the `eval` route and
+/// arrives as an all-null I64 column.
+fn operand<'a>(e: &'a Expr, batch: &'a Batch) -> Operand<'a> {
     match e {
         Expr::Lit(v) if !v.is_null() => Operand::Lit(v),
-        e => Operand::Col(e.eval(batch)),
+        e => Operand::Col(e.eval_borrowed(batch)),
     }
 }
 
@@ -362,30 +375,17 @@ fn substr(s: &str, start: usize, len: usize) -> &str {
     &tail[..offset(tail, len)]
 }
 
-fn copy_row(dst: &mut ColumnData, src: &Column, i: usize) {
-    match (dst, &src.data) {
-        (ColumnData::I64(d), ColumnData::I64(s)) => d[i] = s[i],
-        (ColumnData::F64(d), ColumnData::F64(s)) => d[i] = s[i],
-        (ColumnData::Str(d), ColumnData::Str(s)) => d[i] = s[i].clone(),
-        (ColumnData::Date(d), ColumnData::Date(s)) => d[i] = s[i],
-        (ColumnData::Bool(d), ColumnData::Bool(s)) => d[i] = s[i],
-        (d, s) => panic!(
-            "COALESCE type mismatch {} vs {}",
-            d.data_type(),
-            s.data_type()
-        ),
-    }
-}
-
 /// Materialize a literal as a full column. Only a literal that is
-/// itself a projection, a Kleene or COALESCE operand, or null pays for
-/// this; everywhere else it stays an [`Operand::Lit`].
+/// itself a projection, a Kleene operand, or null pays for this;
+/// everywhere else it stays an [`Operand::Lit`].
 fn broadcast_literal(v: &Value, n: usize) -> Column {
     match v {
         Value::Null => Column::nulls(DataType::I64, n),
         Value::I64(x) => Column::from_i64(vec![*x; n]),
         Value::F64(x) => Column::from_f64(vec![*x; n]),
-        Value::Str(x) => Column::from_str_vec(vec![x.clone(); n]),
+        Value::Str(x) => Column::new(ColumnData::Str(
+            std::iter::repeat_n(x.as_str(), n).collect(),
+        )),
         Value::Date(x) => Column::from_date(vec![*x; n]),
         Value::Bool(x) => Column::from_bool(vec![*x; n]),
     }
@@ -428,61 +428,40 @@ fn eval_kleene(op: BinOp, l: &Column, r: &Column) -> Column {
     Column::with_validity(ColumnData::Bool(vals), validity)
 }
 
-/// Copy a CASE result's row `i` into the output storage.
-fn copy_operand_row(dst: &mut ColumnData, src: &Operand, i: usize) {
-    match src {
-        Operand::Col(c) => copy_row(dst, c, i),
-        Operand::Lit(v) => match (dst, v) {
-            (ColumnData::I64(d), Value::I64(s)) => d[i] = *s,
-            (ColumnData::F64(d), Value::F64(s)) => d[i] = *s,
-            (ColumnData::Str(d), Value::Str(s)) => d[i].clone_from(s),
-            (ColumnData::Date(d), Value::Date(s)) => d[i] = *s,
-            (ColumnData::Bool(d), Value::Bool(s)) => d[i] = *s,
-            (d, s) => panic!("CASE type mismatch {} vs {s:?}", d.data_type()),
-        },
-    }
-}
-
 fn eval_case(batch: &Batch, branches: &[(Expr, Expr)], else_expr: &Option<Box<Expr>>) -> Column {
+    assert!(!branches.is_empty(), "CASE with no branches");
     let n = batch.num_rows();
-    // Literal results stay unbroadcast and are copied where they win.
-    let results: Vec<(Column, Operand)> = branches
+    let conds: Vec<Cow<'_, Column>> = branches
         .iter()
-        .map(|(c, r)| (c.eval(batch), operand(r, batch)))
+        .map(|(cond, _)| cond.eval_borrowed(batch))
         .collect();
-    let else_src = else_expr.as_ref().map(|e| operand(e, batch));
-    // Determine output type from the first result.
-    let proto = &results.first().expect("CASE with no branches").1;
-    let mut data = ColumnData::zeroed(proto.data_type(), n);
-    let mut validity = vec![false; n];
-    #[allow(clippy::needless_range_loop)] // indexes three parallel structures
-    for i in 0..n {
-        let mut matched = false;
-        for (cond, res) in &results {
-            if cond.is_valid(i) && cond.bools()[i] {
-                if res.is_valid(i) {
-                    copy_operand_row(&mut data, res, i);
-                    validity[i] = true;
-                }
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            if let Some(e) = &else_src {
-                if e.is_valid(i) {
-                    copy_operand_row(&mut data, e, i);
-                    validity[i] = true;
-                }
-            }
+    // One source per branch result, then ELSE if there is one; the first
+    // sets the output type. Literal results stay unbroadcast.
+    let sources: Vec<Operand> = branches
+        .iter()
+        .map(|(_, result)| result)
+        .chain(else_expr.as_deref())
+        .map(|e| operand(e, batch))
+        .collect();
+    let mut pick = vec![NO_SOURCE; n];
+    for (i, p) in pick.iter_mut().enumerate() {
+        // The first true branch wins, ELSE where none is; a null result
+        // (or no ELSE) leaves the row null over a zero placeholder.
+        let winner = conds
+            .iter()
+            .position(|c| c.is_valid(i) && c.bools()[i])
+            .unwrap_or(branches.len());
+        if sources.get(winner).is_some_and(|s| s.is_valid(i)) {
+            *p = winner;
         }
     }
-    Column::with_validity(data, validity)
+    let validity = pick.iter().map(|&p| p != NO_SOURCE).collect();
+    Column::with_validity(select_rows(&sources, &pick), validity)
 }
 
-fn cast_column(c: &Column, to: DataType) -> Column {
+fn cast_column(c: Cow<'_, Column>, to: DataType) -> Column {
     if c.data_type() == to {
-        return c.clone();
+        return c.into_owned();
     }
     let data = match (&c.data, to) {
         (ColumnData::I64(v), DataType::F64) => {
@@ -553,7 +532,7 @@ fn fill_pred_mask(pred: &Expr, batch: &Batch, mask: &mut Vec<bool>) {
             Add | Sub | Mul | Div | Mod => {}
         }
     }
-    let c = pred.eval(batch);
+    let c = pred.eval_borrowed(batch);
     let bools = c.bools();
     match &c.validity {
         None => mask.extend_from_slice(bools),
@@ -699,8 +678,8 @@ mod tests {
             len: 5,
         }
         .eval(&b);
-        assert_eq!(s.strs()[0], "PROMO");
-        assert_eq!(s.strs()[3], "ECONO");
+        assert_eq!(&s.strs()[0], "PROMO");
+        assert_eq!(&s.strs()[3], "ECONO");
 
         let schema = Schema::shared(&[("a", DataType::I64)]);
         let nb = Batch::new(

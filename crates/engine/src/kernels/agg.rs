@@ -40,7 +40,7 @@ impl Grouper {
     /// batch, inner: key ordinal). The `i64` fast path requires a single
     /// all-valid integer key in *every* batch — group identity must not
     /// switch representations mid-stream.
-    pub fn for_keys(key_cols_per_batch: &[Vec<Column>]) -> Grouper {
+    pub fn for_keys(key_cols_per_batch: &[Vec<&Column>]) -> Grouper {
         let single_i64 = !key_cols_per_batch.is_empty()
             && key_cols_per_batch.iter().all(|cols| {
                 cols.len() == 1
@@ -392,8 +392,8 @@ fn update_min_max(
     ids: &[u32],
     col: &Column,
 ) {
-    // Copy-type arms assign the improved value directly; the Str arm uses
-    // `clone_from`, which reuses the accumulator string's buffer.
+    // Copy-type arms assign the improved value directly; the Str arm
+    // overwrites the group's string in place, reusing its buffer.
     macro_rules! fold {
         ($best:expr, $vals:expr, $better:expr) => {{
             let best = $best;
@@ -444,19 +444,20 @@ fn update_min_max(
             })
         }
         (MinMaxData::Str(best), ColumnData::Str(vals)) => {
-            for (i, &g) in ids.iter().enumerate() {
+            for ((i, &g), s) in ids.iter().enumerate().zip(vals) {
                 if !col.is_valid(i) {
                     continue;
                 }
                 let g = g as usize;
                 let better = if is_min {
-                    vals[i] < best[g]
+                    s < best[g].as_str()
                 } else {
-                    vals[i] > best[g]
+                    s > best[g].as_str()
                 };
                 if !seen[g] || better {
                     seen[g] = true;
-                    best[g].clone_from(&vals[i]);
+                    best[g].clear();
+                    best[g].push_str(s);
                 }
             }
         }

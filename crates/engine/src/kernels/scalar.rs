@@ -9,7 +9,8 @@
 //! ([`apply_i64`], [`apply_f64`], [`compare_rows`]) and runs the one row
 //! loop there is ([`zip_rows`]), monomorphised per side shape. Mixed
 //! numeric sides coerce to f64 element by element; neither side is
-//! materialized first.
+//! materialized first. A column operand is borrowed when the expression
+//! is a bare column reference, so such a leaf copies nothing.
 //!
 //! Two sinks take the result. [`binary`] returns a column: the data
 //! vector plus the two sides' merged validity. [`compare_mask_into`]
@@ -21,15 +22,17 @@
 //! on, so it arrives as the all-null I64 column `Expr::eval` makes of it
 //! (no plan produces one).
 
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, StrColumn};
 use crate::expr::{BinOp, LikePattern};
 use crate::types::{DataType, Value};
+use std::borrow::Cow;
 
-/// One side of a binary expression (or one CASE result): an evaluated
-/// column, or a non-null literal that is never broadcast.
+/// One side of a binary expression (or one CASE result): a column —
+/// the batch's own when the expression is a column reference, computed
+/// otherwise — or a non-null literal that is never broadcast.
 pub(crate) enum Operand<'a> {
-    /// A computed column of the batch's row count.
-    Col(Column),
+    /// A column of the batch's row count.
+    Col(Cow<'a, Column>),
     /// What `Expr::Lit` holds; never [`Value::Null`].
     Lit(&'a Value),
 }
@@ -61,16 +64,16 @@ impl Operand<'_> {
     fn typed(&self) -> Typed<'_> {
         match self {
             Operand::Col(c) => match &c.data {
-                ColumnData::I64(v) => Typed::I64(Rows::Slice(v)),
-                ColumnData::F64(v) => Typed::F64(Rows::Slice(v)),
-                ColumnData::Str(v) => Typed::Str(Rows::Slice(v)),
-                ColumnData::Date(v) => Typed::Date(Rows::Slice(v)),
-                ColumnData::Bool(v) => Typed::Bool(Rows::Slice(v)),
+                ColumnData::I64(v) => Typed::I64(Rows::Col(v)),
+                ColumnData::F64(v) => Typed::F64(Rows::Col(v)),
+                ColumnData::Str(v) => Typed::Str(Rows::Col(v)),
+                ColumnData::Date(v) => Typed::Date(Rows::Col(v)),
+                ColumnData::Bool(v) => Typed::Bool(Rows::Col(v)),
             },
             Operand::Lit(v) => match v {
                 Value::I64(x) => Typed::I64(Rows::Repeat(x)),
                 Value::F64(x) => Typed::F64(Rows::Repeat(x)),
-                Value::Str(x) => Typed::Str(Rows::Repeat(x)),
+                Value::Str(x) => Typed::Str(Rows::Repeat(x.as_str())),
                 Value::Date(x) => Typed::Date(Rows::Repeat(x)),
                 Value::Bool(x) => Typed::Bool(Rows::Repeat(x)),
                 Value::Null => unreachable!("null literals are materialized"),
@@ -79,22 +82,44 @@ impl Operand<'_> {
     }
 }
 
-/// One side as the row loop reads it.
+/// One side as the row loop reads it: `C` iterates a column's rows as
+/// `T`s, which is also what a literal repeats.
 #[derive(Clone, Copy)]
-enum Rows<'a, T> {
+enum Rows<C, T> {
     /// A column's values, one per row.
-    Slice(&'a [T]),
+    Col(C),
     /// A literal, the same on every row.
-    Repeat(&'a T),
+    Repeat(T),
+}
+
+/// A fixed-width side: a slice, read by reference.
+type Slice<'a, T> = Rows<&'a [T], &'a T>;
+
+impl<'a, T> Slice<'a, T> {
+    fn at(self, i: usize) -> &'a T {
+        match self {
+            Rows::Col(v) => &v[i],
+            Rows::Repeat(x) => x,
+        }
+    }
+}
+
+impl<'a> Rows<&'a StrColumn, &'a str> {
+    fn at(self, i: usize) -> &'a str {
+        match self {
+            Rows::Col(v) => v.get(i),
+            Rows::Repeat(x) => x,
+        }
+    }
 }
 
 /// An operand's rows by type: what the two dispatches match on.
 enum Typed<'a> {
-    I64(Rows<'a, i64>),
-    F64(Rows<'a, f64>),
-    Str(Rows<'a, String>),
-    Date(Rows<'a, i32>),
-    Bool(Rows<'a, bool>),
+    I64(Slice<'a, i64>),
+    F64(Slice<'a, f64>),
+    Str(Rows<&'a StrColumn, &'a str>),
+    Date(Slice<'a, i32>),
+    Bool(Slice<'a, bool>),
 }
 
 /// Numeric element types, read as f64 by the pairs with no typed arm.
@@ -160,6 +185,45 @@ pub(crate) fn compare_mask_into(
     }
 }
 
+/// In [`select_rows`]' `pick`, a row that takes no source.
+pub(crate) const NO_SOURCE: usize = usize::MAX;
+
+/// The data of the column whose row `i` is row `i` of `sources[pick[i]]`
+/// — the type's zero placeholder where `pick[i]` is [`NO_SOURCE`] — of
+/// the first source's type. This is how CASE and COALESCE assemble a
+/// result: in row order, so a string result is appended to, never
+/// scattered into. A source of another type panics where it is picked.
+pub(crate) fn select_rows(sources: &[Operand], pick: &[usize]) -> ColumnData {
+    macro_rules! select {
+        ($variant:ident, $zero:expr, $read:expr) => {{
+            let typed: Vec<_> = sources
+                .iter()
+                .map(|s| match s.typed() {
+                    Typed::$variant(rows) => Some(rows),
+                    _ => None,
+                })
+                .collect();
+            let rows = pick.iter().enumerate().map(|(i, &p)| match typed.get(p) {
+                None => $zero,
+                Some(Some(rows)) => $read(rows.at(i)),
+                Some(None) => panic!(
+                    "result type mismatch: {} vs {}",
+                    sources[0].data_type(),
+                    sources[p].data_type()
+                ),
+            });
+            ColumnData::$variant(rows.collect())
+        }};
+    }
+    match sources[0].data_type() {
+        DataType::I64 => select!(I64, 0, |x: &i64| *x),
+        DataType::F64 => select!(F64, 0.0, |x: &f64| *x),
+        DataType::Str => select!(Str, "", |x| x),
+        DataType::Date => select!(Date, 0, |x: &i32| *x),
+        DataType::Bool => select!(Bool, false, |x: &bool| *x),
+    }
+}
+
 /// The arithmetic dispatch: result type and coercion per operand pair.
 fn arith(op: BinOp, l: &Operand, r: &Operand, n: usize) -> ColumnData {
     use Typed::*;
@@ -191,7 +255,7 @@ fn arith(op: BinOp, l: &Operand, r: &Operand, n: usize) -> ColumnData {
 /// not yet applied.
 fn compare(op: BinOp, l: &Operand, r: &Operand, n: usize, out: &mut Vec<bool>) {
     use Typed::*;
-    fn same<T>(x: &T) -> &T {
+    fn same<T>(x: T) -> T {
         x
     }
     fn float<T: Num>(x: &T) -> f64 {
@@ -213,7 +277,7 @@ fn compare(op: BinOp, l: &Operand, r: &Operand, n: usize, out: &mut Vec<bool>) {
     }
 }
 
-fn apply_i64(op: BinOp, a: Rows<i64>, b: Rows<i64>, n: usize) -> Vec<i64> {
+fn apply_i64(op: BinOp, a: Slice<i64>, b: Slice<i64>, n: usize) -> Vec<i64> {
     match op {
         BinOp::Add => collect_rows(a, b, n, |x, y| x + y),
         BinOp::Sub => collect_rows(a, b, n, |x, y| x - y),
@@ -223,7 +287,7 @@ fn apply_i64(op: BinOp, a: Rows<i64>, b: Rows<i64>, n: usize) -> Vec<i64> {
     }
 }
 
-fn apply_f64<A: Num, B: Num>(op: BinOp, a: Rows<A>, b: Rows<B>, n: usize) -> Vec<f64> {
+fn apply_f64<A: Num, B: Num>(op: BinOp, a: Slice<A>, b: Slice<B>, n: usize) -> Vec<f64> {
     match op {
         BinOp::Add => collect_rows(a, b, n, |x, y| x.to_f64() + y.to_f64()),
         BinOp::Sub => collect_rows(a, b, n, |x, y| x.to_f64() - y.to_f64()),
@@ -236,15 +300,18 @@ fn apply_f64<A: Num, B: Num>(op: BinOp, a: Rows<A>, b: Rows<B>, n: usize) -> Vec
 
 /// Compare two sides under the common key type `K`. Each operator is a
 /// direct comparison, not an `Ordering` round-trip.
-fn compare_rows<'a, A, B, K: PartialOrd>(
+fn compare_rows<L, R, A: Copy, B: Copy, K: PartialOrd>(
     op: BinOp,
-    a: Rows<'a, A>,
-    b: Rows<'a, B>,
+    a: Rows<L, A>,
+    b: Rows<R, B>,
     n: usize,
     out: &mut Vec<bool>,
-    ka: impl Fn(&'a A) -> K,
-    kb: impl Fn(&'a B) -> K,
-) {
+    ka: impl Fn(A) -> K,
+    kb: impl Fn(B) -> K,
+) where
+    L: IntoIterator<Item = A>,
+    R: IntoIterator<Item = B>,
+{
     match op {
         BinOp::Eq => zip_rows(a, b, n, out, |x, y| ka(x) == kb(y)),
         // `<`-or-`>` rather than `!=` so NaN comes out false, as under
@@ -259,8 +326,8 @@ fn compare_rows<'a, A, B, K: PartialOrd>(
 }
 
 fn collect_rows<'a, A, B, O>(
-    l: Rows<'a, A>,
-    r: Rows<'a, B>,
+    l: Slice<'a, A>,
+    r: Slice<'a, B>,
     n: usize,
     f: impl Fn(&'a A, &'a B) -> O,
 ) -> Vec<O> {
@@ -272,22 +339,25 @@ fn collect_rows<'a, A, B, O>(
 /// The row loop: append `f(l[i], r[i])` for each of `n` rows to `out`.
 /// Four copies per instantiation, one per side shape, so no row pays a
 /// branch on the shape.
-fn zip_rows<'a, A, B, O>(
-    l: Rows<'a, A>,
-    r: Rows<'a, B>,
+fn zip_rows<L, R, A: Copy, B: Copy, O>(
+    l: Rows<L, A>,
+    r: Rows<R, B>,
     n: usize,
     out: &mut Vec<O>,
-    f: impl Fn(&'a A, &'a B) -> O,
-) {
+    f: impl Fn(A, B) -> O,
+) where
+    L: IntoIterator<Item = A>,
+    R: IntoIterator<Item = B>,
+{
     match (l, r) {
-        (Rows::Slice(a), Rows::Slice(b)) => out.extend(a.iter().zip(b).map(|(x, y)| f(x, y))),
-        (Rows::Slice(a), Rows::Repeat(y)) => out.extend(a.iter().map(|x| f(x, y))),
-        (Rows::Repeat(x), Rows::Slice(b)) => out.extend(b.iter().map(|y| f(x, y))),
+        (Rows::Col(a), Rows::Col(b)) => out.extend(a.into_iter().zip(b).map(|(x, y)| f(x, y))),
+        (Rows::Col(a), Rows::Repeat(y)) => out.extend(a.into_iter().map(|x| f(x, y))),
+        (Rows::Repeat(x), Rows::Col(b)) => out.extend(b.into_iter().map(|y| f(x, y))),
         (Rows::Repeat(x), Rows::Repeat(y)) => out.extend((0..n).map(|_| f(x, y))),
     }
 }
 
 /// Columnar LIKE: match every string against the pattern.
-pub fn like_mask(strs: &[String], pattern: &LikePattern, negated: bool) -> Vec<bool> {
+pub fn like_mask(strs: &StrColumn, pattern: &LikePattern, negated: bool) -> Vec<bool> {
     strs.iter().map(|s| pattern.matches(s) != negated).collect()
 }

@@ -3,8 +3,9 @@
 //! The legacy sort compared rows by materializing a [`crate::types::Value`]
 //! per comparison — a `String` clone per string comparison, an enum
 //! round-trip otherwise. The kernel compares borrowed typed slices
-//! directly and returns the sorted row permutation; the caller gathers
-//! every column through it once.
+//! (strings as `&str` windows of the column's one buffer) and returns
+//! the sorted row permutation; the caller gathers every column through
+//! it once.
 
 use crate::column::{Column, ColumnData};
 use std::cmp::Ordering;

@@ -8,11 +8,12 @@
 //! [`crate::reference::row_hash_aggregate`].
 
 use crate::batch::Batch;
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, StrColumn};
 use crate::expr::Expr;
 use crate::kernels::agg::{Accumulator, Grouper};
 use crate::schema::SchemaRef;
 use crate::types::{DataType, Value};
+use std::borrow::Cow;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,20 +79,26 @@ pub fn hash_aggregate(
     );
     let global = group_by.is_empty();
 
-    let key_cols_per_batch: Vec<Vec<Column>> = batches
+    // Keys and inputs that are bare column references borrow the
+    // batch's columns; only computed ones are materialized.
+    let key_cols_per_batch: Vec<Vec<Cow<'_, Column>>> = batches
         .iter()
-        .map(|b| group_by.iter().map(|e| e.eval(b)).collect())
+        .map(|b| group_by.iter().map(|e| e.eval_borrowed(b)).collect())
+        .collect();
+    let key_refs_per_batch: Vec<Vec<&Column>> = key_cols_per_batch
+        .iter()
+        .map(|cols| cols.iter().map(|c| c.as_ref()).collect())
         .collect();
     // COUNT(*) reads no values, so its input expression (a literal in
     // every plan builder) is never evaluated — the legacy path broadcast
     // a constant column per batch just to ignore it.
-    let agg_cols_per_batch: Vec<Vec<Option<Column>>> = batches
+    let agg_cols_per_batch: Vec<Vec<Option<Cow<'_, Column>>>> = batches
         .iter()
         .map(|b| {
             aggs.iter()
                 .map(|a| match a.func {
                     AggFunc::CountStar => None,
-                    _ => Some(a.input.eval(b)),
+                    _ => Some(a.input.eval_borrowed(b)),
                 })
                 .collect()
         })
@@ -105,7 +112,7 @@ pub fn hash_aggregate(
         .map(|(ai, a)| Accumulator::new(a.func, output.field(group_by.len() + ai).dtype))
         .collect();
 
-    let mut grouper = Grouper::for_keys(&key_cols_per_batch);
+    let mut grouper = Grouper::for_keys(&key_refs_per_batch);
     let mut n_groups = if global { 1 } else { 0 };
     let mut ids: Vec<u32> = Vec::new();
     for (bi, b) in batches.iter().enumerate() {
@@ -114,16 +121,12 @@ pub fn hash_aggregate(
         if global {
             ids.resize(nrows, 0);
         } else {
-            // The grouper wants &[&Column]; this ref vec is sized by the
-            // key count per batch — nothing here is allocated per row.
-            // cackle-lint: allow(L14) — key-count-sized ref vec, once per batch
-            let key_refs: Vec<&Column> = key_cols_per_batch[bi].iter().collect();
-            grouper.assign(bi, &key_refs, nrows, &mut ids);
+            grouper.assign(bi, &key_refs_per_batch[bi], nrows, &mut ids);
             n_groups = grouper.n_groups();
         }
         for (ai, acc) in accs.iter_mut().enumerate() {
             acc.grow(n_groups);
-            acc.update(&ids, agg_cols_per_batch[bi][ai].as_ref());
+            acc.update(&ids, agg_cols_per_batch[bi][ai].as_deref());
         }
     }
     // Zero input batches (or zero groups) still need sized accumulators:
@@ -179,14 +182,14 @@ pub fn values_to_column(values: &[Value], dtype: DataType) -> Column {
             ColumnData::F64(v)
         }
         DataType::Str => {
-            let mut v = vec![String::new(); n];
+            let mut v = StrColumn::with_capacity(n, 0);
             for (i, val) in values.iter().enumerate() {
                 match val {
-                    // The owned copy into the output column is the
-                    // operation itself; `values` is only borrowed.
-                    // cackle-lint: allow(L14) — owned copy into the output
-                    Value::Str(x) => v[i] = x.clone(),
-                    Value::Null => validity[i] = false,
+                    Value::Str(x) => v.push(x),
+                    Value::Null => {
+                        v.push("");
+                        validity[i] = false;
+                    }
                     other => panic!("expected str value, got {other:?}"),
                 }
             }
@@ -269,7 +272,7 @@ mod tests {
         );
         assert_eq!(b.num_rows(), 2);
         // Group order is first-encounter: A then B.
-        assert_eq!(b.columns[0].strs(), &["A".to_string(), "B".to_string()]);
+        assert_eq!(b.columns[0].strs().iter().collect::<Vec<_>>(), ["A", "B"]);
         assert_eq!(b.columns[1].i64s(), &[90, 60]);
         assert_eq!(b.columns[2].f64s(), &[3.0, 3.0]);
         assert_eq!(b.columns[3].i64s(), &[3, 2]);

@@ -44,8 +44,8 @@ impl JoinHashTable {
     /// null keys match nothing).
     pub fn build(build_schema: SchemaRef, build: &[Batch], build_keys: &[Expr]) -> Self {
         let build = Batch::concat(build_schema, build);
-        let key_cols: Vec<Column> = build_keys.iter().map(|e| e.eval(&build)).collect();
-        let key_refs: Vec<&Column> = key_cols.iter().collect();
+        let key_cols: Vec<_> = build_keys.iter().map(|e| e.eval_borrowed(&build)).collect();
+        let key_refs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
         let index = KeyIndex::build(&key_refs, build.num_rows());
         JoinHashTable { index, build }
     }
@@ -64,8 +64,8 @@ impl JoinHashTable {
         join_type: JoinType,
         output: SchemaRef,
     ) -> Batch {
-        let key_cols: Vec<Column> = probe_keys.iter().map(|e| e.eval(probe)).collect();
-        let key_refs: Vec<&Column> = key_cols.iter().collect();
+        let key_cols: Vec<_> = probe_keys.iter().map(|e| e.eval_borrowed(probe)).collect();
+        let key_refs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
         let n = probe.num_rows();
         // One key-encoding scratch per probe batch, reused across rows
         // inside the kernels.
@@ -107,30 +107,18 @@ impl JoinHashTable {
                     (join_type == JoinType::Left).then_some(&mut unmatched),
                     &mut scratch,
                 );
-                let matched_probe = probe.take(&probe_idx);
-                let matched_build = self.build.take(&build_idx);
-                let mut columns: Vec<Column> = matched_probe
-                    .columns
-                    .into_iter()
-                    .chain(matched_build.columns)
-                    .collect();
-                if join_type == JoinType::Left && !unmatched.is_empty() {
-                    let extra_probe = probe.take(&unmatched);
-                    let nulls: Vec<Column> = self
-                        .build
-                        .schema
-                        .fields
-                        .iter()
-                        .map(|f| Column::nulls(f.dtype, unmatched.len()))
-                        .collect();
-                    let extras: Vec<Column> =
-                        extra_probe.columns.into_iter().chain(nulls).collect();
-                    columns = columns
-                        .into_iter()
-                        .zip(extras)
-                        .map(|(a, b)| Column::concat(&[a, b]))
-                        .collect();
+                // Unmatched probe rows follow the matched pairs: the probe
+                // side is one gather over both, the build side is its
+                // matches with one null row per unmatched probe row after.
+                probe_idx.extend_from_slice(&unmatched);
+                let probe_cols = probe.take(&probe_idx).columns;
+                let mut build_cols = self.build.take(&build_idx).columns;
+                if !unmatched.is_empty() {
+                    for c in &mut build_cols {
+                        *c = Column::concat(&[c, &Column::nulls(c.data_type(), unmatched.len())]);
+                    }
                 }
+                let columns = probe_cols.into_iter().chain(build_cols).collect();
                 Batch::new(output, columns)
             }
         }
@@ -207,7 +195,7 @@ mod tests {
         let b = &res[0];
         assert_eq!(b.num_rows(), 3); // orders 100,101,102 match; 103 (cust 3) doesn't
         assert_eq!(b.columns[0].i64s(), &[100, 101, 102]);
-        assert_eq!(b.columns[3].strs()[0], "alice");
+        assert_eq!(&b.columns[3].strs()[0], "alice");
     }
 
     #[test]
@@ -233,7 +221,7 @@ mod tests {
         let b = &res[0];
         // alice×2 orders + bob×1 + dana (no orders, null-filled) = 4 rows.
         assert_eq!(b.num_rows(), 4);
-        let dana_row = (0..4).find(|&i| b.columns[1].strs()[i] == "dana").unwrap();
+        let dana_row = (0..4).find(|&i| &b.columns[1].strs()[i] == "dana").unwrap();
         assert_eq!(b.columns[2].value(dana_row), Value::Null);
         assert_eq!(b.columns[0].value(dana_row), Value::I64(4));
         let _ = cs;
@@ -266,7 +254,7 @@ mod tests {
             out_semi,
         );
         assert_eq!(res[0].num_rows(), 1); // dana
-        assert_eq!(res[0].columns[1].strs()[0], "dana");
+        assert_eq!(&res[0].columns[1].strs()[0], "dana");
         let _ = cs;
     }
 

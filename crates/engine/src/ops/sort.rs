@@ -43,7 +43,7 @@ impl SortKey {
 pub fn sort(schema: SchemaRef, batches: &[Batch], keys: &[SortKey], limit: Option<usize>) -> Batch {
     let all = Batch::concat(schema, batches);
     let n = all.num_rows();
-    let key_cols: Vec<_> = keys.iter().map(|k| k.expr.eval(&all)).collect();
+    let key_cols: Vec<_> = keys.iter().map(|k| k.expr.eval_borrowed(&all)).collect();
     let sort_keys: Vec<SortKeyCol<'_>> = keys
         .iter()
         .zip(&key_cols)
@@ -85,8 +85,8 @@ mod tests {
         let asc = sort(s.clone(), &bs, &[SortKey::asc(Expr::col(0))], None);
         assert_eq!(asc.columns[0].i64s(), &[1, 1, 2, 3]);
         // Stable: "a" (batch 1) before "a2" (batch 2).
-        assert_eq!(asc.columns[1].strs()[0], "a");
-        assert_eq!(asc.columns[1].strs()[1], "a2");
+        assert_eq!(&asc.columns[1].strs()[0], "a");
+        assert_eq!(&asc.columns[1].strs()[1], "a2");
         let desc = sort(s, &bs, &[SortKey::desc(Expr::col(0))], None);
         assert_eq!(desc.columns[0].i64s(), &[3, 2, 1, 1]);
     }

@@ -132,18 +132,23 @@ pub fn row_eval(expr: &Expr, batch: &Batch) -> Column {
             match first.validity {
                 None => first,
                 Some(mut validity) => {
-                    let mut data = first.data;
+                    // A null row of the first operand keeps its
+                    // placeholder unless an alternative fills it: read
+                    // the data with the mask off.
+                    let raw = Column::new(first.data);
+                    let mut rows: Vec<Value> = (0..n).map(|i| raw.value(i)).collect();
                     for alt in rest {
                         if validity.iter().all(|&v| v) {
                             break;
                         }
                         for i in 0..n {
                             if !validity[i] && alt.is_valid(i) {
-                                row_copy_row(&mut data, &alt, i);
+                                rows[i] = alt.value(i);
                                 validity[i] = true;
                             }
                         }
                     }
+                    let data = row_data_from_values(raw.data_type(), &rows);
                     Column::with_validity(data, validity)
                 }
             }
@@ -164,18 +169,28 @@ pub fn row_predicate_mask(pred: &Expr, batch: &Batch) -> Vec<bool> {
         .collect()
 }
 
-fn row_copy_row(dst: &mut ColumnData, src: &Column, i: usize) {
-    match (dst, &src.data) {
-        (ColumnData::I64(d), ColumnData::I64(s)) => d[i] = s[i],
-        (ColumnData::F64(d), ColumnData::F64(s)) => d[i] = s[i],
-        (ColumnData::Str(d), ColumnData::Str(s)) => d[i] = s[i].clone(),
-        (ColumnData::Date(d), ColumnData::Date(s)) => d[i] = s[i],
-        (ColumnData::Bool(d), ColumnData::Bool(s)) => d[i] = s[i],
-        (d, s) => panic!(
-            "COALESCE type mismatch {} vs {}",
-            d.data_type(),
-            s.data_type()
-        ),
+/// Column data of `dtype` from one non-null [`Value`] of that type per
+/// row — how CASE and COALESCE, which fill rows in any order, hand
+/// their result back.
+fn row_data_from_values(dtype: DataType, rows: &[Value]) -> ColumnData {
+    macro_rules! unwrap_rows {
+        ($variant:ident, $read:expr) => {
+            ColumnData::$variant(
+                rows.iter()
+                    .map(|v| match v {
+                        Value::$variant(x) => $read(x),
+                        other => panic!("result type mismatch: {dtype} vs {other:?}"),
+                    })
+                    .collect(),
+            )
+        };
+    }
+    match dtype {
+        DataType::I64 => unwrap_rows!(I64, |x: &i64| *x),
+        DataType::F64 => unwrap_rows!(F64, |x: &f64| *x),
+        DataType::Str => unwrap_rows!(Str, String::as_str),
+        DataType::Date => unwrap_rows!(Date, |x: &i32| *x),
+        DataType::Bool => unwrap_rows!(Bool, |x: &bool| *x),
     }
 }
 
@@ -358,14 +373,20 @@ fn row_eval_case(
         .map(|(c, r)| (row_eval(c, batch), row_eval(r, batch)))
         .collect();
     let else_col = else_expr.as_ref().map(|e| row_eval(e, batch));
-    let proto = &results.first().expect("CASE with no branches").1;
-    let mut data = match &proto.data {
-        ColumnData::I64(_) => ColumnData::I64(vec![0; n]),
-        ColumnData::F64(_) => ColumnData::F64(vec![0.0; n]),
-        ColumnData::Str(_) => ColumnData::Str(vec![String::new(); n]),
-        ColumnData::Date(_) => ColumnData::Date(vec![0; n]),
-        ColumnData::Bool(_) => ColumnData::Bool(vec![false; n]),
+    let dtype = results
+        .first()
+        .expect("CASE with no branches")
+        .1
+        .data_type();
+    // Unmatched and null-result rows keep the type's zero placeholder.
+    let zero = match dtype {
+        DataType::I64 => Value::I64(0),
+        DataType::F64 => Value::F64(0.0),
+        DataType::Str => Value::Str(String::new()),
+        DataType::Date => Value::Date(0),
+        DataType::Bool => Value::Bool(false),
     };
+    let mut rows = vec![zero; n];
     let mut validity = vec![false; n];
     #[allow(clippy::needless_range_loop)] // indexes three parallel structures
     for i in 0..n {
@@ -373,7 +394,7 @@ fn row_eval_case(
         for (cond, res) in &results {
             if cond.is_valid(i) && cond.bools()[i] {
                 if res.is_valid(i) {
-                    row_copy_row(&mut data, res, i);
+                    rows[i] = res.value(i);
                     validity[i] = true;
                 }
                 matched = true;
@@ -383,13 +404,13 @@ fn row_eval_case(
         if !matched {
             if let Some(e) = &else_col {
                 if e.is_valid(i) {
-                    row_copy_row(&mut data, e, i);
+                    rows[i] = e.value(i);
                     validity[i] = true;
                 }
             }
         }
     }
-    Column::with_validity(data, validity)
+    Column::with_validity(row_data_from_values(dtype, &rows), validity)
 }
 
 fn row_cast_column(c: &Column, to: DataType) -> Column {
@@ -736,7 +757,7 @@ fn row_probe(
                 columns = columns
                     .into_iter()
                     .zip(extras)
-                    .map(|(a, b)| Column::concat(&[a, b]))
+                    .map(|(a, b)| Column::concat(&[&a, &b]))
                     .collect();
             }
             Batch::new(output, columns)

@@ -171,7 +171,7 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                 result.output = Some(batches);
             }
             ExchangeMode::Broadcast => {
-                let combined = Batch::concat(stage.output_schema.clone(), &batches);
+                let combined = Batch::concat_owned(stage.output_schema.clone(), batches);
                 let data = encode_batch(&combined);
                 result.shuffle_bytes_written += data.len() as u64;
                 result.shuffle_writes += 1;
@@ -185,9 +185,9 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                 ));
             }
             ExchangeMode::Hash { keys, partitions } => {
-                let combined = Batch::concat(stage.output_schema.clone(), &batches);
-                let key_cols: Vec<Column> = keys.iter().map(|e| e.eval(&combined)).collect();
-                let key_refs: Vec<&Column> = key_cols.iter().collect();
+                let combined = Batch::concat_owned(stage.output_schema.clone(), batches);
+                let key_cols: Vec<_> = keys.iter().map(|e| e.eval_borrowed(&combined)).collect();
+                let key_refs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
                 let nparts = *partitions as usize;
                 let nrows = combined.num_rows();
                 // Counting sort on pooled buffers: assign a partition per
@@ -477,7 +477,7 @@ pub fn execute_query(
     }
     shuffle.delete_query(query_id);
     let schema = dag.final_stage().output_schema.clone();
-    Batch::concat(schema, &gathered)
+    Batch::concat_owned(schema, gathered)
 }
 
 /// Pretty-print a result batch as an aligned table (examples + debugging).

@@ -26,7 +26,7 @@ fn gen_column(rng: &mut Pcg32, len: usize) -> Column {
                     let n = rng.gen_range(0usize..13);
                     (0..n)
                         .map(|_| (b'a' + rng.gen_range(0u8..26)) as char)
-                        .collect()
+                        .collect::<String>()
                 })
                 .collect(),
         ),

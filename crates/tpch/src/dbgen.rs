@@ -12,10 +12,12 @@
 
 use crate::schema;
 use cackle_engine::batch::Batch;
-use cackle_engine::column::Column;
+use cackle_engine::column::{Column, ColumnData, StrColumn};
+use cackle_engine::schema::{Field, Schema, SchemaRef};
 use cackle_engine::table::{Catalog, Table};
-use cackle_engine::types::date;
+use cackle_engine::types::{date, DataType};
 use cackle_prng::Pcg32;
+use std::fmt::Write as _;
 
 /// Configuration for one generation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,72 +191,190 @@ fn money(rng: &mut Pcg32, lo: f64, hi: f64) -> f64 {
     (rng.gen_range(lo..hi) * 100.0).round() / 100.0
 }
 
-fn comment(rng: &mut Pcg32, words: usize) -> String {
-    let mut s = String::new();
+/// Append `words` random words, space-separated, to `s`.
+fn comment(s: &mut String, rng: &mut Pcg32, words: usize) {
     for i in 0..words {
         if i > 0 {
             s.push(' ');
         }
         s.push_str(WORDS[rng.gen_range(0..WORDS.len())]);
     }
-    s
 }
 
-fn partition(
-    schema: cackle_engine::schema::SchemaRef,
-    columns: Vec<Column>,
+/// Append `s` again behind `phrase`: `"{s}{phrase}{s}"`, the shape of a
+/// comment that carries a seed phrase.
+fn wrap_around(s: &mut String, phrase: &str) {
+    let end = s.len();
+    s.push_str(phrase);
+    s.extend_from_within(..end);
+}
+
+/// Cuts a table into partitions while its rows are generated. Values are
+/// pushed one at a time in schema order; every `rows_per_partition`
+/// complete rows become one [`Batch`]. Strings go straight into the open
+/// partition's flat column (composed ones by way of one reused scratch
+/// buffer), so the table never exists as one piece, nor any of its
+/// strings as a `String` of its own.
+struct TableWriter {
+    name: &'static str,
+    schema: SchemaRef,
     rows_per_partition: usize,
-) -> Vec<Batch> {
-    let b = Batch::new(schema, columns);
-    b.chunks(rows_per_partition)
+    /// The open partition, one builder per schema field.
+    open: Vec<ColumnData>,
+    /// The column the next value belongs to.
+    next: usize,
+    partitions: Vec<Batch>,
+    scratch: String,
+}
+
+/// Empty builders for one partition of `schema`: fixed-width columns
+/// sized to the partition, string data left to grow.
+fn builders(schema: &Schema, rows: usize) -> Vec<ColumnData> {
+    let builder = |f: &Field| match f.dtype {
+        DataType::I64 => ColumnData::I64(Vec::with_capacity(rows)),
+        DataType::F64 => ColumnData::F64(Vec::with_capacity(rows)),
+        DataType::Str => ColumnData::Str(StrColumn::with_capacity(rows, 0)),
+        DataType::Date => ColumnData::Date(Vec::with_capacity(rows)),
+        DataType::Bool => ColumnData::Bool(Vec::with_capacity(rows)),
+    };
+    schema.fields.iter().map(builder).collect()
+}
+
+impl TableWriter {
+    fn new(name: &'static str, schema: SchemaRef, cfg: &DbGenConfig) -> Self {
+        TableWriter {
+            name,
+            rows_per_partition: cfg.rows_per_partition,
+            open: builders(&schema, cfg.rows_per_partition),
+            next: 0,
+            partitions: Vec::new(),
+            scratch: String::new(),
+            schema,
+        }
+    }
+
+    /// Hand the next column's builder to `push`, which panics on a value
+    /// of the wrong type; cut a partition once its last row is complete.
+    fn value(&mut self, push: impl FnOnce(&mut ColumnData)) {
+        push(&mut self.open[self.next]);
+        self.next += 1;
+        if self.next == self.open.len() {
+            self.next = 0;
+            if self.open[0].len() == self.rows_per_partition {
+                self.cut();
+            }
+        }
+    }
+
+    fn cut(&mut self) {
+        let fresh = builders(&self.schema, self.rows_per_partition);
+        let columns = std::mem::replace(&mut self.open, fresh)
+            .into_iter()
+            .map(|mut data| {
+                // A partition keeps no builder slack: string data grew by
+                // doubling, and a table's last partition is short.
+                match &mut data {
+                    ColumnData::I64(v) => v.shrink_to_fit(),
+                    ColumnData::F64(v) => v.shrink_to_fit(),
+                    ColumnData::Str(v) => v.shrink_to_fit(),
+                    ColumnData::Date(v) => v.shrink_to_fit(),
+                    ColumnData::Bool(v) => v.shrink_to_fit(),
+                }
+                Column::new(data)
+            })
+            .collect();
+        self.partitions
+            .push(Batch::new(self.schema.clone(), columns));
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.value(|c| match c {
+            ColumnData::I64(c) => c.push(v),
+            other => panic!("i64 pushed to a {} column", other.data_type()),
+        });
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.value(|c| match c {
+            ColumnData::F64(c) => c.push(v),
+            other => panic!("f64 pushed to a {} column", other.data_type()),
+        });
+    }
+
+    fn date(&mut self, v: i32) {
+        self.value(|c| match c {
+            ColumnData::Date(c) => c.push(v),
+            other => panic!("date pushed to a {} column", other.data_type()),
+        });
+    }
+
+    fn str(&mut self, v: &str) {
+        self.value(|c| match c {
+            ColumnData::Str(c) => c.push(v),
+            other => panic!("string pushed to a {} column", other.data_type()),
+        });
+    }
+
+    /// A string `compose` writes into the scratch buffer it is handed
+    /// empty.
+    fn text(&mut self, compose: impl FnOnce(&mut String)) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        compose(&mut scratch);
+        self.str(&scratch);
+        self.scratch = scratch;
+    }
+
+    /// A formatted string.
+    fn fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        self.text(|s| s.write_fmt(args).expect("writing to a String cannot fail"));
+    }
+
+    /// The table: the partitions cut so far plus the rows left over — or
+    /// one empty partition for a table with no rows at all.
+    fn finish(mut self) -> Table {
+        assert_eq!(self.next, 0, "{}: incomplete last row", self.name);
+        if !self.open[0].is_empty() || self.partitions.is_empty() {
+            self.cut();
+        }
+        Table::new(self.name, self.schema, self.partitions)
+    }
 }
 
 /// Generate the `region` table.
 pub fn gen_region(cfg: &DbGenConfig) -> Table {
     let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7265_6769);
-    let keys: Vec<i64> = (0..5).collect();
-    let names: Vec<String> = REGIONS.iter().map(|s| s.to_string()).collect();
-    let comments: Vec<String> = (0..5).map(|_| comment(&mut rng, 6)).collect();
-    let parts = partition(
-        schema::region(),
-        vec![
-            Column::from_i64(keys),
-            Column::from_str_vec(names),
-            Column::from_str_vec(comments),
-        ],
-        cfg.rows_per_partition,
-    );
-    Table::new("region", schema::region(), parts)
+    let mut w = TableWriter::new("region", schema::region(), cfg);
+    for (key, name) in (0..).zip(REGIONS) {
+        w.i64(key);
+        w.str(name);
+        w.text(|s| comment(s, &mut rng, 6));
+    }
+    w.finish()
 }
 
 /// Generate the `nation` table.
 pub fn gen_nation(cfg: &DbGenConfig) -> Table {
     let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x6e61_7469);
-    let keys: Vec<i64> = (0..25).collect();
-    let names: Vec<String> = NATIONS.iter().map(|(n, _)| n.to_string()).collect();
-    let regions: Vec<i64> = NATIONS.iter().map(|(_, r)| *r).collect();
-    let comments: Vec<String> = (0..25).map(|_| comment(&mut rng, 8)).collect();
-    let parts = partition(
-        schema::nation(),
-        vec![
-            Column::from_i64(keys),
-            Column::from_str_vec(names),
-            Column::from_i64(regions),
-            Column::from_str_vec(comments),
-        ],
-        cfg.rows_per_partition,
-    );
-    Table::new("nation", schema::nation(), parts)
+    let mut w = TableWriter::new("nation", schema::nation(), cfg);
+    for (key, (name, region)) in (0..).zip(NATIONS) {
+        w.i64(key);
+        w.str(name);
+        w.i64(region);
+        w.text(|s| comment(s, &mut rng, 8));
+    }
+    w.finish()
 }
 
-fn phone(rng: &mut Pcg32, nationkey: i64) -> String {
-    format!(
+fn phone(s: &mut String, rng: &mut Pcg32, nationkey: i64) {
+    let _ = write!(
+        s,
         "{}-{:03}-{:03}-{:04}",
         10 + nationkey,
         rng.gen_range(100..1000),
         rng.gen_range(100..1000),
         rng.gen_range(1000..10000)
-    )
+    );
 }
 
 /// Generate the `supplier` table. About 5 per 10 000 suppliers carry the
@@ -262,44 +382,26 @@ fn phone(rng: &mut Pcg32, nationkey: i64) -> String {
 pub fn gen_supplier(cfg: &DbGenConfig) -> Table {
     let n = cfg.row_counts().supplier;
     let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7375_7070);
-    let mut keys = Vec::with_capacity(n);
-    let mut names = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    let mut nations = Vec::with_capacity(n);
-    let mut phones = Vec::with_capacity(n);
-    let mut bals = Vec::with_capacity(n);
-    let mut comments = Vec::with_capacity(n);
+    let mut w = TableWriter::new("supplier", schema::supplier(), cfg);
     for i in 1..=n as i64 {
         let nk = rng.gen_range(0..25);
-        keys.push(i);
-        names.push(format!("Supplier#{i:09}"));
-        addrs.push(comment(&mut rng, 3));
-        nations.push(nk);
-        phones.push(phone(&mut rng, nk));
-        bals.push(money(&mut rng, -999.99, 9999.99));
-        let mut c = comment(&mut rng, 7);
-        // Spec rate: ~5 per 10 000 suppliers carry the complaint phrase;
-        // clamp the denominator so tiny scale factors still generate a
-        // few (Q16's anti join needs a non-empty complaint set to bite).
-        if rng.gen_ratio(5, (n as u32).clamp(50, 10_000)) {
-            c = format!("{c} Customer sly Complaints {c}");
-        }
-        comments.push(c);
+        w.i64(i);
+        w.fmt(format_args!("Supplier#{i:09}"));
+        w.text(|s| comment(s, &mut rng, 3));
+        w.i64(nk);
+        w.text(|s| phone(s, &mut rng, nk));
+        w.f64(money(&mut rng, -999.99, 9999.99));
+        w.text(|s| {
+            comment(s, &mut rng, 7);
+            // Spec rate: ~5 per 10 000 suppliers carry the complaint phrase;
+            // clamp the denominator so tiny scale factors still generate a
+            // few (Q16's anti join needs a non-empty complaint set to bite).
+            if rng.gen_ratio(5, (n as u32).clamp(50, 10_000)) {
+                wrap_around(s, " Customer sly Complaints ");
+            }
+        });
     }
-    let parts = partition(
-        schema::supplier(),
-        vec![
-            Column::from_i64(keys),
-            Column::from_str_vec(names),
-            Column::from_str_vec(addrs),
-            Column::from_i64(nations),
-            Column::from_str_vec(phones),
-            Column::from_f64(bals),
-            Column::from_str_vec(comments),
-        ],
-        cfg.rows_per_partition,
-    );
-    Table::new("supplier", schema::supplier(), parts)
+    w.finish()
 }
 
 /// Generate the `customer` table. Roughly 1 % of comments contain the
@@ -307,101 +409,61 @@ pub fn gen_supplier(cfg: &DbGenConfig) -> Table {
 pub fn gen_customer(cfg: &DbGenConfig) -> Table {
     let n = cfg.row_counts().customer;
     let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x6375_7374);
-    let mut keys = Vec::with_capacity(n);
-    let mut names = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    let mut nations = Vec::with_capacity(n);
-    let mut phones = Vec::with_capacity(n);
-    let mut bals = Vec::with_capacity(n);
-    let mut segs = Vec::with_capacity(n);
-    let mut comments = Vec::with_capacity(n);
+    let mut w = TableWriter::new("customer", schema::customer(), cfg);
     for i in 1..=n as i64 {
         let nk = rng.gen_range(0..25);
-        keys.push(i);
-        names.push(format!("Customer#{i:09}"));
-        addrs.push(comment(&mut rng, 3));
-        nations.push(nk);
-        phones.push(phone(&mut rng, nk));
-        bals.push(money(&mut rng, -999.99, 9999.99));
-        segs.push(SEGMENTS[rng.gen_range(0..SEGMENTS.len())].to_string());
-        let mut c = comment(&mut rng, 8);
-        if rng.gen_ratio(1, 100) {
-            c = format!("{c} special packages requests {c}");
-        }
-        comments.push(c);
+        w.i64(i);
+        w.fmt(format_args!("Customer#{i:09}"));
+        w.text(|s| comment(s, &mut rng, 3));
+        w.i64(nk);
+        w.text(|s| phone(s, &mut rng, nk));
+        w.f64(money(&mut rng, -999.99, 9999.99));
+        w.str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]);
+        w.text(|s| {
+            comment(s, &mut rng, 8);
+            if rng.gen_ratio(1, 100) {
+                wrap_around(s, " special packages requests ");
+            }
+        });
     }
-    let parts = partition(
-        schema::customer(),
-        vec![
-            Column::from_i64(keys),
-            Column::from_str_vec(names),
-            Column::from_str_vec(addrs),
-            Column::from_i64(nations),
-            Column::from_str_vec(phones),
-            Column::from_f64(bals),
-            Column::from_str_vec(segs),
-            Column::from_str_vec(comments),
-        ],
-        cfg.rows_per_partition,
-    );
-    Table::new("customer", schema::customer(), parts)
+    w.finish()
 }
 
 /// Generate the `part` table (spec retail-price formula).
 pub fn gen_part(cfg: &DbGenConfig) -> Table {
     let n = cfg.row_counts().part;
     let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7061_7274);
-    let mut keys = Vec::with_capacity(n);
-    let mut names = Vec::with_capacity(n);
-    let mut mfgrs = Vec::with_capacity(n);
-    let mut brands = Vec::with_capacity(n);
-    let mut types = Vec::with_capacity(n);
-    let mut sizes = Vec::with_capacity(n);
-    let mut containers = Vec::with_capacity(n);
-    let mut prices = Vec::with_capacity(n);
-    let mut comments = Vec::with_capacity(n);
+    let mut w = TableWriter::new("part", schema::part(), cfg);
     for i in 1..=n as i64 {
-        keys.push(i);
-        let mut name_parts = Vec::with_capacity(5);
-        for _ in 0..5 {
-            name_parts.push(COLORS[rng.gen_range(0..COLORS.len())]);
-        }
-        names.push(name_parts.join(" "));
+        w.i64(i);
+        w.text(|s| {
+            for k in 0..5 {
+                if k > 0 {
+                    s.push(' ');
+                }
+                s.push_str(COLORS[rng.gen_range(0..COLORS.len())]);
+            }
+        });
         let m = rng.gen_range(1..=5);
-        mfgrs.push(format!("Manufacturer#{m}"));
-        brands.push(format!("Brand#{m}{}", rng.gen_range(1..=5)));
-        types.push(format!(
+        w.fmt(format_args!("Manufacturer#{m}"));
+        w.fmt(format_args!("Brand#{m}{}", rng.gen_range(1..=5)));
+        w.fmt(format_args!(
             "{} {} {}",
             TYPE_S1[rng.gen_range(0..TYPE_S1.len())],
             TYPE_S2[rng.gen_range(0..TYPE_S2.len())],
             TYPE_S3[rng.gen_range(0..TYPE_S3.len())]
         ));
-        sizes.push(rng.gen_range(1..=50));
-        containers.push(format!(
+        w.i64(rng.gen_range(1..=50));
+        w.fmt(format_args!(
             "{} {}",
             CONTAINER_S1[rng.gen_range(0..CONTAINER_S1.len())],
             CONTAINER_S2[rng.gen_range(0..CONTAINER_S2.len())]
         ));
         // Spec 4.2.3: (90000 + ((partkey/10) mod 20001) + 100*(partkey mod 1000)) / 100
-        prices.push((90_000 + (i / 10) % 20_001 + 100 * (i % 1000)) as f64 / 100.0);
-        comments.push(comment(&mut rng, 5));
+        w.f64((90_000 + (i / 10) % 20_001 + 100 * (i % 1000)) as f64 / 100.0);
+        w.text(|s| comment(s, &mut rng, 5));
     }
-    let parts = partition(
-        schema::part(),
-        vec![
-            Column::from_i64(keys),
-            Column::from_str_vec(names),
-            Column::from_str_vec(mfgrs),
-            Column::from_str_vec(brands),
-            Column::from_str_vec(types),
-            Column::from_i64(sizes),
-            Column::from_str_vec(containers),
-            Column::from_f64(prices),
-            Column::from_str_vec(comments),
-        ],
-        cfg.rows_per_partition,
-    );
-    Table::new("part", schema::part(), parts)
+    w.finish()
 }
 
 /// The spec's part→supplier assignment: supplier `j` (0–3) of part `p`
@@ -440,33 +502,17 @@ pub fn gen_partsupp(cfg: &DbGenConfig) -> Table {
     let nparts = counts.part as i64;
     let nsupp = counts.supplier as i64;
     let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7073_7570);
-    let n = (nparts * 4) as usize;
-    let mut pks = Vec::with_capacity(n);
-    let mut sks = Vec::with_capacity(n);
-    let mut qtys = Vec::with_capacity(n);
-    let mut costs = Vec::with_capacity(n);
-    let mut comments = Vec::with_capacity(n);
+    let mut w = TableWriter::new("partsupp", schema::partsupp(), cfg);
     for p in 1..=nparts {
         for sk in suppliers_of_part(p, nsupp) {
-            pks.push(p);
-            sks.push(sk);
-            qtys.push(rng.gen_range(1..=9999));
-            costs.push(money(&mut rng, 1.0, 1000.0));
-            comments.push(comment(&mut rng, 5));
+            w.i64(p);
+            w.i64(sk);
+            w.i64(rng.gen_range(1..=9999));
+            w.f64(money(&mut rng, 1.0, 1000.0));
+            w.text(|s| comment(s, &mut rng, 5));
         }
     }
-    let parts = partition(
-        schema::partsupp(),
-        vec![
-            Column::from_i64(pks),
-            Column::from_i64(sks),
-            Column::from_i64(qtys),
-            Column::from_f64(costs),
-            Column::from_str_vec(comments),
-        ],
-        cfg.rows_per_partition,
-    );
-    Table::new("partsupp", schema::partsupp(), parts)
+    w.finish()
 }
 
 /// Generated `orders` and `lineitem` together (lineitem derives from each
@@ -492,35 +538,8 @@ pub fn gen_orders_lineitem(cfg: &DbGenConfig) -> OrdersAndLineitem {
     let last = date::parse(LAST_ORDER_DATE);
     let current = date::parse(CURRENT_DATE);
 
-    // orders columns
-    let mut o_key = Vec::with_capacity(norders);
-    let mut o_cust = Vec::with_capacity(norders);
-    let mut o_status = Vec::with_capacity(norders);
-    let mut o_total = Vec::with_capacity(norders);
-    let mut o_date = Vec::with_capacity(norders);
-    let mut o_prio = Vec::with_capacity(norders);
-    let mut o_clerk = Vec::with_capacity(norders);
-    let mut o_ship = Vec::with_capacity(norders);
-    let mut o_comment = Vec::with_capacity(norders);
-
-    // lineitem columns
-    let est = norders * 4;
-    let mut l_order = Vec::with_capacity(est);
-    let mut l_part = Vec::with_capacity(est);
-    let mut l_supp = Vec::with_capacity(est);
-    let mut l_num = Vec::with_capacity(est);
-    let mut l_qty = Vec::with_capacity(est);
-    let mut l_ext = Vec::with_capacity(est);
-    let mut l_disc = Vec::with_capacity(est);
-    let mut l_tax = Vec::with_capacity(est);
-    let mut l_rflag = Vec::with_capacity(est);
-    let mut l_status = Vec::with_capacity(est);
-    let mut l_ship_d = Vec::with_capacity(est);
-    let mut l_commit = Vec::with_capacity(est);
-    let mut l_receipt = Vec::with_capacity(est);
-    let mut l_instr = Vec::with_capacity(est);
-    let mut l_mode = Vec::with_capacity(est);
-    let mut l_comment = Vec::with_capacity(est);
+    let mut orders = TableWriter::new("orders", schema::orders(), cfg);
+    let mut lineitem = TableWriter::new("lineitem", schema::lineitem(), cfg);
 
     for okey in 1..=norders as i64 {
         let odate = rng.gen_range(start..=last);
@@ -554,96 +573,51 @@ pub fn gen_orders_lineitem(cfg: &DbGenConfig) -> OrdersAndLineitem {
                 all_open = false;
             }
             total += ext * (1.0 + tax) * (1.0 - disc);
-            l_order.push(okey);
-            l_part.push(pkey);
-            l_supp.push(skey);
-            l_num.push(line);
-            l_qty.push(qty);
-            l_ext.push(ext);
-            l_disc.push(disc);
-            l_tax.push(tax);
-            l_rflag.push(rflag.to_string());
-            l_status.push(lstatus.to_string());
-            l_ship_d.push(shipdate);
-            l_commit.push(commitdate);
-            l_receipt.push(receiptdate);
-            l_instr.push(INSTRUCTIONS[rng.gen_range(0..INSTRUCTIONS.len())].to_string());
-            l_mode.push(SHIPMODES[rng.gen_range(0..SHIPMODES.len())].to_string());
-            l_comment.push(comment(&mut rng, 4));
+            lineitem.i64(okey);
+            lineitem.i64(pkey);
+            lineitem.i64(skey);
+            lineitem.i64(line);
+            lineitem.f64(qty);
+            lineitem.f64(ext);
+            lineitem.f64(disc);
+            lineitem.f64(tax);
+            lineitem.str(rflag);
+            lineitem.str(lstatus);
+            lineitem.date(shipdate);
+            lineitem.date(commitdate);
+            lineitem.date(receiptdate);
+            lineitem.str(INSTRUCTIONS[rng.gen_range(0..INSTRUCTIONS.len())]);
+            lineitem.str(SHIPMODES[rng.gen_range(0..SHIPMODES.len())]);
+            lineitem.text(|s| comment(s, &mut rng, 4));
         }
-        o_key.push(okey);
+        orders.i64(okey);
         // Spec 4.2.3: o_custkey is never divisible by 3, so a third of
         // customers place no orders (exercised by Q13/Q22).
-        o_cust.push(loop {
+        orders.i64(loop {
             let c = rng.gen_range(1..=ncust);
             if c % 3 != 0 {
                 break c;
             }
         });
-        o_status.push(
-            if any_open && all_open {
-                "O"
-            } else if any_open {
-                "P"
-            } else {
-                "F"
-            }
-            .to_string(),
-        );
-        o_total.push((total * 100.0).round() / 100.0);
-        o_date.push(odate);
-        o_prio.push(PRIORITIES[rng.gen_range(0..PRIORITIES.len())].to_string());
-        o_clerk.push(format!("Clerk#{:09}", rng.gen_range(1..=1000)));
-        o_ship.push(0);
-        o_comment.push(comment(&mut rng, 6));
+        orders.str(if any_open && all_open {
+            "O"
+        } else if any_open {
+            "P"
+        } else {
+            "F"
+        });
+        orders.f64((total * 100.0).round() / 100.0);
+        orders.date(odate);
+        orders.str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]);
+        orders.fmt(format_args!("Clerk#{:09}", rng.gen_range(1..=1000)));
+        orders.i64(0);
+        orders.text(|s| comment(s, &mut rng, 6));
     }
 
-    let orders = Table::new(
-        "orders",
-        schema::orders(),
-        partition(
-            schema::orders(),
-            vec![
-                Column::from_i64(o_key),
-                Column::from_i64(o_cust),
-                Column::from_str_vec(o_status),
-                Column::from_f64(o_total),
-                Column::from_date(o_date),
-                Column::from_str_vec(o_prio),
-                Column::from_str_vec(o_clerk),
-                Column::from_i64(o_ship),
-                Column::from_str_vec(o_comment),
-            ],
-            cfg.rows_per_partition,
-        ),
-    );
-    let lineitem = Table::new(
-        "lineitem",
-        schema::lineitem(),
-        partition(
-            schema::lineitem(),
-            vec![
-                Column::from_i64(l_order),
-                Column::from_i64(l_part),
-                Column::from_i64(l_supp),
-                Column::from_i64(l_num),
-                Column::from_f64(l_qty),
-                Column::from_f64(l_ext),
-                Column::from_f64(l_disc),
-                Column::from_f64(l_tax),
-                Column::from_str_vec(l_rflag),
-                Column::from_str_vec(l_status),
-                Column::from_date(l_ship_d),
-                Column::from_date(l_commit),
-                Column::from_date(l_receipt),
-                Column::from_str_vec(l_instr),
-                Column::from_str_vec(l_mode),
-                Column::from_str_vec(l_comment),
-            ],
-            cfg.rows_per_partition,
-        ),
-    );
-    OrdersAndLineitem { orders, lineitem }
+    OrdersAndLineitem {
+        orders: orders.finish(),
+        lineitem: lineitem.finish(),
+    }
 }
 
 /// Generate all eight tables into a fresh catalog.
@@ -808,7 +782,7 @@ mod tests {
         let cust = gen_customer(&cfg);
         for p in &cust.partitions {
             for s in p.column_by_name("c_mktsegment").strs() {
-                assert!(SEGMENTS.contains(&s.as_str()));
+                assert!(SEGMENTS.contains(&s));
             }
             for (i, ph) in p.column_by_name("c_phone").strs().iter().enumerate() {
                 let nk = p.column_by_name("c_nationkey").i64s()[i];

@@ -79,3 +79,70 @@ fn four_suppliers_per_part() {
         assert_eq!(rows, cfg.row_counts().part * 4);
     }
 }
+
+/// Per table: partition count and FNV-1a over every partition's encoded
+/// bytes (each partition's length, then its bytes). Recorded while string
+/// columns were a `Vec<String>` built whole and then chunked; generation
+/// straight into per-partition flat columns must reproduce every byte and
+/// every partition boundary — the second config's `customer`, `part`,
+/// `partsupp` and `orders` end exactly on one, where no empty tail may
+/// appear.
+#[test]
+fn generated_bytes_are_pinned() {
+    use cackle_engine::codec::encode_batch;
+    use cackle_engine::rowkey::fnv1a;
+    use cackle_tpch::dbgen::generate_catalog;
+    use cackle_tpch::schema::TABLE_NAMES;
+
+    /// `(rows_per_partition, seed, (partitions, hash) per table)`.
+    type Pin = (usize, u64, [(usize, u64); 8]);
+    const PINNED: [Pin; 2] = [
+        (
+            512,
+            7,
+            [
+                (1, 0x34f35d6654b8889c),
+                (1, 0xa242d8e60889c206),
+                (1, 0x64ad5ed41699cd2e),
+                (1, 0x6046d3a8894721ea),
+                (1, 0x482abd2f67856045),
+                (4, 0xd716a751bbd8399c),
+                (6, 0x33edde844936285b),
+                (24, 0xc1ad192e8b6d98f4),
+            ],
+        ),
+        (
+            100,
+            12,
+            [
+                (1, 0xe4e31dc1ad26d593),
+                (1, 0xa1b0c67ba21d5610),
+                (1, 0xb23e4b870eb7ca62),
+                (3, 0x896985ec0b132043),
+                (4, 0x3a13dfa46383ff35),
+                (16, 0x8970225f37580fe1),
+                (30, 0xfabc2da79be221e3),
+                (122, 0xffb49f6019f4af81),
+            ],
+        ),
+    ];
+    let mut got = PINNED;
+    for (rows_per_partition, seed, tables) in &mut got {
+        let catalog = generate_catalog(&DbGenConfig {
+            scale_factor: 0.002,
+            rows_per_partition: *rows_per_partition,
+            seed: *seed,
+        });
+        for (slot, name) in tables.iter_mut().zip(TABLE_NAMES) {
+            let table = catalog.get(name);
+            let mut bytes = Vec::new();
+            for p in &table.partitions {
+                let encoded = encode_batch(p);
+                bytes.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+                bytes.extend_from_slice(&encoded);
+            }
+            *slot = (table.partitions.len(), fnv1a(&bytes));
+        }
+    }
+    assert_eq!(got, PINNED, "recomputed table:\n{got:#x?}");
+}

@@ -63,7 +63,7 @@ fn q01_matches_independent_computation() {
                 continue;
             }
             let e = expect
-                .entry((flag[i].clone(), status[i].clone()))
+                .entry((flag[i].to_string(), status[i].to_string()))
                 .or_insert((0.0, 0.0, 0.0, 0.0, 0.0, 0));
             e.0 += qty[i];
             e.1 += price[i];
@@ -168,7 +168,7 @@ fn q05_revenue_nations_within_asia() {
     let result = run("q05");
     let asia = ["CHINA", "INDIA", "INDONESIA", "JAPAN", "VIETNAM"];
     for n in result.columns[0].strs() {
-        assert!(asia.contains(&n.as_str()), "{n} is not in ASIA");
+        assert!(asia.contains(&n), "{n} is not in ASIA");
     }
     // Revenue sorted descending.
     let revs = result.columns[1].f64s();
@@ -180,7 +180,7 @@ fn q22_country_codes_from_filter_list() {
     let result = run("q22");
     const CODES: [&str; 7] = ["13", "31", "23", "29", "30", "18", "17"];
     for c in result.columns[0].strs() {
-        assert!(CODES.contains(&c.as_str()), "unexpected code {c}");
+        assert!(CODES.contains(&c), "unexpected code {c}");
     }
     assert!(
         result.num_rows() >= 1,

@@ -63,7 +63,7 @@ fn q04_order_priority() {
         let d = b.column_by_name("o_orderdate").dates()[i];
         if d >= lo && d < hi && late_orders.contains(&b.column_by_name("o_orderkey").i64s()[i]) {
             *expect
-                .entry(b.column_by_name("o_orderpriority").strs()[i].clone())
+                .entry(b.column_by_name("o_orderpriority").strs()[i].to_string())
                 .or_default() += 1;
         }
     });
@@ -83,7 +83,7 @@ fn q12_shipping_modes() {
     for_each_row("orders", |b, i| {
         order_prio.insert(
             b.column_by_name("o_orderkey").i64s()[i],
-            b.column_by_name("o_orderpriority").strs()[i].clone(),
+            b.column_by_name("o_orderpriority").strs()[i].to_string(),
         );
     });
     let mut expect: BTreeMap<String, (i64, i64)> = BTreeMap::new();
@@ -99,7 +99,7 @@ fn q12_shipping_modes() {
             return;
         }
         let prio = &order_prio[&b.column_by_name("l_orderkey").i64s()[i]];
-        let e = expect.entry(mode.clone()).or_default();
+        let e = expect.entry(mode.to_string()).or_default();
         if prio == "1-URGENT" || prio == "2-HIGH" {
             e.0 += 1;
         } else {
@@ -121,7 +121,7 @@ fn q14_promo_revenue() {
     for_each_row("part", |b, i| {
         part_type.insert(
             b.column_by_name("p_partkey").i64s()[i],
-            b.column_by_name("p_type").strs()[i].clone(),
+            b.column_by_name("p_type").strs()[i].to_string(),
         );
     });
     let lo = date::parse("1995-09-01");
@@ -198,9 +198,9 @@ fn q19_discounted_revenue() {
         part.insert(
             b.column_by_name("p_partkey").i64s()[i],
             (
-                b.column_by_name("p_brand").strs()[i].clone(),
+                b.column_by_name("p_brand").strs()[i].to_string(),
                 b.column_by_name("p_size").i64s()[i],
-                b.column_by_name("p_container").strs()[i].clone(),
+                b.column_by_name("p_container").strs()[i].to_string(),
             ),
         );
     });
@@ -210,7 +210,7 @@ fn q19_discounted_revenue() {
         if mode != "AIR" && mode != "REG AIR" {
             return;
         }
-        if b.column_by_name("l_shipinstruct").strs()[i] != "DELIVER IN PERSON" {
+        if &b.column_by_name("l_shipinstruct").strs()[i] != "DELIVER IN PERSON" {
             return;
         }
         let (brand, size, container) = &part[&b.column_by_name("l_partkey").i64s()[i]];
@@ -301,7 +301,7 @@ fn q11_reference() {
     // fraction threshold.
     let mut german_suppliers: HashSet<i64> = HashSet::new();
     for_each_row("nation", |b, i| {
-        if b.column_by_name("n_name").strs()[i] == "GERMANY" {
+        if &b.column_by_name("n_name").strs()[i] == "GERMANY" {
             let nk = b.column_by_name("n_nationkey").i64s()[i];
             for_each_row("supplier", |sb, si| {
                 if sb.column_by_name("s_nationkey").i64s()[si] == nk {
@@ -342,7 +342,7 @@ fn q02_minimum_cost_supplier() {
     // supply cost equals the per-part minimum over EUROPE suppliers.
     let mut europe_nations: HashSet<i64> = HashSet::new();
     for_each_row("region", |b, i| {
-        if b.column_by_name("r_name").strs()[i] == "EUROPE" {
+        if &b.column_by_name("r_name").strs()[i] == "EUROPE" {
             let rk = b.column_by_name("r_regionkey").i64s()[i];
             for_each_row("nation", |nb, ni| {
                 if nb.column_by_name("n_regionkey").i64s()[ni] == rk {
@@ -398,7 +398,7 @@ fn q02_minimum_cost_supplier() {
         let mut m = HashMap::new();
         for_each_row("supplier", |b, i| {
             m.insert(
-                b.column_by_name("s_name").strs()[i].clone(),
+                b.column_by_name("s_name").strs()[i].to_string(),
                 b.column_by_name("s_suppkey").i64s()[i],
             );
         });
@@ -433,7 +433,7 @@ fn q09_product_type_profit() {
     for_each_row("nation", |b, i| {
         nation_name.insert(
             b.column_by_name("n_nationkey").i64s()[i],
-            b.column_by_name("n_name").strs()[i].clone(),
+            b.column_by_name("n_name").strs()[i].to_string(),
         );
     });
     let mut supp_nation: HashMap<i64, String> = HashMap::new();
@@ -477,7 +477,7 @@ fn q09_product_type_profit() {
     assert_eq!(result.num_rows(), expect.len());
     for row in 0..result.num_rows() {
         let key = (
-            result.columns[0].strs()[row].clone(),
+            result.columns[0].strs()[row].to_string(),
             result.columns[1].i64s()[row],
         );
         let got = result.columns[2].f64s()[row];
@@ -515,7 +515,7 @@ fn q16_supplier_count_reference() {
         if brand != "Brand#45" && !ptype.starts_with("MEDIUM POLISHED") && SIZES.contains(&size) {
             part_attrs.insert(
                 b.column_by_name("p_partkey").i64s()[i],
-                (brand.clone(), ptype.clone(), size),
+                (brand.to_string(), ptype.to_string(), size),
             );
         }
     });
@@ -534,8 +534,8 @@ fn q16_supplier_count_reference() {
     assert_eq!(result.num_rows(), groups.len());
     for row in 0..result.num_rows() {
         let key = (
-            result.columns[0].strs()[row].clone(),
-            result.columns[1].strs()[row].clone(),
+            result.columns[0].strs()[row].to_string(),
+            result.columns[1].strs()[row].to_string(),
             result.columns[2].i64s()[row],
         );
         assert_eq!(
