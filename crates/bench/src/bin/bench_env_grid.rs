@@ -15,7 +15,7 @@
 //! telemetry-check can validate the `env.*` series schema end to end.
 
 use cackle::system::run_system_with;
-use cackle::{make_strategy, EnvironmentSpec, RunSpec, Telemetry};
+use cackle::{make_strategy, EnvironmentSpec, FaultSpec, RunSpec, Telemetry};
 use cackle_bench::*;
 use cackle_cloud::micro_dollars;
 
@@ -67,7 +67,7 @@ fn main() {
         for &label in strategies {
             let telemetry = Telemetry::new();
             let spec = RunSpec::new()
-                .with_environment(env.clone())
+                .with_faults(FaultSpec::default().with_environment(env.clone()))
                 .with_telemetry(&telemetry);
             let mut s = make_strategy(label, &spec.env);
             let r = run_system_with(&w, s.as_mut(), &spec);

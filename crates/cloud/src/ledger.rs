@@ -16,7 +16,7 @@ pub fn micro_dollars(dollars: f64) -> i64 {
     if !dollars.is_finite() {
         return 0;
     }
-    (dollars * 1e6).round() as i64 // cackle-lint: allow(L15) — micro-dollar totals sit far below 2^63
+    (dollars * 1e6).round() as i64 // micro-dollar totals sit far below 2^63
 }
 
 /// Split a non-negative micro-dollar `total` across weighted recipients

@@ -13,7 +13,7 @@
 use crate::ledger::{CostCategory, CostLedger};
 use crate::pricing::Pricing;
 use bytes_shim::Bytes;
-use cackle_faults::{op_key, FaultInjector, StoreOp};
+use cackle_faults::{op_key, FaultInjector, StoreOp, TaskFaults};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -42,7 +42,7 @@ fn lock_billing(l: &Mutex<Billing>) -> MutexGuard<'_, Billing> {
     l.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn lock_faults(l: &Mutex<FaultInjector>) -> MutexGuard<'_, FaultInjector> {
+fn lock_faults(l: &Mutex<TaskFaults>) -> MutexGuard<'_, TaskFaults> {
     l.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -67,9 +67,9 @@ pub struct ObjectStore {
     pricing: Pricing,
     objects: RwLock<BTreeMap<String, Bytes>>,
     billing: Mutex<Billing>,
-    /// Fault plan consulted per request (disabled by default); see
-    /// [`ObjectStore::inject_faults`].
-    faults: Mutex<FaultInjector>,
+    /// Keyed view of the fault plan consulted per request (disabled by
+    /// default); see [`ObjectStore::inject_faults`].
+    faults: Mutex<TaskFaults>,
 }
 
 impl ObjectStore {
@@ -79,7 +79,7 @@ impl ObjectStore {
             pricing,
             objects: RwLock::new(BTreeMap::new()),
             billing: Mutex::new(Billing::default()),
-            faults: Mutex::new(FaultInjector::disabled()),
+            faults: Mutex::new(TaskFaults::default()),
         }
     }
 
@@ -98,7 +98,7 @@ impl ObjectStore {
     /// bound), with each failed attempt billed as a real request — S3
     /// bills errored requests too. Set before sharing the store.
     pub fn inject_faults(&self, faults: &FaultInjector) {
-        *lock_faults(&self.faults) = faults.clone();
+        *lock_faults(&self.faults) = faults.keyed();
     }
 
     /// Attempts (1 + injected transient failures) for one request. Draws

@@ -26,7 +26,7 @@ pub const EGRESS_MICROS_PER_GIB: u64 = 20_000;
 pub fn egress_micros(bytes: u64, micros_per_gib: u64) -> i64 {
     const GIB: u128 = 1 << 30;
     let num = bytes as u128 * micros_per_gib as u128;
-    ((num + GIB / 2) / GIB) as i64 // cackle-lint: allow(L15) — micro-dollar totals sit far below 2^63
+    ((num + GIB / 2) / GIB) as i64 // micro-dollar totals sit far below 2^63
 }
 
 /// Prices and billing rules for the simulated cloud.

@@ -395,7 +395,7 @@ impl VmFleet {
             // per-mille·ms × µ$/h × per-mille ÷ (1000 · ms/h · 1000)
             const DEN: u128 = 1000 * 3_600_000 * 1000;
             let num = integral * hourly_micros * vm.rate_milli as u128;
-            let micros = ((num + DEN / 2) / DEN) as i64; // cackle-lint: allow(L15) — micro-dollar totals sit far below 2^63
+            let micros = ((num + DEN / 2) / DEN) as i64; // micro-dollar totals sit far below 2^63
             self.ledger.charge_micros(self.category, micros);
         }
         let secs = billed.as_secs_f64();

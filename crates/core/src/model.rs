@@ -117,14 +117,14 @@ pub fn run_model_with(
     spec: &RunSpec,
 ) -> RunResult {
     let curves = workload_curves(workload);
-    let environment = spec.effective_faults().environment;
+    let environment = &spec.faults.environment;
     let mut result = if environment.market_volatility > 0.0 {
         // Market motion: price compute under the same compiled schedule
         // the system runner bills through, translated into model-layer
         // rate steps (VM rides the spot market, the pool price holds).
         // Heterogeneity and reclaim storms are execution-layer effects
         // the analytical model deliberately does not see (DESIGN §14).
-        let market = cackle_faults::PriceTimeline::compile(&environment, spec.seed);
+        let market = cackle_faults::PriceTimeline::compile(environment, spec.seed);
         let horizon = curves.demand.len() as u64 + 7200;
         let timeline = crate::prices::PriceTimeline::from_market(&spec.env, &market, horizon);
         simulate_compute_with_timeline(&curves.demand.samples, strategy, spec, &timeline)

@@ -15,9 +15,7 @@
 //! return it instead of panicking on malformed input.
 
 use crate::config::Env;
-use cackle_faults::{
-    EnvironmentSpec, FaultError, FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy,
-};
+use cackle_faults::{FaultError, FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy};
 use cackle_telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
@@ -49,8 +47,6 @@ pub struct RunSpec {
     pub pool_slowdown: f64,
     /// Relative task-duration jitter applied by the system runner.
     pub duration_jitter: f64,
-    /// Spot interruption rate, events per VM-hour (system runner only).
-    pub spot_interruptions_per_vm_hour: f64,
     /// Record per-second demand/target/active series into the result.
     pub record_timeseries: bool,
     /// Model runner only: skip the shuffle model, compute costs only.
@@ -58,17 +54,11 @@ pub struct RunSpec {
     /// Live runner only: task throughput used to convert row counts into
     /// simulated work seconds.
     pub rows_per_task_second: f64,
-    /// Fault injection plan spec (see `crates/faults`). All-zero by
-    /// default, which compiles to a guaranteed no-op; the legacy
-    /// [`RunSpec::spot_interruptions_per_vm_hour`] knob folds into it
-    /// (see [`RunSpec::effective_faults`]).
+    /// Fault injection plan spec (see `crates/faults`): transient fault
+    /// rates, spot reclaims, and — as `faults.environment` — per-VM
+    /// heterogeneity, spot-market motion, reclaim storms and a second
+    /// region. All-zero by default, which compiles to a guaranteed no-op.
     pub faults: FaultSpec,
-    /// Environmental diversity: per-VM performance heterogeneity,
-    /// spot-market motion, reclaim storms, and a second region (see
-    /// `cackle_faults::EnvironmentSpec`). Zero intensity by default —
-    /// inert. Folds into [`RunSpec::effective_faults`] the same way the
-    /// legacy spot knob does (an explicit `faults.environment` wins).
-    pub environment: EnvironmentSpec,
     /// How runners recover from injected faults: bounded retry with
     /// deterministic backoff, straggler duplicate-launch.
     pub recovery: RecoveryPolicy,
@@ -93,12 +83,10 @@ impl Default for RunSpec {
             seed: 42,
             pool_slowdown: 1.25,
             duration_jitter: 0.08,
-            spot_interruptions_per_vm_hour: 0.0,
             record_timeseries: false,
             compute_only: false,
             rows_per_task_second: 400_000.0,
             faults: FaultSpec::default(),
-            environment: EnvironmentSpec::default(),
             recovery: RecoveryPolicy::default(),
             telemetry: Telemetry::disabled(),
             workers: 1,
@@ -142,12 +130,6 @@ impl RunSpec {
         self
     }
 
-    /// Set the spot interruption rate (events per VM-hour).
-    pub fn with_spot_interruptions(mut self, per_vm_hour: f64) -> Self {
-        self.spot_interruptions_per_vm_hour = per_vm_hour;
-        self
-    }
-
     /// Record per-second timeseries into the result.
     pub fn with_timeseries(mut self, record: bool) -> Self {
         self.record_timeseries = record;
@@ -180,13 +162,6 @@ impl RunSpec {
         self
     }
 
-    /// Set the environment spec (heterogeneity, market motion, reclaim
-    /// storms, second region).
-    pub fn with_environment(mut self, environment: EnvironmentSpec) -> Self {
-        self.environment = environment;
-        self
-    }
-
     /// Set the recovery policy for injected faults.
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
@@ -201,30 +176,15 @@ impl RunSpec {
         self
     }
 
-    /// The fault spec runners actually compile: [`RunSpec::faults`] with
-    /// the legacy spot-interruption knob and [`RunSpec::environment`]
-    /// folded in (the explicit fault spec wins when both are set).
-    pub fn effective_faults(&self) -> FaultSpec {
-        let mut f = self.faults.clone();
-        if f.spot_reclaims_per_vm_hour == 0.0 {
-            f.spot_reclaims_per_vm_hour = self.spot_interruptions_per_vm_hour;
-        }
-        if f.environment.is_zero() && !self.environment.is_zero() {
-            f.environment = self.environment.clone();
-        }
-        f
-    }
-
-    /// Compile the effective fault spec into an injector seeded from
+    /// Compile [`RunSpec::faults`] into an injector seeded from
     /// [`RunSpec::seed`] and instrumented on `telemetry`. An all-zero
     /// spec yields a disabled handle, keeping the no-fault path
     /// bit-identical to a run without the subsystem.
     pub fn fault_injector(&self, telemetry: &Telemetry) -> Result<FaultInjector, RunError> {
-        let faults = self.effective_faults();
-        if faults.is_zero() {
+        if self.faults.is_zero() {
             return Ok(FaultInjector::disabled());
         }
-        let plan = FaultPlan::compile(&faults, self.seed)?;
+        let plan = FaultPlan::compile(&self.faults, self.seed)?;
         Ok(FaultInjector::new(plan, self.recovery).instrumented(telemetry))
     }
 
@@ -244,14 +204,9 @@ impl RunSpec {
 
     /// Check every numeric knob for finiteness and range.
     pub fn validate(&self) -> Result<(), RunError> {
-        let checks: [(&'static str, f64, f64); 4] = [
+        let checks: [(&'static str, f64, f64); 3] = [
             ("pool_slowdown", self.pool_slowdown, 1.0),
             ("duration_jitter", self.duration_jitter, 0.0),
-            (
-                "spot_interruptions_per_vm_hour",
-                self.spot_interruptions_per_vm_hour,
-                0.0,
-            ),
             ("rows_per_task_second", self.rows_per_task_second, 1.0),
         ];
         for (name, value, min) in checks {
@@ -259,11 +214,7 @@ impl RunSpec {
                 return Err(RunError::InvalidKnob { name, value });
             }
         }
-        // Validate the spec's own environment knob even when an
-        // explicit `faults.environment` wins the fold — a malformed
-        // knob should never validate merely because it is shadowed.
-        self.environment.validate()?;
-        self.effective_faults().validate()?;
+        self.faults.validate()?;
         self.recovery.validate()?;
         Ok(())
     }
@@ -345,7 +296,7 @@ mod tests {
         assert_eq!(s.strategy, "dynamic");
         assert!((s.pool_slowdown - 1.25).abs() < 1e-12);
         assert!((s.duration_jitter - 0.08).abs() < 1e-12);
-        assert_eq!(s.spot_interruptions_per_vm_hour, 0.0);
+        assert!(s.faults.is_zero());
         assert!(!s.record_timeseries);
         assert!(!s.compute_only);
         assert!((s.rows_per_task_second - 400_000.0).abs() < 1e-9);
@@ -360,7 +311,7 @@ mod tests {
             .with_seed(9)
             .with_pool_slowdown(2.0)
             .with_duration_jitter(0.0)
-            .with_spot_interruptions(0.5)
+            .with_faults(FaultSpec::default().with_spot_reclaims(0.5))
             .with_timeseries(true)
             .with_compute_only(true)
             .with_rows_per_task_second(1e6)
@@ -403,26 +354,22 @@ mod tests {
     }
 
     #[test]
-    fn environment_folds_into_the_fault_spec() {
-        // Zero environment: injector stays disabled (no-op contract).
+    fn fault_spec_compiles_into_the_injector() {
+        use cackle_faults::EnvironmentSpec;
+        // Zero spec: injector stays disabled (no-op contract).
         let t = Telemetry::disabled();
-        let plain = RunSpec::new();
-        assert!(!plain.fault_injector(&t).unwrap().is_enabled());
+        assert!(!RunSpec::new().fault_injector(&t).unwrap().is_enabled());
         // An active environment alone enables the injector.
         let env = EnvironmentSpec::default().with_vm_heterogeneity(0.25, 2.0, 0.5);
-        let s = RunSpec::new().with_environment(env.clone());
-        assert_eq!(s.effective_faults().environment, env);
-        assert!(!s.effective_faults().is_noop());
-        assert!(s.fault_injector(&t).unwrap().is_enabled());
-        // An explicit faults.environment wins over the spec-level knob.
-        let other = EnvironmentSpec::default().with_market_motion(0.2, 600);
-        let s = RunSpec::new()
-            .with_faults(cackle_faults::FaultSpec::default().with_environment(other.clone()))
-            .with_environment(env);
-        assert_eq!(s.effective_faults().environment, other);
+        let s = RunSpec::new().with_faults(FaultSpec::default().with_environment(env.clone()));
+        let inj = s.fault_injector(&t).unwrap();
+        assert!(inj.is_enabled());
+        assert_eq!(inj.environment(), env);
         // Invalid environment knobs surface as typed run errors.
         let bad = RunSpec::new()
-            .with_environment(EnvironmentSpec::default().with_vm_heterogeneity(0.5, 0.25, 0.0));
+            .with_faults(FaultSpec::default().with_environment(
+                EnvironmentSpec::default().with_vm_heterogeneity(0.5, 0.25, 0.0),
+            ));
         assert!(matches!(
             bad.validate(),
             Err(RunError::InvalidKnob {

@@ -393,7 +393,8 @@ mod tests {
             })
             .collect();
         // Absurdly high rate so interruptions certainly occur.
-        let spec = noiseless().with_spot_interruptions(60.0);
+        let spec =
+            noiseless().with_faults(cackle_faults::FaultSpec::default().with_spot_reclaims(60.0));
         let mut s = FixedStrategy { vms: 6 };
         let interrupted = run_system_with(&w, &mut s, &spec);
         let mut s2 = FixedStrategy { vms: 6 };
@@ -642,27 +643,5 @@ mod tests {
             ),
             "{out:?}"
         );
-    }
-
-    #[test]
-    fn legacy_spot_knob_folds_into_the_fault_plan() {
-        // The deprecated-path spot knob and the equivalent FaultSpec
-        // produce the same run: both compile to the same plan.
-        let w: Vec<QueryArrival> = (0..10)
-            .map(|i| QueryArrival {
-                at_s: i * 20,
-                profile: profile(4, 30),
-            })
-            .collect();
-        let mut a = FixedStrategy { vms: 4 };
-        let legacy = run_system_with(&w, &mut a, &noiseless().with_spot_interruptions(30.0));
-        let mut b = FixedStrategy { vms: 4 };
-        let planned = run_system_with(
-            &w,
-            &mut b,
-            &noiseless().with_faults(cackle_faults::FaultSpec::default().with_spot_reclaims(30.0)),
-        );
-        assert_eq!(legacy.latencies, planned.latencies);
-        assert_eq!(legacy.compute, planned.compute);
     }
 }

@@ -15,7 +15,7 @@
 
 use cackle_cloud::ObjectStore;
 use cackle_engine::shuffle::{ShuffleKey, ShuffleStats, ShuffleTransport};
-use cackle_faults::FaultInjector;
+use cackle_faults::{FaultInjector, TaskFaults};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -82,11 +82,11 @@ pub struct HybridShuffle {
     nodes: Mutex<Vec<ShuffleNode>>,
     store: Arc<ObjectStore>,
     stats: Mutex<HybridStats>,
-    /// Fault plan consulted on writes (disabled by default): an injected
-    /// transport drop that exhausts its in-injector retry bound routes
-    /// the chunk to the object store instead of a node — recovery by
-    /// fallback, so no data is ever lost.
-    faults: FaultInjector,
+    /// Keyed view of the fault plan consulted on writes (disabled by
+    /// default): an injected transport drop that exhausts its retry bound
+    /// routes the chunk to the object store instead of a node — recovery
+    /// by fallback, so no data is ever lost.
+    faults: TaskFaults,
 }
 
 impl HybridShuffle {
@@ -101,13 +101,13 @@ impl HybridShuffle {
             ),
             store,
             stats: Mutex::new(HybridStats::default()),
-            faults: FaultInjector::disabled(),
+            faults: TaskFaults::default(),
         }
     }
 
     /// Consult `faults` on every subsequent write (see the `faults` field).
     pub fn with_faults(mut self, faults: &FaultInjector) -> Self {
-        self.faults = faults.clone();
+        self.faults = faults.keyed();
         self
     }
 

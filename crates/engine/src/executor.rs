@@ -15,7 +15,7 @@
 //!   vector is always in task order no matter which worker ran what.
 //! * **Buffered publication.** The parallel phase only *computes*: each
 //!   task materializes its operator tree and buffers its exchange chunks
-//!   ([`execute_task_buffered`]). Shuffle writes are published serially
+//!   ([`TaskExecution::run_buffered`]). Shuffle writes are published serially
 //!   at the stage barrier in task-index order — node-tier placement is
 //!   first-come-first-served, so publication order must not depend on
 //!   thread scheduling.
@@ -24,10 +24,12 @@
 //!   ([`Telemetry::merge`]). Every worker count — including 1 — goes
 //!   through the shard path, so the merged registry is identical at
 //!   `workers = 1, 2, 8`.
-//! * **Keyed fault draws.** Injection points reachable from task code
-//!   (transport reads/writes, store GET/PUT) draw from streams keyed by
-//!   the operation's stable identity, never from a shared sequential
-//!   stream (`cackle-faults`), so draws are dispatch-order-independent.
+//! * **Keyed fault draws.** Task code, the object store and the shuffle
+//!   transport hold a [`TaskFaults`] view, whose only draws are keyed by
+//!   the operation's stable identity and so are dispatch-order-
+//!   independent. The coordinator's `FaultInjector`, with its shared
+//!   sequential streams, is `!Sync`: a worker closure that captures one
+//!   does not compile (see [`Executor::run_indexed`]).
 //!
 //! Worker count is therefore a pure throughput knob — it is deliberately
 //! *not* part of the seed, and changing it must not move a single byte
@@ -39,7 +41,7 @@ use crate::plan::{StageDag, StageId};
 use crate::shuffle::ShuffleTransport;
 use crate::table::Catalog;
 use crate::task::{TaskContext, TaskExecution, TaskResult};
-use cackle_faults::FaultInjector;
+use cackle_faults::{FaultInjector, TaskFaults};
 use cackle_telemetry::Telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -53,7 +55,7 @@ const _: () = {
     let _ = assert_sync::<Catalog>;
     let _ = assert_sync::<dyn ShuffleTransport>;
     let _ = assert_sync::<Telemetry>;
-    let _ = assert_sync::<FaultInjector>;
+    let _ = assert_sync::<TaskFaults>;
 };
 
 /// A deterministic worker pool. Cheap to construct; holds no threads —
@@ -93,6 +95,29 @@ impl Executor {
     /// cross-index effects it has must be order-independent (commutative
     /// counters, keyed draws) or buffered for the caller to apply in
     /// index order after the pool joins.
+    ///
+    /// The `Sync` bound is what keeps sequential fault draws out of the
+    /// pool: the coordinator's `FaultInjector` is `!Sync`, so a closure
+    /// that captures one is rejected —
+    ///
+    /// ```compile_fail
+    /// use cackle_engine::executor::Executor;
+    /// use cackle_faults::FaultInjector;
+    /// let inj = FaultInjector::disabled();
+    /// Executor::new(2).run_indexed(4, |_| inj.straggler());
+    /// ```
+    ///
+    /// — while its keyed view crosses threads freely:
+    ///
+    /// ```
+    /// use cackle_engine::executor::Executor;
+    /// use cackle_faults::{FaultInjector, StoreOp};
+    /// let inj = FaultInjector::disabled();
+    /// let tasks = inj.keyed();
+    /// let attempts =
+    ///     Executor::new(2).run_indexed(4, |i| tasks.store_attempts_keyed(StoreOp::Get, i as u64));
+    /// assert_eq!(attempts, [1; 4]);
+    /// ```
     pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -128,7 +153,8 @@ impl Executor {
     /// Execute every task of one stage: the parallel phase computes and
     /// buffers, then the serial barrier phase publishes shuffle writes
     /// and merges telemetry shards in task-index order. Returns the
-    /// per-task results in task order.
+    /// per-task results in task order. Tasks get the keyed view of
+    /// `faults`, never the handle itself.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_stage(
         &self,
@@ -139,6 +165,23 @@ impl Executor {
         shuffle: &dyn ShuffleTransport,
         telemetry: &Telemetry,
         faults: &FaultInjector,
+    ) -> Vec<TaskResult> {
+        let faults = faults.keyed();
+        self.run_stage(
+            dag, stage_id, query_id, catalog, shuffle, telemetry, &faults,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_stage(
+        &self,
+        dag: &StageDag,
+        stage_id: StageId,
+        query_id: u64,
+        catalog: &Catalog,
+        shuffle: &dyn ShuffleTransport,
+        telemetry: &Telemetry,
+        faults: &TaskFaults,
     ) -> Vec<TaskResult> {
         let tasks = dag.stages[stage_id].tasks as usize;
         let ran = self.run_indexed(tasks, |i| {
@@ -168,8 +211,8 @@ impl Executor {
     }
 
     /// Execute every stage of a plan in dependency order (stages are
-    /// barriers), gathering the final stage's output. The parallel
-    /// counterpart of [`crate::task::execute_query`].
+    /// barriers), gathering the final stage's output, with telemetry and
+    /// faults off.
     pub fn execute_query(
         &self,
         dag: &StageDag,
@@ -179,14 +222,14 @@ impl Executor {
     ) -> Batch {
         let mut gathered: Vec<Batch> = Vec::new();
         for stage in &dag.stages {
-            let results = self.execute_stage(
+            let results = self.run_stage(
                 dag,
                 stage.id,
                 query_id,
                 catalog,
                 shuffle,
                 &Telemetry::disabled(),
-                &FaultInjector::disabled(),
+                &TaskFaults::default(),
             );
             for r in results {
                 if let Some(batches) = r.output {

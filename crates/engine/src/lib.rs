@@ -77,8 +77,7 @@ pub mod prelude {
     pub use crate::shuffle::{MemoryShuffle, ShuffleKey, ShuffleStats, ShuffleTransport};
     pub use crate::table::{Catalog, Table};
     pub use crate::task::{
-        execute_query, execute_task, execute_task_buffered, format_batch, BufferedTask,
-        TaskContext, TaskExecution, TaskResult,
+        execute_query, format_batch, BufferedTask, TaskContext, TaskExecution, TaskResult,
     };
     pub use crate::types::{date, DataType, Value};
 }

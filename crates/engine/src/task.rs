@@ -8,6 +8,7 @@
 use crate::batch::Batch;
 use crate::codec::{decode_batch, encode_batch};
 use crate::column::{Column, ColumnSlice};
+use crate::executor::Executor;
 use crate::expr::predicate_mask_into;
 use crate::kernels::pool::ScratchArena;
 use crate::kernels::select::{filter_batch, filter_project};
@@ -19,7 +20,7 @@ use crate::rowkey::partition_of;
 use crate::schema::SchemaRef;
 use crate::shuffle::{ShuffleKey, ShuffleTransport};
 use crate::table::Catalog;
-use cackle_faults::{op_key, FaultInjector};
+use cackle_faults::{op_key, TaskFaults};
 use cackle_telemetry::Telemetry;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -45,10 +46,11 @@ pub struct TaskContext<'a> {
     pub shuffle: &'a dyn ShuffleTransport,
     /// Metrics sink (disabled by default — see [`TaskContext::new`]).
     pub telemetry: Telemetry,
-    /// Fault plan (disabled by default). Injected transport drops on
-    /// shuffle reads are retried deterministically inside the injector's
-    /// bounded recovery loop; the retries cost counters, never data.
-    pub faults: FaultInjector,
+    /// Keyed view of the fault plan (disabled by default). Injected
+    /// transport drops on shuffle reads are retried deterministically
+    /// inside its bounded recovery loop; the retries cost counters, never
+    /// data.
+    pub faults: TaskFaults,
     /// Reusable scratch buffers for this task's kernels. A `RefCell`
     /// rather than `&mut` because the context is otherwise shared
     /// immutably; tasks never share a context across threads (the
@@ -75,7 +77,7 @@ impl<'a> TaskContext<'a> {
             catalog,
             shuffle,
             telemetry: Telemetry::disabled(),
-            faults: FaultInjector::disabled(),
+            faults: TaskFaults::default(),
             scratch: RefCell::new(ScratchArena::new()),
         }
     }
@@ -111,27 +113,13 @@ pub struct BufferedTask {
     pub writes: Vec<(ShuffleKey, Vec<u8>)>,
 }
 
-/// One task run bound to its context: the single entry point behind
-/// [`execute_task`] and [`execute_task_buffered`]. Construct with
-/// [`TaskExecution::new`], then either [`run`](TaskExecution::run)
-/// (compute + publish) or [`run_buffered`](TaskExecution::run_buffered)
-/// (compute only, exchange writes buffered for the caller).
+/// One task run bound to its context: the single execution entry point.
+/// Construct with [`TaskExecution::new`], then either
+/// [`run`](TaskExecution::run) (compute + publish) or
+/// [`run_buffered`](TaskExecution::run_buffered) (compute only, exchange
+/// writes buffered for the caller).
 pub struct TaskExecution<'a, 'c> {
     ctx: &'c TaskContext<'a>,
-}
-
-/// Execute one task to completion, publishing its exchange output
-/// through `ctx.shuffle` immediately (the serial driver's path). Thin
-/// wrapper over [`TaskExecution::run`].
-pub fn execute_task(ctx: &TaskContext<'_>) -> TaskResult {
-    TaskExecution::new(ctx).run()
-}
-
-/// Execute one task's compute phase, buffering exchange writes instead
-/// of publishing them (see [`BufferedTask`]). Thin wrapper over
-/// [`TaskExecution::run_buffered`].
-pub fn execute_task_buffered(ctx: &TaskContext<'_>) -> BufferedTask {
-    TaskExecution::new(ctx).run_buffered()
 }
 
 impl<'a, 'c> TaskExecution<'a, 'c> {
@@ -456,28 +444,15 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
 }
 
 /// Convenience single-process driver: execute every stage of a plan in
-/// dependency order with the given parallelism metadata (tasks run
-/// sequentially here — the Cackle system crate schedules them on simulated
-/// compute), returning the gathered result.
+/// dependency order on the caller's thread, returning the gathered
+/// result — [`Executor::execute_query`] with one worker.
 pub fn execute_query(
     dag: &StageDag,
     query_id: u64,
     catalog: &Catalog,
     shuffle: &dyn ShuffleTransport,
 ) -> Batch {
-    let mut gathered: Vec<Batch> = Vec::new();
-    for stage in &dag.stages {
-        for task in 0..stage.tasks {
-            let ctx = TaskContext::new(dag, stage.id, task, query_id, catalog, shuffle);
-            let r = execute_task(&ctx);
-            if let Some(batches) = r.output {
-                gathered.extend(batches);
-            }
-        }
-    }
-    shuffle.delete_query(query_id);
-    let schema = dag.final_stage().output_schema.clone();
-    Batch::concat_owned(schema, gathered)
+    Executor::new(1).execute_query(dag, query_id, catalog, shuffle)
 }
 
 /// Pretty-print a result batch as an aligned table (examples + debugging).

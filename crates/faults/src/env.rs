@@ -27,8 +27,7 @@
 //! inactive environment leaves golden dumps byte-identical (the same
 //! contract `FaultSpec` documents for zero rates).
 
-use crate::FaultError;
-use cackle_prng::{splitmix64, Pcg32};
+use crate::{keyed_stream, FaultError};
 
 /// Keyed-draw salts for the environment artifacts. Disjoint from the
 /// fault plan's sequential salts (0xFA01–0xFA06) and keyed salts
@@ -38,17 +37,6 @@ pub const SALT_ENV_VM: u64 = 0xFA21;
 pub const SALT_ENV_MARKET: u64 = 0xFA22;
 /// Salt for per-window reclaim-storm offset draws.
 pub const SALT_ENV_STORM: u64 = 0xFA23;
-
-/// A fresh PCG stream keyed by `(run seed, salt, key)` — the same
-/// double-SplitMix64 construction as `FaultPlan::keyed_stream`, so
-/// outcomes are pure functions of the key and never of draw order.
-// cackle-lint: pure(seed, salt, key)
-fn keyed(seed: u64, salt: u64, key: u64) -> Pcg32 {
-    let mut s = seed ^ salt;
-    let point = splitmix64(&mut s);
-    let mut k = point ^ key;
-    Pcg32::seed_from_u64(splitmix64(&mut k))
-}
 
 /// Seeded description of environmental diversity. All intensities
 /// default to zero: a default spec is inert and leaves runs untouched.
@@ -226,7 +214,7 @@ impl EnvironmentSpec {
         if self.vm_slow_fraction == 0.0 && self.remote_vm_fraction == 0.0 {
             return VmTraits::default();
         }
-        let mut rng = keyed(seed, SALT_ENV_VM, vm);
+        let mut rng = keyed_stream(seed, SALT_ENV_VM, vm);
         let u_slow = rng.gen_range(0.0..1.0);
         let u_mag = rng.gen_range(0.0..1.0);
         let u_remote = rng.gen_range(0.0..1.0);
@@ -317,7 +305,7 @@ impl PriceTimeline {
             return 1000;
         }
         let idx = now_s / self.interval_s;
-        let mut rng = keyed(self.seed, SALT_ENV_MARKET, idx);
+        let mut rng = keyed_stream(self.seed, SALT_ENV_MARKET, idx);
         let u = rng.gen_range(0.0..1.0);
         let swing = (self.volatility_milli as f64 * (2.0 * u - 1.0)).round() as i64;
         // volatility <= 0.9 bounds the swing to ±900; the floor is a
@@ -388,7 +376,7 @@ impl ReclaimStorm {
         let offset = if slack == 0 {
             0
         } else {
-            keyed(self.seed, SALT_ENV_STORM, window).gen_range(0..=slack)
+            keyed_stream(self.seed, SALT_ENV_STORM, window).gen_range(0..=slack)
         };
         pos >= offset && pos < offset + self.storm_s
     }

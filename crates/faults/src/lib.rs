@@ -24,9 +24,16 @@
 //!    bounded retry with deterministic backoff, duplicate launch with
 //!    first-wins, task re-execution — or surfaced as a typed error by
 //!    the caller. Never a panic (`cackle-lint` L5 applies here).
-//! 4. **Free when disabled.** A [`FaultInjector`] handle is a cheap
-//!    `Option<Arc<Mutex<..>>>` mirroring `Telemetry`: hot paths carry it
+//! 4. **Free when disabled.** Both handles are a cheap `Option` around
+//!    shared state, mirroring `Telemetry`: hot paths carry one
 //!    unconditionally and a disabled handle costs one branch.
+//! 5. **Phases are types.** The coordinator holds a [`FaultInjector`]:
+//!    every draw, sequential ones included, and `!Sync`, so a worker
+//!    closure cannot capture it. Task code, the object store and the
+//!    shuffle transport hold its [`TaskFaults`] view
+//!    ([`FaultInjector::keyed`]), which has only the draws keyed by the
+//!    operation's identity — the ones whose result cannot depend on
+//!    which thread got there first.
 //!
 //! Injected faults and recoveries are counted through `cackle-telemetry`
 //! under the `fault.*` / `recovery.*` prefixes (DESIGN.md §8 tabulates
@@ -34,8 +41,10 @@
 
 use cackle_prng::{splitmix64, Pcg32};
 use cackle_telemetry::Telemetry;
+use std::cell::{RefCell, RefMut};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
+use std::sync::Arc;
 
 mod env;
 pub use env::{
@@ -118,8 +127,6 @@ impl std::error::Error for FaultError {}
 pub struct FaultSpec {
     /// Spot reclaims per VM-busy-hour (Poisson: a task of duration `d`
     /// seconds is reclaimed with probability `1 - exp(-rate·d/3600)`).
-    /// Mirrors `RunSpec::spot_interruptions_per_vm_hour`, which folds
-    /// into this knob.
     pub spot_reclaims_per_vm_hour: f64,
     /// Probability an elastic-pool invoke attempt fails outright
     /// (per attempt, `[0, 0.95]`).
@@ -224,12 +231,6 @@ impl FaultSpec {
             && self.transport_drop_rate == 0.0
             && self.straggler_rate == 0.0
             && self.environment.is_zero()
-    }
-
-    /// Alias for [`FaultSpec::is_zero`]: a spec is a no-op exactly when
-    /// every fault rate *and* every environment intensity is zero.
-    pub fn is_noop(&self) -> bool {
-        self.is_zero()
     }
 
     /// Range-check every knob. Per-attempt probabilities are capped at
@@ -394,7 +395,6 @@ pub struct FaultPlan {
     pool: Pcg32,
     store_get: Pcg32,
     store_put: Pcg32,
-    transport: Pcg32,
     straggler: Pcg32,
     /// Seed-compiled market schedule (flat when the environment has no
     /// market motion).
@@ -421,6 +421,19 @@ const SALT_TRANSPORT_WRITE: u64 = 0xFA14;
 const SALT_STORE_GET: u64 = 0xFA15;
 const SALT_STORE_PUT: u64 = 0xFA16;
 
+/// A fresh PCG stream keyed by `(run seed, point salt, operation key)`.
+/// Unlike the sequential per-point streams, a keyed stream depends only
+/// on the operation's stable identity — never on how many draws other
+/// operations made first — so draws made from concurrently-executing
+/// tasks are dispatch-order-independent.
+// cackle-lint: pure(seed, salt, key)
+fn keyed_stream(seed: u64, salt: u64, key: u64) -> Pcg32 {
+    let mut s = seed ^ salt;
+    let point = splitmix64(&mut s);
+    let mut k = point ^ key;
+    Pcg32::seed_from_u64(splitmix64(&mut k))
+}
+
 /// FNV-1a over a byte string — the helper callers use to turn a stable
 /// operation identity (e.g. an object-store key) into a keyed-draw key.
 pub fn op_key(bytes: &[u8]) -> u64 {
@@ -443,23 +456,10 @@ impl FaultPlan {
             pool: stream(seed, 0xFA02),
             store_get: stream(seed, 0xFA03),
             store_put: stream(seed, 0xFA04),
-            transport: stream(seed, 0xFA05),
             straggler: stream(seed, 0xFA06),
             timeline: PriceTimeline::compile(&spec.environment, seed),
             storm: ReclaimStorm::compile(&spec.environment, seed),
         })
-    }
-
-    /// A fresh PCG stream keyed by `(run seed, point salt, operation
-    /// key)`. Unlike the sequential per-point streams, a keyed stream
-    /// depends only on the operation's stable identity — never on how
-    /// many draws other operations made first — so draws made from
-    /// concurrently-executing tasks are dispatch-order-independent.
-    fn keyed_stream(&self, salt: u64, key: u64) -> Pcg32 {
-        let mut s = self.seed ^ salt;
-        let point = splitmix64(&mut s);
-        let mut k = point ^ key;
-        Pcg32::seed_from_u64(splitmix64(&mut k))
     }
 
     /// The spec this plan was compiled from.
@@ -467,17 +467,10 @@ impl FaultPlan {
         &self.spec
     }
 
-    /// Spot-reclaim draw for a task occupying a VM for `task_seconds`:
-    /// `Some(fraction)` means the VM is reclaimed that fraction of the
-    /// way through the task.
-    pub fn vm_interrupt(&mut self, task_seconds: f64) -> Option<f64> {
-        self.vm_interrupt_at(0, task_seconds)
-    }
-
-    /// Storm-aware variant of [`FaultPlan::vm_interrupt`]: the hazard
-    /// at `now_s` is `max(base, storm)` inside a reclaim-storm window.
-    /// With storms off this draws identically to the base method, so
-    /// existing golden dumps are unchanged.
+    /// Spot-reclaim draw for a task occupying a VM for `task_seconds`
+    /// from `now_s`: `Some(fraction)` means the VM is reclaimed that
+    /// fraction of the way through the task. Inside a reclaim-storm
+    /// window the hazard is `max(base, storm)`.
     pub fn vm_interrupt_at(&mut self, now_s: u64, task_seconds: f64) -> Option<f64> {
         let base = self.spec.spot_reclaims_per_vm_hour;
         let rate = match &self.storm {
@@ -493,12 +486,6 @@ impl FaultPlan {
         } else {
             None
         }
-    }
-
-    /// Persistent traits of VM `vm` — a pure keyed draw on the
-    /// environment spec (see [`EnvironmentSpec::vm_traits`]).
-    pub fn vm_traits(&self, vm: u64) -> VmTraits {
-        self.spec.environment.vm_traits(self.seed, vm)
     }
 
     /// The compiled market schedule for this run.
@@ -527,21 +514,6 @@ impl FaultPlan {
         PoolDecision::Proceed
     }
 
-    /// Whether one store request attempt hits a transient 5xx.
-    pub fn store_error(&mut self, op: StoreOp) -> bool {
-        let (rate, rng) = match op {
-            StoreOp::Get => (self.spec.store_get_error_rate, &mut self.store_get),
-            StoreOp::Put => (self.spec.store_put_error_rate, &mut self.store_put),
-        };
-        rate > 0.0 && rng.gen_bool(rate)
-    }
-
-    /// Whether one transport operation attempt is dropped in transit.
-    pub fn transport_drop(&mut self) -> bool {
-        let rate = self.spec.transport_drop_rate;
-        rate > 0.0 && self.transport.gen_bool(rate)
-    }
-
     /// Straggler draw for one task: `Some(slowdown)` multiplies its
     /// runtime.
     pub fn straggler(&mut self) -> Option<f64> {
@@ -554,29 +526,150 @@ impl FaultPlan {
     }
 }
 
-struct Shared {
-    plan: FaultPlan,
+/// What a keyed draw reads. Fixed once the handle is instrumented, so
+/// tasks share it without a lock.
+#[derive(Debug, Clone)]
+struct Keyed {
+    seed: u64,
+    spec: FaultSpec,
     policy: RecoveryPolicy,
     telemetry: Telemetry,
 }
 
-/// A cheap, cloneable handle to a compiled fault plan plus its recovery
+impl Keyed {
+    /// Total attempts needed for one store request under injected
+    /// transient errors, drawn from `rng`: `1` plus up to `max_retries`
+    /// failed attempts (the transient clears within the bound —
+    /// billing-wise every attempt is a billable request). Counts
+    /// `fault.store_{get,put}_errors_total` per injected error and
+    /// `recovery.retries_total` per retry. A zero rate draws nothing.
+    fn store_attempts(&self, op: StoreOp, rng: &mut Pcg32) -> u64 {
+        let (rate, counter) = match op {
+            StoreOp::Get => (
+                self.spec.store_get_error_rate,
+                "fault.store_get_errors_total",
+            ),
+            StoreOp::Put => (
+                self.spec.store_put_error_rate,
+                "fault.store_put_errors_total",
+            ),
+        };
+        let mut failed = 0u32;
+        while failed < self.policy.max_retries && rate > 0.0 && rng.gen_bool(rate) {
+            failed += 1;
+            // cackle-lint: allow(L10) — `counter` is chosen from the literal match on `op` above
+            self.telemetry.counter_add(counter, 1);
+            self.telemetry.counter_add("recovery.retries_total", 1);
+        }
+        1 + failed as u64
+    }
+}
+
+/// The keyed-only view of a fault plan: the handle task code, the object
+/// store and the shuffle transport hold. Every draw it offers comes from
+/// a fresh stream keyed by `(run seed, point, key)`, so the result
+/// depends only on the operation's identity, never on dispatch order —
+/// which is why this handle, unlike [`FaultInjector`], is `Send + Sync`
+/// and may be captured by the executor's worker closures. Two operations
+/// with the same `key` (e.g. two consumers GETting the same object) draw
+/// identically — acceptable correlation for a fault model. Disabled by
+/// default: every consultation is then a no-op.
+#[derive(Debug, Clone, Default)]
+pub struct TaskFaults {
+    inner: Option<Arc<Keyed>>,
+}
+
+impl TaskFaults {
+    /// Attempts (1 + injected transient failures, within the retry
+    /// bound) for one store request identified by `key`; counts the same
+    /// `fault.*` / `recovery.*` metrics as the coordinator's sequential
+    /// [`FaultInjector::store_attempts`].
+    pub fn store_attempts_keyed(&self, op: StoreOp, key: u64) -> u64 {
+        let Some(k) = &self.inner else {
+            return 1;
+        };
+        let salt = match op {
+            StoreOp::Get => SALT_STORE_GET,
+            StoreOp::Put => SALT_STORE_PUT,
+        };
+        k.store_attempts(op, &mut keyed_stream(k.seed, salt, key))
+    }
+
+    /// Decide whether the node-tier transport write identified by `key`
+    /// falls back to the object store: the write is retried up to the
+    /// policy bound and falls back only when every attempt is dropped.
+    /// Counts `fault.transport_drops_total` per drop,
+    /// `recovery.retries_total` per retry, and
+    /// `recovery.transport_fallbacks_total` on fallback.
+    pub fn transport_write_fallback_keyed(&self, key: u64) -> bool {
+        let Some(k) = &self.inner else {
+            return false;
+        };
+        let rate = k.spec.transport_drop_rate;
+        if rate <= 0.0 {
+            return false;
+        }
+        let mut rng = keyed_stream(k.seed, SALT_TRANSPORT_WRITE, key);
+        let attempts = k.policy.max_retries.saturating_add(1);
+        for attempt in 0..attempts {
+            if !rng.gen_bool(rate) {
+                return false;
+            }
+            k.telemetry.counter_add("fault.transport_drops_total", 1);
+            if attempt + 1 < attempts {
+                k.telemetry.counter_add("recovery.retries_total", 1);
+            }
+        }
+        k.telemetry
+            .counter_add("recovery.transport_fallbacks_total", 1);
+        true
+    }
+
+    /// Number of retries the transport read identified by `key` needed
+    /// before succeeding (bounded by the policy; a read always succeeds
+    /// within the bound — drops are transient). Counts
+    /// `fault.transport_drops_total` and `recovery.retries_total` per
+    /// retry.
+    pub fn transport_read_retries_keyed(&self, key: u64) -> u32 {
+        let Some(k) = &self.inner else {
+            return 0;
+        };
+        let rate = k.spec.transport_drop_rate;
+        if rate <= 0.0 {
+            return 0;
+        }
+        let mut rng = keyed_stream(k.seed, SALT_TRANSPORT_READ, key);
+        let mut retries = 0u32;
+        while retries < k.policy.max_retries && rng.gen_bool(rate) {
+            retries += 1;
+            k.telemetry.counter_add("fault.transport_drops_total", 1);
+            k.telemetry.counter_add("recovery.retries_total", 1);
+        }
+        retries
+    }
+}
+
+/// The coordinator's handle to a compiled fault plan plus its recovery
 /// policy, mirroring the `Telemetry` handle design: disabled handles
-/// (the default) make every consultation a no-op, so hot paths carry one
-/// unconditionally. Enabled handles share one plan behind a
-/// poison-forgiving mutex; the simulation is single-threaded, so draw
-/// order is the (deterministic) event order.
+/// (the default) make every consultation a no-op, so the run loop
+/// carries one unconditionally. Clones share the plan's sequential
+/// streams, whose draw order is the (deterministic) event order — so the
+/// handle is deliberately `!Sync` and `!Send` (`Rc<RefCell<..>>`): the
+/// executor's worker closures cannot capture or clone one, and what
+/// tasks get instead is the keyed-only [`TaskFaults`] view from
+/// [`FaultInjector::keyed`].
 ///
 /// Every injected fault and recovery step is counted through the
 /// attached telemetry under `fault.*` / `recovery.*`.
 #[derive(Clone, Default)]
 pub struct FaultInjector {
-    inner: Option<Arc<Mutex<Shared>>>,
+    plan: Option<Rc<RefCell<FaultPlan>>>,
+    tasks: TaskFaults,
 }
 
 impl fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
+        match &self.plan {
             Some(_) => f.write_str("FaultInjector(enabled)"),
             None => f.write_str("FaultInjector(disabled)"),
         }
@@ -586,78 +679,85 @@ impl fmt::Debug for FaultInjector {
 impl FaultInjector {
     /// An enabled handle over a compiled plan and policy.
     pub fn new(plan: FaultPlan, policy: RecoveryPolicy) -> Self {
+        let keyed = Keyed {
+            seed: plan.seed,
+            spec: plan.spec.clone(),
+            policy,
+            telemetry: Telemetry::disabled(),
+        };
         FaultInjector {
-            inner: Some(Arc::new(Mutex::new(Shared {
-                plan,
-                policy,
-                telemetry: Telemetry::disabled(),
-            }))),
+            plan: Some(Rc::new(RefCell::new(plan))),
+            tasks: TaskFaults {
+                inner: Some(Arc::new(keyed)),
+            },
         }
     }
 
     /// A disabled handle: every consultation is a no-op.
     pub fn disabled() -> Self {
-        FaultInjector { inner: None }
+        FaultInjector::default()
     }
 
     /// Attach a telemetry sink for `fault.*` / `recovery.*` counters.
-    /// Call before sharing clones; a disabled handle ignores this.
-    pub fn instrumented(self, telemetry: &Telemetry) -> Self {
-        if let Some(mut s) = self.lock() {
-            s.telemetry = telemetry.clone();
+    /// Call before taking clones or [`keyed`](FaultInjector::keyed)
+    /// views — those taken earlier keep the sink they had; a disabled
+    /// handle ignores this.
+    pub fn instrumented(mut self, telemetry: &Telemetry) -> Self {
+        if let Some(k) = &mut self.tasks.inner {
+            Arc::make_mut(k).telemetry = telemetry.clone();
         }
         self
     }
 
-    /// Whether this handle injects anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+    /// The keyed-only view of this plan for code that runs inside tasks
+    /// (disabled when this handle is).
+    pub fn keyed(&self) -> TaskFaults {
+        self.tasks.clone()
     }
 
-    fn lock(&self) -> Option<MutexGuard<'_, Shared>> {
-        self.inner
-            .as_ref()
-            .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
+    /// Whether this handle injects anything.
+    pub fn is_enabled(&self) -> bool {
+        self.plan.is_some()
+    }
+
+    /// The sequential streams plus what every draw reads, when enabled.
+    fn parts(&self) -> Option<(RefMut<'_, FaultPlan>, &Keyed)> {
+        Some((
+            self.plan.as_ref()?.borrow_mut(),
+            self.tasks.inner.as_deref()?,
+        ))
     }
 
     /// The recovery policy (defaults when disabled).
     pub fn policy(&self) -> RecoveryPolicy {
-        self.lock()
-            .map(|s| s.policy)
-            .unwrap_or_else(RecoveryPolicy::default)
+        self.tasks
+            .inner
+            .as_ref()
+            .map_or_else(RecoveryPolicy::default, |k| k.policy)
     }
 
-    /// Spot-reclaim draw for a task of `task_seconds` on a VM; counts
-    /// `fault.spot_reclaims_total` on a hit.
-    pub fn vm_interrupt(&self, task_seconds: f64) -> Option<f64> {
-        let mut s = self.lock()?;
-        let frac = s.plan.vm_interrupt(task_seconds)?;
-        s.telemetry.counter_add("fault.spot_reclaims_total", 1);
-        Some(frac)
-    }
-
-    /// Storm-aware spot-reclaim draw: the hazard at `now_s` rises to
-    /// the storm rate inside a compiled reclaim-storm window. Counts
-    /// `fault.spot_reclaims_total` on any hit and additionally
-    /// `env.storm_reclaims_total` when the hit lands inside a storm.
-    /// With storms off this is draw-identical to
-    /// [`FaultInjector::vm_interrupt`].
+    /// Spot-reclaim draw for a task of `task_seconds` starting on a VM
+    /// at `now_s`: the hazard rises to the storm rate inside a compiled
+    /// reclaim-storm window. Counts `fault.spot_reclaims_total` on any
+    /// hit and additionally `env.storm_reclaims_total` when the hit
+    /// lands inside a storm.
     pub fn vm_interrupt_at(&self, now_s: u64, task_seconds: f64) -> Option<f64> {
-        let mut s = self.lock()?;
-        let frac = s.plan.vm_interrupt_at(now_s, task_seconds)?;
-        s.telemetry.counter_add("fault.spot_reclaims_total", 1);
-        if s.plan.in_storm(now_s) {
-            s.telemetry.counter_add("env.storm_reclaims_total", 1);
+        let (mut plan, k) = self.parts()?;
+        let frac = plan.vm_interrupt_at(now_s, task_seconds)?;
+        k.telemetry.counter_add("fault.spot_reclaims_total", 1);
+        if plan.in_storm(now_s) {
+            k.telemetry.counter_add("env.storm_reclaims_total", 1);
         }
         Some(frac)
     }
 
     /// Persistent traits of VM `vm` — a pure keyed recompute, no
-    /// telemetry, callable from any phase (default traits when
-    /// disabled).
+    /// telemetry (default traits when disabled).
     pub fn vm_traits(&self, vm: u64) -> VmTraits {
-        self.lock()
-            .map(|s| s.plan.vm_traits(vm))
+        self.tasks
+            .inner
+            .as_ref()
+            .map(|k| k.spec.environment.vm_traits(k.seed, vm))
             .unwrap_or_default()
     }
 
@@ -667,21 +767,21 @@ impl FaultInjector {
     /// observes the draw in the `env.vm_slowdown` histogram and counts
     /// `env.vms_total` / `env.remote_vms_total`.
     pub fn vm_started(&self, vm: u64) -> VmTraits {
-        let Some(s) = self.lock() else {
+        let Some(k) = &self.tasks.inner else {
             return VmTraits::default();
         };
-        if s.plan.spec.environment.is_zero() {
+        if k.spec.environment.is_zero() {
             return VmTraits::default();
         }
-        let traits = s.plan.vm_traits(vm);
-        s.telemetry.observe_with_buckets(
+        let traits = k.spec.environment.vm_traits(k.seed, vm);
+        k.telemetry.observe_with_buckets(
             "env.vm_slowdown",
             traits.slowdown,
             &[1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0],
         );
-        s.telemetry.counter_add("env.vms_total", 1);
+        k.telemetry.counter_add("env.vms_total", 1);
         if traits.remote {
-            s.telemetry.counter_add("env.remote_vms_total", 1);
+            k.telemetry.counter_add("env.remote_vms_total", 1);
         }
         traits
     }
@@ -689,236 +789,108 @@ impl FaultInjector {
     /// The compiled market schedule (flat when disabled or when the
     /// environment has no market motion).
     pub fn price_timeline(&self) -> PriceTimeline {
-        self.lock()
-            .map(|s| s.plan.price_timeline().clone())
+        self.plan
+            .as_ref()
+            .map(|p| p.borrow().price_timeline().clone())
             .unwrap_or_else(PriceTimeline::flat)
     }
 
     /// The environment spec this injector was compiled from (zero when
     /// disabled).
     pub fn environment(&self) -> EnvironmentSpec {
-        self.lock()
-            .map(|s| s.plan.spec.environment.clone())
+        self.tasks
+            .inner
+            .as_ref()
+            .map(|k| k.spec.environment.clone())
             .unwrap_or_default()
     }
 
     /// Straggler draw for one task; counts `fault.stragglers_total` on a
     /// hit.
     pub fn straggler(&self) -> Option<f64> {
-        let mut s = self.lock()?;
-        let slowdown = s.plan.straggler()?;
-        s.telemetry.counter_add("fault.stragglers_total", 1);
+        let (mut plan, k) = self.parts()?;
+        let slowdown = plan.straggler()?;
+        k.telemetry.counter_add("fault.stragglers_total", 1);
         Some(slowdown)
     }
 
     /// Decide one pool invoke attempt; counts
     /// `fault.pool_invoke_failures_total` / `fault.pool_throttles_total`.
     pub fn pool_invoke(&self) -> PoolDecision {
-        let Some(mut s) = self.lock() else {
+        let Some((mut plan, k)) = self.parts() else {
             return PoolDecision::Proceed;
         };
-        let decision = s.plan.pool_invoke();
+        let decision = plan.pool_invoke();
         match decision {
-            PoolDecision::Fail => s
+            PoolDecision::Fail => k
                 .telemetry
                 .counter_add("fault.pool_invoke_failures_total", 1),
             PoolDecision::Throttle { .. } => {
-                s.telemetry.counter_add("fault.pool_throttles_total", 1)
+                k.telemetry.counter_add("fault.pool_throttles_total", 1)
             }
             PoolDecision::Proceed => {}
         }
         decision
     }
 
-    /// Total attempts needed for one store request under injected
-    /// transient errors: `1` plus up to `max_retries` failed attempts
-    /// (the transient clears within the bound — billing-wise every
-    /// attempt is a billable request). Counts
-    /// `fault.store_{get,put}_errors_total` per injected error and
-    /// `recovery.retries_total` per retry.
+    /// Attempts (1 + injected transient failures, within the retry
+    /// bound) for the coordinator's next store request, drawn from the
+    /// operation's sequential stream — serial code only. Same loop and
+    /// counters as [`TaskFaults::store_attempts_keyed`].
     pub fn store_attempts(&self, op: StoreOp) -> u64 {
-        let Some(mut s) = self.lock() else {
+        let Some((mut plan, k)) = self.parts() else {
             return 1;
         };
-        let max_retries = s.policy.max_retries;
-        let counter = match op {
-            StoreOp::Get => "fault.store_get_errors_total",
-            StoreOp::Put => "fault.store_put_errors_total",
+        let rng = match op {
+            StoreOp::Get => &mut plan.store_get,
+            StoreOp::Put => &mut plan.store_put,
         };
-        let mut failed = 0u32;
-        while failed < max_retries && s.plan.store_error(op) {
-            failed += 1;
-            // cackle-lint: allow(L10) — `counter` is chosen from the literal match on `op` above
-            s.telemetry.counter_add(counter, 1);
-            s.telemetry.counter_add("recovery.retries_total", 1);
-        }
-        1 + failed as u64
+        k.store_attempts(op, rng)
     }
 
-    /// Decide whether a node-tier transport write falls back to the
-    /// object store: the write is retried up to the policy bound and
-    /// falls back only when every attempt is dropped. Counts
-    /// `fault.transport_drops_total` per drop, `recovery.retries_total`
-    /// per retry, and `recovery.transport_fallbacks_total` on fallback.
-    pub fn transport_write_fallback(&self) -> bool {
-        let Some(mut s) = self.lock() else {
-            return false;
-        };
-        let attempts = s.policy.max_retries.saturating_add(1);
-        for attempt in 0..attempts {
-            if !s.plan.transport_drop() {
-                return false;
-            }
-            s.telemetry.counter_add("fault.transport_drops_total", 1);
-            if attempt + 1 < attempts {
-                s.telemetry.counter_add("recovery.retries_total", 1);
-            }
-        }
-        s.telemetry
-            .counter_add("recovery.transport_fallbacks_total", 1);
-        true
-    }
-
-    /// Number of retries a transport read needed before succeeding
-    /// (bounded by the policy; a read always succeeds within the bound —
-    /// drops are transient). Counts `fault.transport_drops_total` and
-    /// `recovery.retries_total` per retry.
-    pub fn transport_read_retries(&self) -> u32 {
-        let Some(mut s) = self.lock() else {
-            return 0;
-        };
-        let mut retries = 0u32;
-        while retries < s.policy.max_retries && s.plan.transport_drop() {
-            retries += 1;
-            s.telemetry.counter_add("fault.transport_drops_total", 1);
-            s.telemetry.counter_add("recovery.retries_total", 1);
-        }
-        retries
-    }
-
-    /// Keyed variant of [`FaultInjector::store_attempts`] for call sites
-    /// reachable from concurrently-executing tasks: draws come from a
-    /// fresh stream keyed by `(run seed, point, key)` instead of the
-    /// shared sequential stream, so the result depends only on the
-    /// operation's identity, never on dispatch order. Two operations with
-    /// the same `key` (e.g. two consumers GETting the same object) draw
-    /// identically — acceptable correlation for a fault model. Counts the
-    /// same `fault.*` / `recovery.*` metrics as the sequential variant.
+    /// [`TaskFaults::store_attempts_keyed`] on this handle's keyed view.
     pub fn store_attempts_keyed(&self, op: StoreOp, key: u64) -> u64 {
-        let Some(s) = self.lock() else {
-            return 1;
-        };
-        let (rate, salt, counter) = match op {
-            StoreOp::Get => (
-                s.plan.spec.store_get_error_rate,
-                SALT_STORE_GET,
-                "fault.store_get_errors_total",
-            ),
-            StoreOp::Put => (
-                s.plan.spec.store_put_error_rate,
-                SALT_STORE_PUT,
-                "fault.store_put_errors_total",
-            ),
-        };
-        if rate <= 0.0 {
-            return 1;
-        }
-        let mut rng = s.plan.keyed_stream(salt, key);
-        let max_retries = s.policy.max_retries;
-        let mut failed = 0u32;
-        while failed < max_retries && rng.gen_bool(rate) {
-            failed += 1;
-            // cackle-lint: allow(L10) — `counter` is chosen from the literal match on `op` above
-            s.telemetry.counter_add(counter, 1);
-            s.telemetry.counter_add("recovery.retries_total", 1);
-        }
-        1 + failed as u64
-    }
-
-    /// Keyed variant of [`FaultInjector::transport_write_fallback`] (see
-    /// [`FaultInjector::store_attempts_keyed`] for the keying contract).
-    pub fn transport_write_fallback_keyed(&self, key: u64) -> bool {
-        let Some(s) = self.lock() else {
-            return false;
-        };
-        let rate = s.plan.spec.transport_drop_rate;
-        if rate <= 0.0 {
-            return false;
-        }
-        let mut rng = s.plan.keyed_stream(SALT_TRANSPORT_WRITE, key);
-        let attempts = s.policy.max_retries.saturating_add(1);
-        for attempt in 0..attempts {
-            if !rng.gen_bool(rate) {
-                return false;
-            }
-            s.telemetry.counter_add("fault.transport_drops_total", 1);
-            if attempt + 1 < attempts {
-                s.telemetry.counter_add("recovery.retries_total", 1);
-            }
-        }
-        s.telemetry
-            .counter_add("recovery.transport_fallbacks_total", 1);
-        true
-    }
-
-    /// Keyed variant of [`FaultInjector::transport_read_retries`] (see
-    /// [`FaultInjector::store_attempts_keyed`] for the keying contract).
-    pub fn transport_read_retries_keyed(&self, key: u64) -> u32 {
-        let Some(s) = self.lock() else {
-            return 0;
-        };
-        let rate = s.plan.spec.transport_drop_rate;
-        if rate <= 0.0 {
-            return 0;
-        }
-        let mut rng = s.plan.keyed_stream(SALT_TRANSPORT_READ, key);
-        let mut retries = 0u32;
-        while retries < s.policy.max_retries && rng.gen_bool(rate) {
-            retries += 1;
-            s.telemetry.counter_add("fault.transport_drops_total", 1);
-            s.telemetry.counter_add("recovery.retries_total", 1);
-        }
-        retries
+        self.tasks.store_attempts_keyed(op, key)
     }
 
     /// Record a recovery retry scheduled by a runner (e.g. a pool invoke
     /// retry after backoff).
     pub fn note_retry(&self, backoff_ms: u64) {
-        if let Some(s) = self.lock() {
-            s.telemetry.counter_add("recovery.retries_total", 1);
-            s.telemetry
+        if let Some(k) = &self.tasks.inner {
+            k.telemetry.counter_add("recovery.retries_total", 1);
+            k.telemetry
                 .counter_add("recovery.backoff_ms_total", backoff_ms);
         }
     }
 
     /// Record a task re-execution (e.g. after a spot reclaim).
     pub fn note_reexec(&self) {
-        if let Some(s) = self.lock() {
-            s.telemetry.counter_add("recovery.task_reexecs_total", 1);
+        if let Some(k) = &self.tasks.inner {
+            k.telemetry.counter_add("recovery.task_reexecs_total", 1);
         }
     }
 
     /// Record a straggler duplicate launch.
     pub fn note_duplicate(&self) {
-        if let Some(s) = self.lock() {
-            s.telemetry
+        if let Some(k) = &self.tasks.inner {
+            k.telemetry
                 .counter_add("recovery.duplicates_launched_total", 1);
         }
     }
 
     /// Record a duplicate finishing before its straggling primary.
     pub fn note_duplicate_win(&self) {
-        if let Some(s) = self.lock() {
-            s.telemetry.counter_add("recovery.duplicate_wins_total", 1);
+        if let Some(k) = &self.tasks.inner {
+            k.telemetry.counter_add("recovery.duplicate_wins_total", 1);
         }
     }
 
     /// Record a fault that exhausted its recovery bound; the caller
     /// surfaces a typed error naming the injection point.
     pub fn note_unrecovered(&self, point: InjectionPoint) {
-        if let Some(s) = self.lock() {
-            s.telemetry.counter_add("recovery.unrecovered_total", 1);
-            s.telemetry.event(0, "fault.unrecovered", point.as_str());
+        if let Some(k) = &self.tasks.inner {
+            k.telemetry.counter_add("recovery.unrecovered_total", 1);
+            k.telemetry.event(0, "fault.unrecovered", point.as_str());
         }
     }
 }
@@ -937,39 +909,49 @@ mod tests {
             .with_stragglers(0.5, 3.0)
     }
 
+    fn injector(spec: &FaultSpec, seed: u64) -> FaultInjector {
+        FaultInjector::new(
+            FaultPlan::compile(spec, seed).unwrap(),
+            RecoveryPolicy::default(),
+        )
+    }
+
     #[test]
     fn zero_spec_is_inert_and_draw_free() {
-        let mut plan = FaultPlan::compile(&FaultSpec::default(), 7).unwrap();
+        let plan = FaultPlan::compile(&FaultSpec::default(), 7).unwrap();
         let before = plan.clone();
-        for _ in 0..100 {
-            assert_eq!(plan.vm_interrupt(1000.0), None);
-            assert_eq!(plan.pool_invoke(), PoolDecision::Proceed);
-            assert!(!plan.store_error(StoreOp::Get));
-            assert!(!plan.store_error(StoreOp::Put));
-            assert!(!plan.transport_drop());
-            assert_eq!(plan.straggler(), None);
+        let inj = FaultInjector::new(plan, RecoveryPolicy::default());
+        for k in 0..100 {
+            assert_eq!(inj.vm_interrupt_at(k * 60, 1000.0), None);
+            assert_eq!(inj.pool_invoke(), PoolDecision::Proceed);
+            assert_eq!(inj.store_attempts(StoreOp::Get), 1);
+            assert_eq!(inj.store_attempts(StoreOp::Put), 1);
+            assert!(!inj.keyed().transport_write_fallback_keyed(k));
+            assert_eq!(inj.keyed().transport_read_retries_keyed(k), 0);
+            assert_eq!(inj.straggler(), None);
         }
         // No stream advanced: the zero plan made zero draws.
+        let plan = inj.plan.as_ref().unwrap().borrow();
         assert_eq!(plan.spot, before.spot);
         assert_eq!(plan.pool, before.pool);
         assert_eq!(plan.store_get, before.store_get);
-        assert_eq!(plan.transport, before.transport);
+        assert_eq!(plan.store_put, before.store_put);
         assert_eq!(plan.straggler, before.straggler);
     }
 
     #[test]
     fn plans_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut plan = FaultPlan::compile(&active_spec(), seed).unwrap();
+            let inj = injector(&active_spec(), seed);
             let mut log = String::new();
-            for _ in 0..200 {
+            for k in 0..200 {
                 log.push_str(&format!(
                     "{:?}|{:?}|{}|{}|{:?}\n",
-                    plan.vm_interrupt(120.0),
-                    plan.pool_invoke(),
-                    plan.store_error(StoreOp::Get),
-                    plan.transport_drop(),
-                    plan.straggler(),
+                    inj.vm_interrupt_at(k * 60, 120.0),
+                    inj.pool_invoke(),
+                    inj.store_attempts(StoreOp::Get),
+                    inj.keyed().transport_read_retries_keyed(k),
+                    inj.straggler(),
                 ));
             }
             log
@@ -981,17 +963,17 @@ mod tests {
     #[test]
     fn injection_points_draw_from_independent_streams() {
         // Drawing heavily at one point must not shift another point's
-        // stream: interleaving store draws between pool draws leaves the
-        // pool decision sequence unchanged.
+        // stream: interleaving store and transport draws between pool
+        // draws leaves the pool decision sequence unchanged.
         let pool_only = |interleave: bool| {
-            let mut plan = FaultPlan::compile(&active_spec(), 5).unwrap();
+            let inj = injector(&active_spec(), 5);
             let mut decisions = Vec::new();
-            for _ in 0..100 {
+            for k in 0..100 {
                 if interleave {
-                    let _ = plan.store_error(StoreOp::Get);
-                    let _ = plan.transport_drop();
+                    let _ = inj.store_attempts(StoreOp::Get);
+                    let _ = inj.keyed().transport_write_fallback_keyed(k);
                 }
-                decisions.push(plan.pool_invoke());
+                decisions.push(inj.pool_invoke());
             }
             decisions
         };
@@ -1056,11 +1038,11 @@ mod tests {
     fn transport_recovery_is_bounded() {
         let spec = FaultSpec::default().with_transport_drops(0.95);
         let policy = RecoveryPolicy::default().with_max_retries(2);
-        let inj = FaultInjector::new(FaultPlan::compile(&spec, 11).unwrap(), policy);
+        let tasks = FaultInjector::new(FaultPlan::compile(&spec, 11).unwrap(), policy).keyed();
         let mut fallbacks = 0;
-        for _ in 0..500 {
-            assert!(inj.transport_read_retries() <= 2);
-            if inj.transport_write_fallback() {
+        for k in 0..500 {
+            assert!(tasks.transport_read_retries_keyed(k) <= 2);
+            if tasks.transport_write_fallback_keyed(k) {
                 fallbacks += 1;
             }
         }
@@ -1072,12 +1054,7 @@ mod tests {
         // The parallel-dispatch contract: a keyed draw's outcome is a pure
         // function of (seed, point, key). Interleaving draws for other
         // keys — as concurrent tasks would — must not move it.
-        let inj = || {
-            FaultInjector::new(
-                FaultPlan::compile(&active_spec(), 33).unwrap(),
-                RecoveryPolicy::default(),
-            )
-        };
+        let inj = || injector(&active_spec(), 33).keyed();
         let a = inj();
         let direct: Vec<u32> = (0..50).map(|k| a.transport_read_retries_keyed(k)).collect();
         let b = inj();
@@ -1108,13 +1085,15 @@ mod tests {
 
     #[test]
     fn keyed_draws_leave_sequential_streams_untouched() {
-        let mut plan = FaultPlan::compile(&active_spec(), 12).unwrap();
+        let plan = FaultPlan::compile(&active_spec(), 12).unwrap();
         let before = plan.clone();
+        let inj = FaultInjector::new(plan, RecoveryPolicy::default());
         for k in 0..20 {
-            let mut rng = plan.keyed_stream(SALT_TRANSPORT_READ, k);
-            let _ = rng.gen_bool(0.5);
+            let _ = inj.store_attempts_keyed(StoreOp::Get, k);
+            let _ = inj.keyed().store_attempts_keyed(StoreOp::Put, k);
+            let _ = inj.keyed().transport_read_retries_keyed(k);
         }
-        assert_eq!(plan.transport, before.transport);
+        let plan = inj.plan.as_ref().unwrap().borrow();
         assert_eq!(plan.store_get, before.store_get);
         assert_eq!(plan.store_put, before.store_put);
     }
@@ -1126,7 +1105,8 @@ mod tests {
             FaultPlan::compile(&FaultSpec::default(), 3).unwrap(),
             RecoveryPolicy::default(),
         )
-        .instrumented(&t);
+        .instrumented(&t)
+        .keyed();
         for k in 0..50 {
             assert_eq!(inj.store_attempts_keyed(StoreOp::Get, k), 1);
             assert_eq!(inj.store_attempts_keyed(StoreOp::Put, k), 1);
@@ -1151,13 +1131,12 @@ mod tests {
 
     #[test]
     fn environment_only_spec_is_not_a_noop() {
-        // The environment knobs participate in is_zero/is_noop: a spec
-        // with only heterogeneity set must not be treated as inert.
+        // The environment knobs participate in is_zero: a spec with only
+        // heterogeneity set must not be treated as inert.
         let spec = FaultSpec::default()
             .with_environment(EnvironmentSpec::default().with_vm_heterogeneity(0.3, 2.0, 0.5));
         assert!(!spec.is_zero());
-        assert!(!spec.is_noop());
-        assert!(FaultSpec::default().is_noop());
+        assert!(FaultSpec::default().is_zero());
         // Environment knobs are validated through the fault spec:
         // compile rejects a negative spread with a typed error.
         let bad = FaultSpec::default()
@@ -1166,19 +1145,6 @@ mod tests {
             FaultPlan::compile(&bad, 1),
             Err(FaultError::InvalidRate { knob, .. }) if knob == "env.vm_slowdown_spread"
         ));
-    }
-
-    #[test]
-    fn storm_free_interrupt_draws_match_the_legacy_path() {
-        // vm_interrupt_at must be draw-identical to vm_interrupt when
-        // storms are off, so switching call sites over cannot move
-        // existing golden dumps.
-        let spec = FaultSpec::default().with_spot_reclaims(30.0);
-        let mut a = FaultPlan::compile(&spec, 17).unwrap();
-        let mut b = FaultPlan::compile(&spec, 17).unwrap();
-        for i in 0..200 {
-            assert_eq!(a.vm_interrupt(120.0), b.vm_interrupt_at(i * 60, 120.0));
-        }
     }
 
     #[test]
@@ -1232,14 +1198,14 @@ mod tests {
     fn disabled_injector_is_a_noop() {
         let inj = FaultInjector::disabled();
         assert!(!inj.is_enabled());
-        assert_eq!(inj.vm_interrupt(1000.0), None);
         assert_eq!(inj.pool_invoke(), PoolDecision::Proceed);
         assert_eq!(inj.store_attempts(StoreOp::Put), 1);
-        assert!(!inj.transport_write_fallback());
-        assert_eq!(inj.transport_read_retries(), 0);
         assert_eq!(inj.store_attempts_keyed(StoreOp::Get, 7), 1);
-        assert!(!inj.transport_write_fallback_keyed(7));
-        assert_eq!(inj.transport_read_retries_keyed(7), 0);
+        for tasks in [inj.keyed(), TaskFaults::default()] {
+            assert_eq!(tasks.store_attempts_keyed(StoreOp::Get, 7), 1);
+            assert!(!tasks.transport_write_fallback_keyed(7));
+            assert_eq!(tasks.transport_read_retries_keyed(7), 0);
+        }
         assert_eq!(inj.straggler(), None);
         assert_eq!(inj.policy(), RecoveryPolicy::default());
         assert_eq!(inj.vm_interrupt_at(100, 1000.0), None);

@@ -2,10 +2,9 @@
 //! detection, application, and unified-diff rendering for `--dry-run`.
 //!
 //! Rules attach [`Edit`]s to findings when the rewrite is mechanical
-//! (L14 `Vec::with_capacity`, L15 cast widening, L18 keyed-twin
-//! substitution). Spans are byte offsets into the *original* source —
-//! the lexer records them per token — so edits compose only if they do
-//! not overlap. The engine sorts, rejects overlapping spans as a
+//! (L14 `Vec::with_capacity`, L15 cast widening). Spans are byte offsets
+//! into the *original* source — the lexer records them per token — so
+//! edits compose only if they do not overlap. The engine sorts, rejects overlapping spans as a
 //! conflict (never silently picks a winner), and applies back-to-front
 //! so earlier offsets stay valid.
 //!

@@ -64,6 +64,12 @@ const CALL_EDGE_STOPLIST: [&str; 40] = [
     "replace",
 ];
 
+/// Bare name of the fn every parallel-phase rule (L17, L14's
+/// reachability half) roots its call-graph walk at:
+/// `TaskExecution::run_buffered`, the compute phase the executor's worker
+/// closures call.
+pub const PHASE_ROOT: &str = "run_buffered";
+
 /// One source file of the linted tree.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -389,7 +395,7 @@ mod tests {
         let w = ws(&[
             (
                 "crates/engine/src/task.rs",
-                "pub fn execute_task_buffered() { helper(); }",
+                "pub fn run_buffered() { helper(); }",
             ),
             (
                 "crates/core/src/transport.rs",
@@ -397,16 +403,14 @@ mod tests {
             ),
             ("crates/core/src/other.rs", "pub fn unrelated() {}"),
         ]);
-        let reach = w.reachable_from("execute_task_buffered");
+        let reach = w.reachable_from(PHASE_ROOT);
         let names: BTreeSet<&str> = reach
             .iter()
             .map(|&id| w.fn_item(id).name.as_str())
             .collect();
         assert_eq!(
             names,
-            ["execute_task_buffered", "helper", "leaf"]
-                .into_iter()
-                .collect()
+            ["run_buffered", "helper", "leaf"].into_iter().collect()
         );
     }
 

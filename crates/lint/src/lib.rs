@@ -19,12 +19,10 @@
 //! | L1 | no `Instant` / `SystemTime` (host clock) | everywhere except `crates/bench` and `crates/cloud/src/time.rs` |
 //! | L2 | no `thread_rng` / `from_entropy` / `rand::` (unseeded RNG) | everywhere |
 //! | L3 | no order-revealing iteration of `HashMap` / `HashSet` | `crates/engine`, `crates/core`, `crates/telemetry` |
-//! | L4 | *(retired — subsumed by L11)* | — |
 //! | L5 | no `unwrap()` / `expect()` / `panic!` on hot paths | `crates/cloud/src`, `crates/telemetry/src`, `crates/faults/src`, `crates/serve/src`, `core/{system,transport}.rs`, `engine/{task,shuffle,table,executor}.rs` |
 //! | L6 | no `thread::spawn` / `thread::scope` (ad-hoc threading) | everywhere except `engine/src/executor.rs`, `lint/src/index.rs` |
 //! | L7 | no lock-order cycles (static deadlock detector) | `crates/engine`, `crates/core` |
 //! | L8 | no `Ordering::Relaxed` on atomics shared with worker closures | `crates/engine`, `crates/core` |
-//! | L9 | no sequential fault draws reachable from `execute_task_buffered` | `crates/engine`, `crates/core`, `crates/cloud` |
 //! | L10 | metric names are literals matching the DESIGN §7 grammar | everywhere |
 //! | L11 | no raw money arithmetic / call-site price formulas | everywhere except `cloud/src/{ledger,pricing}.rs`, `core/src/prices.rs`, `crates/bench` |
 //! | L12 | no mixing of units (usd/seconds/bytes/rows/count) in arithmetic | everywhere except `crates/bench` |
@@ -33,7 +31,6 @@
 //! | L15 | no narrowing `as` casts on unit-carrying values | everywhere except `crates/bench` |
 //! | L16 | pooled scratch checkouts balance with recycles per fn | `crates/engine` except `kernels/pool.rs` |
 //! | L17 | no parallel-phase writes to shared registries (telemetry / shuffle / ledger) | `crates/engine`, `crates/core`, `crates/cloud` |
-//! | L18 | draws with a `_keyed` twin must use it in parallel-phase code | `crates/engine`, `crates/core`, `crates/cloud` |
 //! | L19 | `pure(...)`-annotated fns uphold their purity contract | everywhere except `crates/bench` |
 //!
 //! L12–L15 sit on the intra-procedural dataflow layer ([`dataflow`]):
@@ -44,10 +41,12 @@
 //! rows|count|none)` ([`units`]); `unit(none)` marks a binding as
 //! explicitly dimensionless.
 //!
-//! L17–L19 sit on the interprocedural layer: every fn BFS-reachable
-//! from `execute_task_buffered` is classified *parallel-phase*, and
-//! such code may neither write shared registries directly (L17) nor
-//! call a draw whose `_keyed` twin exists (L18). `// cackle-lint:
+//! L17 and L19 sit on the interprocedural layer. Every fn BFS-reachable
+//! from `TaskExecution::run_buffered` ([`index::PHASE_ROOT`]) is
+//! classified *parallel-phase*, and such code may not write shared
+//! registries directly (L17). Which fault draws it may make is not a
+//! lint: tasks hold `cackle_faults::TaskFaults`, which has only the
+//! keyed ones, and the sequential handle is `!Sync`. `// cackle-lint:
 //! pure(param, ...)` on the line above a fn declares a purity contract
 //! — no mutable statics, no interior mutability, no unannotated
 //! workspace callees, draw keys derived only from the declared
@@ -81,7 +80,9 @@
 //! malformed list — unknown id, duplicate id, trailing comma, empty
 //! list, missing `)` — is itself a hard error (reported as `SUP`, which
 //! cannot be suppressed): a typo'd allow that silently does nothing is
-//! worse than no allow at all.
+//! worse than no allow at all. A well-formed allow that suppresses no
+//! finding is stale, and is reported like a stale baseline entry (exit
+//! code 3): an allow that outlives its finding hides the next one.
 //!
 //! # Baseline
 //!
@@ -118,9 +119,6 @@ pub enum LintId {
     L2,
     /// Order-revealing hash-collection iteration.
     L3,
-    /// Retired: raw dollar arithmetic, path-scoped (subsumed by L11).
-    /// Still parses in baselines; never fires.
-    L4,
     /// Panic paths (`unwrap`/`expect`/`panic!`) on hot paths.
     L5,
     /// Ad-hoc threading outside the deterministic stage executor.
@@ -129,8 +127,6 @@ pub enum LintId {
     L7,
     /// `Ordering::Relaxed` on atomics shared with worker closures.
     L8,
-    /// Sequential fault draws reachable from the parallel phase.
-    L9,
     /// Telemetry metric-name schema violations.
     L10,
     /// Ledger hygiene: money arithmetic outside the billing layer.
@@ -147,8 +143,6 @@ pub enum LintId {
     L16,
     /// Phase discipline: parallel-phase writes to shared registries.
     L17,
-    /// Keyed-draw completeness: a `_keyed` twin exists but is unused.
-    L18,
     /// Purity contracts: `pure(...)`-annotated fns must stay pure.
     L19,
     /// Malformed suppression comment (cannot itself be suppressed).
@@ -157,16 +151,14 @@ pub enum LintId {
 
 impl LintId {
     /// All rules, in report order.
-    pub const ALL: [LintId; 20] = [
+    pub const ALL: [LintId; 17] = [
         LintId::L1,
         LintId::L2,
         LintId::L3,
-        LintId::L4,
         LintId::L5,
         LintId::L6,
         LintId::L7,
         LintId::L8,
-        LintId::L9,
         LintId::L10,
         LintId::L11,
         LintId::L12,
@@ -175,24 +167,22 @@ impl LintId {
         LintId::L15,
         LintId::L16,
         LintId::L17,
-        LintId::L18,
         LintId::L19,
         LintId::Sup,
     ];
 
-    /// Parse `"L1"`..`"L11"`. `"SUP"` is deliberately not parseable:
-    /// it can appear in neither a baseline nor an allow list.
+    /// Parse a live rule id (`"L1"`..`"L19"`). `"SUP"` is deliberately
+    /// not parseable: it can appear in neither a baseline nor an allow
+    /// list.
     pub fn parse(s: &str) -> Option<LintId> {
         match s.trim() {
             "L1" => Some(LintId::L1),
             "L2" => Some(LintId::L2),
             "L3" => Some(LintId::L3),
-            "L4" => Some(LintId::L4),
             "L5" => Some(LintId::L5),
             "L6" => Some(LintId::L6),
             "L7" => Some(LintId::L7),
             "L8" => Some(LintId::L8),
-            "L9" => Some(LintId::L9),
             "L10" => Some(LintId::L10),
             "L11" => Some(LintId::L11),
             "L12" => Some(LintId::L12),
@@ -201,7 +191,6 @@ impl LintId {
             "L15" => Some(LintId::L15),
             "L16" => Some(LintId::L16),
             "L17" => Some(LintId::L17),
-            "L18" => Some(LintId::L18),
             "L19" => Some(LintId::L19),
             _ => None,
         }
@@ -222,12 +211,10 @@ impl fmt::Display for LintId {
             LintId::L1 => "L1",
             LintId::L2 => "L2",
             LintId::L3 => "L3",
-            LintId::L4 => "L4",
             LintId::L5 => "L5",
             LintId::L6 => "L6",
             LintId::L7 => "L7",
             LintId::L8 => "L8",
-            LintId::L9 => "L9",
             LintId::L10 => "L10",
             LintId::L11 => "L11",
             LintId::L12 => "L12",
@@ -236,7 +223,6 @@ impl fmt::Display for LintId {
             LintId::L15 => "L15",
             LintId::L16 => "L16",
             LintId::L17 => "L17",
-            LintId::L18 => "L18",
             LintId::L19 => "L19",
             LintId::Sup => "SUP",
         };
@@ -294,8 +280,6 @@ fn applies(id: LintId, path: &str) -> bool {
         LintId::L1 => !path.starts_with("crates/bench/") && path != "crates/cloud/src/time.rs",
         LintId::L2 => true,
         LintId::L3 => engine_or_core || path.starts_with("crates/telemetry/"),
-        // Retired: everything L4 flagged is now L11's job.
-        LintId::L4 => false,
         LintId::L5 => {
             path.starts_with("crates/cloud/src/")
                 || path.starts_with("crates/telemetry/src/")
@@ -319,9 +303,6 @@ fn applies(id: LintId, path: &str) -> bool {
         // and merges results in input order.
         LintId::L6 => path != "crates/engine/src/executor.rs" && path != "crates/lint/src/index.rs",
         LintId::L7 | LintId::L8 => engine_or_core,
-        // crates/faults is the sequential primitives' home — the draws
-        // defined (and wrapped) there are the API, not misuse of it.
-        LintId::L9 => engine_or_core || path.starts_with("crates/cloud/"),
         LintId::L10 => true,
         LintId::L11 => {
             path != "crates/cloud/src/ledger.rs"
@@ -342,12 +323,11 @@ fn applies(id: LintId, path: &str) -> bool {
         LintId::L16 => {
             path.starts_with("crates/engine/") && path != "crates/engine/src/kernels/pool.rs"
         }
-        // Phase discipline and keyed-draw completeness share L9's scope:
-        // the parallel phase is an engine concept, and the registries it
+        // The parallel phase is an engine concept, and the registries it
         // must not touch live in core/cloud. crates/faults and
-        // crates/telemetry define the shard/merge and keyed primitives —
-        // their internals are the API, not misuse of it.
-        LintId::L17 | LintId::L18 => engine_or_core || path.starts_with("crates/cloud/"),
+        // crates/telemetry define the shard/merge primitives — their
+        // internals are the API, not misuse of it.
+        LintId::L17 => engine_or_core || path.starts_with("crates/cloud/"),
         // Purity contracts are opt-in annotations; wherever one is
         // written it must hold (bench code never annotates).
         LintId::L19 => !path.starts_with("crates/bench/"),
@@ -367,13 +347,17 @@ fn applies_in_test_dir(id: LintId) -> bool {
 // Suppressions
 // ---------------------------------------------------------------------------
 
-/// Parse `// cackle-lint: allow(L1,L5)` comments. Returns per-line
-/// suppressed ids plus a finding for every malformed suppression:
-/// unknown id, duplicate id, trailing comma / empty element, empty
-/// list, or missing `)`.
-fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<LintId>>, Vec<Finding>) {
+/// One `allow(...)` entry: the rule it names and the line its comment
+/// is on (an own-line comment also covers the line below it).
+type Allow = (LintId, usize);
+
+/// Parse `// cackle-lint: allow(L1,L5)` comments. Returns, per covered
+/// line, the allows in force there, plus a finding for every malformed
+/// suppression: unknown id, duplicate id, trailing comma / empty
+/// element, empty list, or missing `)`.
+fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<Allow>>, Vec<Finding>) {
     const MARKER: &str = "cackle-lint:";
-    let mut map: BTreeMap<usize, BTreeSet<LintId>> = BTreeMap::new();
+    let mut map: BTreeMap<usize, BTreeSet<Allow>> = BTreeMap::new();
     let mut bad = Vec::new();
     for (i, raw) in source.lines().enumerate() {
         let line = i + 1;
@@ -434,13 +418,14 @@ fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<LintI
             }
         }
         if ok {
-            map.entry(line).or_default().extend(ids.iter().copied());
+            let allows = ids.iter().map(|&id| (id, line));
+            map.entry(line).or_default().extend(allows.clone());
             // A suppression on its own comment line also covers the next
             // line, so the justification can sit above the flagged code
             // (a trailing comment covers only its own line).
             let prefix = raw[..at].trim();
             if !prefix.is_empty() && prefix.chars().all(|c| c == '/' || c == '!') {
-                map.entry(line + 1).or_default().extend(ids);
+                map.entry(line + 1).or_default().extend(allows);
             }
         }
     }
@@ -469,6 +454,14 @@ pub struct LintMeta {
     pub phases: Vec<PhaseTime>,
     /// Parse-stage parallelism accounting (workers, busy vs wall time).
     pub parallel: index::ParallelStats,
+    /// Well-formed inline allows that suppressed no finding, as
+    /// `<lint-id> <path>:<line>: ...` — stale like a baseline entry
+    /// larger than its finding count, and failed the same way.
+    pub stale_allows: Vec<String>,
+    /// Names of the fns classified parallel-phase (reachable from
+    /// [`index::PHASE_ROOT`]). Empty means L17 and L14's reachability
+    /// half saw nothing to check.
+    pub parallel_phase: BTreeSet<String>,
 }
 
 impl LintMeta {
@@ -487,7 +480,8 @@ impl LintMeta {
 /// index everything, build the dataflow layer, run every rule family,
 /// then centrally apply rule scoping, `#[test]`-item exclusion, the
 /// tests-dir restricted rule set, and inline suppressions. Findings
-/// come back sorted by (path, line, rule), with per-phase timings.
+/// come back sorted by (path, line, rule), with per-phase timings, the
+/// allows that suppressed nothing, and the parallel-phase set.
 pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, LintMeta) {
     let files = inputs.len();
     let t = Instant::now();
@@ -505,10 +499,14 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
     let t = Instant::now();
     let mut findings = Vec::new();
 
+    // Every allow starts out unused, as (file, allow); suppressing a
+    // finding removes it, and what is left at the end is stale.
+    let mut unused_allows: BTreeSet<(usize, Allow)> = BTreeSet::new();
     let mut suppressed = Vec::with_capacity(ws.files.len());
-    for file in &ws.files {
+    for (fi, file) in ws.files.iter().enumerate() {
         let (map, bad) = suppressions(&file.rel_path, &file.source);
         findings.extend(bad);
+        unused_allows.extend(map.values().flatten().map(|&allow| (fi, allow)));
         suppressed.push(map);
         // Malformed `unit(...)` annotations are hard errors too: a typo'd
         // unit silently falling back to convention inference is exactly
@@ -559,11 +557,12 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
         // line of its statement — an own-line allow comment above a
         // statement covers it however the formatter wraps it.
         let stmt_line = file.parsed.toks[file.parsed.statement_start(r.tok)].line;
-        if [line, stmt_line].iter().any(|l| {
-            suppressed[r.file]
-                .get(l)
-                .is_some_and(|ids| ids.contains(&r.id))
-        }) {
+        let allow = [line, stmt_line].iter().find_map(|l| {
+            let allows = suppressed[r.file].get(l)?;
+            allows.iter().find(|(id, _)| *id == r.id).copied()
+        });
+        if let Some(allow) = allow {
+            unused_allows.remove(&(r.file, allow));
             continue;
         }
         findings.push(Finding {
@@ -580,6 +579,18 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
     // their enclosing fn's body, so site-anchored rules can report the
     // same (path, line, rule, message) twice. One site, one finding.
     findings.dedup();
+    let stale_allows = unused_allows
+        .into_iter()
+        .map(|(fi, (id, line))| {
+            let path = &ws.files[fi].rel_path;
+            format!("{id} {path}:{line}: inline allow suppresses no finding")
+        })
+        .collect();
+    let parallel_phase = ws
+        .reachable_from(index::PHASE_ROOT)
+        .into_iter()
+        .map(|id| ws.fn_item(id).name.clone())
+        .collect();
     let filter_ms = t.elapsed().as_millis();
 
     let meta = LintMeta {
@@ -603,6 +614,8 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
             },
         ],
         parallel,
+        stale_allows,
+        parallel_phase,
     };
     (findings, meta)
 }
@@ -671,9 +684,13 @@ fn walk(
     Ok(())
 }
 
+/// The file that defines [`index::PHASE_ROOT`] in the real workspace.
+const PHASE_ROOT_FILE: &str = "crates/engine/src/task.rs";
+
 /// Lint every file under `root` as one workspace, returning findings
 /// sorted by (path, line, rule) plus per-phase timings (including the
-/// file-collection phase).
+/// file-collection phase). A tree that contains the engine's task file
+/// but no phase root gets an L17 finding of its own.
 pub fn lint_root_with_meta(
     root: &Path,
     include_tests: bool,
@@ -686,7 +703,26 @@ pub fn lint_root_with_meta(
         inputs.push((rel_str, source));
     }
     let collect_ms = t.elapsed().as_millis();
-    let (findings, mut meta) = lint_files_with_meta(inputs);
+    let has_task_rs = inputs.iter().any(|(p, _)| p == PHASE_ROOT_FILE);
+    let (mut findings, mut meta) = lint_files_with_meta(inputs);
+    // A tree with the engine's task file but no phase root would pass
+    // L17 (and L14's reachability half) by checking nothing.
+    if has_task_rs && meta.parallel_phase.is_empty() {
+        findings.push(Finding {
+            path: PHASE_ROOT_FILE.to_string(),
+            line: 1,
+            id: LintId::L17,
+            message: format!(
+                "phase root `{}` resolves to no fn: the parallel-phase set is empty",
+                index::PHASE_ROOT
+            ),
+            suggestion: "keep `TaskExecution::run_buffered` as the task compute entry point, \
+                         or re-root `index::PHASE_ROOT` at its replacement"
+                .into(),
+            fix: Vec::new(),
+        });
+        findings.sort();
+    }
     meta.phases.insert(
         0,
         PhaseTime {
@@ -958,13 +994,10 @@ mod tests {
         assert!(f.iter().any(|f| f.id == LintId::L11), "{f:?}");
         // The billing layer itself is exempt.
         assert!(lint_source("crates/cloud/src/ledger.rs", src).is_empty());
-        // L11 is workspace-wide: the same code in core (outside L4's old
-        // scope) is flagged too.
+        // L11 is workspace-wide: the same code in core is flagged too.
         assert!(lint_source("crates/core/src/meta.rs", src)
             .iter()
             .any(|f| f.id == LintId::L11));
-        // L4 itself is retired — it never fires.
-        assert!(f.iter().all(|f| f.id != LintId::L4));
     }
 
     #[test]
@@ -1140,6 +1173,10 @@ mod tests {
         // Well-formed multi-id lists still work.
         let ok = "fn f() { Instant::now(); } // cackle-lint: allow(L1,L5)";
         assert!(lint_source("crates/cloud/src/vm.rs", ok).is_empty());
+        // Retired ids are unknown ids.
+        for retired in ["L4", "L9"] {
+            assert_eq!(LintId::parse(retired), None);
+        }
     }
 
     #[test]
@@ -1158,25 +1195,77 @@ mod tests {
 
     #[test]
     fn workspace_pass_links_files_for_reachability_rules() {
-        // `store_error` has no keyed twin → L9; `store_attempts` has
-        // one → L18. Both draw on the cross-file call graph.
-        let f = lint_files(vec![
+        // L17 draws on the cross-file call graph: the write sits in core,
+        // the phase root in the engine.
+        let (f, meta) = lint_files_with_meta(vec![
             (
                 "crates/engine/src/task.rs".to_string(),
-                "pub fn execute_task_buffered() { helper(); }".to_string(),
+                "pub fn run_buffered() { helper(); }".to_string(),
             ),
             (
                 "crates/core/src/system.rs".to_string(),
-                "pub fn helper(faults: &FaultInjector) {\n\
-                 faults.store_error(op);\n\
-                 faults.store_attempts(op);\n\
-                 }"
-                .to_string(),
+                "pub fn helper(ledger: &mut CostLedger) { ledger.charge(c, d); }".to_string(),
             ),
         ]);
-        assert!(f.iter().any(|f| f.id == LintId::L9), "{f:?}");
-        assert!(f.iter().any(|f| f.id == LintId::L18), "{f:?}");
+        assert!(f.iter().any(|f| f.id == LintId::L17), "{f:?}");
         assert_eq!(f[0].path, "crates/core/src/system.rs");
+        let phase: Vec<&str> = meta.parallel_phase.iter().map(String::as_str).collect();
+        assert_eq!(phase, ["helper", "run_buffered"]);
+    }
+
+    #[test]
+    fn allows_that_suppress_nothing_are_stale() {
+        let stale = |src: &str| {
+            lint_files_with_meta(vec![(
+                "crates/cloud/src/vm.rs".to_string(),
+                src.to_string(),
+            )])
+            .1
+            .stale_allows
+        };
+        // A used allow is not stale, trailing or on its own line.
+        assert!(
+            stale("fn f(x: Option<u32>) -> u32 { x.unwrap() } // cackle-lint: allow(L5)")
+                .is_empty()
+        );
+        assert!(stale(
+            "fn f(x: Option<u32>) -> u32 {\n    // cackle-lint: allow(L5)\n    x.unwrap()\n}"
+        )
+        .is_empty());
+        // Nothing to suppress, or the wrong rule: stale, by rule and line.
+        assert_eq!(
+            stale("fn f() {}\nfn g() {} // cackle-lint: allow(L5)"),
+            ["L5 crates/cloud/src/vm.rs:2: inline allow suppresses no finding"]
+        );
+        // Each listed id is tracked on its own.
+        assert_eq!(
+            stale("fn f(x: Option<u32>) -> u32 { x.unwrap() } // cackle-lint: allow(L1,L5)"),
+            ["L1 crates/cloud/src/vm.rs:1: inline allow suppresses no finding"]
+        );
+        // So is an allow for a rule that does not apply to the path.
+        assert_eq!(
+            stale("fn f() { Instant::now(); } // cackle-lint: allow(L1,L3)").len(),
+            1
+        );
+    }
+
+    #[test]
+    fn a_tree_with_task_rs_but_no_phase_root_is_a_finding() {
+        let dir = std::env::temp_dir().join(format!("cackle-lint-root-{}", std::process::id()));
+        let src = dir.join("crates/engine/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(src.join("task.rs"), "pub fn execute() {}\n").unwrap();
+        let (f, meta) = lint_root_with_meta(&dir, false).unwrap();
+        assert!(meta.parallel_phase.is_empty());
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].id, f[0].line), (LintId::L17, 1));
+        assert!(f[0].message.contains("run_buffered"), "{f:?}");
+        // With the root in place the finding goes.
+        std::fs::write(src.join("task.rs"), "pub fn run_buffered() {}\n").unwrap();
+        let (f, meta) = lint_root_with_meta(&dir, false).unwrap();
+        assert!(f.is_empty(), "{f:?}");
+        assert!(meta.parallel_phase.contains("run_buffered"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1232,6 +1321,7 @@ mod tests {
                 task_ms: 10,
                 wall_ms: 4,
             },
+            ..LintMeta::default()
         };
         let a = render_json(&f, &f, &[], &meta);
         let b = render_json(&f, &f, &[], &meta);
@@ -1328,7 +1418,7 @@ mod tests {
         let test_seed = "#[test]\nfn t() { let r = Pcg32::seed_from_u64(42); }";
         assert!(lint_source("crates/core/src/model.rs", test_seed).is_empty());
         // L14 is engine-only even for reachable code.
-        let hot = "pub fn execute_task_buffered(n: usize) { for i in 0..n { let v: Vec<u32> = (0..i).collect(); } }";
+        let hot = "pub fn run_buffered(n: usize) { for i in 0..n { let v: Vec<u32> = (0..i).collect(); } }";
         assert!(lint_source("crates/engine/src/task.rs", hot)
             .iter()
             .any(|f| f.id == LintId::L14));

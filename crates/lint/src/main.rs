@@ -17,12 +17,13 @@
 //! * `2` — usage or I/O error (bad flag, bad `--format`/`--explain`
 //!   argument, unreadable root or baseline, conflicting fixes);
 //! * `3` — no new violations, but the baseline has stale entries (debt
-//!   that was paid down without trimming the file).
+//!   that was paid down without trimming the file) or an inline
+//!   `allow(...)` suppresses no finding.
 //!
 //! `--format json` emits one deterministic document (fixed key order,
 //! sorted findings) with file / line / rule / severity / baselined /
-//! message / suggestion / fixable per finding plus stale-baseline
-//! entries, per-rule counts, and a `meta` block (file count, per-rule
+//! message / suggestion / fixable per finding plus stale baseline
+//! entries and stale inline allows, per-rule counts, and a `meta` block (file count, per-rule
 //! counts, per-phase wall-clock timings, parse-pool parallelism).
 //! `--timings none` zeroes every machine-dependent meta field — phase
 //! `ms` values and the parallel block, worker count included — so the
@@ -44,10 +45,10 @@
 //! exit 1.
 //!
 //! `cackle-lint fix` applies the machine-readable edits attached to
-//! fixable findings (L14 capacity hints, L15 cast widening, L18
-//! keyed-twin substitution). Edits are byte spans into the original
-//! source; overlapping spans within a file are a conflict — nothing in
-//! that file is rewritten, and the exit code is 2. `--dry-run` prints
+//! fixable findings (L14 capacity hints, L15 cast widening). Edits are
+//! byte spans into the original source; overlapping spans within a file
+//! are a conflict — nothing in that file is rewritten, and the exit code
+//! is 2. `--dry-run` prints
 //! a unified diff per file (path-sorted, deterministic) instead of
 //! writing. Applying fixes is idempotent by construction: an applied
 //! fix removes the finding that produced it, so a second run finds
@@ -144,9 +145,7 @@ fn main() -> ExitCode {
             }
             "--list-rules" => {
                 for id in LintId::ALL {
-                    if let Some(s) = rules::summary(id) {
-                        println!("{id}\t{s}");
-                    }
+                    println!("{id}\t{}", rules::summary(id));
                 }
                 return ExitCode::SUCCESS;
             }
@@ -213,7 +212,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let (new_violations, stale) = diff_baseline(&findings, &baseline);
+    let (new_violations, mut stale) = diff_baseline(&findings, &baseline);
+    stale.extend(meta.stale_allows.iter().cloned());
 
     match format {
         Format::Json => {
@@ -224,7 +224,7 @@ fn main() -> ExitCode {
                 println!("{f}");
             }
             for s in &stale {
-                eprintln!("cackle-lint: stale baseline entry: {s}");
+                eprintln!("cackle-lint: stale: {s}");
             }
         }
     }
@@ -237,7 +237,7 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else if !stale.is_empty() {
         eprintln!(
-            "cackle-lint: {} stale baseline entrie(s): trim lint-baseline.txt",
+            "cackle-lint: {} stale baseline entrie(s) or inline allow(s): trim them",
             stale.len()
         );
         ExitCode::from(3)

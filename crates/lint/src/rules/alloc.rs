@@ -16,12 +16,13 @@
 //!   `vec![]` with no `with_capacity` — growth reallocations inside
 //!   the loop.
 //!
-//! Hot-path = BFS-reachable from `execute_task_buffered` or from any
-//! operator `next` fn, plus everything defined in the columnar kernel
-//! files `crates/engine/src/{batch,column}.rs` and the vectorized
-//! kernel tree `crates/engine/src/kernels/` — the kernels every
-//! operator bottoms out in, which reachability alone misses because
-//! ubiquitous method names (`take`, `len`) are call-graph stoplisted.
+//! Hot-path = BFS-reachable from `TaskExecution::run_buffered`
+//! ([`PHASE_ROOT`]) or from any operator `next` fn, plus everything
+//! defined in the columnar kernel files
+//! `crates/engine/src/{batch,column}.rs` and the vectorized kernel tree
+//! `crates/engine/src/kernels/` — the kernels every operator bottoms out
+//! in, which reachability alone misses because ubiquitous method names
+//! (`take`, `len`) are call-graph stoplisted.
 //!
 //! Every suggestion is machine-readable: it starts with
 //! `reuse-buffer:` and names the reusable-buffer alternative. The
@@ -34,7 +35,7 @@
 use super::RawFinding;
 use crate::dataflow::Flows;
 use crate::fix::Edit;
-use crate::index::Workspace;
+use crate::index::{Workspace, PHASE_ROOT};
 use crate::lexer::TokKind;
 use crate::LintId;
 use std::collections::BTreeSet;
@@ -54,7 +55,7 @@ const SERVE_HOT_FILES: [&str; 2] = [
 ];
 
 pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
-    let mut domain: BTreeSet<usize> = ws.reachable_from("execute_task_buffered");
+    let mut domain: BTreeSet<usize> = ws.reachable_from(PHASE_ROOT);
     domain.extend(ws.reachable_from("next"));
     for (id, f) in ws.index.fns.iter().enumerate() {
         let rel = ws.files[f.file].rel_path.as_str();
@@ -273,7 +274,7 @@ mod tests {
     fn allocations_in_reachable_loops_flagged() {
         let f = findings(&[(
             "crates/engine/src/task.rs",
-            "pub fn execute_task_buffered(n: usize) {\n\
+            "pub fn run_buffered(n: usize) {\n\
                  for i in 0..n {\n\
                      let idx: Vec<usize> = (0..i).collect();\n\
                      let s = format!(\"{i}\");\n\
@@ -289,7 +290,7 @@ mod tests {
         // Same shapes outside any loop: clean.
         assert!(findings(&[(
             "crates/engine/src/task.rs",
-            "pub fn execute_task_buffered(n: usize) { let v: Vec<usize> = (0..n).collect(); }",
+            "pub fn run_buffered(n: usize) { let v: Vec<usize> = (0..n).collect(); }",
         )])
         .is_empty());
         // Same shapes in a loop, but unreachable from any root: clean.
@@ -351,10 +352,10 @@ mod tests {
         let hot = |body: &str| {
             findings(&[(
                 "crates/engine/src/task.rs",
-                &format!("pub fn execute_task_buffered(n: usize) {{ {body} }}"),
+                &format!("pub fn run_buffered(n: usize) {{ {body} }}"),
             )])
         };
-        let src = "pub fn execute_task_buffered(n: usize) { let mut acc = Vec::new();\n\
+        let src = "pub fn run_buffered(n: usize) { let mut acc = Vec::new();\n\
              for i in 0..n { acc.push(i); } }";
         let f = findings(&[("crates/engine/src/task.rs", src)]);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -363,7 +364,7 @@ mod tests {
         // capacity stays a TODO for the human.
         assert_eq!(
             crate::fix::apply(src, &f[0].fix).unwrap(),
-            "pub fn execute_task_buffered(n: usize) { let mut acc = \
+            "pub fn run_buffered(n: usize) { let mut acc = \
              Vec::with_capacity(0 /* TODO: size from loop bound */);\n\
              for i in 0..n { acc.push(i); } }"
         );
@@ -381,7 +382,7 @@ mod tests {
     fn schema_clones_and_arc_clone_exempt() {
         let f = findings(&[(
             "crates/engine/src/task.rs",
-            "pub fn execute_task_buffered(parts: &[Part], out_schema: &Schema) {\n\
+            "pub fn run_buffered(parts: &[Part], out_schema: &Schema) {\n\
                  for p in parts {\n\
                      emit(out_schema.clone());\n\
                      emit2(Arc::clone(&out_schema));\n\

@@ -12,8 +12,6 @@ use crate::LintId;
 pub mod alloc;
 pub mod atomics;
 pub mod casts;
-pub mod draws;
-pub mod keyed;
 pub mod ledger;
 pub mod lexical;
 pub mod locks;
@@ -51,7 +49,6 @@ pub fn run(ws: &Workspace, flows: &Flows) -> Vec<RawFinding> {
     lexical::check(ws, &mut out);
     locks::check(ws, &mut out);
     atomics::check(ws, &mut out);
-    draws::check(ws, &mut out);
     telemetry::check(ws, &mut out);
     ledger::check(ws, &mut out);
     measure::check(ws, flows, &mut out);
@@ -60,25 +57,20 @@ pub fn run(ws: &Workspace, flows: &Flows) -> Vec<RawFinding> {
     casts::check(ws, flows, &mut out);
     pool::check(ws, &mut out);
     phase::check(ws, &mut out);
-    keyed::check(ws, &mut out);
     purity::check(ws, flows, &mut out);
     out
 }
 
 /// One-line machine-readable summary per rule, for `--list-rules`.
-/// Retired rules (L4) are excluded — they are not registered, cannot
-/// fire, and need no fixture coverage.
-pub fn summary(id: LintId) -> Option<&'static str> {
-    Some(match id {
+pub fn summary(id: LintId) -> &'static str {
+    match id {
         LintId::L1 => "no host clock (Instant/SystemTime) outside the simulated clock",
         LintId::L2 => "no entropy-seeded RNG (thread_rng/from_entropy/rand::)",
         LintId::L3 => "no order-revealing HashMap/HashSet iteration",
-        LintId::L4 => return None,
         LintId::L5 => "no unwrap/expect/panic! on hot paths",
         LintId::L6 => "no ad-hoc threading outside the stage executor",
         LintId::L7 => "no lock-order cycles (static deadlock detector)",
         LintId::L8 => "no Ordering::Relaxed on atomics shared with worker closures",
-        LintId::L9 => "no twinless sequential fault draws in the parallel phase",
         LintId::L10 => "telemetry metric names are literals on the DESIGN §7 grammar",
         LintId::L11 => "no money arithmetic outside the billing layer",
         LintId::L12 => "no mixing of units (usd/seconds/bytes/rows/count)",
@@ -87,10 +79,9 @@ pub fn summary(id: LintId) -> Option<&'static str> {
         LintId::L15 => "no narrowing casts on unit-carrying values",
         LintId::L16 => "pooled scratch checkouts balance with recycles",
         LintId::L17 => "no parallel-phase writes to shared registries",
-        LintId::L18 => "parallel-phase draws with a _keyed twin must use it",
         LintId::L19 => "pure(...)-annotated fns uphold their purity contract",
         LintId::Sup => "malformed cackle-lint comment (hard error)",
-    })
+    }
 }
 
 /// Long-form `--explain` text for a rule.
@@ -125,16 +116,6 @@ pub fn explain(id: LintId) -> &'static str {
              between runs. Use `BTreeMap`/`BTreeSet`, or collect-and-sort first.\n\
              \n\
              Scope: crates/engine, crates/core, crates/telemetry."
-        }
-        LintId::L4 => {
-            "L4 · raw dollar arithmetic (retired)\n\
-             \n\
-             L4 was the path-scoped predecessor of L11: it flagged arithmetic on\n\
-             cost-named bindings, but only inside crates/cloud, crates/engine,\n\
-             and examples/. L11 now enforces the same rule workspace-wide with\n\
-             an operand-aware refinement (cost+cost sums are allowed), so L4 is\n\
-             retired. Baseline entries for L4 still parse; new findings are\n\
-             reported as L11."
         }
         LintId::L5 => {
             "L5 · panic paths on hot paths\n\
@@ -196,23 +177,6 @@ pub fn explain(id: LintId) -> &'static str {
              \n\
              Scope: crates/engine, crates/core."
         }
-        LintId::L9 => {
-            "L9 · twinless sequential fault draw in the parallel phase\n\
-             \n\
-             FaultInjector's sequential lifecycle draws (vm_interrupt,\n\
-             pool_invoke, store_error, transport_drop, straggler) consume a\n\
-             per-point PRNG stream in call order. Reached from\n\
-             `execute_task_buffered`'s parallel phase, call order depends on\n\
-             worker interleaving, so the draw sequence — and every fault\n\
-             outcome after it — differs between runs. These draws have no\n\
-             `_keyed` twin, so the only fix is hoisting the call out of the\n\
-             parallel phase (or adding a keyed variant first). Draws that DO\n\
-             have a keyed twin are L18's job: it discovers twins from the\n\
-             workspace index instead of a hardcoded list.\n\
-             \n\
-             Scope: crates/engine, crates/core, crates/cloud (crates/faults\n\
-             itself, where the sequential primitives live, is exempt)."
-        }
         LintId::L10 => {
             "L10 · telemetry metric-name schema\n\
              \n\
@@ -238,8 +202,6 @@ pub fn explain(id: LintId) -> &'static str {
              and (b) a `*` or `/` inside a `.charge(...)`/`.try_charge(...)`/\n\
              `.charge_requests(...)` argument list computes a price at the call\n\
              site; move the formula into a Pricing method.\n\
-             \n\
-             Subsumes the retired, path-scoped L4.\n\
              \n\
              Scope: everywhere except crates/cloud/src/{ledger,pricing}.rs,\n\
              crates/core/src/prices.rs, and crates/bench."
@@ -280,8 +242,8 @@ pub fn explain(id: LintId) -> &'static str {
             "L14 · hot-path allocation\n\
              \n\
              Inside loops of functions BFS-reachable from\n\
-             `execute_task_buffered` or an operator `next` path (plus the\n\
-             columnar kernels batch.rs/column.rs), per-iteration allocation\n\
+             `TaskExecution::run_buffered` or an operator `next` path (plus\n\
+             the columnar kernels batch.rs/column.rs), per-iteration allocation\n\
              multiplies by the row count: `Vec::new()`/`vec![...]`,\n\
              `.collect()`, `.clone()` (Arc/schema handles exempt),\n\
              `format!`, and `.push` into a vector whose initializer lacked\n\
@@ -326,34 +288,19 @@ pub fn explain(id: LintId) -> &'static str {
              rests on a two-phase protocol: tasks compute concurrently into\n\
              private buffers/shards, and the executor publishes them serially\n\
              at the stage barrier in task-index order. Every fn BFS-reachable\n\
-             from `execute_task_buffered` is parallel-phase code; a direct\n\
+             from `TaskExecution::run_buffered` is parallel-phase code; a direct\n\
              write to a shared registry there — `telemetry.merge(&shard)`,\n\
              `registry.absorb(...)`, a `CostLedger` `.charge(...)` /\n\
              `.try_charge(...)` / `.charge_requests(...)`, or a shuffle\n\
              `.write(...)` publication — commits in thread-scheduling order\n\
              and breaks the guarantee. Buffer into the per-task shard (or the\n\
-             BufferedTask write list) and let the serial barrier publish.\n\
+             BufferedTask write list) and let the serial barrier publish. A\n\
+             tree that has crates/engine/src/task.rs but no `run_buffered` is\n\
+             itself a finding: the rule would otherwise pass by seeing nothing.\n\
              \n\
              Scope: crates/engine, crates/core, crates/cloud\n\
              (crates/telemetry and crates/faults define the shard/merge\n\
              APIs and are exempt)."
-        }
-        LintId::L18 => {
-            "L18 · keyed-draw completeness\n\
-             \n\
-             A draw method with a `_keyed` twin exists precisely because the\n\
-             sequential form is unsafe in the parallel phase. This rule scans\n\
-             every fn BFS-reachable from `execute_task_buffered` for method\n\
-             calls `.m(...)` where a fn `m_keyed` exists anywhere in the\n\
-             workspace index (plus the FaultInjector builtins), and flags the\n\
-             unkeyed call. Subsumes the old L9 hardcoded entry-point list:\n\
-             adding a keyed twin automatically extends enforcement to its\n\
-             base draw. The fix — substituting the twin and keying by\n\
-             `op_key(...)` over the operation's stable identity — is\n\
-             machine-applicable via `cackle-lint fix`.\n\
-             \n\
-             Scope: crates/engine, crates/core, crates/cloud (crates/faults\n\
-             is exempt)."
         }
         LintId::L19 => {
             "L19 · purity contracts\n\
@@ -386,7 +333,10 @@ pub fn explain(id: LintId) -> &'static str {
              silently ignored, leaving the finding it meant to suppress\n\
              active (or worse, leaving a typo'd annotation silently dead).\n\
              Malformed cackle-lint comments are hard errors. SUP itself\n\
-             cannot be suppressed."
+             cannot be suppressed.\n\
+             \n\
+             A well-formed allow that suppresses no finding is not SUP but\n\
+             stale: it is reported like a stale baseline entry (exit 3)."
         }
     }
 }

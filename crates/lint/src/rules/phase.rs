@@ -3,11 +3,11 @@
 //!
 //! The engine's byte-identical-at-any-worker-count guarantee (DESIGN
 //! §9) is a two-phase protocol: every fn BFS-reachable from
-//! `execute_task_buffered` runs concurrently (*parallel phase*) and
-//! must only touch task-private state — buffers, shards, the
-//! `BufferedTask` write list; the executor publishes at the stage
-//! barrier in task-index order (*publication phase*). A direct write
-//! to a shared registry from parallel-phase code commits in
+//! `TaskExecution::run_buffered` ([`PHASE_ROOT`]) runs concurrently
+//! (*parallel phase*) and must only touch task-private state — buffers,
+//! shards, the `BufferedTask` write list; the executor publishes at the
+//! stage barrier in task-index order (*publication phase*). A direct
+//! write to a shared registry from parallel-phase code commits in
 //! thread-scheduling order and silently re-opens the guarantee.
 //!
 //! Flagged method calls inside the reachable set:
@@ -33,7 +33,7 @@
 //! ledger wrapper.
 
 use super::RawFinding;
-use crate::index::Workspace;
+use crate::index::{Workspace, PHASE_ROOT};
 use crate::LintId;
 
 /// Ledger-mutation method names flagged regardless of receiver.
@@ -52,11 +52,9 @@ const RECEIVER_CALLS: [(&str, &[&str]); 3] = [
 ];
 
 pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
-    let reachable = ws.reachable_from("execute_task_buffered");
-    if reachable.is_empty() {
-        return;
-    }
-    for &id in &reachable {
+    // An empty set is not a pass: `lint_root_with_meta` reports a tree
+    // whose phase root does not resolve.
+    for id in ws.reachable_from(PHASE_ROOT) {
         let f = &ws.index.fns[id];
         let p = &ws.files[f.file].parsed;
         for call in &f.calls {
@@ -95,7 +93,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                 id: LintId::L17,
                 message: format!(
                     "parallel-phase write `.{}(...)` to {} is reachable from \
-                     `execute_task_buffered` (via fn `{}`)",
+                     `run_buffered` (via fn `{}`)",
                     call.name,
                     what,
                     ws.fn_item(id).qualified
@@ -130,7 +128,7 @@ mod tests {
         let f = findings(&[
             (
                 "crates/engine/src/task.rs",
-                "pub fn execute_task_buffered() { helper(); }",
+                "pub fn run_buffered() { helper(); }",
             ),
             (
                 "crates/core/src/system.rs",
@@ -149,7 +147,7 @@ mod tests {
         // (`left.merge(right)`) and `self.merge(...)` are not.
         let f = findings(&[(
             "crates/engine/src/task.rs",
-            "pub fn execute_task_buffered(&self) {\n\
+            "pub fn run_buffered(&self) {\n\
                  self.telemetry.merge(&shard);\n\
                  self.ctx.shuffle.write(key, task, data);\n\
                  left.merge(right);\n\
@@ -164,10 +162,10 @@ mod tests {
     #[test]
     fn publication_phase_code_not_flagged() {
         // The barrier publishes after the pool joins; it is not
-        // reachable from `execute_task_buffered`.
+        // reachable from `run_buffered`.
         let f = findings(&[(
             "crates/engine/src/executor.rs",
-            "pub fn execute_task_buffered(&self) { compute(); }\n\
+            "pub fn run_buffered(&self) { compute(); }\n\
              fn compute() {}\n\
              pub fn publish_barrier(&self) { self.telemetry.merge(&shard); }",
         )]);
@@ -182,7 +180,7 @@ mod tests {
         let f = findings(&[
             (
                 "crates/engine/src/task.rs",
-                "pub fn execute_task_buffered(&self) { self.ledger.charge(c, d); }",
+                "pub fn run_buffered(&self) { self.ledger.charge(c, d); }",
             ),
             (
                 "crates/cloud/src/ledger.rs",
@@ -190,14 +188,14 @@ mod tests {
             ),
         ]);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("via fn `execute_task_buffered`"));
+        assert!(f[0].message.contains("via fn `run_buffered`"));
     }
 
     #[test]
     fn free_fn_charge_not_flagged() {
         let f = findings(&[(
             "crates/engine/src/task.rs",
-            "pub fn execute_task_buffered() { charge(); }\nfn charge() {}",
+            "pub fn run_buffered() { charge(); }\nfn charge() {}",
         )]);
         assert!(f.is_empty(), "{f:?}");
     }

@@ -42,11 +42,7 @@ fn violations_fixture_trips_every_live_rule() {
     let findings = lint_root(&fixture("violations")).unwrap();
     for id in LintId::ALL {
         let fired = findings.iter().any(|f| f.id == id);
-        if id == LintId::L4 {
-            assert!(!fired, "retired L4 must never fire: {findings:#?}");
-        } else {
-            assert!(fired, "rule {id} produced no finding: {findings:#?}");
-        }
+        assert!(fired, "rule {id} produced no finding: {findings:#?}");
     }
     // Counts are exact so rule changes are reviewed deliberately.
     let count = |id| findings.iter().filter(|f| f.id == id).count();
@@ -57,7 +53,6 @@ fn violations_fixture_trips_every_live_rule() {
     assert_eq!(count(LintId::L6), 2);
     assert_eq!(count(LintId::L7), 2);
     assert_eq!(count(LintId::L8), 2);
-    assert_eq!(count(LintId::L9), 1);
     assert_eq!(count(LintId::L10), 5);
     assert_eq!(count(LintId::L11), 3);
     assert_eq!(count(LintId::L12), 3);
@@ -66,10 +61,9 @@ fn violations_fixture_trips_every_live_rule() {
     assert_eq!(count(LintId::L15), 2);
     assert_eq!(count(LintId::L16), 1);
     assert_eq!(count(LintId::L17), 3);
-    assert_eq!(count(LintId::L18), 1);
     assert_eq!(count(LintId::L19), 6);
     assert_eq!(count(LintId::Sup), 2);
-    assert_eq!(findings.len(), 54);
+    assert_eq!(findings.len(), 52);
     // Findings are sorted and carry 1-based lines.
     let mut sorted = findings.clone();
     sorted.sort();
@@ -145,13 +139,31 @@ fn binary_exits_three_on_stale_baseline_only() {
 }
 
 #[test]
+fn binary_exits_three_on_an_allow_that_suppresses_nothing() {
+    let dir = Scratch::new("stale-allow");
+    let src = dir.0.join("crates/cloud/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(src.join("vm.rs"), "fn f() {} // cackle-lint: allow(L5)\n").unwrap();
+    let out = run(&[&dir.0]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("L5 crates/cloud/src/vm.rs:1: inline allow suppresses no finding"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn binary_rejects_bad_flags_and_formats() {
     let out = run(&[&fixture("clean"), &"--format", &"yaml"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = run(&[&fixture("clean"), &"--wat"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let out = run(&[&"--explain", &"L99"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // Unknown and retired rule ids alike.
+    for id in ["L99", "L4", "L9"] {
+        let out = run(&[&"--explain", &id]);
+        assert_eq!(out.status.code(), Some(2), "{id}: {out:?}");
+    }
 }
 
 #[test]
@@ -213,7 +225,7 @@ fn every_listed_rule_has_a_violation_and_a_near_miss_fixture() {
         .map(|l| l.split('\t').next().unwrap())
         .collect();
     assert!(ids.contains(&"L1") && ids.contains(&"L19") && ids.contains(&"SUP"));
-    assert!(!ids.contains(&"L4"), "retired L4 must not be listed");
+    assert_eq!(ids.len(), 17, "16 rules plus SUP: {ids:?}");
     assert!(listing.lines().all(|l| l.split('\t').count() == 2));
 
     let findings = lint_root(&fixture("violations")).unwrap();
@@ -277,7 +289,7 @@ fn tree_contents(root: &Path) -> Vec<(String, String)> {
 
 #[test]
 fn fix_applies_golden_pairs_and_is_idempotent() {
-    for rule in ["l14", "l15", "l18"] {
+    for rule in ["l14", "l15"] {
         let dir = Scratch::new(&format!("fix-{rule}"));
         copy_tree(&fixture(&format!("fix/{rule}/tree")), &dir.0);
 
@@ -355,7 +367,7 @@ fn binary_update_baseline_writes_sorted_stable_file() {
         .iter()
         .map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
         .sum();
-    assert_eq!(total, 52, "all findings except the two SUPs:\n{written}");
+    assert_eq!(total, 50, "all findings except the two SUPs:\n{written}");
     // A second update run is byte-stable and, with the debt absorbed,
     // only the un-baselineable SUP remains.
     let again = run(&[

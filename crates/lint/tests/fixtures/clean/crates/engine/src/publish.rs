@@ -1,7 +1,12 @@
 //! Fixture: L17 near-misses — registry publication at the stage
-//! barrier (not reachable from `execute_task_buffered`), and a
-//! parallel-phase `merge` on a non-registry receiver (a kernel merge
-//! pass). near-miss(L17)
+//! barrier (not reachable from `run_buffered`), and a parallel-phase
+//! `merge` on a non-registry receiver (a kernel merge pass).
+//! near-miss(L17)
+
+// The phase root: everything reachable from here is parallel-phase.
+pub fn run_buffered(left: &mut Run, right: Run) {
+    combine_runs(left, right);
+}
 
 // The barrier runs after the worker pool joins: nothing here is
 // parallel-phase, so these registry writes ARE the blessed publication.
@@ -12,9 +17,8 @@ pub fn publish_barrier(ctx: &mut TaskCtx, shards: &[Shard]) {
     }
 }
 
-// Reachable from the pool (exec.rs calls it), but `merge` on a sorted
-// run is a kernel merge pass, not a registry publish: receiver
-// sensitivity keeps it clean.
+// Reachable from the pool, but `merge` on a sorted run is a kernel merge
+// pass, not a registry publish: receiver sensitivity keeps it clean.
 pub fn combine_runs(left: &mut Run, right: Run) {
     left.merge(right);
 }

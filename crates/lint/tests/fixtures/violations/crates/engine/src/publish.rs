@@ -1,7 +1,7 @@
 //! Fixture: deliberate L17 violations — parallel-phase writes to shared
 //! registries, bypassing the shard / stage-barrier publication APIs.
 
-pub fn execute_task_buffered(ctx: &mut TaskCtx, shard: &Shard) {
+pub fn run_buffered(ctx: &mut TaskCtx, shard: &Shard) {
     ctx.ledger.charge(Cat::Compute, shard.amount); // L17: direct ledger write
     ctx.telemetry.merge(shard); // L17: registry publish off the barrier
     flush_side_channel(ctx, shard);

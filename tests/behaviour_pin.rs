@@ -13,7 +13,7 @@ mod common;
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
-use cackle::{run_live, EnvironmentSpec, RunResult, RunSpec, Telemetry};
+use cackle::{run_live, EnvironmentSpec, FaultSpec, RunResult, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 use common::{chaos, live_catalog, live_workload, report};
@@ -77,7 +77,7 @@ fn system_environment_run_is_pinned() {
         .with_reclaim_storms(24.0, 600, 12.0)
         .with_remote_region(0.5, 700, 20_000);
     system_pinned("system/environment", 0x5f9f_1194_bd2a_e0ac, |s| {
-        s.with_environment(env.clone())
+        s.with_faults(FaultSpec::default().with_environment(env.clone()))
     });
 }
 

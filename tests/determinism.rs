@@ -205,7 +205,7 @@ fn golden_env_run_dumps_are_byte_identical_across_worker_counts() {
         let t = Telemetry::new();
         let spec = RunSpec::new()
             .with_strategy("dynamic")
-            .with_environment(env.clone())
+            .with_faults(FaultSpec::default().with_environment(env.clone()))
             .with_workers(workers)
             .with_telemetry(&t);
         run_system(&w, &spec);
@@ -240,7 +240,9 @@ fn zero_intensity_environment_leaves_the_dump_untouched() {
         let t = Telemetry::new();
         let mut spec = RunSpec::new().with_strategy("dynamic").with_telemetry(&t);
         if attached {
-            spec = spec.with_environment(cackle::EnvironmentSpec::default());
+            spec = spec.with_faults(
+                FaultSpec::default().with_environment(cackle::EnvironmentSpec::default()),
+            );
         }
         run_system(&w, &spec);
         t.export_jsonl()
