@@ -15,11 +15,9 @@
 //! comparisons: low tail latency when over-provisioned (at high idle cost),
 //! latency cliffs under autoscaling, no sub-minute elasticity.
 
-use cackle::model::QueryArrival;
-use cackle::report::{ComputeCost, RunResult};
-use cackle::Telemetry;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use cackle::delaying::QueuedRun;
+use cackle::{QueryArrival, RunError, RunResult, Telemetry};
+use std::collections::VecDeque;
 
 /// Warehouse T-shirt size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,269 +119,184 @@ impl DatabricksConfig {
 
 #[derive(Debug)]
 struct Cluster {
+    /// When it came (or comes) online; `u64::MAX` while provisioning.
     up_at: u64,
     free_slots: u32,
     admitted: Vec<usize>,
     idle_since: u64,
-    up_seconds_billed: u64,
 }
 
-struct QueryRun {
+impl Cluster {
+    fn is_up(&self, now: u64) -> bool {
+        self.up_at <= now
+    }
+}
+
+/// Where an admitted query runs and what it has ready to launch there.
+#[derive(Default)]
+struct Admission {
     cluster: Option<usize>,
-    remaining_tasks: Vec<u32>,
-    unfinished_deps: Vec<usize>,
-    stages_left: usize,
-    ready: VecDeque<(usize, u32)>, // (stage, tasks not yet launched)
+    /// `(stage, tasks not yet launched)`, oldest first.
+    ready: VecDeque<(usize, u32)>,
 }
 
-/// Run a workload on the modelled warehouse.
+/// Run a workload on the modelled warehouse. Panics on a malformed
+/// workload — use [`try_run_databricks`] to handle that gracefully.
 pub fn run_databricks(workload: &[QueryArrival], cfg: &DatabricksConfig) -> RunResult {
-    let telemetry = cfg.telemetry.clone();
-    // Completion events: (t, query, stage). Cluster-start events: (t, cluster).
-    let mut completions: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-    let mut cluster_starts: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut clusters: Vec<Option<Cluster>> = Vec::new();
-    let mut admission_queue: VecDeque<usize> = VecDeque::new();
+    try_run_databricks(workload, cfg).unwrap_or_else(|e| e.raise())
+}
 
-    let mut arrivals: Vec<(u64, usize)> = workload
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (q.at_s, i))
-        .collect();
-    arrivals.sort_unstable();
-    let mut next_arrival = 0usize;
-
-    let mut runs: Vec<QueryRun> = workload
-        .iter()
-        .map(|q| QueryRun {
-            cluster: None,
-            remaining_tasks: q.profile.stages.iter().map(|s| s.tasks).collect(),
-            unfinished_deps: q.profile.stages.iter().map(|s| s.deps.len()).collect(),
-            stages_left: q.profile.stages.len(),
-            ready: VecDeque::new(),
+/// [`run_databricks`], reporting a malformed workload instead of
+/// panicking.
+pub fn try_run_databricks(
+    workload: &[QueryArrival],
+    cfg: &DatabricksConfig,
+) -> Result<RunResult, RunError> {
+    let mut run = QueuedRun::try_new(workload, &cfg.telemetry)?;
+    // A released cluster leaves `None` behind so indices stay stable.
+    // Initial clusters are already warm at t=0.
+    let mut clusters: Vec<Option<Cluster>> = (0..cfg.min_clusters)
+        .map(|_| {
+            Some(Cluster {
+                up_at: 0,
+                free_slots: cfg.size.slots(),
+                admitted: Vec::new(),
+                idle_since: 0,
+            })
         })
         .collect();
-    let mut latencies = vec![0.0f64; workload.len()];
-    let mut done = 0usize;
+    // The one cluster being provisioned: (online at, index).
+    let mut cluster_start: Option<(u64, usize)> = None;
+    let mut admission_queue: VecDeque<usize> = VecDeque::new();
+    let mut admissions: Vec<Admission> = workload.iter().map(|_| Admission::default()).collect();
     let mut billed_cluster_seconds = 0u64;
     let mut now = 0u64;
-    let mut makespan = 0u64;
-    let mut pending_cluster = false;
-
-    // Initial clusters are already warm at t=0.
-    for _ in 0..cfg.min_clusters {
-        clusters.push(Some(Cluster {
-            up_at: 0,
-            free_slots: cfg.size.slots(),
-            admitted: Vec::new(),
-            idle_since: 0,
-            up_seconds_billed: 0,
-        }));
-    }
-
-    let task_secs = |q: usize, s: usize| -> u64 {
-        (workload[q].profile.stages[s].task_seconds as f64 / cfg.warm_speedup).ceil() as u64
-    };
 
     loop {
         // --- arrivals at `now`
-        while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-            let (_, q) = arrivals[next_arrival];
-            next_arrival += 1;
+        while let Some(q) = run.next_arrival(now) {
             admission_queue.push_back(q);
         }
         // --- completions at `now`
-        while completions
-            .peek()
-            .is_some_and(|Reverse((t, _, _))| *t <= now)
-        {
-            let Reverse((_, q, s)) = completions.pop().expect("peeked");
-            let ci = runs[q].cluster.expect("running query has a cluster");
-            if let Some(c) = clusters[ci].as_mut() {
+        while let Some(done) = run.next_completion(now) {
+            let admission = &mut admissions[done.query];
+            admission.ready.extend(done.ready);
+            let cluster = admission.cluster.and_then(|ci| clusters[ci].as_mut());
+            if let Some(c) = cluster {
                 c.free_slots += 1;
-            }
-            runs[q].remaining_tasks[s] -= 1;
-            if runs[q].remaining_tasks[s] == 0 {
-                runs[q].stages_left -= 1;
-                if runs[q].stages_left == 0 {
-                    let latency = now.saturating_sub(workload[q].at_s);
-                    latencies[q] = latency as f64;
-                    makespan = makespan.max(now);
-                    done += 1;
-                    telemetry.counter_add("run.queries_total", 1);
-                    telemetry.observe("run.query_latency_seconds", latency as f64);
-                    telemetry.span_event(
-                        workload[q].at_s.saturating_mul(1000),
-                        latency.saturating_mul(1000),
-                        "query",
-                        Some(q as u64),
-                        None,
-                        &workload[q].profile.name,
-                    );
-                    if let Some(c) = clusters[ci].as_mut() {
-                        c.admitted.retain(|&x| x != q);
-                        if c.admitted.is_empty() {
-                            c.idle_since = now;
-                        }
-                    }
-                } else {
-                    for si in 0..workload[q].profile.stages.len() {
-                        if workload[q].profile.stages[si].deps.contains(&s) {
-                            runs[q].unfinished_deps[si] -= 1;
-                            if runs[q].unfinished_deps[si] == 0 {
-                                let tasks = workload[q].profile.stages[si].tasks;
-                                runs[q].ready.push_back((si, tasks));
-                            }
-                        }
+                if done.query_done {
+                    c.admitted.retain(|&x| x != done.query);
+                    if c.admitted.is_empty() {
+                        c.idle_since = now;
                     }
                 }
             }
         }
-        // --- cluster starts at `now`
-        while cluster_starts
-            .peek()
-            .is_some_and(|Reverse((t, _))| *t <= now)
-        {
-            let Reverse((_, ci)) = cluster_starts.pop().expect("peeked");
+        // --- cluster start at `now`
+        if let Some((_, ci)) = cluster_start.filter(|&(t, _)| t <= now) {
             if let Some(c) = clusters[ci].as_mut() {
                 c.up_at = now;
                 c.idle_since = now;
             }
-            pending_cluster = false;
+            cluster_start = None;
         }
         // --- admit queued queries to clusters with headroom
-        let mut admitted_any = true;
-        while admitted_any && !admission_queue.is_empty() {
-            admitted_any = false;
+        while let Some(&q) = admission_queue.front() {
             // Pick the live cluster with the fewest admitted queries.
             let best = clusters
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .filter_map(|(i, c)| c.as_ref().map(|c| (i, c)))
-                .filter(|(_, c)| c.up_at <= now && (c.admitted.len() as u32) < cfg.max_concurrency)
-                .min_by_key(|(_, c)| c.admitted.len())
-                .map(|(i, _)| i);
-            if let Some(ci) = best {
-                let q = admission_queue.pop_front().expect("non-empty");
-                runs[q].cluster = Some(ci);
-                clusters[ci].as_mut().expect("live").admitted.push(q);
-                for si in 0..workload[q].profile.stages.len() {
-                    if workload[q].profile.stages[si].deps.is_empty() {
-                        let tasks = workload[q].profile.stages[si].tasks;
-                        runs[q].ready.push_back((si, tasks));
-                    }
-                }
-                admitted_any = true;
-            }
+                .filter_map(|(i, c)| c.as_mut().map(|c| (i, c)))
+                .filter(|(_, c)| c.is_up(now) && (c.admitted.len() as u32) < cfg.max_concurrency)
+                .min_by_key(|(_, c)| c.admitted.len());
+            let Some((ci, c)) = best else {
+                break;
+            };
+            admission_queue.pop_front();
+            c.admitted.push(q);
+            admissions[q].cluster = Some(ci);
+            admissions[q].ready.extend(run.roots(q));
         }
         // --- autoscale up: queries queued and room to grow
         if !admission_queue.is_empty()
-            && !pending_cluster
-            && (clusters.iter().filter(|c| c.is_some()).count() as u32) < cfg.max_clusters
+            && cluster_start.is_none()
+            && (clusters.iter().flatten().count() as u32) < cfg.max_clusters
         {
             clusters.push(Some(Cluster {
-                up_at: u64::MAX, // not yet started
+                up_at: u64::MAX,
                 free_slots: cfg.size.slots(),
                 admitted: Vec::new(),
                 idle_since: now,
-                up_seconds_billed: 0,
             }));
-            let ci = clusters.len() - 1;
-            cluster_starts.push(Reverse((now + cfg.provision_s, ci)));
-            pending_cluster = true;
+            cluster_start = Some((now + cfg.provision_s, clusters.len() - 1));
         }
         // --- launch ready tasks on each query's own cluster
-        #[allow(clippy::needless_range_loop)] // clusters is mutated mid-loop
-        for ci in 0..clusters.len() {
-            let Some(c) = clusters[ci].as_ref() else {
-                continue;
-            };
-            if c.up_at > now || c.free_slots == 0 {
+        for c in clusters.iter_mut().flatten() {
+            if !c.is_up(now) {
                 continue;
             }
-            let members: Vec<usize> = c.admitted.clone();
             let mut free = c.free_slots;
-            'outer: for q in members {
-                while let Some((si, count)) = runs[q].ready.pop_front() {
-                    let launch = count.min(free);
+            for &q in &c.admitted {
+                while free > 0 {
+                    let Some((si, tasks)) = admissions[q].ready.pop_front() else {
+                        break;
+                    };
+                    let launch = tasks.min(free);
                     free -= launch;
-                    for _ in 0..launch {
-                        completions.push(Reverse((now + task_secs(q, si), q, si)));
-                    }
-                    if count > launch {
-                        runs[q].ready.push_front((si, count - launch));
-                    }
-                    if free == 0 {
-                        break 'outer;
+                    let warm_s =
+                        workload[q].profile.stages[si].task_seconds as f64 / cfg.warm_speedup;
+                    run.launch(now + warm_s.ceil() as u64, q, si, launch);
+                    if tasks > launch {
+                        admissions[q].ready.push_front((si, tasks - launch));
                     }
                 }
             }
-            clusters[ci].as_mut().expect("live").free_slots = free;
+            c.free_slots = free;
         }
         // --- autoscale down: idle beyond-minimum clusters
-        let live = clusters.iter().filter(|c| c.is_some()).count() as u32;
-        if live > cfg.min_clusters {
-            for ci in 0..clusters.len() {
-                let release = clusters[ci].as_ref().is_some_and(|c| {
-                    c.up_at <= now
-                        && c.admitted.is_empty()
-                        && now.saturating_sub(c.idle_since) >= cfg.idle_release_s
-                });
-                if release
-                    && (clusters.iter().filter(|c| c.is_some()).count() as u32) > cfg.min_clusters
-                {
-                    let c = clusters[ci].take().expect("checked");
-                    billed_cluster_seconds += (now - c.up_at) + c.up_seconds_billed;
-                }
+        let mut live = clusters.iter().flatten().count() as u32;
+        for slot in clusters.iter_mut() {
+            if live <= cfg.min_clusters {
+                break;
+            }
+            let idle_out = |c: &mut Cluster| {
+                c.is_up(now)
+                    && c.admitted.is_empty()
+                    && now.saturating_sub(c.idle_since) >= cfg.idle_release_s
+            };
+            if let Some(c) = slot.take_if(idle_out) {
+                billed_cluster_seconds += now - c.up_at;
+                live -= 1;
             }
         }
         // --- advance to the next event
-        let next = [
-            arrivals.get(next_arrival).map(|&(t, _)| t),
-            completions.peek().map(|Reverse((t, _, _))| *t),
-            cluster_starts.peek().map(|Reverse((t, _))| *t),
-            // Idle-release checkpoints.
-            clusters
-                .iter()
-                .flatten()
-                .filter(|c| c.up_at <= now && c.admitted.is_empty())
-                .map(|c| c.idle_since + cfg.idle_release_s)
-                .min(),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        match next {
+        let idle_release_s = clusters
+            .iter()
+            .flatten()
+            .filter(|c| c.is_up(now) && c.admitted.is_empty())
+            .map(|c| c.idle_since + cfg.idle_release_s)
+            .min();
+        let start_s = cluster_start.map(|(t, _)| t);
+        match [run.next_event_s(), start_s, idle_release_s]
+            .into_iter()
+            .flatten()
+            .min()
+        {
             Some(t) if t > now => now = t,
-            Some(_) if done < workload.len() => now += 1,
+            Some(_) if !run.is_finished() => now += 1,
             _ => break,
         }
     }
 
     // Bill remaining clusters until the makespan.
-    for c in clusters.iter().flatten() {
-        if c.up_at <= makespan {
-            billed_cluster_seconds += makespan - c.up_at;
-        }
+    let makespan = run.makespan_s();
+    for c in clusters.iter().flatten().filter(|c| c.is_up(makespan)) {
+        billed_cluster_seconds += makespan - c.up_at;
     }
     let dollars =
         billed_cluster_seconds as f64 / 3600.0 * cfg.size.dbu_per_hour() * cfg.dollars_per_dbu_hour;
-    telemetry.add_cost("warehouse", "vm_compute", dollars);
-    telemetry.gauge_set("run.duration_seconds", makespan as f64);
-    RunResult {
-        compute: ComputeCost {
-            vm_cost: dollars,
-            pool_cost: 0.0,
-            vm_seconds: billed_cluster_seconds as f64,
-            pool_seconds: 0.0,
-        },
-        shuffle: Default::default(),
-        latencies,
-        timeseries: None,
-        duration_s: makespan,
-        strategy: cfg.label(),
-        telemetry,
-    }
+    let vm_seconds = billed_cluster_seconds as f64;
+    Ok(run.finish(vm_seconds, dollars, "warehouse", cfg.label()))
 }
 
 #[cfg(test)]

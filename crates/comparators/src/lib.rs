@@ -10,10 +10,13 @@
 //!   (60 s minimum), with queue-triggered capacity scaling.
 //!
 //! The work-delaying fixed-provisioning baseline lives in
-//! [`cackle::delaying`].
+//! [`cackle::delaying`], and so does what all three share: each model
+//! here is its capacity and billing rules around one
+//! [`cackle::delaying::QueuedRun`], which validates the workload and
+//! advances its stage graphs.
 
 pub mod databricks;
 pub mod redshift;
 
-pub use databricks::{run_databricks, DatabricksConfig, WarehouseSize};
-pub use redshift::{run_redshift, RedshiftConfig};
+pub use databricks::{run_databricks, try_run_databricks, DatabricksConfig, WarehouseSize};
+pub use redshift::{run_redshift, try_run_redshift, RedshiftConfig};

@@ -5,9 +5,8 @@
 //! sustained, after a provisioning delay — but like the other warehouse
 //! products, scaling happens only after work has queued.
 
-use cackle::model::QueryArrival;
-use cackle::report::{ComputeCost, RunResult};
-use cackle::Telemetry;
+use cackle::delaying::QueuedRun;
+use cackle::{QueryArrival, RunError, RunResult, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -58,30 +57,21 @@ impl RedshiftConfig {
     }
 }
 
-/// Run a workload on the modelled Redshift Serverless endpoint.
+/// Run a workload on the modelled Redshift Serverless endpoint. Panics on
+/// a malformed workload — use [`try_run_redshift`] to handle that
+/// gracefully.
 pub fn run_redshift(workload: &[QueryArrival], cfg: &RedshiftConfig) -> RunResult {
-    let telemetry = cfg.telemetry.clone();
-    let mut completions: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-    let mut ready: BinaryHeap<Reverse<(u64, usize, usize, u32)>> = BinaryHeap::new();
-    let mut arrivals: Vec<(u64, usize)> = workload
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (q.at_s, i))
-        .collect();
-    arrivals.sort_unstable();
-    let mut next_arrival = 0usize;
+    try_run_redshift(workload, cfg).unwrap_or_else(|e| e.raise())
+}
 
-    let mut remaining: Vec<Vec<u32>> = workload
-        .iter()
-        .map(|q| q.profile.stages.iter().map(|s| s.tasks).collect())
-        .collect();
-    let mut unfinished_deps: Vec<Vec<usize>> = workload
-        .iter()
-        .map(|q| q.profile.stages.iter().map(|s| s.deps.len()).collect())
-        .collect();
-    let mut stages_left: Vec<usize> = workload.iter().map(|q| q.profile.stages.len()).collect();
-    let mut latencies = vec![0.0f64; workload.len()];
-    let mut done = 0usize;
+/// [`run_redshift`], reporting a malformed workload instead of panicking.
+pub fn try_run_redshift(
+    workload: &[QueryArrival],
+    cfg: &RedshiftConfig,
+) -> Result<RunResult, RunError> {
+    let mut run = QueuedRun::try_new(workload, &cfg.telemetry)?;
+    // Ready stages as (query arrival, query, stage, tasks not yet launched).
+    let mut ready: BinaryHeap<Reverse<(u64, usize, usize, u32)>> = BinaryHeap::new();
 
     let mut rpus = cfg.base_rpus;
     let mut free_slots = rpus * cfg.slots_per_rpu;
@@ -91,91 +81,40 @@ pub fn run_redshift(workload: &[QueryArrival], cfg: &RedshiftConfig) -> RunResul
     // Billing: active periods of the endpoint.
     let mut active_since: Option<u64> = None;
     let mut billed_rpu_seconds = 0f64;
-    let mut running_tasks = 0u64;
     let mut now = 0u64;
-    let mut makespan = 0u64;
 
-    let task_secs = |q: usize, s: usize| -> u64 {
-        (workload[q].profile.stages[s].task_seconds as f64 / cfg.warm_speedup).ceil() as u64
-    };
-
+    let queued = |q: usize| move |(s, tasks)| Reverse((workload[q].at_s, q, s, tasks));
     loop {
-        while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-            let (_, q) = arrivals[next_arrival];
-            next_arrival += 1;
-            for (s, st) in workload[q].profile.stages.iter().enumerate() {
-                if st.deps.is_empty() {
-                    ready.push(Reverse((workload[q].at_s, q, s, st.tasks)));
-                }
-            }
+        while let Some(q) = run.next_arrival(now) {
+            ready.extend(run.roots(q).map(queued(q)));
         }
-        while completions
-            .peek()
-            .is_some_and(|Reverse((t, _, _))| *t <= now)
-        {
-            let Reverse((_, q, s)) = completions.pop().expect("peeked");
+        while let Some(done) = run.next_completion(now) {
             free_slots += 1;
-            running_tasks -= 1;
-            remaining[q][s] -= 1;
-            if remaining[q][s] == 0 {
-                stages_left[q] -= 1;
-                if stages_left[q] == 0 {
-                    let latency = now.saturating_sub(workload[q].at_s);
-                    latencies[q] = latency as f64;
-                    makespan = makespan.max(now);
-                    done += 1;
-                    telemetry.counter_add("run.queries_total", 1);
-                    telemetry.observe("run.query_latency_seconds", latency as f64);
-                    telemetry.span_event(
-                        workload[q].at_s.saturating_mul(1000),
-                        latency.saturating_mul(1000),
-                        "query",
-                        Some(q as u64),
-                        None,
-                        &workload[q].profile.name,
-                    );
-                } else {
-                    #[allow(clippy::needless_range_loop)] // parallel index into dep tables
-                    for si in 0..workload[q].profile.stages.len() {
-                        if workload[q].profile.stages[si].deps.contains(&s) {
-                            unfinished_deps[q][si] -= 1;
-                            if unfinished_deps[q][si] == 0 {
-                                let tasks = workload[q].profile.stages[si].tasks;
-                                ready.push(Reverse((workload[q].at_s, q, si, tasks)));
-                            }
-                        }
-                    }
-                }
-            }
+            ready.extend(done.ready.into_iter().map(queued(done.query)));
         }
         // Scale-up arrival.
-        if let Some((t, add)) = scale_arrives {
-            if t <= now {
-                rpus += add;
-                free_slots += add * cfg.slots_per_rpu;
-                scale_arrives = None;
-            }
+        if let Some((_, add)) = scale_arrives.filter(|&(t, _)| t <= now) {
+            rpus += add;
+            free_slots += add * cfg.slots_per_rpu;
+            scale_arrives = None;
         }
         // Schedule ready tasks.
         while free_slots > 0 {
-            let Some(Reverse((key, q, s, count))) = ready.pop() else {
+            let Some(Reverse((at_s, q, s, tasks))) = ready.pop() else {
                 break;
             };
-            let launch = count.min(free_slots);
+            let launch = tasks.min(free_slots);
             free_slots -= launch;
-            running_tasks += launch as u64;
-            if active_since.is_none() {
-                active_since = Some(now);
-            }
-            for _ in 0..launch {
-                completions.push(Reverse((now + task_secs(q, s), q, s)));
-            }
-            if count > launch {
-                ready.push(Reverse((key, q, s, count - launch)));
+            active_since.get_or_insert(now);
+            let warm_s =
+                (workload[q].profile.stages[s].task_seconds as f64 / cfg.warm_speedup).ceil();
+            run.launch(now + warm_s as u64, q, s, launch);
+            if tasks > launch {
+                ready.push(Reverse((at_s, q, s, tasks - launch)));
             }
         }
         // Billing: close the active period when nothing runs.
-        if running_tasks == 0 {
+        if run.running_tasks() == 0 {
             if let Some(since) = active_since.take() {
                 let period = (now - since).max(cfg.min_billing_s);
                 billed_rpu_seconds += period as f64 * rpus as f64;
@@ -194,48 +133,27 @@ pub fn run_redshift(workload: &[QueryArrival], cfg: &RedshiftConfig) -> RunResul
         } else {
             queue_since = None;
             // Shed scaled-up capacity when the queue clears and slots idle.
-            if rpus > cfg.base_rpus && running_tasks == 0 {
+            if rpus > cfg.base_rpus && run.running_tasks() == 0 {
                 free_slots -= (rpus - cfg.base_rpus) * cfg.slots_per_rpu;
                 rpus = cfg.base_rpus;
             }
         }
         // Advance.
-        let next = [
-            arrivals.get(next_arrival).map(|&(t, _)| t),
-            completions.peek().map(|Reverse((t, _, _))| *t),
-            scale_arrives.map(|(t, _)| t),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        match next {
+        let scale_s = scale_arrives.map(|(t, _)| t);
+        match [run.next_event_s(), scale_s].into_iter().flatten().min() {
             Some(t) if t > now => now = t,
-            Some(_) if done < workload.len() => now += 1,
+            Some(_) if !run.is_finished() => now += 1,
             _ => break,
         }
     }
     if let Some(since) = active_since.take() {
-        let period = (makespan.max(since) - since).max(cfg.min_billing_s);
+        let period = (run.makespan_s().max(since) - since).max(cfg.min_billing_s);
         billed_rpu_seconds += period as f64 * rpus as f64;
     }
 
     let endpoint_cost = billed_rpu_seconds / 3600.0 * cfg.dollars_per_rpu_hour;
-    telemetry.add_cost("endpoint", "vm_compute", endpoint_cost);
-    telemetry.gauge_set("run.duration_seconds", makespan as f64);
-    RunResult {
-        compute: ComputeCost {
-            vm_cost: endpoint_cost,
-            pool_cost: 0.0,
-            vm_seconds: billed_rpu_seconds,
-            pool_seconds: 0.0,
-        },
-        shuffle: Default::default(),
-        latencies,
-        timeseries: None,
-        duration_s: makespan,
-        strategy: format!("redshift_serverless_{}rpu", cfg.base_rpus),
-        telemetry,
-    }
+    let label = format!("redshift_serverless_{}rpu", cfg.base_rpus);
+    Ok(run.finish(billed_rpu_seconds, endpoint_cost, "endpoint", label))
 }
 
 #[cfg(test)]

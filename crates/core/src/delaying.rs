@@ -1,25 +1,193 @@
-//! Work-delaying system model (§5.5).
+//! Work-delaying system models (§5.5, §7.1.7, §7.1.8).
 //!
 //! Conventional OLAP systems schedule work until provisioned resources are
-//! saturated and queue the rest. This module models such a system: a fixed
-//! fleet of `n` VM slots, tasks scheduled FIFO with priority to the
-//! earliest-submitted query, stage barriers respected. It yields the
-//! cost/latency frontier that Figure 11 contrasts with Cackle's
-//! elastic-pool points.
+//! saturated and queue the rest. Every such baseline advances the same
+//! stage graphs over the same clock and differs only in how capacity is
+//! leased and billed, so the part they share is written once, as
+//! [`QueuedRun`]: validated per-query stage progress, the arrival cursor,
+//! the task-completion heap, latency recording and result assembly.
+//!
+//! [`run_delaying`] is the simplest of them: a fixed fleet of `n` VM
+//! slots, tasks scheduled FIFO with priority to the earliest-submitted
+//! query, stage barriers respected. It yields the cost/latency frontier
+//! that Figure 11 contrasts with Cackle's elastic-pool points. The
+//! warehouse products (`cackle-comparators`) put their own capacity rules
+//! around the same core.
 
 use crate::model::QueryArrival;
 use crate::report::{ComputeCost, RunResult};
-use crate::runloop::validate_stage_graph;
+use crate::runloop::{record_query_done, validate_stage_graph, Progress, QueryGraph};
 use crate::spec::{RunError, RunSpec};
 use crate::system::profile_graphs;
+use cackle_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct TaskKey {
-    arrival_s: u64,
-    query: usize,
-    stage: usize,
+/// One run of a system that queues tasks for leased capacity, less the
+/// capacity: which queries have arrived, which tasks are running until
+/// when, how far every stage graph has got, and what each query's latency
+/// was. The caller owns the slots — how many exist at each moment, which
+/// ready task gets the next one, and what the lease costs — and drives
+/// the clock: each second it visits, it takes the arrivals and the
+/// completions due, [`launch`](Self::launch)es what its capacity admits,
+/// and moves on to [`next_event_s`](Self::next_event_s) or an event of
+/// its own.
+///
+/// Every stage graph is validated on construction, so a run that exists
+/// cannot deadlock on a cycle or report a query that never ran.
+pub struct QueuedRun<'a> {
+    queries: Vec<QueryGraph<'a>>,
+    /// Query indices by `(arrival second, index)`, consumed from the front.
+    arrival_order: Vec<usize>,
+    arrived: usize,
+    /// Running tasks as `(finish second, query, stage)`.
+    completions: BinaryHeap<Reverse<(u64, usize, usize)>>,
+    latencies: Vec<f64>,
+    finished: usize,
+    makespan_s: u64,
+    telemetry: Telemetry,
+}
+
+/// What one finished task changed, as [`QueuedRun::next_completion`]
+/// reports it.
+#[derive(Debug)]
+pub struct TaskDone {
+    /// The query the task belonged to.
+    pub query: usize,
+    /// It was the query's last task; the latency is recorded.
+    pub query_done: bool,
+    /// The stages it unblocked, as `(stage, tasks)`.
+    pub ready: Vec<(usize, u32)>,
+}
+
+impl<'a> QueuedRun<'a> {
+    /// Start a run of `workload` recording into `telemetry`; a query whose
+    /// stage graph cannot execute is an [`RunError::InvalidWorkload`].
+    pub fn try_new(workload: &'a [QueryArrival], telemetry: &Telemetry) -> Result<Self, RunError> {
+        let queries: Vec<_> = profile_graphs(workload).collect();
+        for (qi, q) in queries.iter().enumerate() {
+            validate_stage_graph(qi, &q.stages)?;
+        }
+        let mut arrival_order: Vec<usize> = (0..queries.len()).collect();
+        arrival_order.sort_by_key(|&q| queries[q].at_s);
+        Ok(QueuedRun {
+            latencies: vec![0.0; queries.len()],
+            queries,
+            arrival_order,
+            arrived: 0,
+            completions: BinaryHeap::new(),
+            finished: 0,
+            makespan_s: 0,
+            telemetry: telemetry.clone(),
+        })
+    }
+
+    /// The earliest pending arrival or task completion, if any.
+    pub fn next_event_s(&self) -> Option<u64> {
+        let arrival = self.arrival_order.get(self.arrived);
+        let arrival = arrival.map(|&q| self.queries[q].at_s);
+        let completion = self.completions.peek().map(|Reverse((t, _, _))| *t);
+        arrival.into_iter().chain(completion).min()
+    }
+
+    /// Every query has finished.
+    pub fn is_finished(&self) -> bool {
+        self.finished == self.queries.len()
+    }
+
+    /// Tasks holding a slot right now.
+    pub fn running_tasks(&self) -> usize {
+        self.completions.len()
+    }
+
+    /// The second the last query so far finished at.
+    pub fn makespan_s(&self) -> u64 {
+        self.makespan_s
+    }
+
+    /// The next query that has arrived by `now`, in arrival order.
+    pub fn next_arrival(&mut self, now: u64) -> Option<usize> {
+        let &query = self.arrival_order.get(self.arrived)?;
+        (self.queries[query].at_s <= now).then(|| {
+            self.arrived += 1;
+            query
+        })
+    }
+
+    /// The stages of `query` that wait for no other, as `(stage, tasks)`.
+    pub fn roots(&self, query: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let q = &self.queries[query];
+        q.roots().map(|s| (s, q.stages[s].remaining_tasks))
+    }
+
+    /// `tasks` tasks of a ready stage got a slot each and run until
+    /// `finish_s`.
+    pub fn launch(&mut self, finish_s: u64, query: usize, stage: usize, tasks: u32) {
+        for _ in 0..tasks {
+            self.completions.push(Reverse((finish_s, query, stage)));
+        }
+    }
+
+    /// The next task that has finished by `now`; its slot is free again.
+    pub fn next_completion(&mut self, now: u64) -> Option<TaskDone> {
+        let &Reverse((finish_s, query, stage)) = self.completions.peek()?;
+        if finish_s > now {
+            return None;
+        }
+        self.completions.pop();
+        let q = &mut self.queries[query];
+        let progress = q.task_done(stage);
+        let mut ready = Vec::new();
+        match progress {
+            Progress::Running => {}
+            Progress::StageDone => {
+                let unblocked = q.newly_ready(stage);
+                ready.extend(unblocked.map(|s| (s, q.stages[s].remaining_tasks)));
+            }
+            Progress::QueryDone => {
+                let latency_s = now.saturating_sub(q.at_s);
+                self.latencies[query] = latency_s as f64;
+                self.makespan_s = self.makespan_s.max(now);
+                self.finished += 1;
+                let (arrival_ms, latency_ms) =
+                    (q.at_s.saturating_mul(1000), latency_s.saturating_mul(1000));
+                record_query_done(&self.telemetry, query, q.name, arrival_ms, latency_ms);
+            }
+        }
+        Some(TaskDone {
+            query,
+            query_done: progress == Progress::QueryDone,
+            ready,
+        })
+    }
+
+    /// Close the run: the lease — `vm_seconds` of capacity for `dollars`
+    /// — is its whole bill, mirrored to telemetry under `component`.
+    pub fn finish(
+        self,
+        vm_seconds: f64,
+        dollars: f64,
+        component: &str,
+        label: String,
+    ) -> RunResult {
+        self.telemetry.add_cost(component, "vm_compute", dollars);
+        self.telemetry
+            .gauge_set("run.duration_seconds", self.makespan_s as f64);
+        RunResult {
+            compute: ComputeCost {
+                vm_cost: dollars,
+                pool_cost: 0.0,
+                vm_seconds,
+                pool_seconds: 0.0,
+            },
+            shuffle: Default::default(),
+            latencies: self.latencies,
+            timeseries: None,
+            duration_s: self.makespan_s,
+            strategy: label,
+            telemetry: self.telemetry,
+        }
+    }
 }
 
 /// Run a workload on a work-delaying system with `slots` fixed VM slots.
@@ -45,171 +213,42 @@ pub fn try_run_delaying(
             value: 0.0,
         });
     }
-    // A stage graph that cannot execute would leave its query unscheduled
-    // and reported as finishing in zero seconds.
-    for (qi, q) in profile_graphs(workload).enumerate() {
-        validate_stage_graph(qi, &q.stages)?;
-    }
-    let env = &spec.env;
-    let telemetry = spec.effective_telemetry();
-    // Ready-task queue: (priority key, remaining duplicate count).
-    let mut ready: BinaryHeap<Reverse<(TaskKey, u32)>> = BinaryHeap::new();
-    // Completion events: (finish_s, query, stage).
-    let mut completions: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-    // Arrival events.
-    let mut arrivals: Vec<(u64, usize)> = workload
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (q.at_s, i))
-        .collect();
-    arrivals.sort_unstable();
-    let mut next_arrival = 0usize;
-
-    let mut remaining_tasks: Vec<Vec<u32>> = workload
-        .iter()
-        .map(|q| q.profile.stages.iter().map(|s| s.tasks).collect())
-        .collect();
-    let mut unfinished_deps: Vec<Vec<usize>> = workload
-        .iter()
-        .map(|q| q.profile.stages.iter().map(|s| s.deps.len()).collect())
-        .collect();
-    let mut stages_left: Vec<usize> = workload.iter().map(|q| q.profile.stages.len()).collect();
-    let mut latencies = vec![0.0f64; workload.len()];
+    let mut run = QueuedRun::try_new(workload, &spec.effective_telemetry())?;
+    // Ready stages as (query arrival, query, stage, tasks not yet launched).
+    let mut ready: BinaryHeap<Reverse<(u64, usize, usize, u32)>> = BinaryHeap::new();
     let mut free = slots;
     let mut now = 0u64;
-    let mut makespan = 0u64;
-
-    let release_stage = |q: usize,
-                         s: usize,
-                         workload: &[QueryArrival],
-                         ready: &mut BinaryHeap<Reverse<(TaskKey, u32)>>| {
-        let tasks = workload[q].profile.stages[s].tasks;
-        ready.push(Reverse((
-            TaskKey {
-                arrival_s: workload[q].at_s,
-                query: q,
-                stage: s,
-            },
-            tasks,
-        )));
-    };
-
+    let queued = |q: usize| move |(s, tasks)| Reverse((workload[q].at_s, q, s, tasks));
     loop {
-        // Advance time to the next event if nothing can be scheduled now.
-        let next_event = match (
-            arrivals.get(next_arrival).map(|&(t, _)| t),
-            completions.peek().map(|Reverse((t, _, _))| *t),
-        ) {
-            (Some(a), Some(c)) => Some(a.min(c)),
-            (Some(a), None) => Some(a),
-            (None, Some(c)) => Some(c),
-            (None, None) => None,
-        };
-        // Process arrivals at `now`.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-            let (_, q) = arrivals[next_arrival];
-            next_arrival += 1;
-            for (s, stage) in workload[q].profile.stages.iter().enumerate() {
-                if stage.deps.is_empty() {
-                    release_stage(q, s, workload, &mut ready);
-                }
-            }
+        while let Some(q) = run.next_arrival(now) {
+            ready.extend(run.roots(q).map(queued(q)));
         }
-        // Process completions at `now`.
-        while completions
-            .peek()
-            .is_some_and(|Reverse((t, _, _))| *t <= now)
-        {
-            let Some(Reverse((_, q, s))) = completions.pop() else {
-                break;
-            };
+        while let Some(done) = run.next_completion(now) {
             free += 1;
-            remaining_tasks[q][s] = remaining_tasks[q][s].saturating_sub(1);
-            if remaining_tasks[q][s] == 0 {
-                stages_left[q] = stages_left[q].saturating_sub(1);
-                if stages_left[q] == 0 {
-                    let latency = now.saturating_sub(workload[q].at_s);
-                    latencies[q] = latency as f64;
-                    makespan = makespan.max(now);
-                    telemetry.counter_add("run.queries_total", 1);
-                    telemetry.observe("run.query_latency_seconds", latency as f64);
-                    telemetry.span_event(
-                        workload[q].at_s.saturating_mul(1000),
-                        latency.saturating_mul(1000),
-                        "query",
-                        Some(q as u64),
-                        None,
-                        &workload[q].profile.name,
-                    );
-                } else {
-                    // Unlock dependents.
-                    for (ds, dstage) in workload[q].profile.stages.iter().enumerate() {
-                        if dstage.deps.contains(&s) {
-                            unfinished_deps[q][ds] = unfinished_deps[q][ds].saturating_sub(1);
-                            if unfinished_deps[q][ds] == 0 {
-                                release_stage(q, ds, workload, &mut ready);
-                            }
-                        }
-                    }
-                }
-            }
+            ready.extend(done.ready.into_iter().map(queued(done.query)));
         }
         // Schedule as many ready tasks as slots allow.
         while free > 0 {
-            let Some(Reverse((key, count))) = ready.pop() else {
+            let Some(Reverse((at_s, q, s, tasks))) = ready.pop() else {
                 break;
             };
-            let launch = count.min(free);
+            let launch = tasks.min(free);
             free -= launch;
-            let dur = workload[key.query].profile.stages[key.stage].task_seconds as u64;
-            for _ in 0..launch {
-                completions.push(Reverse((now + dur, key.query, key.stage)));
-            }
-            if count > launch {
-                ready.push(Reverse((key, count - launch)));
+            let dur = workload[q].profile.stages[s].task_seconds as u64;
+            run.launch(now + dur, q, s, launch);
+            if tasks > launch {
+                ready.push(Reverse((at_s, q, s, tasks - launch)));
             }
         }
-        // Advance.
-        match next_event {
-            Some(t) if t > now => now = t,
-            Some(_) => {
-                // Events at `now` were all consumed; jump to the next one.
-                let peek = match (
-                    arrivals.get(next_arrival).map(|&(t, _)| t),
-                    completions.peek().map(|Reverse((t, _, _))| *t),
-                ) {
-                    (Some(a), Some(c)) => Some(a.min(c)),
-                    (Some(a), None) => Some(a),
-                    (None, Some(c)) => Some(c),
-                    (None, None) => None,
-                };
-                match peek {
-                    Some(t) => now = t.max(now),
-                    None => break,
-                }
-            }
+        match run.next_event_s() {
+            Some(t) => now = t.max(now),
             None => break,
         }
     }
 
-    let vm_seconds = slots as f64 * makespan as f64;
-    let vm_cost = vm_seconds * env.pricing.vm_per_sec();
-    telemetry.add_cost("fleet", "vm_compute", vm_cost);
-    telemetry.gauge_set("run.duration_seconds", makespan as f64);
-    Ok(RunResult {
-        compute: ComputeCost {
-            vm_cost,
-            pool_cost: 0.0,
-            vm_seconds,
-            pool_seconds: 0.0,
-        },
-        shuffle: Default::default(),
-        latencies,
-        timeseries: None,
-        duration_s: makespan,
-        strategy: format!("delaying_{slots}"),
-        telemetry,
-    })
+    let vm_seconds = slots as f64 * run.makespan_s() as f64;
+    let vm_cost = vm_seconds * spec.env.pricing.vm_per_sec();
+    Ok(run.finish(vm_seconds, vm_cost, "fleet", format!("delaying_{slots}")))
 }
 
 #[cfg(test)]

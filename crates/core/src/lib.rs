@@ -15,7 +15,9 @@
 //!   DP (§5.1's `oracle`), with and without the elastic pool.
 //! * [`shuffleprov`] — the §5.6 shuffle-node provisioner.
 //! * [`model`] — the §5.1 analytical model over query profiles.
-//! * [`delaying`] — the §5.5 work-delaying comparison system.
+//! * [`delaying`] — the §5.5 work-delaying comparison system, and the
+//!   queued-capacity core ([`delaying::QueuedRun`]) it shares with the
+//!   warehouse models in `cackle-comparators`.
 //! * [`system`] — the full event-driven Cackle system: coordinator,
 //!   VM fleet + elastic pool, shuffle placement with S3 fallback, runtime
 //!   noise — the "real execution" side of Figures 12–14.

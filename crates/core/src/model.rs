@@ -12,6 +12,7 @@ use crate::config::Env;
 use crate::factory::try_make_strategy;
 use crate::history::WorkloadHistory;
 use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
+use crate::runloop::record_query_done;
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
@@ -169,17 +170,8 @@ fn record_query_telemetry(telemetry: &Telemetry, workload: &[QueryArrival]) {
         return;
     }
     for (i, q) in workload.iter().enumerate() {
-        let latency_s = q.profile.critical_path_seconds();
-        telemetry.counter_add("run.queries_total", 1);
-        telemetry.observe("run.query_latency_seconds", latency_s as f64);
-        telemetry.span_event(
-            q.at_s * 1000,
-            latency_s as u64 * 1000,
-            "query",
-            Some(i as u64),
-            None,
-            &q.profile.name,
-        );
+        let latency_ms = q.profile.critical_path_seconds() as u64 * 1000;
+        record_query_done(telemetry, i, &q.profile.name, q.at_s * 1000, latency_ms);
     }
 }
 

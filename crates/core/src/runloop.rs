@@ -101,12 +101,69 @@ pub(crate) struct QueryGraph<'a> {
     pub stages: Vec<Stage>,
 }
 
+/// What one published task did to its query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// The stage still has unpublished tasks.
+    Running,
+    /// The stage's last task: see [`QueryGraph::newly_ready`].
+    StageDone,
+    /// The query's last task.
+    QueryDone,
+}
+
 impl QueryGraph<'_> {
     /// A stage can launch once every upstream stage has published.
     fn is_ready(&self, stage: usize) -> bool {
         let mut deps = self.stages[stage].deps.iter();
         deps.all(|&d| self.stages[d].remaining_tasks == 0)
     }
+
+    /// One task of `stage` published.
+    pub(crate) fn task_done(&mut self, stage: usize) -> Progress {
+        let remaining = &mut self.stages[stage].remaining_tasks;
+        *remaining = remaining.saturating_sub(1);
+        if *remaining > 0 {
+            Progress::Running
+        } else if self.stages.iter().all(|s| s.remaining_tasks == 0) {
+            Progress::QueryDone
+        } else {
+            Progress::StageDone
+        }
+    }
+
+    /// The stages with no upstream, which launch when the query arrives.
+    pub(crate) fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.stages.len()).filter(|&si| self.stages[si].deps.is_empty())
+    }
+
+    /// The stages that waited only for `finished`, a stage whose last
+    /// task just published.
+    pub(crate) fn newly_ready(&self, finished: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.stages.len())
+            .filter(move |&si| self.stages[si].deps.contains(&finished) && self.is_ready(si))
+    }
+}
+
+/// A query finished: the counter, the latency histogram and the
+/// arrival-to-completion span every runner's dump carries.
+pub(crate) fn record_query_done(
+    telemetry: &Telemetry,
+    index: usize,
+    name: &str,
+    arrival_ms: u64,
+    latency_ms: u64,
+) {
+    telemetry.counter_add("run.queries_total", 1);
+    telemetry.observe("run.query_latency_seconds", latency_ms as f64 / 1000.0);
+    telemetry.span_event(
+        arrival_ms,
+        latency_ms,
+        "query",
+        Some(index as u64),
+        None,
+        name,
+    );
 }
 
 /// Check that query number `query`'s stage graph can actually execute: at
@@ -286,10 +343,9 @@ pub(crate) fn run<'a, S: TaskSource>(
     while let Some((now, ev)) = st.events.pop() {
         match ev {
             Ev::Arrive(query) => {
-                for stage in 0..st.queries[query].stages.len() {
-                    if st.queries[query].stages[stage].deps.is_empty() {
-                        st.launch_stage(now, query, stage);
-                    }
+                let roots: Vec<usize> = st.queries[query].roots().collect();
+                for stage in roots {
+                    st.launch_stage(now, query, stage);
                 }
             }
             Ev::TaskDone { token, slot, dup } => {
@@ -323,38 +379,26 @@ pub(crate) fn run<'a, S: TaskSource>(
                 if let Slot::Vm(id) = slot {
                     st.bill_egress(&telemetry, id, query, stage);
                 }
-                let q = &mut st.queries[query];
-                let remaining = &mut q.stages[stage].remaining_tasks;
-                *remaining = remaining.saturating_sub(1);
-                if *remaining > 0 {
+                let progress = st.queries[query].task_done(stage);
+                if progress == Progress::Running {
                     continue;
                 }
                 st.source
                     .stage_finished(query, stage, st.shuffle_fleet.running_count());
                 let q = &st.queries[query];
-                if q.stages.iter().all(|s| s.remaining_tasks == 0) {
+                if progress == Progress::QueryDone {
                     let arrival = SimTime::from_secs(q.at_s);
-                    let latency = (now - arrival).as_secs_f64();
-                    latencies[query] = latency;
+                    let latency = now - arrival;
+                    latencies[query] = latency.as_secs_f64();
                     st.source.query_finished(query);
                     done += 1;
-                    telemetry.counter_add("run.queries_total", 1);
-                    telemetry.observe("run.query_latency_seconds", latency);
-                    telemetry.span_event(
-                        arrival.as_millis(),
-                        now.as_millis().saturating_sub(arrival.as_millis()),
-                        "query",
-                        Some(query as u64),
-                        None,
-                        q.name,
-                    );
+                    let (arrival_ms, latency_ms) = (arrival.as_millis(), latency.as_millis());
+                    record_query_done(&telemetry, query, q.name, arrival_ms, latency_ms);
                     continue;
                 }
-                for si in 0..q.stages.len() {
-                    let q = &st.queries[query];
-                    if q.stages[si].deps.contains(&stage) && q.is_ready(si) {
-                        st.launch_stage(now, query, si);
-                    }
+                let ready: Vec<usize> = q.newly_ready(stage).collect();
+                for si in ready {
+                    st.launch_stage(now, query, si);
                 }
             }
             Ev::Interrupted { token, vm } => {

@@ -280,7 +280,7 @@ impl RunError {
     /// Abort with this error. The panicking `run_*` wrappers funnel
     /// through here so the panic site lives in one place, outside the
     /// hot-path files the L5 lint guards.
-    pub(crate) fn raise(&self) -> ! {
+    pub fn raise(&self) -> ! {
         panic!("{self}")
     }
 }

@@ -8,7 +8,8 @@
 //! * a partition's home node is chosen by **hashing the destination
 //!   task** of the partition; if that node is full the write tries two
 //!   more nodes before falling back to the object store — exactly the
-//!   placement rule of §7.1.3;
+//!   placement rule of §7.1.3 — and the transport remembers which
+//!   producers spilled, so a read fetches exactly those objects;
 //! * shuffle nodes are memory-capacity-limited in-memory key-value stores;
 //! * object-store traffic is billed per request through
 //!   [`cackle_cloud::ObjectStore`]'s ledger.
@@ -40,14 +41,14 @@ impl ShuffleNode {
         }
     }
 
-    fn try_put(&mut self, key: ShuffleKey, task: u32, bytes: Arc<[u8]>) -> bool {
-        let len = bytes.len() as u64;
-        if self.used_bytes + len > self.capacity_bytes {
-            return false;
-        }
-        self.used_bytes += len;
+    fn has_room(&self, len: u64) -> bool {
+        self.used_bytes + len <= self.capacity_bytes
+    }
+
+    /// Store a chunk the node [`has_room`](Self::has_room) for.
+    fn put(&mut self, key: ShuffleKey, task: u32, bytes: Arc<[u8]>) {
+        self.used_bytes += bytes.len() as u64;
         self.data.entry(key).or_default().push((task, bytes));
-        true
     }
 
     fn get(&self, key: &ShuffleKey) -> Vec<cackle_engine::shuffle::ShuffleChunk> {
@@ -76,10 +77,18 @@ struct HybridStats {
     bytes_read: u64,
 }
 
+/// Where the chunks are: the node tier, and which producers went past it.
+#[derive(Debug)]
+struct Placement {
+    nodes: Vec<ShuffleNode>,
+    /// Producers whose chunk for a partition is in the object store.
+    spilled: BTreeMap<ShuffleKey, BTreeSet<u32>>,
+}
+
 /// The hybrid node + object-store shuffle.
 #[derive(Debug)]
 pub struct HybridShuffle {
-    nodes: Mutex<Vec<ShuffleNode>>,
+    placement: Mutex<Placement>,
     store: Arc<ObjectStore>,
     stats: Mutex<HybridStats>,
     /// Keyed view of the fault plan consulted on writes (disabled by
@@ -94,11 +103,12 @@ impl HybridShuffle {
     /// falling back to `store`.
     pub fn new(node_count: usize, node_capacity_bytes: u64, store: Arc<ObjectStore>) -> Self {
         HybridShuffle {
-            nodes: Mutex::new(
-                (0..node_count)
+            placement: Mutex::new(Placement {
+                nodes: (0..node_count)
                     .map(|_| ShuffleNode::new(node_capacity_bytes))
                     .collect(),
-            ),
+                spilled: BTreeMap::new(),
+            }),
             store,
             stats: Mutex::new(HybridStats::default()),
             faults: TaskFaults::default(),
@@ -113,8 +123,8 @@ impl HybridShuffle {
 
     // Poison-forgiving lock access: a panicking task must not wedge the
     // shared transport for the rest of the executor.
-    fn lock_nodes(&self) -> MutexGuard<'_, Vec<ShuffleNode>> {
-        self.nodes.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_placement(&self) -> MutexGuard<'_, Placement> {
+        self.placement.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn lock_stats(&self) -> MutexGuard<'_, HybridStats> {
@@ -128,8 +138,9 @@ impl HybridShuffle {
         )
     }
 
-    /// The home node for a partition: hash of the destination task.
-    fn home_node(&self, key: ShuffleKey, node_count: usize) -> usize {
+    /// The nodes a partition's chunks may sit on: its home node — the hash
+    /// of the destination task — then the alternates, in write order.
+    fn candidate_nodes(key: ShuffleKey, node_count: usize) -> impl Iterator<Item = usize> {
         // FNV over (query, stage, partition) — the "destination task" is
         // the partition index; query/stage decorrelate across queries.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -143,7 +154,8 @@ impl HybridShuffle {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        (h % node_count as u64) as usize
+        let attempts = PLACEMENT_ATTEMPTS.min(node_count);
+        (0..attempts).map(move |attempt| ((h % node_count as u64) as usize + attempt) % node_count)
     }
 
     /// Chunks written past the node tier to the object store.
@@ -158,14 +170,15 @@ impl HybridShuffle {
 
     /// Bytes currently resident on shuffle nodes.
     pub fn node_resident_bytes(&self) -> u64 {
-        self.lock_nodes().iter().map(|n| n.used_bytes).sum()
+        let placement = self.lock_placement();
+        placement.nodes.iter().map(|n| n.used_bytes).sum()
     }
 }
 
 impl ShuffleTransport for HybridShuffle {
     fn write(&self, key: ShuffleKey, producer_task: u32, data: Vec<u8>) {
-        let bytes: Arc<[u8]> = data.into();
-        let len = bytes.len() as u64;
+        let len = data.len() as u64;
+        let object_key = Self::object_key(key, producer_task);
         // An injected transport drop that survives the retry bound skips
         // the node tier entirely; the durable object store absorbs it.
         // The draw is keyed by the chunk's stable identity — writes are
@@ -174,27 +187,26 @@ impl ShuffleTransport for HybridShuffle {
         // outcome must not depend on publication order.
         let dropped = self
             .faults
-            .transport_write_fallback_keyed(cackle_faults::op_key(
-                Self::object_key(key, producer_task).as_bytes(),
-            ));
-        let mut nodes = self.lock_nodes();
-        let count = nodes.len();
-        if count > 0 && !dropped {
-            let home = self.home_node(key, count);
-            for attempt in 0..PLACEMENT_ATTEMPTS.min(count) {
-                let ni = (home + attempt) % count;
-                if nodes[ni].try_put(key, producer_task, bytes.clone()) {
-                    let mut s = self.lock_stats();
-                    s.node_writes += 1;
-                    s.node_bytes += len;
-                    return;
-                }
-            }
+            .transport_write_fallback_keyed(cackle_faults::op_key(object_key.as_bytes()));
+        let mut placement = self.lock_placement();
+        let accepting = Self::candidate_nodes(key, placement.nodes.len())
+            .find(|&ni| !dropped && placement.nodes[ni].has_room(len));
+        if let Some(ni) = accepting {
+            placement.nodes[ni].put(key, producer_task, data.into());
+            drop(placement);
+            let mut s = self.lock_stats();
+            s.node_writes += 1;
+            s.node_bytes += len;
+            return;
         }
-        drop(nodes);
         // Fall back to the object store (billed per request).
-        self.store
-            .put(&Self::object_key(key, producer_task), bytes.to_vec());
+        placement
+            .spilled
+            .entry(key)
+            .or_default()
+            .insert(producer_task);
+        drop(placement);
+        self.store.put(&object_key, data);
         let mut s = self.lock_stats();
         s.s3_fallback_writes += 1;
         s.s3_bytes += len;
@@ -202,37 +214,17 @@ impl ShuffleTransport for HybridShuffle {
 
     fn read(&self, key: ShuffleKey) -> Vec<Arc<[u8]>> {
         // Gather node-resident chunks from every node the write path could
-        // have used, then object-store chunks for any producer not found.
-        let nodes = self.lock_nodes();
-        let count = nodes.len();
+        // have used, then the chunks recorded as spilled.
+        let placement = self.lock_placement();
         let mut chunks: Vec<(u32, Arc<[u8]>)> = Vec::new();
-        if count > 0 {
-            let home = self.home_node(key, count);
-            for attempt in 0..PLACEMENT_ATTEMPTS.min(count) {
-                chunks.extend(nodes[(home + attempt) % count].get(&key));
-            }
+        for ni in Self::candidate_nodes(key, placement.nodes.len()) {
+            chunks.extend(placement.nodes[ni].get(&key));
         }
-        drop(nodes);
-        let node_tasks: BTreeSet<u32> = chunks.iter().map(|(t, _)| *t).collect();
-        // Probe the object store for fallback chunks: producers are dense
-        // task indices, so scan until a run of misses past the known max.
-        let mut task = 0u32;
-        let mut misses = 0u32;
-        let max_node_task = node_tasks.iter().next_back().copied().unwrap_or(0);
-        while misses < 64 {
-            if !node_tasks.contains(&task) {
-                match self.store.get(&Self::object_key(key, task)) {
-                    Some(bytes) => {
-                        chunks.push((task, Arc::from(&bytes[..])));
-                        misses = 0;
-                    }
-                    None => misses += 1,
-                }
-            }
-            task += 1;
-            if task > max_node_task + 64 && misses >= 16 {
-                break;
-            }
+        let spilled = placement.spilled.get(&key).cloned().unwrap_or_default();
+        drop(placement);
+        for task in spilled {
+            let stored = self.store.get(&Self::object_key(key, task));
+            chunks.extend(stored.map(|bytes| (task, bytes)));
         }
         chunks.sort_by_key(|(t, _)| *t);
         let mut s = self.lock_stats();
@@ -242,9 +234,12 @@ impl ShuffleTransport for HybridShuffle {
     }
 
     fn delete_query(&self, query: u64) {
-        for n in self.lock_nodes().iter_mut() {
+        let mut placement = self.lock_placement();
+        for n in placement.nodes.iter_mut() {
             n.delete_query(query);
         }
+        placement.spilled.retain(|k, _| k.query != query);
+        drop(placement);
         self.store.delete_prefix(&format!("shuffle/q{query}/"));
     }
 
@@ -290,8 +285,9 @@ mod tests {
         for (i, c) in chunks.iter().enumerate() {
             assert_eq!(c[0], i as u8, "producer order");
         }
-        // No object-store PUTs happened.
+        // Nothing spilled, so the object store saw no request at all.
         assert_eq!(s.ledger().put_requests, 0);
+        assert_eq!(s.ledger().get_requests, 0);
     }
 
     #[test]
@@ -311,6 +307,39 @@ mod tests {
             assert_eq!(c[0], i as u8);
         }
         assert!(s.ledger().put_requests > 0);
+        // The read fetched what spilled and probed for nothing else.
+        assert_eq!(s.ledger().get_requests, h.s3_fallback_writes());
+    }
+
+    #[test]
+    fn reads_bill_one_get_per_spilled_chunk_plus_injected_retries() {
+        use cackle_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
+        use cackle_telemetry::Telemetry;
+        let s = store();
+        let t = Telemetry::new();
+        let spec = FaultSpec::default().with_store_errors(0.5, 0.0);
+        let plan = FaultPlan::compile(&spec, 13).unwrap();
+        s.inject_faults(&FaultInjector::new(plan, RecoveryPolicy::default()).instrumented(&t));
+        let h = HybridShuffle::new(0, 0, Arc::clone(&s));
+        for task in 0..40 {
+            h.write(key(3, 1), task, vec![task as u8; 10]);
+        }
+        assert_eq!(h.read(key(3, 1)).len(), 40);
+        let retried = t.counter("fault.store_get_errors_total");
+        assert!(retried > 0, "the plan should inject GET errors");
+        assert_eq!(s.ledger().get_requests, 40 + retried);
+    }
+
+    #[test]
+    fn sparse_spilled_producers_all_come_back() {
+        let s = store();
+        let h = HybridShuffle::new(0, 0, Arc::clone(&s));
+        h.write(key(4, 0), 0, vec![0; 8]);
+        h.write(key(4, 0), 200, vec![200; 8]);
+        let chunks = h.read(key(4, 0));
+        assert_eq!(chunks.len(), 2);
+        assert_eq!((chunks[0][0], chunks[1][0]), (0, 200));
+        assert_eq!(s.ledger().get_requests, 2);
     }
 
     #[test]
@@ -345,9 +374,9 @@ mod tests {
         for p in 0..32 {
             h.write(key(1, p), 0, vec![0; 64]);
         }
-        let nodes = h.lock_nodes();
-        let used: Vec<u64> = nodes.iter().map(|n| n.used_bytes).collect();
-        drop(nodes);
+        let placement = h.lock_placement();
+        let used: Vec<u64> = placement.nodes.iter().map(|n| n.used_bytes).collect();
+        drop(placement);
         assert!(used.iter().all(|&u| u > 0), "placement skew: {used:?}");
     }
 

@@ -3,15 +3,20 @@
 //! provisioning strategies, the analytical model, the full system, and the
 //! comparators — the paper's claims checked end-to-end at test scale.
 
+use cackle::delaying::try_run_delaying;
 use cackle::model::{build_workload, run_model, run_model_with, workload_curves};
 use cackle::oracle::{oracle_cost, oracle_cost_without_pool};
-use cackle::system::run_system_with;
-use cackle::{Env, FamilyConfig, MetaStrategy, RunSpec};
-use cackle_comparators::{run_databricks, DatabricksConfig, WarehouseSize};
+use cackle::system::{run_system_with, try_run_system};
+use cackle::{Env, FamilyConfig, MetaStrategy, RunError, RunSpec};
+use cackle_comparators::{
+    run_databricks, try_run_databricks, try_run_redshift, DatabricksConfig, RedshiftConfig,
+    WarehouseSize,
+};
 use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
 use cackle_tpch::profiles::{measured_profile, profile_set};
 use cackle_workload::arrivals::WorkloadSpec;
-use cackle_workload::profile::ProfileRef;
+use cackle_workload::profile::{ProfileRef, QueryProfile, StageProfile};
+use std::sync::Arc;
 
 fn small_dynamic(env: &Env) -> MetaStrategy {
     MetaStrategy::with_family(FamilyConfig::small(), env)
@@ -148,6 +153,60 @@ fn comparators_run_the_same_workload_shape() {
         auto.latency_percentile(90.0),
         fixed.latency_percentile(90.0)
     );
+}
+
+#[test]
+fn every_baseline_reports_a_malformed_workload_as_a_typed_error() {
+    // "All systems run identical workloads" includes the broken ones: a
+    // stage graph that cannot execute is the same typed error, naming the
+    // query, from Cackle and from each work-delaying baseline — never a
+    // query that "finished" in zero seconds.
+    type Shape = [(u32, Vec<usize>)];
+    let query = |shape: &Shape| {
+        let stages = shape.iter().map(|(tasks, deps)| StageProfile {
+            tasks: *tasks,
+            task_seconds: 8,
+            shuffle_bytes: 0,
+            shuffle_writes: 0,
+            shuffle_reads: 0,
+            deps: deps.clone(),
+        });
+        // Built field by field: `QueryProfile::new` would assert first.
+        let profile = Arc::new(QueryProfile {
+            name: "q".to_string(),
+            stages: stages.collect(),
+        });
+        cackle::QueryArrival { at_s: 0, profile }
+    };
+    let shapes: [(&str, &Shape); 4] = [
+        ("a dependency cycle", &[(1, vec![1]), (1, vec![0])]),
+        ("a dependency on a missing stage", &[(1, vec![5])]),
+        ("a stage with no tasks", &[(0, vec![])]),
+        ("a profile with no stages", &[]),
+    ];
+    type Runner = fn(&[cackle::QueryArrival]) -> Result<cackle::RunResult, RunError>;
+    let runners: [(&str, Runner); 4] = [
+        ("system", |w| try_run_system(w, &RunSpec::new())),
+        ("delaying", |w| try_run_delaying(w, 4, &RunSpec::new())),
+        ("redshift", |w| {
+            try_run_redshift(w, &RedshiftConfig::default())
+        }),
+        ("databricks", |w| {
+            try_run_databricks(w, &DatabricksConfig::fixed(WarehouseSize::Small, 1))
+        }),
+    ];
+    let sound = query(&[(2, vec![]), (1, vec![0])]);
+    for (runner, run) in runners {
+        assert!(run(std::slice::from_ref(&sound)).is_ok(), "{runner}");
+        for (name, shape) in shapes {
+            match run(&[sound.clone(), query(shape)]) {
+                Err(RunError::InvalidWorkload(why)) => {
+                    assert!(why.contains("query 1"), "{runner}, {name}: {why}")
+                }
+                other => panic!("{runner} should reject {name}, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
