@@ -10,8 +10,9 @@
 //! only when) the environment has a remote region. A drifting component
 //! fails the bench rather than quietly skewing the CSV.
 //!
-//! Pass `--smoke` for the reduced grid used by CI. One cell's telemetry
-//! dump is written to `results/env_grid_telemetry.jsonl` so the CI
+//! Pass `--smoke` for the reduced grid used by CI; it writes under
+//! `target/smoke/` instead of `results/`. One cell's telemetry dump is
+//! written beside the CSV as `env_grid_telemetry.jsonl` so the CI
 //! telemetry-check can validate the `env.*` series schema end to end.
 
 use cackle::system::run_system_with;
@@ -135,9 +136,10 @@ fn main() {
             eprintln!("  done {env_name}/{label}");
         }
     }
-    t.emit("env_grid");
+    let dir = out_dir(smoke);
+    t.emit_in(&dir, "env_grid");
     if let Some(d) = dump {
-        let path = std::path::Path::new("results").join("env_grid_telemetry.jsonl");
+        let path = dir.join("env_grid_telemetry.jsonl");
         if std::fs::write(&path, d).is_ok() {
             eprintln!("wrote {}", path.display());
         }

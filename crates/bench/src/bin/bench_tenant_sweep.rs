@@ -8,7 +8,8 @@
 //! when nobody is throttled. Both properties are asserted per row, so a
 //! regression fails the bench rather than quietly skewing the CSV.
 //!
-//! Pass `--smoke` for the reduced sweep used by CI.
+//! Pass `--smoke` for the reduced sweep used by CI; it writes under
+//! `target/smoke/` instead of `results/`.
 
 use cackle::RunSpec;
 use cackle_bench::*;
@@ -73,7 +74,7 @@ fn main() {
         ]);
         eprintln!("  done tenants={n}");
     }
-    t.emit("tenant_sweep");
+    t.emit_in(&out_dir(smoke), "tenant_sweep");
     println!("per-tenant shares summed to the aggregate bill exactly at every");
     println!("sweep point, and p99 stayed within 10% of the single-tenant run.");
 }

@@ -10,7 +10,7 @@ use cackle_workload::arrivals::WorkloadSpec;
 use cackle_workload::profile::ProfileRef;
 use std::fmt::Display;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The §5.1 analytical-model mix: all 25 evaluation queries at SF 100.
 pub fn model_mix() -> Vec<ProfileRef> {
@@ -39,6 +39,17 @@ pub fn default_workload(n: usize) -> Vec<QueryArrival> {
 /// An hour-long §7.1.6 workload with `n` queries over the evaluation mix.
 pub fn hour_workload(n: usize, seed: u64) -> Vec<QueryArrival> {
     build_workload(&WorkloadSpec::hour_long(n, seed), &evaluation_mix())
+}
+
+/// Where a binary with a `--smoke` mode writes its outputs: `results/`
+/// (the committed evidence) for a full run, `target/smoke/` for a smoke
+/// run, so a reduced CI run never overwrites what the docs cite.
+pub fn out_dir(smoke: bool) -> PathBuf {
+    if smoke {
+        PathBuf::from("target/smoke")
+    } else {
+        PathBuf::from("results")
+    }
 }
 
 /// Default environment (Table 1).
@@ -100,9 +111,13 @@ impl ResultTable {
 
     /// Print the table and write `results/<name>.csv`.
     pub fn emit(&self, name: &str) {
+        self.emit_in(Path::new("results"), name);
+    }
+
+    /// Print the table and write `<dir>/<name>.csv`.
+    pub fn emit_in(&self, dir: &Path, name: &str) {
         println!("{}", self.render());
-        let dir = PathBuf::from("results");
-        if fs::create_dir_all(&dir).is_ok() {
+        if fs::create_dir_all(dir).is_ok() {
             let mut csv = self.headers.join(",") + "\n";
             for r in &self.rows {
                 csv.push_str(&r.join(","));

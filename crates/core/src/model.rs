@@ -71,7 +71,7 @@ pub fn workload_curves(workload: &[QueryArrival]) -> WorkloadCurves {
             let s = q.at_s as usize + off as usize;
             // `e` is a tick *index* into the per-second curve buffers, not
             // a duration: the ±1 below is bounds arithmetic on indices.
-            let e = s + stage.task_seconds as usize; // cackle-lint: unit(none)
+            let e = s + stage.task_seconds as usize;
             c.demand.add_interval(s, e, stage.tasks);
             if stage.shuffle_bytes > 0 {
                 // Intermediate state lives from production until the query

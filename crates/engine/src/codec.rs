@@ -122,8 +122,8 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
     buf.put_u32_le(batch.num_columns() as u32);
     // The wire format stores row counts as u32; batches are chunked
     // far below 2^32 rows.
-    // cackle-lint: allow(L15) — u32 row count is the wire format
-    buf.put_u32_le(batch.num_rows() as u32);
+    let rows = u32::try_from(batch.num_rows()).expect("row counts are u32");
+    buf.put_u32_le(rows);
     for col in &batch.columns {
         buf.put_u8(type_tag(col.data_type()));
         match &col.validity {

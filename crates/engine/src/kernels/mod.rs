@@ -12,7 +12,8 @@
 //! Layout:
 //!
 //! * [`pool`] — typed reusable buffers ([`pool::ScratchArena`]) with
-//!   reuse accounting; checkout/recycle pairing is enforced by lint L16.
+//!   reuse accounting; `with_idx`/`with_mask` scope a buffer to a closure
+//!   and recycle it on the way out.
 //! * [`select`] — selection-bitmap filtering (mask → selection vector →
 //!   gather), including fused filter+project.
 //! * [`scalar`] — the one binary-expression kernel (crate-private):

@@ -7,15 +7,21 @@
 //! and recycled back, so steady-state execution of a task allocates
 //! nothing per batch.
 //!
-//! Ownership rules (enforced by lint L16):
+//! Ownership rules:
 //!
-//! * every `checkout_*` call must be paired with a `recycle_*` call of
-//!   the same type suffix in the same function — a checkout never
-//!   outlives the task, and never crosses a function boundary implicitly;
-//! * recycled buffers keep their capacity; `checkout_*` clears content
+//! * engine code borrows a buffer through [`ScratchArena::with_idx`] /
+//!   [`ScratchArena::with_mask`]: the buffer exists only inside the
+//!   closure and goes back to the pool when the closure returns, so a
+//!   checkout cannot outlive its scope or leak. The closure also gets
+//!   the arena, so kernels it calls can draw scratch of their own;
+//! * recycled buffers keep their capacity; a checkout clears content
 //!   only, so a buffer must never be read before it is refilled;
 //! * the arena is single-threaded by construction: it lives in a
 //!   `TaskContext` and tasks never share contexts across threads.
+//!
+//! The `checkout_*` / `recycle_*` primitives stay public for the
+//! benchmark's kernel probes; a checkout that is never recycled costs
+//! only reuse, which `engine.scratch_reuses_total` shows.
 
 /// Cumulative counters describing how well reuse is working.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,6 +96,32 @@ impl ScratchArena {
         self.masks.push(buf);
     }
 
+    /// Run `f` on an index buffer with at least `cap` capacity, cleared,
+    /// and recycle it when `f` returns.
+    pub fn with_idx<R>(
+        &mut self,
+        cap: usize,
+        f: impl FnOnce(&mut Vec<usize>, &mut ScratchArena) -> R,
+    ) -> R {
+        let mut buf = self.checkout_idx(cap);
+        let out = f(&mut buf, self);
+        self.recycle_idx(buf);
+        out
+    }
+
+    /// Run `f` on a mask buffer with at least `cap` capacity, cleared,
+    /// and recycle it when `f` returns.
+    pub fn with_mask<R>(
+        &mut self,
+        cap: usize,
+        f: impl FnOnce(&mut Vec<bool>, &mut ScratchArena) -> R,
+    ) -> R {
+        let mut buf = self.checkout_mask(cap);
+        let out = f(&mut buf, self);
+        self.recycle_mask(buf);
+        out
+    }
+
     /// A snapshot of the reuse counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
@@ -132,6 +164,41 @@ mod tests {
         arena.recycle_mask(m2);
         arena.recycle_idx(k2);
         assert_eq!(arena.stats().reuses, 2);
+    }
+
+    #[test]
+    fn scoped_buffers_return_to_the_pool_like_explicit_pairs() {
+        // Nested scopes: an index buffer inside a mask buffer, the shape
+        // of a filter whose kernel draws its own selection vector.
+        let round = |arena: &mut ScratchArena| {
+            arena.with_mask(8, |mask, arena| {
+                mask.push(true);
+                arena.with_idx(8, |sel, _| sel.push(0));
+            })
+        };
+        let mut scoped = ScratchArena::new();
+        round(&mut scoped);
+        round(&mut scoped);
+
+        let mut explicit = ScratchArena::new();
+        for _ in 0..2 {
+            let mut mask = explicit.checkout_mask(8);
+            mask.push(true);
+            let mut sel = explicit.checkout_idx(8);
+            sel.push(0);
+            explicit.recycle_idx(sel);
+            explicit.recycle_mask(mask);
+        }
+        // Both buffers came back: the second round reused them.
+        assert_eq!(scoped.stats(), explicit.stats());
+        assert_eq!(
+            scoped.stats(),
+            PoolStats {
+                checkouts: 4,
+                reuses: 2,
+                fresh: 2
+            }
+        );
     }
 
     #[test]

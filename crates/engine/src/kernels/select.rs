@@ -25,11 +25,10 @@ pub fn selection_from_mask(mask: &[bool], sel: &mut Vec<usize>) {
 /// vector. Output equals `batch.filter(mask)`.
 pub fn filter_batch(batch: &Batch, mask: &[bool], arena: &mut ScratchArena) -> Batch {
     assert_eq!(mask.len(), batch.num_rows(), "filter mask length mismatch");
-    let mut sel = arena.checkout_idx(batch.num_rows());
-    selection_from_mask(mask, &mut sel);
-    let out = batch.take(&sel);
-    arena.recycle_idx(sel);
-    out
+    arena.with_idx(batch.num_rows(), |sel, _| {
+        selection_from_mask(mask, sel);
+        batch.take(sel)
+    })
 }
 
 /// Filter and project in one pass: gather only the projected columns
@@ -46,9 +45,8 @@ pub fn filter_project(
 ) -> Batch {
     assert_eq!(mask.len(), batch.num_rows(), "filter mask length mismatch");
     let view = batch.project_view(out_schema, indices);
-    let mut sel = arena.checkout_idx(batch.num_rows());
-    selection_from_mask(mask, &mut sel);
-    let out = view.gather(&sel);
-    arena.recycle_idx(sel);
-    out
+    arena.with_idx(batch.num_rows(), |sel, _| {
+        selection_from_mask(mask, sel);
+        view.gather(sel)
+    })
 }

@@ -185,49 +185,49 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                 // per-partition row lists) and nothing reallocates however
                 // skewed the hash is.
                 let mut arena = ctx.scratch.borrow_mut();
-                let mut assigned = arena.checkout_idx(nrows);
-                let mut counts: Vec<usize> = vec![0; nparts];
-                for row in 0..nrows {
-                    let p = partition_of(&key_refs, row, *partitions) as usize;
-                    assigned.push(p);
-                    counts[p] += 1;
-                }
-                let mut offsets: Vec<usize> = Vec::with_capacity(nparts + 1);
-                let mut total = 0;
-                offsets.push(0);
-                for &c in &counts {
-                    total += c;
-                    offsets.push(total);
-                }
-                let mut cursor = arena.checkout_idx(nparts);
-                cursor.extend_from_slice(&offsets[..nparts]);
-                let mut ordered = arena.checkout_idx(nrows);
-                ordered.resize(nrows, 0);
-                for (row, &p) in assigned.iter().enumerate() {
-                    ordered[cursor[p]] = row;
-                    cursor[p] += 1;
-                }
-                for p in 0..nparts {
-                    let rows = &ordered[offsets[p]..offsets[p + 1]];
-                    if rows.is_empty() {
-                        continue; // no chunk object for empty partitions
+                arena.with_idx(nrows, |assigned, arena| {
+                    let mut counts: Vec<usize> = vec![0; nparts];
+                    for row in 0..nrows {
+                        let p = partition_of(&key_refs, row, *partitions) as usize;
+                        assigned.push(p);
+                        counts[p] += 1;
                     }
-                    let chunk = combined.take(rows);
-                    let data = encode_batch(&chunk);
-                    result.shuffle_bytes_written += data.len() as u64;
-                    result.shuffle_writes += 1;
-                    writes.push((
-                        ShuffleKey {
-                            query: ctx.query_id,
-                            stage: ctx.stage_id as u32,
-                            partition: p as u32,
-                        },
-                        data,
-                    ));
-                }
-                arena.recycle_idx(assigned);
-                arena.recycle_idx(cursor);
-                arena.recycle_idx(ordered);
+                    let mut offsets: Vec<usize> = Vec::with_capacity(nparts + 1);
+                    let mut total = 0;
+                    offsets.push(0);
+                    for &c in &counts {
+                        total += c;
+                        offsets.push(total);
+                    }
+                    arena.with_idx(nparts, |cursor, arena| {
+                        cursor.extend_from_slice(&offsets[..nparts]);
+                        arena.with_idx(nrows, |ordered, _| {
+                            ordered.resize(nrows, 0);
+                            for (row, &p) in assigned.iter().enumerate() {
+                                ordered[cursor[p]] = row;
+                                cursor[p] += 1;
+                            }
+                            for p in 0..nparts {
+                                let rows = &ordered[offsets[p]..offsets[p + 1]];
+                                if rows.is_empty() {
+                                    continue; // no chunk object for empty partitions
+                                }
+                                let chunk = combined.take(rows);
+                                let data = encode_batch(&chunk);
+                                result.shuffle_bytes_written += data.len() as u64;
+                                result.shuffle_writes += 1;
+                                writes.push((
+                                    ShuffleKey {
+                                        query: ctx.query_id,
+                                        stage: ctx.stage_id as u32,
+                                        partition: p as u32,
+                                    },
+                                    data,
+                                ));
+                            }
+                        })
+                    })
+                });
             }
         }
         if ctx.telemetry.is_enabled() {
@@ -335,20 +335,14 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                         // Fused filter+project: one pooled mask and one
                         // shared selection; unprojected columns are never
                         // gathered.
-                        (Some(pred), Some(idx)) => {
-                            let mut mask = arena.checkout_mask(p.num_rows());
-                            predicate_mask_into(pred, p, &mut mask);
-                            let b = filter_project(p, &mask, idx, out_schema.clone(), &mut arena);
-                            arena.recycle_mask(mask);
-                            b
-                        }
-                        (Some(pred), None) => {
-                            let mut mask = arena.checkout_mask(p.num_rows());
-                            predicate_mask_into(pred, p, &mut mask);
-                            let b = filter_batch(p, &mask, &mut arena);
-                            arena.recycle_mask(mask);
-                            b
-                        }
+                        (Some(pred), Some(idx)) => arena.with_mask(p.num_rows(), |mask, arena| {
+                            predicate_mask_into(pred, p, mask);
+                            filter_project(p, mask, idx, out_schema.clone(), arena)
+                        }),
+                        (Some(pred), None) => arena.with_mask(p.num_rows(), |mask, arena| {
+                            predicate_mask_into(pred, p, mask);
+                            filter_batch(p, mask, arena)
+                        }),
                         // Projection indices may repeat a column; the
                         // borrowed view clones each selected column once.
                         (None, Some(idx)) => p.project_view(out_schema.clone(), idx).to_batch(),
@@ -368,17 +362,17 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
             PlanNode::Filter { input, predicate } => {
                 let batches = self.exec_node(input, result);
                 let mut arena = ctx.scratch.borrow_mut();
-                let mut out = Vec::with_capacity(batches.len());
-                let mut mask = arena.checkout_mask(0);
-                for b in &batches {
-                    predicate_mask_into(predicate, b, &mut mask);
-                    let f = filter_batch(b, &mask, &mut arena);
-                    if f.num_rows() > 0 {
-                        out.push(f);
+                arena.with_mask(0, |mask, arena| {
+                    let mut out = Vec::with_capacity(batches.len());
+                    for b in &batches {
+                        predicate_mask_into(predicate, b, mask);
+                        let f = filter_batch(b, mask, arena);
+                        if f.num_rows() > 0 {
+                            out.push(f);
+                        }
                     }
-                }
-                arena.recycle_mask(mask);
-                out
+                    out
+                })
             }
             PlanNode::Project {
                 input,

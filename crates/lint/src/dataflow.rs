@@ -1,33 +1,29 @@
 //! Intra-procedural value flow with interprocedural summaries — the
-//! analysis layer under L12–L15.
+//! analysis layer under L13, L14 and L19.
 //!
 //! Per function, the statement/scope extents from [`crate::parser`] are
 //! lifted into an *assignment graph*: parameters, `let` bindings and
 //! re-assignments with their right-hand-side token ranges, loop body
-//! extents, and return-expression ranges. On top of that:
+//! extents (L14's "inside a loop"), and return-expression ranges. On
+//! top of that:
 //!
 //! * a transitive **source closure** maps each local to the set of
 //!   identifiers (and `call:` callee names) its value was derived from
-//!   — the taint machinery behind L13's seed provenance;
-//! * a per-function **unit environment** assigns a [`Unit`] to locals
-//!   from annotations, naming conventions, and right-hand-side
-//!   propagation — the typing machinery behind L12/L15;
-//! * per-function **summaries** (`ret_unit`, `seed_derived`) are
-//!   iterated to fixpoint over the PR 5 call graph so units and taint
-//!   cross function boundaries by bare callee name (the same honest
-//!   over-approximation the call graph itself makes, with the same
-//!   stoplist so `len()` never donates a unit).
+//!   — the taint machinery behind L13's seed provenance and L19's
+//!   draw-key clause;
+//! * a per-function **summary** (`seed_derived`) is iterated to
+//!   fixpoint over the call graph so taint crosses function boundaries
+//!   by bare callee name (the same honest over-approximation the call
+//!   graph itself makes, with the same stoplist).
 //!
 //! Everything here is conservative in the lint direction: failing to
-//! model a construct loses information (a local has no unit, a source
-//! set is smaller), which can only cost a finding — except for L13,
-//! whose *unproven* verdict is deliberately loud and carries its own
-//! annotation escape hatch.
+//! model a construct loses information (a source set is smaller), which
+//! can only cost a finding — except for L13, whose *unproven* verdict
+//! is deliberately loud and carries its own allow escape hatch.
 
 use crate::index::Workspace;
 use crate::lexer::TokKind;
 use crate::parser::{FnItem, ParsedFile};
-use crate::units::{self, Unit};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Keywords that never name a value.
@@ -43,8 +39,6 @@ pub struct Assign {
     /// Bound name (terminal identifier for field chains like
     /// `self.total = ...`).
     pub target: String,
-    /// Token index of the target name.
-    pub target_tok: usize,
     /// Inclusive token range of the right-hand side.
     pub rhs: (usize, usize),
 }
@@ -52,8 +46,8 @@ pub struct Assign {
 /// The per-function value-flow facts.
 #[derive(Debug, Default)]
 pub struct FnFlow {
-    /// `(name, name token)` for each signature parameter.
-    pub params: Vec<(String, usize)>,
+    /// Each signature parameter's name.
+    pub params: Vec<String>,
     /// `let` bindings and re-assignments, source order.
     pub assigns: Vec<Assign>,
     /// Inclusive `{`..`}` token ranges of `for`/`while`/`loop` bodies.
@@ -107,7 +101,7 @@ impl FnFlow {
                 && t.text != "mut"
                 && toks.get(k + 1).map(|t| t.punct()) == Some(":")
             {
-                self.params.push((t.text.clone(), k));
+                self.params.push(t.text.clone());
                 // Skip the type up to the next top-level comma.
                 let mut d = k + 2;
                 while d < close {
@@ -165,7 +159,6 @@ impl FnFlow {
                             if eq + 1 < end {
                                 self.assigns.push(Assign {
                                     target: name.text.clone(),
-                                    target_tok: j,
                                     rhs: (eq + 1, end - 1),
                                 });
                             }
@@ -194,7 +187,6 @@ impl FnFlow {
                     if t + 2 < end {
                         self.assigns.push(Assign {
                             target: toks[t].text.clone(),
-                            target_tok: t,
                             rhs: (t + 2, end - 1),
                         });
                     }
@@ -422,42 +414,22 @@ pub fn source_closure(p: &ParsedFile, flow: &FnFlow) -> BTreeMap<String, BTreeSe
 }
 
 /// The workspace-wide dataflow results: one [`FnFlow`] + source closure
-/// + unit environment per indexed fn, per-file unit annotations, and
-/// the interprocedural summaries.
+/// per indexed fn, and the seed-taint summaries.
 #[derive(Debug)]
 pub struct Flows {
     /// Per fn id (parallel to `ws.index.fns`).
     pub flows: Vec<FnFlow>,
     /// Per fn id: transitive source sets of its locals.
     pub closures: Vec<BTreeMap<String, BTreeSet<String>>>,
-    /// Per fn id: unit of each local (params + assign targets).
-    pub env: Vec<BTreeMap<String, Unit>>,
-    /// Per fn id: locals declared `unit(none)` — explicitly
-    /// dimensionless, blocking convention inference at use sites.
-    pub no_unit: Vec<BTreeSet<String>>,
-    /// Per fn id: summary — unit of the return value, if consistently
-    /// inferable.
-    pub ret_unit: Vec<Option<Unit>>,
     /// Per fn id: summary — does the return value derive from a
     /// seed/salt-named source?
     pub seed_derived: Vec<bool>,
-    /// Per file: `unit(...)` annotation lines (errors are surfaced by
-    /// lib.rs, not here).
-    pub annots: Vec<BTreeMap<usize, Option<Unit>>>,
 }
 
 impl Flows {
-    /// Build flows, environments, and summaries for the workspace.
-    /// Summaries iterate a small fixed number of global rounds — enough
-    /// for the call-chain depths in this tree, and convergence beyond
-    /// that only loses findings, never fabricates them.
+    /// Build flows, source closures, and seed-taint summaries for the
+    /// workspace.
     pub fn build(ws: &Workspace) -> Flows {
-        let annots: Vec<BTreeMap<usize, Option<Unit>>> = ws
-            .files
-            .iter()
-            .map(|f| units::annotations(&f.source).by_line)
-            .collect();
-
         let n = ws.index.fns.len();
         let mut flows = Vec::with_capacity(n);
         let mut closures = Vec::with_capacity(n);
@@ -472,68 +444,8 @@ impl Flows {
         let mut fl = Flows {
             flows,
             closures,
-            env: vec![BTreeMap::new(); n],
-            no_unit: vec![BTreeSet::new(); n],
-            ret_unit: vec![None; n],
             seed_derived: vec![false; n],
-            annots,
         };
-
-        // Seed the environments from annotations + naming conventions.
-        // An explicit `unit(none)` blocks convention inference.
-        for id in 0..n {
-            let f = &ws.index.fns[id];
-            let p = &ws.files[f.file].parsed;
-            let ann = &fl.annots[f.file];
-            let bind = |env: &mut BTreeMap<String, Unit>,
-                        blocked: &mut BTreeSet<String>,
-                        name: &str,
-                        tok: usize| {
-                match ann.get(&p.toks[tok].line) {
-                    Some(Some(u)) => {
-                        env.insert(name.to_string(), *u);
-                    }
-                    Some(None) => {
-                        blocked.insert(name.to_string());
-                        env.remove(name);
-                    }
-                    None => {
-                        if !blocked.contains(name) && !env.contains_key(name) {
-                            if let Some(u) = units::of_ident(name) {
-                                env.insert(name.to_string(), u);
-                            }
-                        }
-                    }
-                }
-            };
-            let (env, blocked) = (&mut fl.env[id], &mut fl.no_unit[id]);
-            for (name, tok) in &fl.flows[id].params {
-                bind(env, blocked, name, *tok);
-            }
-            for a in &fl.flows[id].assigns {
-                bind(env, blocked, &a.target, a.target_tok);
-            }
-        }
-
-        // Interleaved rounds: propagate units through assignments using
-        // callee return-unit summaries, then refresh the summaries.
-        for _ in 0..3 {
-            for id in 0..n {
-                let f = &ws.index.fns[id];
-                let p = &ws.files[f.file].parsed;
-                let mut updates = Vec::new();
-                for a in &fl.flows[id].assigns {
-                    if fl.env[id].contains_key(&a.target) || fl.no_unit[id].contains(&a.target) {
-                        continue;
-                    }
-                    if let Some(u) = fl.range_unit(ws, p, id, a.rhs) {
-                        updates.push((a.target.clone(), u));
-                    }
-                }
-                fl.env[id].extend(updates);
-                fl.ret_unit[id] = fl.infer_ret_unit(ws, id);
-            }
-        }
 
         // Seed-taint summaries to fixpoint (monotone: flags only set).
         loop {
@@ -597,232 +509,6 @@ impl Flows {
         }
         is_seed_named(source)
     }
-
-    /// Unit of the value produced by a call to `name`, from the API
-    /// table, the callee's name convention, or its return summary.
-    /// Stoplisted names (`len`, `clone`, ...) never donate a unit —
-    /// `ColumnData::len` must not make every `len()` a row count.
-    pub fn call_unit(&self, ws: &Workspace, name: &str) -> Option<Unit> {
-        if let Some(u) = units::return_unit_api(name) {
-            return Some(u);
-        }
-        if !Workspace::edge_name_kept(name) {
-            return None;
-        }
-        if let Some(u) = units::of_ident(name) {
-            return Some(u);
-        }
-        let ids = ws.index.by_name.get(name)?;
-        let mut found: Option<Unit> = None;
-        for &c in ids {
-            match (found, self.ret_unit[c]) {
-                (_, None) => return None,
-                (None, u) => found = u,
-                (Some(a), Some(b)) if a != b => return None,
-                _ => {}
-            }
-        }
-        found
-    }
-
-    /// Unit of local `name` in fn `id` (environment lookup, then naming
-    /// convention for non-locals like struct fields). A `unit(none)`
-    /// declaration blocks the convention fallback.
-    pub fn ident_unit(&self, id: usize, name: &str) -> Option<Unit> {
-        if let Some(u) = self.env[id].get(name) {
-            return Some(*u);
-        }
-        if self.no_unit[id].contains(name) {
-            return None;
-        }
-        units::of_ident(name)
-    }
-
-    /// Unit of an expression range: the consistent unit of its terminal
-    /// identifiers and calls. Ranges containing top-level `*` or `/`
-    /// are rates/products and have no base unit.
-    pub fn range_unit(
-        &self,
-        ws: &Workspace,
-        p: &ParsedFile,
-        id: usize,
-        range: (usize, usize),
-    ) -> Option<Unit> {
-        let toks = &p.toks;
-        let hi = range.1.min(toks.len().saturating_sub(1));
-        let mut j = range.0;
-        let mut found: Option<Unit> = None;
-        while j <= hi {
-            let t = &toks[j];
-            let pt = t.punct();
-            if matches!(pt, "*" | "/") && j > range.0 {
-                let prev = &toks[j - 1];
-                if prev.kind != TokKind::Punct || matches!(prev.punct(), ")" | "]") {
-                    return None; // binary product / quotient: a rate
-                }
-            }
-            if t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str()) {
-                let next = toks.get(j + 1).map(|t| t.punct()).unwrap_or("");
-                let unit = if next == "("
-                    || (next == "::" && toks.get(j + 2).map(|t| t.punct()) == Some("<"))
-                {
-                    let u = self.call_unit(ws, &t.text);
-                    // Skip the argument list: its idents belong to the
-                    // callee.
-                    let open = if next == "(" {
-                        j + 1
-                    } else {
-                        skip_angles(toks, j + 2)
-                    };
-                    j = p.close_of(open).filter(|&c| c <= hi).unwrap_or(hi);
-                    u
-                } else if next == "::" || next == ":" || next == "!" {
-                    None
-                } else if j > 0 && toks[j - 1].ident() == "as" {
-                    None
-                } else {
-                    self.ident_unit(id, &t.text)
-                };
-                if let Some(u) = unit {
-                    match found {
-                        None => found = Some(u),
-                        Some(f) if f != u => return None,
-                        _ => {}
-                    }
-                }
-            }
-            j += 1;
-        }
-        found
-    }
-
-    /// Resolve the operand ending just before token `op` (so for a
-    /// binary operator, pass the operator's index). Walks back over a
-    /// `x as u64` cast to the cast subject, resolves `f(...)` /
-    /// `x.method(...)` results through call summaries, and field chains
-    /// (`self.a.total_cost`) through their terminal identifier.
-    pub fn operand_left(&self, ws: &Workspace, p: &ParsedFile, id: usize, op: usize) -> Operand {
-        if op == 0 {
-            return Operand::Unknown;
-        }
-        let toks = &p.toks;
-        let mut i = op - 1;
-        // `x as u64 <op>`: the operand is the cast subject.
-        if toks[i].kind == TokKind::Ident && i >= 2 && toks[i - 1].ident() == "as" {
-            if i < 2 {
-                return Operand::Unknown;
-            }
-            i -= 2;
-        }
-        let t = &toks[i];
-        if t.kind == TokKind::Number {
-            return Operand::Scalar;
-        }
-        if matches!(t.punct(), ")" | "]") {
-            // A call result `f(...)` / `x.m(...)`: resolve by summary.
-            if t.punct() == ")" {
-                if let Some(open) = (0..i).rev().find(|&k| p.close_of(k) == Some(i)) {
-                    if open > 0 && toks[open - 1].kind == TokKind::Ident {
-                        return match self.call_unit(ws, &toks[open - 1].text) {
-                            Some(u) => Operand::Unit(u),
-                            None => Operand::Unknown,
-                        };
-                    }
-                }
-            }
-            return Operand::Unknown;
-        }
-        if t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str()) {
-            return match self.ident_unit(id, &t.text) {
-                Some(u) => Operand::Unit(u),
-                None => Operand::Unknown,
-            };
-        }
-        Operand::Unknown
-    }
-
-    /// Resolve the operand starting just after token `op`.
-    pub fn operand_right(&self, ws: &Workspace, p: &ParsedFile, id: usize, op: usize) -> Operand {
-        let toks = &p.toks;
-        let mut j = op + 1;
-        // Borrows and unary minus are transparent.
-        while toks.get(j).map(|t| t.punct()) == Some("&")
-            || toks.get(j).map(|t| t.punct()) == Some("-")
-        {
-            j += 1;
-        }
-        let Some(t) = toks.get(j) else {
-            return Operand::Unknown;
-        };
-        if t.kind == TokKind::Number {
-            return Operand::Scalar;
-        }
-        if t.kind != TokKind::Ident {
-            return Operand::Unknown;
-        }
-        // `self.field` / `self.method()` chains resolve through their
-        // terminal; a bare keyword is unresolvable.
-        if KEYWORDS.contains(&t.text.as_str())
-            && !(t.text == "self" && toks.get(j + 1).map(|t| t.punct()) == Some("."))
-        {
-            return Operand::Unknown;
-        }
-        // Walk a field / method chain to its terminal.
-        let mut term = j;
-        while toks.get(term + 1).map(|t| t.punct()) == Some(".")
-            && toks.get(term + 2).map(|t| t.kind) == Some(TokKind::Ident)
-        {
-            term += 2;
-        }
-        let name = &toks[term].text;
-        let next = toks.get(term + 1).map(|t| t.punct()).unwrap_or("");
-        if next == "(" || (next == "::" && toks.get(term + 2).map(|t| t.punct()) == Some("<")) {
-            return match self.call_unit(ws, name) {
-                Some(u) => Operand::Unit(u),
-                None => Operand::Unknown,
-            };
-        }
-        if next == "::" || next == "!" {
-            return Operand::Unknown;
-        }
-        match self.ident_unit(id, name) {
-            Some(u) => Operand::Unit(u),
-            None => Operand::Unknown,
-        }
-    }
-
-    fn infer_ret_unit(&self, ws: &Workspace, id: usize) -> Option<Unit> {
-        let item = ws.fn_item(id);
-        if let Some(u) = units::of_ident(&item.name) {
-            return Some(u);
-        }
-        if let Some(u) = units::return_unit_api(&item.name) {
-            return Some(u);
-        }
-        let f = &ws.index.fns[id];
-        let p = &ws.files[f.file].parsed;
-        let mut found: Option<Unit> = None;
-        for &r in &self.flows[id].returns {
-            match (found, self.range_unit(ws, p, id, r)) {
-                (_, None) => return None,
-                (None, u) => found = u,
-                (Some(a), Some(b)) if a != b => return None,
-                _ => {}
-            }
-        }
-        found
-    }
-}
-
-/// A resolved arithmetic operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Operand {
-    /// Carries a known unit of measure.
-    Unit(Unit),
-    /// A bare numeric literal.
-    Scalar,
-    /// Anything the analysis cannot type.
-    Unknown,
 }
 
 /// Does this identifier name a seed, salt, or derivation key?
@@ -860,7 +546,7 @@ mod tests {
                  s\n\
              }");
         let flow = &f.flows[0];
-        let names: Vec<&str> = flow.params.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = flow.params.iter().map(String::as_str).collect();
         assert_eq!(names, ["seed", "total_cost"]);
         // `let s`, `s +=`, `s /=`, `total_cost =`.
         assert_eq!(flow.assigns.len(), 4, "{:?}", flow.assigns);
@@ -877,7 +563,7 @@ mod tests {
     fn tail_expression_excludes_preceding_block_statements() {
         // The fnv1a shape: a fold over a byte buffer, tail `h`. The
         // loop header's `bytes` ident must not leak into the return
-        // range, or the hash comes out bytes-dimensioned.
+        // range, or the return inherits the header's sources.
         let (w, f) = one("fn fnv1a(bytes: &[u8]) -> u64 {\n\
                  let mut h: u64 = 1;\n\
                  for &b in bytes {\n\
@@ -890,7 +576,6 @@ mod tests {
         let (lo, hi) = flow.returns[0];
         assert_eq!(lo, hi);
         assert_eq!(w.files[0].parsed.toks[lo].text, "h");
-        assert_eq!(f.ret_unit[0], None);
 
         // An `if/else if/else` chain *used as the tail* keeps its
         // (shallow) capture — the range still starts inside the final
@@ -912,7 +597,6 @@ mod tests {
         let (lo, hi) = f.flows[0].returns[0];
         assert_eq!(lo, hi);
         assert_eq!(w.files[0].parsed.toks[lo].text, "n");
-        assert_eq!(f.ret_unit[0], None);
     }
 
     #[test]
@@ -927,76 +611,6 @@ mod tests {
         assert!(k.contains("seed"), "{k:?}");
         assert!(k.contains("salt"));
         assert!(k.contains("call:splitmix64"));
-    }
-
-    #[test]
-    fn unit_env_from_names_annotations_and_propagation() {
-        let (_, f) = one("fn f(elapsed_secs: f64) -> f64 {\n\
-                 // cackle-lint: unit(usd)\n\
-                 let budget = 10.0;\n\
-                 let t = elapsed_secs;\n\
-                 let rate = budget / t;\n\
-                 t\n\
-             }");
-        let env = &f.env[0];
-        assert_eq!(env.get("elapsed_secs"), Some(&Unit::Seconds));
-        assert_eq!(env.get("budget"), Some(&Unit::Usd));
-        // Propagated through the assignment graph.
-        assert_eq!(env.get("t"), Some(&Unit::Seconds));
-        // A quotient is a rate: no base unit.
-        assert_eq!(env.get("rate"), None);
-        // Return summary follows the tail expression.
-        assert_eq!(f.ret_unit[0], Some(Unit::Seconds));
-    }
-
-    #[test]
-    fn unit_none_annotation_blocks_convention() {
-        let (_, f) = one("fn f() -> u64 {\n\
-                 let count = worker_slot(); // cackle-lint: unit(none)\n\
-                 count\n\
-             }");
-        assert_eq!(f.env[0].get("count"), None);
-    }
-
-    #[test]
-    fn ret_unit_summary_crosses_files() {
-        let w = ws(&[
-            (
-                "crates/cloud/src/pricing.rs",
-                "pub fn window_total(&self) -> f64 { self.acc_cost }",
-            ),
-            (
-                "crates/core/src/report.rs",
-                "fn f(p: &Pricing) -> f64 { let x = p.window_total(); x }",
-            ),
-        ]);
-        let f = Flows::build(&w);
-        // window_total returns acc_cost → usd; report's `x` inherits it.
-        let report_id = w
-            .index
-            .by_name
-            .get("f")
-            .and_then(|ids| ids.first())
-            .copied()
-            .unwrap();
-        assert_eq!(f.env[report_id].get("x"), Some(&Unit::Usd));
-    }
-
-    #[test]
-    fn stoplisted_call_never_donates_a_unit() {
-        let w = ws(&[
-            (
-                "crates/engine/src/column.rs",
-                "impl ColumnData { pub fn len(&self) -> usize { self.rows } }",
-            ),
-            (
-                "crates/core/src/other.rs",
-                "fn f(v: &[u8]) -> usize { let n = v.len(); n }",
-            ),
-        ]);
-        let f = Flows::build(&w);
-        let id = w.index.by_name["f"][0];
-        assert_eq!(f.env[id].get("n"), None);
     }
 
     #[test]

@@ -42,10 +42,6 @@ pub struct Token {
     pub line: usize,
     /// Category.
     pub kind: TokKind,
-    /// Half-open byte range `[start, end)` of the token in the source.
-    /// For `Str` this spans the *whole literal* — prefix (`b`, `r#...`),
-    /// quotes and all — so the fix engine can splice around it safely.
-    pub span: (usize, usize),
 }
 
 impl Token {
@@ -82,18 +78,6 @@ pub fn lex(source: &str) -> Vec<Token> {
     let mut i = 0;
     let mut line = 1;
     let n = chars.len();
-    // The lexer walks char indices; spans are byte offsets. Prefix-sum
-    // the UTF-8 widths once so any char index converts in O(1).
-    let mut byte_of: Vec<usize> = Vec::with_capacity(n + 1);
-    let mut off = 0;
-    for &c in &chars {
-        byte_of.push(off);
-        off += c.len_utf8();
-    }
-    byte_of.push(off);
-    // Helpers like `skip_quoted_body` may report an end index one past
-    // `n` at EOF (a trailing escape consumes two chars); clamp.
-    let span = |a: usize, b: usize| (byte_of[a.min(n)], byte_of[b.min(n)]);
 
     while i < n {
         let c = chars[i];
@@ -143,7 +127,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                     text: content,
                     line: start_line,
                     kind: TokKind::Str,
-                    span: span(i, end),
                 });
                 i = end;
             }
@@ -160,7 +143,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                     text: chars[i + 1..content_end].iter().collect(),
                     line: start_line,
                     kind: TokKind::Str,
-                    span: span(i, end),
                 });
                 i = end;
             }
@@ -185,7 +167,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                     text: chars[start..i].iter().collect(),
                     line,
                     kind: TokKind::Ident,
-                    span: span(start, i),
                 });
             }
             c if c.is_ascii_digit() => {
@@ -208,7 +189,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                     text: chars[start..i].iter().collect(),
                     line,
                     kind: TokKind::Number,
-                    span: span(start, i),
                 });
             }
             _ => {
@@ -221,7 +201,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                             text: op.to_string(),
                             line,
                             kind: TokKind::Punct,
-                            span: span(i, i + len),
                         });
                         i += len;
                         matched = true;
@@ -233,7 +212,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                         text: c.to_string(),
                         line,
                         kind: TokKind::Punct,
-                        span: span(i, i + 1),
                     });
                     i += 1;
                 }
@@ -475,43 +453,6 @@ mod tests {
         assert_eq!(plus.kind, TokKind::Str);
         assert_eq!(plus.punct(), "");
         assert_eq!(plus.ident(), "");
-    }
-
-    #[test]
-    fn spans_slice_the_source_back_out_exactly() {
-        let src = "let x = a::b(1.5e-3, \"s\");";
-        for t in lex(src) {
-            let (a, b) = t.span;
-            let slice = &src[a..b];
-            match t.kind {
-                // Str spans cover the whole literal, quotes included.
-                TokKind::Str => assert_eq!(slice, format!("\"{}\"", t.text)),
-                _ => assert_eq!(slice, t.text, "token {:?}", t),
-            }
-        }
-    }
-
-    #[test]
-    fn spans_are_byte_offsets_even_after_multibyte_chars() {
-        // 'é' is 2 bytes; a span computed in char indices would slice
-        // mid-codepoint and panic (or return the wrong text).
-        let src = "// café\nlet x = 1;";
-        let toks = lex(src);
-        for t in &toks {
-            assert_eq!(&src[t.span.0..t.span.1], t.text);
-        }
-        assert_eq!(toks[0].text, "let");
-    }
-
-    #[test]
-    fn raw_and_byte_string_spans_include_prefix_and_hashes() {
-        let src = r###"f(br#"x"#, r##"y"##)"###;
-        let strs: Vec<Token> = lex(src)
-            .into_iter()
-            .filter(|t| t.kind == TokKind::Str)
-            .collect();
-        assert_eq!(&src[strs[0].span.0..strs[0].span.1], r##"br#"x"#"##);
-        assert_eq!(&src[strs[1].span.0..strs[1].span.1], r###"r##"y"##"###);
     }
 
     #[test]

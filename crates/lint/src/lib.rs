@@ -2,9 +2,12 @@
 //! analyzer for this workspace.
 //!
 //! The simulator's headline claims — byte-identical reruns and exact
-//! cost accounting — are invariants no type system enforces, so this
-//! crate enforces them mechanically at the source level. Since v2 it is
-//! a small *analyzer*, not just a lexer: source is tokenized
+//! cost accounting — rest on invariants the types do not carry yet, so
+//! this crate enforces them mechanically at the source level. Where a
+//! type can carry one, the type wins and the rule goes: fault draws are
+//! keyed by `TaskFaults` (formerly L9/L18) and scratch buffers are
+//! scoped by `ScratchArena::with_*` closures (formerly L16). It is a
+//! small *analyzer*, not just a lexer: source is tokenized
 //! ([`lexer`]), brace-matched into items, blocks, statements, and call
 //! sites ([`parser`]), indexed across the workspace into fn items and
 //! an approximate call graph ([`index`]), and the rule families
@@ -25,21 +28,16 @@
 //! | L8 | no `Ordering::Relaxed` on atomics shared with worker closures | `crates/engine`, `crates/core` |
 //! | L10 | metric names are literals matching the DESIGN §7 grammar | everywhere |
 //! | L11 | no raw money arithmetic / call-site price formulas | everywhere except `cloud/src/{ledger,pricing}.rs`, `core/src/prices.rs`, `crates/bench` |
-//! | L12 | no mixing of units (usd/seconds/bytes/rows/count) in arithmetic | everywhere except `crates/bench` |
 //! | L13 | every PRNG seed derives from the RunSpec seed / a salt | everywhere except `crates/prng`, `crates/bench` |
 //! | L14 | no per-iteration allocation on engine hot paths | `crates/engine`, `crates/serve` |
-//! | L15 | no narrowing `as` casts on unit-carrying values | everywhere except `crates/bench` |
-//! | L16 | pooled scratch checkouts balance with recycles per fn | `crates/engine` except `kernels/pool.rs` |
 //! | L17 | no parallel-phase writes to shared registries (telemetry / shuffle / ledger) | `crates/engine`, `crates/core`, `crates/cloud` |
 //! | L19 | `pure(...)`-annotated fns uphold their purity contract | everywhere except `crates/bench` |
 //!
-//! L12–L15 sit on the intra-procedural dataflow layer ([`dataflow`]):
-//! a per-function assignment graph over the parser's statement/scope
-//! extents, with units and seed-taint propagated interprocedurally via
-//! per-function summaries on the call graph. Unit inference can be
-//! overridden per binding with `// cackle-lint: unit(usd|seconds|bytes|\
-//! rows|count|none)` ([`units`]); `unit(none)` marks a binding as
-//! explicitly dimensionless.
+//! L13, L14 and L19 sit on the intra-procedural dataflow layer
+//! ([`dataflow`]): a per-function assignment graph over the parser's
+//! statement/scope extents, with loop-body extents and seed taint
+//! propagated interprocedurally via per-function summaries on the call
+//! graph.
 //!
 //! L17 and L19 sit on the interprocedural layer. Every fn BFS-reachable
 //! from `TaskExecution::run_buffered` ([`index::PHASE_ROOT`]) is
@@ -77,21 +75,15 @@
 //! ```
 //!
 //! Multiple ids may be listed: `// cackle-lint: allow(L1,L5)`. A
-//! malformed list — unknown id, duplicate id, trailing comma, empty
-//! list, missing `)` — is itself a hard error (reported as `SUP`, which
-//! cannot be suppressed): a typo'd allow that silently does nothing is
-//! worse than no allow at all. A well-formed allow that suppresses no
-//! finding is stale, and is reported like a stale baseline entry (exit
-//! code 3): an allow that outlives its finding hides the next one.
+//! malformed list — unknown or retired id, duplicate id, trailing comma,
+//! empty list, missing `)` — is itself a hard error (reported as `SUP`,
+//! which cannot be suppressed): a typo'd allow that silently does
+//! nothing is worse than no allow at all. A well-formed allow that
+//! suppresses no finding is stale and fails the run too (exit code 3):
+//! an allow that outlives its finding hides the next one.
 //!
-//! # Baseline
-//!
-//! Pre-existing debt is carried in `lint-baseline.txt` at the workspace
-//! root as `<lint-id> <path> <count>` lines. The lint fails only on
-//! violations *beyond* the baseline, so new debt cannot land while old
-//! debt is paid down incrementally. A baseline entry larger than the
-//! current finding count is *stale* and is an error in its own right
-//! (exit code 3): the file's header promises entries only ever shrink.
+//! There is no baseline file. Any finding fails the run; an inline allow
+//! with its reason beside the code is the only way to accept one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -99,12 +91,10 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 pub mod dataflow;
-pub mod fix;
 pub mod index;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod units;
 
 use index::Workspace;
 
@@ -131,16 +121,10 @@ pub enum LintId {
     L10,
     /// Ledger hygiene: money arithmetic outside the billing layer.
     L11,
-    /// Unit-of-measure conformance (usd/seconds/bytes/rows/count).
-    L12,
     /// Seed provenance: every PRNG stream derives from the RunSpec seed.
     L13,
     /// Per-iteration allocation on engine hot paths.
     L14,
-    /// Narrowing `as` casts on unit-carrying values.
-    L15,
-    /// Pooled scratch buffers checked out but never recycled.
-    L16,
     /// Phase discipline: parallel-phase writes to shared registries.
     L17,
     /// Purity contracts: `pure(...)`-annotated fns must stay pure.
@@ -151,7 +135,7 @@ pub enum LintId {
 
 impl LintId {
     /// All rules, in report order.
-    pub const ALL: [LintId; 17] = [
+    pub const ALL: [LintId; 14] = [
         LintId::L1,
         LintId::L2,
         LintId::L3,
@@ -161,18 +145,15 @@ impl LintId {
         LintId::L8,
         LintId::L10,
         LintId::L11,
-        LintId::L12,
         LintId::L13,
         LintId::L14,
-        LintId::L15,
-        LintId::L16,
         LintId::L17,
         LintId::L19,
         LintId::Sup,
     ];
 
-    /// Parse a live rule id (`"L1"`..`"L19"`). `"SUP"` is deliberately
-    /// not parseable: it can appear in neither a baseline nor an allow
+    /// Parse a live rule id (`"L1"`..`"L19"`). Retired ids do not
+    /// parse, and neither does `"SUP"`: it cannot appear in an allow
     /// list.
     pub fn parse(s: &str) -> Option<LintId> {
         match s.trim() {
@@ -185,11 +166,8 @@ impl LintId {
             "L8" => Some(LintId::L8),
             "L10" => Some(LintId::L10),
             "L11" => Some(LintId::L11),
-            "L12" => Some(LintId::L12),
             "L13" => Some(LintId::L13),
             "L14" => Some(LintId::L14),
-            "L15" => Some(LintId::L15),
-            "L16" => Some(LintId::L16),
             "L17" => Some(LintId::L17),
             "L19" => Some(LintId::L19),
             _ => None,
@@ -217,11 +195,8 @@ impl fmt::Display for LintId {
             LintId::L8 => "L8",
             LintId::L10 => "L10",
             LintId::L11 => "L11",
-            LintId::L12 => "L12",
             LintId::L13 => "L13",
             LintId::L14 => "L14",
-            LintId::L15 => "L15",
-            LintId::L16 => "L16",
             LintId::L17 => "L17",
             LintId::L19 => "L19",
             LintId::Sup => "SUP",
@@ -243,17 +218,6 @@ pub struct Finding {
     pub message: String,
     /// How to fix it.
     pub suggestion: String,
-    /// Machine-applicable byte-span edits realizing the suggestion —
-    /// empty when the rule has no mechanical rewrite for this site.
-    /// Sorts/compares last, so diagnostics order is unchanged.
-    pub fix: Vec<fix::Edit>,
-}
-
-impl Finding {
-    /// Does `cackle-lint fix` have a mechanical rewrite for this site?
-    pub fn fixable(&self) -> bool {
-        !self.fix.is_empty()
-    }
 }
 
 impl fmt::Display for Finding {
@@ -310,7 +274,6 @@ fn applies(id: LintId, path: &str) -> bool {
                 && path != "crates/core/src/prices.rs"
                 && !path.starts_with("crates/bench/")
         }
-        LintId::L12 | LintId::L15 => !path.starts_with("crates/bench/"),
         // crates/prng defines the primitive: seeding it *is* its job.
         LintId::L13 => !path.starts_with("crates/prng/") && !path.starts_with("crates/bench/"),
         // Hot paths are an engine concept — plus the serving layer's
@@ -318,11 +281,6 @@ fn applies(id: LintId, path: &str) -> bool {
         // simulated second per tenant; elsewhere a loop allocation is a
         // style question, not a throughput bug.
         LintId::L14 => path.starts_with("crates/engine/") || path.starts_with("crates/serve/"),
-        // The pool lives in kernels/pool.rs: its own internals move
-        // buffers in and out by definition, everywhere else pairs them.
-        LintId::L16 => {
-            path.starts_with("crates/engine/") && path != "crates/engine/src/kernels/pool.rs"
-        }
         // The parallel phase is an engine concept, and the registries it
         // must not touch live in core/cloud. crates/faults and
         // crates/telemetry define the shard/merge primitives — their
@@ -366,7 +324,6 @@ fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<Allow
         };
         let mut err = |what: String| {
             bad.push(Finding {
-                fix: Vec::new(),
                 path: rel_path.to_string(),
                 line,
                 id: LintId::Sup,
@@ -376,15 +333,14 @@ fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<Allow
             });
         };
         let rest = raw[at + MARKER.len()..].trim_start();
-        // `unit(...)` / `pure(...)` annotations share the marker; they
-        // are parsed (and their malformations reported) by
-        // [`units::annotations`] / [`rules::purity::annotations`].
-        if rest.starts_with("unit(") || rest.starts_with("pure(") {
+        // `pure(...)` annotations share the marker; they are parsed (and
+        // their malformations reported) by [`rules::purity::annotations`].
+        if rest.starts_with("pure(") {
             continue;
         }
         let Some(list) = rest.strip_prefix("allow(") else {
             err(format!(
-                "malformed suppression: expected `allow(...)`, `unit(...)`, or `pure(...)` after `{MARKER}`"
+                "malformed suppression: expected `allow(...)` or `pure(...)` after `{MARKER}`"
             ));
             continue;
         };
@@ -455,8 +411,7 @@ pub struct LintMeta {
     /// Parse-stage parallelism accounting (workers, busy vs wall time).
     pub parallel: index::ParallelStats,
     /// Well-formed inline allows that suppressed no finding, as
-    /// `<lint-id> <path>:<line>: ...` — stale like a baseline entry
-    /// larger than its finding count, and failed the same way.
+    /// `<lint-id> <path>:<line>: ...`; any one fails the run (exit 3).
     pub stale_allows: Vec<String>,
     /// Names of the fns classified parallel-phase (reachable from
     /// [`index::PHASE_ROOT`]). Empty means L17 and L14's reachability
@@ -508,24 +463,11 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
         findings.extend(bad);
         unused_allows.extend(map.values().flatten().map(|&allow| (fi, allow)));
         suppressed.push(map);
-        // Malformed `unit(...)` annotations are hard errors too: a typo'd
-        // unit silently falling back to convention inference is exactly
-        // the quiet failure the annotation exists to prevent.
-        for (line, what) in units::annotations(&file.source).errors {
-            findings.push(Finding {
-                fix: Vec::new(),
-                path: file.rel_path.clone(),
-                line,
-                id: LintId::Sup,
-                message: what,
-                suggestion: "write `// cackle-lint: unit(usd|seconds|bytes|rows|count|none)`"
-                    .into(),
-            });
-        }
-        // Same treatment for `pure(...)`: a typo'd purity annotation
-        // that silently verifies nothing defeats the contract.
+        // Malformed `pure(...)` annotations are hard errors too: a typo'd
+        // purity annotation that silently verifies nothing defeats the
+        // contract.
         for (line, what) in rules::purity::annotations(&file.source).errors {
-            findings.push(Finding { fix: Vec::new(),
+            findings.push(Finding {
                 path: file.rel_path.clone(),
                 line,
                 id: LintId::Sup,
@@ -566,7 +508,6 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
             continue;
         }
         findings.push(Finding {
-            fix: r.fix,
             path: file.rel_path.clone(),
             line,
             id: r.id,
@@ -719,7 +660,6 @@ pub fn lint_root_with_meta(
             suggestion: "keep `TaskExecution::run_buffered` as the task compute entry point, \
                          or re-root `index::PHASE_ROOT` at its replacement"
                 .into(),
-            fix: Vec::new(),
         });
         findings.sort();
     }
@@ -744,120 +684,22 @@ pub fn lint_root(root: &Path) -> std::io::Result<Vec<Finding>> {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-/// Accepted debt: `(rule, path) -> count`.
-pub type Baseline = BTreeMap<(LintId, String), u64>;
-
-/// Parse `lint-baseline.txt` content: `<lint-id> <path> <count>` lines,
-/// `#` comments and blank lines ignored. Malformed lines are errors —
-/// a silently dropped baseline entry would mask real debt.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut out = Baseline::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(id), Some(path), Some(count), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "baseline line {}: expected `<lint-id> <path> <count>`",
-                i + 1
-            ));
-        };
-        let id = LintId::parse(id)
-            .ok_or_else(|| format!("baseline line {}: unknown lint id `{id}`", i + 1))?;
-        let count: u64 = count
-            .parse()
-            .map_err(|_| format!("baseline line {}: bad count `{count}`", i + 1))?;
-        out.insert((id, path.to_string()), count);
-    }
-    Ok(out)
-}
-
-/// Findings that exceed the baseline — the ones that fail the build.
-/// Also returns stale baseline entries (debt that has been paid down)
-/// so the file can be trimmed; staleness is itself a CI failure.
-pub fn diff_baseline(findings: &[Finding], baseline: &Baseline) -> (Vec<Finding>, Vec<String>) {
-    let mut counts: BTreeMap<(LintId, String), Vec<&Finding>> = BTreeMap::new();
-    for f in findings {
-        counts.entry((f.id, f.path.clone())).or_default().push(f);
-    }
-    let mut new_violations = Vec::new();
-    for (key, group) in &counts {
-        let allowed = baseline.get(key).copied().unwrap_or(0) as usize;
-        if group.len() > allowed {
-            // Report the trailing findings as new (deterministic choice).
-            new_violations.extend(group[allowed..].iter().map(|f| (*f).clone()));
-        }
-    }
-    let mut stale = Vec::new();
-    for ((id, path), &allowed) in baseline {
-        let current = counts.get(&(*id, path.clone())).map_or(0, |g| g.len()) as u64;
-        if current < allowed {
-            stale.push(format!(
-                "{id} {path}: baseline allows {allowed}, found {current}"
-            ));
-        }
-    }
-    new_violations.sort();
-    (new_violations, stale)
-}
-
-/// Render the canonical `lint-baseline.txt` content for a finding set:
-/// the standard header plus one `<lint-id> <path> <count>` line per
-/// (rule, path) group, sorted — byte-stable for identical findings.
-/// `SUP` findings are never baselinable (they are hard errors) and are
-/// excluded.
-pub fn render_baseline(findings: &[Finding]) -> String {
-    let mut counts: BTreeMap<(LintId, &str), u64> = BTreeMap::new();
-    for f in findings {
-        if f.id == LintId::Sup {
-            continue;
-        }
-        *counts.entry((f.id, f.path.as_str())).or_default() += 1;
-    }
-    let mut out = String::from(
-        "# cackle-lint accepted debt: `<lint-id> <path> <count>` per line.\n\
-         #\n\
-         # The tree currently lints clean — keep it that way. If a rule must be\n\
-         # bent locally, prefer an inline `// cackle-lint: allow(Lx)` with a\n\
-         # justification over adding an entry here; baseline entries are for\n\
-         # pre-existing debt only and should only ever shrink.\n",
-    );
-    for ((id, path), n) in &counts {
-        out.push_str(&format!("{id} {path} {n}\n"));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // JSON diagnostics
 // ---------------------------------------------------------------------------
 
-/// Render findings as the deterministic machine-readable document
-/// emitted by `--format json`: one finding object per line, keys in
-/// fixed order, `BTreeMap` ordering throughout — byte-identical across
-/// runs on identical input by construction, except for the `meta`
-/// block's wall-clock `ms` values (CI normalizes those before
-/// comparing).
-pub fn render_json(
-    findings: &[Finding],
-    new_violations: &[Finding],
-    stale: &[String],
-    meta: &LintMeta,
-) -> String {
-    let is_new: BTreeSet<&Finding> = new_violations.iter().collect();
+/// Render findings and stale allows as the deterministic
+/// machine-readable document emitted by `--format json`: one finding
+/// object per line, keys in fixed order, `BTreeMap` ordering throughout
+/// — byte-identical across runs on identical input by construction,
+/// except for the `meta` block's machine-dependent values, which
+/// [`LintMeta::zero_timings`] (`--timings none`) zeroes.
+pub fn render_json(findings: &[Finding], meta: &LintMeta) -> String {
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for f in findings {
         *counts.entry(f.id.to_string()).or_default() += 1;
     }
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"cackle-lint\",\n  \"version\": 4,\n  \"findings\": [");
+    out.push_str("{\n  \"schema\": \"cackle-lint\",\n  \"version\": 5,\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -866,21 +708,19 @@ pub fn render_json(
         json_str(&mut out, &f.path);
         out.push_str(&format!(", \"line\": {}, \"rule\": \"{}\", ", f.line, f.id));
         out.push_str(&format!(
-            "\"severity\": \"{}\", \"baselined\": {}, \"message\": ",
-            f.id.severity(),
-            !is_new.contains(f)
+            "\"severity\": \"{}\", \"message\": ",
+            f.id.severity()
         ));
         json_str(&mut out, &f.message);
         out.push_str(", \"suggestion\": ");
         json_str(&mut out, &f.suggestion);
-        out.push_str(&format!(", \"fixable\": {}", f.fixable()));
         out.push('}');
     }
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n  \"stale_baseline\": [");
-    for (i, s) in stale.iter().enumerate() {
+    out.push_str("],\n  \"stale_allows\": [");
+    for (i, s) in meta.stale_allows.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -1173,10 +1013,23 @@ mod tests {
         // Well-formed multi-id lists still work.
         let ok = "fn f() { Instant::now(); } // cackle-lint: allow(L1,L5)";
         assert!(lint_source("crates/cloud/src/vm.rs", ok).is_empty());
-        // Retired ids are unknown ids.
-        for retired in ["L4", "L9"] {
+        // Retired ids are unknown ids: an allow naming one is SUP.
+        for retired in ["L4", "L9", "L12", "L15", "L16"] {
             assert_eq!(LintId::parse(retired), None);
+            let src = format!("fn f() {{}} // cackle-lint: allow({retired})");
+            let f = lint_source("crates/engine/src/task.rs", &src);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert_eq!(f[0].id, LintId::Sup);
+            assert!(f[0].message.contains(&format!("`{retired}`")), "{f:?}");
         }
+        // So is the retired `unit(...)` annotation.
+        let f = lint_source(
+            "crates/core/src/model.rs",
+            "fn f(s: usize) -> usize { s + 1 } // cackle-lint: \
+             unit(none)",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].id, LintId::Sup);
     }
 
     #[test]
@@ -1269,38 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_roundtrip_and_diff() {
-        let b = parse_baseline("# comment\nL5 crates/cloud/src/vm.rs 2\n").unwrap();
-        assert_eq!(b.len(), 1);
-        let f = |line| Finding {
-            path: "crates/cloud/src/vm.rs".into(),
-            line,
-            id: LintId::L5,
-            message: "m".into(),
-            suggestion: String::new(),
-            fix: Vec::new(),
-        };
-        let (new, stale) = diff_baseline(&[f(1), f(2)], &b);
-        assert!(new.is_empty() && stale.is_empty());
-        let (new, _) = diff_baseline(&[f(1), f(2), f(3)], &b);
-        assert_eq!(new.len(), 1);
-        assert_eq!(new[0].line, 3);
-        let (new, stale) = diff_baseline(&[f(1)], &b);
-        assert!(new.is_empty());
-        assert_eq!(stale.len(), 1);
-    }
-
-    #[test]
-    fn malformed_baseline_rejected() {
-        assert!(parse_baseline("L99 foo 1").is_err());
-        assert!(parse_baseline("SUP foo 1").is_err());
-        assert!(parse_baseline("L1 foo").is_err());
-        assert!(parse_baseline("L1 foo one").is_err());
-        // New rule ids parse.
-        assert!(parse_baseline("L11 foo 1\nL7 bar 2").is_ok());
-    }
-
-    #[test]
     fn json_rendering_is_escaped_and_stable() {
         let f = vec![Finding {
             path: "crates/x/src/a.rs".into(),
@@ -1308,7 +1129,6 @@ mod tests {
             id: LintId::L10,
             message: "metric name \"bad\nname\" rejected".into(),
             suggestion: "fix \\ it".into(),
-            fix: vec![fix::Edit::insert(0, "x".to_string())],
         }];
         let meta = LintMeta {
             files: 1,
@@ -1321,15 +1141,28 @@ mod tests {
                 task_ms: 10,
                 wall_ms: 4,
             },
+            stale_allows: vec!["L5 crates/x/src/a.rs:9: inline allow suppresses no finding".into()],
             ..LintMeta::default()
         };
-        let a = render_json(&f, &f, &[], &meta);
-        let b = render_json(&f, &f, &[], &meta);
+        let a = render_json(&f, &meta);
+        let b = render_json(&f, &meta);
         assert_eq!(a, b);
+        assert!(a.contains("\"version\": 5,"), "{a}");
         assert!(a.contains("\\\"bad\\nname\\\""), "{a}");
         assert!(a.contains("fix \\\\ it"), "{a}");
-        assert!(a.contains("\"baselined\": false"));
-        assert!(a.contains("\"fixable\": true"), "{a}");
+        assert!(
+            a.contains(
+                "{\"file\": \"crates/x/src/a.rs\", \"line\": 3, \"rule\": \"L10\", \
+                 \"severity\": \"error\", \"message\": "
+            ),
+            "{a}"
+        );
+        assert!(
+            a.contains(
+                "\"stale_allows\": [\"L5 crates/x/src/a.rs:9: inline allow suppresses no finding\"]"
+            ),
+            "{a}"
+        );
         assert!(a.contains("\"counts\": {\"L10\": 1}"));
         assert!(
             a.contains(
@@ -1342,8 +1175,9 @@ mod tests {
         );
         // Empty-findings document is well-formed too; zeroed timings
         // (the `--timings none` shape) render all-zero parallel stats.
-        let empty = render_json(&[], &[], &[], &LintMeta::default());
+        let empty = render_json(&[], &LintMeta::default());
         assert!(empty.contains("\"findings\": []"), "{empty}");
+        assert!(empty.contains("\"stale_allows\": []"), "{empty}");
         assert!(empty.contains("\"phases\": []"), "{empty}");
         assert!(
             empty.contains(
@@ -1355,66 +1189,16 @@ mod tests {
     }
 
     #[test]
-    fn baseline_rendering_is_sorted_and_excludes_sup() {
-        let f = |path: &str, id, line| Finding {
-            path: path.into(),
-            line,
-            id,
-            message: "m".into(),
-            suggestion: String::new(),
-            fix: Vec::new(),
-        };
-        let findings = vec![
-            f("crates/cloud/src/vm.rs", LintId::L5, 9),
-            f("crates/cloud/src/vm.rs", LintId::L5, 3),
-            f("crates/core/src/stats.rs", LintId::L12, 1),
-            f("crates/core/src/stats.rs", LintId::Sup, 2),
-        ];
-        let text = render_baseline(&findings);
-        assert!(text.starts_with("# cackle-lint accepted debt"), "{text}");
-        let entries: Vec<&str> = text
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .collect();
-        assert_eq!(
-            entries,
-            [
-                "L5 crates/cloud/src/vm.rs 2",
-                "L12 crates/core/src/stats.rs 1"
-            ]
-        );
-        // The rendered content re-parses into the same debt.
-        let parsed = parse_baseline(&text).unwrap();
-        assert_eq!(
-            parsed.get(&(LintId::L5, "crates/cloud/src/vm.rs".into())),
-            Some(&2)
-        );
-        // Byte-stable for identical findings.
-        assert_eq!(text, render_baseline(&findings));
-        // No findings → header only, which parses to an empty baseline.
-        let empty = render_baseline(&[]);
-        assert!(parse_baseline(&empty).unwrap().is_empty());
-    }
-
-    #[test]
-    fn new_rules_scoped_and_suppressible() {
-        // L12 fires in core, not in bench. (Bytes vs seconds, so the
-        // check exercised is L12 alone — money would also trip L11.)
-        let mix =
-            "fn f(payload_bytes: f64, elapsed_secs: f64) -> f64 { payload_bytes + elapsed_secs }";
-        assert!(lint_source("crates/core/src/stats.rs", mix)
-            .iter()
-            .any(|f| f.id == LintId::L12));
-        assert!(lint_source("crates/bench/src/lib.rs", mix).is_empty());
-        // Suppressible like any other rule.
-        let allowed = "fn f(payload_bytes: f64, elapsed_secs: f64) -> f64 { payload_bytes + elapsed_secs } // cackle-lint: allow(L12)";
-        assert!(lint_source("crates/core/src/stats.rs", allowed).is_empty());
+    fn dataflow_rules_are_scoped_and_suppressible() {
         // L13 fires in core, not in the prng crate or in #[test] items.
         let seed = "fn f() -> Pcg32 { Pcg32::seed_from_u64(42) }";
         assert!(lint_source("crates/core/src/model.rs", seed)
             .iter()
             .any(|f| f.id == LintId::L13));
         assert!(lint_source("crates/prng/src/lib.rs", seed).is_empty());
+        // Suppressible like any other rule.
+        let allowed = "fn f() -> Pcg32 { Pcg32::seed_from_u64(42) } // cackle-lint: allow(L13)";
+        assert!(lint_source("crates/core/src/model.rs", allowed).is_empty());
         let test_seed = "#[test]\nfn t() { let r = Pcg32::seed_from_u64(42); }";
         assert!(lint_source("crates/core/src/model.rs", test_seed).is_empty());
         // L14 is engine-only even for reachable code.
@@ -1425,31 +1209,6 @@ mod tests {
         assert!(lint_source("crates/core/src/system.rs", hot)
             .iter()
             .all(|f| f.id != LintId::L14));
-        // L15 fires outside bench.
-        let cast = "fn f(total_cost: f64) -> f32 { total_cost as f32 }";
-        assert!(lint_source("crates/core/src/stats.rs", cast)
-            .iter()
-            .any(|f| f.id == LintId::L15));
-        assert!(lint_source("crates/bench/src/lib.rs", cast).is_empty());
-    }
-
-    #[test]
-    fn unit_annotations_coexist_with_allow_and_malformed_units_are_sup() {
-        // A unit annotation is not a malformed suppression.
-        let ok =
-            "fn f() -> f64 {\n    // cackle-lint: unit(usd)\n    let budget = 10.0;\n    budget\n}";
-        assert!(
-            lint_source("crates/core/src/stats.rs", ok).is_empty(),
-            "{:?}",
-            lint_source("crates/core/src/stats.rs", ok)
-        );
-        // A malformed unit annotation is a SUP hard error.
-        let bad = "fn f() -> f64 {\n    let b = 1.0; // cackle-lint: unit(furlongs)\n    b\n}";
-        let f = lint_source("crates/core/src/stats.rs", bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].id, LintId::Sup);
-        assert!(f[0].message.contains("furlongs"));
-        assert_eq!(f[0].line, 2);
     }
 
     #[test]

@@ -25,16 +25,10 @@
 //! (`take`, `len`) are call-graph stoplisted.
 //!
 //! Every suggestion is machine-readable: it starts with
-//! `reuse-buffer:` and names the reusable-buffer alternative. The
-//! push-without-capacity shape additionally carries a machine-applicable
-//! fix (`cackle-lint fix`): rewrite the receiver's `Vec::new()`
-//! initializer to `Vec::with_capacity(...)` with a TODO capacity — the
-//! right size comes from the loop bound, which is a human decision,
-//! but the shape change (and the lint's exit) is mechanical.
+//! `reuse-buffer:` and names the reusable-buffer alternative.
 
 use super::RawFinding;
 use crate::dataflow::Flows;
-use crate::fix::Edit;
 use crate::index::{Workspace, PHASE_ROOT};
 use crate::lexer::TokKind;
 use crate::LintId;
@@ -157,7 +151,6 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
                     // Find the receiver's initializer; flag only when it
                     // provably starts from an unsized `Vec::new`/`vec!`.
                     let mut unsized_init = false;
-                    let mut init_rhs = None;
                     for a in &flow.assigns {
                         if a.target != recv {
                             continue;
@@ -172,11 +165,10 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
                         }
                         if rhs.contains(&"vec") || (rhs.contains(&"Vec") && rhs.contains(&"new")) {
                             unsized_init = true;
-                            init_rhs = Some((a.rhs.0, a.rhs.1.min(toks.len() - 1)));
                         }
                     }
                     if unsized_init {
-                        let mut fnd = finding(
+                        out.push(finding(
                             f.file,
                             call.name_tok,
                             &format!(
@@ -187,9 +179,7 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
                                 "reuse-buffer: initialize `{recv}` with \
                                  `Vec::with_capacity(...)` sized from the loop bound"
                             ),
-                        );
-                        fnd.fix = capacity_fix(toks, init_rhs);
-                        out.push(fnd);
+                        ));
                     }
                 }
                 _ => {}
@@ -198,35 +188,8 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The mechanical part of the reuse-buffer rewrite: when the flagged
-/// receiver's initializer is literally `Vec::new()`, replace it with a
-/// `with_capacity` call whose capacity is a TODO (`0` behaves exactly
-/// like `Vec::new()` until sized). `vec![...]` initializers carry
-/// element expressions and stay suggestion-only.
-fn capacity_fix(toks: &[crate::lexer::Token], init_rhs: Option<(usize, usize)>) -> Vec<Edit> {
-    let Some((lo, hi)) = init_rhs else {
-        return Vec::new();
-    };
-    for i in lo..=hi.saturating_sub(4) {
-        if toks[i].text == "Vec"
-            && toks[i + 1].punct() == "::"
-            && toks[i + 2].ident() == "new"
-            && toks[i + 3].punct() == "("
-            && toks[i + 4].punct() == ")"
-        {
-            return vec![Edit::replace(
-                toks[i].span.0,
-                toks[i + 4].span.1,
-                "Vec::with_capacity(0 /* TODO: size from loop bound */)",
-            )];
-        }
-    }
-    Vec::new()
-}
-
 fn finding(file: usize, tok: usize, message: &str, suggestion: &str) -> RawFinding {
     RawFinding {
-        fix: Vec::new(),
         file,
         tok,
         id: LintId::L14,
@@ -355,19 +318,10 @@ mod tests {
                 &format!("pub fn run_buffered(n: usize) {{ {body} }}"),
             )])
         };
-        let src = "pub fn run_buffered(n: usize) { let mut acc = Vec::new();\n\
-             for i in 0..n { acc.push(i); } }";
-        let f = findings(&[("crates/engine/src/task.rs", src)]);
+        let f = hot("let mut acc = Vec::new();\n\
+             for i in 0..n { acc.push(i); }");
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("with_capacity"));
-        // The attached fix rewrites the initializer mechanically; the
-        // capacity stays a TODO for the human.
-        assert_eq!(
-            crate::fix::apply(src, &f[0].fix).unwrap(),
-            "pub fn run_buffered(n: usize) { let mut acc = \
-             Vec::with_capacity(0 /* TODO: size from loop bound */);\n\
-             for i in 0..n { acc.push(i); } }"
-        );
         assert!(hot("let mut acc = Vec::with_capacity(n);\n\
              for i in 0..n { acc.push(i); }")
         .is_empty());

@@ -73,7 +73,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                     && toks.get(j + 2).map(|t| t.ident()) == Some("Relaxed")
                 {
                     out.push(RawFinding {
-                        fix: Vec::new(),
                         file: fi,
                         tok: name_tok,
                         id: LintId::L8,

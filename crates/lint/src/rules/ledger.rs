@@ -61,7 +61,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                 }
                 if let Some(op) = flag_op {
                     out.push(RawFinding {
-                        fix: Vec::new(),
                         file: fi,
                         tok: i,
                         id: LintId::L11,
@@ -100,7 +99,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                                     || matches!(toks[j - 1].punct(), ")" | "]"));
                             if has_left {
                                 out.push(RawFinding {
-                                    fix: Vec::new(),
                                     file: fi,
                                     tok: j,
                                     id: LintId::L11,

@@ -36,7 +36,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
             // L1: host clock.
             if t.text == "Instant" || t.text == "SystemTime" {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: fi,
                     tok: i,
                     id: LintId::L1,
@@ -52,7 +51,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
             ) || (t.text == "rand" && next == "::")
             {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: fi,
                     tok: i,
                     id: LintId::L2,
@@ -69,7 +67,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                             && toks.get(i + 3).map(|t| t.punct()) == Some("(")
                         {
                             out.push(RawFinding {
-                                fix: Vec::new(),
                                 file: fi,
                                 tok: i + 2,
                                 id: LintId::L3,
@@ -88,7 +85,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                     || (prev == "&" && i >= 2 && toks[i - 2].ident() == "in");
                 if prev_in && next == "{" {
                     out.push(RawFinding {
-                        fix: Vec::new(),
                         file: fi,
                         tok: i,
                         id: LintId::L3,
@@ -104,7 +100,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
             // L5: panic paths.
             if (t.text == "unwrap" || t.text == "expect") && next == "(" && prev == "." {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: fi,
                     tok: i,
                     id: LintId::L5,
@@ -118,7 +113,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
             ) && next == "!"
             {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: fi,
                     tok: i,
                     id: LintId::L5,
@@ -134,7 +128,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                 && toks[i - 2].ident() == "thread"
             {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: fi,
                     tok: i,
                     id: LintId::L6,

@@ -159,7 +159,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
             format!("via call to `{}`", e.via)
         };
         out.push(RawFinding {
-            fix: Vec::new(),
             file: e.file,
             tok: e.tok,
             id: LintId::L7,

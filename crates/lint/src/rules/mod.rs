@@ -5,19 +5,15 @@
 //! counts here*.
 
 use crate::dataflow::Flows;
-use crate::fix::Edit;
 use crate::index::Workspace;
 use crate::LintId;
 
 pub mod alloc;
 pub mod atomics;
-pub mod casts;
 pub mod ledger;
 pub mod lexical;
 pub mod locks;
-pub mod measure;
 pub mod phase;
-pub mod pool;
 pub mod purity;
 pub mod seeds;
 pub mod telemetry;
@@ -36,14 +32,11 @@ pub struct RawFinding {
     pub message: String,
     /// How to fix it.
     pub suggestion: String,
-    /// Machine-applicable byte-span edits realizing the suggestion
-    /// (empty when the rule has no mechanical rewrite for this site).
-    pub fix: Vec<Edit>,
 }
 
 /// Run every rule family over the workspace. `flows` is the shared
-/// intra-procedural dataflow + interprocedural summary layer the
-/// L12–L15 and L19 families consume.
+/// intra-procedural dataflow + interprocedural summary layer the L13,
+/// L14 and L19 families consume.
 pub fn run(ws: &Workspace, flows: &Flows) -> Vec<RawFinding> {
     let mut out = Vec::new();
     lexical::check(ws, &mut out);
@@ -51,11 +44,8 @@ pub fn run(ws: &Workspace, flows: &Flows) -> Vec<RawFinding> {
     atomics::check(ws, &mut out);
     telemetry::check(ws, &mut out);
     ledger::check(ws, &mut out);
-    measure::check(ws, flows, &mut out);
     seeds::check(ws, flows, &mut out);
     alloc::check(ws, flows, &mut out);
-    casts::check(ws, flows, &mut out);
-    pool::check(ws, &mut out);
     phase::check(ws, &mut out);
     purity::check(ws, flows, &mut out);
     out
@@ -73,11 +63,8 @@ pub fn summary(id: LintId) -> &'static str {
         LintId::L8 => "no Ordering::Relaxed on atomics shared with worker closures",
         LintId::L10 => "telemetry metric names are literals on the DESIGN §7 grammar",
         LintId::L11 => "no money arithmetic outside the billing layer",
-        LintId::L12 => "no mixing of units (usd/seconds/bytes/rows/count)",
         LintId::L13 => "every PRNG seed derives from the RunSpec seed",
         LintId::L14 => "no per-iteration allocation on engine hot paths",
-        LintId::L15 => "no narrowing casts on unit-carrying values",
-        LintId::L16 => "pooled scratch checkouts balance with recycles",
         LintId::L17 => "no parallel-phase writes to shared registries",
         LintId::L19 => "pure(...)-annotated fns uphold their purity contract",
         LintId::Sup => "malformed cackle-lint comment (hard error)",
@@ -206,23 +193,6 @@ pub fn explain(id: LintId) -> &'static str {
              Scope: everywhere except crates/cloud/src/{ledger,pricing}.rs,\n\
              crates/core/src/prices.rs, and crates/bench."
         }
-        LintId::L12 => {
-            "L12 · unit-of-measure conformance\n\
-             \n\
-             Quantities carry one of five base units — usd, seconds, bytes,\n\
-             rows, count — inferred from naming conventions (`*_cost`,\n\
-             `*_secs`, `*_bytes`, ...), billing/telemetry API signatures\n\
-             (`charge`'s amount is dollars whatever it is called), and\n\
-             `// cackle-lint: unit(...)` annotations (`unit(none)` =\n\
-             explicitly dimensionless). The dataflow layer propagates units\n\
-             through assignments and per-function return summaries. Flagged:\n\
-             additive/comparison operators mixing two different known units;\n\
-             adding a bare numeric literal to a usd/seconds/bytes quantity;\n\
-             telemetry values contradicting the metric name's unit suffix.\n\
-             Products and quotients are unchecked (rates are Pricing's job).\n\
-             \n\
-             Scope: everywhere except crates/bench."
-        }
         LintId::L13 => {
             "L13 · seed provenance\n\
              \n\
@@ -251,35 +221,6 @@ pub fn explain(id: LintId) -> &'static str {
              and names the hoisted/pre-sized alternative.\n\
              \n\
              Scope: crates/engine."
-        }
-        LintId::L15 => {
-            "L15 · narrowing casts on measured values\n\
-             \n\
-             `as` conversions are silently lossy: `cost as f32` rounds\n\
-             money, `bytes as u32` wraps at 4 GiB. On values the L12 unit\n\
-             lattice types as usd/seconds/bytes/rows, a cast to\n\
-             u8/u16/u32/i8/i16/i32/f32 is flagged; keep u64/i64/f64 or use\n\
-             an explicit checked conversion. `count` values are exempt\n\
-             (narrowing small cardinalities for indexing is ubiquitous),\n\
-             as are widening casts.\n\
-             \n\
-             Scope: everywhere except crates/bench."
-        }
-        LintId::L16 => {
-            "L16 · pooled buffers must be recycled\n\
-             \n\
-             The kernels draw scratch space from `ScratchArena` in\n\
-             checkout/recycle pairs (checkout_idx/recycle_idx,\n\
-             checkout_mask/recycle_mask). A checkout without a matching\n\
-             recycle in the same function drops\n\
-             the buffer instead of returning it: the pool degrades to a\n\
-             plain allocator and the engine.scratch_reuses_total counter\n\
-             goes flat. Checkout and recycle call sites must balance per\n\
-             buffer type within each function; a genuine ownership transfer\n\
-             carries an allow comment naming where the recycle happens.\n\
-             \n\
-             Scope: crates/engine, except kernels/pool.rs (the pool's own\n\
-             internals)."
         }
         LintId::L17 => {
             "L17 · phase discipline\n\
@@ -327,16 +268,16 @@ pub fn explain(id: LintId) -> &'static str {
         LintId::Sup => {
             "SUP · malformed suppression or annotation\n\
              \n\
-             A `// cackle-lint: allow(...)` / `unit(...)` / `pure(...)`\n\
-             comment that fails to parse — unknown rule id, trailing comma,\n\
-             duplicate entry, empty list, or missing `)` — used to be\n\
-             silently ignored, leaving the finding it meant to suppress\n\
-             active (or worse, leaving a typo'd annotation silently dead).\n\
-             Malformed cackle-lint comments are hard errors. SUP itself\n\
-             cannot be suppressed.\n\
+             A `// cackle-lint: allow(...)` / `pure(...)` comment that fails\n\
+             to parse — unknown or retired rule id, trailing comma, duplicate\n\
+             entry, empty list, missing `)`, or any other word after the\n\
+             marker — used to be silently ignored, leaving the finding it\n\
+             meant to suppress active (or worse, leaving a typo'd annotation\n\
+             silently dead). Malformed cackle-lint comments are hard errors.\n\
+             SUP itself cannot be suppressed.\n\
              \n\
              A well-formed allow that suppresses no finding is not SUP but\n\
-             stale: it is reported like a stale baseline entry (exit 3)."
+             stale: the run exits 3."
         }
     }
 }

@@ -87,7 +87,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                 continue;
             };
             out.push(RawFinding {
-                fix: Vec::new(),
                 file: f.file,
                 tok: call.name_tok,
                 id: LintId::L17,

@@ -25,7 +25,7 @@
 //!   from those.
 //!
 //! Syntactically malformed annotations are SUP hard errors (surfaced
-//! by lib.rs via [`annotations`]), same as `allow(...)` / `unit(...)`:
+//! by lib.rs via [`annotations`]), same as `allow(...)`:
 //! a typo'd contract that silently verifies nothing is worse than no
 //! contract at all.
 
@@ -184,7 +184,6 @@ pub fn check(ws: &Workspace, flows: &Flows, out: &mut Vec<RawFinding>) {
                 continue;
             };
             out.push(RawFinding {
-                fix: Vec::new(),
                 file: fi,
                 tok,
                 id: LintId::L19,
@@ -228,11 +227,10 @@ pub fn check(ws: &Workspace, flows: &Flows, out: &mut Vec<RawFinding>) {
             let ok = if d == "self" {
                 has_self
             } else {
-                flows.flows[id].params.iter().any(|(n, _)| n == d)
+                flows.flows[id].params.iter().any(|n| n == d)
             };
             if !ok {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: f.file,
                     tok: name_tok,
                     id: LintId::L19,
@@ -266,7 +264,6 @@ pub fn check(ws: &Workspace, flows: &Flows, out: &mut Vec<RawFinding>) {
             let t = &p.toks[k];
             if t.kind == TokKind::Ident && static_muts.contains(&t.text) {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: f.file,
                     tok: k,
                     id: LintId::L19,
@@ -284,7 +281,6 @@ pub fn check(ws: &Workspace, flows: &Flows, out: &mut Vec<RawFinding>) {
             // pure themselves.
             if INTERIOR_MUT.contains(&call.name.as_str()) {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: f.file,
                     tok: call.name_tok,
                     id: LintId::L19,
@@ -301,7 +297,6 @@ pub fn check(ws: &Workspace, flows: &Flows, out: &mut Vec<RawFinding>) {
             }
             if !resolves_pure(&call.name) {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: f.file,
                     tok: call.name_tok,
                     id: LintId::L19,
@@ -335,7 +330,6 @@ pub fn check(ws: &Workspace, flows: &Flows, out: &mut Vec<RawFinding>) {
                     };
                     if !ok {
                         out.push(RawFinding {
-                            fix: Vec::new(),
                             file: f.file,
                             tok: call.name_tok,
                             id: LintId::L19,

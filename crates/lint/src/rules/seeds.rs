@@ -52,7 +52,6 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
                     .is_some_and(|c| DRAW_METHODS.contains(&c))
             }) {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: f.file,
                     tok: call.name_tok,
                     id: LintId::L13,
@@ -70,7 +69,6 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
             }
             if srcs.is_empty() {
                 out.push(RawFinding {
-                    fix: Vec::new(),
                     file: f.file,
                     tok: call.name_tok,
                     id: LintId::L13,
@@ -86,7 +84,6 @@ pub fn check(ws: &Workspace, fl: &Flows, out: &mut Vec<RawFinding>) {
                 shown.push("...");
             }
             out.push(RawFinding {
-                fix: Vec::new(),
                 file: f.file,
                 tok: call.name_tok,
                 id: LintId::L13,

@@ -72,7 +72,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                 let name = &toks[lo].text;
                 if let Some(problem) = grammar_problem(name) {
                     out.push(RawFinding {
-                        fix: Vec::new(),
                         file: fi,
                         tok: i,
                         id: LintId::L10,
@@ -100,7 +99,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
                 )
             };
             out.push(RawFinding {
-                fix: Vec::new(),
                 file: fi,
                 tok: i,
                 id: LintId::L10,

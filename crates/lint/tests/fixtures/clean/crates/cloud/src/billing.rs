@@ -1,29 +1,6 @@
-//! Fixture: unit-of-measure near-misses that must stay silent — rates
-//! (near-miss(L12)), same-unit sums (near-miss(L11)), cardinality
-//! arithmetic, widening casts (near-miss(L15)), and an annotation
-//! clearing a misleading name.
-
-fn throughput(total_bytes: u64, elapsed_secs: u64) -> u64 {
-    total_bytes / elapsed_secs
-}
+//! Fixture: a same-unit sum of already-minted dollars must stay silent
+//! (near-miss(L11)).
 
 fn subtotal(vm_cost: f64, pool_cost: f64) -> f64 {
     vm_cost + pool_cost
-}
-
-fn bump(retry_count: u64) -> u64 {
-    retry_count + 1
-}
-
-fn widen(payload_bytes: u64) -> f64 {
-    payload_bytes as f64
-}
-
-fn slot_index(retry_count: u64) -> u32 {
-    retry_count as u32
-}
-
-fn masked() -> u32 {
-    let rows_mask = bits(); // cackle-lint: unit(none)
-    rows_mask as u32
 }

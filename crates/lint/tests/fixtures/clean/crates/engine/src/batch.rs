@@ -20,12 +20,4 @@ impl Batch {
     pub fn widths(&self) -> Vec<usize> {
         self.columns.iter().map(|c| c.len()).collect()
     }
-
-    // near-miss(L16): the checkout and its recycle balance in-fn.
-    pub fn masked_total(&self, arena: &mut ScratchArena, n: usize) -> u64 {
-        let mask = arena.checkout_mask(n);
-        let total = mask.len() as u64;
-        arena.recycle_mask(mask);
-        total
-    }
 }

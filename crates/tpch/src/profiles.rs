@@ -122,9 +122,8 @@ fn profile_from_structure(dag: &StageDag, cfg: &DbGenConfig, sf: f64) -> QueryPr
         // task throughput, split across this stage's tasks.
         let rows = input_bytes as f64 / 125.0;
         let secs = (rows / stage.tasks as f64 / ROWS_PER_TASK_SECOND).ceil();
-        // The clamp right after the cast bounds the result to [1, 120]
-        // by design: stage durations are capped, never silently wrapped.
-        // cackle-lint: allow(L15) — immediately clamped to the model's range
+        // `f64 as u32` saturates, and the clamp bounds the result to
+        // [1, 120] by design: stage durations are capped, never wrapped.
         let task_seconds = (secs as u32).clamp(1, 120);
 
         let (writes, reads) = request_counts(dag, stage, &deps);
@@ -212,7 +211,7 @@ pub fn measured_profile(
             let _ = stage_writes;
             StageProfile {
                 tasks: stage.tasks,
-                // cackle-lint: allow(L15) — immediately clamped to the model's range
+                // `f64 as u32` saturates; the clamp caps it at the model's range.
                 task_seconds: (secs as u32).clamp(1, 120),
                 shuffle_bytes: (stage_bytes[stage.id] as f64 * scale_up) as u64,
                 shuffle_writes: writes,
