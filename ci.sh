@@ -52,27 +52,32 @@ done
 echo "==> differential quantile sweep (value list vs sorted brute force)"
 cargo test -q -p cackle differential_quantile_value_list_vs_sorted
 
-echo "==> baseline figures (fig01, fig11, fig14 regenerate to the committed bytes)"
-# The work-delaying baselines feed these four CSVs. The binaries write
-# into results/, so the committed copies are set aside first: a figure
-# that drifted fails the gate, the tree is left as it was, and what the
-# binary wrote is kept beside the copies for a diff.
-figs="fig01_latency_cdf fig11_delaying fig14_cost fig14_latency"
-mkdir -p target/figcheck
-for f in $figs; do cp "results/$f.csv" "target/figcheck/$f.committed.csv"; done
+echo "==> figures (work-delaying and run_system outputs regenerate to the committed bytes)"
+# fig01, fig11 and fig14 read the work-delaying baselines; fig12, fig13,
+# the spot-interruption ablation and the chaos sweep go through
+# run_system. The binaries write into results/, so the committed copies
+# are set aside first: a figure that drifted fails the gate, the tree is
+# left as it was, and what the binary wrote is kept beside the copies
+# for a diff.
+figs="fig01_latency_cdf.csv fig11_delaying.csv fig14_cost.csv fig14_latency.csv
+    fig12_timeseries.csv fig12_validation.csv fig12_telemetry.jsonl
+    fig13_model_validation.csv ablation_spot_interruptions.csv chaos_fault_sweep.csv"
+mkdir -p target/figcheck/committed target/figcheck/regenerated
+for f in $figs; do cp "results/$f" "target/figcheck/committed/$f"; done
 restore_figs() {
     for g in $figs; do
-        cp "results/$g.csv" "target/figcheck/$g.regenerated.csv"
-        cp "target/figcheck/$g.committed.csv" "results/$g.csv"
+        cp "results/$g" "target/figcheck/regenerated/$g"
+        cp "target/figcheck/committed/$g" "results/$g"
     done
 }
-for bin in fig01_latency_cdf fig11_delaying fig14_stability; do
+for bin in fig01_latency_cdf fig11_delaying fig14_stability fig12_timeseries \
+    fig13_model_validation ablation_spot_interruptions chaos_fault_sweep; do
     cargo run -q --release -p cackle-bench --bin "$bin" > /dev/null 2>&1 \
         || { restore_figs; echo "$bin: failed to run" >&2; exit 1; }
 done
 for f in $figs; do
-    cmp "results/$f.csv" "target/figcheck/$f.committed.csv" \
-        || { restore_figs; echo "results/$f.csv drifted (see target/figcheck/)" >&2; exit 1; }
+    cmp "results/$f" "target/figcheck/committed/$f" \
+        || { restore_figs; echo "results/$f drifted (see target/figcheck/)" >&2; exit 1; }
 done
 
 echo "==> telemetry dump round-trip"

@@ -13,14 +13,16 @@
 //!   VM would forfeit the remainder of its first minute.
 //!
 //! Each VM executes one task at a time (demand and allocation are both
-//! measured in task-sized slots throughout the paper).
+//! measured in task-sized slots throughout the paper). Idle VMs sit in
+//! one set ordered by `(started_at, id)`, so assignment (newest first)
+//! and termination (oldest first) each take one end of it in O(log n).
 
 use crate::ledger::{micro_dollars, CostCategory, CostLedger};
 use crate::pricing::Pricing;
 use crate::time::{SimDuration, SimTime};
 use cackle_faults::PriceTimeline;
 use cackle_telemetry::Telemetry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Identifier of a provisioned VM, unique within one fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,22 +70,86 @@ fn metric_names(component: &str) -> &'static FleetMetricNames {
 #[derive(Debug, Clone)]
 struct RunningVm {
     started_at: SimTime,
-    busy: bool,
     /// Hourly-rate multiplier in per-mille (1000 = home-region rate);
     /// remote-region VMs carry their discounted rate here.
     rate_milli: u32,
 }
 
+/// How a fleet bills a terminated VM: its prices, its ledger category
+/// and the spot-market schedule. Its own type so the test reference
+/// fleet bills through exactly the same arithmetic.
+#[derive(Debug, Clone)]
+struct Billing {
+    pricing: Pricing,
+    category: CostCategory,
+    /// Spot-market schedule modulating the hourly rate over time. Flat
+    /// by default; when flat *and* the VM bills at the home rate,
+    /// termination takes the legacy f64 path bit-for-bit.
+    timeline: PriceTimeline,
+}
+
+impl Billing {
+    fn min_billing(&self) -> SimDuration {
+        match self.category {
+            CostCategory::ShuffleNode => self.pricing.shuffle_min_billing,
+            _ => self.pricing.vm_min_billing,
+        }
+    }
+
+    /// Charge `ledger` for `vm`, terminated at `now`: `max(runtime,
+    /// min_billing)` at the VM's rate. Returns the billed seconds.
+    fn charge(&self, ledger: &mut CostLedger, vm: &RunningVm, now: SimTime) -> f64 {
+        let billed = (now - vm.started_at).max(self.min_billing());
+        if self.timeline.is_flat() && vm.rate_milli == 1000 {
+            // Static home-region pricing: the legacy f64 path, kept
+            // bit-for-bit so environment-free golden dumps never move.
+            ledger.charge(
+                self.category,
+                self.pricing.fleet_cost(self.category, billed),
+            );
+        } else {
+            // Environment-modulated pricing: integrate the market
+            // multiplier over the billed window and apply the VM's
+            // regional rate, all in integer arithmetic — one rounding,
+            // straight into the ledger as micro-dollars (lint L11).
+            let hourly_micros = micro_dollars(match self.category {
+                CostCategory::ShuffleNode => self.pricing.shuffle_node_per_hour,
+                _ => self.pricing.vm_per_hour,
+            })
+            .max(0) as u128;
+            let start_ms = vm.started_at.as_millis();
+            let integral = self
+                .timeline
+                .integral_milli_ms(start_ms, start_ms + billed.as_millis());
+            // per-mille·ms × µ$/h × per-mille ÷ (1000 · ms/h · 1000)
+            const DEN: u128 = 1000 * 3_600_000 * 1000;
+            let num = integral * hourly_micros * vm.rate_milli as u128;
+            let micros = ((num + DEN / 2) / DEN) as i64; // micro-dollar totals sit far below 2^63
+            ledger.charge_micros(self.category, micros);
+        }
+        let secs = billed.as_secs_f64();
+        match self.category {
+            CostCategory::ShuffleNode => ledger.shuffle_seconds += secs,
+            _ => ledger.vm_seconds += secs,
+        }
+        secs
+    }
+}
+
 /// A simulated fleet of provisioned VMs.
 #[derive(Debug)]
 pub struct VmFleet {
-    pricing: Pricing,
-    category: CostCategory,
+    billing: Billing,
     next_id: u64,
     /// Requested instances that have not yet started, with their ready times
     /// (FIFO in request order, so ready times are non-decreasing).
     pending: VecDeque<(VmId, SimTime)>,
     running: BTreeMap<VmId, RunningVm>,
+    /// The running VMs without a task, ordered by `(started_at, id)`:
+    /// membership is the only record of "idle". The last entry is the
+    /// newest idle VM (assigned first), the first the oldest (terminated
+    /// first). Ids are unique, so the order has no ties.
+    idle: BTreeSet<(SimTime, VmId)>,
     target: usize,
     ledger: CostLedger,
     /// Lifetime counters for reporting.
@@ -95,10 +161,6 @@ pub struct VmFleet {
     component: &'static str,
     /// Literal metric names for `component` (see [`metric_names`]).
     metrics: &'static FleetMetricNames,
-    /// Spot-market schedule modulating the hourly rate over time. Flat
-    /// by default; when flat *and* the VM bills at the home rate,
-    /// termination takes the legacy f64 path bit-for-bit.
-    timeline: PriceTimeline,
 }
 
 impl VmFleet {
@@ -111,11 +173,15 @@ impl VmFleet {
     /// layer reuses this fleet logic with [`CostCategory::ShuffleNode`]).
     pub fn with_category(pricing: Pricing, category: CostCategory) -> Self {
         VmFleet {
-            pricing,
-            category,
+            billing: Billing {
+                pricing,
+                category,
+                timeline: PriceTimeline::flat(),
+            },
             next_id: 0,
             pending: VecDeque::new(),
             running: BTreeMap::new(),
+            idle: BTreeSet::new(),
             target: 0,
             ledger: CostLedger::new(),
             started_total: 0,
@@ -123,7 +189,6 @@ impl VmFleet {
             telemetry: Telemetry::disabled(),
             component: "fleet",
             metrics: &FLEET_METRICS,
-            timeline: PriceTimeline::flat(),
         }
     }
 
@@ -131,7 +196,7 @@ impl VmFleet {
     /// bills by integrating the hourly rate over the instance's billed
     /// lifetime, in exact integer micro-dollars.
     pub fn set_price_timeline(&mut self, timeline: PriceTimeline) {
-        self.timeline = timeline;
+        self.billing.timeline = timeline;
     }
 
     /// Tag a running VM with a per-mille hourly-rate multiplier (the
@@ -153,17 +218,6 @@ impl VmFleet {
         self.ledger.instrument(component, telemetry);
     }
 
-    fn startup(&self) -> SimDuration {
-        self.pricing.vm_startup
-    }
-
-    fn min_billing(&self) -> SimDuration {
-        match self.category {
-            CostCategory::ShuffleNode => self.pricing.shuffle_min_billing,
-            _ => self.pricing.vm_min_billing,
-        }
-    }
-
     /// The current provisioning target.
     pub fn target(&self) -> usize {
         self.target
@@ -181,12 +235,12 @@ impl VmFleet {
 
     /// Number of running instances currently executing a task.
     pub fn busy_count(&self) -> usize {
-        self.running.values().filter(|v| v.busy).count()
+        self.running.len() - self.idle.len()
     }
 
     /// Number of running instances idle and ready for a task.
     pub fn idle_count(&self) -> usize {
-        self.running.len() - self.busy_count()
+        self.idle.len()
     }
 
     /// Instances started over the fleet's lifetime.
@@ -211,10 +265,11 @@ impl VmFleet {
         self.target = target;
         let total = self.running.len() + self.pending.len();
         if target > total {
+            let ready_at = now + self.billing.pricing.vm_startup;
             for _ in 0..(target - total) {
                 let id = VmId(self.next_id);
                 self.next_id += 1;
-                self.pending.push_back((id, now + self.startup()));
+                self.pending.push_back((id, ready_at));
             }
         } else if target < total {
             let mut excess = total - target;
@@ -223,21 +278,14 @@ impl VmFleet {
                 self.pending.pop_back();
                 excess -= 1;
             }
-            // Terminate idle running VMs, oldest first.
+            // Terminate idle running VMs, oldest first; any left over
+            // are busy and trimmed on release.
             while excess > 0 {
-                let oldest_idle = self
-                    .running
-                    .iter()
-                    .filter(|(_, v)| !v.busy)
-                    .min_by_key(|(id, v)| (v.started_at, **id))
-                    .map(|(id, _)| *id);
-                match oldest_idle {
-                    Some(id) => {
-                        self.terminate(now, id);
-                        excess -= 1;
-                    }
-                    None => break, // all remaining are busy; trimmed on release
-                }
+                let Some(&(_, id)) = self.idle.first() else {
+                    break;
+                };
+                self.terminate(now, id);
+                excess -= 1;
             }
         }
     }
@@ -251,14 +299,15 @@ impl VmFleet {
                 break;
             }
             self.pending.pop_front();
+            let started_at = now.max(ready_at);
             self.running.insert(
                 id,
                 RunningVm {
-                    started_at: now.max(ready_at),
-                    busy: false,
+                    started_at,
                     rate_milli: 1000,
                 },
             );
+            self.idle.insert((started_at, id));
             self.started_total += 1;
             started.push(id);
         }
@@ -275,28 +324,20 @@ impl VmFleet {
     /// instance, leaving the oldest idle (and min-billing-amortized)
     /// instances free to be terminated if the target drops.
     pub fn try_assign(&mut self, _now: SimTime) -> Option<VmId> {
-        let id = self
-            .running
-            .iter()
-            .filter(|(_, v)| !v.busy)
-            .max_by_key(|(id, v)| (v.started_at, **id))
-            .map(|(id, _)| *id)?;
-        if let Some(vm) = self.running.get_mut(&id) {
-            vm.busy = true;
-        }
-        Some(id)
+        self.idle.pop_last().map(|(_, id)| id)
     }
 
     /// Return a VM to the idle set after its task completes. If the fleet is
     /// above target, the instance is terminated immediately instead.
     /// Releasing an unknown id (e.g. a VM reclaimed by the provider while
-    /// its task ran) is a no-op.
+    /// its task ran) or an already idle one is a no-op.
     pub fn release(&mut self, now: SimTime, id: VmId) {
-        let Some(vm) = self.running.get_mut(&id) else {
+        let Some(vm) = self.running.get(&id) else {
             return;
         };
-        debug_assert!(vm.busy, "released an idle VM");
-        vm.busy = false;
+        if !self.idle.insert((vm.started_at, id)) {
+            return;
+        }
         if self.running.len() + self.pending.len() > self.target {
             self.terminate(now, id);
         }
@@ -306,8 +347,7 @@ impl VmFleet {
     /// The instance bills like a normal termination; the caller is
     /// responsible for rescheduling whatever task it was running.
     pub fn reclaim(&mut self, now: SimTime, id: VmId) {
-        if let Some(vm) = self.running.get_mut(&id) {
-            vm.busy = false;
+        if self.running.contains_key(&id) {
             self.terminate(now, id);
             if self.telemetry.is_enabled() {
                 // cackle-lint: allow(L10) — selected from the literal FleetMetricNames table
@@ -344,7 +384,7 @@ impl VmFleet {
                 continue;
             }
             let at = match self.running.get(&id) {
-                Some(vm) if !vm.busy => {
+                Some(vm) if self.idle.contains(&(vm.started_at, id)) => {
                     // Draw the exact reclaim instant inside the window,
                     // clamped so a VM started mid-window never bills a
                     // negative interval.
@@ -364,45 +404,14 @@ impl VmFleet {
         reclaimed
     }
 
+    /// Bill and drop a running VM, idle or busy.
     fn terminate(&mut self, now: SimTime, id: VmId) {
         let Some(vm) = self.running.remove(&id) else {
             debug_assert!(false, "terminated unknown VM {id:?}");
             return;
         };
-        debug_assert!(!vm.busy, "terminated a busy VM");
-        let billed = (now - vm.started_at).max(self.min_billing());
-        if self.timeline.is_flat() && vm.rate_milli == 1000 {
-            // Static home-region pricing: the legacy f64 path, kept
-            // bit-for-bit so environment-free golden dumps never move.
-            self.ledger.charge(
-                self.category,
-                self.pricing.fleet_cost(self.category, billed),
-            );
-        } else {
-            // Environment-modulated pricing: integrate the market
-            // multiplier over the billed window and apply the VM's
-            // regional rate, all in integer arithmetic — one rounding,
-            // straight into the ledger as micro-dollars (lint L11).
-            let hourly_micros = micro_dollars(match self.category {
-                CostCategory::ShuffleNode => self.pricing.shuffle_node_per_hour,
-                _ => self.pricing.vm_per_hour,
-            })
-            .max(0) as u128;
-            let start_ms = vm.started_at.as_millis();
-            let integral = self
-                .timeline
-                .integral_milli_ms(start_ms, start_ms + billed.as_millis());
-            // per-mille·ms × µ$/h × per-mille ÷ (1000 · ms/h · 1000)
-            const DEN: u128 = 1000 * 3_600_000 * 1000;
-            let num = integral * hourly_micros * vm.rate_milli as u128;
-            let micros = ((num + DEN / 2) / DEN) as i64; // micro-dollar totals sit far below 2^63
-            self.ledger.charge_micros(self.category, micros);
-        }
-        let secs = billed.as_secs_f64();
-        match self.category {
-            CostCategory::ShuffleNode => self.ledger.shuffle_seconds += secs,
-            _ => self.ledger.vm_seconds += secs,
-        }
+        self.idle.remove(&(vm.started_at, id));
+        let secs = self.billing.charge(&mut self.ledger, &vm, now);
         self.terminated_total += 1;
         if self.telemetry.is_enabled() {
             // cackle-lint: allow(L10) — selected from the literal FleetMetricNames table
@@ -420,20 +429,359 @@ impl VmFleet {
         self.target = 0;
         let ids: Vec<VmId> = self.running.keys().copied().collect();
         for id in ids {
-            if let Some(vm) = self.running.get_mut(&id) {
-                vm.busy = false;
-            }
             self.terminate(now, id);
+        }
+    }
+}
+
+/// The fleet before the idle set — a busy flag per VM and a linear scan
+/// of the whole fleet for every assignment and termination — kept as the
+/// reference the differential test compares against. It bills through
+/// the same [`Billing`], so equal ledgers mean the same VMs terminated at
+/// the same instants in the same order.
+#[cfg(test)]
+mod reference {
+    use super::{Billing, RunningVm, VmId};
+    use crate::ledger::CostLedger;
+    use crate::time::{SimDuration, SimTime};
+    use std::collections::{BTreeMap, VecDeque};
+
+    pub struct ScanFleet {
+        billing: Billing,
+        next_id: u64,
+        pub pending: VecDeque<(VmId, SimTime)>,
+        /// Each running VM with its busy flag.
+        pub running: BTreeMap<VmId, (RunningVm, bool)>,
+        target: usize,
+        pub ledger: CostLedger,
+    }
+
+    impl ScanFleet {
+        pub fn new(billing: Billing) -> Self {
+            ScanFleet {
+                billing,
+                next_id: 0,
+                pending: VecDeque::new(),
+                running: BTreeMap::new(),
+                target: 0,
+                ledger: CostLedger::new(),
+            }
+        }
+
+        pub fn set_target(&mut self, now: SimTime, target: usize) {
+            self.target = target;
+            let total = self.running.len() + self.pending.len();
+            if target > total {
+                for _ in 0..(target - total) {
+                    let id = VmId(self.next_id);
+                    self.next_id += 1;
+                    let ready_at = now + self.billing.pricing.vm_startup;
+                    self.pending.push_back((id, ready_at));
+                }
+            } else if target < total {
+                let mut excess = total - target;
+                while excess > 0 && !self.pending.is_empty() {
+                    self.pending.pop_back();
+                    excess -= 1;
+                }
+                while excess > 0 {
+                    let oldest_idle = self
+                        .running
+                        .iter()
+                        .filter(|(_, (_, busy))| !busy)
+                        .min_by_key(|(id, (vm, _))| (vm.started_at, **id))
+                        .map(|(id, _)| *id);
+                    match oldest_idle {
+                        Some(id) => {
+                            self.terminate(now, id);
+                            excess -= 1;
+                        }
+                        None => break,
+                    }
+                }
+            }
+        }
+
+        pub fn poll(&mut self, now: SimTime) -> Vec<VmId> {
+            let mut started = Vec::new();
+            while let Some(&(id, ready_at)) = self.pending.front() {
+                if ready_at > now {
+                    break;
+                }
+                self.pending.pop_front();
+                let vm = RunningVm {
+                    started_at: now.max(ready_at),
+                    rate_milli: 1000,
+                };
+                self.running.insert(id, (vm, false));
+                started.push(id);
+            }
+            started
+        }
+
+        pub fn try_assign(&mut self) -> Option<VmId> {
+            let id = self
+                .running
+                .iter()
+                .filter(|(_, (_, busy))| !busy)
+                .max_by_key(|(id, (vm, _))| (vm.started_at, **id))
+                .map(|(id, _)| *id)?;
+            self.running.get_mut(&id)?.1 = true;
+            Some(id)
+        }
+
+        pub fn release(&mut self, now: SimTime, id: VmId) {
+            match self.running.get_mut(&id) {
+                Some((_, busy)) if *busy => *busy = false,
+                _ => return,
+            }
+            if self.running.len() + self.pending.len() > self.target {
+                self.terminate(now, id);
+            }
+        }
+
+        pub fn reclaim(&mut self, now: SimTime, id: VmId) {
+            if self.running.contains_key(&id) {
+                self.terminate(now, id);
+            }
+        }
+
+        pub fn reclaim_random(
+            &mut self,
+            window_start: SimTime,
+            now: SimTime,
+            per_vm_probability: f64,
+            rng: &mut cackle_prng::Pcg32,
+        ) -> Vec<VmId> {
+            let ids: Vec<VmId> = self.running.keys().copied().collect();
+            let mut reclaimed = Vec::new();
+            for id in ids {
+                if !rng.gen_bool(per_vm_probability) {
+                    continue;
+                }
+                let at = match self.running.get(&id) {
+                    Some((vm, false)) => {
+                        let span = (now - window_start).as_millis();
+                        let offset = if span == 0 {
+                            0
+                        } else {
+                            rng.gen_range(0..=span)
+                        };
+                        (window_start + SimDuration::from_millis(offset)).max(vm.started_at)
+                    }
+                    _ => now,
+                };
+                self.reclaim(at, id);
+                reclaimed.push(id);
+            }
+            reclaimed
+        }
+
+        pub fn set_vm_rate_milli(&mut self, id: VmId, rate_milli: u32) {
+            if let Some((vm, _)) = self.running.get_mut(&id) {
+                vm.rate_milli = rate_milli.max(1);
+            }
+        }
+
+        fn terminate(&mut self, now: SimTime, id: VmId) {
+            if let Some((vm, _)) = self.running.remove(&id) {
+                self.billing.charge(&mut self.ledger, &vm, now);
+            }
+        }
+
+        pub fn finalize(&mut self, now: SimTime) {
+            self.pending.clear();
+            self.target = 0;
+            let ids: Vec<VmId> = self.running.keys().copied().collect();
+            for id in ids {
+                self.terminate(now, id);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ScanFleet;
     use super::*;
 
     fn fleet() -> VmFleet {
         VmFleet::new(Pricing::default())
+    }
+
+    fn assert_same_fleet(f: &VmFleet, r: &ScanFleet, at: impl std::fmt::Debug) {
+        let ids: Vec<VmId> = f.running.keys().copied().collect();
+        let want: Vec<VmId> = r.running.keys().copied().collect();
+        assert_eq!(ids, want, "running {at:?}");
+        let idle: BTreeSet<VmId> = f.idle.iter().map(|&(_, id)| id).collect();
+        let want_idle: BTreeSet<VmId> = r
+            .running
+            .iter()
+            .filter(|(_, (_, busy))| !busy)
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(idle, want_idle, "idle {at:?}");
+        assert_eq!(f.idle_count(), want_idle.len(), "idle_count {at:?}");
+        assert_eq!(f.busy_count(), want.len() - want_idle.len(), "busy {at:?}");
+        assert_eq!(f.pending, r.pending, "pending {at:?}");
+        // Above target no VM sits idle: `set_target` terminated them all.
+        let above = f.running_count() + f.pending_count() > f.target();
+        assert!(!above || idle.is_empty(), "idle VM above target {at:?}");
+        let (got, want) = (f.ledger(), &r.ledger);
+        for c in CostCategory::ALL {
+            let (g, w) = (got.category(c), want.category(c));
+            assert_eq!(g.to_bits(), w.to_bits(), "{c} {at:?}: {g} vs {w}");
+        }
+        for (name, g, w) in [
+            ("vm_seconds", got.vm_seconds, want.vm_seconds),
+            ("shuffle_seconds", got.shuffle_seconds, want.shuffle_seconds),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{name} {at:?}: {g} vs {w}");
+        }
+    }
+
+    /// The idle set against the linear-scan reference, compared after
+    /// every step of 36 seeded op streams: targets up, down and to 0,
+    /// polls, assignment on empty / partly busy / fully busy fleets,
+    /// releases above and below the target and of idle and unknown ids,
+    /// reclaims of busy and idle VMs, reclaim sweeps, regional rates, a
+    /// market price timeline on and off, and a `finalize` mid-run.
+    #[test]
+    fn differential_idle_set_vs_linear_scan() {
+        use cackle_faults::EnvironmentSpec;
+        use cackle_prng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(0xF1EE7);
+        let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
+        for stream in 0..36u64 {
+            let category = match stream % 6 {
+                5 => CostCategory::ShuffleNode,
+                _ => CostCategory::VmCompute,
+            };
+            let timeline = match stream % 2 {
+                1 => {
+                    let env = EnvironmentSpec::default().with_market_motion(0.3, 900);
+                    PriceTimeline::compile(&env, stream)
+                }
+                _ => PriceTimeline::flat(),
+            };
+            let pricing = Pricing::default();
+            let mut f = VmFleet::with_category(pricing.clone(), category);
+            f.set_price_timeline(timeline.clone());
+            let mut r = ScanFleet::new(Billing {
+                pricing,
+                category,
+                timeline,
+            });
+            let mut held: Vec<VmId> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let finalize_at = rng.gen_range(100..300);
+            for step in 0..400 {
+                now += SimDuration::from_millis(rng.gen_range(0u64..40_000));
+                match rng.gen_range(0u32..10) {
+                    0 => {
+                        let target = match rng.gen_range(0u32..4) {
+                            0 => 0,
+                            1 => f.target() + rng.gen_range(1usize..12),
+                            2 => f.target().saturating_sub(rng.gen_range(1usize..6)),
+                            _ => rng.gen_range(0usize..30),
+                        };
+                        f.set_target(now, target);
+                        r.set_target(now, target);
+                    }
+                    1 => assert_eq!(f.poll(now), r.poll(now), "poll {stream}/{step}"),
+                    2 | 3 => {
+                        for _ in 0..rng.gen_range(1u32..6) {
+                            let case = match (f.running_count(), f.idle_count()) {
+                                (0, _) => "assign on an empty fleet",
+                                (_, 0) => "assign on a fully busy fleet",
+                                (n, idle) if idle < n => "assign on a partly busy fleet",
+                                _ => "assign on an idle fleet",
+                            };
+                            *seen.entry(case).or_default() += 1;
+                            let got = f.try_assign(now);
+                            assert_eq!(got, r.try_assign(), "assign {stream}/{step}");
+                            held.extend(got);
+                        }
+                    }
+                    4 | 5 if !held.is_empty() => {
+                        let id = held.swap_remove(rng.gen_range(0..held.len()));
+                        let above = f.running_count() + f.pending_count() > f.target();
+                        *seen
+                            .entry(match above {
+                                true => "release above target",
+                                false => "release at or below target",
+                            })
+                            .or_default() += 1;
+                        f.release(now, id);
+                        r.release(now, id);
+                    }
+                    6 => {
+                        let id = VmId(rng.gen_range(0..f.next_id + 2));
+                        if f.running.contains_key(&id) {
+                            *seen
+                                .entry(match held.contains(&id) {
+                                    true => "reclaim a busy VM",
+                                    false => "reclaim an idle VM",
+                                })
+                                .or_default() += 1;
+                        }
+                        f.reclaim(now, id);
+                        r.reclaim(now, id);
+                        held.retain(|&h| h != id);
+                    }
+                    7 => {
+                        let seed = rng.next_u64();
+                        let back = SimDuration::from_millis(rng.gen_range(0u64..60_000));
+                        let start = now.saturating_sub(back);
+                        let p = f64::from(rng.gen_range(0u32..4)) * 0.2;
+                        let got = f.reclaim_random(start, now, p, &mut Pcg32::seed_from_u64(seed));
+                        let want = r.reclaim_random(start, now, p, &mut Pcg32::seed_from_u64(seed));
+                        assert_eq!(got, want, "reclaim_random {stream}/{step}");
+                        held.retain(|h| !got.contains(h));
+                    }
+                    8 => {
+                        let id = VmId(rng.gen_range(0..f.next_id + 1));
+                        let rate = rng.gen_range(500u32..1500);
+                        f.set_vm_rate_milli(id, rate);
+                        r.set_vm_rate_milli(id, rate);
+                    }
+                    _ => {
+                        // Releasing an idle or unknown VM is a no-op.
+                        let id = match f.idle.first() {
+                            Some(&(_, id)) if rng.gen_bool(0.5) => id,
+                            _ => VmId(f.next_id + 7),
+                        };
+                        let before = (f.running_count(), f.idle_count());
+                        f.release(now, id);
+                        r.release(now, id);
+                        assert_eq!((f.running_count(), f.idle_count()), before);
+                    }
+                }
+                if step == finalize_at {
+                    f.finalize(now);
+                    r.finalize(now);
+                    held.clear();
+                }
+                assert_same_fleet(&f, &r, (stream, step));
+            }
+            f.finalize(now);
+            r.finalize(now);
+            assert_same_fleet(&f, &r, (stream, "finalize"));
+        }
+        for case in [
+            "assign on an empty fleet",
+            "assign on a fully busy fleet",
+            "assign on a partly busy fleet",
+            "release above target",
+            "release at or below target",
+            "reclaim a busy VM",
+            "reclaim an idle VM",
+        ] {
+            assert!(
+                seen.contains_key(case),
+                "no stream exercised `{case}`: {seen:?}"
+            );
+        }
     }
 
     #[test]

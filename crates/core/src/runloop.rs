@@ -26,7 +26,7 @@ use cackle_cloud::{
 };
 use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint};
 use cackle_telemetry::Telemetry;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// One task handed to the loop: how long it occupies whichever slot the
 /// scheduler finds for it.
@@ -263,6 +263,56 @@ struct TaskAttempt {
     copies: u32,
 }
 
+/// The attempts in flight, indexed by token: slot `i` holds token
+/// `base + i`. Tokens are handed out in increasing order, so admitting an
+/// attempt is a push at the back; retiring one empties its slot, and the
+/// empty slots at the front are popped, so the window spans only the
+/// oldest attempt still in flight to the newest. A slot is never reused:
+/// an event naming a retired token — a `DupCheck` that fires after its
+/// task finished, a `PoolLaunch` after a duplicate won — reads `None`,
+/// never a newer task.
+#[derive(Default)]
+struct AttemptWindow {
+    /// The token of the front slot.
+    base: u64,
+    slots: VecDeque<Option<TaskAttempt>>,
+}
+
+impl AttemptWindow {
+    /// Admit an attempt under the next token.
+    fn push(&mut self, attempt: TaskAttempt) -> u64 {
+        let token = self.base + self.slots.len() as u64;
+        self.slots.push_back(Some(attempt));
+        token
+    }
+
+    fn index(&self, token: u64) -> Option<usize> {
+        usize::try_from(token.checked_sub(self.base)?).ok()
+    }
+
+    /// The attempt under `token`; `None` once retired or never admitted.
+    fn get(&self, token: u64) -> Option<&TaskAttempt> {
+        self.slots.get(self.index(token)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, token: u64) -> Option<&mut TaskAttempt> {
+        let i = self.index(token)?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Drop the attempt under `token`, then advance `base` past the
+    /// retired prefix.
+    fn retire(&mut self, token: u64) {
+        if let Some(slot) = self.index(token).and_then(|i| self.slots.get_mut(i)) {
+            *slot = None;
+        }
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
 /// Run a workload to completion: validate the spec's knobs and every
 /// query's stage graph before any event is scheduled, then drive the
 /// event loop. Without a `strategy` one is built from the spec's label
@@ -305,8 +355,7 @@ pub(crate) fn run<'a, S: TaskSource>(
         max_since_sample: 0,
         environment: faults.environment(),
         faults,
-        attempts: BTreeMap::new(),
-        next_token: 0,
+        attempts: AttemptWindow::default(),
         recovery_ledger: CostLedger::new(),
         env_ledger: CostLedger::new(),
         queries,
@@ -356,7 +405,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                     }
                 }
                 st.running = st.running.saturating_sub(1);
-                let Some(a) = st.attempts.get_mut(&token) else {
+                let Some(a) = st.attempts.get_mut(token) else {
                     debug_assert!(false, "completion for unknown attempt {token}");
                     continue;
                 };
@@ -365,7 +414,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                 a.done = true;
                 let (query, stage) = (a.query, a.stage);
                 if a.copies == 0 {
-                    st.attempts.remove(&token);
+                    st.attempts.retire(token);
                 }
                 if !first {
                     // The losing copy of a duplicate pair: its slot is
@@ -406,7 +455,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                 // from scratch on the elastic pool (run-to-completion
                 // tasks have no partial progress to save).
                 st.fleet.reclaim(now, vm);
-                match st.attempts.get(&token) {
+                match st.attempts.get(token) {
                     // A duplicate already finished this task; the
                     // reclaimed copy just disappears.
                     Some(a) if a.done => st.drop_copy(token),
@@ -424,7 +473,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                 attempt,
                 dup,
             } => {
-                if st.attempts.get(&token).is_some_and(|a| !a.done) {
+                if st.attempts.get(token).is_some_and(|a| !a.done) {
                     st.launch_on_pool(now, token, dur_s, attempt, dup);
                 } else {
                     // A duplicate finished the task while this copy was
@@ -436,7 +485,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                 // Each task gets at most one check. First completed copy
                 // wins; the duplicate runs at nominal (non-straggled)
                 // speed on the pool.
-                if let Some(a) = st.attempts.get_mut(&token).filter(|a| !a.done) {
+                if let Some(a) = st.attempts.get_mut(token).filter(|a| !a.done) {
                     a.copies += 1;
                     let base_secs = a.base_secs;
                     st.faults.note_duplicate();
@@ -537,10 +586,8 @@ struct Coordinator<'a, S> {
     /// cached so the hot completion path never locks the injector just
     /// to learn the environment is inert.
     environment: EnvironmentSpec,
-    /// Live task attempts keyed by token (BTreeMap for deterministic
-    /// iteration, lint L3).
-    attempts: BTreeMap<u64, TaskAttempt>,
-    next_token: u64,
+    /// Task attempts in flight, by token.
+    attempts: AttemptWindow,
     /// Extra compute attributable to fault recovery — duplicate launches
     /// and spot re-executions. Telemetry attribution only; the pool's own
     /// ledger already bills the real resources, so this is never added to
@@ -593,10 +640,10 @@ impl<S: TaskSource> Coordinator<'_, S> {
     /// last copy is gone.
     fn drop_copy(&mut self, token: u64) {
         self.running = self.running.saturating_sub(1);
-        if let Some(a) = self.attempts.get_mut(&token) {
+        if let Some(a) = self.attempts.get_mut(token) {
             a.copies = a.copies.saturating_sub(1);
             if a.copies == 0 && a.done {
-                self.attempts.remove(&token);
+                self.attempts.retire(token);
             }
         }
     }
@@ -654,18 +701,13 @@ impl<S: TaskSource> Coordinator<'_, S> {
     fn launch_stage(&mut self, now: SimTime, query: usize, stage: usize) {
         let nodes = self.shuffle_fleet.running_count();
         for launch in self.source.launch_stage(query, stage, nodes) {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.attempts.insert(
-                token,
-                TaskAttempt {
-                    query,
-                    stage,
-                    base_secs: launch.recovery.map_or(0.0, |r| r.base_secs),
-                    done: false,
-                    copies: 1,
-                },
-            );
+            let token = self.attempts.push(TaskAttempt {
+                query,
+                stage,
+                base_secs: launch.recovery.map_or(0.0, |r| r.base_secs),
+                done: false,
+                copies: 1,
+            });
             self.running += 1;
             self.max_since_sample = self.max_since_sample.max(self.running);
             let vm = self.fleet.try_assign(now);
@@ -714,5 +756,89 @@ impl<S: TaskSource> Coordinator<'_, S> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn attempt(stage: usize) -> TaskAttempt {
+        TaskAttempt {
+            query: 0,
+            stage,
+            base_secs: 0.0,
+            done: false,
+            copies: 1,
+        }
+    }
+
+    fn stages(w: &AttemptWindow, tokens: std::ops::Range<u64>) -> Vec<Option<usize>> {
+        tokens.map(|t| w.get(t).map(|a| a.stage)).collect()
+    }
+
+    #[test]
+    fn attempt_window_retires_out_of_order() {
+        let mut w = AttemptWindow::default();
+        let tokens: Vec<u64> = (0..5).map(|s| w.push(attempt(s))).collect();
+        assert_eq!(tokens, [0, 1, 2, 3, 4]);
+        // Retiring behind a live front leaves `base` where it is.
+        w.retire(3);
+        w.retire(1);
+        assert_eq!((w.base, w.slots.len()), (0, 5));
+        assert_eq!(stages(&w, 0..5), [Some(0), None, Some(2), None, Some(4)]);
+        // `base` advances only past a retired prefix: 0, then 1 with it.
+        w.retire(0);
+        assert_eq!((w.base, w.slots.len()), (2, 3));
+        w.get_mut(2).unwrap().done = true;
+        assert!(w.get(2).unwrap().done);
+        // Retiring the new front pops 2 and the already-retired 3.
+        w.retire(2);
+        assert_eq!((w.base, w.slots.len()), (4, 1));
+        // Retiring a token twice, or one outside the window, changes nothing.
+        w.retire(1);
+        w.retire(9);
+        assert_eq!((w.base, w.slots.len()), (4, 1));
+        // Tokens keep increasing: none is ever handed out twice.
+        assert_eq!(w.push(attempt(5)), 5);
+        assert_eq!(
+            stages(&w, 0..7),
+            [None, None, None, None, Some(4), Some(5), None]
+        );
+    }
+
+    #[test]
+    fn attempt_window_reads_none_outside_live_tokens() {
+        let mut w = AttemptWindow::default();
+        for s in 0..6 {
+            w.push(attempt(s));
+        }
+        w.retire(0);
+        w.retire(1);
+        w.retire(3);
+        assert_eq!(w.base, 2);
+        // Below `base`, retired in the middle, and past the end.
+        assert!(w.get(1).is_none());
+        assert!(w.get_mut(0).is_none());
+        assert!(w.get(3).is_none());
+        assert!(w.get_mut(3).is_none());
+        assert!(w.get(6).is_none());
+        assert!(w.get_mut(u64::MAX).is_none());
+        assert_eq!(w.get(4).map(|a| a.stage), Some(4));
+    }
+
+    #[test]
+    fn attempt_window_drains_to_empty() {
+        let mut w = AttemptWindow::default();
+        for s in 0..100 {
+            w.push(attempt(s));
+        }
+        // Retire in a scrambled order (37 is coprime with 100).
+        for i in 0..100u64 {
+            w.retire(i * 37 % 100);
+        }
+        assert!(w.slots.is_empty());
+        assert_eq!(w.base, 100);
+        assert_eq!(w.push(attempt(0)), 100);
     }
 }

@@ -147,9 +147,10 @@ pub struct Registry {
     histograms: BTreeMap<String, Histogram>,
     /// Per-metric time series of `(t_ms, value)` points in record order.
     series: BTreeMap<String, Vec<(u64, f64)>>,
-    /// Accumulated dollars keyed by `(component, category)` — fed by
-    /// `CostLedger` charges in `cackle-cloud`.
-    costs: BTreeMap<(String, String), f64>,
+    /// Accumulated dollars by component, then category — fed by
+    /// `CostLedger` charges in `cackle-cloud`. Iterates in the same
+    /// `(component, category)` order a tuple-keyed map would.
+    costs: BTreeMap<String, BTreeMap<String, f64>>,
     events: Vec<TraceEvent>,
 }
 
@@ -177,21 +178,24 @@ impl Registry {
     /// Dollars attributed to one `(component, category)` pair.
     pub fn cost(&self, component: &str, category: &str) -> f64 {
         self.costs
-            .get(&(component.to_string(), category.to_string()))
+            .get(component)
+            .and_then(|cells| cells.get(category))
             .copied()
             .unwrap_or(0.0)
     }
 
     /// Total dollars across all components and categories.
     pub fn cost_total(&self) -> f64 {
-        self.costs.values().sum()
+        self.costs().map(|(_, _, d)| d).sum()
     }
 
     /// All cost cells in deterministic `(component, category)` order.
     pub fn costs(&self) -> impl Iterator<Item = (&str, &str, f64)> {
-        self.costs
-            .iter()
-            .map(|((comp, cat), &d)| (comp.as_str(), cat.as_str(), d))
+        self.costs.iter().flat_map(|(comp, cells)| {
+            cells
+                .iter()
+                .map(move |(cat, &d)| (comp.as_str(), cat.as_str(), d))
+        })
     }
 
     /// Recorded trace events in record order.
@@ -232,12 +236,12 @@ impl Registry {
                 json_f64(if h.count == 0 { 0.0 } else { h.max }),
             ));
         }
-        for ((comp, cat), d) in &self.costs {
+        for (comp, cat, d) in self.costs() {
             out.push_str(&format!(
                 "{{\"type\":\"cost\",\"component\":{},\"category\":{},\"dollars\":{}}}\n",
                 json_str(comp),
                 json_str(cat),
-                json_f64(*d)
+                json_f64(d)
             ));
         }
         for (name, points) in &self.series {
@@ -283,13 +287,14 @@ impl Registry {
     /// worker thread ran which task. Merge semantics per section: counters
     /// add; gauges last-write-wins (the absorbing shard's value replaces
     /// ours); histograms merge elementwise (bounds must match); series and
-    /// events append in shard order; costs add.
+    /// events append in shard order; costs add. Like a record call, a
+    /// name this registry already holds is merged without allocating.
     pub fn absorb(&mut self, shard: &Registry) {
         for (name, v) in &shard.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            update(&mut self.counters, name, |c| *c += v);
         }
         for (name, v) in &shard.gauges {
-            self.gauges.insert(name.clone(), *v);
+            update(&mut self.gauges, name, |g| *g = *v);
         }
         for (name, h) in &shard.histograms {
             match self.histograms.get_mut(name) {
@@ -312,13 +317,14 @@ impl Registry {
             }
         }
         for (name, points) in &shard.series {
-            self.series
-                .entry(name.clone())
-                .or_default()
-                .extend_from_slice(points);
+            update(&mut self.series, name, |s| s.extend_from_slice(points));
         }
-        for (key, d) in &shard.costs {
-            *self.costs.entry(key.clone()).or_insert(0.0) += d;
+        for (comp, cells) in &shard.costs {
+            update(&mut self.costs, comp, |mine| {
+                for (cat, d) in cells {
+                    update(mine, cat, |total| *total += d);
+                }
+            });
         }
         self.events.extend_from_slice(&shard.events);
     }
@@ -334,6 +340,16 @@ impl Registry {
             }
         }
         out
+    }
+}
+
+/// Apply `f` to the value recorded under `name`, starting from
+/// `V::default()` on first use. Only that first insert allocates the
+/// key; recording under a name the map already holds allocates nothing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
     }
 }
 
@@ -425,14 +441,14 @@ impl Telemetry {
     /// Add `delta` to a monotone counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(mut r) = self.lock() {
-            *r.counters.entry(name.to_string()).or_insert(0) += delta;
+            update(&mut r.counters, name, |c| *c += delta);
         }
     }
 
     /// Set a gauge to `v` (last write wins).
     pub fn gauge_set(&self, name: &str, v: f64) {
         if let Some(mut r) = self.lock() {
-            r.gauges.insert(name.to_string(), v);
+            update(&mut r.gauges, name, |g| *g = v);
         }
     }
 
@@ -446,20 +462,21 @@ impl Telemetry {
     /// first use (later calls reuse the existing bounds).
     pub fn observe_with_buckets(&self, name: &str, v: f64, bounds: &[f64]) {
         if let Some(mut r) = self.lock() {
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(bounds))
-                .observe(v);
+            match r.histograms.get_mut(name) {
+                Some(h) => h.observe(v),
+                None => {
+                    let mut h = Histogram::new(bounds);
+                    h.observe(v);
+                    r.histograms.insert(name.to_string(), h);
+                }
+            }
         }
     }
 
     /// Append a `(t_ms, v)` point to the named time series.
     pub fn sample(&self, name: &str, t_ms: u64, v: f64) {
         if let Some(mut r) = self.lock() {
-            r.series
-                .entry(name.to_string())
-                .or_default()
-                .push((t_ms, v));
+            update(&mut r.series, name, |s| s.push((t_ms, v)));
         }
     }
 
@@ -471,9 +488,10 @@ impl Telemetry {
             return;
         }
         if let Some(mut r) = self.lock() {
-            let total = r.costs.entry((component.to_string(), category.to_string()));
-            // cackle-lint: allow(L11) — attribution mirror of dollars already minted by the ledger
-            *total.or_insert(0.0) += dollars;
+            update(&mut r.costs, component, |cells| {
+                // cackle-lint: allow(L11) — attribution mirror of dollars already minted by the ledger
+                update(cells, category, |total| *total += dollars);
+            });
         }
     }
 
@@ -751,5 +769,51 @@ mod tests {
         assert_eq!(lines[0], "name,t_ms,value");
         assert_eq!(lines[1], "run.active,1000,1.0");
         assert_eq!(lines[2], "run.demand,0,3.0");
+    }
+
+    /// The nested cost map exports exactly what the `(component,
+    /// category)` tuple map did: costs, counters and series recorded in
+    /// shuffled order, component names that are prefixes of each other,
+    /// and a shard merged on top.
+    #[test]
+    fn export_order_is_pinned() {
+        let t = Telemetry::new();
+        t.add_cost("store_x", "s3_get", 0.5);
+        t.sample("run.target", 1000, 2.0);
+        t.add_cost("store", "s3_put", 0.25);
+        t.counter_add("store.put_requests_total", 2);
+        t.add_cost("pool", "elastic_pool", 1.0);
+        t.add_cost("store", "s3_get", 0.125);
+        t.counter_add("pool.invocations_total", 1);
+        t.sample("run.demand", 0, 3.0);
+        t.add_cost("store_x", "egress", 0.75);
+        let shard = Telemetry::new();
+        shard.add_cost("store", "s3_put", 0.5);
+        shard.add_cost("fleet", "vm_compute", 2.0);
+        shard.add_cost("store_x", "s3_get", 0.25);
+        shard.counter_add("store.put_requests_total", 1);
+        shard.counter_add("fleet.vms_started_total", 3);
+        shard.sample("run.demand", 1000, 4.0);
+        shard.sample("run.active", 1000, 1.0);
+        t.merge(&shard);
+        let expected = r#"{"type":"meta","schema":"cackle-telemetry","version":1}
+{"type":"counter","name":"fleet.vms_started_total","value":3}
+{"type":"counter","name":"pool.invocations_total","value":1}
+{"type":"counter","name":"store.put_requests_total","value":3}
+{"type":"cost","component":"fleet","category":"vm_compute","dollars":2.0}
+{"type":"cost","component":"pool","category":"elastic_pool","dollars":1.0}
+{"type":"cost","component":"store","category":"s3_get","dollars":0.125}
+{"type":"cost","component":"store","category":"s3_put","dollars":0.75}
+{"type":"cost","component":"store_x","category":"egress","dollars":0.75}
+{"type":"cost","component":"store_x","category":"s3_get","dollars":0.75}
+{"type":"series","name":"run.active","points":[[1000,1.0]]}
+{"type":"series","name":"run.demand","points":[[0,3.0],[1000,4.0]]}
+{"type":"series","name":"run.target","points":[[1000,2.0]]}
+"#;
+        assert_eq!(t.export_jsonl(), expected);
+        assert_eq!(t.cost("store", "s3_put"), 0.75);
+        assert_eq!(t.cost("store_x", "s3_put"), 0.0);
+        assert_eq!(t.cost("stor", "s3_put"), 0.0);
+        assert_eq!(t.snapshot().unwrap().cost_total(), 5.375);
     }
 }
