@@ -52,7 +52,7 @@ impl SimTime {
     }
 
     /// Saturating subtraction of a duration.
-    // cackle-lint: pure(self, d)
+    /// A pure function of `(self, d)`.
     pub fn saturating_sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
     }

@@ -139,23 +139,6 @@ impl Batch {
             .sum()
     }
 
-    /// Split into chunks of at most `chunk_rows` rows each.
-    pub fn chunks(&self, chunk_rows: usize) -> Vec<Batch> {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let n = self.num_rows();
-        if n <= chunk_rows {
-            return vec![self.clone()];
-        }
-        let mut out = Vec::with_capacity(n.div_ceil(chunk_rows));
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk_rows).min(n);
-            out.push(self.slice(start, end));
-            start = end;
-        }
-        out
-    }
-
     /// Borrow the columns at `indices` (which may repeat) under `schema`
     /// — the non-allocating form of projecting by cloning columns.
     pub fn project_view(&self, schema: SchemaRef, indices: &[usize]) -> BatchView<'_> {
@@ -279,19 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn chunking() {
-        let b = sample();
-        let chunks = b.chunks(2);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].num_rows(), 2);
-        assert_eq!(chunks[1].num_rows(), 1);
-        assert_eq!(chunks[1].columns[0].i64s(), &[3]);
-    }
-
-    #[test]
     fn slice_matches_take_of_contiguous_range() {
         // Every type variant plus a validity mask, so the slice path is
-        // checked against the gather path it replaced in `chunks`.
+        // checked against the gather path it stands in for.
         let schema = Schema::shared(&[
             ("i", DataType::I64),
             ("f", DataType::F64),

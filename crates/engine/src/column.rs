@@ -425,12 +425,11 @@ impl Column {
     /// Keep only rows where `mask` is true. Panics if lengths differ.
     pub fn filter(&self, mask: &[bool]) -> Column {
         assert_eq!(mask.len(), self.len(), "filter mask length mismatch");
-        let indices: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| i)
-            .collect();
+        // Sized up front: a filtered iterator's size hint is zero, and
+        // growing by doubling would reallocate per batch in proportion
+        // to the log of its rows.
+        let mut indices = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
+        indices.extend(mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i));
         self.take(&indices)
     }
 

@@ -15,7 +15,7 @@
 use crate::column::{Column, ColumnData};
 use crate::kernels::hash::FastBuildHasher;
 use crate::ops::aggregate::{values_to_column, AggFunc};
-use crate::rowkey::{encode_row, encode_row_into};
+use crate::rowkey::encode_row_into;
 use crate::types::{DataType, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -90,7 +90,6 @@ impl Grouper {
                             let g = self.exemplars.len() as u32;
                             // The map owns its key; the scratch encoding is
                             // cloned once per *distinct group*, not per row.
-                            // cackle-lint: allow(L14) — owned key once per distinct group
                             map.insert(self.key_scratch.clone(), g);
                             self.exemplars.push((bi as u32, row as u32));
                             g
@@ -296,15 +295,17 @@ impl Accumulator {
             }
             Accumulator::Distinct { sets } => {
                 let col = col.expect("COUNT DISTINCT input column");
+                let mut key = Vec::new();
                 for (i, &g) in ids.iter().enumerate() {
                     if col.is_valid(i) {
                         let set = &mut sets[g as usize];
                         // An owned key enters the set once per distinct
-                        // value; duplicates allocate nothing. (encode_row
-                        // allocates the probe key; a fully pooled probe
-                        // would need a raw-entry API std does not expose.)
-                        let key = encode_row(&[col], i);
-                        set.insert(key);
+                        // value; duplicates are probed with the reused
+                        // encoding and allocate nothing.
+                        encode_row_into(&mut key, &[col], i);
+                        if !set.contains(key.as_slice()) {
+                            set.insert(key.clone());
+                        }
                     }
                 }
             }

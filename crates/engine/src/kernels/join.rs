@@ -1,27 +1,50 @@
 //! Hash-join build and probe kernels.
 //!
-//! The legacy join encoded an owned byte key per row on both the build
-//! and probe side. The kernel keeps the same canonical encoding but adds
-//! a direct `i64` map for the dominant single-integer-key case and a
-//! reused scratch buffer for the general byte-key probe, so the per-row
-//! probe allocates nothing.
+//! The build side is indexed once per task as a flat CSR directory: a
+//! typed map from each distinct key to a dense group id, then every
+//! build row listed by group (`rows[starts[g]..starts[g + 1]]`). Besides
+//! the map's own storage that is three vectors however many keys there
+//! are — a bucket `Vec` per key made the build allocate once per
+//! distinct key, which grows with the data (`tests/alloc_budget.rs`).
+//! Single `i64` keys are mapped directly; every other key shape uses
+//! its canonical row-key bytes, encoded into a reused scratch buffer on
+//! the probe side and owned once per distinct key on the build side.
 //!
-//! Output ordering is preserved exactly: build rows enter each key's
-//! bucket in row order, and [`probe_pairs`] emits matches in probe-row
+//! Output ordering is preserved exactly: each group lists its build
+//! rows in row order, and [`probe_pairs`] emits matches in probe-row
 //! order, so the delegating `JoinHashTable` produces byte-identical
 //! batches.
 
 use crate::column::{Column, ColumnData};
 use crate::kernels::hash::FastBuildHasher;
-use crate::rowkey::{encode_row, encode_row_into};
+use crate::rowkey::encode_row_into;
 use std::collections::HashMap;
+use std::hash::Hash;
 
-/// Typed key → build-row index over the concatenated build side.
-pub enum KeyIndex {
+/// Typed key → dense group id.
+enum Groups {
     /// Single `i64` join key: direct integer map, no byte encoding.
-    I64(HashMap<i64, Vec<u32>, FastBuildHasher>),
+    I64(HashMap<i64, u32, FastBuildHasher>),
     /// General case: canonical row-key bytes.
-    Bytes(HashMap<Vec<u8>, Vec<u32>, FastBuildHasher>),
+    Bytes(HashMap<Vec<u8>, u32, FastBuildHasher>),
+}
+
+/// Key → build-row index over the concatenated build side.
+pub struct KeyIndex {
+    groups: Groups,
+    /// Group `g`'s rows are `rows[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    /// Build rows, grouped by key, in row order within each group.
+    rows: Vec<u32>,
+}
+
+/// Group id marking a build row with a null key.
+const NULL_KEY: u32 = u32::MAX;
+
+/// The group id of `key`, allocating the next one on first sight.
+fn intern<K: Hash + Eq>(map: &mut HashMap<K, u32, FastBuildHasher>, key: K) -> u32 {
+    let fresh = map.len() as u32;
+    *map.entry(key).or_insert(fresh)
 }
 
 impl KeyIndex {
@@ -31,30 +54,71 @@ impl KeyIndex {
     /// nullable keys; unlike grouping, joins never need a null-key
     /// identity.
     pub fn build(key_cols: &[&Column], nrows: usize) -> KeyIndex {
-        if key_cols.len() == 1 {
-            if let ColumnData::I64(vals) = &key_cols[0].data {
-                let key = key_cols[0];
-                let mut map: HashMap<i64, Vec<u32>, FastBuildHasher> = HashMap::default();
+        let mut group_of: Vec<u32> = Vec::with_capacity(nrows);
+        let single_i64 = match key_cols {
+            [key] => match &key.data {
+                ColumnData::I64(vals) => Some((key, vals)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let (groups, ngroups) = match single_i64 {
+            Some((key, vals)) => {
+                let mut map = HashMap::default();
                 for (row, &k) in vals.iter().enumerate().take(nrows) {
-                    if key.is_valid(row) {
-                        map.entry(k).or_default().push(row as u32);
-                    }
+                    group_of.push(if key.is_valid(row) {
+                        intern(&mut map, k)
+                    } else {
+                        NULL_KEY
+                    });
                 }
-                return KeyIndex::I64(map);
+                let n = map.len();
+                (Groups::I64(map), n)
+            }
+            None => {
+                let mut map: HashMap<Vec<u8>, u32, FastBuildHasher> = HashMap::default();
+                let mut scratch = Vec::new();
+                for row in 0..nrows {
+                    group_of.push(if key_cols.iter().all(|k| k.is_valid(row)) {
+                        encode_row_into(&mut scratch, key_cols, row);
+                        match map.get(scratch.as_slice()) {
+                            Some(&g) => g,
+                            None => intern(&mut map, scratch.clone()),
+                        }
+                    } else {
+                        NULL_KEY
+                    });
+                }
+                let n = map.len();
+                (Groups::Bytes(map), n)
+            }
+        };
+        // Counting pass: `starts[g + 1]` = rows in group `g`, then
+        // prefix sums turn counts into offsets.
+        let mut starts = vec![0u32; ngroups + 1];
+        for &g in &group_of {
+            if g != NULL_KEY {
+                starts[g as usize + 1] += 1;
             }
         }
-        let mut map: HashMap<Vec<u8>, Vec<u32>, FastBuildHasher> = HashMap::default();
-        'rows: for row in 0..nrows {
-            for k in key_cols {
-                if !k.is_valid(row) {
-                    continue 'rows;
-                }
-            }
-            map.entry(encode_row(key_cols, row))
-                .or_default()
-                .push(row as u32);
+        for g in 0..ngroups {
+            starts[g + 1] += starts[g];
         }
-        KeyIndex::Bytes(map)
+        // Fill in row order, so each group keeps its rows' build order.
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; starts[ngroups] as usize];
+        for (row, &g) in group_of.iter().enumerate() {
+            if g != NULL_KEY {
+                let slot = &mut next[g as usize];
+                rows[*slot as usize] = row as u32;
+                *slot += 1;
+            }
+        }
+        KeyIndex {
+            groups,
+            starts,
+            rows,
+        }
     }
 
     /// The build rows matching probe row `row`, or `None` for a null key
@@ -65,32 +129,22 @@ impl KeyIndex {
         row: usize,
         scratch: &mut Vec<u8>,
     ) -> Option<&'a [u32]> {
-        match self {
-            KeyIndex::I64(map) => {
-                let key = key_cols[0];
-                if !key.is_valid(row) {
-                    return None;
-                }
-                map.get(&key.i64s()[row]).map(Vec::as_slice)
-            }
-            KeyIndex::Bytes(map) => {
-                for k in key_cols {
-                    if !k.is_valid(row) {
-                        return None;
-                    }
-                }
-                encode_row_into(scratch, key_cols, row);
-                map.get(scratch.as_slice()).map(Vec::as_slice)
-            }
+        if !key_cols.iter().all(|k| k.is_valid(row)) {
+            return None;
         }
+        let g = match &self.groups {
+            Groups::I64(map) => *map.get(&key_cols[0].i64s()[row])?,
+            Groups::Bytes(map) => {
+                encode_row_into(scratch, key_cols, row);
+                *map.get(scratch.as_slice())?
+            }
+        } as usize;
+        Some(&self.rows[self.starts[g] as usize..self.starts[g + 1] as usize])
     }
 
     /// Number of distinct (non-null) keys indexed.
     pub fn distinct_keys(&self) -> usize {
-        match self {
-            KeyIndex::I64(map) => map.len(),
-            KeyIndex::Bytes(map) => map.len(),
-        }
+        self.starts.len() - 1
     }
 }
 

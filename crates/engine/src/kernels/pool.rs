@@ -1,11 +1,10 @@
 //! Reusable typed scratch buffers, checked out per task.
 //!
 //! Operators need index vectors and keep-masks once per batch.
-//! Allocating them fresh per batch is exactly the shape lint L14
-//! polices; the arena makes its `reuse-buffer:` suggestion the default
-//! instead: a buffer is checked out (cleared, capacity preserved), used,
-//! and recycled back, so steady-state execution of a task allocates
-//! nothing per batch.
+//! Allocating them fresh would cost an allocation per buffer per batch;
+//! the arena makes reuse the default instead: a buffer is checked out
+//! (cleared, capacity preserved), used, and recycled back, so
+//! steady-state execution of a task allocates nothing per batch.
 //!
 //! Ownership rules:
 //!

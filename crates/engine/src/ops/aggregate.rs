@@ -139,7 +139,6 @@ pub fn hash_aggregate(
     // aggregates, all through `values_to_column`.
     let mut out_cols: Vec<Column> = Vec::with_capacity(output.len());
     for (ci, _) in group_by.iter().enumerate() {
-        // cackle-lint: allow(L14) — one-time gather of each group's exemplar
         let values: Vec<Value> = grouper
             .exemplars
             .iter()

@@ -10,9 +10,9 @@
 //! * `bench_all` measures kernel speedups against them (its
 //!   `engine.kernel.*.x_reference` rows).
 //!
-//! Everything is `row_`-prefixed: lint L14's hot-path domain is built
-//! from a *name-based* call graph, and unique names keep this module —
-//! which is deliberately the slow, allocate-per-row path — out of it.
+//! Everything is `row_`-prefixed: the linter's call graph (L7, L17)
+//! resolves calls by *name*, and unique names keep this module — which
+//! is deliberately the slow, allocate-per-row path — out of it.
 
 use crate::batch::Batch;
 use crate::column::{Column, ColumnData};

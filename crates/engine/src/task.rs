@@ -348,7 +348,6 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                         (None, Some(idx)) => p.project_view(out_schema.clone(), idx).to_batch(),
                         // The catalog's partitions are borrowed; an
                         // unfiltered scan materializes each part once.
-                        // cackle-lint: allow(L14) — one-time copy of a borrowed part
                         (None, None) => p.clone(),
                     };
                     if projected.num_rows() > 0 {

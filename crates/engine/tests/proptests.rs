@@ -106,15 +106,19 @@ fn filter_is_selective() {
     }
 }
 
-/// concat(chunks) reassembles the original batch.
+/// concat of contiguous slices reassembles the original batch.
 #[test]
 fn chunk_concat_identity() {
     let mut rng = Pcg32::seed_from_u64(0xE061_04);
     for _ in 0..64 {
         let batch = gen_batch(&mut rng);
         let chunk = rng.gen_range(1usize..7);
-        let chunks = batch.chunks(chunk);
-        let whole = Batch::concat(batch.schema.clone(), &chunks);
+        let n = batch.num_rows();
+        let pieces: Vec<Batch> = (0..n)
+            .step_by(chunk)
+            .map(|start| batch.slice(start, (start + chunk).min(n)))
+            .collect();
+        let whole = Batch::concat(batch.schema.clone(), &pieces);
         assert_eq!(whole, batch);
     }
 }

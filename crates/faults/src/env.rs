@@ -209,7 +209,6 @@ impl EnvironmentSpec {
     /// function of `(seed, vm)` via a keyed stream, so results never
     /// depend on launch order or worker scheduling. Draw order within
     /// the stream is fixed: slow?, magnitude, remote?.
-    // cackle-lint: pure(self, seed, vm)
     pub fn vm_traits(&self, seed: u64, vm: u64) -> VmTraits {
         if self.vm_slow_fraction == 0.0 && self.remote_vm_fraction == 0.0 {
             return VmTraits::default();
@@ -267,7 +266,7 @@ pub struct PriceTimeline {
 
 impl PriceTimeline {
     /// Compile from a spec and run seed.
-    // cackle-lint: pure(env, seed)
+    /// A pure function of `(env, seed)`.
     pub fn compile(env: &EnvironmentSpec, seed: u64) -> Self {
         // Round the volatility to per-mille once; every multiplier is
         // derived from this integer amplitude.
@@ -299,7 +298,7 @@ impl PriceTimeline {
     }
 
     /// Per-mille multiplier in effect at simulated second `now_s`.
-    // cackle-lint: pure(self, now_s)
+    /// A pure function of `(self, now_s)`.
     pub fn multiplier_milli(&self, now_s: u64) -> u32 {
         if self.volatility_milli == 0 {
             return 1000;
@@ -317,7 +316,7 @@ impl PriceTimeline {
     /// end_ms)` in units of per-mille·milliseconds — exact integer
     /// arithmetic for billing (`Σ segment_ms · multiplier_milli`). A
     /// flat timeline integrates to `1000 · (end - start)`.
-    // cackle-lint: pure(self, start_ms, end_ms)
+    /// A pure function of `(self, start_ms, end_ms)`.
     pub fn integral_milli_ms(&self, start_ms: u64, end_ms: u64) -> u128 {
         let span = end_ms.saturating_sub(start_ms) as u128;
         if self.volatility_milli == 0 {
@@ -352,7 +351,7 @@ pub struct ReclaimStorm {
 
 impl ReclaimStorm {
     /// Compile from a spec and run seed; `None` when storms are off.
-    // cackle-lint: pure(env, seed)
+    /// A pure function of `(env, seed)`.
     pub fn compile(env: &EnvironmentSpec, seed: u64) -> Option<Self> {
         if env.storms_per_day <= 0.0 {
             return None;
@@ -368,7 +367,7 @@ impl ReclaimStorm {
     }
 
     /// Whether simulated second `now_s` falls inside a storm.
-    // cackle-lint: pure(self, now_s)
+    /// A pure function of `(self, now_s)`.
     pub fn in_storm(&self, now_s: u64) -> bool {
         let window = now_s / self.window_s;
         let pos = now_s % self.window_s;
@@ -382,7 +381,7 @@ impl ReclaimStorm {
     }
 
     /// Effective spot hazard at `now_s` given the base rate.
-    // cackle-lint: pure(self, now_s, base_rate)
+    /// A pure function of `(self, now_s, base_rate)`.
     pub fn rate_at(&self, now_s: u64, base_rate: f64) -> f64 {
         if self.in_storm(now_s) {
             base_rate.max(self.rate_per_vm_hour)

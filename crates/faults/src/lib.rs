@@ -426,7 +426,7 @@ const SALT_STORE_PUT: u64 = 0xFA16;
 /// on the operation's stable identity — never on how many draws other
 /// operations made first — so draws made from concurrently-executing
 /// tasks are dispatch-order-independent.
-// cackle-lint: pure(seed, salt, key)
+/// A pure function of `(seed, salt, key)`.
 fn keyed_stream(seed: u64, salt: u64, key: u64) -> Pcg32 {
     let mut s = seed ^ salt;
     let point = splitmix64(&mut s);
@@ -494,7 +494,7 @@ impl FaultPlan {
     }
 
     /// Whether `now_s` falls inside a compiled reclaim storm.
-    // cackle-lint: pure(self, now_s)
+    /// A pure function of `(self, now_s)`.
     pub fn in_storm(&self, now_s: u64) -> bool {
         self.storm.as_ref().is_some_and(|s| s.in_storm(now_s))
     }

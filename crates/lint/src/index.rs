@@ -64,8 +64,8 @@ const CALL_EDGE_STOPLIST: [&str; 40] = [
     "replace",
 ];
 
-/// Bare name of the fn every parallel-phase rule (L17, L14's
-/// reachability half) roots its call-graph walk at:
+/// Bare name of the fn the parallel-phase rule (L17) roots its
+/// call-graph walk at:
 /// `TaskExecution::run_buffered`, the compute phase the executor's worker
 /// closures call.
 pub const PHASE_ROOT: &str = "run_buffered";
@@ -114,7 +114,9 @@ pub struct IndexedFn {
 pub struct Index {
     /// Every fn item in the workspace.
     pub fns: Vec<IndexedFn>,
-    /// Bare fn name → fn ids defining it (any file, any impl).
+    /// Bare fn name → fn ids defining it (any file, any impl) — the
+    /// call targets. Test code is never one: a `#[test] fn probe()`
+    /// must not capture every `.probe(...)` call in the workspace.
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// Per file: identifiers bound with `Mutex`/`RwLock` types.
     pub lock_names: Vec<BTreeSet<String>>,
@@ -277,11 +279,10 @@ impl Workspace {
                     item: ii,
                     calls,
                 });
-                index
-                    .by_name
-                    .entry(f.parsed.fns[ii].name.clone())
-                    .or_default()
-                    .push(id);
+                if f.is_test_dir || f.parsed.test_excluded[item.kw] {
+                    continue;
+                }
+                index.by_name.entry(item.name.clone()).or_default().push(id);
             }
         }
         (Workspace { files, index }, stats)
@@ -431,6 +432,34 @@ mod tests {
         assert!(names.contains("target"));
         assert!(!names.contains("clone"), "{names:?}");
         assert!(!names.contains("leak"));
+    }
+
+    #[test]
+    fn test_fns_are_never_call_targets() {
+        // A test named like a method it exercises must not stand in for
+        // that method in the call graph, from a `tests/` file or from a
+        // `#[cfg(test)]` module.
+        let w = ws(&[
+            (
+                "crates/engine/src/join.rs",
+                "pub fn run_buffered(t: &T) { t.probe(); }\n\
+                 impl JoinHashTable { pub fn probe(&self) {} }\n\
+                 #[cfg(test)]\n\
+                 mod tests { #[test] fn probe() { in_module(); } }\n\
+                 fn in_module() {}",
+            ),
+            (
+                "crates/engine/tests/join.rs",
+                "#[test]\nfn probe() { in_tests_dir(); }\nfn in_tests_dir() {}",
+            ),
+        ]);
+        assert_eq!(w.index.by_name["probe"].len(), 1);
+        let reach = w.reachable_from(PHASE_ROOT);
+        let names: Vec<&str> = reach
+            .iter()
+            .map(|&id| w.fn_item(id).qualified.as_str())
+            .collect();
+        assert_eq!(names, ["run_buffered", "JoinHashTable::probe"]);
     }
 
     #[test]

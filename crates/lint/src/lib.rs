@@ -4,10 +4,13 @@
 //! The simulator's headline claims — byte-identical reruns and exact
 //! cost accounting — rest on invariants the types do not carry yet, so
 //! this crate enforces them mechanically at the source level. Where a
-//! type can carry one, the type wins and the rule goes: fault draws are
-//! keyed by `TaskFaults` (formerly L9/L18) and scratch buffers are
-//! scoped by `ScratchArena::with_*` closures (formerly L16). It is a
-//! small *analyzer*, not just a lexer: source is tokenized
+//! type or a test can carry one, the type or test wins and the rule
+//! goes: fault draws are keyed by `TaskFaults` (formerly L9/L18),
+//! scratch buffers are scoped by `ScratchArena::with_*` closures
+//! (formerly L16), allocation per row is counted by
+//! `tests/alloc_budget.rs` (formerly L14), and keyed draws are checked
+//! for call-order independence by `tests/purity.rs` (formerly L19). It
+//! is a small *analyzer*, not just a lexer: source is tokenized
 //! ([`lexer`]), brace-matched into items, blocks, statements, and call
 //! sites ([`parser`]), indexed across the workspace into fn items and
 //! an approximate call graph ([`index`]), and the rule families
@@ -28,27 +31,16 @@
 //! | L8 | no `Ordering::Relaxed` on atomics shared with worker closures | `crates/engine`, `crates/core` |
 //! | L10 | metric names are literals matching the DESIGN §7 grammar | everywhere |
 //! | L11 | no raw money arithmetic / call-site price formulas | everywhere except `cloud/src/{ledger,pricing}.rs`, `core/src/prices.rs`, `crates/bench` |
-//! | L13 | every PRNG seed derives from the RunSpec seed / a salt | everywhere except `crates/prng`, `crates/bench` |
-//! | L14 | no per-iteration allocation on engine hot paths | `crates/engine`, `crates/serve` |
+//! | L13 | no PRNG seeded from a literal or from another stream's draws | everywhere except `crates/prng`, `crates/bench` |
 //! | L17 | no parallel-phase writes to shared registries (telemetry / shuffle / ledger) | `crates/engine`, `crates/core`, `crates/cloud` |
-//! | L19 | `pure(...)`-annotated fns uphold their purity contract | everywhere except `crates/bench` |
 //!
-//! L13, L14 and L19 sit on the intra-procedural dataflow layer
-//! ([`dataflow`]): a per-function assignment graph over the parser's
-//! statement/scope extents, with loop-body extents and seed taint
-//! propagated interprocedurally via per-function summaries on the call
-//! graph.
-//!
-//! L17 and L19 sit on the interprocedural layer. Every fn BFS-reachable
-//! from `TaskExecution::run_buffered` ([`index::PHASE_ROOT`]) is
-//! classified *parallel-phase*, and such code may not write shared
-//! registries directly (L17). Which fault draws it may make is not a
-//! lint: tasks hold `cackle_faults::TaskFaults`, which has only the
-//! keyed ones, and the sequential handle is `!Sync`. `// cackle-lint:
-//! pure(param, ...)` on the line above a fn declares a purity contract
-//! — no mutable statics, no interior mutability, no unannotated
-//! workspace callees, draw keys derived only from the declared
-//! parameters — that L19 verifies (see [`rules::purity`]).
+//! L7 and L17 sit on the interprocedural layer: an approximate call
+//! graph resolved by bare name ([`index`]). Every fn BFS-reachable from
+//! `TaskExecution::run_buffered` ([`index::PHASE_ROOT`]) is classified
+//! *parallel-phase*, and such code may not write shared registries
+//! directly (L17). Which fault draws it may make is not a lint: tasks
+//! hold `cackle_faults::TaskFaults`, which has only the keyed ones, and
+//! the sequential handle is `!Sync`.
 //!
 //! `tests/`, `benches/`, and `#[cfg(test)]` / `#[test]` items are
 //! skipped by default: test code may use the host clock, unwraps, and
@@ -90,7 +82,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-pub mod dataflow;
 pub mod index;
 pub mod lexer;
 pub mod parser;
@@ -121,21 +112,17 @@ pub enum LintId {
     L10,
     /// Ledger hygiene: money arithmetic outside the billing layer.
     L11,
-    /// Seed provenance: every PRNG stream derives from the RunSpec seed.
+    /// Seed provenance: no literal seed, no seed drawn from a stream.
     L13,
-    /// Per-iteration allocation on engine hot paths.
-    L14,
     /// Phase discipline: parallel-phase writes to shared registries.
     L17,
-    /// Purity contracts: `pure(...)`-annotated fns must stay pure.
-    L19,
     /// Malformed suppression comment (cannot itself be suppressed).
     Sup,
 }
 
 impl LintId {
     /// All rules, in report order.
-    pub const ALL: [LintId; 14] = [
+    pub const ALL: [LintId; 12] = [
         LintId::L1,
         LintId::L2,
         LintId::L3,
@@ -146,13 +133,11 @@ impl LintId {
         LintId::L10,
         LintId::L11,
         LintId::L13,
-        LintId::L14,
         LintId::L17,
-        LintId::L19,
         LintId::Sup,
     ];
 
-    /// Parse a live rule id (`"L1"`..`"L19"`). Retired ids do not
+    /// Parse a live rule id (`"L1"`..`"L17"`). Retired ids do not
     /// parse, and neither does `"SUP"`: it cannot appear in an allow
     /// list.
     pub fn parse(s: &str) -> Option<LintId> {
@@ -167,9 +152,7 @@ impl LintId {
             "L10" => Some(LintId::L10),
             "L11" => Some(LintId::L11),
             "L13" => Some(LintId::L13),
-            "L14" => Some(LintId::L14),
             "L17" => Some(LintId::L17),
-            "L19" => Some(LintId::L19),
             _ => None,
         }
     }
@@ -196,9 +179,7 @@ impl fmt::Display for LintId {
             LintId::L10 => "L10",
             LintId::L11 => "L11",
             LintId::L13 => "L13",
-            LintId::L14 => "L14",
             LintId::L17 => "L17",
-            LintId::L19 => "L19",
             LintId::Sup => "SUP",
         };
         f.write_str(s)
@@ -276,19 +257,11 @@ fn applies(id: LintId, path: &str) -> bool {
         }
         // crates/prng defines the primitive: seeding it *is* its job.
         LintId::L13 => !path.starts_with("crates/prng/") && !path.starts_with("crates/bench/"),
-        // Hot paths are an engine concept — plus the serving layer's
-        // per-second admission/dispatch loops, which run once per
-        // simulated second per tenant; elsewhere a loop allocation is a
-        // style question, not a throughput bug.
-        LintId::L14 => path.starts_with("crates/engine/") || path.starts_with("crates/serve/"),
         // The parallel phase is an engine concept, and the registries it
         // must not touch live in core/cloud. crates/faults and
         // crates/telemetry define the shard/merge primitives — their
         // internals are the API, not misuse of it.
         LintId::L17 => engine_or_core || path.starts_with("crates/cloud/"),
-        // Purity contracts are opt-in annotations; wherever one is
-        // written it must hold (bench code never annotates).
-        LintId::L19 => !path.starts_with("crates/bench/"),
         LintId::Sup => true,
     }
 }
@@ -333,14 +306,11 @@ fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<Allow
             });
         };
         let rest = raw[at + MARKER.len()..].trim_start();
-        // `pure(...)` annotations share the marker; they are parsed (and
-        // their malformations reported) by [`rules::purity::annotations`].
-        if rest.starts_with("pure(") {
-            continue;
-        }
+        // Anything else after the marker — the retired `unit(...)` and
+        // `pure(...)` annotations included — is malformed.
         let Some(list) = rest.strip_prefix("allow(") else {
             err(format!(
-                "malformed suppression: expected `allow(...)` or `pure(...)` after `{MARKER}`"
+                "malformed suppression: expected `allow(...)` after `{MARKER}`"
             ));
             continue;
         };
@@ -395,7 +365,7 @@ fn suppressions(rel_path: &str, source: &str) -> (BTreeMap<usize, BTreeSet<Allow
 /// Wall-clock time of one analyzer phase (for the JSON `meta` block).
 #[derive(Debug, Clone)]
 pub struct PhaseTime {
-    /// Phase name: `collect`, `parse`, `dataflow`, `rules`, `filter`.
+    /// Phase name: `collect`, `parse`, `rules`, `filter`.
     pub name: &'static str,
     /// Elapsed milliseconds.
     pub ms: u128,
@@ -414,8 +384,7 @@ pub struct LintMeta {
     /// `<lint-id> <path>:<line>: ...`; any one fails the run (exit 3).
     pub stale_allows: Vec<String>,
     /// Names of the fns classified parallel-phase (reachable from
-    /// [`index::PHASE_ROOT`]). Empty means L17 and L14's reachability
-    /// half saw nothing to check.
+    /// [`index::PHASE_ROOT`]). Empty means L17 saw nothing to check.
     pub parallel_phase: BTreeSet<String>,
 }
 
@@ -432,7 +401,7 @@ impl LintMeta {
 }
 
 /// Lint a set of `(rel_path, source)` files as one workspace: parse and
-/// index everything, build the dataflow layer, run every rule family,
+/// index everything, run every rule family,
 /// then centrally apply rule scoping, `#[test]`-item exclusion, the
 /// tests-dir restricted rule set, and inline suppressions. Findings
 /// come back sorted by (path, line, rule), with per-phase timings, the
@@ -444,11 +413,7 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
     let parse_ms = t.elapsed().as_millis();
 
     let t = Instant::now();
-    let flows = dataflow::Flows::build(&ws);
-    let dataflow_ms = t.elapsed().as_millis();
-
-    let t = Instant::now();
-    let raw = rules::run(&ws, &flows);
+    let raw = rules::run(&ws);
     let rules_ms = t.elapsed().as_millis();
 
     let t = Instant::now();
@@ -463,18 +428,6 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
         findings.extend(bad);
         unused_allows.extend(map.values().flatten().map(|&allow| (fi, allow)));
         suppressed.push(map);
-        // Malformed `pure(...)` annotations are hard errors too: a typo'd
-        // purity annotation that silently verifies nothing defeats the
-        // contract.
-        for (line, what) in rules::purity::annotations(&file.source).errors {
-            findings.push(Finding {
-                path: file.rel_path.clone(),
-                line,
-                id: LintId::Sup,
-                message: what,
-                suggestion: "write `// cackle-lint: pure(param, ...)` listing unique declared parameter names".into(),
-            });
-        }
     }
 
     for r in raw {
@@ -540,10 +493,6 @@ pub fn lint_files_with_meta(inputs: Vec<(String, String)>) -> (Vec<Finding>, Lin
             PhaseTime {
                 name: "parse",
                 ms: parse_ms,
-            },
-            PhaseTime {
-                name: "dataflow",
-                ms: dataflow_ms,
             },
             PhaseTime {
                 name: "rules",
@@ -647,7 +596,7 @@ pub fn lint_root_with_meta(
     let has_task_rs = inputs.iter().any(|(p, _)| p == PHASE_ROOT_FILE);
     let (mut findings, mut meta) = lint_files_with_meta(inputs);
     // A tree with the engine's task file but no phase root would pass
-    // L17 (and L14's reachability half) by checking nothing.
+    // L17 by checking nothing.
     if has_task_rs && meta.parallel_phase.is_empty() {
         findings.push(Finding {
             path: PHASE_ROOT_FILE.to_string(),
@@ -1014,7 +963,7 @@ mod tests {
         let ok = "fn f() { Instant::now(); } // cackle-lint: allow(L1,L5)";
         assert!(lint_source("crates/cloud/src/vm.rs", ok).is_empty());
         // Retired ids are unknown ids: an allow naming one is SUP.
-        for retired in ["L4", "L9", "L12", "L15", "L16"] {
+        for retired in ["L4", "L9", "L12", "L14", "L15", "L16", "L19"] {
             assert_eq!(LintId::parse(retired), None);
             let src = format!("fn f() {{}} // cackle-lint: allow({retired})");
             let f = lint_source("crates/engine/src/task.rs", &src);
@@ -1022,14 +971,21 @@ mod tests {
             assert_eq!(f[0].id, LintId::Sup);
             assert!(f[0].message.contains(&format!("`{retired}`")), "{f:?}");
         }
-        // So is the retired `unit(...)` annotation.
-        let f = lint_source(
-            "crates/core/src/model.rs",
+        // So are the retired `unit(...)` and `pure(...)` annotations,
+        // trailing or on their own line.
+        for src in [
             "fn f(s: usize) -> usize { s + 1 } // cackle-lint: \
              unit(none)",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].id, LintId::Sup);
+            "// cackle-lint: \
+             pure(seed, vm)\nfn g(seed: u64, vm: u64) -> u64 { seed ^ vm }",
+            "fn g(seed: u64) -> u64 { seed } // cackle-lint: \
+             pure(seed)",
+        ] {
+            let f = lint_source("crates/faults/src/env.rs", src);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert_eq!(f[0].id, LintId::Sup);
+            assert!(f[0].message.contains("expected `allow(...)`"), "{f:?}");
+        }
     }
 
     #[test]
@@ -1189,7 +1145,7 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_rules_are_scoped_and_suppressible() {
+    fn seed_rule_is_scoped_and_suppressible() {
         // L13 fires in core, not in the prng crate or in #[test] items.
         let seed = "fn f() -> Pcg32 { Pcg32::seed_from_u64(42) }";
         assert!(lint_source("crates/core/src/model.rs", seed)
@@ -1201,14 +1157,6 @@ mod tests {
         assert!(lint_source("crates/core/src/model.rs", allowed).is_empty());
         let test_seed = "#[test]\nfn t() { let r = Pcg32::seed_from_u64(42); }";
         assert!(lint_source("crates/core/src/model.rs", test_seed).is_empty());
-        // L14 is engine-only even for reachable code.
-        let hot = "pub fn run_buffered(n: usize) { for i in 0..n { let v: Vec<u32> = (0..i).collect(); } }";
-        assert!(lint_source("crates/engine/src/task.rs", hot)
-            .iter()
-            .any(|f| f.id == LintId::L14));
-        assert!(lint_source("crates/core/src/system.rs", hot)
-            .iter()
-            .all(|f| f.id != LintId::L14));
     }
 
     #[test]
@@ -1219,6 +1167,6 @@ mod tests {
         )]);
         assert_eq!(meta.files, 1);
         let names: Vec<&str> = meta.phases.iter().map(|p| p.name).collect();
-        assert_eq!(names, ["parse", "dataflow", "rules", "filter"]);
+        assert_eq!(names, ["parse", "rules", "filter"]);
     }
 }

@@ -79,7 +79,7 @@ fn main() -> ExitCode {
             }
             "--explain" => {
                 let Some(id_str) = args.next() else {
-                    eprintln!("cackle-lint: --explain needs a rule id (L1..L19, SUP)");
+                    eprintln!("cackle-lint: --explain needs a rule id (L1..L17, SUP)");
                     return ExitCode::from(2);
                 };
                 // SUP is not LintId::parse-able (it may not appear in an
@@ -90,7 +90,7 @@ fn main() -> ExitCode {
                     LintId::parse(&id_str)
                 };
                 let Some(id) = id else {
-                    eprintln!("cackle-lint: unknown rule id `{id_str}` (expected L1..L19 or SUP)");
+                    eprintln!("cackle-lint: unknown rule id `{id_str}` (expected L1..L17 or SUP)");
                     return ExitCode::from(2);
                 };
                 println!("{}", explain(id));

@@ -1,15 +1,16 @@
 //! Brace-matched, item/block-aware parse layer on top of the lexer.
 //!
-//! The lexical rules (L1–L6) match token patterns on a flat stream; the
-//! structural rules (L7–L11) need to know *where* they are: which
-//! function body a token belongs to, what a call's argument list spans,
-//! how long a `let`-bound guard lives. This module recovers exactly that
-//! much structure — items (`fn` / `impl` / `mod` / `use`), delimiter
-//! matching, statement and block extents, call-site argument spans —
-//! and nothing more. It is deliberately not a Rust parser: expressions
-//! stay flat token runs, types are skipped by delimiter matching, and
-//! anything unrecognized is simply not an item. Failing to recognize a
-//! construct can only cost a finding, never fabricate one.
+//! The lexical rules (L1–L6, L13) match token patterns on a flat
+//! stream; the structural rules (L7–L17) need to know *where* they are:
+//! which function body a token belongs to, what a call's argument list
+//! spans, how long a `let`-bound guard lives. This module recovers
+//! exactly that much structure — items (`fn` / `impl` / `mod`),
+//! delimiter matching, statement and block extents, call-site argument
+//! spans — and nothing more. It is deliberately not a Rust parser:
+//! expressions stay flat token runs, types are skipped by delimiter
+//! matching, and anything unrecognized is simply not an item. Failing
+//! to recognize a construct can only cost a finding, never fabricate
+//! one.
 
 use crate::lexer::{lex, TokKind, Token};
 
@@ -26,17 +27,6 @@ pub struct FnItem {
     /// Token range of the `{ ... }` body, inclusive of both braces.
     /// `None` for bodyless signatures (trait methods, extern).
     pub body: Option<(usize, usize)>,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-}
-
-/// One `use` declaration, flattened to its leaf identifiers.
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// Path segments up to (not including) any `{...}` group or leaf.
-    pub prefix: Vec<String>,
-    /// Leaf names imported (group members, or the final segment).
-    pub leaves: Vec<String>,
 }
 
 /// A lexed + structurally annotated source file.
@@ -53,8 +43,6 @@ pub struct ParsedFile {
     enclosing_brace: Vec<Option<usize>>,
     /// All `fn` items, in source order (nested fns included).
     pub fns: Vec<FnItem>,
-    /// All `use` declarations.
-    pub uses: Vec<UseDecl>,
 }
 
 const OPEN: [&str; 3] = ["{", "(", "["];
@@ -67,14 +55,12 @@ impl ParsedFile {
         let test_excluded = test_excluded(&toks);
         let (close_of, enclosing_brace) = match_delims(&toks);
         let fns = collect_fns(&toks, &close_of);
-        let uses = collect_uses(&toks);
         ParsedFile {
             toks,
             test_excluded,
             close_of,
             enclosing_brace,
             fns,
-            uses,
         }
     }
 
@@ -417,7 +403,6 @@ fn collect_fns(toks: &[Token], close_of: &[Option<usize>]) -> Vec<FnItem> {
                     qualified,
                     kw: i,
                     body,
-                    line: toks[i].line,
                 });
                 // Continue *inside* the body: nested fns and closures
                 // still get collected; qualification intentionally does
@@ -453,43 +438,6 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Flatten `use a::b::{c, d::e}; use x::y;` into prefix + leaves.
-fn collect_uses(toks: &[Token]) -> Vec<UseDecl> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].ident() != "use" {
-            i += 1;
-            continue;
-        }
-        let mut prefix = Vec::new();
-        let mut leaves = Vec::new();
-        let mut j = i + 1;
-        while let Some(t) = toks.get(j) {
-            if t.punct() == ";" {
-                break;
-            }
-            if t.kind == TokKind::Ident && t.text != "as" {
-                let next = toks.get(j + 1).map(|t| t.punct().to_string());
-                if next.as_deref() == Some("::") {
-                    prefix.push(t.text.clone());
-                } else {
-                    leaves.push(t.text.clone());
-                }
-            }
-            j += 1;
-        }
-        if leaves.is_empty() {
-            if let Some(last) = prefix.pop() {
-                leaves.push(last);
-            }
-        }
-        out.push(UseDecl { prefix, leaves });
-        i = j + 1;
-    }
-    out
 }
 
 /// Marks token indices covered by `#[test]` / `#[cfg(test)]` items
@@ -696,15 +644,6 @@ mod tests {
         let inside: Vec<&str> = p.toks[lo..=hi].iter().map(|t| t.text.as_str()).collect();
         assert!(inside.contains(&"load"));
         assert!(!inside.contains(&"store"));
-    }
-
-    #[test]
-    fn use_decls_flattened() {
-        let p = ParsedFile::parse("use std::sync::{Mutex, RwLock};\nuse crate::task::execute;");
-        assert_eq!(p.uses.len(), 2);
-        assert_eq!(p.uses[0].prefix, ["std", "sync"]);
-        assert_eq!(p.uses[0].leaves, ["Mutex", "RwLock"]);
-        assert_eq!(p.uses[1].leaves, ["execute"]);
     }
 
     #[test]

@@ -4,18 +4,14 @@
 //! `lib.rs` — rules only decide *what* is wrong, never *whether it
 //! counts here*.
 
-use crate::dataflow::Flows;
 use crate::index::Workspace;
 use crate::LintId;
 
-pub mod alloc;
 pub mod atomics;
 pub mod ledger;
 pub mod lexical;
 pub mod locks;
 pub mod phase;
-pub mod purity;
-pub mod seeds;
 pub mod telemetry;
 
 /// A finding before central filtering: anchored to a (file, token)
@@ -34,20 +30,15 @@ pub struct RawFinding {
     pub suggestion: String,
 }
 
-/// Run every rule family over the workspace. `flows` is the shared
-/// intra-procedural dataflow + interprocedural summary layer the L13,
-/// L14 and L19 families consume.
-pub fn run(ws: &Workspace, flows: &Flows) -> Vec<RawFinding> {
+/// Run every rule family over the workspace.
+pub fn run(ws: &Workspace) -> Vec<RawFinding> {
     let mut out = Vec::new();
     lexical::check(ws, &mut out);
     locks::check(ws, &mut out);
     atomics::check(ws, &mut out);
     telemetry::check(ws, &mut out);
     ledger::check(ws, &mut out);
-    seeds::check(ws, flows, &mut out);
-    alloc::check(ws, flows, &mut out);
     phase::check(ws, &mut out);
-    purity::check(ws, flows, &mut out);
     out
 }
 
@@ -63,10 +54,8 @@ pub fn summary(id: LintId) -> &'static str {
         LintId::L8 => "no Ordering::Relaxed on atomics shared with worker closures",
         LintId::L10 => "telemetry metric names are literals on the DESIGN §7 grammar",
         LintId::L11 => "no money arithmetic outside the billing layer",
-        LintId::L13 => "every PRNG seed derives from the RunSpec seed",
-        LintId::L14 => "no per-iteration allocation on engine hot paths",
+        LintId::L13 => "no PRNG seeded from a literal or from another stream's draws",
         LintId::L17 => "no parallel-phase writes to shared registries",
-        LintId::L19 => "pure(...)-annotated fns uphold their purity contract",
         LintId::Sup => "malformed cackle-lint comment (hard error)",
     }
 }
@@ -196,31 +185,20 @@ pub fn explain(id: LintId) -> &'static str {
         LintId::L13 => {
             "L13 · seed provenance\n\
              \n\
-             Every `Pcg32::seed_from_u64(...)` argument is taint-tracked\n\
-             through the assignment graph and call summaries. It must derive\n\
-             from a seed/salt/`*_key` binding (the RunSpec seed, a registered\n\
-             salt constant, or a seed-derived helper like `splitmix64`).\n\
-             Flagged: literal seeds (not re-derivable from a RunSpec),\n\
-             re-seeding from a stream's own draws (`next_u64` feeding\n\
-             `seed_from_u64` couples the new stream to draw order), and\n\
-             arguments whose provenance cannot be proven.\n\
+             Every PRNG stream must be re-derivable from the RunSpec seed. Two\n\
+             `seed_from_u64(...)` arguments provably are not: an integer\n\
+             literal (`seed_from_u64(42)` bakes in randomness no RunSpec can\n\
+             reproduce) and an argument that calls a draw method (`next_u32`,\n\
+             `next_u64`, `gen_*`), in the argument itself or in the `let`\n\
+             that binds a lone identifier argument. Feeding a stream's\n\
+             output into a new stream couples the new stream to draw order,\n\
+             the exact coupling\n\
+             keyed streams exist to break. Derive sub-streams from the seed\n\
+             with a salt (`seed ^ SALT_X`, `splitmix64`) instead. The check\n\
+             is lexical: the argument's tokens, plus one `let` in the same fn.\n\
              \n\
              Scope: everywhere except crates/prng (where the primitive\n\
              lives) and crates/bench; `#[test]` items are exempt."
-        }
-        LintId::L14 => {
-            "L14 · hot-path allocation\n\
-             \n\
-             Inside loops of functions BFS-reachable from\n\
-             `TaskExecution::run_buffered` or an operator `next` path (plus\n\
-             the columnar kernels batch.rs/column.rs), per-iteration allocation\n\
-             multiplies by the row count: `Vec::new()`/`vec![...]`,\n\
-             `.collect()`, `.clone()` (Arc/schema handles exempt),\n\
-             `format!`, and `.push` into a vector whose initializer lacked\n\
-             `with_capacity`. Every suggestion starts with `reuse-buffer:`\n\
-             and names the hoisted/pre-sized alternative.\n\
-             \n\
-             Scope: crates/engine."
         }
         LintId::L17 => {
             "L17 · phase discipline\n\
@@ -243,37 +221,15 @@ pub fn explain(id: LintId) -> &'static str {
              (crates/telemetry and crates/faults define the shard/merge\n\
              APIs and are exempt)."
         }
-        LintId::L19 => {
-            "L19 · purity contracts\n\
-             \n\
-             `// cackle-lint: pure(param, ...)` on the line above a fn\n\
-             declares that the fn is a pure function of the listed\n\
-             parameters (`self` may be listed to permit reads of own\n\
-             fields). The env pack's keyed-draw artifacts (DESIGN §14) rely\n\
-             on this: `vm_traits(seed, vm)` must depend on nothing else, or\n\
-             worker count leaks into the draw. The dataflow layer verifies\n\
-             four clauses: (a) no reads of `static mut` items; (b) no\n\
-             interior-mutability calls (lock, borrow_mut, atomic store/\n\
-             fetch_*/compare_exchange); (c) every workspace callee is itself\n\
-             `pure(...)`-annotated (PRNG intrinsics like gen_range /\n\
-             splitmix64 / seed_from_u64 are the trusted leaves); (d) every\n\
-             argument of a `keyed` / `keyed_stream` call derives only from\n\
-             declared parameters, seed/salt-named constants, or own fields\n\
-             when `self` is declared. Annotations naming a parameter the fn\n\
-             does not have are flagged too; syntactically malformed\n\
-             annotations are SUP hard errors.\n\
-             \n\
-             Scope: everywhere except crates/bench."
-        }
         LintId::Sup => {
-            "SUP · malformed suppression or annotation\n\
+            "SUP · malformed suppression\n\
              \n\
-             A `// cackle-lint: allow(...)` / `pure(...)` comment that fails\n\
-             to parse — unknown or retired rule id, trailing comma, duplicate\n\
-             entry, empty list, missing `)`, or any other word after the\n\
-             marker — used to be silently ignored, leaving the finding it\n\
-             meant to suppress active (or worse, leaving a typo'd annotation\n\
-             silently dead). Malformed cackle-lint comments are hard errors.\n\
+             A `// cackle-lint: allow(...)` comment that fails to parse —\n\
+             unknown or retired rule id, trailing comma, duplicate entry,\n\
+             empty list, missing `)`, or any other word after the marker\n\
+             (the retired `unit(...)` and `pure(...)` annotations included)\n\
+             — used to be silently ignored, leaving the finding it meant to\n\
+             suppress active. Malformed cackle-lint comments are hard errors.\n\
              SUP itself cannot be suppressed.\n\
              \n\
              A well-formed allow that suppresses no finding is not SUP but\n\

@@ -1,37 +1,7 @@
-//! Fixture: deliberate L19 violations — purity contracts broken clause
-//! by clause — plus one malformed `pure(...)` annotation (SUP).
+//! Fixture: a leftover of a retired rule. L19 is a test now
+//! (`tests/purity.rs`), so an allow naming it is malformed (SUP), like
+//! any unknown rule id.
 
-static mut GLOBAL_EPOCH: u64 = 0;
-
-// cackle-lint: pure(seed, salt, key)
-pub fn keyed(seed: u64, salt: u64, key: u64) -> u64 {
-    let mut s = seed ^ salt ^ key;
-    splitmix64(&mut s)
-}
-
-// cackle-lint: pure(seed, nope)
-pub fn vm_traits(seed: u64, vm: u64, worker_slot: u64) -> u64 {
-    // L19 above: `nope` is not a parameter of this fn.
-    let _ = unsafe { GLOBAL_EPOCH }; // L19: mutable-static read
-    keyed(seed, SALT_ENV_VM, worker_slot) // L19: key from an undeclared param
-}
-
-fn now_ms() -> u64 {
-    0
-}
-
-// cackle-lint: pure(self, now_s)
-pub fn multiplier_milli(&self, now_s: u64) -> u64 {
-    let t = self.clock.lock(); // L19: interior mutability
-    let jitter = now_ms(); // L19: `now_ms` is not pure(...)-annotated
-    t ^ now_s ^ jitter
-}
-
-// cackle-lint: pure(seed)
-const SALT_ENV_VM: u64 = 0x9E37_79B9; // L19: annotation attaches to no fn
-
-// cackle-lint: pure(seed,)
-pub fn storm_offset(seed: u64) -> u64 {
-    // SUP above: trailing comma makes the annotation malformed.
-    seed
+pub fn vm_traits(seed: u64, vm: u64) -> u64 {
+    keyed(seed, SALT_ENV_VM, vm) // cackle-lint: allow(L19)
 }

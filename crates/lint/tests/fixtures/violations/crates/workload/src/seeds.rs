@@ -1,7 +1,7 @@
 //! Fixture: deliberate L13 violations — PRNG streams whose seeds cannot
-//! be re-derived from the RunSpec: a literal, a draw fed back in, and an
-//! argument with no seed-named provenance. The keyed near-miss at the
-//! bottom must stay silent.
+//! be re-derived from the RunSpec: a literal, and a draw fed back in,
+//! through a `let` and directly. The salted near-miss at the bottom must
+//! stay silent.
 
 fn fixed() -> Pcg32 {
     Pcg32::seed_from_u64(42) // L13: literal seed
@@ -12,8 +12,8 @@ fn chained(rng: &mut Pcg32) -> Pcg32 {
     Pcg32::seed_from_u64(draw) // L13: re-seeded from a stream's output
 }
 
-fn opaque(slot: u64) -> Pcg32 {
-    Pcg32::seed_from_u64(slot) // L13: provenance unproven
+fn direct(rng: &mut Pcg32) -> Pcg32 {
+    Pcg32::seed_from_u64(rng.next_u64()) // L13: the same, with no `let`
 }
 
 // Near-miss: a salted sub-stream of the RunSpec seed is the blessed

@@ -11,7 +11,8 @@
 //!
 //! Everything is integer state visited in a fixed order, so dispatch
 //! order is byte-identical across reruns; the loop bodies allocate
-//! nothing (this file is on cackle-lint L14's hot list).
+//! nothing (`tests/alloc_budget.rs` holds dispatch allocations per
+//! query flat from 10 to 1 000 tenants).
 
 use crate::tenant::PriorityClass;
 use std::collections::VecDeque;
