@@ -52,47 +52,21 @@ done
 echo "==> differential quantile sweep (value list vs sorted brute force)"
 cargo test -q -p cackle differential_quantile_value_list_vs_sorted
 
-echo "==> figures (work-delaying and run_system outputs regenerate to the committed bytes)"
-# fig01, fig11 and fig14 read the work-delaying baselines; fig12, fig13,
-# the spot-interruption ablation and the chaos sweep go through
-# run_system. The binaries write into results/, so the committed copies
-# are set aside first: a figure that drifted fails the gate, the tree is
-# left as it was, and what the binary wrote is kept beside the copies
-# for a diff.
-figs="fig01_latency_cdf.csv fig11_delaying.csv fig14_cost.csv fig14_latency.csv
-    fig12_timeseries.csv fig12_validation.csv fig12_telemetry.jsonl
-    fig13_model_validation.csv ablation_spot_interruptions.csv chaos_fault_sweep.csv"
-mkdir -p target/figcheck/committed target/figcheck/regenerated
-for f in $figs; do cp "results/$f" "target/figcheck/committed/$f"; done
-restore_figs() {
-    for g in $figs; do
-        cp "results/$g" "target/figcheck/regenerated/$g"
-        cp "target/figcheck/committed/$g" "results/$g"
-    done
-}
-for bin in fig01_latency_cdf fig11_delaying fig14_stability fig12_timeseries \
-    fig13_model_validation ablation_spot_interruptions chaos_fault_sweep; do
-    cargo run -q --release -p cackle-bench --bin "$bin" > /dev/null 2>&1 \
-        || { restore_figs; echo "$bin: failed to run" >&2; exit 1; }
-done
-for f in $figs; do
-    cmp "results/$f" "target/figcheck/committed/$f" \
-        || { restore_figs; echo "results/$f drifted (see target/figcheck/)" >&2; exit 1; }
+echo "==> repro (every experiment regenerates its committed outputs byte for byte)"
+# One run of every experiment, fanned out over the host's cores. repro
+# writes under target/repro/ and never under results/; a drifted, missing
+# or orphaned file fails the gate with one line each. The chaos, tenant
+# and environment sweeps assert recovery, exact attribution, stable p99
+# and ledger conservation at every row, so a regression there fails too.
+cargo run -q --release -p cackle-bench --bin repro > /dev/null
+for dump in env_grid_telemetry.jsonl fig12_telemetry.jsonl; do
+    cargo run -q --release -p cackle-telemetry --bin telemetry-check -- "target/repro/$dump"
 done
 
 echo "==> telemetry dump round-trip"
 cargo run -q --release --example quickstart
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/quickstart_telemetry.jsonl
-
-echo "==> tenant-sweep smoke (exact attribution, stable p99)"
-# --smoke shrinks the sweep to 1/10/100 tenants; the bench itself
-# asserts exact micro-dollar attribution and p99-vs-single-tenant at
-# every row, so a serving-layer regression fails this step. Smoke runs
-# write under target/smoke/, never over the committed results/ CSV.
-cargo run -q --release -p cackle-bench --bin bench_tenant_sweep -- --smoke
-test -s target/smoke/tenant_sweep.csv \
-    || { echo "bench_tenant_sweep: missing target/smoke/tenant_sweep.csv" >&2; exit 1; }
 
 echo "==> multi-tenant serving smoke (per-tenant ledger + serve.* telemetry)"
 cargo run -q --release --example multi_tenant
@@ -103,17 +77,6 @@ echo "==> chaos smoke (seeded fault plan, bounded recovery)"
 cargo run -q --release --example fault_injection
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/fault_injection_telemetry.jsonl
-
-echo "==> environment-grid smoke (scenario pack, exact ledger conservation)"
-# --smoke shrinks the workload; the bench asserts per-cell micro-dollar
-# conservation and writes a multi-region cell's dump for the env.*
-# schema check, both under target/smoke/. The CSV still covers all 4
-# environments x 3 strategies.
-cargo run -q --release -p cackle-bench --bin bench_env_grid -- --smoke
-test -s target/smoke/env_grid.csv \
-    || { echo "bench_env_grid: missing target/smoke/env_grid.csv" >&2; exit 1; }
-cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
-    target/smoke/env_grid_telemetry.jsonl
 
 echo "==> bench_all smoke (the benchmark's correctness gate on all four workloads)"
 # ~10 ops per workload, ~20 s, writes only under target/smoke/. A pass
