@@ -9,7 +9,7 @@ use crate::ledger::{CostCategory, CostLedger};
 use crate::pricing::Pricing;
 use crate::time::{SimDuration, SimTime};
 use cackle_faults::{FaultInjector, PoolDecision};
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 use std::collections::BTreeMap;
 
 /// Identifier of one elastic-pool invocation.
@@ -59,7 +59,7 @@ impl ElasticPool {
         self.active.insert(id, start);
         self.invocations_total += 1;
         self.peak_concurrency = self.peak_concurrency.max(self.active.len());
-        self.telemetry.counter_add("pool.invocations_total", 1);
+        self.telemetry.add(catalog::POOL_INVOCATIONS_TOTAL, 1);
         (id, start)
     }
 
@@ -96,7 +96,7 @@ impl ElasticPool {
             .charge(CostCategory::ElasticPool, self.pricing.pool_cost(ran));
         self.ledger.pool_seconds += ran.as_secs_f64();
         self.telemetry
-            .observe("pool.invocation_seconds", ran.as_secs_f64());
+            .record(catalog::POOL_INVOCATION_SECONDS, ran.as_secs_f64());
         Some(ran)
     }
 

@@ -21,6 +21,7 @@ use crate::ledger::{micro_dollars, CostCategory, CostLedger};
 use crate::pricing::Pricing;
 use crate::time::{SimDuration, SimTime};
 use cackle_faults::PriceTimeline;
+use cackle_telemetry::catalog::{self, Counter};
 use cackle_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -28,41 +29,39 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u64);
 
-/// The fleet's metric names for one telemetry component, as literals:
-/// the DESIGN §7 schema (enforced by lint L10) fixes the set of emitted
-/// series at compile time, so per-component names are selected from
-/// this table rather than formatted at the write site.
-#[derive(Debug)]
-struct FleetMetricNames {
-    vms_started_total: &'static str,
-    vms_reclaimed_total: &'static str,
-    vms_terminated_total: &'static str,
-    vm_billed_seconds: &'static str,
+/// The fleet's metrics for one telemetry component, as catalogue
+/// handles: `fleet` and `shuffle_fleet` record the same four.
+#[derive(Debug, Clone, Copy)]
+struct FleetMetrics {
+    vms_started_total: Counter,
+    vms_reclaimed_total: Counter,
+    vms_terminated_total: Counter,
+    vm_billed_seconds: catalog::Histogram,
 }
 
-static FLEET_METRICS: FleetMetricNames = FleetMetricNames {
-    vms_started_total: "fleet.vms_started_total",
-    vms_reclaimed_total: "fleet.vms_reclaimed_total",
-    vms_terminated_total: "fleet.vms_terminated_total",
-    vm_billed_seconds: "fleet.vm_billed_seconds",
+const FLEET_METRICS: FleetMetrics = FleetMetrics {
+    vms_started_total: catalog::FLEET_VMS_STARTED_TOTAL,
+    vms_reclaimed_total: catalog::FLEET_VMS_RECLAIMED_TOTAL,
+    vms_terminated_total: catalog::FLEET_VMS_TERMINATED_TOTAL,
+    vm_billed_seconds: catalog::FLEET_VM_BILLED_SECONDS,
 };
 
-static SHUFFLE_FLEET_METRICS: FleetMetricNames = FleetMetricNames {
-    vms_started_total: "shuffle_fleet.vms_started_total",
-    vms_reclaimed_total: "shuffle_fleet.vms_reclaimed_total",
-    vms_terminated_total: "shuffle_fleet.vms_terminated_total",
-    vm_billed_seconds: "shuffle_fleet.vm_billed_seconds",
+const SHUFFLE_FLEET_METRICS: FleetMetrics = FleetMetrics {
+    vms_started_total: catalog::SHUFFLE_FLEET_VMS_STARTED_TOTAL,
+    vms_reclaimed_total: catalog::SHUFFLE_FLEET_VMS_RECLAIMED_TOTAL,
+    vms_terminated_total: catalog::SHUFFLE_FLEET_VMS_TERMINATED_TOTAL,
+    vm_billed_seconds: catalog::SHUFFLE_FLEET_VM_BILLED_SECONDS,
 };
 
-fn metric_names(component: &str) -> &'static FleetMetricNames {
+fn fleet_metrics(component: &str) -> FleetMetrics {
     match component {
-        "shuffle_fleet" => &SHUFFLE_FLEET_METRICS,
+        "shuffle_fleet" => SHUFFLE_FLEET_METRICS,
         other => {
             debug_assert_eq!(
                 other, "fleet",
-                "unknown fleet component `{other}`: add it to the metric-name table"
+                "unknown fleet component `{other}`: add its metrics to the catalogue"
             );
-            &FLEET_METRICS
+            FLEET_METRICS
         }
     }
 }
@@ -159,8 +158,8 @@ pub struct VmFleet {
     telemetry: Telemetry,
     /// Telemetry component name, e.g. `fleet` or `shuffle_fleet`.
     component: &'static str,
-    /// Literal metric names for `component` (see [`metric_names`]).
-    metrics: &'static FleetMetricNames,
+    /// Metric handles for `component` (see [`fleet_metrics`]).
+    metrics: FleetMetrics,
 }
 
 impl VmFleet {
@@ -188,7 +187,7 @@ impl VmFleet {
             terminated_total: 0,
             telemetry: Telemetry::disabled(),
             component: "fleet",
-            metrics: &FLEET_METRICS,
+            metrics: FLEET_METRICS,
         }
     }
 
@@ -213,7 +212,7 @@ impl VmFleet {
     /// layer and `shuffle_fleet` for shuffle nodes).
     pub fn instrument(&mut self, component: &'static str, telemetry: &Telemetry) {
         self.component = component;
-        self.metrics = metric_names(component);
+        self.metrics = fleet_metrics(component);
         self.telemetry = telemetry.clone();
         self.ledger.instrument(component, telemetry);
     }
@@ -313,9 +312,7 @@ impl VmFleet {
         }
         if !started.is_empty() && self.telemetry.is_enabled() {
             let n = started.len() as u64;
-            // cackle-lint: allow(L10) — selected from the literal FleetMetricNames table
-            self.telemetry
-                .counter_add(self.metrics.vms_started_total, n);
+            self.telemetry.add(self.metrics.vms_started_total, n);
         }
         started
     }
@@ -350,9 +347,7 @@ impl VmFleet {
         if self.running.contains_key(&id) {
             self.terminate(now, id);
             if self.telemetry.is_enabled() {
-                // cackle-lint: allow(L10) — selected from the literal FleetMetricNames table
-                self.telemetry
-                    .counter_add(self.metrics.vms_reclaimed_total, 1);
+                self.telemetry.add(self.metrics.vms_reclaimed_total, 1);
                 self.telemetry
                     .event(now.as_millis(), "vm.interrupted", self.component);
             }
@@ -414,11 +409,8 @@ impl VmFleet {
         let secs = self.billing.charge(&mut self.ledger, &vm, now);
         self.terminated_total += 1;
         if self.telemetry.is_enabled() {
-            // cackle-lint: allow(L10) — selected from the literal FleetMetricNames table
-            self.telemetry
-                .counter_add(self.metrics.vms_terminated_total, 1);
-            // cackle-lint: allow(L10) — selected from the literal FleetMetricNames table
-            self.telemetry.observe(self.metrics.vm_billed_seconds, secs);
+            self.telemetry.add(self.metrics.vms_terminated_total, 1);
+            self.telemetry.record(self.metrics.vm_billed_seconds, secs);
         }
     }
 

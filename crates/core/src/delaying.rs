@@ -19,7 +19,7 @@ use crate::report::{ComputeCost, RunResult};
 use crate::runloop::{record_query_done, validate_stage_graph, Progress, QueryGraph};
 use crate::spec::{RunError, RunSpec};
 use crate::system::profile_graphs;
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -172,7 +172,7 @@ impl<'a> QueuedRun<'a> {
     ) -> RunResult {
         self.telemetry.add_cost(component, "vm_compute", dollars);
         self.telemetry
-            .gauge_set("run.duration_seconds", self.makespan_s as f64);
+            .gauge_set(catalog::RUN_DURATION_SECONDS, self.makespan_s as f64);
         RunResult {
             compute: ComputeCost {
                 vm_cost: dollars,

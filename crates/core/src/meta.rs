@@ -23,7 +23,7 @@ use crate::config::Env;
 use crate::history::{SlidingQuantile, WorkloadHistory};
 use crate::strategy::ProvisioningStrategy;
 use cackle_prng::Pcg32;
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 
 /// One member of the strategy family.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -323,7 +323,7 @@ impl ProvisioningStrategy for MetaStrategy {
         let choice = self.sample_expert();
         if choice != self.current && self.ticks > 0 {
             self.switches += 1;
-            self.telemetry.counter_add("meta.switches_total", 1);
+            self.telemetry.add(catalog::META_SWITCHES_TOTAL, 1);
         }
         self.current = choice;
         self.ticks += 1;
@@ -331,13 +331,13 @@ impl ProvisioningStrategy for MetaStrategy {
         if self.telemetry.is_enabled() {
             let t_ms = now.saturating_mul(1000);
             let e = self.experts[choice];
-            self.telemetry.counter_add("meta.ticks_total", 1);
+            self.telemetry.add(catalog::META_TICKS_TOTAL, 1);
             self.telemetry
-                .sample("meta.chosen_target", t_ms, target as f64);
+                .sample(catalog::META_CHOSEN_TARGET, t_ms, target as f64);
             self.telemetry
-                .sample("meta.expert_percentile", t_ms, e.percentile as f64);
+                .sample(catalog::META_EXPERT_PERCENTILE, t_ms, e.percentile as f64);
             self.telemetry
-                .sample("meta.expert_multiplier", t_ms, e.multiplier);
+                .sample(catalog::META_EXPERT_MULTIPLIER, t_ms, e.multiplier);
         }
         target
     }

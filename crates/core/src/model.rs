@@ -17,7 +17,7 @@ use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use cackle_prng::Pcg32;
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 use cackle_workload::arrivals::WorkloadSpec;
 use cackle_workload::demand::DemandCurve;
 use cackle_workload::profile::ProfileRef;
@@ -147,9 +147,7 @@ pub fn run_model_with(
             let bytes = (total as f64 * environment.remote_vm_fraction).round() as u64;
             let micros = cackle_cloud::egress_micros(bytes, environment.egress_micros_per_gib);
             result.shuffle.egress_cost = micros as f64 / 1e6;
-            result
-                .telemetry
-                .counter_add("env.egress_bytes_total", bytes);
+            result.telemetry.add(catalog::ENV_EGRESS_BYTES_TOTAL, bytes);
             result
                 .telemetry
                 .add_cost("env", "egress", result.shuffle.egress_cost);
@@ -230,9 +228,9 @@ pub fn simulate_compute_with_timeline(
         fleet.step(target, d);
         if telemetry.is_enabled() && t < horizon {
             let t_ms = t * 1000;
-            telemetry.sample("run.demand", t_ms, d as f64);
-            telemetry.sample("run.target", t_ms, target as f64);
-            telemetry.sample("run.active", t_ms, fleet.active_count() as f64);
+            telemetry.sample(catalog::RUN_DEMAND, t_ms, d as f64);
+            telemetry.sample(catalog::RUN_TARGET, t_ms, target as f64);
+            telemetry.sample(catalog::RUN_ACTIVE, t_ms, fleet.active_count() as f64);
         }
         t += 1;
         if t >= horizon && fleet.active_count() == 0 && fleet.pending_count() == 0 {
@@ -248,7 +246,7 @@ pub fn simulate_compute_with_timeline(
     };
     telemetry.add_cost("fleet", "vm_compute", compute.vm_cost);
     telemetry.add_cost("pool", "elastic_pool", compute.pool_cost);
-    telemetry.gauge_set("run.duration_seconds", horizon as f64);
+    telemetry.gauge_set(catalog::RUN_DURATION_SECONDS, horizon as f64);
     RunResult {
         compute,
         shuffle: ShuffleCost::default(),
@@ -305,8 +303,8 @@ fn simulate_shuffle(curves: &WorkloadCurves, env: &Env, telemetry: &Telemetry) -
     telemetry.add_cost("shuffle_fleet", "shuffle_node", cost.node_cost);
     telemetry.add_cost("store", "s3_put", cost.s3_put_cost);
     telemetry.add_cost("store", "s3_get", cost.s3_get_cost);
-    telemetry.counter_add("store.put_requests_total", puts);
-    telemetry.counter_add("store.get_requests_total", gets);
+    telemetry.add(catalog::STORE_PUT_REQUESTS_TOTAL, puts);
+    telemetry.add(catalog::STORE_GET_REQUESTS_TOTAL, gets);
     cost
 }
 

@@ -174,6 +174,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cackle_telemetry::catalog;
 
     #[test]
     fn totals_and_percentiles() {
@@ -220,9 +221,9 @@ mod tests {
     fn timeseries_rebuilds_from_telemetry() {
         let t = Telemetry::new();
         for s in 0..3u64 {
-            t.sample("run.demand", s * 1000, (s * 10) as f64);
-            t.sample("run.target", s * 1000, (s * 10 + 1) as f64);
-            t.sample("run.active", s * 1000, (s * 10 + 2) as f64);
+            t.sample(catalog::RUN_DEMAND, s * 1000, (s * 10) as f64);
+            t.sample(catalog::RUN_TARGET, s * 1000, (s * 10 + 1) as f64);
+            t.sample(catalog::RUN_ACTIVE, s * 1000, (s * 10 + 2) as f64);
         }
         let ts = Timeseries::from_telemetry(&t).unwrap();
         assert_eq!(ts.demand, vec![0, 10, 20]);

@@ -25,7 +25,7 @@ use cackle_cloud::{
     SimTime, VmFleet, VmId,
 };
 use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint};
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 use std::collections::VecDeque;
 
 /// One task handed to the loop: how long it occupies whichever slot the
@@ -154,8 +154,11 @@ pub(crate) fn record_query_done(
     arrival_ms: u64,
     latency_ms: u64,
 ) {
-    telemetry.counter_add("run.queries_total", 1);
-    telemetry.observe("run.query_latency_seconds", latency_ms as f64 / 1000.0);
+    telemetry.add(catalog::RUN_QUERIES_TOTAL, 1);
+    telemetry.record(
+        catalog::RUN_QUERY_LATENCY_SECONDS,
+        latency_ms as f64 / 1000.0,
+    );
     telemetry.span_event(
         arrival_ms,
         latency_ms,
@@ -503,9 +506,9 @@ pub(crate) fn run<'a, S: TaskSource>(
                 st.shuffle_fleet.set_target(now, shuffle_target as usize);
                 if telemetry.is_enabled() {
                     let t_ms = now.as_millis();
-                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
-                    telemetry.sample("run.target", t_ms, target as f64);
-                    telemetry.sample("run.active", t_ms, st.fleet.running_count() as f64);
+                    telemetry.sample(catalog::RUN_DEMAND, t_ms, history.latest() as f64);
+                    telemetry.sample(catalog::RUN_TARGET, t_ms, target as f64);
+                    telemetry.sample(catalog::RUN_ACTIVE, t_ms, st.fleet.running_count() as f64);
                 }
                 if done < total || st.running > 0 {
                     st.events
@@ -539,7 +542,7 @@ pub(crate) fn run<'a, S: TaskSource>(
     let pool_ledger = st.pool.ledger();
     let node_ledger = st.shuffle_fleet.ledger();
     let store_ledger = st.source.store_ledger();
-    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
+    telemetry.gauge_set(catalog::RUN_DURATION_SECONDS, history.len() as f64);
 
     let result = RunResult {
         compute: ComputeCost {
@@ -626,7 +629,7 @@ impl<S: TaskSource> Coordinator<'_, S> {
         if self.environment.remote_vm_fraction > 0.0 && self.faults.vm_traits(vm.0).remote {
             let bytes = self.source.remote_egress_bytes(query, stage);
             if bytes > 0 {
-                telemetry.counter_add("env.egress_bytes_total", bytes);
+                telemetry.add(catalog::ENV_EGRESS_BYTES_TOTAL, bytes);
                 self.env_ledger.charge_micros(
                     CostCategory::Egress,
                     egress_micros(bytes, self.environment.egress_micros_per_gib),

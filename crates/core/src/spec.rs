@@ -332,8 +332,9 @@ mod tests {
         // An attached sink wins and is shared, not copied.
         let t = Telemetry::new();
         let s = RunSpec::new().with_telemetry(&t);
-        s.effective_telemetry().counter_add("x", 1);
-        assert_eq!(t.counter("x"), 1);
+        s.effective_telemetry()
+            .add(cackle_telemetry::catalog::RUN_QUERIES_TOTAL, 1);
+        assert_eq!(t.counter("run.queries_total"), 1);
     }
 
     #[test]

@@ -21,14 +21,9 @@ use crate::schema::SchemaRef;
 use crate::shuffle::{ShuffleKey, ShuffleTransport};
 use crate::table::Catalog;
 use cackle_faults::{op_key, TaskFaults};
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 use std::cell::RefCell;
 use std::sync::Arc;
-
-/// Row-count-flavoured histogram bounds for per-task input sizes.
-const ROW_BUCKETS: [f64; 9] = [
-    100.0, 1_000.0, 10_000.0, 100_000.0, 1e6, 1e7, 1e8, 1e9, 1e10,
-];
 
 /// Everything a task needs to run.
 pub struct TaskContext<'a> {
@@ -231,30 +226,27 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
             }
         }
         if ctx.telemetry.is_enabled() {
-            ctx.telemetry.counter_add("engine.tasks_total", 1);
+            ctx.telemetry.add(catalog::ENGINE_TASKS_TOTAL, 1);
             ctx.telemetry
-                .counter_add("engine.task_rows_out_total", result.rows_out);
-            ctx.telemetry.counter_add(
-                "engine.shuffle_bytes_written_total",
+                .add(catalog::ENGINE_TASK_ROWS_OUT_TOTAL, result.rows_out);
+            ctx.telemetry.add(
+                catalog::ENGINE_SHUFFLE_BYTES_WRITTEN_TOTAL,
                 result.shuffle_bytes_written,
             );
             ctx.telemetry
-                .counter_add("engine.shuffle_writes_total", result.shuffle_writes);
-            ctx.telemetry.observe_with_buckets(
-                "engine.task_rows_in",
-                result.rows_in as f64,
-                &ROW_BUCKETS,
-            );
+                .add(catalog::ENGINE_SHUFFLE_WRITES_TOTAL, result.shuffle_writes);
+            ctx.telemetry
+                .record(catalog::ENGINE_TASK_ROWS_IN, result.rows_in as f64);
             // Per-run deltas: the arena's counters are cumulative across
             // a context's lifetime, but a context may run many probes in
             // tests; report only what this run consumed.
             let s = ctx.scratch.borrow().stats();
-            ctx.telemetry.counter_add(
-                "engine.scratch_checkouts_total",
+            ctx.telemetry.add(
+                catalog::ENGINE_SCRATCH_CHECKOUTS_TOTAL,
                 s.checkouts - scratch_before.checkouts,
             );
-            ctx.telemetry.counter_add(
-                "engine.scratch_reuses_total",
+            ctx.telemetry.add(
+                catalog::ENGINE_SCRATCH_REUSES_TOTAL,
                 s.reuses - scratch_before.reuses,
             );
         }

@@ -40,7 +40,7 @@
 //! the full set).
 
 use cackle_prng::{splitmix64, Pcg32};
-use cackle_telemetry::Telemetry;
+use cackle_telemetry::{catalog, Telemetry};
 use std::cell::{RefCell, RefMut};
 use std::fmt;
 use std::rc::Rc;
@@ -547,19 +547,18 @@ impl Keyed {
         let (rate, counter) = match op {
             StoreOp::Get => (
                 self.spec.store_get_error_rate,
-                "fault.store_get_errors_total",
+                catalog::FAULT_STORE_GET_ERRORS_TOTAL,
             ),
             StoreOp::Put => (
                 self.spec.store_put_error_rate,
-                "fault.store_put_errors_total",
+                catalog::FAULT_STORE_PUT_ERRORS_TOTAL,
             ),
         };
         let mut failed = 0u32;
         while failed < self.policy.max_retries && rate > 0.0 && rng.gen_bool(rate) {
             failed += 1;
-            // cackle-lint: allow(L10) — `counter` is chosen from the literal match on `op` above
-            self.telemetry.counter_add(counter, 1);
-            self.telemetry.counter_add("recovery.retries_total", 1);
+            self.telemetry.add(counter, 1);
+            self.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
         }
         1 + failed as u64
     }
@@ -615,13 +614,13 @@ impl TaskFaults {
             if !rng.gen_bool(rate) {
                 return false;
             }
-            k.telemetry.counter_add("fault.transport_drops_total", 1);
+            k.telemetry.add(catalog::FAULT_TRANSPORT_DROPS_TOTAL, 1);
             if attempt + 1 < attempts {
-                k.telemetry.counter_add("recovery.retries_total", 1);
+                k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
             }
         }
         k.telemetry
-            .counter_add("recovery.transport_fallbacks_total", 1);
+            .add(catalog::RECOVERY_TRANSPORT_FALLBACKS_TOTAL, 1);
         true
     }
 
@@ -642,8 +641,8 @@ impl TaskFaults {
         let mut retries = 0u32;
         while retries < k.policy.max_retries && rng.gen_bool(rate) {
             retries += 1;
-            k.telemetry.counter_add("fault.transport_drops_total", 1);
-            k.telemetry.counter_add("recovery.retries_total", 1);
+            k.telemetry.add(catalog::FAULT_TRANSPORT_DROPS_TOTAL, 1);
+            k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
         }
         retries
     }
@@ -744,9 +743,9 @@ impl FaultInjector {
     pub fn vm_interrupt_at(&self, now_s: u64, task_seconds: f64) -> Option<f64> {
         let (mut plan, k) = self.parts()?;
         let frac = plan.vm_interrupt_at(now_s, task_seconds)?;
-        k.telemetry.counter_add("fault.spot_reclaims_total", 1);
+        k.telemetry.add(catalog::FAULT_SPOT_RECLAIMS_TOTAL, 1);
         if plan.in_storm(now_s) {
-            k.telemetry.counter_add("env.storm_reclaims_total", 1);
+            k.telemetry.add(catalog::ENV_STORM_RECLAIMS_TOTAL, 1);
         }
         Some(frac)
     }
@@ -774,14 +773,11 @@ impl FaultInjector {
             return VmTraits::default();
         }
         let traits = k.spec.environment.vm_traits(k.seed, vm);
-        k.telemetry.observe_with_buckets(
-            "env.vm_slowdown",
-            traits.slowdown,
-            &[1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0],
-        );
-        k.telemetry.counter_add("env.vms_total", 1);
+        k.telemetry
+            .record(catalog::ENV_VM_SLOWDOWN, traits.slowdown);
+        k.telemetry.add(catalog::ENV_VMS_TOTAL, 1);
         if traits.remote {
-            k.telemetry.counter_add("env.remote_vms_total", 1);
+            k.telemetry.add(catalog::ENV_REMOTE_VMS_TOTAL, 1);
         }
         traits
     }
@@ -810,7 +806,7 @@ impl FaultInjector {
     pub fn straggler(&self) -> Option<f64> {
         let (mut plan, k) = self.parts()?;
         let slowdown = plan.straggler()?;
-        k.telemetry.counter_add("fault.stragglers_total", 1);
+        k.telemetry.add(catalog::FAULT_STRAGGLERS_TOTAL, 1);
         Some(slowdown)
     }
 
@@ -824,9 +820,9 @@ impl FaultInjector {
         match decision {
             PoolDecision::Fail => k
                 .telemetry
-                .counter_add("fault.pool_invoke_failures_total", 1),
+                .add(catalog::FAULT_POOL_INVOKE_FAILURES_TOTAL, 1),
             PoolDecision::Throttle { .. } => {
-                k.telemetry.counter_add("fault.pool_throttles_total", 1)
+                k.telemetry.add(catalog::FAULT_POOL_THROTTLES_TOTAL, 1)
             }
             PoolDecision::Proceed => {}
         }
@@ -857,16 +853,16 @@ impl FaultInjector {
     /// retry after backoff).
     pub fn note_retry(&self, backoff_ms: u64) {
         if let Some(k) = &self.tasks.inner {
-            k.telemetry.counter_add("recovery.retries_total", 1);
+            k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
             k.telemetry
-                .counter_add("recovery.backoff_ms_total", backoff_ms);
+                .add(catalog::RECOVERY_BACKOFF_MS_TOTAL, backoff_ms);
         }
     }
 
     /// Record a task re-execution (e.g. after a spot reclaim).
     pub fn note_reexec(&self) {
         if let Some(k) = &self.tasks.inner {
-            k.telemetry.counter_add("recovery.task_reexecs_total", 1);
+            k.telemetry.add(catalog::RECOVERY_TASK_REEXECS_TOTAL, 1);
         }
     }
 
@@ -874,14 +870,14 @@ impl FaultInjector {
     pub fn note_duplicate(&self) {
         if let Some(k) = &self.tasks.inner {
             k.telemetry
-                .counter_add("recovery.duplicates_launched_total", 1);
+                .add(catalog::RECOVERY_DUPLICATES_LAUNCHED_TOTAL, 1);
         }
     }
 
     /// Record a duplicate finishing before its straggling primary.
     pub fn note_duplicate_win(&self) {
         if let Some(k) = &self.tasks.inner {
-            k.telemetry.counter_add("recovery.duplicate_wins_total", 1);
+            k.telemetry.add(catalog::RECOVERY_DUPLICATE_WINS_TOTAL, 1);
         }
     }
 
@@ -889,7 +885,7 @@ impl FaultInjector {
     /// surfaces a typed error naming the injection point.
     pub fn note_unrecovered(&self, point: InjectionPoint) {
         if let Some(k) = &self.tasks.inner {
-            k.telemetry.counter_add("recovery.unrecovered_total", 1);
+            k.telemetry.add(catalog::RECOVERY_UNRECOVERED_TOTAL, 1);
             k.telemetry.event(0, "fault.unrecovered", point.as_str());
         }
     }

@@ -6,8 +6,8 @@
 //! which is what makes the rules immune to matches inside documentation
 //! or message text. String literals (plain, raw, byte, raw-byte) are
 //! preserved as [`TokKind::Str`] tokens whose `text` is the literal's
-//! *content* (no quotes, no `r#` decoration, escapes left as written):
-//! the telemetry-schema rule (L10) has to read metric-name literals.
+//! *content* (no quotes, no `r#` decoration, escapes left as written),
+//! so a rule can read a literal's text without mistaking it for code.
 //! Rules that compare token text therefore must check `kind` — a string
 //! containing `"+"` is not the `+` operator. Lifetimes (`'a`) are
 //! distinguished from char literals and dropped.

@@ -8,9 +8,11 @@
 //! goes: fault draws are keyed by `TaskFaults` (formerly L9/L18),
 //! scratch buffers are scoped by `ScratchArena::with_*` closures
 //! (formerly L16), allocation per row is counted by
-//! `tests/alloc_budget.rs` (formerly L14), and keyed draws are checked
-//! for call-order independence by `tests/purity.rs` (formerly L19). It
-//! is a small *analyzer*, not just a lexer: source is tokenized
+//! `tests/alloc_budget.rs` (formerly L14), keyed draws are checked for
+//! call-order independence by `tests/purity.rs` (formerly L19), and
+//! metrics are recorded through typed `cackle_telemetry::catalog`
+//! handles (formerly L10). It is a small *analyzer*, not just a
+//! lexer: source is tokenized
 //! ([`lexer`]), brace-matched into items, blocks, statements, and call
 //! sites ([`parser`]), indexed across the workspace into fn items and
 //! an approximate call graph ([`index`]), and the rule families
@@ -29,7 +31,6 @@
 //! | L6 | no `thread::spawn` / `thread::scope` (ad-hoc threading) | everywhere except `engine/src/executor.rs`, `lint/src/index.rs` |
 //! | L7 | no lock-order cycles (static deadlock detector) | `crates/engine`, `crates/core` |
 //! | L8 | no `Ordering::Relaxed` on atomics shared with worker closures | `crates/engine`, `crates/core` |
-//! | L10 | metric names are literals matching the DESIGN §7 grammar | everywhere |
 //! | L11 | no raw money arithmetic / call-site price formulas | everywhere except `cloud/src/{ledger,pricing}.rs`, `core/src/prices.rs`, `crates/bench` |
 //! | L13 | no PRNG seeded from a literal or from another stream's draws | everywhere except `crates/prng`, `crates/bench` |
 //! | L17 | no parallel-phase writes to shared registries (telemetry / shuffle / ledger) | `crates/engine`, `crates/core`, `crates/cloud` |
@@ -45,9 +46,9 @@
 //! `tests/`, `benches/`, and `#[cfg(test)]` / `#[test]` items are
 //! skipped by default: test code may use the host clock, unwraps, and
 //! hash iteration freely. With `--include-tests`, files under `tests/`
-//! and `benches/` are linted against the restricted rule set {L2, L10}
-//! (a test that seeds from entropy or emits an off-schema metric is a
-//! flake factory even though panics there are fine).
+//! and `benches/` are linted against the restricted rule set {L2} (a
+//! test that seeds from entropy is a flake factory even though panics
+//! there are fine).
 //!
 //! # Suppressions
 //!
@@ -62,8 +63,8 @@
 //! longer justification can sit above the flagged code:
 //!
 //! ```text
-//! // cackle-lint: allow(L10) — name comes from the literal table above
-//! telemetry.counter_add(metrics.vms_started_total, n);
+//! // cackle-lint: allow(L5) — the id was checked against the table above
+//! let row = table.get(id).unwrap();
 //! ```
 //!
 //! Multiple ids may be listed: `// cackle-lint: allow(L1,L5)`. A
@@ -108,8 +109,6 @@ pub enum LintId {
     L7,
     /// `Ordering::Relaxed` on atomics shared with worker closures.
     L8,
-    /// Telemetry metric-name schema violations.
-    L10,
     /// Ledger hygiene: money arithmetic outside the billing layer.
     L11,
     /// Seed provenance: no literal seed, no seed drawn from a stream.
@@ -122,7 +121,7 @@ pub enum LintId {
 
 impl LintId {
     /// All rules, in report order.
-    pub const ALL: [LintId; 12] = [
+    pub const ALL: [LintId; 11] = [
         LintId::L1,
         LintId::L2,
         LintId::L3,
@@ -130,7 +129,6 @@ impl LintId {
         LintId::L6,
         LintId::L7,
         LintId::L8,
-        LintId::L10,
         LintId::L11,
         LintId::L13,
         LintId::L17,
@@ -149,7 +147,6 @@ impl LintId {
             "L6" => Some(LintId::L6),
             "L7" => Some(LintId::L7),
             "L8" => Some(LintId::L8),
-            "L10" => Some(LintId::L10),
             "L11" => Some(LintId::L11),
             "L13" => Some(LintId::L13),
             "L17" => Some(LintId::L17),
@@ -176,7 +173,6 @@ impl fmt::Display for LintId {
             LintId::L6 => "L6",
             LintId::L7 => "L7",
             LintId::L8 => "L8",
-            LintId::L10 => "L10",
             LintId::L11 => "L11",
             LintId::L13 => "L13",
             LintId::L17 => "L17",
@@ -248,7 +244,6 @@ fn applies(id: LintId, path: &str) -> bool {
         // and merges results in input order.
         LintId::L6 => path != "crates/engine/src/executor.rs" && path != "crates/lint/src/index.rs",
         LintId::L7 | LintId::L8 => engine_or_core,
-        LintId::L10 => true,
         LintId::L11 => {
             path != "crates/cloud/src/ledger.rs"
                 && path != "crates/cloud/src/pricing.rs"
@@ -267,11 +262,10 @@ fn applies(id: LintId, path: &str) -> bool {
 }
 
 /// Rules that still apply inside `tests/` / `benches/` files when those
-/// are linted at all (`--include-tests`): entropy-seeded randomness and
-/// off-schema metric names make tests flaky / dumps unstable, while
-/// panics and host clocks are fine there.
+/// are linted at all (`--include-tests`): entropy-seeded randomness
+/// makes tests flaky, while panics and host clocks are fine there.
 fn applies_in_test_dir(id: LintId) -> bool {
-    matches!(id, LintId::L2 | LintId::L10 | LintId::Sup)
+    matches!(id, LintId::L2 | LintId::Sup)
 }
 
 // ---------------------------------------------------------------------------
@@ -963,7 +957,7 @@ mod tests {
         let ok = "fn f() { Instant::now(); } // cackle-lint: allow(L1,L5)";
         assert!(lint_source("crates/cloud/src/vm.rs", ok).is_empty());
         // Retired ids are unknown ids: an allow naming one is SUP.
-        for retired in ["L4", "L9", "L12", "L14", "L15", "L16", "L19"] {
+        for retired in ["L4", "L9", "L10", "L12", "L14", "L15", "L16", "L19"] {
             assert_eq!(LintId::parse(retired), None);
             let src = format!("fn f() {{}} // cackle-lint: allow({retired})");
             let f = lint_source("crates/engine/src/task.rs", &src);
@@ -993,13 +987,10 @@ mod tests {
         // Panics / clocks are fine in tests...
         let src = "fn t() { Instant::now(); let x: Option<u32> = None; x.unwrap(); }";
         assert!(lint_source("crates/cloud/tests/chaos.rs", src).is_empty());
-        // ...but entropy-seeded RNG and off-schema metric names are not.
+        // ...but entropy-seeded RNG is not.
         let rng = "fn t() { let r = rand::thread_rng(); }";
         let f = lint_source("crates/cloud/tests/chaos.rs", rng);
         assert!(f.iter().any(|f| f.id == LintId::L2), "{f:?}");
-        let metric = "fn t(reg: &Registry) { reg.counter_add(&format!(\"x.{}\", 1), 1); }";
-        let f = lint_source("crates/cloud/tests/chaos.rs", metric);
-        assert!(f.iter().any(|f| f.id == LintId::L10), "{f:?}");
     }
 
     #[test]
@@ -1082,8 +1073,8 @@ mod tests {
         let f = vec![Finding {
             path: "crates/x/src/a.rs".into(),
             line: 3,
-            id: LintId::L10,
-            message: "metric name \"bad\nname\" rejected".into(),
+            id: LintId::L11,
+            message: "binding \"bad\nname\" rejected".into(),
             suggestion: "fix \\ it".into(),
         }];
         let meta = LintMeta {
@@ -1108,7 +1099,7 @@ mod tests {
         assert!(a.contains("fix \\\\ it"), "{a}");
         assert!(
             a.contains(
-                "{\"file\": \"crates/x/src/a.rs\", \"line\": 3, \"rule\": \"L10\", \
+                "{\"file\": \"crates/x/src/a.rs\", \"line\": 3, \"rule\": \"L11\", \
                  \"severity\": \"error\", \"message\": "
             ),
             "{a}"
@@ -1119,10 +1110,10 @@ mod tests {
             ),
             "{a}"
         );
-        assert!(a.contains("\"counts\": {\"L10\": 1}"));
+        assert!(a.contains("\"counts\": {\"L11\": 1}"));
         assert!(
             a.contains(
-                "\"meta\": {\"files\": 1, \"rules\": {\"L10\": 1}, \
+                "\"meta\": {\"files\": 1, \"rules\": {\"L11\": 1}, \
                         \"phases\": [{\"name\": \"parse\", \"ms\": 7}], \
                         \"parallel\": {\"workers\": 4, \"task_ms\": 10, \"wall_ms\": 4, \
                         \"speedup_milli\": 2500}}"

@@ -27,7 +27,7 @@
 //! line per registered rule (machine-readable — CI drives its
 //! `--explain` smoke loop from it). `--include-tests` also lints
 //! `tests/` and `benches/` directories against the restricted rule set
-//! (L2, L10).
+//! (L2).
 
 use cackle_lint::{explain, lint_root_with_meta, render_json, rules, LintId};
 use std::path::PathBuf;

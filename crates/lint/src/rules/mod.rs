@@ -12,7 +12,6 @@ pub mod ledger;
 pub mod lexical;
 pub mod locks;
 pub mod phase;
-pub mod telemetry;
 
 /// A finding before central filtering: anchored to a (file, token)
 /// pair so test-item exclusion can be applied by token index.
@@ -36,7 +35,6 @@ pub fn run(ws: &Workspace) -> Vec<RawFinding> {
     lexical::check(ws, &mut out);
     locks::check(ws, &mut out);
     atomics::check(ws, &mut out);
-    telemetry::check(ws, &mut out);
     ledger::check(ws, &mut out);
     phase::check(ws, &mut out);
     out
@@ -52,7 +50,6 @@ pub fn summary(id: LintId) -> &'static str {
         LintId::L6 => "no ad-hoc threading outside the stage executor",
         LintId::L7 => "no lock-order cycles (static deadlock detector)",
         LintId::L8 => "no Ordering::Relaxed on atomics shared with worker closures",
-        LintId::L10 => "telemetry metric names are literals on the DESIGN §7 grammar",
         LintId::L11 => "no money arithmetic outside the billing layer",
         LintId::L13 => "no PRNG seeded from a literal or from another stream's draws",
         LintId::L17 => "no parallel-phase writes to shared registries",
@@ -152,20 +149,6 @@ pub fn explain(id: LintId) -> &'static str {
              an allow comment stating why atomicity alone suffices.\n\
              \n\
              Scope: crates/engine, crates/core."
-        }
-        LintId::L10 => {
-            "L10 · telemetry metric-name schema\n\
-             \n\
-             Metric names passed to the registry (counter_add, gauge_set,\n\
-             observe, observe_with_buckets, sample) must be string literals\n\
-             matching the DESIGN §7 grammar: lowercase dot-separated\n\
-             `component.metric_name` with a known component prefix (run, meta,\n\
-             engine, pool, store, fault, recovery, fleet, shuffle_fleet,\n\
-             warehouse, endpoint). format!-built names defeat the golden-dump\n\
-             diff (the set of series becomes data-dependent) and grep-ability.\n\
-             Select from a static table of literals instead.\n\
-             \n\
-             Scope: everywhere."
         }
         LintId::L11 => {
             "L11 · ledger hygiene\n\

@@ -53,12 +53,11 @@ fn violations_fixture_trips_every_live_rule() {
     assert_eq!(count(LintId::L6), 2);
     assert_eq!(count(LintId::L7), 2);
     assert_eq!(count(LintId::L8), 2);
-    assert_eq!(count(LintId::L10), 5);
     assert_eq!(count(LintId::L11), 3);
     assert_eq!(count(LintId::L13), 3);
     assert_eq!(count(LintId::L17), 3);
     assert_eq!(count(LintId::Sup), 2);
-    assert_eq!(findings.len(), 33);
+    assert_eq!(findings.len(), 28);
     // Findings are sorted and carry 1-based lines.
     let mut sorted = findings.clone();
     sorted.sort();
@@ -130,7 +129,7 @@ fn binary_rejects_bad_flags_and_formats() {
     let out = run(&[&"fix", &fixture("clean")]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     // Unknown and retired rule ids alike.
-    for id in ["L99", "L4", "L9", "L12", "L14", "L15", "L16", "L19"] {
+    for id in ["L99", "L4", "L9", "L10", "L12", "L14", "L15", "L16", "L19"] {
         let out = run(&[&"--explain", &id]);
         assert_eq!(out.status.code(), Some(2), "{id}: {out:?}");
     }
@@ -184,7 +183,7 @@ fn every_listed_rule_has_a_violation_and_a_near_miss_fixture() {
         .collect();
     assert_eq!(
         ids,
-        ["L1", "L2", "L3", "L5", "L6", "L7", "L8", "L10", "L11", "L13", "L17", "SUP"]
+        ["L1", "L2", "L3", "L5", "L6", "L7", "L8", "L11", "L13", "L17", "SUP"]
     );
     assert!(listing.lines().all(|l| l.split('\t').count() == 2));
 

@@ -1,11 +1,5 @@
-//! Serving-layer telemetry violations: a near-miss component prefix and
-//! a format!-built per-tenant metric name, plus a panic path now that
-//! L5 covers `crates/serve/src`.
-
-fn record(t: &Registry, tenant: u32) {
-    t.counter_add("serv.admitted_total", 1); // L10: `serv` is a near-miss, not in the §7 table
-    t.gauge_set(&format!("tenant.{tenant}.queue_depth"), 2.0); // L10: per-tenant format!-built name
-}
+//! Serving-layer violation: a panic path now that L5 covers
+//! `crates/serve/src`.
 
 fn take_token(level: Option<u64>) -> u64 {
     level.unwrap() // L5: panic path in the serving layer

@@ -17,6 +17,7 @@ use crate::tenant::{PriorityClass, TenantRegistry};
 use cackle::{
     build_workload, try_run_model, try_run_system, QueryArrival, RunError, RunResult, RunSpec,
 };
+use cackle_telemetry::catalog;
 use cackle_workload::demand::percentile_f64;
 use cackle_workload::profile::ProfileRef;
 use std::collections::VecDeque;
@@ -217,7 +218,7 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
 
     let tenants = spec.tenants.tenants();
     let n = tenants.len();
-    telemetry.gauge_set("tenant.count", n as f64);
+    telemetry.gauge_set(catalog::TENANT_COUNT, n as f64);
 
     // Per-tenant seeded trace streams, then the superposed admission
     // order: (arrival second, tenant, per-stream index).
@@ -310,22 +311,19 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
         sched.dispatch_second(&mut dispatched);
         for q in &dispatched[before..] {
             dispatch_at.push(now_s);
-            telemetry.observe(
-                "serve.queue_delay_seconds",
+            telemetry.record(
+                catalog::SERVE_QUEUE_DELAY_SECONDS,
                 now_s.saturating_sub(q.arrival_s) as f64,
             );
-            match tenants[q.tenant].class {
-                PriorityClass::Interactive => {
-                    telemetry.counter_add("serve.dispatched_interactive_total", 1)
-                }
-                PriorityClass::Standard => {
-                    telemetry.counter_add("serve.dispatched_standard_total", 1)
-                }
-                PriorityClass::Batch => telemetry.counter_add("serve.dispatched_batch_total", 1),
-            }
+            let dispatched_total = match tenants[q.tenant].class {
+                PriorityClass::Interactive => catalog::SERVE_DISPATCHED_INTERACTIVE_TOTAL,
+                PriorityClass::Standard => catalog::SERVE_DISPATCHED_STANDARD_TOTAL,
+                PriorityClass::Batch => catalog::SERVE_DISPATCHED_BATCH_TOTAL,
+            };
+            telemetry.add(dispatched_total, 1);
         }
         telemetry.sample(
-            "serve.queue_depth",
+            catalog::SERVE_QUEUE_DEPTH,
             now_s.saturating_mul(1000),
             sched.queued() as f64,
         );
@@ -383,7 +381,7 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
         rep.max_queue_delay_s = rep.max_queue_delay_s.max(wait_s);
     }
     let active = reports.iter().filter(|r| r.admitted > 0).count();
-    telemetry.gauge_set("tenant.active", active as f64);
+    telemetry.gauge_set(catalog::TENANT_ACTIVE, active as f64);
 
     Ok(ServeResult {
         run: result,
@@ -413,17 +411,17 @@ fn admit_one(
     ) {
         Gate::Admit => {
             admitted[q.tenant] += 1;
-            telemetry.counter_add("serve.admitted_total", 1);
+            telemetry.add(catalog::SERVE_ADMITTED_TOTAL, 1);
             sched.enqueue(spec.tenants.tenants()[q.tenant].class, q);
         }
         Gate::Defer => {
             deferrals[q.tenant] += 1;
-            telemetry.counter_add("serve.deferred_total", 1);
+            telemetry.add(catalog::SERVE_DEFERRED_TOTAL, 1);
             deferred.push_back(q);
         }
         Gate::Reject => {
             rejected[q.tenant] += 1;
-            telemetry.counter_add("serve.rejected_total", 1);
+            telemetry.add(catalog::SERVE_REJECTED_TOTAL, 1);
         }
     }
 }

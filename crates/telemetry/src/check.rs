@@ -10,8 +10,11 @@
 //!   types (see DESIGN.md §"Telemetry");
 //! * histogram invariants hold (`counts.len() == bounds.len() + 1`,
 //!   bucket counts sum to `count`);
-//! * series points are `[t_ms, value]` pairs with non-decreasing `t_ms`.
+//! * series points are `[t_ms, value]` pairs with non-decreasing `t_ms`;
+//! * every counter, gauge, histogram and series names a [`catalog`]
+//!   entry of its kind, and a histogram carries that entry's bounds.
 
+use crate::catalog::{self, Kind};
 use crate::json::{self, Value};
 
 /// Validate a full dump; returns `line: message` strings (1-based lines).
@@ -51,25 +54,19 @@ pub fn check_dump(text: &str) -> Vec<String> {
         match ty {
             "meta" => fail("duplicate meta record".to_string()),
             "counter" => {
-                if name_of(&v).is_none() {
-                    fail("counter needs string `name`".to_string());
-                }
+                check_name(&v, ty, Kind::Counter, &mut fail);
                 if v.get("value").and_then(Value::as_u64).is_none() {
                     fail("counter.value must be a non-negative integer".to_string());
                 }
             }
             "gauge" => {
-                if name_of(&v).is_none() {
-                    fail("gauge needs string `name`".to_string());
-                }
+                check_name(&v, ty, Kind::Gauge, &mut fail);
                 if !is_num_or_null(v.get("value")) {
                     fail("gauge.value must be a number or null".to_string());
                 }
             }
             "histogram" => {
-                if name_of(&v).is_none() {
-                    fail("histogram needs string `name`".to_string());
-                }
+                check_name(&v, ty, Kind::Histogram, &mut fail);
                 check_histogram(&v, &mut fail);
             }
             "cost" => {
@@ -84,9 +81,7 @@ pub fn check_dump(text: &str) -> Vec<String> {
                 }
             }
             "series" => {
-                if name_of(&v).is_none() {
-                    fail("series needs string `name`".to_string());
-                }
+                check_name(&v, ty, Kind::Series, &mut fail);
                 check_series(&v, &mut fail);
             }
             "event" => {
@@ -112,8 +107,30 @@ pub fn check_dump(text: &str) -> Vec<String> {
     errors
 }
 
-fn name_of(v: &Value) -> Option<&str> {
-    v.get("name").and_then(Value::as_str)
+/// The `ty` record's `name` must be a catalogue entry of `kind`, and a
+/// histogram must carry that entry's bounds.
+fn check_name(v: &Value, ty: &str, kind: Kind, fail: &mut dyn FnMut(String)) {
+    let Some(name) = v.get("name").and_then(Value::as_str) else {
+        return fail(format!("{ty} needs string `name`"));
+    };
+    let Some(metric) = catalog::index_of(name).map(|i| &catalog::METRICS[i]) else {
+        return fail(format!("{ty} `{name}` is not in the metric catalogue"));
+    };
+    if metric.kind != kind {
+        return fail(format!(
+            "{ty} `{name}` is a {:?} in the metric catalogue",
+            metric.kind
+        ));
+    }
+    if let Some(bounds) = v.get("bounds").and_then(Value::as_array) {
+        let declared = metric.bounds.iter().map(|&b| Some(b));
+        if !bounds.iter().map(Value::as_f64).eq(declared) {
+            fail(format!(
+                "{ty} `{name}` bounds differ from its catalogue entry's {:?}",
+                metric.bounds
+            ));
+        }
+    }
 }
 
 fn is_num_or_null(v: Option<&Value>) -> bool {
@@ -198,14 +215,17 @@ mod tests {
     use super::*;
     use crate::Telemetry;
 
+    const META: &str = "{\"type\":\"meta\",\"schema\":\"cackle-telemetry\",\"version\":1}\n";
+
     #[test]
     fn real_dump_validates_cleanly() {
         let t = Telemetry::new();
-        t.counter_add("run.queries_total", 5);
-        t.gauge_set("run.duration_seconds", 3600.0);
-        t.observe("run.query_latency_seconds", 12.0);
-        t.sample("run.demand", 0, 4.0);
-        t.sample("run.demand", 1000, 6.0);
+        t.add(catalog::RUN_QUERIES_TOTAL, 5);
+        t.gauge_set(catalog::RUN_DURATION_SECONDS, 3600.0);
+        t.record(catalog::RUN_QUERY_LATENCY_SECONDS, 12.0);
+        t.record(catalog::ENGINE_TASK_ROWS_IN, 5000.0);
+        t.sample(catalog::RUN_DEMAND, 0, 4.0);
+        t.sample(catalog::RUN_DEMAND, 1000, 6.0);
         t.add_cost("fleet", "vm_compute", 1.25);
         t.span_event(0, 12_000, "query", Some(0), None, "");
         let errors = check_dump(&t.export_jsonl());
@@ -226,5 +246,40 @@ mod tests {
         let backwards = "{\"type\":\"meta\",\"schema\":\"cackle-telemetry\",\"version\":1}\n\
              {\"type\":\"series\",\"name\":\"s\",\"points\":[[5,1.0],[3,2.0]]}\n";
         assert!(!check_dump(backwards).is_empty());
+    }
+
+    #[test]
+    fn rejects_a_name_outside_the_catalogue() {
+        let dump = format!(
+            "{META}{{\"type\":\"counter\",\"name\":\"fleet.vms_restarted_total\",\"value\":1}}\n"
+        );
+        assert_eq!(
+            check_dump(&dump),
+            ["2: counter `fleet.vms_restarted_total` is not in the metric catalogue"]
+        );
+    }
+
+    #[test]
+    fn rejects_a_name_recorded_as_another_kind() {
+        let dump =
+            format!("{META}{{\"type\":\"gauge\",\"name\":\"run.queries_total\",\"value\":1.0}}\n");
+        assert_eq!(
+            check_dump(&dump),
+            ["2: gauge `run.queries_total` is a Counter in the metric catalogue"]
+        );
+    }
+
+    #[test]
+    fn rejects_histogram_bounds_other_than_the_catalogue_entry() {
+        let dump = format!(
+            "{META}{{\"type\":\"histogram\",\"name\":\"env.vm_slowdown\",\"bounds\":[1.0,2.0],\
+             \"counts\":[1,0,0],\"count\":1,\"sum\":1.0,\"min\":1.0,\"max\":1.0}}\n"
+        );
+        let errors = check_dump(&dump);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("2: histogram `env.vm_slowdown` bounds differ"),
+            "{errors:?}"
+        );
     }
 }

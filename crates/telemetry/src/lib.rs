@@ -10,11 +10,12 @@
 //! Design constraints, in order:
 //!
 //! 1. **Deterministic.** Identically-seeded runs must produce byte-identical
-//!    telemetry dumps (`tests/determinism.rs` enforces this). All state
-//!    lives in `BTreeMap`s keyed by static metric names; timestamps come
-//!    from the *simulated* clock (plain `u64` milliseconds) — never the
-//!    host clock; floats are exported with Rust's shortest-round-trip
-//!    formatting.
+//!    telemetry dumps (`tests/determinism.rs` enforces this). Metrics live
+//!    in a slot array indexed by their [`catalog`] handle, and the
+//!    catalogue is in name order, so export order is name order; costs
+//!    live in `BTreeMap`s; timestamps come from the *simulated* clock
+//!    (plain `u64` milliseconds) — never the host clock; floats are
+//!    exported with Rust's shortest-round-trip formatting.
 //! 2. **Dependency-free.** The workspace is offline; the JSONL/CSV
 //!    exporters and the JSON parser used by the `telemetry-check` schema
 //!    validator are hand-rolled (see [`json`]).
@@ -22,19 +23,14 @@
 //!    `Option<Arc<Mutex<Registry>>>`; a disabled handle makes every record
 //!    call a no-op, so hot paths carry the handle unconditionally.
 //!
-//! ## Metric naming convention
+//! ## Metric names
 //!
-//! `component.noun[_unit]`, snake_case, static strings:
-//!
-//! * components: `run` (coordinator loop), `fleet`, `shuffle_fleet`,
-//!   `pool`, `store`, `engine`, `meta`, `model`, `serve` (the
-//!   multi-tenant admission/scheduling front-end), `tenant` (tenant
-//!   registry bookkeeping);
-//! * unit suffixes: `_total` (monotone counter), `_dollars`, `_seconds`,
-//!   `_bytes`.
-//!
-//! The full event schema is documented in `DESIGN.md` §"Telemetry".
+//! Every metric is declared once in [`catalog`], with its kind, unit and
+//! (for histograms) bucket bounds; code records through the typed `const`
+//! handles declared there. The naming grammar and the per-component table
+//! are in `DESIGN.md` §"Telemetry".
 
+pub mod catalog;
 pub mod check;
 pub mod json;
 
@@ -56,7 +52,7 @@ pub const DEFAULT_BUCKETS: [f64; 12] = [
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Ascending bucket upper bounds.
-    pub bounds: Vec<f64>,
+    pub bounds: &'static [f64],
     /// Per-bucket observation counts; `bounds.len() + 1` slots, the last
     /// one holding out-of-range (overflow) observations.
     pub counts: Vec<u64>,
@@ -72,13 +68,13 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram over the given ascending bucket bounds.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub fn new(bounds: &'static [f64]) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
         );
         Histogram {
-            bounds: bounds.to_vec(),
+            bounds,
             counts: vec![0; bounds.len() + 1],
             count: 0,
             sum: 0.0,
@@ -115,6 +111,17 @@ impl Histogram {
     pub fn overflow(&self) -> u64 {
         *self.counts.last().unwrap_or(&0)
     }
+
+    /// Add another histogram's observations (same bounds) to this one.
+    fn merge(&mut self, other: &Histogram) {
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
 }
 
 /// One trace event: either an instant (`dur_ms == 0`) or a span covering
@@ -136,17 +143,26 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
+/// One metric's recorded state: `Unset` until its first record, then the
+/// value of its catalogue kind.
+#[derive(Debug, Clone, PartialEq)]
+enum Slot {
+    Unset,
+    Counter(u64),
+    Gauge(f64),
+    Histogram(Histogram),
+    /// `(t_ms, value)` points in record order.
+    Series(Vec<(u64, f64)>),
+}
+
 /// The collected state behind an enabled [`Telemetry`] handle.
 ///
-/// Every map is a `BTreeMap` so iteration (and therefore export) order is
-/// the lexicographic name order, independent of insertion order.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Metrics live in one slot per [`catalog`] entry, indexed by handle;
+/// the catalogue is in name order, so walking the slots exports in name
+/// order, independent of record order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    /// Per-metric time series of `(t_ms, value)` points in record order.
-    series: BTreeMap<String, Vec<(u64, f64)>>,
+    slots: Vec<Slot>,
     /// Accumulated dollars by component, then category — fed by
     /// `CostLedger` charges in `cackle-cloud`. Iterates in the same
     /// `(component, category)` order a tuple-keyed map would.
@@ -154,25 +170,56 @@ pub struct Registry {
     events: Vec<TraceEvent>,
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            slots: vec![Slot::Unset; catalog::METRICS.len()],
+            costs: BTreeMap::new(),
+            events: Vec::new(),
+        }
+    }
+}
+
 impl Registry {
+    fn slot(&self, name: &str) -> Option<&Slot> {
+        catalog::index_of(name).map(|i| &self.slots[i])
+    }
+
+    /// Every catalogue entry with its slot, in name order.
+    fn named_slots(&self) -> impl Iterator<Item = (&'static str, &Slot)> {
+        catalog::METRICS.iter().map(|m| m.name).zip(&self.slots)
+    }
+
     /// Counter value (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let Some(Slot::Counter(n)) = self.slot(name) else {
+            return 0;
+        };
+        *n
     }
 
     /// Gauge value, when set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+        let Some(Slot::Gauge(v)) = self.slot(name) else {
+            return None;
+        };
+        Some(*v)
     }
 
     /// Histogram, when observed.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        let Some(Slot::Histogram(h)) = self.slot(name) else {
+            return None;
+        };
+        Some(h)
     }
 
     /// Series points, when sampled.
     pub fn series(&self, name: &str) -> Option<&[(u64, f64)]> {
-        self.series.get(name).map(|v| v.as_slice())
+        let Some(Slot::Series(points)) = self.slot(name) else {
+            return None;
+        };
+        Some(points)
     }
 
     /// Dollars attributed to one `(component, category)` pair.
@@ -210,25 +257,28 @@ impl Registry {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"type\":\"meta\",\"schema\":\"cackle-telemetry\",\"version\":1}\n");
-        for (name, v) in &self.counters {
+        for (name, slot) in self.named_slots() {
+            let Slot::Counter(v) = slot else { continue };
             out.push_str(&format!(
                 "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}\n",
                 json_str(name)
             ));
         }
-        for (name, v) in &self.gauges {
+        for (name, slot) in self.named_slots() {
+            let Slot::Gauge(v) = slot else { continue };
             out.push_str(&format!(
                 "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
                 json_str(name),
                 json_f64(*v)
             ));
         }
-        for (name, h) in &self.histograms {
+        for (name, slot) in self.named_slots() {
+            let Slot::Histogram(h) = slot else { continue };
             out.push_str(&format!(
                 "{{\"type\":\"histogram\",\"name\":{},\"bounds\":{},\"counts\":{},\
                  \"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}\n",
                 json_str(name),
-                json_f64_array(&h.bounds),
+                json_f64_array(h.bounds),
                 json_u64_array(&h.counts),
                 h.count,
                 json_f64(h.sum),
@@ -244,7 +294,8 @@ impl Registry {
                 json_f64(d)
             ));
         }
-        for (name, points) in &self.series {
+        for (name, slot) in self.named_slots() {
+            let Slot::Series(points) = slot else { continue };
             out.push_str(&format!(
                 "{{\"type\":\"series\",\"name\":{},\"points\":[",
                 json_str(name)
@@ -286,38 +337,20 @@ impl Registry {
     /// registry — and therefore the exported dump — is independent of which
     /// worker thread ran which task. Merge semantics per section: counters
     /// add; gauges last-write-wins (the absorbing shard's value replaces
-    /// ours); histograms merge elementwise (bounds must match); series and
-    /// events append in shard order; costs add. Like a record call, a
-    /// name this registry already holds is merged without allocating.
+    /// ours); histograms merge elementwise (a metric has one set of bounds,
+    /// its catalogue entry's); series and events append in shard order;
+    /// costs add. The two slot arrays are zipped by index; a cost cell
+    /// this registry already holds is merged without allocating.
     pub fn absorb(&mut self, shard: &Registry) {
-        for (name, v) in &shard.counters {
-            update(&mut self.counters, name, |c| *c += v);
-        }
-        for (name, v) in &shard.gauges {
-            update(&mut self.gauges, name, |g| *g = *v);
-        }
-        for (name, h) in &shard.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => {
-                    debug_assert_eq!(
-                        mine.bounds, h.bounds,
-                        "histogram {name}: shard bounds differ"
-                    );
-                    for (c, s) in mine.counts.iter_mut().zip(&h.counts) {
-                        *c += s;
-                    }
-                    mine.count += h.count;
-                    mine.sum += h.sum;
-                    mine.min = mine.min.min(h.min);
-                    mine.max = mine.max.max(h.max);
-                }
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
+        for (mine, theirs) in self.slots.iter_mut().zip(&shard.slots) {
+            match (mine, theirs) {
+                (_, Slot::Unset) => {}
+                (Slot::Counter(a), Slot::Counter(b)) => *a += b,
+                (Slot::Histogram(a), Slot::Histogram(b)) => a.merge(b),
+                (Slot::Series(a), Slot::Series(b)) => a.extend_from_slice(b),
+                // A first record here, or a gauge: the shard's value wins.
+                (mine, theirs) => *mine = theirs.clone(),
             }
-        }
-        for (name, points) in &shard.series {
-            update(&mut self.series, name, |s| s.extend_from_slice(points));
         }
         for (comp, cells) in &shard.costs {
             update(&mut self.costs, comp, |mine| {
@@ -334,7 +367,8 @@ impl Registry {
     /// convenient for plotting tools.
     pub fn export_series_csv(&self) -> String {
         let mut out = String::from("name,t_ms,value\n");
-        for (name, points) in &self.series {
+        for (name, slot) in self.named_slots() {
+            let Slot::Series(points) = slot else { continue };
             for (t, v) in points {
                 out.push_str(&format!("{name},{t},{}\n", json_f64(*v)));
             }
@@ -343,9 +377,9 @@ impl Registry {
     }
 }
 
-/// Apply `f` to the value recorded under `name`, starting from
+/// Apply `f` to the cost cell under `name`, starting from
 /// `V::default()` on first use. Only that first insert allocates the
-/// key; recording under a name the map already holds allocates nothing.
+/// key; charging a cell the map already holds allocates nothing.
 fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
     match map.get_mut(name) {
         Some(v) => f(v),
@@ -438,45 +472,60 @@ impl Telemetry {
             .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Add `delta` to a monotone counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    /// Update the slot of the metric at `index` (a no-op when disabled).
+    fn with_slot(&self, index: usize, f: impl FnOnce(&mut Slot)) {
         if let Some(mut r) = self.lock() {
-            update(&mut r.counters, name, |c| *c += delta);
+            f(&mut r.slots[index]);
         }
+    }
+
+    /// Add `delta` to a monotone counter.
+    pub fn add(&self, counter: catalog::Counter, delta: u64) {
+        self.with_slot(counter.index(), |slot| match slot {
+            Slot::Counter(n) => *n += delta,
+            slot => *slot = Slot::Counter(delta),
+        });
     }
 
     /// Set a gauge to `v` (last write wins).
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        if let Some(mut r) = self.lock() {
-            update(&mut r.gauges, name, |g| *g = v);
-        }
+    pub fn gauge_set(&self, gauge: catalog::Gauge, v: f64) {
+        self.with_slot(gauge.index(), |slot| *slot = Slot::Gauge(v));
     }
 
-    /// Observe `v` into the named histogram with [`DEFAULT_BUCKETS`].
-    pub fn observe(&self, name: &str, v: f64) {
-        // cackle-lint: allow(L10) — registry-internal forwarding; callers' names are checked at their sites
-        self.observe_with_buckets(name, v, &DEFAULT_BUCKETS);
-    }
-
-    /// Observe `v` into the named histogram, creating it with `bounds` on
-    /// first use (later calls reuse the existing bounds).
-    pub fn observe_with_buckets(&self, name: &str, v: f64, bounds: &[f64]) {
-        if let Some(mut r) = self.lock() {
-            match r.histograms.get_mut(name) {
-                Some(h) => h.observe(v),
-                None => {
-                    let mut h = Histogram::new(bounds);
-                    h.observe(v);
-                    r.histograms.insert(name.to_string(), h);
-                }
+    /// Observe `v` into a histogram over its catalogue bounds.
+    pub fn record(&self, histogram: catalog::Histogram, v: f64) {
+        self.with_slot(histogram.index(), |slot| match slot {
+            Slot::Histogram(h) => h.observe(v),
+            slot => {
+                let mut h = Histogram::new(histogram.metric().bounds);
+                h.observe(v);
+                *slot = Slot::Histogram(h);
             }
+        });
+    }
+
+    /// Append a `(t_ms, v)` point to a time series.
+    pub fn sample(&self, series: catalog::Series, t_ms: u64, v: f64) {
+        self.with_slot(series.index(), |slot| match slot {
+            Slot::Series(points) => points.push((t_ms, v)),
+            slot => *slot = Slot::Series(vec![(t_ms, v)]),
+        });
+    }
+
+    /// [`Telemetry::add`] by name. An uncatalogued name, or one that is
+    /// not a counter, trips a `debug_assert!` and is dropped in release.
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
+        if let Some(counter) = catalog::Counter::named(name) {
+            self.add(counter, delta);
         }
     }
 
-    /// Append a `(t_ms, v)` point to the named time series.
-    pub fn sample(&self, name: &str, t_ms: u64, v: f64) {
-        if let Some(mut r) = self.lock() {
-            update(&mut r.series, name, |s| s.push((t_ms, v)));
+    /// [`Telemetry::record`] by name. An uncatalogued name, or one that
+    /// is not a histogram, trips a `debug_assert!` and is dropped in
+    /// release.
+    pub fn observe(&self, name: &'static str, v: f64) {
+        if let Some(histogram) = catalog::Histogram::named(name) {
+            self.record(histogram, v);
         }
     }
 
@@ -589,27 +638,45 @@ mod tests {
     #[test]
     fn disabled_handle_is_a_noop() {
         let t = Telemetry::disabled();
-        t.counter_add("x.y_total", 3);
-        t.gauge_set("x.g", 1.5);
-        t.observe("x.h", 2.0);
-        t.sample("x.s", 1000, 4.0);
+        t.counter_add("run.queries_total", 3);
+        t.gauge_set(catalog::RUN_DURATION_SECONDS, 1.5);
+        t.observe("run.query_latency_seconds", 2.0);
+        t.sample(catalog::RUN_DEMAND, 1000, 4.0);
         t.add_cost("fleet", "vm_compute", 1.0);
         assert!(!t.is_enabled());
-        assert_eq!(t.counter("x.y_total"), 0);
+        assert_eq!(t.counter("run.queries_total"), 0);
         assert_eq!(t.snapshot(), None);
         assert_eq!(t.export_jsonl(), "");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "`fleet.vms_restarted_total` is not a catalogued Counter")]
+    fn uncatalogued_name_trips_the_debug_assert() {
+        Telemetry::disabled().counter_add("fleet.vms_restarted_total", 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "`run.queries_total` is not a catalogued Histogram")]
+    fn name_of_another_kind_trips_the_debug_assert() {
+        Telemetry::new().observe("run.queries_total", 1.0);
     }
 
     #[test]
     fn counters_gauges_series_roundtrip() {
         let t = Telemetry::new();
         t.counter_add("run.queries_total", 2);
-        t.counter_add("run.queries_total", 1);
-        t.gauge_set("run.duration_seconds", 10.0);
-        t.gauge_set("run.duration_seconds", 12.5);
-        t.sample("run.demand", 0, 4.0);
-        t.sample("run.demand", 1000, 6.0);
+        t.add(catalog::RUN_QUERIES_TOTAL, 1);
+        t.gauge_set(catalog::RUN_DURATION_SECONDS, 10.0);
+        t.gauge_set(catalog::RUN_DURATION_SECONDS, 12.5);
+        t.sample(catalog::RUN_DEMAND, 0, 4.0);
+        t.sample(catalog::RUN_DEMAND, 1000, 6.0);
         assert_eq!(t.counter("run.queries_total"), 3);
+        // Reading an uncatalogued name, or under the wrong kind, finds
+        // nothing.
+        assert_eq!(t.counter("run.demand"), 0);
+        assert_eq!(t.gauge("run.missing"), None);
         assert_eq!(t.gauge("run.duration_seconds"), Some(12.5));
         assert_eq!(t.series("run.demand"), Some(vec![(0, 4.0), (1000, 6.0)]));
     }
@@ -670,12 +737,12 @@ mod tests {
         let build = || {
             let t = Telemetry::new();
             // Insert in "wrong" order: export must sort by name.
-            t.counter_add("z.last_total", 1);
-            t.counter_add("a.first_total", 2);
-            t.gauge_set("g.value", 0.125);
-            t.observe_with_buckets("h.lat", 3.0, &[1.0, 5.0]);
-            t.sample("s.demand", 0, 1.0);
-            t.sample("s.demand", 1000, 2.0);
+            t.add(catalog::STORE_PUT_REQUESTS_TOTAL, 1);
+            t.add(catalog::ENGINE_TASKS_TOTAL, 2);
+            t.gauge_set(catalog::TENANT_COUNT, 0.125);
+            t.record(catalog::ENV_VM_SLOWDOWN, 3.0);
+            t.sample(catalog::RUN_DEMAND, 0, 1.0);
+            t.sample(catalog::RUN_DEMAND, 1000, 2.0);
             t.add_cost("fleet", "vm_compute", 0.25);
             t.span_event(500, 1500, "query", Some(0), None, "q01");
             t.export_jsonl()
@@ -687,7 +754,15 @@ mod tests {
             .lines()
             .find(|l| l.contains("\"counter\""))
             .expect("counter line");
-        assert!(first_counter.contains("a.first_total"), "{first_counter}");
+        assert!(
+            first_counter.contains("engine.tasks_total"),
+            "{first_counter}"
+        );
+        let histogram = a.lines().find(|l| l.contains("\"histogram\"")).unwrap();
+        assert!(
+            histogram.contains("\"bounds\":[1.0,1.25,1.5,2.0,3.0,4.0,6.0]"),
+            "{histogram}"
+        );
         // Every line parses as a JSON object with a type.
         for line in a.lines() {
             let v = json::parse(line).expect("valid JSON line");
@@ -718,10 +793,11 @@ mod tests {
         // and absorbing them in task order must reproduce the dump a
         // single serial registry would have produced.
         let record = |t: &Telemetry, task: u64| {
-            t.counter_add("engine.tasks_total", 1);
-            t.counter_add("engine.task_rows_out_total", 10 * (task + 1));
-            t.observe_with_buckets("engine.task_rows_in", task as f64, &[1.0, 4.0]);
-            t.sample("engine.rows", task * 100, task as f64);
+            t.add(catalog::ENGINE_TASKS_TOTAL, 1);
+            t.add(catalog::ENGINE_TASK_ROWS_OUT_TOTAL, 10 * (task + 1));
+            t.record(catalog::ENGINE_TASK_ROWS_IN, task as f64);
+            t.gauge_set(catalog::TENANT_ACTIVE, task as f64);
+            t.sample(catalog::RUN_DEMAND, task * 100, task as f64);
             t.add_cost("store", "s3_put", 0.125);
             t.span_event(task * 10, 5, "task", Some(task), Some(0), "");
         };
@@ -746,14 +822,14 @@ mod tests {
     #[test]
     fn merge_gauges_last_wins_and_disabled_is_noop() {
         let main = Telemetry::new();
-        main.gauge_set("run.active", 1.0);
+        main.gauge_set(catalog::TENANT_ACTIVE, 1.0);
         let shard = Telemetry::new();
-        shard.gauge_set("run.active", 7.0);
+        shard.gauge_set(catalog::TENANT_ACTIVE, 7.0);
         main.merge(&shard);
-        assert_eq!(main.gauge("run.active"), Some(7.0));
+        assert_eq!(main.gauge("tenant.active"), Some(7.0));
         // Disabled shard: nothing happens; disabled main: nothing happens.
         main.merge(&Telemetry::disabled());
-        assert_eq!(main.gauge("run.active"), Some(7.0));
+        assert_eq!(main.gauge("tenant.active"), Some(7.0));
         let disabled = Telemetry::disabled();
         disabled.merge(&shard);
         assert!(!disabled.is_enabled());
@@ -762,8 +838,8 @@ mod tests {
     #[test]
     fn series_csv_long_format() {
         let t = Telemetry::new();
-        t.sample("run.demand", 0, 3.0);
-        t.sample("run.active", 1000, 1.0);
+        t.sample(catalog::RUN_DEMAND, 0, 3.0);
+        t.sample(catalog::RUN_ACTIVE, 1000, 1.0);
         let csv = t.export_series_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "name,t_ms,value");
@@ -779,13 +855,13 @@ mod tests {
     fn export_order_is_pinned() {
         let t = Telemetry::new();
         t.add_cost("store_x", "s3_get", 0.5);
-        t.sample("run.target", 1000, 2.0);
+        t.sample(catalog::RUN_TARGET, 1000, 2.0);
         t.add_cost("store", "s3_put", 0.25);
         t.counter_add("store.put_requests_total", 2);
         t.add_cost("pool", "elastic_pool", 1.0);
         t.add_cost("store", "s3_get", 0.125);
         t.counter_add("pool.invocations_total", 1);
-        t.sample("run.demand", 0, 3.0);
+        t.sample(catalog::RUN_DEMAND, 0, 3.0);
         t.add_cost("store_x", "egress", 0.75);
         let shard = Telemetry::new();
         shard.add_cost("store", "s3_put", 0.5);
@@ -793,8 +869,8 @@ mod tests {
         shard.add_cost("store_x", "s3_get", 0.25);
         shard.counter_add("store.put_requests_total", 1);
         shard.counter_add("fleet.vms_started_total", 3);
-        shard.sample("run.demand", 1000, 4.0);
-        shard.sample("run.active", 1000, 1.0);
+        shard.sample(catalog::RUN_DEMAND, 1000, 4.0);
+        shard.sample(catalog::RUN_ACTIVE, 1000, 1.0);
         t.merge(&shard);
         let expected = r#"{"type":"meta","schema":"cackle-telemetry","version":1}
 {"type":"counter","name":"fleet.vms_started_total","value":3}
