@@ -1,26 +1,27 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, determinism/cost-hygiene lints, release
-# build, full test suite. No network access required at any step.
+# Offline CI gate: formatting, clippy and determinism/cost-hygiene lints,
+# release build, full test suite. No network access required at any step.
 set -eu
 cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cackle-lint (tests and examples included)"
+echo "==> cargo clippy (determinism and hot-path rules: clippy.toml, [lints.clippy])"
+# The workspace's libraries, binaries and examples; test code is exempt.
+# crates/bench/bench_all is its own workspace and is not covered. The
+# build is hermetic, so this needs no registry access.
+cargo clippy --offline --workspace --lib --bins --examples -- -D warnings
+
+echo "==> cackle-lint"
 # Exit 1 = any finding, exit 3 = an inline allow that suppresses
 # nothing; both fail the gate under `set -e`.
-cargo run -q -p cackle-lint -- . --include-tests
+cargo run -q -p cackle-lint -- .
 
 echo "==> cackle-lint JSON diagnostics (deterministic artifact)"
 mkdir -p results
-# --timings none zeroes the meta block's wall-clock fields — the one
-# nondeterministic part of the output — so the archived artifact is
-# byte-identical across runs, checked below.
-cargo run -q -p cackle-lint -- . --include-tests \
-    --format json --timings none > results/lint-diagnostics.json
-cargo run -q -p cackle-lint -- . --include-tests \
-    --format json --timings none > results/lint-diagnostics.rerun.json
+cargo run -q -p cackle-lint -- . --format json > results/lint-diagnostics.json
+cargo run -q -p cackle-lint -- . --format json > results/lint-diagnostics.rerun.json
 cmp results/lint-diagnostics.json results/lint-diagnostics.rerun.json \
     || { echo "cackle-lint: JSON output is not byte-identical across runs" >&2; exit 1; }
 rm -f results/lint-diagnostics.rerun.json

@@ -8,7 +8,7 @@
 //!
 //! The store is internally synchronized so it can be shared (`Arc`) between
 //! the coordinator and concurrently executing tasks. Keys live in a
-//! `BTreeMap` so listings and prefix deletes are deterministic (lint L3).
+//! `BTreeMap` so listings and prefix deletes are deterministic.
 
 use crate::ledger::{CostCategory, CostLedger};
 use crate::pricing::Pricing;

@@ -279,7 +279,7 @@ impl Error for RunError {}
 impl RunError {
     /// Abort with this error. The panicking `run_*` wrappers funnel
     /// through here so the panic site lives in one place, outside the
-    /// hot-path files the L5 lint guards.
+    /// hot-path files that deny clippy's panic lints.
     pub fn raise(&self) -> ! {
         panic!("{self}")
     }

@@ -33,6 +33,16 @@
 //! it. Fault draws never touch the runner's main RNG, so a zero-rate plan
 //! leaves a run bit-identical to one without the subsystem.
 
+// Hot path: no panic paths outside tests (clippy.toml exempts test code).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::factory::try_make_strategy;
 use crate::model::QueryArrival;
 use crate::report::RunResult;

@@ -14,6 +14,16 @@
 //! * object-store traffic is billed per request through
 //!   [`cackle_cloud::ObjectStore`]'s ledger.
 
+// Hot path: no panic paths outside tests (clippy.toml exempts test code).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use cackle_cloud::ObjectStore;
 use cackle_engine::shuffle::{ShuffleKey, ShuffleStats, ShuffleTransport};
 use cackle_faults::{FaultInjector, TaskFaults};

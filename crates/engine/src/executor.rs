@@ -3,7 +3,8 @@
 //! A Cackle stage fans its tasks out across many workers at once (Lambda
 //! invocations in the paper; Starling runs hundreds of cloud-function
 //! tasks concurrently). This module is the one blessed home of threads in
-//! the workspace (`cackle-lint` L6 flags `std::thread` anywhere else):
+//! the workspace (clippy.toml disallows `std::thread::{spawn, scope}`
+//! anywhere else):
 //! it runs all ready tasks of a stage on a small `std::thread` pool while
 //! keeping every run byte-identical for *any* worker count, including 1.
 //!
@@ -35,6 +36,16 @@
 //! *not* part of the seed, and changing it must not move a single byte
 //! of any report or telemetry dump (`tests/determinism.rs` enforces
 //! this at workers = 1, 2, 8).
+
+// Hot path: no panic paths outside tests (clippy.toml exempts test code).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::batch::Batch;
 use crate::plan::{StageDag, StageId};
@@ -128,6 +139,10 @@ impl Executor {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the stage executor is the workspace's one thread pool"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..(self.workers as usize).min(n) {
                 scope.spawn(|| loop {

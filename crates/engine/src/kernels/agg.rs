@@ -346,7 +346,7 @@ impl Accumulator {
             Accumulator::Distinct { sets } => sets
                 // Iterates the outer Vec (group-id order); set order is
                 // never observed, only the cardinality.
-                .into_iter() // cackle-lint: allow(L3)
+                .into_iter()
                 .map(|s| Value::I64(s.len() as i64))
                 .collect(),
         };

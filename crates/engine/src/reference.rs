@@ -10,7 +10,7 @@
 //! * `bench_all` measures kernel speedups against them (its
 //!   `engine.kernel.*.x_reference` rows).
 //!
-//! Everything is `row_`-prefixed: the linter's call graph (L7, L17)
+//! Everything is `row_`-prefixed: the linter's call graph (L17)
 //! resolves calls by *name*, and unique names keep this module — which
 //! is deliberately the slow, allocate-per-row path — out of it.
 

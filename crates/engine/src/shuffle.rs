@@ -5,6 +5,16 @@
 //! single-process runs; the Cackle core crate provides the hybrid
 //! shuffle-node + object-store transport with capacity fallback (§7.1.3).
 
+// Hot path: no panic paths outside tests (clippy.toml exempts test code).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
 

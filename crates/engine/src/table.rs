@@ -4,6 +4,16 @@
 //! the paper's ORC files in S3 (the 100 MB-chunk layout maps to our
 //! partitions; scan tasks divide partitions round-robin).
 
+// Hot path: no panic paths outside tests (clippy.toml exempts test code).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::batch::Batch;
 use crate::schema::SchemaRef;
 use std::collections::BTreeMap;
@@ -87,9 +97,13 @@ impl Catalog {
 
     /// Look up a table, panicking with a clear message if missing (plans
     /// reference tables statically, so a miss is a plan-construction bug).
+    #[expect(
+        clippy::panic,
+        reason = "plans name their tables statically: a miss is a plan-construction bug"
+    )]
     pub fn get(&self, name: &str) -> Arc<Table> {
         self.try_get(name)
-            .unwrap_or_else(|| panic!("table '{name}' not registered")) // cackle-lint: allow(L5)
+            .unwrap_or_else(|| panic!("table '{name}' not registered"))
     }
 
     /// Does the catalog contain `name`?

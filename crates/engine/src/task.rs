@@ -5,6 +5,16 @@
 //! hash-partitioning and writing chunks through the shuffle transport,
 //! broadcasting, or returning gathered batches to the caller.
 
+// Hot path: no panic paths outside tests (clippy.toml exempts test code).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::batch::Batch;
 use crate::codec::{decode_batch, encode_batch};
 use crate::column::{Column, ColumnSlice};

@@ -147,7 +147,7 @@ impl EnvironmentSpec {
             && self.remote_vm_fraction == 0.0
     }
 
-    /// Range-check every knob; typed errors, never a panic (L5).
+    /// Range-check every knob; typed errors, never a panic.
     pub fn validate(&self) -> Result<(), FaultError> {
         fn knob(name: &'static str, v: f64, lo: f64, hi: f64) -> Result<(), FaultError> {
             if v.is_finite() && (lo..=hi).contains(&v) {

@@ -23,7 +23,8 @@
 //! 3. **Recovered or typed.** Every injected fault is either recovered —
 //!    bounded retry with deterministic backoff, duplicate launch with
 //!    first-wins, task re-execution — or surfaced as a typed error by
-//!    the caller. Never a panic (`cackle-lint` L5 applies here).
+//!    the caller. Never a panic (`[lints.clippy]` in this crate's
+//!    manifest denies `unwrap`, `expect` and `panic!`).
 //! 4. **Free when disabled.** Both handles are a cheap `Option` around
 //!    shared state, mirroring `Telemetry`: hot paths carry one
 //!    unconditionally and a disabled handle costs one branch.

@@ -1,8 +1,7 @@
 //! The `cackle-lint` command-line driver.
 //!
 //! ```text
-//! cackle-lint [ROOT] [--format text|json] [--timings real|none]
-//!             [--explain LX] [--list-rules] [--include-tests]
+//! cackle-lint [ROOT] [--format text|json] [--explain LX] [--list-rules]
 //! ```
 //!
 //! Lints the workspace at ROOT (default: the current directory), prints
@@ -18,23 +17,16 @@
 //! `--format json` emits one deterministic document (fixed key order,
 //! sorted findings) with file / line / rule / severity / message /
 //! suggestion per finding, the stale inline allows, per-rule counts, and
-//! a `meta` block (file count, per-rule counts, per-phase wall-clock
-//! timings, parse-pool parallelism). `--timings none` zeroes every
-//! machine-dependent meta field — phase `ms` values and the parallel
-//! block, worker count included — so the document is byte-identical
-//! across runs and machines. `--explain LX` prints a rule's long-form
-//! description and exits; `--list-rules` prints one `id<TAB>summary`
-//! line per registered rule (machine-readable — CI drives its
-//! `--explain` smoke loop from it). `--include-tests` also lints
-//! `tests/` and `benches/` directories against the restricted rule set
-//! (L2).
+//! the number of files linted: byte-identical across runs. `--explain
+//! LX` prints a rule's long-form description and exits; `--list-rules`
+//! prints one `id<TAB>summary` line per registered rule
+//! (machine-readable — CI drives its `--explain` smoke loop from it).
 
 use cackle_lint::{explain, lint_root_with_meta, render_json, rules, LintId};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cackle-lint [ROOT] [--format text|json] [--timings real|none] \
-                     [--explain LX] [--list-rules] [--include-tests]";
+const USAGE: &str = "usage: cackle-lint [ROOT] [--format text|json] [--explain LX] [--list-rules]";
 
 enum Format {
     Text,
@@ -44,8 +36,6 @@ enum Format {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut include_tests = false;
-    let mut zero_timings = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -63,23 +53,9 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--timings" => {
-                let Some(t) = args.next() else {
-                    eprintln!("cackle-lint: --timings needs an argument (real|none)");
-                    return ExitCode::from(2);
-                };
-                zero_timings = match t.as_str() {
-                    "real" => false,
-                    "none" => true,
-                    other => {
-                        eprintln!("cackle-lint: unknown timings `{other}` (expected real|none)");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             "--explain" => {
                 let Some(id_str) = args.next() else {
-                    eprintln!("cackle-lint: --explain needs a rule id (L1..L17, SUP)");
+                    eprintln!("cackle-lint: --explain needs a rule id (L11, L13, L17, SUP)");
                     return ExitCode::from(2);
                 };
                 // SUP is not LintId::parse-able (it may not appear in an
@@ -90,7 +66,9 @@ fn main() -> ExitCode {
                     LintId::parse(&id_str)
                 };
                 let Some(id) = id else {
-                    eprintln!("cackle-lint: unknown rule id `{id_str}` (expected L1..L17 or SUP)");
+                    eprintln!(
+                        "cackle-lint: unknown rule id `{id_str}` (expected L11, L13, L17 or SUP)"
+                    );
                     return ExitCode::from(2);
                 };
                 println!("{}", explain(id));
@@ -102,7 +80,6 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--include-tests" => include_tests = true,
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -120,16 +97,13 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
 
-    let (findings, mut meta) = match lint_root_with_meta(&root, include_tests) {
+    let (findings, meta) = match lint_root_with_meta(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cackle-lint: {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if zero_timings {
-        meta.zero_timings();
-    }
 
     match format {
         Format::Json => print!("{}", render_json(&findings, &meta)),

@@ -1,16 +1,14 @@
 //! Brace-matched, item/block-aware parse layer on top of the lexer.
 //!
-//! The lexical rules (L1–L6, L13) match token patterns on a flat
-//! stream; the structural rules (L7–L17) need to know *where* they are:
-//! which function body a token belongs to, what a call's argument list
-//! spans, how long a `let`-bound guard lives. This module recovers
-//! exactly that much structure — items (`fn` / `impl` / `mod`),
-//! delimiter matching, statement and block extents, call-site argument
-//! spans — and nothing more. It is deliberately not a Rust parser:
-//! expressions stay flat token runs, types are skipped by delimiter
-//! matching, and anything unrecognized is simply not an item. Failing
-//! to recognize a construct can only cost a finding, never fabricate
-//! one.
+//! The rules need to know *where* they are: which function body a token
+//! belongs to, what a call's argument list spans, where a statement
+//! starts and ends. This module recovers exactly that much structure —
+//! items (`fn` / `impl` / `mod`), delimiter matching, statement and
+//! block extents, call-site argument spans — and nothing more. It is
+//! deliberately not a Rust parser: expressions stay flat token runs,
+//! types are skipped by delimiter matching, and anything unrecognized
+//! is simply not an item. Failing to recognize a construct can only
+//! cost a finding, never fabricate one.
 
 use crate::lexer::{lex, TokKind, Token};
 
@@ -127,45 +125,6 @@ impl ParsedFile {
         0
     }
 
-    /// Does the statement containing `i` start with `let` (scanning
-    /// backward at the same depth to the previous `;`, `{` or `}`)?
-    /// `if let` / `while let` guards count too — in both forms the
-    /// binding lives to the end of the enclosing block, which is what
-    /// the lock-order rule needs.
-    pub fn statement_is_let_bound(&self, i: usize) -> bool {
-        let mut j = i;
-        loop {
-            let t = &self.toks[j];
-            let p = t.punct();
-            if p == ";" || p == "{" || p == "}" {
-                return false;
-            }
-            if CLOSE.contains(&p) {
-                // Walked into the tail of a nested group: find its open.
-                let mut k = j;
-                let mut found = false;
-                while k > 0 {
-                    k -= 1;
-                    if self.close_of(k) == Some(j) {
-                        j = k;
-                        found = true;
-                        break;
-                    }
-                }
-                if !found {
-                    return false;
-                }
-            }
-            if t.ident() == "let" {
-                return true;
-            }
-            if j == 0 {
-                return false;
-            }
-            j -= 1;
-        }
-    }
-
     /// If token `i` begins a call's argument list (`i` is `(`), return
     /// the spans of its top-level comma-separated arguments (each span
     /// inclusive, empty args skipped).
@@ -228,25 +187,6 @@ impl ParsedFile {
                 continue;
             }
             out.push((self.toks[i].text.clone(), i, open));
-        }
-        out
-    }
-
-    /// Ranges of tokens inside `.spawn(...)` / `thread::spawn(...)`
-    /// argument lists — the worker-closure extents the atomic-ordering
-    /// rule treats as "inside the pool".
-    pub fn spawn_closure_ranges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..self.toks.len() {
-            if self.toks[i].ident() != "spawn" {
-                continue;
-            }
-            if self.toks.get(i + 1).map(|t| t.punct()) != Some("(".into()) {
-                continue;
-            }
-            if let Some(close) = self.close_of(i + 1) {
-                out.push((i + 2, close.saturating_sub(1)));
-            }
         }
         out
     }
@@ -592,16 +532,11 @@ mod tests {
         let lock = p.toks.iter().position(|t| t.text == "lock").unwrap();
         let stmt_end = p.statement_end(lock);
         assert_eq!(p.toks[stmt_end].text, ";");
-        assert!(p.statement_is_let_bound(lock));
         // Scope end is f's closing brace (before `fn h`).
         let scope = p.scope_end(lock);
         assert_eq!(p.toks[scope].text, "}");
         let touch = p.toks.iter().position(|t| t.text == "touch").unwrap();
         assert!(scope > touch);
-        // A non-let statement is statement-scoped.
-        let p2 = ParsedFile::parse("fn f() { a.lock().x += 1; b.lock(); }");
-        let lock1 = p2.toks.iter().position(|t| t.text == "lock").unwrap();
-        assert!(!p2.statement_is_let_bound(lock1));
     }
 
     #[test]
@@ -631,19 +566,6 @@ mod tests {
         let body = p.fns[0].body.unwrap();
         let names: Vec<String> = p.calls_in(body).into_iter().map(|(n, _, _)| n).collect();
         assert_eq!(names, ["g", "h"]);
-    }
-
-    #[test]
-    fn spawn_closure_ranges_cover_closure_bodies() {
-        let p = ParsedFile::parse(
-            "fn f() { let n = 0; scope(|s| { s.spawn(|| { n.load(); }); }); n.store(1); }",
-        );
-        let ranges = p.spawn_closure_ranges();
-        assert_eq!(ranges.len(), 1);
-        let (lo, hi) = ranges[0];
-        let inside: Vec<&str> = p.toks[lo..=hi].iter().map(|t| t.text.as_str()).collect();
-        assert!(inside.contains(&"load"));
-        assert!(!inside.contains(&"store"));
     }
 
     #[test]

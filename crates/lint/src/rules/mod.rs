@@ -7,11 +7,9 @@
 use crate::index::Workspace;
 use crate::LintId;
 
-pub mod atomics;
 pub mod ledger;
-pub mod lexical;
-pub mod locks;
 pub mod phase;
+pub mod seeds;
 
 /// A finding before central filtering: anchored to a (file, token)
 /// pair so test-item exclusion can be applied by token index.
@@ -32,10 +30,8 @@ pub struct RawFinding {
 /// Run every rule family over the workspace.
 pub fn run(ws: &Workspace) -> Vec<RawFinding> {
     let mut out = Vec::new();
-    lexical::check(ws, &mut out);
-    locks::check(ws, &mut out);
-    atomics::check(ws, &mut out);
     ledger::check(ws, &mut out);
+    seeds::check(ws, &mut out);
     phase::check(ws, &mut out);
     out
 }
@@ -43,13 +39,6 @@ pub fn run(ws: &Workspace) -> Vec<RawFinding> {
 /// One-line machine-readable summary per rule, for `--list-rules`.
 pub fn summary(id: LintId) -> &'static str {
     match id {
-        LintId::L1 => "no host clock (Instant/SystemTime) outside the simulated clock",
-        LintId::L2 => "no entropy-seeded RNG (thread_rng/from_entropy/rand::)",
-        LintId::L3 => "no order-revealing HashMap/HashSet iteration",
-        LintId::L5 => "no unwrap/expect/panic! on hot paths",
-        LintId::L6 => "no ad-hoc threading outside the stage executor",
-        LintId::L7 => "no lock-order cycles (static deadlock detector)",
-        LintId::L8 => "no Ordering::Relaxed on atomics shared with worker closures",
         LintId::L11 => "no money arithmetic outside the billing layer",
         LintId::L13 => "no PRNG seeded from a literal or from another stream's draws",
         LintId::L17 => "no parallel-phase writes to shared registries",
@@ -60,96 +49,6 @@ pub fn summary(id: LintId) -> &'static str {
 /// Long-form `--explain` text for a rule.
 pub fn explain(id: LintId) -> &'static str {
     match id {
-        LintId::L1 => {
-            "L1 · host clock\n\
-             \n\
-             `Instant` and `SystemTime` read the host's clock, which differs\n\
-             across machines and runs. Every timestamp in a simulation must come\n\
-             from the simulated clock (`cackle_cloud::time`), or reruns stop\n\
-             being byte-identical.\n\
-             \n\
-             Scope: everywhere except crates/bench and crates/cloud/src/time.rs."
-        }
-        LintId::L2 => {
-            "L2 · unseeded RNG\n\
-             \n\
-             `thread_rng`, `from_entropy`, `OsRng`, and anything under `rand::`\n\
-             seed from the OS entropy pool, so two runs of the same RunSpec\n\
-             diverge. All randomness must flow from `cackle_prng::Pcg32::\n\
-             seed_from_u64` with a seed recorded in the RunSpec.\n\
-             \n\
-             Scope: everywhere."
-        }
-        LintId::L3 => {
-            "L3 · hash-order iteration\n\
-             \n\
-             Iterating a `HashMap`/`HashSet` (`.iter()`, `.values()`, `for k in\n\
-             &map`, ...) observes SipHash bucket order, which is randomized per\n\
-             process. Any fold, dump, or schedule built from that order differs\n\
-             between runs. Use `BTreeMap`/`BTreeSet`, or collect-and-sort first.\n\
-             \n\
-             Scope: crates/engine, crates/core, crates/telemetry."
-        }
-        LintId::L5 => {
-            "L5 · panic paths on hot paths\n\
-             \n\
-             `.unwrap()`, `.expect()`, and the panic! macro family abort the\n\
-             whole simulation on inputs the type system already told you were\n\
-             fallible. On the hot paths (cloud primitives, telemetry, fault\n\
-             injection, the engine's task/shuffle/table/executor files) every\n\
-             such site must either handle the case or carry an allow comment\n\
-             justifying why it is unreachable.\n\
-             \n\
-             Scope: crates/cloud/src, crates/telemetry/src, crates/faults/src,\n\
-             core/{system,transport}.rs, engine/{task,shuffle,table,executor}.rs."
-        }
-        LintId::L6 => {
-            "L6 · ad-hoc threading\n\
-             \n\
-             `thread::spawn` / `thread::scope` outside the stage executor\n\
-             creates workers with no index-ordered result slot, no telemetry\n\
-             shard, and no keyed fault stream — their effects depend on the OS\n\
-             scheduler. All parallelism goes through\n\
-             `cackle_engine::executor::Executor`. (The lint driver's own\n\
-             parser pool in crates/lint/src/index.rs is the second blessed\n\
-             site: it copies the executor's claim-by-index pattern and merges\n\
-             results in input order.)\n\
-             \n\
-             Scope: everywhere except engine/src/executor.rs and\n\
-             lint/src/index.rs."
-        }
-        LintId::L7 => {
-            "L7 · lock-order cycles\n\
-             \n\
-             A static deadlock detector. Per function, the analyzer records\n\
-             which `Mutex`/`RwLock` guards are still live when another lock is\n\
-             acquired (a `let`-bound guard lives to the end of its block, a\n\
-             temporary to the end of its statement), propagates acquisitions\n\
-             through the approximate call graph, and builds a global\n\
-             acquired-before relation. Any cycle in that relation means two\n\
-             call paths can interleave into a deadlock. Fix by acquiring locks\n\
-             in one global order, or by narrowing the first guard's scope so\n\
-             the acquisitions no longer overlap.\n\
-             \n\
-             Lock identity is `file_stem.binding_name` (e.g. `shuffle.stats`);\n\
-             the call graph is name-approximate, so a cycle report names the\n\
-             acquisition sites it was derived from.\n\
-             \n\
-             Scope: crates/engine, crates/core."
-        }
-        LintId::L8 => {
-            "L8 · relaxed atomics across the worker pool\n\
-             \n\
-             `Ordering::Relaxed` provides no happens-before edge. On an atomic\n\
-             that is touched both inside and outside the executor's worker\n\
-             closures (`spawn(...)` argument bodies), Relaxed means the main\n\
-             thread can observe stale values — acceptable only for pure\n\
-             counters whose value is never used to publish data. Use\n\
-             Acquire/Release (or SeqCst) when the atomic synchronizes, or add\n\
-             an allow comment stating why atomicity alone suffices.\n\
-             \n\
-             Scope: crates/engine, crates/core."
-        }
         LintId::L11 => {
             "L11 · ledger hygiene\n\
              \n\

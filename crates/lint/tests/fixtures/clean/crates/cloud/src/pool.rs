@@ -1,29 +1,20 @@
-//! Fixture: a clean cloud file — well-formed suppressions
-//! (near-miss(SUP)), test-only panics, and lookalike identifiers that
-//! must NOT be flagged (near-miss(L5)).
-
-fn lookup(table: Option<u32>) -> u32 {
-    table.unwrap_or_else(|| 0) // `unwrap_or_else` is not `unwrap`
-}
+//! Fixture: a clean cloud file — a well-formed suppression that
+//! suppresses a finding (near-miss(SUP)), test-only code, and cost names
+//! inside comments and strings, none of which may be flagged.
 
 fn documented() {
-    // Instant::now and thread_rng in comments are invisible.
-    let message = "never call Instant::now or panic! here";
+    // cost * 2 in a comment is invisible.
+    let message = "never compute cost * 2 here";
     let _ = message;
 }
 
-fn allowed(slot: Option<u32>) -> u32 {
-    slot.unwrap() // cackle-lint: allow(L5)
+fn mirrored(vm_cost: f64, share: f64) -> f64 {
+    vm_cost * share // cackle-lint: allow(L11)
 }
 
 fn billed(ledger_total: f64) -> f64 {
     // `ledger_total` is not cost-named; arithmetic is fine.
     ledger_total * 2.0
-}
-
-fn bookkeeping(vm_cost: f64, pool_cost: f64) -> f64 {
-    // Summing already-minted dollars is movement, not minting.
-    vm_cost + pool_cost
 }
 
 fn settle(led: &Ledger, amount: f64) {
@@ -34,8 +25,8 @@ fn settle(led: &Ledger, amount: f64) {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_code_may_panic() {
-        let x: Option<u32> = None;
-        assert!(std::panic::catch_unwind(|| x.unwrap()).is_err());
+    fn test_code_may_do_money_arithmetic() {
+        let cost = 2.0;
+        assert_eq!(cost * 2.0, 4.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture: seed-provenance near-misses — every stream derives from the
 //! RunSpec seed through salts and `splitmix64` expansion, so L13 has
-//! nothing to say. near-miss(L13) near-miss(L2)
+//! nothing to say. near-miss(L13)
 
 const SALT_ARRIVALS: u64 = 0x9e37_79b9;
 

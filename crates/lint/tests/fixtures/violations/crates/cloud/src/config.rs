@@ -1,6 +1,7 @@
-//! Fixture: a malformed suppression (SUP) — the allow list names an
-//! unknown rule, so it is a hard error AND suppresses nothing.
+//! Fixture: a malformed suppression (SUP). L5 moved to clippy
+//! (`clippy::unwrap_used`), so an allow naming it is an unknown rule id:
+//! a hard error that suppresses nothing.
 
 fn take(slot: Option<u32>) -> u32 {
-    slot.unwrap() // cackle-lint: allow(L5,L99) — SUP, and the L5 still fires
+    slot.unwrap() // cackle-lint: allow(L5) — SUP: L5 is retired
 }

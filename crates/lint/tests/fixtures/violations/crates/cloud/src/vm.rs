@@ -1,26 +1,12 @@
-//! Fixture: deliberate L1 / L5 / L11 violations on a cloud hot path.
-//! The two `cost`/`vm_price` lines were L4 before that rule was retired
-//! and must now flag as L11 (subsumption).
+//! Fixture: deliberate L11 violations on a cloud hot path. The two
+//! `cost`/`vm_price` lines were L4 before that rule was retired and must
+//! flag as L11 (subsumption).
 
 fn bill(seconds: f64, vm_price: f64) -> f64 {
-    let started = Instant::now(); // L1: host clock
-    let _ = started;
     let cost = seconds * vm_price; // L11: `vm_price` beside `*`
     cost * 2.0 // L11: `cost` beside `*`
 }
 
 fn settle(led: &Ledger, rate: f64, hours: f64) {
     led.charge(Cat::Vm, rate * hours); // L11: price computed at the call site
-}
-
-fn take(slot: Option<u32>) -> u32 {
-    slot.unwrap() // L5: panic path
-}
-
-fn expected(slot: Option<u32>) -> u32 {
-    slot.expect("slot") // L5: panic path
-}
-
-fn boom() {
-    panic!("hot-path panic"); // L5
 }

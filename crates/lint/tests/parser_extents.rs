@@ -65,8 +65,7 @@ fn turbofish_calls_resolve_past_the_type_arguments() {
     let args = p.call_args(open).unwrap();
     assert_eq!(args.len(), 1);
     assert_eq!(text_of(&p, args[0].0, args[0].1), "& doubled");
-    // The whole turbofish call is one statement, `let`-free.
-    assert!(!p.statement_is_let_bound(name_tok));
+    // The whole turbofish call is one statement.
     assert_eq!(p.toks[p.statement_end(name_tok)].punct(), ";");
 
     // `Vec::<u64>::new()` still registers `new` as the callee.

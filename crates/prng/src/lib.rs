@@ -6,8 +6,8 @@
 //! through a [`Pcg32`]. There is deliberately no `thread_rng`-style
 //! ambient generator: constructing a generator without a seed is
 //! impossible, which is what makes two identically-configured simulation
-//! runs byte-identical (the determinism invariant `cackle-lint` rule L2
-//! enforces).
+//! runs byte-identical. The build is hermetic (`tests/hermetic.rs`), so
+//! no RNG crate is there to seed from entropy instead.
 //!
 //! The generator is PCG-XSH-RR (O'Neill 2014): a 64-bit LCG state with a
 //! 32-bit output permutation. Seeds are expanded into the (state,

@@ -48,7 +48,8 @@ fn main() {
         );
     }
     // No wall-clock timing here: the example's output is byte-identical
-    // across runs (lint L1); use `bench/run.sh` to measure.
+    // across runs (clippy.toml disallows `Instant::now`); use
+    // `bench/run.sh` to measure.
     println!("generated {total_rows} rows ({} KiB)\n", total_bytes / 1024);
 
     // Execute with real multi-task parallelism and a shared shuffle.

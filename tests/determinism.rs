@@ -1,10 +1,11 @@
 //! Tier-1 gate: identically-seeded runs are byte-identical.
 //!
-//! This is the behavioural counterpart of the `cackle-lint` rules — the
-//! lints forbid the *sources* of nondeterminism (host clocks, entropy
-//! seeding, hash-order iteration); this test checks the *outcome*: the
-//! same seed produces the same report — and the same telemetry dump —
-//! byte for byte, run to run.
+//! This is the behavioural counterpart of the static checks — clippy.toml,
+//! the hermetic build and `cackle-lint` forbid the *sources* of
+//! nondeterminism (host clocks, entropy seeding, hash-order iteration,
+//! literal seeds); this test checks the *outcome*: the same seed produces
+//! the same report — and the same telemetry dump — byte for byte, run to
+//! run.
 
 use cackle::model::{build_workload, run_model_with};
 use cackle::system::{run_system, run_system_with};

@@ -9,7 +9,7 @@ use std::path::Path;
 #[test]
 fn workspace_satisfies_determinism_lints() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, meta) = lint_root_with_meta(root, false).expect("walking the workspace");
+    let (findings, meta) = lint_root_with_meta(root).expect("walking the workspace");
     assert!(
         findings.is_empty(),
         "lint findings:\n{}",
