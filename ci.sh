@@ -50,8 +50,14 @@ for run in 1 2 3 4 5 6 7 8 9 10; do
         || { echo "executor_stress: failed on run $run of 10" >&2; exit 1; }
 done
 
-echo "==> differential quantile sweep (value list vs sorted brute force)"
+echo "==> exactness gates (quantile value list, fleet advance, decision pin)"
+# The strategy tick's fast paths against their references, bit for bit:
+# the quantile value list against sorted brute force, `advance` over
+# random slices against the per-VM fleet, and the full family's
+# decisions against hashes recorded from per-second steps.
 cargo test -q -p cackle differential_quantile_value_list_vs_sorted
+cargo test -q -p cackle --lib differential_advance_vs_per_vm_fleet
+cargo test -q -p cackle --lib full_family_decision_trace_is_pinned
 
 echo "==> repro (every experiment regenerates its committed outputs byte for byte)"
 # One run of every experiment, fanned out over the host's cores. repro

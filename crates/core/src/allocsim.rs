@@ -111,7 +111,7 @@ impl AllocationSim {
                 self.active.pop_front();
             }
             n -= take;
-            // Runtime seconds were already accrued second-by-second in `step`;
+            // Runtime seconds were already accrued second-by-second in `bill`;
             // terminating early bills the minimum-billing shortfall on top,
             // at the rate in force at termination time — one accrual per
             // VM, so the f64 sums round exactly as a per-VM fleet's would.
@@ -160,19 +160,49 @@ impl AllocationSim {
         }
     }
 
-    /// Advance one second with the given provisioning target and demand.
+    /// Advance one second with the given provisioning target and demand
+    /// (see [`advance`](Self::advance)).
+    pub fn step(&mut self, target: u32, demand: u32) {
+        self.advance(target, std::slice::from_ref(&demand));
+    }
+
+    /// Advance one second per entry of `demands`, all under `target`.
     ///
-    /// Order of operations within the second: pending VMs whose startup
+    /// Order of operations within a second: pending VMs whose startup
     /// elapsed come online; the target is applied (request new / cancel
     /// pending / terminate idle); then the second of usage is billed —
     /// `min(active, demand)` VM-slots do work, the rest of `demand` runs on
     /// the pool, and every active VM bills whether busy or idle.
-    pub fn step(&mut self, target: u32, demand: u32) {
+    ///
+    /// A second is *settled* when the fleet already totals `target` and
+    /// the front pending cohort is not due: until that cohort's ready
+    /// second nothing is requested, cancelled, promoted or terminated, so
+    /// the whole stretch is billed in one pass. The accumulators receive
+    /// the same f64 additions in the same order as one-second steps would
+    /// give them.
+    pub fn advance(&mut self, target: u32, demands: &[u32]) {
+        let target = target as usize;
+        let mut rest = demands;
+        while let Some(&demand) = rest.first() {
+            let due = self.pending.front().map_or(u64::MAX, |&(ready, _)| ready);
+            let seconds = if self.active_n + self.pending_n == target && due > self.now {
+                (due - self.now).min(rest.len() as u64) as usize
+            } else {
+                self.apply(target, demand);
+                1
+            };
+            let (billed, tail) = rest.split_at(seconds);
+            self.bill(billed);
+            rest = tail;
+        }
+    }
+
+    /// Promote the ready cohorts and move the fleet toward `target`.
+    fn apply(&mut self, target: usize, demand: u32) {
         // 1. Promote pending VMs that are ready.
         self.promote_ready();
         // 2. Apply the target.
         let total = self.active_n + self.pending_n;
-        let target = target as usize;
         if target > total {
             self.pending
                 .push_back((self.now + self.startup_s, target - total));
@@ -190,15 +220,31 @@ impl AllocationSim {
         if self.startup_s == 0 {
             self.promote_ready();
         }
-        // 3. Bill the second at the rates currently in force.
-        self.vm_billed_s += self.active_n as f64;
-        // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
-        self.vm_dollars += self.active_n as f64 * self.vm_rate_per_s;
-        let overflow = (demand as usize).saturating_sub(self.active_n);
-        self.pool_s += overflow as f64;
-        // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
-        self.pool_dollars += overflow as f64 * self.pool_rate_per_s;
-        self.now += 1;
+    }
+
+    /// Bill one second per entry of `demands` at the rates in force, with
+    /// the fleet held as it is.
+    fn bill(&mut self, demands: &[u32]) {
+        let active = self.active_n as f64;
+        let vm_per_s = active * self.vm_rate_per_s;
+        let mut vm_billed_s = self.vm_billed_s;
+        let mut vm_dollars = self.vm_dollars;
+        let mut pool_s = self.pool_s;
+        let mut pool_dollars = self.pool_dollars;
+        for &demand in demands {
+            vm_billed_s += active;
+            // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
+            vm_dollars += vm_per_s;
+            let overflow = (demand as usize).saturating_sub(self.active_n) as f64;
+            pool_s += overflow;
+            // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
+            pool_dollars += overflow * self.pool_rate_per_s;
+        }
+        self.vm_billed_s = vm_billed_s;
+        self.vm_dollars = vm_dollars;
+        self.pool_s = pool_s;
+        self.pool_dollars = pool_dollars;
+        self.now += demands.len() as u64;
     }
 
     /// Billed VM-seconds so far (not counting min-billing remainders of
@@ -243,8 +289,10 @@ impl AllocationSim {
 pub fn cost_of_target_history(targets: &[u32], demand: &[u32], env: &Env) -> f64 {
     assert_eq!(targets.len(), demand.len());
     let mut sim = AllocationSim::new(env);
-    for (&t, &d) in targets.iter().zip(demand) {
-        sim.step(t, d);
+    let mut at = 0;
+    for run in targets.chunk_by(|a, b| a == b) {
+        sim.advance(run[0], &demand[at..at + run.len()]);
+        at += run.len();
     }
     sim.finalize()
 }
@@ -263,7 +311,7 @@ mod reference {
         pool_rate_per_s: f64,
         pub vm_dollars: f64,
         pub pool_dollars: f64,
-        now: u64,
+        pub now: u64,
         pub active: VecDeque<u64>,
         pub pending: VecDeque<u64>,
         pub vm_billed_s: f64,
@@ -517,6 +565,7 @@ mod tests {
     }
 
     fn assert_same(sim: &AllocationSim, per_vm: &PerVmSim, at: impl std::fmt::Debug) {
+        assert_eq!(sim.now(), per_vm.now, "now {at:?}");
         assert_eq!(sim.active_count(), per_vm.active.len(), "active {at:?}");
         assert_eq!(sim.pending_count(), per_vm.pending.len(), "pending {at:?}");
         for (name, got, want) in [
@@ -582,13 +631,83 @@ mod tests {
         }
     }
 
+    /// `advance` over slices of 0..=12 seconds against the per-VM reference
+    /// stepped one second at a time, bit for bit after every call: targets
+    /// held across calls or moved, cohorts falling due mid-slice, targets
+    /// below a fleet that busy VMs hold up, a price change between calls,
+    /// a `u32::MAX` demand inside a slice, and a `finalize` that lands
+    /// while requests are still starting up.
+    #[test]
+    fn differential_advance_vs_per_vm_fleet() {
+        let mut rng = Pcg32::seed_from_u64(0xADA7CE);
+        let (mut due_mid_slice, mut held_mid_slice) = (0, 0);
+        for (startup, min_billing) in [(0u64, 5u64), (0, 60), (3, 5), (3, 60), (180, 60)] {
+            for round in 0..6 {
+                let (vm, pool) = (0.0123, 0.0731);
+                let mut sim = AllocationSim::with_rates(startup, min_billing, vm, pool);
+                let mut per_vm = PerVmSim::with_rates(startup, min_billing, vm, pool);
+                let calls = rng.gen_range(40usize..140);
+                let rate_change = rng.gen_range(0..calls);
+                let extreme = rng.gen_range(0..calls);
+                let mut demand = rng.gen_range(0u32..60);
+                let mut target = demand;
+                let mut demands = Vec::new();
+                for call in 0..calls {
+                    if call == rate_change {
+                        sim.set_rates(vm * 1.7, pool * 0.6);
+                        per_vm.set_rates(vm * 1.7, pool * 0.6);
+                    }
+                    if rng.gen_ratio(1, 2) {
+                        target = match rng.gen_range(0u32..6) {
+                            0 => 0,
+                            1 => demand * 20,
+                            2 => target.saturating_sub(1),
+                            3 => target + 1,
+                            _ => demand + rng.gen_range(0u32..5),
+                        };
+                    }
+                    demands.clear();
+                    for _ in 0..rng.gen_range(0usize..=12) {
+                        demand = (demand + rng.gen_range(0u32..7)).saturating_sub(3).min(90);
+                        demands.push(demand);
+                    }
+                    if call == extreme {
+                        demands.extend([u32::MAX, demand]);
+                    }
+                    for (i, &d) in demands.iter().enumerate() {
+                        if i > 0 && per_vm.pending.front().is_some_and(|&r| r <= per_vm.now) {
+                            due_mid_slice += 1;
+                        }
+                        per_vm.step(target, d);
+                        if i > 0 && per_vm.active.len() + per_vm.pending.len() > target as usize {
+                            held_mid_slice += 1;
+                        }
+                    }
+                    sim.advance(target, &demands);
+                    assert_same(&sim, &per_vm, (startup, min_billing, round, call));
+                }
+                // Leave requests in flight so finalize cancels mid-startup.
+                let grow = (sim.active_count() + sim.pending_count()) as u32 + 40;
+                sim.advance(grow, &[demand, demand]);
+                per_vm.step(grow, demand);
+                per_vm.step(grow, demand);
+                assert!(startup == 0 || sim.pending_count() >= 40);
+                sim.finalize();
+                per_vm.finalize();
+                assert_same(&sim, &per_vm, (startup, min_billing, round, "finalize"));
+            }
+        }
+        assert!(due_mid_slice > 0, "no cohort fell due mid-slice");
+        assert!(held_mid_slice > 0, "no busy fleet held above target");
+    }
+
     /// A request is one cohort whatever its size: a target at the top of
     /// the type's range costs no memory or time per VM to request, cancel,
     /// bring online, bill, or terminate past min billing.
     #[test]
     fn extreme_target_is_one_cohort() {
         let mut sim = AllocationSim::with_rates(180, 60, 0.01, 0.06);
-        sim.step(u32::MAX, 0);
+        sim.advance(u32::MAX, &[0, 0, 0]);
         assert_eq!(sim.pending_count(), u32::MAX as usize);
         sim.step(0, 0);
         assert_eq!(sim.pending_count(), 0);
@@ -600,12 +719,12 @@ mod tests {
         sim.step(u32::MAX, 0);
         assert_eq!(sim.active_count(), u32::MAX as usize);
         assert_eq!(sim.vm_billed_seconds(), u32::MAX as f64);
-        sim.step(u32::MAX, u32::MAX);
-        assert_eq!(sim.vm_billed_seconds(), 2.0 * u32::MAX as f64);
+        sim.advance(u32::MAX, &[u32::MAX, 0]);
+        assert_eq!(sim.vm_billed_seconds(), 3.0 * u32::MAX as f64);
         assert_eq!(sim.pool_seconds(), 0.0);
         // Past min billing, terminating the whole cohort adds nothing.
         sim.step(0, 0);
         assert_eq!(sim.active_count(), 0);
-        assert_eq!(sim.vm_billed_seconds(), 2.0 * u32::MAX as f64);
+        assert_eq!(sim.vm_billed_seconds(), 3.0 * u32::MAX as f64);
     }
 }

@@ -4,8 +4,11 @@
 //! (5 s):
 //!
 //! 1. each expert's incremental [`AllocationSim`] is advanced over the new
-//!    history seconds using the target it chose last tick — this maintains
-//!    that expert's predicted *allocation history* and running cost;
+//!    history seconds, in one [`AllocationSim::advance`] call, using the
+//!    target it chose last tick — this maintains that expert's predicted
+//!    *allocation history* and running cost. Only seconds that change the
+//!    fleet run its rules; the settled seconds between are billed in one
+//!    pass;
 //! 2. each expert produces a new target (its percentile over its lookback
 //!    window, times its multiplier) from a 0..=100 percentile table swept
 //!    once per lookback out of the shared [`SlidingQuantile`] structures
@@ -214,13 +217,12 @@ impl MetaStrategy {
     fn advance_sims(&mut self, history: &WorkloadHistory) {
         let samples = history.samples();
         let fresh = &samples[(self.fed as usize).min(samples.len())..];
-        // Expert-major: each simulator takes the tick's seconds in one go,
-        // while it is in cache. Experts share nothing, so this is the
-        // same arithmetic as second-major in another order.
+        // Expert-major: each simulator takes the tick's seconds in one
+        // `advance` call, while it is in cache, and bills the settled ones
+        // in one pass. Experts share nothing, so this is the same
+        // arithmetic as second-major in another order.
         for (sim, &target) in self.sims.iter_mut().zip(&self.expert_targets) {
-            for &demand in fresh {
-                sim.step(target, demand);
-            }
+            sim.advance(target, fresh);
         }
         for q in &mut self.quantiles {
             for &demand in fresh {
@@ -482,15 +484,14 @@ mod tests {
     /// FNV-1a over everything a full-family run decides: the three
     /// `meta.*` series (timestamps and value bits) and the final weight
     /// bits, over an hour of sine-plus-noise demand with a price change
-    /// halfway.
-    fn decision_trace_hash(seed: u64) -> u64 {
-        let e = env();
+    /// halfway, ticking every `tick_s` seconds under `e`.
+    fn decision_trace_hash(seed: u64, tick_s: u64, e: &Env) -> u64 {
         let t = Telemetry::new();
         let cfg = FamilyConfig {
             seed,
             ..FamilyConfig::default()
         };
-        let mut m = MetaStrategy::with_family(cfg, &e);
+        let mut m = MetaStrategy::with_family(cfg, e);
         m.set_telemetry(&t);
         let mut rng = Pcg32::seed_from_u64(seed);
         let mut h = WorkloadHistory::new();
@@ -500,8 +501,8 @@ mod tests {
             if s == 1800 {
                 m.on_rates_changed(e.pricing.vm_per_sec() * 1.5, e.pricing.pool_per_sec() * 0.8);
             }
-            if s % 5 == 4 {
-                m.target(s, &h, &e);
+            if s % tick_s == tick_s - 1 {
+                m.target(s, &h, e);
             }
         }
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -516,7 +517,7 @@ mod tests {
             "meta.expert_multiplier",
         ] {
             let series = t.series(name).expect("series recorded");
-            assert_eq!(series.len(), 720);
+            assert_eq!(series.len() as u64, 3600 / tick_s);
             for (t_ms, v) in series {
                 eat(t_ms);
                 eat(v.to_bits());
@@ -531,16 +532,23 @@ mod tests {
     /// Decisions are pinned to the hashes recorded from the per-VM-deque /
     /// Fenwick-tree implementation this module started from: any change
     /// to the simulators, the percentile tables or the weight update that
-    /// moves one f64 bit of one expert's cost shows up here.
+    /// moves one f64 bit of one expert's cost shows up here. The 5 s rows
+    /// are the strategy's own tick; the 1 s, 7 s and zero-startup rows
+    /// (recorded from the per-second simulator) give every expert other
+    /// slice lengths and a fleet whose requests start at once.
     #[test]
     fn full_family_decision_trace_is_pinned() {
-        for (seed, want) in [
-            (17u64, 0xc502_e0a1_2e67_c80bu64),
-            (12, 0x00f1_ea78_4038_a63d),
-            (2023, 0x939a_0226_dcba_6849),
+        let instant = env().with_vm_startup_s(0);
+        for (seed, tick_s, e, want) in [
+            (17u64, 5u64, env(), 0xc502_e0a1_2e67_c80bu64),
+            (12, 5, env(), 0x00f1_ea78_4038_a63d),
+            (2023, 5, env(), 0x939a_0226_dcba_6849),
+            (17, 1, env(), 0xf7e5_62fe_5f3b_8503),
+            (17, 7, env(), 0x608f_7595_1712_d794),
+            (17, 5, instant, 0x6cdc_2082_244c_4f23),
         ] {
-            let got = decision_trace_hash(seed);
-            assert_eq!(got, want, "seed {seed}: {got:#018x}");
+            let got = decision_trace_hash(seed, tick_s, &e);
+            assert_eq!(got, want, "seed {seed}, {tick_s} s tick: {got:#018x}");
         }
     }
 
