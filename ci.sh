@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, clippy and determinism/cost-hygiene lints,
-# release build, full test suite. No network access required at any step.
+# Offline CI gate: formatting, clippy's determinism rules, the cost-hygiene
+# lint, release build, full test suite. No network access required at any step.
 set -eu
 cd "$(dirname "$0")"
 
@@ -9,11 +9,16 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (determinism and hot-path rules: clippy.toml, [lints.clippy])"
 # The workspace's libraries, binaries and examples; test code is exempt.
-# crates/bench/bench_all is its own workspace and is not covered. The
-# build is hermetic, so this needs no registry access.
+# Besides the host clock, hash order, threads and hot-path panics, it
+# carries seed provenance: clippy.toml disallows cackle_prng::Seed::root,
+# so a PRNG stream is minted only at the nine #[expect]ed entry points
+# DESIGN §6 lists. crates/bench/bench_all is its own workspace and is not
+# covered. The build is hermetic, so this needs no registry access.
 cargo clippy --offline --workspace --lib --bins --examples -- -D warnings
 
 echo "==> cackle-lint"
+# One rule is left, L11 (ledger hygiene), plus SUP for malformed allows;
+# seeds and the task phase split are carried by types (DESIGN §6, §9).
 # Exit 1 = any finding, exit 3 = an inline allow that suppresses
 # nothing; both fail the gate under `set -e`.
 cargo run -q -p cackle-lint -- .

@@ -641,8 +641,8 @@ mod tests {
     #[test]
     fn differential_idle_set_vs_linear_scan() {
         use cackle_faults::EnvironmentSpec;
-        use cackle_prng::Pcg32;
-        let mut rng = Pcg32::seed_from_u64(0xF1EE7);
+        use cackle_prng::{Pcg32, Seed};
+        let mut rng = Pcg32::new(Seed::root(0xF1EE7));
         let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
         for stream in 0..36u64 {
             let category = match stream % 6 {
@@ -652,7 +652,7 @@ mod tests {
             let timeline = match stream % 2 {
                 1 => {
                     let env = EnvironmentSpec::default().with_market_motion(0.3, 900);
-                    PriceTimeline::compile(&env, stream)
+                    PriceTimeline::compile(&env, Seed::root(stream))
                 }
                 _ => PriceTimeline::flat(),
             };
@@ -726,8 +726,10 @@ mod tests {
                         let back = SimDuration::from_millis(rng.gen_range(0u64..60_000));
                         let start = now.saturating_sub(back);
                         let p = f64::from(rng.gen_range(0u32..4)) * 0.2;
-                        let got = f.reclaim_random(start, now, p, &mut Pcg32::seed_from_u64(seed));
-                        let want = r.reclaim_random(start, now, p, &mut Pcg32::seed_from_u64(seed));
+                        let got =
+                            f.reclaim_random(start, now, p, &mut Pcg32::new(Seed::root(seed)));
+                        let want =
+                            r.reclaim_random(start, now, p, &mut Pcg32::new(Seed::root(seed)));
                         assert_eq!(got, want, "reclaim_random {stream}/{step}");
                         held.retain(|h| !got.contains(h));
                     }
@@ -882,7 +884,7 @@ mod tests {
         // Idle VM swept with p=1 over the window [600, 900]: billing must
         // stop at the drawn reclaim instant inside the window. Billing at
         // the sweep boundary instead would charge the full 720 s.
-        let mut rng = cackle_prng::Pcg32::seed_from_u64(42);
+        let mut rng = cackle_prng::Pcg32::new(cackle_prng::Seed::root(42));
         let reclaimed = f.reclaim_random(
             SimTime::from_secs(600),
             SimTime::from_secs(900),
@@ -901,7 +903,7 @@ mod tests {
         f.set_target(SimTime::ZERO, 1);
         f.poll(SimTime::from_secs(180));
         f.try_assign(SimTime::from_secs(180)).unwrap();
-        let mut rng = cackle_prng::Pcg32::seed_from_u64(42);
+        let mut rng = cackle_prng::Pcg32::new(cackle_prng::Seed::root(42));
         f.reclaim_random(
             SimTime::from_secs(600),
             SimTime::from_secs(900),
@@ -948,7 +950,7 @@ mod tests {
     fn timeline_billing_integrates_the_market_steps() {
         use cackle_faults::EnvironmentSpec;
         let env = EnvironmentSpec::default().with_market_motion(0.3, 900);
-        let tl = cackle_faults::PriceTimeline::compile(&env, 77);
+        let tl = cackle_faults::PriceTimeline::compile(&env, cackle_prng::Seed::root(77));
         let mut f = fleet();
         f.set_price_timeline(tl.clone());
         f.set_target(SimTime::ZERO, 1);

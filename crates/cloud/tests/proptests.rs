@@ -4,13 +4,13 @@
 //! failure is reproducible.
 
 use cackle_cloud::{CostCategory, ElasticPool, EventQueue, Pricing, SimDuration, SimTime, VmFleet};
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 
 /// Events pop in non-decreasing time order with FIFO ties, no matter the
 /// insertion order.
 #[test]
 fn event_queue_total_order() {
-    let mut rng = Pcg32::seed_from_u64(0xC10D_01);
+    let mut rng = Pcg32::new(Seed::root(0xC10D_01));
     for _ in 0..64 {
         let times: Vec<u64> = (0..rng.gen_range(1usize..100))
             .map(|_| rng.gen_range(0u64..1_000))
@@ -39,7 +39,7 @@ fn event_queue_total_order() {
 /// pending requests.
 #[test]
 fn fleet_billing_invariants() {
-    let mut rng = Pcg32::seed_from_u64(0xC10D_02);
+    let mut rng = Pcg32::new(Seed::root(0xC10D_02));
     for _ in 0..64 {
         let targets: Vec<usize> = (0..rng.gen_range(1usize..60))
             .map(|_| rng.gen_range(0usize..12))
@@ -79,7 +79,7 @@ fn fleet_billing_invariants() {
 /// of invocations and completions.
 #[test]
 fn pool_accounting_exact() {
-    let mut rng = Pcg32::seed_from_u64(0xC10D_03);
+    let mut rng = Pcg32::new(Seed::root(0xC10D_03));
     for _ in 0..64 {
         let durations_ms: Vec<u64> = (0..rng.gen_range(1usize..50))
             .map(|_| rng.gen_range(1u64..100_000))
@@ -108,7 +108,7 @@ fn pool_accounting_exact() {
 /// conserved and a released VM is terminated only when above target.
 #[test]
 fn assign_release_conserves_fleet() {
-    let mut rng = Pcg32::seed_from_u64(0xC10D_04);
+    let mut rng = Pcg32::new(Seed::root(0xC10D_04));
     for _ in 0..64 {
         let ops: Vec<bool> = (0..rng.gen_range(1usize..80))
             .map(|_| rng.gen_bool(0.5))
@@ -159,7 +159,7 @@ fn reclaim_random_deterministic() {
         fleet.set_target(SimTime::ZERO, 8);
         let now = SimTime::from_secs(200);
         fleet.poll(now);
-        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut rng = Pcg32::new(Seed::root(seed));
         fleet.reclaim_random(SimTime::from_secs(100), now, 0.4, &mut rng)
     };
     assert_eq!(run(5), run(5));
@@ -168,7 +168,7 @@ fn reclaim_random_deterministic() {
     let mut fleet = VmFleet::new(Pricing::default());
     fleet.set_target(SimTime::ZERO, 8);
     fleet.poll(SimTime::from_secs(200));
-    let mut rng = Pcg32::seed_from_u64(5);
+    let mut rng = Pcg32::new(Seed::root(5));
     let swept = fleet.reclaim_random(
         SimTime::from_secs(100),
         SimTime::from_secs(200),
@@ -183,7 +183,7 @@ fn reclaim_random_deterministic() {
 /// sequence.
 #[test]
 fn ledger_categories_sum_to_total() {
-    let mut rng = Pcg32::seed_from_u64(0xC10D_05);
+    let mut rng = Pcg32::new(Seed::root(0xC10D_05));
     for _ in 0..64 {
         let mut ledger = cackle_cloud::CostLedger::new();
         let mut by_category = [0.0f64; CostCategory::ALL.len()];

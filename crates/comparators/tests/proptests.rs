@@ -7,7 +7,7 @@ use cackle::model::QueryArrival;
 use cackle_comparators::{
     run_databricks, run_redshift, DatabricksConfig, RedshiftConfig, WarehouseSize,
 };
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_workload::profile::{QueryProfile, StageProfile};
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ fn gen_arrivals(rng: &mut Pcg32) -> Vec<u16> {
 /// the minimum clusters over the makespan.
 #[test]
 fn databricks_conserves_queries() {
-    let mut rng = Pcg32::seed_from_u64(0xC0_4B_01);
+    let mut rng = Pcg32::new(Seed::root(0xC0_4B_01));
     for _ in 0..24 {
         let arrivals = gen_arrivals(&mut rng);
         let tasks = rng.gen_range(0u8..40);
@@ -86,7 +86,7 @@ fn databricks_conserves_queries() {
 /// work ran.
 #[test]
 fn redshift_conserves_queries() {
-    let mut rng = Pcg32::seed_from_u64(0xC0_4B_02);
+    let mut rng = Pcg32::new(Seed::root(0xC0_4B_02));
     for _ in 0..24 {
         let arrivals = gen_arrivals(&mut rng);
         let tasks = rng.gen_range(0u8..40);

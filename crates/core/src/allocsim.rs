@@ -405,7 +405,7 @@ mod tests {
     use super::reference::PerVmSim;
     use super::*;
     use cackle_cloud::SimDuration;
-    use cackle_prng::Pcg32;
+    use cackle_prng::{Pcg32, Seed};
 
     fn env() -> Env {
         Env::default()
@@ -589,7 +589,7 @@ mod tests {
     /// `finalize` that lands while requests are still starting up.
     #[test]
     fn differential_cohorts_vs_per_vm_fleet() {
-        let mut rng = Pcg32::seed_from_u64(0xA110C);
+        let mut rng = Pcg32::new(Seed::root(0xA110C));
         for (startup, min_billing) in [(0u64, 5u64), (0, 60), (3, 5), (3, 60), (180, 60)] {
             for round in 0..6 {
                 let (vm, pool) = (0.0123, 0.0731);
@@ -639,7 +639,7 @@ mod tests {
     /// while requests are still starting up.
     #[test]
     fn differential_advance_vs_per_vm_fleet() {
-        let mut rng = Pcg32::seed_from_u64(0xADA7CE);
+        let mut rng = Pcg32::new(Seed::root(0xADA7CE));
         let (mut due_mid_slice, mut held_mid_slice) = (0, 0);
         for (startup, min_billing) in [(0u64, 5u64), (0, 60), (3, 5), (3, 60), (180, 60)] {
             for round in 0..6 {

@@ -184,7 +184,7 @@ impl SlidingQuantile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cackle_prng::Pcg32;
+    use cackle_prng::{Pcg32, Seed};
 
     #[test]
     fn history_window_and_percentile() {
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn sliding_quantile_matches_sorting() {
-        let mut rng = Pcg32::seed_from_u64(3);
+        let mut rng = Pcg32::new(Seed::root(3));
         let mut sq = SlidingQuantile::new(50);
         let mut all: Vec<u32> = Vec::new();
         for i in 0..500 {
@@ -234,7 +234,7 @@ mod tests {
     /// steady state, capacities above 100 samples, and pct 0 / 1 / 100.
     #[test]
     fn differential_quantile_value_list_vs_sorted() {
-        let mut rng = Pcg32::seed_from_u64(41);
+        let mut rng = Pcg32::new(Seed::root(41));
         for capacity in [1usize, 2, 3, 7, 50, 128, 250] {
             let mut sq = SlidingQuantile::new(capacity);
             let mut all: Vec<u32> = Vec::new();
@@ -348,7 +348,7 @@ mod tests {
     /// from empty through 2× capacity.
     #[test]
     fn percentile_sweep_matches_single_queries() {
-        let mut rng = Pcg32::seed_from_u64(77);
+        let mut rng = Pcg32::new(Seed::root(77));
         for capacity in [1usize, 10, 128, 3600] {
             let mut sq = SlidingQuantile::new(capacity);
             for fill in 0..=capacity * 2 {

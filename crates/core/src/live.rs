@@ -281,7 +281,6 @@ mod tests {
     #[test]
     fn live_results_match_direct_execution() {
         use cackle_engine::shuffle::MemoryShuffle;
-        use cackle_engine::task::execute_query;
         let catalog = tiny_catalog();
         let par = Par {
             fact: 3,
@@ -292,7 +291,7 @@ mod tests {
         let mut strategy = FixedStrategy { vms: 2 };
         let (_, results) = run_live_collect(&w, &catalog, &mut strategy, &RunSpec::new());
         let dag = plans::plan("q04", par);
-        let direct = execute_query(&dag, 1, &catalog, &MemoryShuffle::new());
+        let direct = Executor::new(1).execute_query(&dag, 1, &catalog, &MemoryShuffle::new());
         let gathered = Batch::concat(dag.final_stage().output_schema.clone(), &results[0]);
         assert_eq!(gathered, direct, "live system must compute the same answer");
     }
@@ -323,7 +322,7 @@ mod tests {
             .with_rows_per_task_second(5_000.0)
             .with_telemetry(&t);
         let r = run_live(&w, &catalog, &spec);
-        // Engine tasks reported through the threaded TaskContext.
+        // Engine task counters recorded at the stage barrier.
         assert!(t.counter("engine.tasks_total") > 0);
         // Store request charges attributed to the store component.
         assert!((t.cost("store", "s3_put") - r.shuffle.s3_put_cost).abs() < 1e-12);

@@ -25,7 +25,7 @@ use crate::allocsim::AllocationSim;
 use crate::config::Env;
 use crate::history::{SlidingQuantile, WorkloadHistory};
 use crate::strategy::ProvisioningStrategy;
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_telemetry::{catalog, Telemetry};
 
 /// One member of the strategy family.
@@ -143,6 +143,11 @@ impl MetaStrategy {
         let experts = cfg.experts();
         let n = experts.len();
         assert!(n >= 2, "family needs at least two experts");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mint: the meta-strategy receives the FamilyConfig seed"
+        )]
+        let seed = Seed::root(cfg.seed);
         MetaStrategy {
             percentile_tables: vec![[0; 101]; cfg.lookbacks.len()],
             quantiles: cfg
@@ -158,7 +163,7 @@ impl MetaStrategy {
             expert_targets: vec![0; n],
             experts,
             epsilon: cfg.epsilon,
-            rng: Pcg32::seed_from_u64(cfg.seed),
+            rng: Pcg32::new(seed),
             fed: 0,
             current: 0,
             ticks: 0,
@@ -493,7 +498,7 @@ mod tests {
         };
         let mut m = MetaStrategy::with_family(cfg, e);
         m.set_telemetry(&t);
-        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut rng = Pcg32::new(Seed::root(seed));
         let mut h = WorkloadHistory::new();
         for s in 0..3600u64 {
             let base = 60.0 + 50.0 * (s as f64 * std::f64::consts::TAU / 1200.0).sin();

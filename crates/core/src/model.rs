@@ -16,7 +16,7 @@ use crate::runloop::record_query_done;
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_telemetry::{catalog, Telemetry};
 use cackle_workload::arrivals::WorkloadSpec;
 use cackle_workload::demand::DemandCurve;
@@ -37,7 +37,11 @@ pub struct QueryArrival {
 pub fn build_workload(spec: &WorkloadSpec, mix: &[ProfileRef]) -> Vec<QueryArrival> {
     assert!(!mix.is_empty(), "empty profile mix");
     let arrivals = spec.generate_arrivals();
-    let mut rng = Pcg32::seed_from_u64(spec.seed ^ 0x9e37_79b9);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mint: build_workload receives the WorkloadSpec seed"
+    )]
+    let mut rng = Pcg32::new(Seed::root(spec.seed).salted(0x9e37_79b9));
     arrivals
         .into_iter()
         .map(|at_s| QueryArrival {
@@ -125,7 +129,11 @@ pub fn run_model_with(
         // rate steps (VM rides the spot market, the pool price holds).
         // Heterogeneity and reclaim storms are execution-layer effects
         // the analytical model deliberately does not see (DESIGN §14).
-        let market = cackle_faults::PriceTimeline::compile(environment, spec.seed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mint: the model's market schedule receives the RunSpec seed"
+        )]
+        let market = cackle_faults::PriceTimeline::compile(environment, Seed::root(spec.seed));
         let horizon = curves.demand.len() as u64 + 7200;
         let timeline = crate::prices::PriceTimeline::from_market(&spec.env, &market, horizon);
         simulate_compute_with_timeline(&curves.demand.samples, strategy, spec, &timeline)

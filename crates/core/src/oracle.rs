@@ -270,8 +270,8 @@ mod tests {
     fn oracle_never_worse_than_any_online_strategy() {
         // Strong cross-check: the oracle is a lower bound on the simulated
         // cost of arbitrary target histories over random demand curves.
-        use cackle_prng::Pcg32;
-        let mut rng = Pcg32::seed_from_u64(11);
+        use cackle_prng::{Pcg32, Seed};
+        let mut rng = Pcg32::new(Seed::root(11));
         let mut e = env();
         e.pricing.vm_startup = SimDuration::ZERO; // most favourable to online
         for case in 0..30 {
@@ -321,8 +321,8 @@ mod tests {
             }
             rec(intervals, 0, c_vm, c_pool, min_bill)
         }
-        use cackle_prng::Pcg32;
-        let mut rng = Pcg32::seed_from_u64(5);
+        use cackle_prng::{Pcg32, Seed};
+        let mut rng = Pcg32::new(Seed::root(5));
         for _ in 0..200 {
             let n = rng.gen_range(1..7);
             let mut t = 0u64;

@@ -183,7 +183,7 @@ mod tests {
         use cackle_faults::EnvironmentSpec;
         let env = Env::default();
         let espec = EnvironmentSpec::default().with_market_motion(0.3, 900);
-        let market = cackle_faults::PriceTimeline::compile(&espec, 42);
+        let market = cackle_faults::PriceTimeline::compile(&espec, cackle_prng::Seed::root(42));
         let t = PriceTimeline::from_market(&env, &market, 3600);
         for at in [0u64, 899, 900, 1800, 3599] {
             let expected = (30_000i128 * market.multiplier_milli(at) as i128 / 1000) as i64;

@@ -51,7 +51,7 @@ use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use cackle_cloud::{CostCategory, CostLedger};
 use cackle_faults::{FaultInjector, StoreOp};
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_telemetry::Telemetry;
 use cackle_workload::profile::StageProfile;
 
@@ -232,11 +232,16 @@ pub fn try_run_system_with(
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> Result<RunResult, RunError> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mint: run_system receives the RunSpec seed"
+    )]
+    let seed = Seed::root(spec.seed);
     let source = |telemetry: &Telemetry, faults: &FaultInjector| {
         let mut source = ProfileSource {
             workload,
             spec,
-            rng: Pcg32::seed_from_u64(spec.seed),
+            rng: Pcg32::new(seed),
             faults: faults.clone(),
             resident_total: 0,
             s3_ledger: CostLedger::new(),

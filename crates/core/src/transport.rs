@@ -449,8 +449,8 @@ mod tests {
         let s = store();
         // Tiny nodes force part of the exchange through S3.
         let hybrid = HybridShuffle::new(2, 256, Arc::clone(&s));
-        let via_hybrid = execute_query(&dag, 7, &catalog, &hybrid);
-        let via_memory = execute_query(&dag, 8, &catalog, &MemoryShuffle::new());
+        let via_hybrid = Executor::new(1).execute_query(&dag, 7, &catalog, &hybrid);
+        let via_memory = Executor::new(1).execute_query(&dag, 8, &catalog, &MemoryShuffle::new());
         // Same result regardless of where the bytes travelled.
         let norm = |b: &Batch| {
             let mut rows: Vec<(i64, i64)> = (0..b.num_rows())

@@ -9,7 +9,7 @@ use cackle::history::SlidingQuantile;
 use cackle::oracle::{level_intervals, oracle_cost, oracle_cost_without_pool};
 use cackle::Env;
 use cackle_cloud::SimDuration;
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_workload::demand::percentile_of;
 
 fn random_walk_demand(rng: &mut Pcg32, len: usize, max_step: i8, start: u8, cap: u32) -> Vec<u32> {
@@ -28,7 +28,7 @@ fn random_walk_demand(rng: &mut Pcg32, len: usize, max_step: i8, start: u8, cap:
 /// most favourable case for the online side).
 #[test]
 fn oracle_is_a_lower_bound() {
-    let mut rng = Pcg32::seed_from_u64(0xC04E_01);
+    let mut rng = Pcg32::new(Seed::root(0xC04E_01));
     for _ in 0..48 {
         let len = rng.gen_range(20usize..200);
         let start = rng.gen_range(0u8..20);
@@ -55,7 +55,7 @@ fn oracle_is_a_lower_bound() {
 /// Removing the pool can never reduce the oracle's cost.
 #[test]
 fn pool_never_hurts_oracle() {
-    let mut rng = Pcg32::seed_from_u64(0xC04E_02);
+    let mut rng = Pcg32::new(Seed::root(0xC04E_02));
     for _ in 0..48 {
         let len = rng.gen_range(20usize..150);
         let start = rng.gen_range(0u8..10);
@@ -71,7 +71,7 @@ fn pool_never_hurts_oracle() {
 /// over all levels recovers the total slot-seconds.
 #[test]
 fn level_intervals_tile_demand() {
-    let mut rng = Pcg32::seed_from_u64(0xC04E_03);
+    let mut rng = Pcg32::new(Seed::root(0xC04E_03));
     for _ in 0..48 {
         let len = rng.gen_range(10usize..150);
         let start = rng.gen_range(0u8..15);
@@ -91,7 +91,7 @@ fn level_intervals_tile_demand() {
 /// VM-served seconds.
 #[test]
 fn allocation_sim_conserves_work() {
-    let mut rng = Pcg32::seed_from_u64(0xC04E_04);
+    let mut rng = Pcg32::new(Seed::root(0xC04E_04));
     for _ in 0..48 {
         let len = rng.gen_range(10usize..150);
         let start = rng.gen_range(0u8..10);
@@ -124,7 +124,7 @@ fn allocation_sim_conserves_work() {
 /// strategy's cost.
 #[test]
 fn cost_monotone_in_pool_price() {
-    let mut rng = Pcg32::seed_from_u64(0xC04E_05);
+    let mut rng = Pcg32::new(Seed::root(0xC04E_05));
     for _ in 0..48 {
         let len = rng.gen_range(20usize..120);
         let start = rng.gen_range(0u8..10);
@@ -143,7 +143,7 @@ fn cost_monotone_in_pool_price() {
 /// percentile over the trailing window at every step.
 #[test]
 fn sliding_quantile_matches_naive() {
-    let mut rng = Pcg32::seed_from_u64(0xC04E_06);
+    let mut rng = Pcg32::new(Seed::root(0xC04E_06));
     for _ in 0..48 {
         let values: Vec<u32> = (0..rng.gen_range(1usize..120))
             .map(|_| rng.gen_range(0u32..5_000))

@@ -14,17 +14,18 @@
 //!   indices `0..tasks`; workers claim indices from a shared atomic
 //!   counter, but results land in index-addressed slots, so the output
 //!   vector is always in task order no matter which worker ran what.
-//! * **Buffered publication.** The parallel phase only *computes*: each
-//!   task materializes its operator tree and buffers its exchange chunks
-//!   ([`TaskExecution::run_buffered`]). Shuffle writes are published serially
-//!   at the stage barrier in task-index order — node-tier placement is
+//! * **Publication at the barrier, by type.** The parallel phase only
+//!   *computes*: each task materializes its operator tree and returns its
+//!   exchange chunks and engine counters ([`TaskExecution::run_buffered`]).
+//!   A task's [`TaskContext`] holds the shuffle as a read-only
+//!   [`ShuffleReader`](crate::shuffle::ShuffleReader) and no telemetry
+//!   sink, and the engine does not depend on `cackle-cloud`, so task code
+//!   cannot publish a chunk, record a metric or name a `CostLedger`. The
+//!   stage barrier below writes the chunks and records the counters
+//!   serially in task-index order — node-tier placement is
 //!   first-come-first-served, so publication order must not depend on
-//!   thread scheduling.
-//! * **Sharded telemetry.** Each task records into a private registry
-//!   shard; shards merge into the main sink at the barrier in task order
-//!   ([`Telemetry::merge`]). Every worker count — including 1 — goes
-//!   through the shard path, so the merged registry is identical at
-//!   `workers = 1, 2, 8`.
+//!   thread scheduling. Every worker count — including 1 — goes through
+//!   the same barrier, so the registry is identical at `workers = 1, 2, 8`.
 //! * **Keyed fault draws.** Task code, the object store and the shuffle
 //!   transport hold a [`TaskFaults`] view, whose only draws are keyed by
 //!   the operation's stable identity and so are dispatch-order-
@@ -52,10 +53,15 @@ use crate::plan::{StageDag, StageId};
 use crate::shuffle::ShuffleTransport;
 use crate::table::Catalog;
 use crate::task::{TaskContext, TaskExecution, TaskResult};
-use cackle_faults::{FaultInjector, TaskFaults};
-use cackle_telemetry::Telemetry;
+use cackle_faults::TaskFaults;
+use cackle_telemetry::catalog;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The handles [`Executor::execute_stage`] takes, for callers that
+/// depend on the engine alone.
+pub use cackle_faults::FaultInjector;
+pub use cackle_telemetry::Telemetry;
 
 // Compile-time proof that everything a worker closure captures can cross
 // threads (`dyn ShuffleTransport` is `Send + Sync` by declaration).
@@ -165,11 +171,13 @@ impl Executor {
             .collect()
     }
 
-    /// Execute every task of one stage: the parallel phase computes and
-    /// buffers, then the serial barrier phase publishes shuffle writes
-    /// and merges telemetry shards in task-index order. Returns the
-    /// per-task results in task order. Tasks get the keyed view of
-    /// `faults`, never the handle itself.
+    /// Execute every task of one stage: the parallel phase computes,
+    /// then the serial barrier writes each task's shuffle chunks and
+    /// records its engine counters into `telemetry`, in task-index order.
+    /// This barrier is the engine's only caller of
+    /// [`ShuffleTransport::write`]. Returns the per-task results in task
+    /// order. Tasks get the keyed view of `faults`, never the handle
+    /// itself.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_stage(
         &self,
@@ -182,44 +190,18 @@ impl Executor {
         faults: &FaultInjector,
     ) -> Vec<TaskResult> {
         let faults = faults.keyed();
-        self.run_stage(
-            dag, stage_id, query_id, catalog, shuffle, telemetry, &faults,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage(
-        &self,
-        dag: &StageDag,
-        stage_id: StageId,
-        query_id: u64,
-        catalog: &Catalog,
-        shuffle: &dyn ShuffleTransport,
-        telemetry: &Telemetry,
-        faults: &TaskFaults,
-    ) -> Vec<TaskResult> {
         let tasks = dag.stages[stage_id].tasks as usize;
         let ran = self.run_indexed(tasks, |i| {
-            // Each task records into a private telemetry shard — merged
-            // below in task order — so the main registry never observes
-            // scheduling order. Worker count 1 takes the same path:
-            // that is what makes all worker counts byte-identical.
-            let shard = if telemetry.is_enabled() {
-                Telemetry::new()
-            } else {
-                Telemetry::disabled()
-            };
             let mut ctx = TaskContext::new(dag, stage_id, i as u32, query_id, catalog, shuffle);
-            ctx.telemetry = shard.clone();
             ctx.faults = faults.clone();
-            (TaskExecution::new(&ctx).run_buffered(), shard)
+            TaskExecution::new(&ctx).run_buffered()
         });
         let mut results = Vec::with_capacity(ran.len());
-        for (task, (buffered, shard)) in ran.into_iter().enumerate() {
+        for (task, buffered) in ran.into_iter().enumerate() {
             for (key, data) in buffered.writes {
                 shuffle.write(key, task as u32, data);
             }
-            telemetry.merge(&shard);
+            record_engine_counters(telemetry, &buffered.result);
             results.push(buffered.result);
         }
         results
@@ -235,16 +217,12 @@ impl Executor {
         catalog: &Catalog,
         shuffle: &dyn ShuffleTransport,
     ) -> Batch {
+        let telemetry = Telemetry::disabled();
+        let faults = FaultInjector::disabled();
         let mut gathered: Vec<Batch> = Vec::new();
         for stage in &dag.stages {
-            let results = self.run_stage(
-                dag,
-                stage.id,
-                query_id,
-                catalog,
-                shuffle,
-                &Telemetry::disabled(),
-                &TaskFaults::default(),
+            let results = self.execute_stage(
+                dag, stage.id, query_id, catalog, shuffle, &telemetry, &faults,
             );
             for r in results {
                 if let Some(batches) = r.output {
@@ -258,11 +236,25 @@ impl Executor {
     }
 }
 
+/// One task's `engine.*` counters, recorded at the barrier (a no-op when
+/// `telemetry` is disabled).
+fn record_engine_counters(telemetry: &Telemetry, r: &TaskResult) {
+    telemetry.add(catalog::ENGINE_TASKS_TOTAL, 1);
+    telemetry.add(catalog::ENGINE_TASK_ROWS_OUT_TOTAL, r.rows_out);
+    telemetry.add(
+        catalog::ENGINE_SHUFFLE_BYTES_WRITTEN_TOTAL,
+        r.shuffle_bytes_written,
+    );
+    telemetry.add(catalog::ENGINE_SHUFFLE_WRITES_TOTAL, r.shuffle_writes);
+    telemetry.record(catalog::ENGINE_TASK_ROWS_IN, r.rows_in as f64);
+    telemetry.add(catalog::ENGINE_SCRATCH_CHECKOUTS_TOTAL, r.scratch_checkouts);
+    telemetry.add(catalog::ENGINE_SCRATCH_REUSES_TOTAL, r.scratch_reuses);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::encode_batch;
-    use crate::task::execute_query;
 
     #[test]
     fn run_indexed_returns_results_in_index_order() {
@@ -287,7 +279,7 @@ mod tests {
         let dag = crate::task::tests::agg_plan();
         let serial = {
             let shuffle = crate::shuffle::MemoryShuffle::new();
-            execute_query(&dag, 1, &cat, &shuffle)
+            Executor::new(1).execute_query(&dag, 1, &cat, &shuffle)
         };
         let serial_bytes = encode_batch(&serial);
         for workers in [1u32, 2, 8] {
@@ -330,5 +322,52 @@ mod tests {
             assert_eq!(dump(workers), baseline, "workers={workers}");
         }
         assert!(baseline.1.contains("engine.tasks_total"));
+    }
+
+    #[test]
+    fn barrier_records_the_sums_of_the_task_results() {
+        let cat = crate::task::tests::catalog();
+        let dag = crate::task::tests::agg_plan();
+        for workers in [1u32, 3] {
+            let shuffle = crate::shuffle::MemoryShuffle::new();
+            let t = Telemetry::new();
+            let mut results = Vec::new();
+            for stage in &dag.stages {
+                results.extend(Executor::new(workers).execute_stage(
+                    &dag,
+                    stage.id,
+                    7,
+                    &cat,
+                    &shuffle,
+                    &t,
+                    &FaultInjector::disabled(),
+                ));
+            }
+            let sum = |f: fn(&TaskResult) -> u64| results.iter().map(f).sum::<u64>();
+            let expected = [
+                ("engine.tasks_total", results.len() as u64),
+                ("engine.task_rows_out_total", sum(|r| r.rows_out)),
+                (
+                    "engine.shuffle_bytes_written_total",
+                    sum(|r| r.shuffle_bytes_written),
+                ),
+                ("engine.shuffle_writes_total", sum(|r| r.shuffle_writes)),
+                (
+                    "engine.scratch_checkouts_total",
+                    sum(|r| r.scratch_checkouts),
+                ),
+                ("engine.scratch_reuses_total", sum(|r| r.scratch_reuses)),
+            ];
+            for (name, want) in expected {
+                assert_eq!(t.counter(name), want, "{name} at workers={workers}");
+            }
+            let rows_in = t.histogram("engine.task_rows_in").expect("recorded");
+            assert_eq!(rows_in.count, results.len() as u64);
+            assert_eq!(rows_in.sum, sum(|r| r.rows_in) as f64, "workers={workers}");
+            // The sums are not vacuous: every counter but reuses moved
+            // (each task checks out of a fresh arena, so nothing is reused).
+            assert_eq!(results.len(), 6);
+            assert!(expected[..5].iter().all(|&(_, v)| v > 0), "{expected:?}");
+        }
     }
 }

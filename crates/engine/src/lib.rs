@@ -36,7 +36,7 @@
 //!         output_schema: schema,
 //!     }],
 //! );
-//! let result = execute_query(&dag, 1, &catalog, &MemoryShuffle::new());
+//! let result = Executor::new(1).execute_query(&dag, 1, &catalog, &MemoryShuffle::new());
 //! assert_eq!(result.columns[0].i64s(), &[1, 2, 3]);
 //! ```
 
@@ -74,11 +74,11 @@ pub mod prelude {
     pub use crate::ops::sort::SortKey;
     pub use crate::plan::{ExchangeMode, PlanNode, Stage, StageDag, StageId};
     pub use crate::schema::{Field, Schema, SchemaRef};
-    pub use crate::shuffle::{MemoryShuffle, ShuffleKey, ShuffleStats, ShuffleTransport};
-    pub use crate::table::{Catalog, Table};
-    pub use crate::task::{
-        execute_query, format_batch, BufferedTask, TaskContext, TaskExecution, TaskResult,
+    pub use crate::shuffle::{
+        MemoryShuffle, ShuffleKey, ShuffleReader, ShuffleStats, ShuffleTransport,
     };
+    pub use crate::table::{Catalog, Table};
+    pub use crate::task::{format_batch, BufferedTask, TaskContext, TaskExecution, TaskResult};
     pub use crate::types::{date, DataType, Value};
 }
 

@@ -10,9 +10,9 @@
 //! * `bench_all` measures kernel speedups against them (its
 //!   `engine.kernel.*.x_reference` rows).
 //!
-//! Everything is `row_`-prefixed: the linter's call graph (L17)
-//! resolves calls by *name*, and unique names keep this module — which
-//! is deliberately the slow, allocate-per-row path — out of it.
+//! Everything is `row_`-prefixed, so a call site always says whether it
+//! runs this deliberately slow, allocate-per-row path or the operator it
+//! checks.
 
 use crate::batch::Batch;
 use crate::column::{Column, ColumnData};

@@ -59,6 +59,35 @@ pub trait ShuffleTransport: Send + Sync {
     fn stats(&self) -> ShuffleStats;
 }
 
+/// A task's read-only view of the shuffle transport: the only shuffle
+/// handle a [`TaskContext`](crate::task::TaskContext) holds. Tasks run
+/// concurrently, so they may read what earlier stages published but
+/// never publish themselves; their chunks go back to the executor, whose
+/// stage barrier writes them in task-index order. Task code that tries to
+/// write does not compile:
+///
+/// ```compile_fail
+/// use cackle_engine::prelude::*;
+/// fn task_code(ctx: &TaskContext<'_>, key: ShuffleKey) {
+///     ctx.shuffle.write(key, ctx.task, Vec::new());
+/// }
+/// ```
+#[derive(Clone, Copy)]
+pub struct ShuffleReader<'a>(&'a dyn ShuffleTransport);
+
+impl<'a> ShuffleReader<'a> {
+    /// A read-only view of `transport`.
+    pub(crate) fn new(transport: &'a dyn ShuffleTransport) -> Self {
+        ShuffleReader(transport)
+    }
+
+    /// Fetch every producer's chunk for a partition, in producer-task
+    /// order ([`ShuffleTransport::read`]).
+    pub fn read(&self, key: ShuffleKey) -> Vec<Arc<[u8]>> {
+        self.0.read(key)
+    }
+}
+
 /// One producer task's stored chunk: `(producer_task, bytes)`.
 pub type ShuffleChunk = (u32, Arc<[u8]>);
 

@@ -2,8 +2,11 @@
 //!
 //! A task materializes its operator tree bottom-up (stages are barriers, so
 //! inputs are always fully available), then applies the stage's exchange:
-//! hash-partitioning and writing chunks through the shuffle transport,
-//! broadcasting, or returning gathered batches to the caller.
+//! hash-partitioning or broadcasting into encoded chunks, or returning
+//! gathered batches. A task computes and nothing else: it reads the
+//! shuffle through a read-only view, and its chunks and engine counters
+//! go back to the executor, whose stage barrier publishes them in
+//! task-index order (`executor.rs`).
 
 // Hot path: no panic paths outside tests (clippy.toml exempts test code).
 #![deny(
@@ -18,7 +21,6 @@
 use crate::batch::Batch;
 use crate::codec::{decode_batch, encode_batch};
 use crate::column::{Column, ColumnSlice};
-use crate::executor::Executor;
 use crate::expr::predicate_mask_into;
 use crate::kernels::pool::ScratchArena;
 use crate::kernels::select::{filter_batch, filter_project};
@@ -28,10 +30,9 @@ use crate::ops::sort::sort;
 use crate::plan::{ExchangeMode, PlanNode, StageDag, StageId};
 use crate::rowkey::partition_of;
 use crate::schema::SchemaRef;
-use crate::shuffle::{ShuffleKey, ShuffleTransport};
+use crate::shuffle::{ShuffleKey, ShuffleReader, ShuffleTransport};
 use crate::table::Catalog;
 use cackle_faults::{op_key, TaskFaults};
-use cackle_telemetry::{catalog, Telemetry};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -47,10 +48,8 @@ pub struct TaskContext<'a> {
     pub query_id: u64,
     /// Base-table catalog.
     pub catalog: &'a Catalog,
-    /// Intermediate-data transport.
-    pub shuffle: &'a dyn ShuffleTransport,
-    /// Metrics sink (disabled by default — see [`TaskContext::new`]).
-    pub telemetry: Telemetry,
+    /// Intermediate-data transport, read-only: a task never publishes.
+    pub shuffle: ShuffleReader<'a>,
     /// Keyed view of the fault plan (disabled by default). Injected
     /// transport drops on shuffle reads are retried deterministically
     /// inside its bounded recovery loop; the retries cost counters, never
@@ -64,8 +63,9 @@ pub struct TaskContext<'a> {
 }
 
 impl<'a> TaskContext<'a> {
-    /// A context with telemetry disabled; enable it by assigning the
-    /// `telemetry` field (it is plain data, like the rest of the context).
+    /// A context with faults disabled; assign the `faults` field for a
+    /// keyed view of a plan (it is plain data, like the rest of the
+    /// context).
     pub fn new(
         dag: &'a StageDag,
         stage_id: StageId,
@@ -80,15 +80,15 @@ impl<'a> TaskContext<'a> {
             task,
             query_id,
             catalog,
-            shuffle,
-            telemetry: Telemetry::disabled(),
+            shuffle: ShuffleReader::new(shuffle),
             faults: TaskFaults::default(),
             scratch: RefCell::new(ScratchArena::new()),
         }
     }
 }
 
-/// What a task produced.
+/// What a task produced: its gathered output and its engine counters,
+/// which the stage barrier records into the stage's telemetry.
 #[derive(Debug, Default)]
 pub struct TaskResult {
     /// Gathered batches (final stage only).
@@ -101,6 +101,10 @@ pub struct TaskResult {
     pub shuffle_writes: u64,
     /// Rows read from scans and shuffles.
     pub rows_in: u64,
+    /// Scratch-buffer checkouts this run made.
+    pub scratch_checkouts: u64,
+    /// Of those, checkouts served by a pooled buffer.
+    pub scratch_reuses: u64,
 }
 
 /// A task's computed result plus the exchange chunks it produced,
@@ -111,18 +115,18 @@ pub struct TaskResult {
 /// thread scheduling.
 #[derive(Debug, Default)]
 pub struct BufferedTask {
-    /// The task's result (counters already recorded to `ctx.telemetry`).
+    /// The task's result and engine counters.
     pub result: TaskResult,
     /// Encoded exchange chunks in partition order, to be written as
     /// `shuffle.write(key, ctx.task, data)`.
     pub writes: Vec<(ShuffleKey, Vec<u8>)>,
 }
 
-/// One task run bound to its context: the single execution entry point.
-/// Construct with [`TaskExecution::new`], then either
-/// [`run`](TaskExecution::run) (compute + publish) or
-/// [`run_buffered`](TaskExecution::run_buffered) (compute only, exchange
-/// writes buffered for the caller).
+/// One task run bound to its context. Construct with
+/// [`TaskExecution::new`], then [`run_buffered`](TaskExecution::run_buffered)
+/// computes the task and returns its exchange writes for the caller
+/// ([`Executor::execute_stage`](crate::executor::Executor::execute_stage))
+/// to publish.
 pub struct TaskExecution<'a, 'c> {
     ctx: &'c TaskContext<'a>,
 }
@@ -131,15 +135,6 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
     /// Bind a run to its context.
     pub fn new(ctx: &'c TaskContext<'a>) -> Self {
         TaskExecution { ctx }
-    }
-
-    /// Compute the task and publish its exchange output immediately.
-    pub fn run(&self) -> TaskResult {
-        let buffered = self.run_buffered();
-        for (key, data) in buffered.writes {
-            self.ctx.shuffle.write(key, self.ctx.task, data);
-        }
-        buffered.result
     }
 
     /// Compute the task, buffering exchange writes for the caller.
@@ -235,31 +230,12 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                 });
             }
         }
-        if ctx.telemetry.is_enabled() {
-            ctx.telemetry.add(catalog::ENGINE_TASKS_TOTAL, 1);
-            ctx.telemetry
-                .add(catalog::ENGINE_TASK_ROWS_OUT_TOTAL, result.rows_out);
-            ctx.telemetry.add(
-                catalog::ENGINE_SHUFFLE_BYTES_WRITTEN_TOTAL,
-                result.shuffle_bytes_written,
-            );
-            ctx.telemetry
-                .add(catalog::ENGINE_SHUFFLE_WRITES_TOTAL, result.shuffle_writes);
-            ctx.telemetry
-                .record(catalog::ENGINE_TASK_ROWS_IN, result.rows_in as f64);
-            // Per-run deltas: the arena's counters are cumulative across
-            // a context's lifetime, but a context may run many probes in
-            // tests; report only what this run consumed.
-            let s = ctx.scratch.borrow().stats();
-            ctx.telemetry.add(
-                catalog::ENGINE_SCRATCH_CHECKOUTS_TOTAL,
-                s.checkouts - scratch_before.checkouts,
-            );
-            ctx.telemetry.add(
-                catalog::ENGINE_SCRATCH_REUSES_TOTAL,
-                s.reuses - scratch_before.reuses,
-            );
-        }
+        // Per-run deltas: the arena's counters are cumulative across a
+        // context's lifetime, but a context may run many probes in tests;
+        // report only what this run consumed.
+        let s = ctx.scratch.borrow().stats();
+        result.scratch_checkouts = s.checkouts - scratch_before.checkouts;
+        result.scratch_reuses = s.reuses - scratch_before.reuses;
         BufferedTask { result, writes }
     }
 
@@ -438,18 +414,6 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
     }
 }
 
-/// Convenience single-process driver: execute every stage of a plan in
-/// dependency order on the caller's thread, returning the gathered
-/// result — [`Executor::execute_query`] with one worker.
-pub fn execute_query(
-    dag: &StageDag,
-    query_id: u64,
-    catalog: &Catalog,
-    shuffle: &dyn ShuffleTransport,
-) -> Batch {
-    Executor::new(1).execute_query(dag, query_id, catalog, shuffle)
-}
-
 /// Pretty-print a result batch as an aligned table (examples + debugging).
 /// Cells render through borrowed [`ColumnSlice`] views — no `Value` (and
 /// in particular no string clone) is materialized per cell.
@@ -496,6 +460,7 @@ pub fn format_batch(batch: &Batch, max_rows: usize) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::executor::Executor;
     use crate::expr::Expr;
     use crate::ops::aggregate::{AggExpr, AggFunc};
     use crate::ops::join::JoinType;
@@ -582,7 +547,7 @@ pub(crate) mod tests {
     fn distributed_two_phase_aggregation_is_correct() {
         let cat = catalog();
         let shuffle = MemoryShuffle::new();
-        let result = execute_query(&agg_plan(), 1, &cat, &shuffle);
+        let result = Executor::new(1).execute_query(&agg_plan(), 1, &cat, &shuffle);
         assert_eq!(result.num_rows(), 10);
         // Independently compute the expected totals.
         let mut expected = [0.0f64; 10];
@@ -730,8 +695,8 @@ pub(crate) mod tests {
 
         let s1 = MemoryShuffle::new();
         let s2 = MemoryShuffle::new();
-        let r1 = execute_query(&broadcast, 1, &cat, &s1);
-        let r2 = execute_query(&partitioned, 2, &cat, &s2);
+        let r1 = Executor::new(1).execute_query(&broadcast, 1, &cat, &s1);
+        let r2 = Executor::new(1).execute_query(&partitioned, 2, &cat, &s2);
         assert_eq!(r1.num_rows(), 100);
         assert_eq!(r1, r2);
     }
@@ -761,7 +726,7 @@ pub(crate) mod tests {
                 output_schema: schema,
             }],
         );
-        let r = execute_query(&dag, 3, &cat, &MemoryShuffle::new());
+        let r = Executor::new(1).execute_query(&dag, 3, &cat, &MemoryShuffle::new());
         assert_eq!(r.num_rows(), 3);
         // Largest o_key with o_cust == 3 is 93.
         assert_eq!(r.columns[0].i64s(), &[93, 83, 73]);
@@ -785,7 +750,7 @@ pub(crate) mod tests {
                 output_schema: out,
             }],
         );
-        let r = execute_query(&dag, 4, &cat, &MemoryShuffle::new());
+        let r = Executor::new(1).execute_query(&dag, 4, &cat, &MemoryShuffle::new());
         assert_eq!(r.num_rows(), 5);
         assert_eq!(r.num_columns(), 1);
     }

@@ -56,7 +56,7 @@ fn empty_table_flows_through_exchange() {
     let schema = Schema::shared(&[("k", DataType::I64), ("v", DataType::F64)]);
     let cat = catalog_with("t", schema.clone(), vec![Batch::empty(schema)]);
     let dag = two_stage_sum_dag("t", 3, 2);
-    let r = execute_query(&dag, 1, &cat, &MemoryShuffle::new());
+    let r = Executor::new(1).execute_query(&dag, 1, &cat, &MemoryShuffle::new());
     assert_eq!(r.num_rows(), 0);
     assert_eq!(r.num_columns(), 2);
 }
@@ -89,7 +89,7 @@ fn all_rows_filtered_is_empty_not_panic() {
             output_schema: schema,
         }],
     );
-    let r = execute_query(&dag, 1, &cat, &MemoryShuffle::new());
+    let r = Executor::new(1).execute_query(&dag, 1, &cat, &MemoryShuffle::new());
     assert_eq!(r.num_rows(), 0);
 }
 
@@ -111,7 +111,7 @@ fn extreme_skew_single_key() {
         )],
     );
     let dag = two_stage_sum_dag("t", 4, 8);
-    let r = execute_query(&dag, 1, &cat, &MemoryShuffle::new());
+    let r = Executor::new(1).execute_query(&dag, 1, &cat, &MemoryShuffle::new());
     assert_eq!(r.num_rows(), 1);
     assert_eq!(r.columns[0].i64s(), &[7]);
     let expect: f64 = (0..n).map(|x| x as f64).sum();
@@ -133,7 +133,7 @@ fn null_group_keys_form_their_own_group() {
     );
     let cat = catalog_with("t", schema, vec![batch]);
     let dag = two_stage_sum_dag("t", 1, 2);
-    let r = execute_query(&dag, 1, &cat, &MemoryShuffle::new());
+    let r = Executor::new(1).execute_query(&dag, 1, &cat, &MemoryShuffle::new());
     // Two groups: k=1 (sum 4) and k=NULL (sum 6).
     assert_eq!(r.num_rows(), 2);
     let mut found_null = false;
@@ -163,7 +163,7 @@ fn more_tasks_than_partitions_idle_gracefully() {
         )],
     );
     let dag = two_stage_sum_dag("t", 8, 3);
-    let r = execute_query(&dag, 1, &cat, &MemoryShuffle::new());
+    let r = Executor::new(1).execute_query(&dag, 1, &cat, &MemoryShuffle::new());
     assert_eq!(r.num_rows(), 1);
     assert_eq!(r.columns[1].f64s(), &[5.0]);
 }
@@ -221,6 +221,6 @@ fn broadcast_of_empty_build_side_yields_empty_join() {
             },
         ],
     );
-    let r = execute_query(&dag, 1, &cat, &MemoryShuffle::new());
+    let r = Executor::new(1).execute_query(&dag, 1, &cat, &MemoryShuffle::new());
     assert_eq!(r.num_rows(), 0);
 }

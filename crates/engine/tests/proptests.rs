@@ -10,7 +10,7 @@ use cackle_engine::ops::join::{hash_join, JoinType};
 use cackle_engine::ops::sort::{sort, SortKey};
 use cackle_engine::prelude::*;
 use cackle_engine::rowkey::encode_row;
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -61,7 +61,7 @@ fn gen_batch(rng: &mut Pcg32) -> Batch {
 /// encode → decode is the identity for every batch.
 #[test]
 fn codec_roundtrips() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_01);
+    let mut rng = Pcg32::new(Seed::root(0xE061_01));
     for _ in 0..64 {
         let batch = gen_batch(&mut rng);
         let decoded = decode_batch(&encode_batch(&batch), batch.schema.clone());
@@ -73,7 +73,7 @@ fn codec_roundtrips() {
 /// their values (including null positions) are equal.
 #[test]
 fn rowkey_injective() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_02);
+    let mut rng = Pcg32::new(Seed::root(0xE061_02));
     for _ in 0..64 {
         let batch = gen_batch(&mut rng);
         let cols: Vec<&Column> = batch.columns.iter().collect();
@@ -91,7 +91,7 @@ fn rowkey_injective() {
 /// filter(mask) keeps exactly the masked rows in order.
 #[test]
 fn filter_is_selective() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_03);
+    let mut rng = Pcg32::new(Seed::root(0xE061_03));
     for _ in 0..64 {
         let batch = gen_batch(&mut rng);
         let seed = rng.next_u64();
@@ -109,7 +109,7 @@ fn filter_is_selective() {
 /// concat of contiguous slices reassembles the original batch.
 #[test]
 fn chunk_concat_identity() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_04);
+    let mut rng = Pcg32::new(Seed::root(0xE061_04));
     for _ in 0..64 {
         let batch = gen_batch(&mut rng);
         let chunk = rng.gen_range(1usize..7);
@@ -126,7 +126,7 @@ fn chunk_concat_identity() {
 /// Sorting produces a permutation of the input in key order.
 #[test]
 fn sort_is_ordered_permutation() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_05);
+    let mut rng = Pcg32::new(Seed::root(0xE061_05));
     for _ in 0..64 {
         let keys: Vec<i64> = (0..rng.gen_range(1usize..50))
             .map(|_| rng.next_u64() as i64)
@@ -153,7 +153,7 @@ fn sort_is_ordered_permutation() {
 /// Inner hash join matches a naive nested-loop reference.
 #[test]
 fn join_matches_nested_loop() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_06);
+    let mut rng = Pcg32::new(Seed::root(0xE061_06));
     for _ in 0..64 {
         let build_keys: Vec<i64> = (0..rng.gen_range(0usize..20))
             .map(|_| rng.gen_range(0i64..8))
@@ -195,7 +195,7 @@ fn join_matches_nested_loop() {
 /// Semi + anti join partition the probe side.
 #[test]
 fn semi_anti_partition_probe() {
-    let mut rng = Pcg32::seed_from_u64(0xE061_07);
+    let mut rng = Pcg32::new(Seed::root(0xE061_07));
     for _ in 0..64 {
         let build_keys: Vec<i64> = (0..rng.gen_range(0usize..15))
             .map(|_| rng.gen_range(0i64..6))

@@ -28,6 +28,7 @@
 //! contract `FaultSpec` documents for zero rates).
 
 use crate::{keyed_stream, FaultError};
+use cackle_prng::Seed;
 
 /// Keyed-draw salts for the environment artifacts. Disjoint from the
 /// fault plan's sequential salts (0xFA01–0xFA06) and keyed salts
@@ -209,7 +210,7 @@ impl EnvironmentSpec {
     /// function of `(seed, vm)` via a keyed stream, so results never
     /// depend on launch order or worker scheduling. Draw order within
     /// the stream is fixed: slow?, magnitude, remote?.
-    pub fn vm_traits(&self, seed: u64, vm: u64) -> VmTraits {
+    pub fn vm_traits(&self, seed: Seed, vm: u64) -> VmTraits {
         if self.vm_slow_fraction == 0.0 && self.remote_vm_fraction == 0.0 {
             return VmTraits::default();
         }
@@ -259,7 +260,8 @@ impl Default for VmTraits {
 /// timeline (volatility zero) multiplies by exactly 1000/1000.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PriceTimeline {
-    seed: u64,
+    /// `None` exactly when the timeline is flat: it never draws.
+    seed: Option<Seed>,
     volatility_milli: u32,
     interval_s: u64,
 }
@@ -267,12 +269,12 @@ pub struct PriceTimeline {
 impl PriceTimeline {
     /// Compile from a spec and run seed.
     /// A pure function of `(env, seed)`.
-    pub fn compile(env: &EnvironmentSpec, seed: u64) -> Self {
+    pub fn compile(env: &EnvironmentSpec, seed: Seed) -> Self {
         // Round the volatility to per-mille once; every multiplier is
         // derived from this integer amplitude.
         let volatility_milli = (env.market_volatility * 1000.0).round() as u32;
         PriceTimeline {
-            seed,
+            seed: (volatility_milli > 0).then_some(seed),
             volatility_milli,
             interval_s: env.market_interval_s.max(1),
         }
@@ -281,7 +283,7 @@ impl PriceTimeline {
     /// The always-1000 timeline (no market motion).
     pub fn flat() -> Self {
         PriceTimeline {
-            seed: 0,
+            seed: None,
             volatility_milli: 0,
             interval_s: 900,
         }
@@ -289,7 +291,7 @@ impl PriceTimeline {
 
     /// Whether every multiplier is exactly 1000.
     pub fn is_flat(&self) -> bool {
-        self.volatility_milli == 0
+        self.seed.is_none()
     }
 
     /// Seconds per market interval.
@@ -300,11 +302,11 @@ impl PriceTimeline {
     /// Per-mille multiplier in effect at simulated second `now_s`.
     /// A pure function of `(self, now_s)`.
     pub fn multiplier_milli(&self, now_s: u64) -> u32 {
-        if self.volatility_milli == 0 {
+        let Some(seed) = self.seed else {
             return 1000;
-        }
+        };
         let idx = now_s / self.interval_s;
-        let mut rng = keyed_stream(self.seed, SALT_ENV_MARKET, idx);
+        let mut rng = keyed_stream(seed, SALT_ENV_MARKET, idx);
         let u = rng.gen_range(0.0..1.0);
         let swing = (self.volatility_milli as f64 * (2.0 * u - 1.0)).round() as i64;
         // volatility <= 0.9 bounds the swing to ±900; the floor is a
@@ -319,7 +321,7 @@ impl PriceTimeline {
     /// A pure function of `(self, start_ms, end_ms)`.
     pub fn integral_milli_ms(&self, start_ms: u64, end_ms: u64) -> u128 {
         let span = end_ms.saturating_sub(start_ms) as u128;
-        if self.volatility_milli == 0 {
+        if self.is_flat() {
             return span * 1000;
         }
         let interval_ms = self.interval_s as u128 * 1000;
@@ -343,7 +345,7 @@ impl PriceTimeline {
 /// window is a pure keyed draw on `(seed, SALT_ENV_STORM, window)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReclaimStorm {
-    seed: u64,
+    seed: Seed,
     window_s: u64,
     storm_s: u64,
     rate_per_vm_hour: f64,
@@ -352,7 +354,7 @@ pub struct ReclaimStorm {
 impl ReclaimStorm {
     /// Compile from a spec and run seed; `None` when storms are off.
     /// A pure function of `(env, seed)`.
-    pub fn compile(env: &EnvironmentSpec, seed: u64) -> Option<Self> {
+    pub fn compile(env: &EnvironmentSpec, seed: Seed) -> Option<Self> {
         if env.storms_per_day <= 0.0 {
             return None;
         }
@@ -483,9 +485,14 @@ mod tests {
     fn vm_traits_are_pure_in_seed_and_id() {
         let env = active_env();
         for vm in 0..64 {
-            assert_eq!(env.vm_traits(42, vm), env.vm_traits(42, vm));
+            assert_eq!(
+                env.vm_traits(Seed::root(42), vm),
+                env.vm_traits(Seed::root(42), vm)
+            );
         }
-        let traits: Vec<VmTraits> = (0..400).map(|vm| env.vm_traits(42, vm)).collect();
+        let traits: Vec<VmTraits> = (0..400)
+            .map(|vm| env.vm_traits(Seed::root(42), vm))
+            .collect();
         let slow = traits.iter().filter(|t| t.slowdown > 1.0).count();
         let remote = traits.iter().filter(|t| t.remote).count();
         // 25% slow, 50% remote — loose bounds, deterministic draws.
@@ -497,17 +504,19 @@ mod tests {
         }
         // Seed moves the draws.
         assert_ne!(
-            (0..400).map(|vm| env.vm_traits(1, vm)).collect::<Vec<_>>(),
+            (0..400)
+                .map(|vm| env.vm_traits(Seed::root(1), vm))
+                .collect::<Vec<_>>(),
             traits
         );
         // Zero heterogeneity + zero remote: default traits, no draws.
         let flat = EnvironmentSpec::default();
-        assert_eq!(flat.vm_traits(42, 7), VmTraits::default());
+        assert_eq!(flat.vm_traits(Seed::root(42), 7), VmTraits::default());
     }
 
     #[test]
     fn price_timeline_steps_are_bounded_and_pure() {
-        let tl = PriceTimeline::compile(&active_env(), 9);
+        let tl = PriceTimeline::compile(&active_env(), Seed::root(9));
         assert!(!tl.is_flat());
         let mut distinct = std::collections::BTreeSet::new();
         for i in 0..200 {
@@ -527,7 +536,7 @@ mod tests {
 
     #[test]
     fn price_integral_matches_brute_force() {
-        let tl = PriceTimeline::compile(&active_env(), 5);
+        let tl = PriceTimeline::compile(&active_env(), Seed::root(5));
         // Brute force: sum per-millisecond multipliers over a span that
         // crosses several interval boundaries (coarse stride of 1 ms is
         // too slow; use 100 ms and a span aligned to it).
@@ -552,7 +561,7 @@ mod tests {
     #[test]
     fn storms_occupy_their_configured_fraction() {
         let env = EnvironmentSpec::default().with_reclaim_storms(4.0, 300, 60.0);
-        let storm = ReclaimStorm::compile(&env, 11).unwrap();
+        let storm = ReclaimStorm::compile(&env, Seed::root(11)).unwrap();
         // 4/day × 300 s = 1200 s of storm per day.
         let in_storm = (0..86_400).filter(|&s| storm.in_storm(s)).count();
         assert_eq!(in_storm, 1200, "exactly one 300 s storm per window");
@@ -565,6 +574,6 @@ mod tests {
         // Purity: same window, same offset.
         assert_eq!((0..86_400).filter(|&s| storm.in_storm(s)).count(), in_storm);
         // Off when per_day is zero.
-        assert!(ReclaimStorm::compile(&EnvironmentSpec::default(), 11).is_none());
+        assert!(ReclaimStorm::compile(&EnvironmentSpec::default(), Seed::root(11)).is_none());
     }
 }

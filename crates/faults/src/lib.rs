@@ -40,7 +40,7 @@
 //! under the `fault.*` / `recovery.*` prefixes (DESIGN.md §8 tabulates
 //! the full set).
 
-use cackle_prng::{splitmix64, Pcg32};
+use cackle_prng::{Pcg32, Seed};
 use cackle_telemetry::{catalog, Telemetry};
 use std::cell::{RefCell, RefMut};
 use std::fmt;
@@ -391,7 +391,7 @@ pub enum StoreOp {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    seed: u64,
+    seed: Seed,
     spot: Pcg32,
     pool: Pcg32,
     store_get: Pcg32,
@@ -407,10 +407,8 @@ pub struct FaultPlan {
 
 /// Decorrelate the per-point streams from the run seed (and from the
 /// seed itself, which runners feed to their main RNG).
-fn stream(seed: u64, salt: u64) -> Pcg32 {
-    let mut s = seed ^ salt;
-    let expanded = splitmix64(&mut s);
-    Pcg32::seed_from_u64(expanded)
+fn stream(seed: Seed, salt: u64) -> Pcg32 {
+    Pcg32::new(seed.keyed(salt))
 }
 
 /// Point salts for the *keyed* injection points — the ones consulted from
@@ -428,11 +426,8 @@ const SALT_STORE_PUT: u64 = 0xFA16;
 /// operations made first — so draws made from concurrently-executing
 /// tasks are dispatch-order-independent.
 /// A pure function of `(seed, salt, key)`.
-fn keyed_stream(seed: u64, salt: u64, key: u64) -> Pcg32 {
-    let mut s = seed ^ salt;
-    let point = splitmix64(&mut s);
-    let mut k = point ^ key;
-    Pcg32::seed_from_u64(splitmix64(&mut k))
+fn keyed_stream(seed: Seed, salt: u64, key: u64) -> Pcg32 {
+    Pcg32::new(seed.keyed(salt).keyed(key))
 }
 
 /// FNV-1a over a byte string — the helper callers use to turn a stable
@@ -450,6 +445,11 @@ impl FaultPlan {
     /// Compile a validated spec into a plan seeded for one run.
     pub fn compile(spec: &FaultSpec, seed: u64) -> Result<Self, FaultError> {
         spec.validate()?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mint: the fault plan receives the RunSpec seed"
+        )]
+        let seed = Seed::root(seed);
         Ok(FaultPlan {
             spec: spec.clone(),
             seed,
@@ -531,7 +531,7 @@ impl FaultPlan {
 /// tasks share it without a lock.
 #[derive(Debug, Clone)]
 struct Keyed {
-    seed: u64,
+    seed: Seed,
     spec: FaultSpec,
     policy: RecoveryPolicy,
     telemetry: Telemetry,
@@ -1198,6 +1198,9 @@ mod tests {
         assert_eq!(inj.pool_invoke(), PoolDecision::Proceed);
         assert_eq!(inj.store_attempts(StoreOp::Put), 1);
         assert_eq!(inj.store_attempts_keyed(StoreOp::Get, 7), 1);
+        // The same view, not just the same answers: `execute_query` hands
+        // tasks `FaultInjector::disabled().keyed()` for the default.
+        assert!(inj.keyed().inner.is_none() && TaskFaults::default().inner.is_none());
         for tasks in [inj.keyed(), TaskFaults::default()] {
             assert_eq!(tasks.store_attempts_keyed(StoreOp::Get, 7), 1);
             assert!(!tasks.transport_write_fallback_keyed(7));

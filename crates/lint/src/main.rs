@@ -55,7 +55,7 @@ fn main() -> ExitCode {
             }
             "--explain" => {
                 let Some(id_str) = args.next() else {
-                    eprintln!("cackle-lint: --explain needs a rule id (L11, L13, L17, SUP)");
+                    eprintln!("cackle-lint: --explain needs a rule id (L11, SUP)");
                     return ExitCode::from(2);
                 };
                 // SUP is not LintId::parse-able (it may not appear in an
@@ -66,9 +66,7 @@ fn main() -> ExitCode {
                     LintId::parse(&id_str)
                 };
                 let Some(id) = id else {
-                    eprintln!(
-                        "cackle-lint: unknown rule id `{id_str}` (expected L11, L13, L17 or SUP)"
-                    );
+                    eprintln!("cackle-lint: unknown rule id `{id_str}` (expected L11 or SUP)");
                     return ExitCode::from(2);
                 };
                 println!("{}", explain(id));

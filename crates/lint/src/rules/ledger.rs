@@ -16,10 +16,9 @@
 //!     belongs in a Pricing method.
 
 use super::RawFinding;
-use crate::index::Workspace;
 use crate::lexer::TokKind;
 use crate::parser::ParsedFile;
-use crate::LintId;
+use crate::{LintId, SourceFile};
 
 const ALWAYS_BAD: [&str; 8] = ["*", "/", "%", "+=", "-=", "*=", "/=", "=="];
 const SUM_OPS: [&str; 2] = ["+", "-"];
@@ -32,8 +31,8 @@ fn is_cost_named(ident: &str) -> bool {
         .any(|k| lower.contains(k))
 }
 
-pub fn check(ws: &Workspace, out: &mut Vec<RawFinding>) {
-    for (fi, file) in ws.files.iter().enumerate() {
+pub fn check(files: &[SourceFile], out: &mut Vec<RawFinding>) {
+    for (fi, file) in files.iter().enumerate() {
         let p = &file.parsed;
         let toks = &p.toks;
         for i in 0..toks.len() {
@@ -169,9 +168,9 @@ mod tests {
     use super::*;
 
     fn findings(src: &str) -> Vec<RawFinding> {
-        let ws = Workspace::build(vec![("crates/core/src/x.rs".to_string(), src.to_string())]);
+        let files = [SourceFile::new("crates/core/src/x.rs".into(), src.into())];
         let mut out = Vec::new();
-        check(&ws, &mut out);
+        check(&files, &mut out);
         out
     }
 

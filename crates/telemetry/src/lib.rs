@@ -329,13 +329,13 @@ impl Registry {
         out
     }
 
-    /// Fold another registry (a per-task telemetry shard) into this one.
+    /// Fold another registry (a shard) into this one.
     ///
-    /// This is the merge-ordered contract behind parallel task execution:
-    /// each task records into a private shard, and the executor absorbs the
-    /// shards in task-index order at the stage barrier, so the merged
-    /// registry — and therefore the exported dump — is independent of which
-    /// worker thread ran which task. Merge semantics per section: counters
+    /// Absorbing shards in a fixed order gives the same registry however
+    /// they were recorded, so the exported dump is independent of which
+    /// thread recorded which shard. (The stage executor does not need
+    /// shards: its tasks return their counters and the barrier records
+    /// them in task-index order.) Merge semantics per section: counters
     /// add; gauges last-write-wins (the absorbing shard's value replaces
     /// ours); histograms merge elementwise (a metric has one set of bounds,
     /// its catalogue entry's); series and events append in shard order;
@@ -572,11 +572,10 @@ impl Telemetry {
         }
     }
 
-    /// Absorb a per-task telemetry shard into this sink (see
-    /// [`Registry::absorb`]). A no-op when either handle is disabled. The
-    /// caller is responsible for absorbing shards in task-index order —
-    /// that ordering, not thread scheduling, is what keeps parallel runs
-    /// byte-identical.
+    /// Absorb a telemetry shard into this sink (see [`Registry::absorb`]).
+    /// A no-op when either handle is disabled. The caller is responsible
+    /// for absorbing shards in a fixed order — that ordering, not thread
+    /// scheduling, is what keeps parallel recording byte-identical.
     pub fn merge(&self, shard: &Telemetry) {
         let Some(other) = shard.snapshot() else {
             return;

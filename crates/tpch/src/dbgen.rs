@@ -16,7 +16,7 @@ use cackle_engine::column::{Column, ColumnData, StrColumn};
 use cackle_engine::schema::{Field, Schema, SchemaRef};
 use cackle_engine::table::{Catalog, Table};
 use cackle_engine::types::{date, DataType};
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use std::fmt::Write as _;
 
 /// Configuration for one generation run.
@@ -48,6 +48,15 @@ impl DbGenConfig {
             scale_factor,
             ..Default::default()
         }
+    }
+
+    /// The stream of one table: the config's seed salted by the table.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mint: the TPC-H generator receives the DbGenConfig seed"
+    )]
+    fn stream(&self, table_salt: u64) -> Pcg32 {
+        Pcg32::new(Seed::root(self.seed).salted(table_salt))
     }
 
     fn scaled(&self, base: u64) -> usize {
@@ -343,7 +352,7 @@ impl TableWriter {
 
 /// Generate the `region` table.
 pub fn gen_region(cfg: &DbGenConfig) -> Table {
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7265_6769);
+    let mut rng = cfg.stream(0x7265_6769);
     let mut w = TableWriter::new("region", schema::region(), cfg);
     for (key, name) in (0..).zip(REGIONS) {
         w.i64(key);
@@ -355,7 +364,7 @@ pub fn gen_region(cfg: &DbGenConfig) -> Table {
 
 /// Generate the `nation` table.
 pub fn gen_nation(cfg: &DbGenConfig) -> Table {
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x6e61_7469);
+    let mut rng = cfg.stream(0x6e61_7469);
     let mut w = TableWriter::new("nation", schema::nation(), cfg);
     for (key, (name, region)) in (0..).zip(NATIONS) {
         w.i64(key);
@@ -381,7 +390,7 @@ fn phone(s: &mut String, rng: &mut Pcg32, nationkey: i64) {
 /// "Customer Complaints" phrase Q16 filters on.
 pub fn gen_supplier(cfg: &DbGenConfig) -> Table {
     let n = cfg.row_counts().supplier;
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7375_7070);
+    let mut rng = cfg.stream(0x7375_7070);
     let mut w = TableWriter::new("supplier", schema::supplier(), cfg);
     for i in 1..=n as i64 {
         let nk = rng.gen_range(0..25);
@@ -408,7 +417,7 @@ pub fn gen_supplier(cfg: &DbGenConfig) -> Table {
 /// "special … requests" phrase Q13 excludes.
 pub fn gen_customer(cfg: &DbGenConfig) -> Table {
     let n = cfg.row_counts().customer;
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x6375_7374);
+    let mut rng = cfg.stream(0x6375_7374);
     let mut w = TableWriter::new("customer", schema::customer(), cfg);
     for i in 1..=n as i64 {
         let nk = rng.gen_range(0..25);
@@ -432,7 +441,7 @@ pub fn gen_customer(cfg: &DbGenConfig) -> Table {
 /// Generate the `part` table (spec retail-price formula).
 pub fn gen_part(cfg: &DbGenConfig) -> Table {
     let n = cfg.row_counts().part;
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7061_7274);
+    let mut rng = cfg.stream(0x7061_7274);
     let mut w = TableWriter::new("part", schema::part(), cfg);
     for i in 1..=n as i64 {
         w.i64(i);
@@ -501,7 +510,7 @@ pub fn gen_partsupp(cfg: &DbGenConfig) -> Table {
     let counts = cfg.row_counts();
     let nparts = counts.part as i64;
     let nsupp = counts.supplier as i64;
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x7073_7570);
+    let mut rng = cfg.stream(0x7073_7570);
     let mut w = TableWriter::new("partsupp", schema::partsupp(), cfg);
     for p in 1..=nparts {
         for sk in suppliers_of_part(p, nsupp) {
@@ -532,7 +541,7 @@ pub fn gen_orders_lineitem(cfg: &DbGenConfig) -> OrdersAndLineitem {
     let ncust = counts.customer as i64;
     let nparts = counts.part as i64;
     let nsupp = counts.supplier as i64;
-    let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x6f72_6465);
+    let mut rng = cfg.stream(0x6f72_6465);
 
     let start = date::parse(START_DATE);
     let last = date::parse(LAST_ORDER_DATE);

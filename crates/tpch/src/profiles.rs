@@ -24,10 +24,10 @@
 
 use crate::dbgen::DbGenConfig;
 use crate::plans::{self, Par};
+use cackle_engine::executor::{Executor, FaultInjector, Telemetry};
 use cackle_engine::plan::{ExchangeMode, PlanNode, Stage, StageDag};
 use cackle_engine::shuffle::{MemoryShuffle, ShuffleTransport};
 use cackle_engine::table::Catalog;
-use cackle_engine::task::{TaskContext, TaskExecution};
 use cackle_workload::profile::{ProfileRef, QueryProfile, StageProfile};
 use std::sync::Arc;
 
@@ -187,10 +187,11 @@ pub fn measured_profile(
     let mut stage_rows = vec![0u64; dag.stages.len()];
     let mut stage_bytes = vec![0u64; dag.stages.len()];
     let mut stage_writes = vec![0u64; dag.stages.len()];
+    let (telemetry, faults) = (Telemetry::disabled(), FaultInjector::disabled());
     for stage in &dag.stages {
-        for task in 0..stage.tasks {
-            let ctx = TaskContext::new(&dag, stage.id, task, 99, catalog, &shuffle);
-            let r = TaskExecution::new(&ctx).run();
+        let results = Executor::new(1)
+            .execute_stage(&dag, stage.id, 99, catalog, &shuffle, &telemetry, &faults);
+        for r in results {
             stage_rows[stage.id] += r.rows_in;
             stage_bytes[stage.id] += r.shuffle_bytes_written;
             stage_writes[stage.id] += r.shuffle_writes;

@@ -32,7 +32,7 @@ fn par() -> Par {
 
 fn run(name: &str) -> Batch {
     let dag = plans::plan(name, par());
-    execute_query(
+    Executor::new(1).execute_query(
         &dag,
         0xC0FFEE ^ name.len() as u64,
         catalog(),
@@ -231,7 +231,7 @@ fn task_parallelism_does_not_change_results() {
                     join: 1,
                 },
             );
-            execute_query(&dag, 1, catalog(), &MemoryShuffle::new())
+            Executor::new(1).execute_query(&dag, 1, catalog(), &MemoryShuffle::new())
         };
         let parallel = {
             let dag = plans::plan(
@@ -242,7 +242,7 @@ fn task_parallelism_does_not_change_results() {
                     join: 4,
                 },
             );
-            execute_query(&dag, 2, catalog(), &MemoryShuffle::new())
+            Executor::new(1).execute_query(&dag, 2, catalog(), &MemoryShuffle::new())
         };
         assert_batches_close(&serial, &parallel, name);
     }

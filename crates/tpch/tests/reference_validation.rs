@@ -28,7 +28,7 @@ fn run(name: &str) -> Batch {
             join: 3,
         },
     );
-    execute_query(&dag, 42, catalog(), &MemoryShuffle::new())
+    Executor::new(1).execute_query(&dag, 42, catalog(), &MemoryShuffle::new())
 }
 
 fn close(a: f64, b: f64) -> bool {

@@ -6,7 +6,7 @@
 //! superimposed randomness, matching the shapes of the real traces in §2.1.
 //! Table 1 defaults: 12 h window, 16384 queries, 30 % baseline, 3 h period.
 
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 
 /// Parameters of one generated workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,11 @@ impl WorkloadSpec {
     /// (peaks mid-period, troughs at period boundaries) via rejection
     /// sampling against the 2× uniform envelope.
     pub fn generate_arrivals(&self) -> Vec<u64> {
-        let mut rng = Pcg32::seed_from_u64(self.seed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mint: the arrival stream receives the WorkloadSpec seed"
+        )]
+        let mut rng = Pcg32::new(Seed::root(self.seed));
         let n_base = (self.num_queries as f64 * self.baseline_load).round() as usize;
         let n_base = n_base.min(self.num_queries);
         let n_sine = self.num_queries - n_base;

@@ -9,10 +9,19 @@
 //! only requires demand curves with these shapes.
 
 use crate::demand::DemandCurve;
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 
 const HOUR: usize = 3600;
 const DAY: usize = 24 * HOUR;
+
+/// The stream of a trace generator: each one receives its caller's seed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "mint: the trace generators receive their caller's seed"
+)]
+fn stream(seed: u64) -> Pcg32 {
+    Pcg32::new(Seed::root(seed))
+}
 
 /// Diurnal multiplier: low overnight, peaking in business hours.
 fn diurnal(second_of_day: usize) -> f64 {
@@ -28,7 +37,7 @@ fn diurnal(second_of_day: usize) -> f64 {
 ///
 /// Units: concurrent queries.
 pub fn startup_trace(seed: u64) -> DemandCurve {
-    let mut rng = Pcg32::seed_from_u64(seed);
+    let mut rng = stream(seed);
     let span = 7 * DAY;
     let mut curve = DemandCurve::zeros(span);
 
@@ -70,7 +79,7 @@ pub fn startup_trace(seed: u64) -> DemandCurve {
 /// Units: thousands of concurrent CPUs requested, scaled so the curve peaks
 /// near 300 (matching Figure 3's axis).
 pub fn alibaba_trace(seed: u64) -> DemandCurve {
-    let mut rng = Pcg32::seed_from_u64(seed);
+    let mut rng = stream(seed);
     let span = 7 * DAY;
     let mut samples = Vec::with_capacity(span);
     // A slowly drifting baseline via an AR(1) process on top of the
@@ -104,7 +113,7 @@ pub fn alibaba_trace(seed: u64) -> DemandCurve {
 ///
 /// Units: nodes requested, peaking near 1000 (matching Figure 4's axis).
 pub fn azure_trace(seed: u64) -> DemandCurve {
-    let mut rng = Pcg32::seed_from_u64(seed);
+    let mut rng = stream(seed);
     let span = 14 * DAY;
     let mut samples = Vec::with_capacity(span);
     let mut spike: f64 = 0.0;

@@ -2,7 +2,7 @@
 //! driven by the in-repo deterministic PRNG: each property is checked over
 //! many seeded cases, so failures are reproducible from the case index.
 
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_workload::arrivals::WorkloadSpec;
 use cackle_workload::demand::{percentile_of, DemandCurve};
 use cackle_workload::profile::{QueryProfile, StageProfile};
@@ -11,7 +11,7 @@ use cackle_workload::profile::{QueryProfile, StageProfile};
 /// window, for any parameter combination.
 #[test]
 fn arrivals_well_formed() {
-    let mut rng = Pcg32::seed_from_u64(0xA881);
+    let mut rng = Pcg32::new(Seed::root(0xA881));
     for _ in 0..64 {
         let duration = rng.gen_range(10u64..5_000);
         let n = rng.gen_range(1usize..500);
@@ -33,7 +33,7 @@ fn arrivals_well_formed() {
 /// interval areas regardless of insertion order.
 #[test]
 fn demand_curve_additive() {
-    let mut rng = Pcg32::seed_from_u64(0xA882);
+    let mut rng = Pcg32::new(Seed::root(0xA882));
     for _ in 0..64 {
         let intervals: Vec<(usize, usize, u32)> = (0..rng.gen_range(0usize..30))
             .map(|_| {
@@ -62,7 +62,7 @@ fn demand_curve_additive() {
 /// Percentiles are monotone in the percentile and bounded by min/max.
 #[test]
 fn percentile_monotone() {
-    let mut rng = Pcg32::seed_from_u64(0xA883);
+    let mut rng = Pcg32::new(Seed::root(0xA883));
     for _ in 0..64 {
         let values: Vec<u32> = (0..rng.gen_range(1usize..200))
             .map(|_| rng.gen_range(0u32..10_000))
@@ -83,7 +83,7 @@ fn percentile_monotone() {
 /// is at least the widest stage.
 #[test]
 fn profile_timing_bounds() {
-    let mut rng = Pcg32::seed_from_u64(0xA884);
+    let mut rng = Pcg32::new(Seed::root(0xA884));
     for case in 0..64 {
         let chain = case % 2 == 0;
         let stage_specs: Vec<(u32, u32)> = (0..rng.gen_range(1usize..8))
@@ -117,7 +117,7 @@ fn profile_timing_bounds() {
 /// Downsampling by max never loses the peak.
 #[test]
 fn downsample_preserves_peak() {
-    let mut rng = Pcg32::seed_from_u64(0xA885);
+    let mut rng = Pcg32::new(Seed::root(0xA885));
     for _ in 0..64 {
         let samples: Vec<u32> = (0..rng.gen_range(1usize..300))
             .map(|_| rng.gen_range(0u32..1_000))

@@ -65,7 +65,7 @@ fn main() {
             print!("{}", cackle_engine::explain::explain(&dag));
         }
         let shuffle = MemoryShuffle::new();
-        let result = execute_query(&dag, 1, &catalog, &shuffle);
+        let result = Executor::new(1).execute_query(&dag, 1, &catalog, &shuffle);
         let stats = shuffle.stats();
         println!(
             "-- {name}: {} stages, {} tasks, {} result rows ({} shuffle chunks, {} KiB exchanged)",

@@ -10,7 +10,7 @@
 use cackle::model::QueryArrival;
 use cackle::system::run_system;
 use cackle::RunSpec;
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 use cackle_tpch::profiles::profile_set;
 
 /// Seed of the workload-shape stream. Named (not inline) so the trace is
@@ -22,7 +22,11 @@ fn main() {
     // queries every 5 minutes, analysts trickle in between, and one
     // unpredictable burst of ad-hoc queries lands mid-session.
     let mix = profile_set(10.0);
-    let mut rng = Pcg32::seed_from_u64(WORKLOAD_SEED);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mint: the example's workload shape has its own named seed"
+    )]
+    let mut rng = Pcg32::new(Seed::root(WORKLOAD_SEED));
     let mut workload = Vec::new();
     for minute in (0..40).step_by(5) {
         for _ in 0..8 {

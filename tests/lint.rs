@@ -1,7 +1,6 @@
-//! Tier-1 gate: the workspace satisfies the determinism & cost-hygiene
-//! lints (see `crates/lint` and DESIGN.md §10). There is no baseline:
-//! any finding fails, and so does an inline allow that suppresses
-//! nothing.
+//! Tier-1 gate: the workspace satisfies the cost-hygiene lint (see
+//! `crates/lint` and DESIGN.md §10). There is no baseline: any finding
+//! fails, and so does an inline allow that suppresses nothing.
 
 use cackle_lint::lint_root_with_meta;
 use std::path::Path;
@@ -26,6 +25,4 @@ fn workspace_satisfies_determinism_lints() {
             .map(|s| format!("  {s}\n"))
             .collect::<String>()
     );
-    // The parallel-phase rules check something: the phase root resolves.
-    assert!(!meta.parallel_phase.is_empty());
 }

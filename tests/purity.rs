@@ -20,7 +20,7 @@ use cackle_faults::{
     EnvironmentSpec, FaultInjector, FaultPlan, FaultSpec, PriceTimeline, ReclaimStorm,
     RecoveryPolicy, StoreOp, TaskFaults,
 };
-use cackle_prng::Pcg32;
+use cackle_prng::{Pcg32, Seed};
 
 const SEEDS: [u64; 4] = [0, 12, 0xDEAD_BEEF, u64::MAX];
 const TIMES_S: [u64; 7] = [0, 1, 899, 900, 3_599, 86_399, 3 * 86_400 + 17];
@@ -116,8 +116,8 @@ impl Grid {
         let mut plans = Vec::new();
         for env in &envs {
             for &seed in &SEEDS {
-                timelines.push(PriceTimeline::compile(env, seed));
-                storms.push(ReclaimStorm::compile(env, seed));
+                timelines.push(PriceTimeline::compile(env, Seed::root(seed)));
+                storms.push(ReclaimStorm::compile(env, Seed::root(seed)));
                 let spec = FaultSpec::default()
                     .with_spot_reclaims(1.0)
                     .with_environment(env.clone());
@@ -200,11 +200,11 @@ impl Grid {
         };
         match job {
             Job::VmTraits { env, seed, vm } => {
-                let t = self.envs[env].vm_traits(SEEDS[seed], vm);
+                let t = self.envs[env].vm_traits(Seed::root(SEEDS[seed]), vm);
                 vec![t.slowdown.to_bits(), t.remote as u64, t.rate_milli as u64]
             }
             Job::TimelineCompile { env, seed } => {
-                let t = PriceTimeline::compile(&self.envs[env], SEEDS[seed]);
+                let t = PriceTimeline::compile(&self.envs[env], Seed::root(SEEDS[seed]));
                 let mut w = vec![t.is_flat() as u64, t.interval_s()];
                 w.extend(TIMES_S.iter().map(|&s| t.multiplier_milli(s) as u64));
                 w
@@ -220,9 +220,9 @@ impl Grid {
                 let v = self.timelines[art].integral_milli_ms(start_ms, end_ms);
                 vec![v as u64, (v >> 64) as u64]
             }
-            Job::StormCompile { env, seed } => {
-                storm_words(ReclaimStorm::compile(&self.envs[env], SEEDS[seed]).as_ref())
-            }
+            Job::StormCompile { env, seed } => storm_words(
+                ReclaimStorm::compile(&self.envs[env], Seed::root(SEEDS[seed])).as_ref(),
+            ),
             Job::StormIn { art, now_s } => {
                 vec![self.storms[art]
                     .as_ref()
@@ -252,7 +252,7 @@ impl Grid {
 
 /// A seeded Fisher–Yates permutation of `0..n`.
 fn permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut rng = Pcg32::seed_from_u64(seed);
+    let mut rng = Pcg32::new(Seed::root(seed));
     let mut p: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
         p.swap(i, rng.gen_range(0..=i));
