@@ -1,43 +1,23 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, clippy's determinism rules, the cost-hygiene
-# lint, release build, full test suite. No network access required at any step.
+# Offline CI gate: formatting, clippy's determinism and ledger rules, release
+# build, full test suite. No network access required at any step.
 set -eu
 cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (determinism and hot-path rules: clippy.toml, [lints.clippy])"
+echo "==> cargo clippy (determinism, hot-path and ledger rules: clippy.toml, [lints.clippy])"
 # The workspace's libraries, binaries and examples; test code is exempt.
 # Besides the host clock, hash order, threads and hot-path panics, it
-# carries seed provenance: clippy.toml disallows cackle_prng::Seed::root,
+# carries seed provenance (clippy.toml disallows cackle_prng::Seed::root,
 # so a PRNG stream is minted only at the nine #[expect]ed entry points
-# DESIGN §6 lists. crates/bench/bench_all is its own workspace and is not
-# covered. The build is hermetic, so this needs no registry access.
+# DESIGN §6 lists) and ledger hygiene (it disallows CostLedger's four f64
+# adapters, so product code bills only CostLedger::bill with Money that
+# Pricing minted). There is no separate lint step. crates/bench/bench_all
+# is its own workspace and is not covered. The build is hermetic, so this
+# needs no registry access.
 cargo clippy --offline --workspace --lib --bins --examples -- -D warnings
-
-echo "==> cackle-lint"
-# One rule is left, L11 (ledger hygiene), plus SUP for malformed allows;
-# seeds and the task phase split are carried by types (DESIGN §6, §9).
-# Exit 1 = any finding, exit 3 = an inline allow that suppresses
-# nothing; both fail the gate under `set -e`.
-cargo run -q -p cackle-lint -- .
-
-echo "==> cackle-lint JSON diagnostics (deterministic artifact)"
-mkdir -p results
-cargo run -q -p cackle-lint -- . --format json > results/lint-diagnostics.json
-cargo run -q -p cackle-lint -- . --format json > results/lint-diagnostics.rerun.json
-cmp results/lint-diagnostics.json results/lint-diagnostics.rerun.json \
-    || { echo "cackle-lint: JSON output is not byte-identical across runs" >&2; exit 1; }
-rm -f results/lint-diagnostics.rerun.json
-
-echo "==> cackle-lint --explain smoke (every registered rule documents itself)"
-# --list-rules is the registry of record: the loop below can never go
-# stale when a rule is added or retired.
-for rule in $(cargo run -q -p cackle-lint -- --list-rules | cut -f1); do
-    cargo run -q -p cackle-lint -- --explain "$rule" > /dev/null \
-        || { echo "cackle-lint: --explain $rule failed" >&2; exit 1; }
-done
 
 echo "==> cargo build --release"
 cargo build --workspace --release

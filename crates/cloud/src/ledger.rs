@@ -2,8 +2,11 @@
 //!
 //! Every billable action in the simulated cloud lands in a [`CostLedger`],
 //! broken down by [`CostCategory`] so experiments can report the VM / pool /
-//! shuffle / S3 split exactly as the paper's Figure 13 does.
+//! shuffle / S3 split exactly as the paper's Figure 13 does. A ledger
+//! adds up [`Money`], which only [`Pricing`](crate::Pricing) mints, and
+//! [`CostLedger::bill`] is how product code charges it.
 
+use crate::money::Money;
 use cackle_telemetry::Telemetry;
 use std::fmt;
 
@@ -78,8 +81,6 @@ pub enum CostCategory {
     S3Get,
     /// Provisioned shuffle nodes.
     ShuffleNode,
-    /// The always-on coordinator instance.
-    Coordinator,
     /// Cross-region shuffle egress (bytes produced on remote-region
     /// VMs and shipped home; the environment model's second region).
     Egress,
@@ -87,13 +88,12 @@ pub enum CostCategory {
 
 impl CostCategory {
     /// All categories, in report order.
-    pub const ALL: [CostCategory; 7] = [
+    pub const ALL: [CostCategory; 6] = [
         CostCategory::VmCompute,
         CostCategory::ElasticPool,
         CostCategory::S3Put,
         CostCategory::S3Get,
         CostCategory::ShuffleNode,
-        CostCategory::Coordinator,
         CostCategory::Egress,
     ];
 
@@ -105,7 +105,6 @@ impl CostCategory {
             CostCategory::S3Put => "s3_put",
             CostCategory::S3Get => "s3_get",
             CostCategory::ShuffleNode => "shuffle_node",
-            CostCategory::Coordinator => "coordinator",
             CostCategory::Egress => "egress",
         }
     }
@@ -117,7 +116,7 @@ impl fmt::Display for CostCategory {
     }
 }
 
-/// A rejected charge (see [`CostLedger::try_charge`]).
+/// A rejected `f64` charge (see [`CostLedger::try_charge`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChargeError {
     /// The amount was NaN or infinite.
@@ -152,15 +151,16 @@ impl fmt::Display for ChargeError {
 
 impl std::error::Error for ChargeError {}
 
-/// Accumulated dollars and usage counters for one simulation run.
+/// Accumulated money and usage counters for one simulation run.
 ///
 /// When instrumented (see [`CostLedger::instrument`]) every accepted
 /// charge is mirrored into the telemetry cost-attribution table under the
-/// owning component's name; rejected charges reach neither. Equality
-/// compares accumulated data only, never the telemetry wiring.
+/// owning component's name, in `f64` dollars (telemetry sits below this
+/// crate); rejected charges reach neither. Equality compares accumulated
+/// data only, never the telemetry wiring.
 #[derive(Debug, Clone, Default)]
 pub struct CostLedger {
-    dollars: [f64; 7],
+    money: [Money; 6],
     /// Component name this ledger reports costs under (e.g. `fleet`).
     component: &'static str,
     /// Telemetry sink mirroring accepted charges (disabled by default).
@@ -188,14 +188,13 @@ fn idx(c: CostCategory) -> usize {
         CostCategory::S3Put => 2,
         CostCategory::S3Get => 3,
         CostCategory::ShuffleNode => 4,
-        CostCategory::Coordinator => 5,
-        CostCategory::Egress => 6,
+        CostCategory::Egress => 5,
     }
 }
 
 impl PartialEq for CostLedger {
     fn eq(&self, other: &Self) -> bool {
-        self.dollars == other.dollars
+        self.money == other.money
             && self.vm_seconds == other.vm_seconds
             && self.pool_seconds == other.pool_seconds
             && self.shuffle_seconds == other.shuffle_seconds
@@ -219,81 +218,92 @@ impl CostLedger {
         self.telemetry = telemetry.clone();
     }
 
-    /// Record a charge of `dollars` against `category`, rejecting invalid
-    /// amounts: a NaN, infinite, or negative charge would silently corrupt
-    /// every downstream cost figure, so it never reaches the ledger.
-    pub fn try_charge(&mut self, category: CostCategory, dollars: f64) -> Result<(), ChargeError> {
+    /// Charge `amount` against `category`: the one way product code
+    /// bills. The amount comes from a [`Pricing`](crate::Pricing)
+    /// method.
+    pub fn bill(&mut self, category: CostCategory, amount: Money) {
+        self.money[idx(category)] += amount;
+        if self.telemetry.is_enabled() {
+            self.telemetry
+                .add_cost(self.component, category.as_str(), amount.dollars());
+        }
+    }
+
+    /// The `f64` adapters' one conversion: `dollars` rounded to the
+    /// nearest nano-dollar and billed, unless it is NaN, infinite or
+    /// negative, which would corrupt every downstream cost figure.
+    fn bill_dollars(&mut self, category: CostCategory, dollars: f64) -> Result<(), ChargeError> {
         if !dollars.is_finite() {
             return Err(ChargeError::NotFinite { category, dollars });
         }
         if dollars < 0.0 {
             return Err(ChargeError::Negative { category, dollars });
         }
-        self.dollars[idx(category)] += dollars;
-        self.telemetry
-            .add_cost(self.component, category.as_str(), dollars);
+        self.bill(category, Money::from_nanos((dollars * 1e9).round() as u64));
         Ok(())
     }
 
-    /// Record a charge of `dollars` against `category`.
-    ///
-    /// Infallible wrapper over [`CostLedger::try_charge`]: an invalid
-    /// amount is dropped (and trips a debug assertion), keeping the ledger
-    /// finite and monotone.
+    /// Record a charge of `dollars` against `category`, rejecting invalid
+    /// amounts. A cold adapter for callers that hold `f64` dollars
+    /// (clippy disallows it in the workspace's product code).
+    pub fn try_charge(&mut self, category: CostCategory, dollars: f64) -> Result<(), ChargeError> {
+        self.bill_dollars(category, dollars)
+    }
+
+    /// Record a charge of `dollars` against `category`; an invalid amount
+    /// is dropped (and trips a debug assertion). A cold adapter, like
+    /// [`CostLedger::try_charge`].
     pub fn charge(&mut self, category: CostCategory, dollars: f64) {
-        let outcome = self.try_charge(category, dollars);
+        let outcome = self.bill_dollars(category, dollars);
         debug_assert!(outcome.is_ok(), "invalid charge: {outcome:?}");
     }
 
-    /// Record `count` identical per-request charges of `unit_dollars`
-    /// each (object-store request billing). The multiply lives here so
-    /// call sites never do raw dollar arithmetic.
+    /// Record `count` charges of `unit_dollars` each. A cold adapter,
+    /// like [`CostLedger::try_charge`].
     pub fn charge_requests(&mut self, category: CostCategory, count: u64, unit_dollars: f64) {
-        self.charge(category, count as f64 * unit_dollars);
+        let outcome = self.bill_dollars(category, count as f64 * unit_dollars);
+        debug_assert!(outcome.is_ok(), "invalid charge: {outcome:?}");
     }
 
-    /// Record a charge expressed in exact integer micro-dollars — the
-    /// entry point for billing paths that do their arithmetic in
-    /// integers (price-timeline VM billing, cross-region egress). The
-    /// micros→dollars conversion lives inside the ledger so call sites
-    /// never touch f64 money (lint L11); negative amounts are dropped
-    /// like any other invalid charge.
+    /// Record a charge of `micros` micro-dollars; a negative amount bills
+    /// nothing. A cold adapter, like [`CostLedger::try_charge`].
     pub fn charge_micros(&mut self, category: CostCategory, micros: i64) {
-        self.charge(category, micros.max(0) as f64 / 1e6);
+        let nanos = u64::try_from(micros).unwrap_or(0).saturating_mul(1000);
+        self.bill(category, Money::from_nanos(nanos));
     }
 
-    /// Dollars accumulated against one category.
-    pub fn category(&self, category: CostCategory) -> f64 {
-        self.dollars[idx(category)]
+    /// Money accumulated against one category.
+    pub fn category(&self, category: CostCategory) -> Money {
+        self.money[idx(category)]
     }
 
-    /// Total dollars across all categories.
-    pub fn total(&self) -> f64 {
-        self.dollars.iter().sum()
+    /// Total money across all categories.
+    pub fn total(&self) -> Money {
+        self.money.iter().copied().sum()
     }
 
-    /// Total compute dollars (VM + elastic pool), the quantity most of the
+    /// Total compute money (VM + elastic pool), the quantity most of the
     /// paper's strategy figures report.
-    pub fn compute_total(&self) -> f64 {
+    pub fn compute_total(&self) -> Money {
         self.category(CostCategory::VmCompute) + self.category(CostCategory::ElasticPool)
     }
 
-    /// Total shuffle-layer dollars (shuffle nodes + S3 requests).
-    pub fn shuffle_total(&self) -> f64 {
+    /// Total shuffle-layer money (shuffle nodes + S3 requests).
+    pub fn shuffle_total(&self) -> Money {
         self.category(CostCategory::ShuffleNode)
             + self.category(CostCategory::S3Put)
             + self.category(CostCategory::S3Get)
     }
 
-    /// Total dollars as exact integer micro-dollars (see
-    /// [`micro_dollars`]) — the aggregate side of per-tenant attribution.
+    /// Total as whole micro-dollars ([`Money::micros`]): the aggregate
+    /// side of per-tenant attribution.
     pub fn total_micros(&self) -> i64 {
-        micro_dollars(self.total())
+        self.total().micros()
     }
 
     /// Merge another ledger into this one.
     pub fn merge(&mut self, other: &CostLedger) {
-        for (a, b) in self.dollars.iter_mut().zip(other.dollars.iter()) {
+        for (a, &b) in self.money.iter_mut().zip(other.money.iter()) {
             *a += b;
         }
         self.vm_seconds += other.vm_seconds;
@@ -309,12 +319,12 @@ impl CostLedger {
 impl fmt::Display for CostLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for c in CostCategory::ALL {
-            let d = self.category(c);
-            if d > 0.0 {
-                writeln!(f, "  {:<14} ${:>10.4}", c.to_string(), d)?;
+            let m = self.category(c);
+            if m > Money::ZERO {
+                writeln!(f, "  {:<14} ${:>10.4}", c.to_string(), m.dollars())?;
             }
         }
-        write!(f, "  {:<14} ${:>10.4}", "total", self.total())
+        write!(f, "  {:<14} ${:>10.4}", "total", self.total().dollars())
     }
 }
 
@@ -322,41 +332,46 @@ impl fmt::Display for CostLedger {
 mod tests {
     use super::*;
 
+    fn nanos(n: u64) -> Money {
+        Money::from_nanos(n)
+    }
+
     #[test]
     fn charges_accumulate_per_category() {
         let mut l = CostLedger::new();
-        l.charge(CostCategory::VmCompute, 1.5);
-        l.charge(CostCategory::VmCompute, 0.5);
-        l.charge(CostCategory::ElasticPool, 3.0);
-        assert_eq!(l.category(CostCategory::VmCompute), 2.0);
-        assert_eq!(l.compute_total(), 5.0);
-        assert_eq!(l.total(), 5.0);
+        l.bill(CostCategory::VmCompute, nanos(1_500));
+        l.bill(CostCategory::VmCompute, nanos(500));
+        l.bill(CostCategory::ElasticPool, nanos(3_000));
+        assert_eq!(l.category(CostCategory::VmCompute), nanos(2_000));
+        assert_eq!(l.compute_total(), nanos(5_000));
+        assert_eq!(l.total(), nanos(5_000));
+        assert_eq!(l.total_micros(), 5);
     }
 
     #[test]
     fn shuffle_total_covers_nodes_and_requests() {
         let mut l = CostLedger::new();
-        l.charge(CostCategory::ShuffleNode, 1.0);
-        l.charge(CostCategory::S3Put, 0.25);
-        l.charge(CostCategory::S3Get, 0.125);
-        assert_eq!(l.shuffle_total(), 1.375);
-        assert_eq!(l.compute_total(), 0.0);
+        l.bill(CostCategory::ShuffleNode, nanos(8));
+        l.bill(CostCategory::S3Put, nanos(2));
+        l.bill(CostCategory::S3Get, nanos(1));
+        assert_eq!(l.shuffle_total(), nanos(11));
+        assert_eq!(l.compute_total(), Money::ZERO);
     }
 
     #[test]
     fn merge_sums_everything() {
         let mut a = CostLedger::new();
-        a.charge(CostCategory::VmCompute, 1.0);
+        a.bill(CostCategory::VmCompute, nanos(1));
         a.put_requests = 3;
         a.vm_seconds = 10.0;
         let mut b = CostLedger::new();
-        b.charge(CostCategory::VmCompute, 2.0);
-        b.charge(CostCategory::Coordinator, 0.5);
+        b.bill(CostCategory::VmCompute, nanos(2));
+        b.bill(CostCategory::Egress, nanos(5));
         b.put_requests = 4;
         b.vm_seconds = 5.0;
         a.merge(&b);
-        assert_eq!(a.category(CostCategory::VmCompute), 3.0);
-        assert_eq!(a.total(), 3.5);
+        assert_eq!(a.category(CostCategory::VmCompute), nanos(3));
+        assert_eq!(a.total(), nanos(8));
         assert_eq!(a.put_requests, 7);
         assert_eq!(a.vm_seconds, 15.0);
     }
@@ -366,7 +381,7 @@ mod tests {
         let telemetry = Telemetry::new();
         let mut l = CostLedger::new();
         l.instrument("fleet", &telemetry);
-        l.charge(CostCategory::VmCompute, 2.0);
+        l.bill(CostCategory::VmCompute, nanos(2_000_000_000));
         l.charge_requests(CostCategory::S3Put, 4, 0.25);
         let _ = l.try_charge(CostCategory::VmCompute, f64::NAN); // rejected
         assert_eq!(telemetry.cost("fleet", "vm_compute"), 2.0);
@@ -375,7 +390,7 @@ mod tests {
         // same charges compares equal.
         let mut bare = CostLedger::new();
         bare.charge(CostCategory::VmCompute, 2.0);
-        bare.charge_requests(CostCategory::S3Put, 4, 0.25);
+        bare.bill(CostCategory::S3Put, nanos(1_000_000_000));
         assert_eq!(l, bare);
     }
 
@@ -387,9 +402,6 @@ mod tests {
         assert_eq!(micro_dollars(0.123_456_6), 123_457);
         assert_eq!(micro_dollars(f64::NAN), 0);
         assert_eq!(micro_dollars(f64::INFINITY), 0);
-        let mut l = CostLedger::new();
-        l.charge(CostCategory::VmCompute, 2.5);
-        assert_eq!(l.total_micros(), 2_500_000);
     }
 
     #[test]
@@ -432,27 +444,30 @@ mod tests {
     }
 
     #[test]
-    fn charge_micros_is_exact_and_guards_negatives() {
+    fn adapters_round_to_the_nano_grid_and_guard_negatives() {
         let mut l = CostLedger::new();
         l.charge_micros(CostCategory::Egress, 123_456);
         l.charge_micros(CostCategory::Egress, 1);
-        assert_eq!(micro_dollars(l.category(CostCategory::Egress)), 123_457);
+        l.charge(CostCategory::S3Get, 4e-7);
+        l.charge_requests(CostCategory::S3Get, 3, 4e-7);
+        assert_eq!(l.category(CostCategory::Egress), nanos(123_457_000));
+        assert_eq!(l.category(CostCategory::S3Get), nanos(1_600));
         // Egress participates in the grand total but not the
         // compute/shuffle layer subtotals (it bills through its own
         // component ledger).
-        assert_eq!(l.total_micros(), 123_457);
-        assert_eq!(l.compute_total(), 0.0);
-        assert_eq!(l.shuffle_total(), 0.0);
-        // Negative micro amounts are dropped, same as negative dollars.
+        assert_eq!(l.total_micros(), 123_459);
+        assert_eq!(l.compute_total(), Money::ZERO);
+        assert_eq!(l.shuffle_total(), nanos(1_600));
+        // Negative micro amounts bill nothing.
         let mut neg = CostLedger::new();
         neg.charge_micros(CostCategory::VmCompute, -5);
-        assert_eq!(neg.total(), 0.0);
+        assert_eq!(neg.total(), Money::ZERO);
     }
 
     #[test]
     fn display_includes_total() {
         let mut l = CostLedger::new();
-        l.charge(CostCategory::S3Get, 0.2);
+        l.bill(CostCategory::S3Get, nanos(200_000_000));
         let s = l.to_string();
         assert!(s.contains("s3_get"));
         assert!(s.contains("total"));

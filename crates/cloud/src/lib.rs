@@ -5,7 +5,9 @@
 //!
 //! * [`time`] — millisecond-resolution simulated time.
 //! * [`events`] — a deterministic discrete-event queue.
-//! * [`pricing`] — cost models (AWS list prices from the paper by default).
+//! * [`pricing`] — cost models (AWS list prices from the paper by default),
+//!   the only place [`Money`] is minted.
+//! * [`money`] — integer nano-dollars, the one accumulator of money.
 //! * [`ledger`] — itemized cost accounting.
 //! * [`vm`] — a provisioned VM fleet with spot-request semantics, startup
 //!   latency, and minimum billing.
@@ -17,6 +19,7 @@
 
 pub mod events;
 pub mod ledger;
+pub mod money;
 pub mod object_store;
 pub mod pool;
 pub mod pricing;
@@ -25,8 +28,9 @@ pub mod vm;
 
 pub use events::EventQueue;
 pub use ledger::{micro_dollars, split_micro_dollars, CostCategory, CostLedger};
+pub use money::Money;
 pub use object_store::ObjectStore;
 pub use pool::{ElasticPool, InvocationId};
-pub use pricing::{egress_micros, Pricing, EGRESS_MICROS_PER_GIB, REMOTE_REGION_RATE_MILLI};
+pub use pricing::{Pricing, EGRESS_MICROS_PER_GIB, REMOTE_REGION_RATE_MILLI};
 pub use time::{SimDuration, SimTime};
 pub use vm::{VmFleet, VmId};

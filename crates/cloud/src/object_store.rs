@@ -48,9 +48,9 @@ fn lock_faults(l: &Mutex<TaskFaults>) -> MutexGuard<'_, TaskFaults> {
 
 /// What concurrent requests touch under the store lock is integer
 /// counters only: integer adds commute, so the totals do not depend on
-/// the order tasks reach the store. Dollars are f64 and their sums do
-/// depend on order, so requests are priced in bulk by
-/// [`ObjectStore::ledger`], never one by one.
+/// the order tasks reach the store. The ledger's telemetry mirror adds
+/// `f64` dollars, whose sums do depend on order, so requests are priced
+/// in bulk by [`ObjectStore::ledger`], never one by one.
 #[derive(Debug, Default)]
 struct Billing {
     /// Request and byte counters, plus every request priced so far.
@@ -174,7 +174,7 @@ impl ObjectStore {
 
     /// Snapshot of the billing ledger. The requests counted since the
     /// previous call are priced here, each category in one
-    /// `count × unit` charge (mirrored to telemetry on an instrumented
+    /// [`Pricing::requests`] charge (mirrored to telemetry on an instrumented
     /// store), so a run that takes the ledger once, when it finishes,
     /// bills every category exactly once and the same at any worker
     /// count. Call it from serial code only.
@@ -182,13 +182,13 @@ impl ObjectStore {
         let mut b = lock_billing(&self.billing);
         let puts = std::mem::take(&mut b.pending_puts);
         if puts > 0 {
-            b.ledger
-                .charge_requests(CostCategory::S3Put, puts, self.pricing.s3_put);
+            let cost = self.pricing.requests(StoreOp::Put, puts);
+            b.ledger.bill(CostCategory::S3Put, cost);
         }
         let gets = std::mem::take(&mut b.pending_gets);
         if gets > 0 {
-            b.ledger
-                .charge_requests(CostCategory::S3Get, gets, self.pricing.s3_get);
+            let cost = self.pricing.requests(StoreOp::Get, gets);
+            b.ledger.bill(CostCategory::S3Get, cost);
         }
         b.ledger.clone()
     }
@@ -209,8 +209,7 @@ mod tests {
         assert_eq!(l.get_requests, 1);
         assert_eq!(l.bytes_put, 3);
         assert_eq!(l.bytes_get, 3);
-        let expected = 5.0e-6 + 4.0e-7;
-        assert!((l.total() - expected).abs() < 1e-15);
+        assert_eq!(l.total().dollars(), 5.4e-6);
     }
 
     #[test]
@@ -220,7 +219,7 @@ mod tests {
         let l = s.ledger();
         assert_eq!(l.get_requests, 1);
         assert_eq!(l.bytes_get, 0);
-        assert!(l.total() > 0.0);
+        assert_eq!(l.total().dollars(), 4e-7);
     }
 
     #[test]
@@ -272,8 +271,9 @@ mod tests {
         use cackle_telemetry::Telemetry;
         // One fixed multiset of keyed requests whose attempt counts vary
         // (1–4 per request), issued in two orders — what two worker
-        // counts do to the store. Per-request f64 charges summed in
-        // arrival order differ in the last digits between the two.
+        // counts do to the store. Per-request charges mirrored to
+        // telemetry would sum f64 dollars in arrival order, which differ
+        // in the last digits between the two.
         let spec = FaultSpec::default().with_store_errors(0.2, 0.2);
         let inj = FaultInjector::new(
             FaultPlan::compile(&spec, 29).unwrap(),
@@ -307,13 +307,7 @@ mod tests {
             (CostCategory::S3Put, "s3_put"),
             (CostCategory::S3Get, "s3_get"),
         ] {
-            assert_eq!(
-                a.category(category).to_bits(),
-                b.category(category).to_bits(),
-                "{name}: {:?} vs {:?}",
-                a.category(category),
-                b.category(category)
-            );
+            assert_eq!(a.category(category), b.category(category), "{name}");
             assert_eq!(
                 ta.cost("store", name).to_bits(),
                 tb.cost("store", name).to_bits()
@@ -321,10 +315,10 @@ mod tests {
             // The telemetry row is the ledger's dollars, not a second sum.
             assert_eq!(
                 ta.cost("store", name).to_bits(),
-                a.category(category).to_bits()
+                a.category(category).dollars().to_bits()
             );
         }
-        assert_eq!(a.total().to_bits(), b.total().to_bits());
+        assert_eq!(a.total(), b.total());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl ElasticPool {
         let start = self.active.remove(&id)?;
         let ran = now - start;
         self.ledger
-            .charge(CostCategory::ElasticPool, self.pricing.pool_cost(ran));
+            .bill(CostCategory::ElasticPool, self.pricing.pool_cost(ran));
         self.ledger.pool_seconds += ran.as_secs_f64();
         self.telemetry
             .record(catalog::POOL_INVOCATION_SECONDS, ran.as_secs_f64());
@@ -151,8 +151,8 @@ mod tests {
         let end = start + SimDuration::from_millis(250);
         let ran = p.complete(end, id);
         assert_eq!(ran, SimDuration::from_millis(250));
-        let expected = 0.18 * (0.250 / 3600.0);
-        assert!((p.ledger().total() - expected).abs() < 1e-12);
+        // 250 ms at $0.18/h is 12 500 n$, exactly.
+        assert_eq!(p.ledger().total().dollars(), 1.25e-5);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
             .count();
         assert!(failures > 0, "p=0.95 failures never fired");
         assert_eq!(p.invocations_total(), 20 - failures as u64);
-        assert_eq!(p.ledger().total(), 0.0);
+        assert_eq!(p.ledger().total(), crate::Money::ZERO);
     }
 
     #[test]
@@ -225,9 +225,8 @@ mod tests {
         for (id, start) in ids {
             p.complete(start + SimDuration::from_secs(1), id);
         }
-        // 1000 slot-seconds at $0.18/hour.
-        let expected = 1000.0 * 0.18 / 3600.0;
-        assert!((p.ledger().total() - expected).abs() < 1e-9);
+        // 1000 slot-seconds at $0.18/hour: $0.05, to the nano-dollar.
+        assert_eq!(p.ledger().total().dollars(), 0.05);
         assert!((p.ledger().pool_seconds - 1000.0).abs() < 1e-9);
     }
 }

@@ -5,9 +5,17 @@
 //! premium), S3 request pricing, and a 4-vCPU/8 GB shuffle node at
 //! $0.08/hour. Every experiment that varies an environmental condition
 //! (Figures 8 and 9) does so by perturbing one field of this struct.
+//!
+//! `Pricing` is the only place that mints [`Money`]: each billing method
+//! snaps its `f64` rate to nano-dollars once, does all its arithmetic in
+//! integers and rounds once at the end. The per-second rates
+//! ([`Pricing::vm_per_sec`], [`Pricing::pool_per_sec`]) stay `f64`: they
+//! feed the strategy's cost estimates, never a ledger.
 
 use crate::ledger::{micro_dollars, CostCategory};
+use crate::money::Money;
 use crate::time::SimDuration;
+use cackle_faults::StoreOp;
 
 /// Remote-region hourly rate as per-mille of the home region: the
 /// environment model's second region bills compute and shuffle nodes
@@ -20,13 +28,17 @@ pub const REMOTE_REGION_RATE_MILLI: u32 = 700;
 /// `EnvironmentSpec::egress_micros_per_gib`'s default.
 pub const EGRESS_MICROS_PER_GIB: u64 = 20_000;
 
-/// Exact integer egress charge for `bytes` at `micros_per_gib`,
-/// rounded to the nearest micro-dollar. Integer throughout so egress
-/// billing never accumulates f64 drift (lint L11).
-pub fn egress_micros(bytes: u64, micros_per_gib: u64) -> i64 {
-    const GIB: u128 = 1 << 30;
-    let num = bytes as u128 * micros_per_gib as u128;
-    ((num + GIB / 2) / GIB) as i64 // micro-dollar totals sit far below 2^63
+/// Milliseconds per hour, the denominator of every hourly rate.
+const MS_PER_HOUR: u128 = 3_600_000;
+
+/// A dollar price snapped to whole nano-dollars (a negative or
+/// non-finite price bills nothing).
+fn nanos(dollars: f64) -> u128 {
+    if dollars.is_finite() && dollars > 0.0 {
+        (dollars * 1e9).round() as u128
+    } else {
+        0
+    }
 }
 
 /// Prices and billing rules for the simulated cloud.
@@ -55,9 +67,6 @@ pub struct Pricing {
     pub shuffle_node_capacity_bytes: u64,
     /// Minimum billed runtime for a shuffle node (billed like VMs).
     pub shuffle_min_billing: SimDuration,
-    /// Price of the always-on coordinator VM in dollars per hour
-    /// (on-demand c5a.xlarge in the paper).
-    pub coordinator_per_hour: f64,
 }
 
 impl Default for Pricing {
@@ -73,45 +82,57 @@ impl Default for Pricing {
             shuffle_node_per_hour: 0.08,
             shuffle_node_capacity_bytes: 8 * (1 << 30),
             shuffle_min_billing: SimDuration::from_secs(60),
-            coordinator_per_hour: 0.154,
         }
     }
 }
 
 impl Pricing {
-    /// Cost of running one VM for `d`, **without** the minimum-billing
-    /// adjustment (apply that at termination time via [`Pricing::vm_billed`]).
-    pub fn vm_cost(&self, d: SimDuration) -> f64 {
-        self.vm_per_hour * d.as_hours_f64()
-    }
-
-    /// Billed cost of a VM whose actual runtime was `d`, applying the
-    /// minimum billing time.
-    pub fn vm_billed(&self, d: SimDuration) -> f64 {
-        self.vm_cost(d.max(self.vm_min_billing))
-    }
-
     /// Cost of one elastic-pool slot for `d` (billed at millisecond
     /// granularity with no minimum).
-    pub fn pool_cost(&self, d: SimDuration) -> f64 {
-        self.pool_per_hour * d.as_hours_f64()
+    pub fn pool_cost(&self, d: SimDuration) -> Money {
+        Money::from_ratio(
+            nanos(self.pool_per_hour) * d.as_millis() as u128,
+            MS_PER_HOUR,
+        )
     }
 
-    /// Billed cost of a shuffle node whose actual runtime was `d`.
-    pub fn shuffle_billed(&self, d: SimDuration) -> f64 {
-        self.shuffle_node_per_hour * d.max(self.shuffle_min_billing).as_hours_f64()
-    }
-
-    /// Cost of `d` of fleet time billed against `category`: shuffle
-    /// nodes bill at the shuffle-node rate, every other category at the
-    /// VM rate. Minimum-billing adjustment is the fleet's job (it knows
-    /// the actual runtime); this prices the already-rounded duration.
-    pub fn fleet_cost(&self, category: CostCategory, d: SimDuration) -> f64 {
-        let rate = match category {
+    /// Cost of one fleet instance billed against `category`: shuffle
+    /// nodes at the shuffle-node rate, everything else at the VM rate.
+    /// `integral_milli_ms` is the market price multiplier integrated
+    /// over the billed lifetime (per-mille × milliseconds; a flat
+    /// market integrates to `1000 ×` the span) and `rate_milli` the
+    /// instance's regional rate (1000 = home). Minimum billing is the
+    /// fleet's job: it knows the actual runtime.
+    pub fn fleet_charge(
+        &self,
+        category: CostCategory,
+        integral_milli_ms: u128,
+        rate_milli: u32,
+    ) -> Money {
+        let per_hour = match category {
             CostCategory::ShuffleNode => self.shuffle_node_per_hour,
             _ => self.vm_per_hour,
         };
-        rate * d.as_hours_f64()
+        // n$/h × per-mille·ms × per-mille ÷ (1000 · ms/h · 1000)
+        Money::from_ratio(
+            nanos(per_hour) * integral_milli_ms * rate_milli as u128,
+            1000 * MS_PER_HOUR * 1000,
+        )
+    }
+
+    /// Cost of `count` object-store requests of kind `op`.
+    pub fn requests(&self, op: StoreOp, count: u64) -> Money {
+        let unit = match op {
+            StoreOp::Put => self.s3_put,
+            StoreOp::Get => self.s3_get,
+        };
+        Money::from_ratio(nanos(unit) * count as u128, 1)
+    }
+
+    /// Cross-region egress of `bytes` at `micros_per_gib` micro-dollars
+    /// per GiB (the environment model's egress price).
+    pub fn egress(bytes: u64, micros_per_gib: u64) -> Money {
+        Money::from_ratio(bytes as u128 * micros_per_gib as u128 * 1000, 1 << 30)
     }
 
     /// The pool-to-VM cost premium (6.0 under defaults).
@@ -180,13 +201,29 @@ mod tests {
     }
 
     #[test]
-    fn min_billing_applies_only_below_threshold() {
+    fn fleet_charge_rate_follows_category_and_region() {
         let p = Pricing::default();
-        let short = p.vm_billed(SimDuration::from_secs(10));
-        let exactly_min = p.vm_billed(SimDuration::from_secs(60));
-        let long = p.vm_billed(SimDuration::from_secs(120));
-        assert_eq!(short, exactly_min);
-        assert!((long - 2.0 * exactly_min).abs() < 1e-12);
+        let hour = 1000 * 3_600_000;
+        assert_eq!(
+            p.fleet_charge(CostCategory::VmCompute, hour, 1000).micros(),
+            30_000
+        );
+        assert_eq!(
+            p.fleet_charge(CostCategory::ShuffleNode, hour, 1000)
+                .micros(),
+            80_000
+        );
+        assert_eq!(
+            p.fleet_charge(CostCategory::VmCompute, hour, 700).micros(),
+            21_000
+        );
+        // Two hours cost exactly twice one hour: one rounding, at the end.
+        let two = p.fleet_charge(CostCategory::VmCompute, 2 * hour, 1000);
+        let one = p.fleet_charge(CostCategory::VmCompute, hour, 1000);
+        assert_eq!(two, one + one);
+        // 1 ms at $0.03/h is 8.33 n$: rounded once, to 8.
+        let ms = p.fleet_charge(CostCategory::VmCompute, 1000, 1000);
+        assert_eq!(ms.dollars(), 8e-9);
     }
 
     #[test]
@@ -194,19 +231,6 @@ mod tests {
         let p = Pricing::default().with_pool_premium(10.0);
         assert!((p.pool_per_hour - 0.30).abs() < 1e-12);
         assert!((p.pool_premium() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fleet_cost_rate_follows_category() {
-        let p = Pricing::default();
-        let hour = SimDuration::from_hours(1);
-        assert!((p.fleet_cost(CostCategory::VmCompute, hour) - p.vm_per_hour).abs() < 1e-12);
-        assert!(
-            (p.fleet_cost(CostCategory::ShuffleNode, hour) - p.shuffle_node_per_hour).abs() < 1e-12
-        );
-        // Matches the per-duration VM price used elsewhere.
-        let d = SimDuration::from_secs(90);
-        assert!((p.fleet_cost(CostCategory::VmCompute, d) - p.vm_cost(d)).abs() < 1e-12);
     }
 
     #[test]
@@ -240,21 +264,41 @@ mod tests {
     }
 
     #[test]
-    fn egress_micros_rounds_to_nearest() {
-        assert_eq!(egress_micros(1 << 30, EGRESS_MICROS_PER_GIB), 20_000);
-        assert_eq!(egress_micros(1 << 29, EGRESS_MICROS_PER_GIB), 10_000);
-        assert_eq!(egress_micros(0, EGRESS_MICROS_PER_GIB), 0);
-        // 100 MiB × $0.02/GiB = $0.001953125 → 1953 micros (rounded).
-        assert_eq!(egress_micros(100 << 20, 20_000), 1953);
-        // Half-GiB boundary rounds up.
-        assert_eq!(egress_micros((1 << 30) + (1 << 29), 1), 2);
+    fn requests_bill_below_the_micro_grid() {
+        let p = Pricing::default();
+        // One GET is 0.4 µ$: whole nano-dollars hold it exactly.
+        assert_eq!(p.requests(StoreOp::Get, 1).dollars(), 4e-7);
+        assert_eq!(p.requests(StoreOp::Get, 5).micros(), 2);
+        assert_eq!(p.requests(StoreOp::Put, 3).micros(), 15);
+        assert_eq!(p.requests(StoreOp::Put, 0), Money::ZERO);
+    }
+
+    #[test]
+    fn egress_rounds_to_nearest_nano() {
+        assert_eq!(
+            Pricing::egress(1 << 30, EGRESS_MICROS_PER_GIB).micros(),
+            20_000
+        );
+        assert_eq!(
+            Pricing::egress(1 << 29, EGRESS_MICROS_PER_GIB).micros(),
+            10_000
+        );
+        assert_eq!(Pricing::egress(0, EGRESS_MICROS_PER_GIB), Money::ZERO);
+        // 100 MiB × $0.02/GiB = $0.001953125, exact in nano-dollars.
+        assert_eq!(Pricing::egress(100 << 20, 20_000).dollars(), 0.001_953_125);
+        // A half-nano tie rounds up: 64 MiB at 125 µ$/GiB is 7 812.5 n$.
+        assert_eq!(Pricing::egress(1 << 26, 125), Money::from_nanos(7_813));
     }
 
     #[test]
     fn hourly_and_per_second_agree() {
         let p = Pricing::default();
         assert!((p.vm_per_sec() * 3600.0 - p.vm_per_hour).abs() < 1e-12);
-        assert!((p.vm_cost(SimDuration::from_hours(2)) - 0.06).abs() < 1e-12);
-        assert!((p.pool_cost(SimDuration::from_mins(30)) - 0.09).abs() < 1e-12);
+        assert_eq!(p.pool_cost(SimDuration::from_mins(30)).dollars(), 0.09);
+        // 250 ms at $0.18/h: 12 500 n$, exactly.
+        assert_eq!(
+            p.pool_cost(SimDuration::from_millis(250)).dollars(),
+            1.25e-5
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! one set ordered by `(started_at, id)`, so assignment (newest first)
 //! and termination (oldest first) each take one end of it in O(log n).
 
-use crate::ledger::{micro_dollars, CostCategory, CostLedger};
+use crate::ledger::{CostCategory, CostLedger};
 use crate::pricing::Pricing;
 use crate::time::{SimDuration, SimTime};
 use cackle_faults::PriceTimeline;
@@ -81,9 +81,8 @@ struct RunningVm {
 struct Billing {
     pricing: Pricing,
     category: CostCategory,
-    /// Spot-market schedule modulating the hourly rate over time. Flat
-    /// by default; when flat *and* the VM bills at the home rate,
-    /// termination takes the legacy f64 path bit-for-bit.
+    /// Spot-market schedule modulating the hourly rate over time (flat
+    /// by default).
     timeline: PriceTimeline,
 }
 
@@ -96,36 +95,20 @@ impl Billing {
     }
 
     /// Charge `ledger` for `vm`, terminated at `now`: `max(runtime,
-    /// min_billing)` at the VM's rate. Returns the billed seconds.
+    /// min_billing)` at the VM's regional rate under the market
+    /// multiplier, integrated over the billed window in integers and
+    /// rounded once (a flat market integrates to `1000 ×` the window).
+    /// Returns the billed seconds.
     fn charge(&self, ledger: &mut CostLedger, vm: &RunningVm, now: SimTime) -> f64 {
         let billed = (now - vm.started_at).max(self.min_billing());
-        if self.timeline.is_flat() && vm.rate_milli == 1000 {
-            // Static home-region pricing: the legacy f64 path, kept
-            // bit-for-bit so environment-free golden dumps never move.
-            ledger.charge(
-                self.category,
-                self.pricing.fleet_cost(self.category, billed),
-            );
-        } else {
-            // Environment-modulated pricing: integrate the market
-            // multiplier over the billed window and apply the VM's
-            // regional rate, all in integer arithmetic — one rounding,
-            // straight into the ledger as micro-dollars (lint L11).
-            let hourly_micros = micro_dollars(match self.category {
-                CostCategory::ShuffleNode => self.pricing.shuffle_node_per_hour,
-                _ => self.pricing.vm_per_hour,
-            })
-            .max(0) as u128;
-            let start_ms = vm.started_at.as_millis();
-            let integral = self
-                .timeline
-                .integral_milli_ms(start_ms, start_ms + billed.as_millis());
-            // per-mille·ms × µ$/h × per-mille ÷ (1000 · ms/h · 1000)
-            const DEN: u128 = 1000 * 3_600_000 * 1000;
-            let num = integral * hourly_micros * vm.rate_milli as u128;
-            let micros = ((num + DEN / 2) / DEN) as i64; // micro-dollar totals sit far below 2^63
-            ledger.charge_micros(self.category, micros);
-        }
+        let start_ms = vm.started_at.as_millis();
+        let integral = self
+            .timeline
+            .integral_milli_ms(start_ms, start_ms + billed.as_millis());
+        let cost = self
+            .pricing
+            .fleet_charge(self.category, integral, vm.rate_milli);
+        ledger.bill(self.category, cost);
         let secs = billed.as_secs_f64();
         match self.category {
             CostCategory::ShuffleNode => ledger.shuffle_seconds += secs,
@@ -193,7 +176,7 @@ impl VmFleet {
 
     /// Install a spot-market schedule: every subsequent termination
     /// bills by integrating the hourly rate over the instance's billed
-    /// lifetime, in exact integer micro-dollars.
+    /// lifetime.
     pub fn set_price_timeline(&mut self, timeline: PriceTimeline) {
         self.billing.timeline = timeline;
     }
@@ -596,9 +579,15 @@ mod reference {
 mod tests {
     use super::reference::ScanFleet;
     use super::*;
+    use crate::money::Money;
 
     fn fleet() -> VmFleet {
         VmFleet::new(Pricing::default())
+    }
+
+    /// What one home-rate VM billed for `secs` costs on a flat market.
+    fn vm_cost_of_secs(secs: u128) -> Money {
+        Pricing::default().fleet_charge(CostCategory::VmCompute, secs * 1000 * 1000, 1000)
     }
 
     fn assert_same_fleet(f: &VmFleet, r: &ScanFleet, at: impl std::fmt::Debug) {
@@ -621,8 +610,7 @@ mod tests {
         assert!(!above || idle.is_empty(), "idle VM above target {at:?}");
         let (got, want) = (f.ledger(), &r.ledger);
         for c in CostCategory::ALL {
-            let (g, w) = (got.category(c), want.category(c));
-            assert_eq!(g.to_bits(), w.to_bits(), "{c} {at:?}: {g} vs {w}");
+            assert_eq!(got.category(c), want.category(c), "{c} {at:?}");
         }
         for (name, g, w) in [
             ("vm_seconds", got.vm_seconds, want.vm_seconds),
@@ -798,7 +786,7 @@ mod tests {
         assert_eq!(f.pending_count(), 0);
         f.poll(SimTime::from_secs(600));
         assert_eq!(f.running_count(), 0);
-        assert_eq!(f.ledger().total(), 0.0);
+        assert_eq!(f.ledger().total(), Money::ZERO);
     }
 
     #[test]
@@ -808,8 +796,8 @@ mod tests {
         f.poll(SimTime::from_secs(180));
         // Terminate after running only 10 s: billed the full minimum minute.
         f.set_target(SimTime::from_secs(190), 0);
-        let expected = Pricing::default().vm_billed(SimDuration::from_secs(10));
-        assert!((f.ledger().total() - expected).abs() < 1e-12);
+        assert_eq!(f.ledger().total(), vm_cost_of_secs(60));
+        assert_eq!(f.ledger().total().micros(), 500); // $0.03/h × 60 s
         assert!((f.ledger().vm_seconds - 60.0).abs() < 1e-9);
     }
 
@@ -825,8 +813,7 @@ mod tests {
         // On release the excess VM terminates immediately.
         f.release(SimTime::from_secs(400), vm);
         assert_eq!(f.running_count(), 0);
-        let expected = Pricing::default().vm_billed(SimDuration::from_secs(220));
-        assert!((f.ledger().total() - expected).abs() < 1e-12);
+        assert_eq!(f.ledger().total(), vm_cost_of_secs(220));
     }
 
     #[test]
@@ -856,7 +843,7 @@ mod tests {
         assert_eq!(f.running_count(), 0);
         assert_eq!(f.pending_count(), 0);
         // Two VMs, one hour each at $0.03/hour.
-        assert!((f.ledger().total() - 0.06).abs() < 1e-12);
+        assert_eq!(f.ledger().total().dollars(), 0.06);
         assert_eq!(f.terminated_total(), 2);
     }
 
@@ -869,8 +856,7 @@ mod tests {
         // Spot reclaim mid-task: the busy VM disappears and bills normally.
         f.reclaim(SimTime::from_secs(400), vm);
         assert_eq!(f.running_count(), 0);
-        let expected = Pricing::default().vm_billed(SimDuration::from_secs(220));
-        assert!((f.ledger().total() - expected).abs() < 1e-12);
+        assert_eq!(f.ledger().total(), vm_cost_of_secs(220));
         // Reclaiming an unknown id is a no-op.
         f.reclaim(SimTime::from_secs(401), vm);
         assert_eq!(f.terminated_total(), 1);
@@ -923,7 +909,7 @@ mod tests {
         f.set_vm_rate_milli(started[0], 700);
         f.finalize(SimTime::from_secs(180 + 3600));
         assert_eq!(
-            crate::ledger::micro_dollars(f.ledger().total()),
+            f.ledger().total().micros(),
             21_000,
             "remote VM must bill at exactly 70% of the home rate"
         );
@@ -931,19 +917,38 @@ mod tests {
         f.set_vm_rate_milli(VmId(99), 500);
     }
 
+    /// The common case, the home rate on a flat market: a VM and a
+    /// shuffle node each bill exactly the fleet method's result, below,
+    /// at and above the minimum billing time, with or without an
+    /// explicit flat timeline.
     #[test]
-    fn flat_timeline_matches_the_legacy_billing_path() {
-        let run = |with_timeline: bool| {
-            let mut f = fleet();
-            if with_timeline {
-                f.set_price_timeline(cackle_faults::PriceTimeline::flat());
+    fn home_rate_on_a_flat_market_bills_the_fleet_charge() {
+        let p = Pricing::default();
+        for category in [CostCategory::VmCompute, CostCategory::ShuffleNode] {
+            for ran_ms in [10_000u64, 59_999, 60_000, 61_001, 5_417_123] {
+                for explicit_flat in [false, true] {
+                    let mut f = VmFleet::with_category(p.clone(), category);
+                    if explicit_flat {
+                        f.set_price_timeline(PriceTimeline::flat());
+                    }
+                    f.set_target(SimTime::ZERO, 1);
+                    f.poll(SimTime::from_secs(180));
+                    f.finalize(SimTime::from_secs(180) + SimDuration::from_millis(ran_ms));
+                    let billed_ms = ran_ms.max(60_000) as u128;
+                    let want = p.fleet_charge(category, billed_ms * 1000, 1000);
+                    assert_eq!(
+                        f.ledger().category(category),
+                        want,
+                        "{category} {ran_ms} ms"
+                    );
+                    assert_eq!(f.ledger().total(), want);
+                }
             }
-            f.set_target(SimTime::ZERO, 2);
-            f.poll(SimTime::from_secs(180));
-            f.finalize(SimTime::from_secs(180 + 5417));
-            f.ledger().total()
-        };
-        assert_eq!(run(false), run(true));
+        }
+        // By hand: one minimum minute of a shuffle node at $0.08/h is
+        // 1 333 333.3 n$, rounded once.
+        let minute = p.fleet_charge(CostCategory::ShuffleNode, 60_000 * 1000, 1000);
+        assert_eq!(minute.dollars(), 0.001_333_333);
     }
 
     #[test]
@@ -956,15 +961,16 @@ mod tests {
         f.set_target(SimTime::ZERO, 1);
         f.poll(SimTime::from_secs(180));
         f.finalize(SimTime::from_secs(180 + 7200));
-        // Hand-integrate: 30 000 µ$/h over [180 s, 7380 s) under the
+        // Hand-integrate: 30 000 000 n$/h over [180 s, 7380 s) under the
         // per-interval multipliers, one rounding at the end.
         let integral = tl.integral_milli_ms(180_000, 7_380_000);
         let den: u128 = 1000 * 3_600_000;
-        let expected = ((integral * 30_000 + den / 2) / den) as i64;
-        assert_eq!(crate::ledger::micro_dollars(f.ledger().total()), expected);
+        let nanos = (integral * 30_000_000 + den / 2) / den;
+        assert_eq!(f.ledger().total().dollars(), nanos as f64 / 1e9);
         // The multipliers actually moved the price off the flat value.
         assert_ne!(
-            expected, 60_000,
+            f.ledger().total().micros(),
+            60_000,
             "volatility 0.3 over 2 h must move billing"
         );
     }
@@ -975,7 +981,10 @@ mod tests {
         f.set_target(SimTime::ZERO, 1);
         f.poll(SimTime::from_secs(180));
         f.finalize(SimTime::from_secs(180 + 3600));
-        assert!((f.ledger().category(CostCategory::ShuffleNode) - 0.08).abs() < 1e-12);
+        assert_eq!(
+            f.ledger().category(CostCategory::ShuffleNode).dollars(),
+            0.08
+        );
         assert!((f.ledger().shuffle_seconds - 3600.0).abs() < 1e-9);
     }
 }

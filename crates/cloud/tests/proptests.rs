@@ -3,7 +3,11 @@
 //! Cases are generated from the in-repo deterministic PRNG so every
 //! failure is reproducible.
 
-use cackle_cloud::{CostCategory, ElasticPool, EventQueue, Pricing, SimDuration, SimTime, VmFleet};
+use cackle_cloud::{
+    CostCategory, CostLedger, ElasticPool, EventQueue, Money, Pricing, SimDuration, SimTime,
+    VmFleet,
+};
+use cackle_faults::StoreOp;
 use cackle_prng::{Pcg32, Seed};
 
 /// Events pop in non-decreasing time order with FIFO ties, no matter the
@@ -63,20 +67,23 @@ fn fleet_billing_invariants() {
             started,
             "all started VMs terminate"
         );
-        let min_cost = started as f64 * pricing.vm_billed(SimDuration::from_secs(1));
+        let minute = pricing.fleet_charge(CostCategory::VmCompute, 60_000 * 1000, 1000);
+        let min_cost: Money = (0..started).map(|_| minute).sum();
         assert!(
-            fleet.ledger().category(CostCategory::VmCompute) >= min_cost - 1e-12,
+            fleet.ledger().category(CostCategory::VmCompute) >= min_cost,
             "billed below the per-VM minimum"
         );
-        // Billed seconds consistent with dollars.
-        let dollars = fleet.ledger().category(CostCategory::VmCompute);
+        // Billed seconds consistent with dollars, to half a nano-dollar
+        // per VM (each termination rounds once).
+        let dollars = fleet.ledger().category(CostCategory::VmCompute).dollars();
         let expect = fleet.ledger().vm_seconds / 3600.0 * pricing.vm_per_hour;
-        assert!((dollars - expect).abs() < 1e-9);
+        assert!((dollars - expect).abs() <= started as f64 * 0.5e-9 + 1e-12);
     }
 }
 
-/// Pool dollars equal slot-seconds × rate exactly, for any interleaving
-/// of invocations and completions.
+/// Pool money is the sum of each slot's priced runtime exactly, and
+/// slot-seconds × rate, for any interleaving of invocations and
+/// completions.
 #[test]
 fn pool_accounting_exact() {
     let mut rng = Pcg32::new(Seed::root(0xC10D_03));
@@ -92,14 +99,17 @@ fn pool_accounting_exact() {
             handles.push((id, start, d));
         }
         let mut total_s = 0.0;
+        let mut priced = Money::ZERO;
         for (id, start, d) in handles {
             let ran = pool.complete(start + SimDuration::from_millis(d), id);
             total_s += ran.as_secs_f64();
+            priced += pricing.pool_cost(ran);
         }
         assert_eq!(pool.active_count(), 0);
-        let expect = total_s / 3600.0 * pricing.pool_per_hour;
         let got = pool.ledger().category(CostCategory::ElasticPool);
-        assert!((got - expect).abs() < 1e-9, "{got} vs {expect}");
+        assert_eq!(got, priced);
+        let expect = total_s / 3600.0 * pricing.pool_per_hour;
+        assert!((got.dollars() - expect).abs() < 1e-9, "{got:?} vs {expect}");
         assert_eq!(pool.invocations_total(), durations_ms.len() as u64);
     }
 }
@@ -179,41 +189,113 @@ fn reclaim_random_deterministic() {
     assert_eq!(fleet.running_count(), 8 - swept.len());
 }
 
-/// Per-category charges always sum to `total()`, for any charge
-/// sequence.
+/// One random charge minted through `Pricing`, with its category.
+fn random_charge(rng: &mut Pcg32, pricing: &Pricing) -> (CostCategory, Money) {
+    match rng.gen_range(0u32..5) {
+        0 => {
+            let ran = SimDuration::from_millis(rng.gen_range(0u64..10_000_000));
+            (CostCategory::ElasticPool, pricing.pool_cost(ran))
+        }
+        1 | 2 => {
+            let category = match rng.gen_bool(0.5) {
+                true => CostCategory::ShuffleNode,
+                false => CostCategory::VmCompute,
+            };
+            let integral = rng.gen_range(0u64..100_000_000_000) as u128;
+            let cost = pricing.fleet_charge(category, integral, rng.gen_range(100u32..2000));
+            (category, cost)
+        }
+        3 => {
+            let (category, op) = match rng.gen_bool(0.5) {
+                true => (CostCategory::S3Put, StoreOp::Put),
+                false => (CostCategory::S3Get, StoreOp::Get),
+            };
+            (category, pricing.requests(op, rng.gen_range(0u64..100_000)))
+        }
+        _ => {
+            let bytes = rng.gen_range(0u64..1 << 40);
+            let micros_per_gib = rng.gen_range(0u64..100_000);
+            (CostCategory::Egress, Pricing::egress(bytes, micros_per_gib))
+        }
+    }
+}
+
+/// Per-category charges always sum to `total()` exactly, for any
+/// sequence of charges minted through `Pricing`.
 #[test]
 fn ledger_categories_sum_to_total() {
     let mut rng = Pcg32::new(Seed::root(0xC10D_05));
+    let pricing = Pricing::default();
     for _ in 0..64 {
-        let mut ledger = cackle_cloud::CostLedger::new();
-        let mut by_category = [0.0f64; CostCategory::ALL.len()];
+        let mut ledger = CostLedger::new();
+        let mut by_category = [Money::ZERO; CostCategory::ALL.len()];
         for _ in 0..rng.gen_range(1usize..200) {
-            let ci = rng.gen_range(0usize..CostCategory::ALL.len());
-            let dollars = rng.gen_range(0.0..10.0);
-            ledger.charge(CostCategory::ALL[ci], dollars);
-            by_category[ci] += dollars;
+            let (category, cost) = random_charge(&mut rng, &pricing);
+            ledger.bill(category, cost);
+            let i = CostCategory::ALL
+                .iter()
+                .position(|&c| c == category)
+                .unwrap();
+            by_category[i] += cost;
         }
         for (i, c) in CostCategory::ALL.into_iter().enumerate() {
             assert_eq!(ledger.category(c), by_category[i], "category {c}");
         }
-        let expect: f64 = by_category.iter().sum();
-        assert!((ledger.total() - expect).abs() < 1e-12);
+        assert_eq!(ledger.total(), by_category.into_iter().sum());
     }
 }
 
-/// Invalid charges (NaN, infinite, negative) are rejected and leave the
-/// ledger untouched.
+/// Merging the same ledgers in any order gives an equal ledger: integer
+/// money is associative, where `f64` sums move in their last digits.
+#[test]
+fn ledger_merge_is_order_independent() {
+    let mut rng = Pcg32::new(Seed::root(0xC10D_06));
+    let pricing = Pricing::default();
+    for _ in 0..32 {
+        let parts: Vec<CostLedger> = (0..rng.gen_range(2usize..12))
+            .map(|_| {
+                let mut l = CostLedger::new();
+                for _ in 0..rng.gen_range(0usize..50) {
+                    let (category, cost) = random_charge(&mut rng, &pricing);
+                    l.bill(category, cost);
+                }
+                l.put_requests = rng.gen_range(0u64..1000);
+                l.bytes_get = rng.gen_range(0u64..1 << 30);
+                l
+            })
+            .collect();
+        let merged = |order: &[usize]| {
+            let mut all = CostLedger::new();
+            for &i in order {
+                all.merge(&parts[i]);
+            }
+            all
+        };
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        let first = merged(&order);
+        for _ in 0..8 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            assert_eq!(merged(&order), first, "order {order:?}");
+        }
+    }
+}
+
+/// The `f64` adapters reject invalid charges (NaN, infinite, negative)
+/// and leave the ledger untouched.
 #[test]
 fn ledger_rejects_invalid_charges() {
-    let mut ledger = cackle_cloud::CostLedger::new();
+    let mut ledger = CostLedger::new();
     ledger.charge(CostCategory::VmCompute, 1.25);
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.01] {
         let out = ledger.try_charge(CostCategory::VmCompute, bad);
         assert!(out.is_err(), "{bad} accepted");
     }
-    assert_eq!(ledger.total(), 1.25);
-    assert_eq!(ledger.category(CostCategory::VmCompute), 1.25);
+    assert_eq!(ledger.total().dollars(), 1.25);
+    assert_eq!(ledger.category(CostCategory::VmCompute).dollars(), 1.25);
     // charge_requests with a zero count is a no-op even at weird prices.
     ledger.charge_requests(CostCategory::S3Put, 0, 5.0e-6);
-    assert_eq!(ledger.total(), 1.25);
+    ledger.charge_micros(CostCategory::S3Put, -7);
+    assert_eq!(ledger.total().dollars(), 1.25);
 }

@@ -146,15 +146,15 @@ pub fn run_model_with(
             // Expected cross-region egress: each task publishes from a
             // remote VM with probability `remote_vm_fraction`, so the
             // model ships that fraction of all shuffle bytes out of
-            // region, charged in exact micro-dollars.
+            // region. An estimate: it reaches the result, never a ledger.
             let total: u64 = workload
                 .iter()
                 .flat_map(|q| q.profile.stages.iter())
                 .map(|s| s.shuffle_bytes)
                 .sum();
             let bytes = (total as f64 * environment.remote_vm_fraction).round() as u64;
-            let micros = cackle_cloud::egress_micros(bytes, environment.egress_micros_per_gib);
-            result.shuffle.egress_cost = micros as f64 / 1e6;
+            let egress = cackle_cloud::Pricing::egress(bytes, environment.egress_micros_per_gib);
+            result.shuffle.egress_cost = egress.dollars();
             result.telemetry.add(catalog::ENV_EGRESS_BYTES_TOTAL, bytes);
             result
                 .telemetry

@@ -12,7 +12,9 @@
 //! per-second f64 rates with a single division at read time, so a sweep
 //! that compounds price shifts (the Figure 8 ablation, or the environment
 //! model's market schedule) never accumulates f64 representation drift
-//! into the step table (lint L11).
+//! into the step table. These rates price the strategy's cost
+//! *estimates*; they never reach a ledger, which bills through
+//! `cackle_cloud::Pricing` and the fleet's own market timeline.
 
 use crate::config::Env;
 use cackle_cloud::micro_dollars;

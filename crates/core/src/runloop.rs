@@ -21,8 +21,8 @@ use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use cackle_cloud::{
-    egress_micros, CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, SimDuration,
-    SimTime, VmFleet, VmId,
+    CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, Pricing, SimDuration, SimTime,
+    VmFleet, VmId,
 };
 use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint};
 use cackle_telemetry::{catalog, Telemetry};
@@ -369,13 +369,10 @@ pub(crate) fn run<'a, S: TaskSource>(
     st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
     st.recovery_ledger.instrument("recovery", &telemetry);
     st.env_ledger.instrument("env", &telemetry);
-    if !market.is_flat() {
-        // Spot-market motion: both fleets integrate the compiled
-        // schedule at termination time (a flat timeline keeps the
-        // legacy f64 billing path bit-for-bit).
-        st.fleet.set_price_timeline(market.clone());
-        st.shuffle_fleet.set_price_timeline(market);
-    }
+    // Both fleets integrate the market schedule (flat without spot-market
+    // motion) at termination time.
+    st.fleet.set_price_timeline(market.clone());
+    st.shuffle_fleet.set_price_timeline(market);
     let mut shuffle_prov = ShuffleProvisioner::new(env);
     let mut history = WorkloadHistory::new();
     let total = st.queries.len();
@@ -544,18 +541,20 @@ pub(crate) fn run<'a, S: TaskSource>(
     let store_ledger = st.source.store_ledger();
     telemetry.gauge_set(catalog::RUN_DURATION_SECONDS, history.len() as f64);
 
+    // The result's cost fields are f64 dollars: the ledgers' money is
+    // converted here, once.
     let result = RunResult {
         compute: ComputeCost {
-            vm_cost: vm_ledger.category(CostCategory::VmCompute),
-            pool_cost: pool_ledger.category(CostCategory::ElasticPool),
+            vm_cost: vm_ledger.category(CostCategory::VmCompute).dollars(),
+            pool_cost: pool_ledger.category(CostCategory::ElasticPool).dollars(),
             vm_seconds: vm_ledger.vm_seconds,
             pool_seconds: pool_ledger.pool_seconds,
         },
         shuffle: ShuffleCost {
-            node_cost: node_ledger.category(CostCategory::ShuffleNode),
-            s3_put_cost: store_ledger.category(CostCategory::S3Put),
-            s3_get_cost: store_ledger.category(CostCategory::S3Get),
-            egress_cost: st.env_ledger.category(CostCategory::Egress),
+            node_cost: node_ledger.category(CostCategory::ShuffleNode).dollars(),
+            s3_put_cost: store_ledger.category(CostCategory::S3Put).dollars(),
+            s3_get_cost: store_ledger.category(CostCategory::S3Get).dollars(),
+            egress_cost: st.env_ledger.category(CostCategory::Egress).dollars(),
             puts: store_ledger.put_requests,
             gets: store_ledger.get_requests,
         },
@@ -622,18 +621,16 @@ impl<S: TaskSource> Coordinator<'_, S> {
     }
 
     /// Cross-region egress: a remote VM publishing its shuffle output
-    /// ships the task's bytes out of region, billed in exact
-    /// micro-dollars through the env ledger (only the winning copy
-    /// publishes, so egress is never double-charged).
+    /// ships the task's bytes out of region, billed through the env
+    /// ledger (only the winning copy publishes, so egress is never
+    /// double-charged).
     fn bill_egress(&mut self, telemetry: &Telemetry, vm: VmId, query: usize, stage: usize) {
         if self.environment.remote_vm_fraction > 0.0 && self.faults.vm_traits(vm.0).remote {
             let bytes = self.source.remote_egress_bytes(query, stage);
             if bytes > 0 {
                 telemetry.add(catalog::ENV_EGRESS_BYTES_TOTAL, bytes);
-                self.env_ledger.charge_micros(
-                    CostCategory::Egress,
-                    egress_micros(bytes, self.environment.egress_micros_per_gib),
-                );
+                let cost = Pricing::egress(bytes, self.environment.egress_micros_per_gib);
+                self.env_ledger.bill(CostCategory::Egress, cost);
             }
         }
     }
@@ -658,7 +655,7 @@ impl<S: TaskSource> Coordinator<'_, S> {
         let dur_s = base_secs * self.spec.pool_slowdown;
         let pricing = &self.spec.env.pricing;
         let cost = pricing.pool_cost(SimDuration::from_secs_f64(dur_s));
-        self.recovery_ledger.charge(CostCategory::ElasticPool, cost);
+        self.recovery_ledger.bill(CostCategory::ElasticPool, cost);
         self.launch_on_pool(now, token, dur_s, 0, dup);
     }
 

@@ -65,8 +65,8 @@ struct ProfileSource<'a> {
     faults: FaultInjector,
     /// Modeled shuffle bytes of finished stages of unfinished queries.
     resident_total: u64,
-    /// Object-store request counts and charges (priced through the ledger
-    /// so no raw dollar arithmetic happens outside the billing layer).
+    /// Object-store request counts and charges (priced by
+    /// [`Pricing::requests`](cackle_cloud::Pricing::requests)).
     s3_ledger: CostLedger,
     /// Retried store requests, attributed to the `recovery` component.
     /// Telemetry attribution only; `s3_ledger` already bills every
@@ -93,17 +93,17 @@ impl<'a> ProfileSource<'a> {
             0.0
         };
         let n = (requests as f64 * overflow).round() as u64;
-        let (category, unit) = match op {
-            StoreOp::Get => (CostCategory::S3Get, pricing.s3_get),
-            StoreOp::Put => (CostCategory::S3Put, pricing.s3_put),
+        let category = match op {
+            StoreOp::Get => CostCategory::S3Get,
+            StoreOp::Put => CostCategory::S3Put,
         };
         let mut billed = n;
         if self.faults.is_enabled() {
             billed = (0..n).map(|_| self.faults.store_attempts(op)).sum();
-            self.recovery_ledger
-                .charge_requests(category, billed - n, unit);
+            let retried = pricing.requests(op, billed - n);
+            self.recovery_ledger.bill(category, retried);
         }
-        self.s3_ledger.charge_requests(category, billed, unit);
+        self.s3_ledger.bill(category, pricing.requests(op, billed));
         billed
     }
 }

@@ -16,8 +16,8 @@
 //! - [`PriceTimeline`] — a step function of per-mille price
 //!   multipliers, one step per market interval, keyed by the interval
 //!   index (`SALT_ENV_MARKET`). Billing integrates the step function
-//!   in integer arithmetic (`integral_milli_ms`), so money never
-//!   passes through accumulated f64 (lint L11).
+//!   in integer arithmetic (`integral_milli_ms`), which
+//!   `Pricing::fleet_charge` turns into integer money.
 //! - [`ReclaimStorm`] — storm windows keyed by the window index
 //!   (`SALT_ENV_STORM`); inside a window the spot-reclaim hazard is
 //!   raised to `max(base, storm)`.

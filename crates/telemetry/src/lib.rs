@@ -538,7 +538,7 @@ impl Telemetry {
         }
         if let Some(mut r) = self.lock() {
             update(&mut r.costs, component, |cells| {
-                // cackle-lint: allow(L11) — attribution mirror of dollars already minted by the ledger
+                // A mirror of money the ledger already billed, never a bill.
                 update(cells, category, |total| *total += dollars);
             });
         }

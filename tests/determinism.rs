@@ -1,7 +1,7 @@
 //! Tier-1 gate: identically-seeded runs are byte-identical.
 //!
 //! This is the behavioural counterpart of the static checks — clippy.toml,
-//! the hermetic build and `cackle-lint` forbid the *sources* of
+//! the hermetic build and the `Seed` type forbid the *sources* of
 //! nondeterminism (host clocks, entropy seeding, hash-order iteration,
 //! literal seeds); this test checks the *outcome*: the same seed produces
 //! the same report — and the same telemetry dump — byte for byte, run to
