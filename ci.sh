@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, clippy's determinism and ledger rules, release
-# build, full test suite. No network access required at any step.
+# Offline CI gate: formatting, clippy's determinism and ledger rules,
+# rustdoc, release build, full test suite. No network access required at
+# any step.
 set -eu
 cd "$(dirname "$0")"
 
@@ -18,6 +19,11 @@ echo "==> cargo clippy (determinism, hot-path and ledger rules: clippy.toml, [li
 # is its own workspace and is not covered. The build is hermetic, so this
 # needs no registry access.
 cargo clippy --offline --workspace --lib --bins --examples -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Broken or private intra-doc links and ambiguous paths fail here, so a
+# doc comment cannot keep pointing at an item that moved or was deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --workspace --release

@@ -4,8 +4,8 @@
 use crate::*;
 use cackle::model::{run_model_with, simulate_compute_with_timeline};
 use cackle::oracle::{oracle_cost, oracle_cost_without_pool};
-use cackle::prices::PriceTimeline;
 use cackle::system::run_system_with;
+use cackle::PriceTimeline;
 use cackle::{FamilyConfig, FaultSpec, MetaStrategy, Telemetry};
 use cackle_cloud::SimDuration;
 use cackle_tpch::profiles::profile_set;
@@ -186,8 +186,8 @@ pub(crate) fn ablation_price_shift() -> Report {
     let d = demand(&default_workload(8192));
     let spec = RunSpec::new().with_env(e.clone()).with_compute_only(true);
     // The VM price doubles 6 hours into the 12-hour workload.
-    let spike = PriceTimeline::spot_spike(&e, 6 * 3600, 2.0);
-    let flat = PriceTimeline::constant(&e);
+    let spike = PriceTimeline::step(6 * 3600, 2000);
+    let flat = PriceTimeline::flat();
     let cost = |label: &str, prices: &PriceTimeline| {
         let mut s = cackle::make_strategy(label, &e);
         simulate_compute_with_timeline(&d, s.as_mut(), &spec, prices)

@@ -31,6 +31,6 @@ pub use ledger::{micro_dollars, split_micro_dollars, CostCategory, CostLedger};
 pub use money::Money;
 pub use object_store::ObjectStore;
 pub use pool::{ElasticPool, InvocationId};
-pub use pricing::{Pricing, EGRESS_MICROS_PER_GIB, REMOTE_REGION_RATE_MILLI};
+pub use pricing::{Pricing, EGRESS_MICROS_PER_GIB};
 pub use time::{SimDuration, SimTime};
 pub use vm::{VmFleet, VmId};

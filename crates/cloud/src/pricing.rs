@@ -17,12 +17,6 @@ use crate::money::Money;
 use crate::time::SimDuration;
 use cackle_faults::StoreOp;
 
-/// Remote-region hourly rate as per-mille of the home region: the
-/// environment model's second region bills compute and shuffle nodes
-/// at 70% of the home price (a cheaper but farther region, matching
-/// `EnvironmentSpec::remote_rate_milli`'s default).
-pub const REMOTE_REGION_RATE_MILLI: u32 = 700;
-
 /// Cross-region shuffle-egress price in micro-dollars per GiB
 /// ($0.02/GiB — the discounted inter-region transfer tier). Matches
 /// `EnvironmentSpec::egress_micros_per_gib`'s default.
@@ -151,24 +145,6 @@ impl Pricing {
         self
     }
 
-    /// The second region's price table: compute, pool, and shuffle
-    /// nodes bill at [`REMOTE_REGION_RATE_MILLI`]/1000 of this table's
-    /// rates, scaled in integer micro-dollars (request pricing and
-    /// billing rules are identical across regions). This is the table
-    /// the environment model's `remote_rate_milli` default reproduces
-    /// per-VM.
-    pub fn second_region(&self) -> Self {
-        fn scale(per_hour: f64) -> f64 {
-            let micros = micro_dollars(per_hour) as i128 * REMOTE_REGION_RATE_MILLI as i128 / 1000;
-            micros as f64 / 1e6
-        }
-        let mut p = self.clone();
-        p.vm_per_hour = scale(self.vm_per_hour);
-        p.pool_per_hour = scale(self.pool_per_hour);
-        p.shuffle_node_per_hour = scale(self.shuffle_node_per_hour);
-        p
-    }
-
     /// Replace the VM startup latency (used by the Figure 9 sweep).
     pub fn with_vm_startup(mut self, startup: SimDuration) -> Self {
         self.vm_startup = startup;
@@ -178,6 +154,16 @@ impl Pricing {
     /// Per-second VM price in dollars.
     pub fn vm_per_sec(&self) -> f64 {
         self.vm_per_hour / 3600.0
+    }
+
+    /// Per-second VM price in dollars under a `PriceTimeline`
+    /// multiplier of `milli` per-mille: the hourly rate snapped to
+    /// whole micro-dollars, scaled in integers (truncating) and divided
+    /// once. It feeds the strategy's cost estimates; the fleets bill
+    /// the same multiplier through [`Pricing::fleet_charge`].
+    pub fn vm_per_sec_at(&self, milli: u32) -> f64 {
+        let micros = micro_dollars(self.vm_per_hour).max(0) as i128 * milli as i128 / 1000;
+        micros as f64 / 1e6 / 3600.0
     }
 
     /// Per-second elastic pool price in dollars.
@@ -251,16 +237,18 @@ mod tests {
     }
 
     #[test]
-    fn second_region_scales_rates_in_micros() {
+    fn vm_rate_at_a_multiplier_scales_the_micro_grid_rate() {
         let p = Pricing::default();
-        let r = p.second_region();
-        assert_eq!(micro_dollars(r.vm_per_hour), 21_000); // 0.03 × 0.7
-        assert_eq!(micro_dollars(r.pool_per_hour), 126_000); // 0.18 × 0.7
-        assert_eq!(micro_dollars(r.shuffle_node_per_hour), 56_000); // 0.08 × 0.7
-                                                                    // Billing rules and request prices are unchanged.
-        assert_eq!(r.vm_min_billing, p.vm_min_billing);
-        assert_eq!(r.s3_put, p.s3_put);
-        assert_eq!(r.s3_get, p.s3_get);
+        assert_eq!(p.vm_per_sec_at(1000), p.vm_per_sec());
+        assert_eq!(p.vm_per_sec_at(2000), 60_000.0 / 1e6 / 3600.0);
+        assert_eq!(p.vm_per_sec_at(700), 21_000.0 / 1e6 / 3600.0);
+        // One hour at the scaled rate is what the fleet bills for an
+        // hour at the same multiplier.
+        let hour = 3_600_000u128;
+        for milli in [100u32, 720, 1000, 1295, 2000] {
+            let billed = p.fleet_charge(CostCategory::VmCompute, hour * milli as u128, 1000);
+            assert!((p.vm_per_sec_at(milli) * 3600.0 - billed.dollars()).abs() < 1e-15);
+        }
     }
 
     #[test]

@@ -282,20 +282,6 @@ impl AllocationSim {
     }
 }
 
-/// Predict the cost of serving `demand` with a fixed per-second `targets`
-/// stream (both same length) under `env` — the §4.4.3 cost calculation as
-/// a one-shot function.
-pub fn cost_of_target_history(targets: &[u32], demand: &[u32], env: &Env) -> f64 {
-    assert_eq!(targets.len(), demand.len());
-    let mut sim = AllocationSim::new(env);
-    let mut at = 0;
-    for run in targets.chunk_by(|a, b| a == b) {
-        sim.advance(run[0], &demand[at..at + run.len()]);
-        at += run.len();
-    }
-    sim.finalize()
-}
-
 /// The per-VM fleet the cohort representation replaced — one deque entry
 /// per VM — kept as the reference the differential test compares
 /// against bit for bit.
@@ -403,6 +389,7 @@ mod reference {
 mod tests {
     use super::reference::PerVmSim;
     use super::*;
+    use crate::model::predict_cost_from_history;
     use cackle_cloud::SimDuration;
     use cackle_prng::{Pcg32, Seed};
 
@@ -421,7 +408,7 @@ mod tests {
     fn all_pool_when_target_zero() {
         let e = env();
         let demand = vec![10u32; 100];
-        let cost = cost_of_target_history(&vec![0; 100], &demand, &e);
+        let cost = predict_cost_from_history(&demand, &vec![0; 100], &e).total();
         let expected = 10.0 * 100.0 * e.pricing.pool_per_sec();
         assert!((cost - expected).abs() < 1e-9);
     }
@@ -483,8 +470,8 @@ mod tests {
         // Flat demand: provisioning VMs beats the 6x pool.
         let e = instant_env();
         let demand = vec![20u32; 3600];
-        let provisioned = cost_of_target_history(&vec![20; 3600], &demand, &e);
-        let pool_only = cost_of_target_history(&vec![0; 3600], &demand, &e);
+        let provisioned = predict_cost_from_history(&demand, &vec![20; 3600], &e).total();
+        let pool_only = predict_cost_from_history(&demand, &vec![0; 3600], &e).total();
         assert!(
             provisioned < pool_only / 5.0,
             "{provisioned} vs {pool_only}"

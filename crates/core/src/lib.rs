@@ -31,7 +31,6 @@ pub mod live;
 pub mod meta;
 pub mod model;
 pub mod oracle;
-pub mod prices;
 pub mod report;
 mod runloop;
 pub mod shuffleprov;
@@ -40,7 +39,7 @@ pub mod strategy;
 pub mod system;
 pub mod transport;
 
-pub use allocsim::{cost_of_target_history, AllocationSim};
+pub use allocsim::AllocationSim;
 pub use config::Env;
 pub use delaying::{run_delaying, try_run_delaying};
 pub use factory::{make_strategy, try_make_strategy};
@@ -49,7 +48,6 @@ pub use live::{run_live, run_live_collect, run_live_with, try_run_live, LiveQuer
 pub use meta::{FamilyConfig, MetaStrategy};
 pub use model::{build_workload, run_model, run_model_with, try_run_model, QueryArrival};
 pub use oracle::{oracle_cost, oracle_cost_without_pool, OracleCost};
-pub use prices::PriceTimeline;
 pub use report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
 pub use spec::{RunError, RunSpec};
 pub use strategy::{
@@ -66,5 +64,5 @@ pub use cackle_telemetry::{Histogram, Registry, Telemetry, TraceEvent};
 /// and the injector handle runners consult.
 pub use cackle_faults::{
     EnvironmentSpec, FaultError, FaultInjector, FaultPlan, FaultSpec, InjectionPoint, PoolDecision,
-    RecoveryPolicy, StoreOp,
+    PriceTimeline, RecoveryPolicy, StoreOp,
 };

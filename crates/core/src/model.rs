@@ -16,6 +16,7 @@ use crate::runloop::record_query_done;
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
+use cackle_faults::PriceTimeline;
 use cackle_prng::{Pcg32, Seed};
 use cackle_telemetry::{catalog, Telemetry};
 use cackle_workload::arrivals::WorkloadSpec;
@@ -123,23 +124,11 @@ pub fn run_model_with(
 ) -> RunResult {
     let curves = workload_curves(workload);
     let environment = &spec.faults.environment;
-    let mut result = if environment.market_volatility > 0.0 {
-        // Market motion: price compute under the same compiled schedule
-        // the system runner bills through, translated into model-layer
-        // rate steps (VM rides the spot market, the pool price holds).
-        // Heterogeneity and reclaim storms are execution-layer effects
-        // the analytical model deliberately does not see (DESIGN §14).
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "mint: the model's market schedule receives the RunSpec seed"
-        )]
-        let market = cackle_faults::PriceTimeline::compile(environment, Seed::root(spec.seed));
-        let horizon = curves.demand.len() as u64 + 7200;
-        let timeline = crate::prices::PriceTimeline::from_market(&spec.env, &market, horizon);
-        simulate_compute_with_timeline(&curves.demand.samples, strategy, spec, &timeline)
-    } else {
-        simulate_compute(&curves.demand.samples, strategy, spec)
-    };
+    // Compute is priced under the run's market, the schedule the system
+    // runner bills through. Heterogeneity and reclaim storms are
+    // execution-layer effects the analytical model deliberately does not
+    // see (DESIGN §14).
+    let mut result = simulate_compute(&curves.demand.samples, strategy, spec);
     if !spec.compute_only {
         result.shuffle = simulate_shuffle(&curves, &spec.env, &result.telemetry);
         if environment.remote_vm_fraction > 0.0 {
@@ -182,34 +171,33 @@ fn record_query_telemetry(telemetry: &Telemetry, workload: &[QueryArrival]) {
 }
 
 /// Drive a strategy over a bare demand curve (used for the real-trace
-/// experiments of Figure 10, where only the curve is known).
+/// experiments of Figure 10, where only the curve is known), priced
+/// under the run's [`RunSpec::price_timeline`].
 pub fn simulate_compute(
     demand: &[u32],
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> RunResult {
-    simulate_compute_with_timeline(
-        demand,
-        strategy,
-        spec,
-        &crate::prices::PriceTimeline::constant(&spec.env),
-    )
+    simulate_compute_with_timeline(demand, strategy, spec, &spec.price_timeline())
 }
 
-/// [`simulate_compute`] under time-varying prices (§5.3): at each price
-/// change the fleet's billing and the strategy's internal cost accounting
-/// switch to the new rates.
+/// [`simulate_compute`] under an explicit price timeline (§5.3): from
+/// second 0 on, whenever the VM multiplier in force changes, the fleet's
+/// cost estimate and the strategy's internal cost accounting switch to
+/// the new VM rate (the pool price holds).
 pub fn simulate_compute_with_timeline(
     demand: &[u32],
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
-    timeline: &crate::prices::PriceTimeline,
+    timeline: &PriceTimeline,
 ) -> RunResult {
     let env = &spec.env;
     let telemetry = spec.effective_telemetry();
     strategy.set_telemetry(&telemetry);
-    let changes = timeline.change_points();
-    let mut next_change = 0usize;
+    // `AllocationSim::new` starts at the base rate (1000‰); the rate in
+    // force at second 0 applies before the first step.
+    let mut milli = 1000;
+    let mut next_change = Some(0);
     let tick = env.strategy_tick.as_secs().max(1);
     let mut history = WorkloadHistory::new();
     let mut fleet = AllocationSim::new(env);
@@ -220,11 +208,15 @@ pub fn simulate_compute_with_timeline(
     loop {
         let d = if t < horizon { demand[t as usize] } else { 0 };
         history.push(d);
-        if next_change < changes.len() && t >= changes[next_change] {
-            let (vm, pool) = timeline.rates_at(t);
-            fleet.set_rates(vm, pool);
-            strategy.on_rates_changed(vm, pool);
-            next_change += 1;
+        if next_change.is_some_and(|at| t >= at) {
+            let now_milli = timeline.multiplier_milli(t);
+            if now_milli != milli {
+                milli = now_milli;
+                let (vm, pool) = (env.pricing.vm_per_sec_at(milli), env.pricing.pool_per_sec());
+                fleet.set_rates(vm, pool);
+                strategy.on_rates_changed(vm, pool);
+            }
+            next_change = timeline.next_change_after(t);
         }
         if t.is_multiple_of(tick) {
             target = strategy.target(t, &history, env);
@@ -319,10 +311,15 @@ fn simulate_shuffle(curves: &WorkloadCurves, env: &Env, telemetry: &Telemetry) -
 /// Re-run the §4.4.3 cost prediction on an executed history: given the
 /// demand curve a real run recorded and the targets its strategy chose,
 /// predict the cost (the model-validation loop of Figure 12).
+/// The replay stops at the shorter of the two histories; each run of
+/// equal targets is one [`AllocationSim::advance`].
 pub fn predict_cost_from_history(demand: &[u32], targets: &[u32], env: &Env) -> ComputeCost {
+    let n = demand.len().min(targets.len());
     let mut fleet = AllocationSim::new(env);
-    for (&t, &d) in targets.iter().zip(demand) {
-        fleet.step(t, d);
+    let mut at = 0;
+    for run in targets[..n].chunk_by(|a, b| a == b) {
+        fleet.advance(run[0], &demand[at..at + run.len()]);
+        at += run.len();
     }
     fleet.finalize();
     ComputeCost {
@@ -505,8 +502,6 @@ mod tests {
 
     #[test]
     fn price_timeline_reprices_second_half() {
-        use crate::prices::PriceTimeline;
-        use crate::strategy::FixedStrategy;
         // Flat demand of 10 for 2000 s on fixed_10; VM price doubles at
         // t=1000. With instant billing arithmetic: first half at 1x, second
         // at 2x, so cost grows by ~50% vs flat (startup transient aside).
@@ -518,7 +513,7 @@ mod tests {
         };
         let spiked = {
             let mut s = FixedStrategy { vms: 10 };
-            let tl = PriceTimeline::spot_spike(&spec.env, 1000, 2.0);
+            let tl = PriceTimeline::step(1000, 2000);
             simulate_compute_with_timeline(&demand, &mut s, &spec, &tl)
                 .compute
                 .total()
@@ -527,6 +522,41 @@ mod tests {
         assert!(
             (1.2..1.8).contains(&ratio),
             "expected ~1.5x increase, got {ratio} ({flat} -> {spiked})"
+        );
+    }
+
+    /// The model prices a fixed fleet's VM time from the run's market
+    /// exactly as the system runner's fleet bills it, from second 0 on.
+    /// Each VM bills `[180, 3600)`, four market intervals; every stretch
+    /// between changes is a multiple of 3 s, where $0.03/h bills whole
+    /// nano-dollars, so the fleet's bill is exact and the tolerance
+    /// covers only the model's f64 per-second sums.
+    #[test]
+    fn model_vm_cost_matches_the_fleet_under_market_motion() {
+        use cackle_cloud::{CostCategory, SimTime, VmFleet};
+        use cackle_faults::{EnvironmentSpec, FaultSpec};
+        let market = EnvironmentSpec::default().with_market_motion(0.3, 900);
+        let spec = RunSpec::new()
+            .with_seed(12)
+            .with_compute_only(true)
+            .with_faults(FaultSpec::default().with_environment(market));
+        let timeline = spec.price_timeline();
+        assert_ne!(timeline.multiplier_milli(0), 1000, "first interval at base");
+        let vms = 4;
+        let r = simulate_compute(&[vms; 3600], &mut FixedStrategy { vms }, &spec);
+
+        let mut fleet = VmFleet::new(spec.env.pricing.clone());
+        fleet.set_price_timeline(timeline);
+        fleet.set_target(SimTime::ZERO, vms as usize);
+        assert_eq!(fleet.poll(SimTime::from_secs(180)).len(), vms as usize);
+        fleet.set_target(SimTime::from_secs(3600), 0);
+        let billed = fleet.ledger().category(CostCategory::VmCompute).dollars();
+        assert_eq!(r.compute.vm_seconds, fleet.ledger().vm_seconds);
+        let rel = (r.compute.vm_cost - billed).abs() / billed;
+        assert!(
+            rel < 1e-9,
+            "model {} vs fleet {billed} (rel {rel:e})",
+            r.compute.vm_cost
         );
     }
 

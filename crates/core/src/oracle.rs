@@ -175,7 +175,7 @@ fn oracle_cost_impl(demand: &[u32], env: &Env, allow_pool: bool) -> OracleCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocsim::cost_of_target_history;
+    use crate::model::predict_cost_from_history;
     use cackle_cloud::SimDuration;
 
     fn env() -> Env {
@@ -289,7 +289,7 @@ mod tests {
                 vec![40u32; len],
                 demand.clone(),
             ] {
-                let online = cost_of_target_history(&targets, &demand, &e);
+                let online = predict_cost_from_history(&demand, &targets, &e).total();
                 assert!(
                     oc <= online + 1e-6,
                     "case {case}: oracle {oc} > online {online}"

@@ -346,7 +346,6 @@ pub(crate) fn run<'a, S: TaskSource>(
     let telemetry = spec.effective_telemetry();
     strategy.set_telemetry(&telemetry);
     let faults = spec.fault_injector(&telemetry)?;
-    let market = faults.price_timeline();
     let mut st = Coordinator {
         spec,
         source: make_source(&telemetry, &faults),
@@ -369,8 +368,9 @@ pub(crate) fn run<'a, S: TaskSource>(
     st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
     st.recovery_ledger.instrument("recovery", &telemetry);
     st.env_ledger.instrument("env", &telemetry);
-    // Both fleets integrate the market schedule (flat without spot-market
-    // motion) at termination time.
+    // Both fleets integrate the run's price timeline (flat without
+    // spot-market motion) at termination time.
+    let market = spec.price_timeline();
     st.fleet.set_price_timeline(market.clone());
     st.shuffle_fleet.set_price_timeline(market);
     let mut shuffle_prov = ShuffleProvisioner::new(env);

@@ -15,7 +15,10 @@
 //! return it instead of panicking on malformed input.
 
 use crate::config::Env;
-use cackle_faults::{FaultError, FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy};
+use cackle_faults::{
+    FaultError, FaultInjector, FaultPlan, FaultSpec, PriceTimeline, RecoveryPolicy,
+};
+use cackle_prng::Seed;
 use cackle_telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
@@ -186,6 +189,19 @@ impl RunSpec {
         }
         let plan = FaultPlan::compile(&self.faults, self.seed)?;
         Ok(FaultInjector::new(plan, self.recovery).instrumented(telemetry))
+    }
+
+    /// The run's price timeline: the environment's spot market compiled
+    /// with [`RunSpec::seed`] (flat without market motion). The system
+    /// runner's fleets bill through it and the analytical model prices
+    /// from it, so both see the same multiplier at every second.
+    pub fn price_timeline(&self) -> PriceTimeline {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mint: the run's price timeline receives the RunSpec seed"
+        )]
+        let seed = Seed::root(self.seed);
+        PriceTimeline::compile(&self.faults.environment, seed)
     }
 
     /// The sink runners actually record into: the attached sink when one

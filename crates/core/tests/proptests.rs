@@ -4,8 +4,9 @@
 //! recomputation. Cases come from the in-repo deterministic PRNG so
 //! every failure is reproducible from the seed constant alone.
 
-use cackle::allocsim::{cost_of_target_history, AllocationSim};
+use cackle::allocsim::AllocationSim;
 use cackle::history::SlidingQuantile;
+use cackle::model::predict_cost_from_history;
 use cackle::oracle::{level_intervals, oracle_cost, oracle_cost_without_pool};
 use cackle::Env;
 use cackle_cloud::SimDuration;
@@ -46,7 +47,7 @@ fn oracle_is_a_lower_bound() {
                 .collect::<Vec<_>>(),
         ];
         for t in targets {
-            let online = cost_of_target_history(&t, &demand, &env);
+            let online = predict_cost_from_history(&demand, &t, &env).total();
             assert!(oracle <= online + 1e-6, "oracle {oracle} > online {online}");
         }
     }
@@ -133,8 +134,8 @@ fn cost_monotone_in_pool_price() {
         let cheap = Env::default();
         let pricey = Env::default().with_pool_premium(12.0);
         let targets = vec![target; demand.len()];
-        let c1 = cost_of_target_history(&targets, &demand, &cheap);
-        let c2 = cost_of_target_history(&targets, &demand, &pricey);
+        let c1 = predict_cost_from_history(&demand, &targets, &cheap).total();
+        let c2 = predict_cost_from_history(&demand, &targets, &pricey).total();
         assert!(c2 + 1e-9 >= c1);
     }
 }

@@ -7,7 +7,7 @@
 //! whose predicate is valid *and* true.
 //!
 //! [`Expr::eval`] is one recursive walk. Arithmetic and comparisons are
-//! not computed here: both sides become [`Operand`]s — a literal stays a
+//! not computed here: both sides become `Operand`s — a literal stays a
 //! borrowed [`Value`], it is broadcast only when it is itself the
 //! projection — and go to the one binary kernel in
 //! [`crate::kernels::scalar`], which `IN` lists and CASE results reuse.

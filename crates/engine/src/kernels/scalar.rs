@@ -1,19 +1,19 @@
 //! The binary-expression kernel: every `lhs ⊕ rhs` other than Kleene
 //! `AND`/`OR` is computed here, and nowhere else.
 //!
-//! Each side is an [`Operand`] — an evaluated column, or a literal left
+//! Each side is an `Operand` — an evaluated column, or a literal left
 //! unbroadcast — so `column ⊕ column`, `column ⊕ literal` and
 //! `literal ⊕ column` are one implementation, written in lhs/rhs order.
-//! A call dispatches once on the pair of operand types ([`arith`],
-//! [`compare`]), resolves the operator outside the row loop
-//! ([`apply_i64`], [`apply_f64`], [`compare_rows`]) and runs the one row
-//! loop there is ([`zip_rows`]), monomorphised per side shape. Mixed
+//! A call dispatches once on the pair of operand types (`arith`,
+//! `compare`), resolves the operator outside the row loop
+//! (`apply_i64`, `apply_f64`, `compare_rows`) and runs the one row
+//! loop there is (`zip_rows`), monomorphised per side shape. Mixed
 //! numeric sides coerce to f64 element by element; neither side is
 //! materialized first. A column operand is borrowed when the expression
 //! is a bare column reference, so such a leaf copies nothing.
 //!
-//! Two sinks take the result. [`binary`] returns a column: the data
-//! vector plus the two sides' merged validity. [`compare_mask_into`]
+//! Two sinks take the result. `binary` returns a column: the data
+//! vector plus the two sides' merged validity. `compare_mask_into`
 //! appends `valid AND result` to a keep-mask — the scan filter's inner
 //! loop — from the same comparison loop.
 //!

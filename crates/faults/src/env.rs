@@ -13,11 +13,13 @@
 //!   keyed by the VM id (`SALT_ENV_VM`), so the traits of VM *k* are a
 //!   pure function of `(seed, k)` no matter how many VMs launched
 //!   before it or which worker thread observed it first.
-//! - [`PriceTimeline`] — a step function of per-mille price
+//! - [`PriceTimeline`] — a step function of per-mille VM price
 //!   multipliers, one step per market interval, keyed by the interval
-//!   index (`SALT_ENV_MARKET`). Billing integrates the step function
-//!   in integer arithmetic (`integral_milli_ms`), which
-//!   `Pricing::fleet_charge` turns into integer money.
+//!   index (`SALT_ENV_MARKET`). It is the run's one price timeline:
+//!   billing integrates it in integer arithmetic (`integral_milli_ms`),
+//!   which `Pricing::fleet_charge` turns into integer money, and the
+//!   analytical model prices its estimates from the same steps
+//!   (`Pricing::vm_per_sec_at`).
 //! - [`ReclaimStorm`] — storm windows keyed by the window index
 //!   (`SALT_ENV_STORM`); inside a window the spot-reclaim hazard is
 //!   raised to `max(base, storm)`.
@@ -253,45 +255,77 @@ impl Default for VmTraits {
     }
 }
 
-/// Seed-compiled spot-market schedule: a step function of per-mille
-/// price multipliers, one step per market interval. The multiplier for
-/// interval `i` is a pure keyed draw on `(seed, SALT_ENV_MARKET, i)`,
-/// so the timeline needs no storage and extends indefinitely. A flat
-/// timeline (volatility zero) multiplies by exactly 1000/1000.
+/// How a run's VM price moves (§5.3): a step function of per-mille
+/// multipliers on `Pricing`'s VM rate over simulated seconds. The
+/// fleets bill through [`integral_milli_ms`](Self::integral_milli_ms);
+/// the analytical model re-prices its estimates at every
+/// [`next_change_after`](Self::next_change_after), starting at second
+/// 0. The pool (Lambda) price has no column: §5.3's premise is that it
+/// holds while spot prices swing.
+///
+/// A seeded market draws interval `i`'s multiplier as a pure keyed draw
+/// on `(seed, SALT_ENV_MARKET, i)`, so it needs no storage and extends
+/// indefinitely. A flat timeline multiplies by exactly 1000/1000.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PriceTimeline {
-    /// `None` exactly when the timeline is flat: it never draws.
-    seed: Option<Seed>,
-    volatility_milli: u32,
+    /// Seconds per market interval (the spec's, kept when flat; a
+    /// step's first interval ends at its change).
     interval_s: u64,
+    moves: Moves,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Moves {
+    /// Every multiplier is 1000: nothing draws.
+    Flat,
+    /// One keyed draw per interval from `1000 ± volatility_milli`.
+    Market { seed: Seed, volatility_milli: u32 },
+    /// 1000 before `at_s`, `milli` from it on.
+    Step { at_s: u64, milli: u32 },
 }
 
 impl PriceTimeline {
-    /// Compile from a spec and run seed.
+    /// Compile the spec's spot market with the run seed (flat without
+    /// market motion).
     /// A pure function of `(env, seed)`.
     pub fn compile(env: &EnvironmentSpec, seed: Seed) -> Self {
         // Round the volatility to per-mille once; every multiplier is
         // derived from this integer amplitude.
         let volatility_milli = (env.market_volatility * 1000.0).round() as u32;
+        let moves = if volatility_milli > 0 {
+            Moves::Market {
+                seed,
+                volatility_milli,
+            }
+        } else {
+            Moves::Flat
+        };
         PriceTimeline {
-            seed: (volatility_milli > 0).then_some(seed),
-            volatility_milli,
             interval_s: env.market_interval_s.max(1),
+            moves,
         }
     }
 
     /// The always-1000 timeline (no market motion).
     pub fn flat() -> Self {
         PriceTimeline {
-            seed: None,
-            volatility_milli: 0,
             interval_s: 900,
+            moves: Moves::Flat,
+        }
+    }
+
+    /// One price change: 1000 before second `at_s`, `milli` from it on
+    /// (the Figure 8 ablation's spot spike doubles the VM price: 2000).
+    pub fn step(at_s: u64, milli: u32) -> Self {
+        PriceTimeline {
+            interval_s: at_s.max(1),
+            moves: Moves::Step { at_s, milli },
         }
     }
 
     /// Whether every multiplier is exactly 1000.
     pub fn is_flat(&self) -> bool {
-        self.seed.is_none()
+        self.moves == Moves::Flat
     }
 
     /// Seconds per market interval.
@@ -302,16 +336,39 @@ impl PriceTimeline {
     /// Per-mille multiplier in effect at simulated second `now_s`.
     /// A pure function of `(self, now_s)`.
     pub fn multiplier_milli(&self, now_s: u64) -> u32 {
-        let Some(seed) = self.seed else {
-            return 1000;
-        };
-        let idx = now_s / self.interval_s;
-        let mut rng = keyed_stream(seed, SALT_ENV_MARKET, idx);
-        let u = rng.gen_range(0.0..1.0);
-        let swing = (self.volatility_milli as f64 * (2.0 * u - 1.0)).round() as i64;
-        // volatility <= 0.9 bounds the swing to ±900; the floor is a
-        // belt against future amplitude changes.
-        (1000 + swing).max(100) as u32
+        match self.moves {
+            Moves::Flat => 1000,
+            Moves::Step { at_s, milli } => {
+                if now_s >= at_s {
+                    milli
+                } else {
+                    1000
+                }
+            }
+            Moves::Market {
+                seed,
+                volatility_milli,
+            } => {
+                let idx = now_s / self.interval_s;
+                let mut rng = keyed_stream(seed, SALT_ENV_MARKET, idx);
+                let u = rng.gen_range(0.0..1.0);
+                let swing = (volatility_milli as f64 * (2.0 * u - 1.0)).round() as i64;
+                // volatility <= 0.9 bounds the swing to ±900; the floor
+                // is a belt against future amplitude changes.
+                (1000 + swing).max(100) as u32
+            }
+        }
+    }
+
+    /// The first second after `now_s` at which the multiplier may
+    /// change, or `None` when it never changes again.
+    /// A pure function of `(self, now_s)`.
+    pub fn next_change_after(&self, now_s: u64) -> Option<u64> {
+        match self.moves {
+            Moves::Flat => None,
+            Moves::Step { at_s, .. } => (now_s < at_s).then_some(at_s),
+            Moves::Market { .. } => (now_s / self.interval_s + 1).checked_mul(self.interval_s),
+        }
     }
 
     /// Integral of the multiplier step function over `[start_ms,
@@ -320,20 +377,15 @@ impl PriceTimeline {
     /// flat timeline integrates to `1000 · (end - start)`.
     /// A pure function of `(self, start_ms, end_ms)`.
     pub fn integral_milli_ms(&self, start_ms: u64, end_ms: u64) -> u128 {
-        let span = end_ms.saturating_sub(start_ms) as u128;
-        if self.is_flat() {
-            return span * 1000;
-        }
-        let interval_ms = self.interval_s as u128 * 1000;
         let mut total: u128 = 0;
-        let mut cur = start_ms as u128;
-        let end = end_ms as u128;
-        while cur < end {
-            let seg_end = ((cur / interval_ms + 1) * interval_ms).min(end);
-            // cur/1000/interval_s == cur/interval_ms (floor division
-            // composes), so the sampled multiplier matches the segment.
-            let mult = self.multiplier_milli((cur / 1000) as u64) as u128;
-            total += (seg_end - cur) * mult;
+        let mut cur = start_ms;
+        while cur < end_ms {
+            let now_s = cur / 1000;
+            let seg_end = self
+                .next_change_after(now_s)
+                .and_then(|s| s.checked_mul(1000))
+                .map_or(end_ms, |ms| ms.min(end_ms));
+            total += (seg_end - cur) as u128 * self.multiplier_milli(now_s) as u128;
             cur = seg_end;
         }
         total
@@ -532,6 +584,30 @@ mod tests {
         let flat = PriceTimeline::flat();
         assert!(flat.is_flat());
         assert_eq!(flat.multiplier_milli(12345), 1000);
+    }
+
+    #[test]
+    fn next_change_walks_every_step_and_stops_when_prices_hold() {
+        let market = PriceTimeline::compile(&active_env(), Seed::root(9));
+        assert_eq!(market.next_change_after(0), Some(900));
+        assert_eq!(market.next_change_after(899), Some(900));
+        assert_eq!(market.next_change_after(900), Some(1800));
+        assert_eq!(market.next_change_after(u64::MAX - 1), None);
+        assert_eq!(PriceTimeline::flat().next_change_after(0), None);
+        // Figure 8's spike: one change, at its second.
+        let spike = PriceTimeline::step(1000, 2000);
+        assert!(!spike.is_flat());
+        assert_eq!(spike.multiplier_milli(999), 1000);
+        assert_eq!(spike.multiplier_milli(1000), 2000);
+        assert_eq!(spike.next_change_after(0), Some(1000));
+        assert_eq!(spike.next_change_after(999), Some(1000));
+        assert_eq!(spike.next_change_after(1000), None);
+        // A step at second 0 prices the whole run.
+        let from_start = PriceTimeline::step(0, 1500);
+        assert_eq!(from_start.multiplier_milli(0), 1500);
+        assert_eq!(from_start.next_change_after(0), None);
+        // 1 s at 1000 then 2 s at 2000.
+        assert_eq!(spike.integral_milli_ms(999_000, 1_002_000), 5_000_000);
     }
 
     #[test]

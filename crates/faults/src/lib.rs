@@ -397,9 +397,6 @@ pub struct FaultPlan {
     store_get: Pcg32,
     store_put: Pcg32,
     straggler: Pcg32,
-    /// Seed-compiled market schedule (flat when the environment has no
-    /// market motion).
-    timeline: PriceTimeline,
     /// Seed-compiled reclaim-storm schedule (`None` when storms are
     /// off).
     storm: Option<ReclaimStorm>,
@@ -458,7 +455,6 @@ impl FaultPlan {
             store_get: stream(seed, 0xFA03),
             store_put: stream(seed, 0xFA04),
             straggler: stream(seed, 0xFA06),
-            timeline: PriceTimeline::compile(&spec.environment, seed),
             storm: ReclaimStorm::compile(&spec.environment, seed),
         })
     }
@@ -487,11 +483,6 @@ impl FaultPlan {
         } else {
             None
         }
-    }
-
-    /// The compiled market schedule for this run.
-    pub fn price_timeline(&self) -> &PriceTimeline {
-        &self.timeline
     }
 
     /// Whether `now_s` falls inside a compiled reclaim storm.
@@ -781,15 +772,6 @@ impl FaultInjector {
             k.telemetry.add(catalog::ENV_REMOTE_VMS_TOTAL, 1);
         }
         traits
-    }
-
-    /// The compiled market schedule (flat when disabled or when the
-    /// environment has no market motion).
-    pub fn price_timeline(&self) -> PriceTimeline {
-        self.plan
-            .as_ref()
-            .map(|p| p.borrow().price_timeline().clone())
-            .unwrap_or_else(PriceTimeline::flat)
     }
 
     /// The environment spec this injector was compiled from (zero when
@@ -1211,7 +1193,6 @@ mod tests {
         assert_eq!(inj.vm_interrupt_at(100, 1000.0), None);
         assert_eq!(inj.vm_traits(3), VmTraits::default());
         assert_eq!(inj.vm_started(3), VmTraits::default());
-        assert!(inj.price_timeline().is_flat());
         assert!(inj.environment().is_zero());
     }
 

@@ -8,8 +8,8 @@
 //! * [`demand`] — per-second demand curves and percentile utilities.
 //! * [`traces`] — synthetic stand-ins for the paper's three proprietary
 //!   real-world traces (§2.1), reproducing their published shapes.
-//! * [`superpose`] — per-tenant trace decomposition and the sorted-stream
-//!   merge used by the multi-tenant serving layer (`cackle-serve`).
+//! * [`superpose`] — per-tenant trace decomposition used by the
+//!   multi-tenant serving layer (`cackle-serve`).
 
 pub mod arrivals;
 pub mod demand;
@@ -20,4 +20,4 @@ pub mod traces;
 pub use arrivals::WorkloadSpec;
 pub use demand::{percentile_f64, percentile_of, percentile_of_sorted, DemandCurve};
 pub use profile::{ProfileRef, QueryProfile, StageProfile};
-pub use superpose::{split_counts, split_spec, stream_seed, superpose};
+pub use superpose::{split_counts, split_spec, stream_seed};

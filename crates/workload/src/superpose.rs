@@ -2,16 +2,15 @@
 //!
 //! The paper evaluates against aggregate traces (Alibaba, Azure-Synapse)
 //! that are in reality superpositions of many tenants' query streams.
-//! This module provides the inverse pair: split one aggregate
-//! [`WorkloadSpec`] into `n` per-tenant specs whose independently seeded
-//! arrival streams *superpose* back into the aggregate's statistical
-//! shape (same window, same sinusoidal period, same baseline fraction,
-//! same total query count), and the deterministic k-way merge that
-//! recombines sorted per-tenant streams into one aggregate stream.
+//! This module splits one aggregate [`WorkloadSpec`] into `n`
+//! per-tenant specs whose independently seeded arrival streams
+//! *superpose* back into the aggregate's statistical shape (same window,
+//! same sinusoidal period, same baseline fraction, same total query
+//! count).
 //!
 //! `cackle-serve` builds its tenant registry on these primitives; they
-//! live here so trace experiments can superpose streams without pulling
-//! in the serving layer.
+//! live here so trace experiments can split streams without pulling in
+//! the serving layer.
 
 use crate::arrivals::WorkloadSpec;
 
@@ -56,20 +55,6 @@ pub fn split_spec(aggregate: &WorkloadSpec, n: usize) -> Vec<WorkloadSpec> {
             ..aggregate.clone()
         })
         .collect()
-}
-
-/// Merge sorted per-tenant arrival streams into one sorted aggregate
-/// stream. Ties keep lower-indexed streams first (stable), so the
-/// result is independent of how the inputs were produced.
-pub fn superpose(streams: &[Vec<u64>]) -> Vec<u64> {
-    let mut merged: Vec<u64> = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-    for s in streams {
-        debug_assert!(s.windows(2).all(|w| w[0] <= w[1]), "unsorted input stream");
-        merged.extend_from_slice(s);
-    }
-    // Stable sort keeps equal arrivals in stream order.
-    merged.sort();
-    merged
 }
 
 #[cfg(test)]
@@ -117,16 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn superpose_merges_sorted_streams_stably() {
-        let merged = superpose(&[vec![1, 5, 9], vec![2, 5, 8], vec![]]);
-        assert_eq!(merged, vec![1, 2, 5, 5, 8, 9]);
-        // One stream superposes to itself.
-        let solo = vec![3, 4, 4, 10];
-        assert_eq!(superpose(std::slice::from_ref(&solo)), solo);
-        assert!(superpose(&[]).is_empty());
-    }
-
-    #[test]
     fn superposed_tenants_reproduce_the_aggregate_sine_shape() {
         // Pure sine aggregate split across 16 tenants: the superposed
         // stream must keep the mid-period concentration the aggregate
@@ -142,9 +117,9 @@ mod tests {
             .iter()
             .map(|s| s.generate_arrivals())
             .collect();
-        let merged = superpose(&streams);
+        let mut merged = streams.concat();
+        merged.sort_unstable();
         assert_eq!(merged.len(), agg.num_queries);
-        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
         let mid = merged.iter().filter(|&&t| (400..800).contains(&t)).count();
         let edges = merged
             .iter()
