@@ -107,11 +107,44 @@ pub fn run_model(workload: &[QueryArrival], spec: &RunSpec) -> RunResult {
     try_run_model(workload, spec).unwrap_or_else(|e| e.raise())
 }
 
-/// [`run_model`], reporting malformed specs instead of panicking.
+/// [`run_model`], reporting malformed specs and profiles instead of
+/// panicking.
 pub fn try_run_model(workload: &[QueryArrival], spec: &RunSpec) -> Result<RunResult, RunError> {
     spec.validate()?;
+    validate_profiles(workload)?;
     let mut strategy = try_make_strategy(&spec.strategy, &spec.env)?;
     Ok(run_model_with(workload, strategy.as_mut(), spec))
+}
+
+/// Check every profile against [`QueryProfile::new`]'s contract, which
+/// the model's curves rely on: at least one stage, every stage with
+/// tasks and a nonzero duration, and every dependency an earlier stage
+/// (which also rules out cycles). O(stages) per query, allocating
+/// nothing unless a query is rejected.
+///
+/// [`QueryProfile::new`]: cackle_workload::QueryProfile::new
+fn validate_profiles(workload: &[QueryArrival]) -> Result<(), RunError> {
+    for (query, q) in workload.iter().enumerate() {
+        let invalid =
+            |what: String| Err(RunError::InvalidWorkload(format!("query {query} {what}")));
+        if q.profile.stages.is_empty() {
+            return invalid("has no stages".to_string());
+        }
+        for (si, stage) in q.profile.stages.iter().enumerate() {
+            if stage.tasks == 0 {
+                return invalid(format!("stage {si} has zero tasks"));
+            }
+            if stage.task_seconds == 0 {
+                return invalid(format!("stage {si} has zero duration"));
+            }
+            if let Some(d) = stage.deps.iter().find(|&&d| d >= si) {
+                return invalid(format!(
+                    "stage {si} depends on stage {d}, not an earlier one"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Run the analytical model under an explicitly constructed strategy
@@ -605,6 +638,23 @@ mod tests {
             try_run_model(&w, &bad_knob),
             Err(RunError::InvalidKnob { .. })
         ));
+        // A zero-second stage at second 0 would index the write curve at
+        // -1; built field by field, since `QueryProfile::new` asserts.
+        let mut stages = profile(2, 5).stages.clone();
+        stages[0].task_seconds = 0;
+        let zero = QueryArrival {
+            at_s: 0,
+            profile: Arc::new(QueryProfile {
+                name: "zero".to_string(),
+                stages,
+            }),
+        };
+        match try_run_model(&[w[0].clone(), zero], &RunSpec::new()) {
+            Err(RunError::InvalidWorkload(why)) => {
+                assert_eq!(why, "query 1 stage 0 has zero duration")
+            }
+            other => panic!("expected a rejected profile, got {other:?}"),
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use cackle_cloud::{
     CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, Pricing, SimDuration, SimTime,
     VmFleet, VmId,
 };
-use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint};
+use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint, RecoveryPolicy};
 use cackle_telemetry::{catalog, Telemetry};
 use std::collections::VecDeque;
 
@@ -743,17 +743,16 @@ impl<S: TaskSource> Coordinator<'_, S> {
             // A straggler gets a duplicate check once its un-straggled
             // duration (times the policy's patience factor) has elapsed.
             if let Some(vm_nominal_s) = launch.recovery.and_then(|r| r.unstraggled_secs) {
-                let policy = self.faults.policy();
-                if policy.duplicate_stragglers {
-                    let nominal_s = match vm {
-                        Some(_) => vm_nominal_s,
-                        None => vm_nominal_s * self.spec.pool_slowdown,
-                    };
-                    self.events.schedule(
-                        now + SimDuration::from_secs_f64(nominal_s * policy.straggler_patience),
-                        Ev::DupCheck { token },
-                    );
-                }
+                let nominal_s = match vm {
+                    Some(_) => vm_nominal_s,
+                    None => vm_nominal_s * self.spec.pool_slowdown,
+                };
+                self.events.schedule(
+                    now + SimDuration::from_secs_f64(
+                        nominal_s * RecoveryPolicy::STRAGGLER_PATIENCE,
+                    ),
+                    Ev::DupCheck { token },
+                );
             }
         }
     }

@@ -231,7 +231,6 @@ impl RunSpec {
             }
         }
         self.faults.validate()?;
-        self.recovery.validate()?;
         Ok(())
     }
 }

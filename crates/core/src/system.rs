@@ -458,6 +458,7 @@ mod tests {
     fn try_run_rejects_malformed_workloads() {
         use crate::delaying::try_run_delaying;
         use crate::live::{try_run_live, LiveQuery};
+        use crate::model::try_run_model;
         use cackle_engine::plan::{ExchangeMode, PlanNode, Stage, StageDag};
         use cackle_engine::schema::Schema;
         use cackle_engine::table::Catalog;
@@ -506,7 +507,7 @@ mod tests {
         };
         let catalog = Catalog::new();
         type Runner<'a> = &'a dyn Fn(&Shape) -> Result<RunResult, RunError>;
-        let runners: [(&str, Runner); 3] = [
+        let runners: [(&str, Runner); 4] = [
             ("system", &|shape| {
                 try_run_system_with(&profiles(shape), &mut FixedStrategy { vms: 0 }, &spec)
             }),
@@ -516,6 +517,7 @@ mod tests {
             ("delaying", &|shape| {
                 try_run_delaying(&profiles(shape), 4, &spec)
             }),
+            ("model", &|shape| try_run_model(&profiles(shape), &spec)),
         ];
         let shapes: [(&str, &Shape); 4] = [
             ("no stages at all", &[]),

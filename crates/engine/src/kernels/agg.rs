@@ -1,46 +1,36 @@
 //! Hash-group-by kernel: group-id assignment plus typed accumulators.
 //!
-//! The legacy aggregation path allocated an owned key per input row and
-//! kept a `Vec<AggState>` per group, updating through an enum match per
-//! (row, aggregate). The kernel splits the work: a [`Grouper`] maps rows
-//! to dense group ids (a direct `i64` map for the dominant
-//! single-integer-key case, a reused scratch key buffer otherwise), and
-//! each [`Accumulator`] holds its state as typed parallel vectors
-//! indexed by group id, updated in one columnar pass per batch.
+//! A [`Grouper`] maps rows to dense group ids through a [`KeyMap`] (a
+//! direct `i64` map for the dominant single-integer-key case, canonical
+//! key bytes otherwise) and gathers each new group's key row into typed
+//! output columns as it first sees it. Each [`Accumulator`] holds its
+//! state as typed parallel vectors indexed by group id, updated in one
+//! columnar pass per batch, and finishes into a typed column.
 //!
-//! Group ids are assigned in first-encounter order and every finished
-//! column goes through `values_to_column`, so output bytes are identical
-//! to the legacy path.
+//! Group ids are assigned in first-encounter order and a null output
+//! slot holds its type's zero, so output bytes are identical to the
+//! row-at-a-time oracle in [`crate::reference`].
 
-use crate::column::{Column, ColumnData};
-use crate::kernels::hash::FastBuildHasher;
-use crate::ops::aggregate::{values_to_column, AggFunc};
-use crate::rowkey::encode_row_into;
-use crate::types::{DataType, Value};
-use std::collections::{HashMap, HashSet};
+use crate::column::{Column, ColumnData, StrColumn};
+use crate::kernels::hash::KeyMap;
+use crate::ops::aggregate::AggFunc;
+use crate::types::DataType;
 
-enum GroupMap {
-    /// Single all-valid `i64` key: no byte encoding at all.
-    I64(HashMap<i64, u32, FastBuildHasher>),
-    /// General case: canonical row-key bytes, encoded into a reused
-    /// scratch buffer and cloned only when a new group is inserted.
-    Bytes(HashMap<Vec<u8>, u32, FastBuildHasher>),
-}
-
-/// Maps rows to dense group ids in first-encounter order.
+/// Maps rows to dense group ids in first-encounter order, and keeps the
+/// group-key columns of the output.
 pub struct Grouper {
-    map: GroupMap,
-    /// `(batch, row)` exemplar of each group, in group-id order.
-    pub exemplars: Vec<(u32, u32)>,
-    key_scratch: Vec<u8>,
+    keys: KeyMap,
+    /// One output key column per group-by expression, one row per group.
+    out: Vec<KeyColumn>,
 }
 
 impl Grouper {
-    /// Pick the key strategy for the given evaluated key columns (outer:
-    /// batch, inner: key ordinal). The `i64` fast path requires a single
-    /// all-valid integer key in *every* batch — group identity must not
-    /// switch representations mid-stream.
-    pub fn for_keys(key_cols_per_batch: &[Vec<&Column>]) -> Grouper {
+    /// Pick the key representation for the given evaluated key columns
+    /// (outer: batch, inner: key ordinal); `dtypes` are the output types
+    /// of the key columns. The `i64` map requires a single all-valid
+    /// integer key in *every* batch — group identity must not switch
+    /// representations mid-stream, and null is a group of its own.
+    pub fn for_keys(key_cols_per_batch: &[Vec<&Column>], dtypes: &[DataType]) -> Grouper {
         let single_i64 = !key_cols_per_batch.is_empty()
             && key_cols_per_batch.iter().all(|cols| {
                 cols.len() == 1
@@ -48,56 +38,86 @@ impl Grouper {
                     && cols[0].validity.is_none()
             });
         Grouper {
-            map: if single_i64 {
-                GroupMap::I64(HashMap::default())
+            keys: if single_i64 {
+                KeyMap::direct_i64()
             } else {
-                GroupMap::Bytes(HashMap::default())
+                KeyMap::bytes()
             },
-            exemplars: Vec::new(),
-            key_scratch: Vec::new(),
+            out: dtypes.iter().map(|&t| KeyColumn::new(t)).collect(),
         }
     }
 
     /// Number of distinct groups seen so far.
     pub fn n_groups(&self) -> usize {
-        self.exemplars.len()
+        self.keys.len()
     }
 
-    /// Append the group id of every row of batch `bi` to `ids`.
-    pub fn assign(&mut self, bi: usize, key_cols: &[&Column], nrows: usize, ids: &mut Vec<u32>) {
-        match &mut self.map {
-            GroupMap::I64(map) => {
-                let keys = key_cols[0].i64s();
-                for (row, &k) in keys.iter().enumerate().take(nrows) {
-                    let gid = match map.get(&k) {
-                        Some(&g) => g,
-                        None => {
-                            let g = self.exemplars.len() as u32;
-                            map.insert(k, g);
-                            self.exemplars.push((bi as u32, row as u32));
-                            g
-                        }
-                    };
-                    ids.push(gid);
+    /// Append the group id of every row of one batch to `ids`; a new
+    /// group's key row is copied into the output key columns.
+    pub fn assign(&mut self, key_cols: &[&Column], nrows: usize, ids: &mut Vec<u32>) {
+        let out = &mut self.out;
+        self.keys
+            .insert_rows(key_cols, 0..nrows, |row, gid, fresh| {
+                if fresh {
+                    for (out, col) in out.iter_mut().zip(key_cols) {
+                        out.push_row(col, row);
+                    }
                 }
+                ids.push(gid);
+            });
+    }
+
+    /// The group-key columns, one row per group in group-id order.
+    pub fn finish(self) -> Vec<Column> {
+        self.out
+            .into_iter()
+            .map(|k| match k.validity {
+                Some(validity) => Column::with_validity(k.data, validity),
+                None => Column::new(k.data),
+            })
+            .collect()
+    }
+}
+
+/// An output key column grown one gathered row per new group.
+struct KeyColumn {
+    data: ColumnData,
+    /// Allocated at the first null key.
+    validity: Option<Vec<bool>>,
+}
+
+impl KeyColumn {
+    fn new(dtype: DataType) -> KeyColumn {
+        KeyColumn {
+            data: ColumnData::zeroed(dtype, 0),
+            validity: None,
+        }
+    }
+
+    /// Append row `i` of `col`: a null appends the type's zero, whatever
+    /// `col` holds there, and an `i64` widens into an `f64` output.
+    fn push_row(&mut self, col: &Column, i: usize) {
+        let valid = col.is_valid(i);
+        if !valid && self.validity.is_none() {
+            self.validity = Some(vec![true; self.data.len()]);
+        }
+        if let Some(validity) = &mut self.validity {
+            validity.push(valid);
+        }
+        match (&mut self.data, &col.data) {
+            (ColumnData::I64(out), ColumnData::I64(v)) => out.push(if valid { v[i] } else { 0 }),
+            (ColumnData::F64(out), ColumnData::F64(v)) => out.push(if valid { v[i] } else { 0.0 }),
+            (ColumnData::F64(out), ColumnData::I64(v)) => {
+                out.push(if valid { v[i] as f64 } else { 0.0 })
             }
-            GroupMap::Bytes(map) => {
-                for row in 0..nrows {
-                    encode_row_into(&mut self.key_scratch, key_cols, row);
-                    let gid = match map.get(self.key_scratch.as_slice()) {
-                        Some(&g) => g,
-                        None => {
-                            let g = self.exemplars.len() as u32;
-                            // The map owns its key; the scratch encoding is
-                            // cloned once per *distinct group*, not per row.
-                            map.insert(self.key_scratch.clone(), g);
-                            self.exemplars.push((bi as u32, row as u32));
-                            g
-                        }
-                    };
-                    ids.push(gid);
-                }
-            }
+            (ColumnData::Str(out), ColumnData::Str(v)) => out.push(if valid { &v[i] } else { "" }),
+            (ColumnData::Date(out), ColumnData::Date(v)) => out.push(if valid { v[i] } else { 0 }),
+            (ColumnData::Bool(out), ColumnData::Bool(v)) => out.push(valid && v[i]),
+            (out, other) => panic!(
+                "expected {} group key, got {}",
+                out.data_type(),
+                other.data_type()
+            ),
         }
     }
 }
@@ -119,11 +139,9 @@ pub enum Accumulator {
         seen: Vec<bool>,
         is_min: bool,
     },
-    /// COUNT(DISTINCT): canonical key bytes per group.
-    Distinct {
-        /// Per-group sets of distinct canonical keys.
-        sets: Vec<HashSet<Vec<u8>, FastBuildHasher>>,
-    },
+    /// COUNT(DISTINCT): one map over every (group, value) pair; a
+    /// pair's first insertion counts against its group.
+    Distinct { seen: KeyMap, counts: Vec<i64> },
 }
 
 /// Typed best-value storage for MIN/MAX.
@@ -148,6 +166,16 @@ impl MinMaxData {
             ColumnData::Str(_) => MinMaxData::Str(vec![String::new(); n]),
             ColumnData::Date(_) => MinMaxData::Date(vec![0; n]),
             ColumnData::Bool(_) => MinMaxData::Bool(vec![false; n]),
+        }
+    }
+
+    fn into_data(self) -> ColumnData {
+        match self {
+            MinMaxData::I64(v) => ColumnData::I64(v),
+            MinMaxData::F64(v) => ColumnData::F64(v),
+            MinMaxData::Str(v) => ColumnData::Str(StrColumn::from(v)),
+            MinMaxData::Date(v) => ColumnData::Date(v),
+            MinMaxData::Bool(v) => ColumnData::Bool(v),
         }
     }
 
@@ -194,7 +222,10 @@ impl Accumulator {
                 sums: Vec::new(),
                 counts: Vec::new(),
             },
-            AggFunc::CountDistinct => Accumulator::Distinct { sets: Vec::new() },
+            AggFunc::CountDistinct => Accumulator::Distinct {
+                seen: KeyMap::bytes(),
+                counts: Vec::new(),
+            },
         }
     }
 
@@ -202,7 +233,9 @@ impl Accumulator {
     /// capacity grows geometrically, once per batch at most).
     pub fn grow(&mut self, n: usize) {
         match self {
-            Accumulator::Count { counts, .. } => counts.resize(n, 0),
+            Accumulator::Count { counts, .. } | Accumulator::Distinct { counts, .. } => {
+                counts.resize(n, 0)
+            }
             Accumulator::SumI64 { sums, seen } => {
                 sums.resize(n, 0);
                 seen.resize(n, false);
@@ -221,7 +254,6 @@ impl Accumulator {
                 }
                 seen.resize(n, false);
             }
-            Accumulator::Distinct { sets } => sets.resize_with(n, HashSet::default),
         }
     }
 
@@ -293,64 +325,54 @@ impl Accumulator {
                 data.grow(n);
                 update_min_max(data, seen, *is_min, ids, col);
             }
-            Accumulator::Distinct { sets } => {
+            Accumulator::Distinct { seen, counts } => {
                 let col = col.expect("COUNT DISTINCT input column");
-                let mut key = Vec::new();
                 for (i, &g) in ids.iter().enumerate() {
-                    if col.is_valid(i) {
-                        let set = &mut sets[g as usize];
-                        // An owned key enters the set once per distinct
-                        // value; duplicates are probed with the reused
-                        // encoding and allocate nothing.
-                        encode_row_into(&mut key, &[col], i);
-                        if !set.contains(key.as_slice()) {
-                            set.insert(key.clone());
-                        }
+                    if col.is_valid(i) && seen.insert_scoped(g, col, i) {
+                        counts[g as usize] += 1;
                     }
                 }
             }
         }
     }
 
-    /// Convert the per-group state to per-group values and build the
-    /// output column — the exact `values_to_column` path the legacy
-    /// implementation used, so bytes match.
+    /// Build the output column of type `dtype`, one row per group; a
+    /// group with no input is null.
     pub fn finish(self, dtype: DataType) -> Column {
-        let values: Vec<Value> = match self {
-            Accumulator::Count { counts, .. } => counts.into_iter().map(Value::I64).collect(),
-            Accumulator::SumI64 { sums, seen } => sums
-                .into_iter()
-                .zip(seen)
-                .map(|(s, ok)| if ok { Value::I64(s) } else { Value::Null })
-                .collect(),
-            Accumulator::SumF64 { sums, seen } => sums
-                .into_iter()
-                .zip(seen)
-                .map(|(s, ok)| if ok { Value::F64(s) } else { Value::Null })
-                .collect(),
-            Accumulator::Avg { sums, counts } => sums
-                .into_iter()
-                .zip(counts)
-                .map(|(s, c)| {
+        let (data, seen) = match self {
+            Accumulator::Count { counts, .. } | Accumulator::Distinct { counts, .. } => {
+                (ColumnData::I64(counts), None)
+            }
+            Accumulator::SumI64 { sums, seen } => (ColumnData::I64(sums), Some(seen)),
+            Accumulator::SumF64 { sums, seen } => (ColumnData::F64(sums), Some(seen)),
+            Accumulator::Avg { mut sums, counts } => {
+                for (s, &c) in sums.iter_mut().zip(&counts) {
                     if c > 0 {
-                        Value::F64(s / c as f64)
-                    } else {
-                        Value::Null
+                        *s /= c as f64;
                     }
-                })
-                .collect(),
+                }
+                let seen = counts.iter().map(|&c| c > 0).collect();
+                (ColumnData::F64(sums), Some(seen))
+            }
             Accumulator::MinMax { best, seen, .. } => match best {
-                None => seen.iter().map(|_| Value::Null).collect(),
-                Some(data) => min_max_values(data, &seen),
+                None => return Column::nulls(dtype, seen.len()),
+                Some(best) => (best.into_data(), Some(seen)),
             },
-            Accumulator::Distinct { sets } => sets
-                // Iterates the outer Vec (group-id order); set order is
-                // never observed, only the cardinality.
-                .into_iter()
-                .map(|s| Value::I64(s.len() as i64))
-                .collect(),
         };
-        values_to_column(&values, dtype)
+        // An `i64` state widens into an `f64` output column.
+        let data = match data {
+            ColumnData::I64(v) if dtype == DataType::F64 => {
+                ColumnData::F64(v.into_iter().map(|x| x as f64).collect())
+            }
+            data => {
+                assert_eq!(data.data_type(), dtype, "aggregate output type");
+                data
+            }
+        };
+        match seen {
+            Some(seen) => Column::with_validity(data, seen),
+            None => Column::new(data),
+        }
     }
 }
 
@@ -467,21 +489,4 @@ fn update_min_max(
             other.data_type()
         ),
     }
-}
-
-fn min_max_values(data: MinMaxData, seen: &[bool]) -> Vec<Value> {
-    match data {
-        MinMaxData::I64(v) => zip_values(v, seen, Value::I64),
-        MinMaxData::F64(v) => zip_values(v, seen, Value::F64),
-        MinMaxData::Str(v) => zip_values(v, seen, Value::Str),
-        MinMaxData::Date(v) => zip_values(v, seen, Value::Date),
-        MinMaxData::Bool(v) => zip_values(v, seen, Value::Bool),
-    }
-}
-
-fn zip_values<T>(vals: Vec<T>, seen: &[bool], wrap: impl Fn(T) -> Value) -> Vec<Value> {
-    vals.into_iter()
-        .zip(seen)
-        .map(|(v, &ok)| if ok { wrap(v) } else { Value::Null })
-        .collect()
 }

@@ -1,7 +1,7 @@
 //! Hash-join build and probe kernels.
 //!
 //! The build side is indexed once per task as a flat CSR directory: a
-//! typed map from each distinct key to a dense group id, then every
+//! [`KeyMap`] from each distinct key to a dense group id, then every
 //! build row listed by group (`rows[starts[g]..starts[g + 1]]`). Besides
 //! the map's own storage that is three vectors however many keys there
 //! are — a bucket `Vec` per key made the build allocate once per
@@ -16,22 +16,11 @@
 //! batches.
 
 use crate::column::{Column, ColumnData};
-use crate::kernels::hash::FastBuildHasher;
-use crate::rowkey::encode_row_into;
-use std::collections::HashMap;
-use std::hash::Hash;
-
-/// Typed key → dense group id.
-enum Groups {
-    /// Single `i64` join key: direct integer map, no byte encoding.
-    I64(HashMap<i64, u32, FastBuildHasher>),
-    /// General case: canonical row-key bytes.
-    Bytes(HashMap<Vec<u8>, u32, FastBuildHasher>),
-}
+use crate::kernels::hash::KeyMap;
 
 /// Key → build-row index over the concatenated build side.
 pub struct KeyIndex {
-    groups: Groups,
+    keys: KeyMap,
     /// Group `g`'s rows are `rows[starts[g]..starts[g + 1]]`.
     starts: Vec<u32>,
     /// Build rows, grouped by key, in row order within each group.
@@ -41,58 +30,21 @@ pub struct KeyIndex {
 /// Group id marking a build row with a null key.
 const NULL_KEY: u32 = u32::MAX;
 
-/// The group id of `key`, allocating the next one on first sight.
-fn intern<K: Hash + Eq>(map: &mut HashMap<K, u32, FastBuildHasher>, key: K) -> u32 {
-    let fresh = map.len() as u32;
-    *map.entry(key).or_insert(fresh)
-}
-
 impl KeyIndex {
     /// Index `nrows` build rows by their evaluated key columns. Rows
     /// with a null key are excluded (SQL join semantics: null keys match
-    /// nothing) — which is what makes the `i64` fast path safe even for
+    /// nothing) — which is what makes the direct `i64` map safe even for
     /// nullable keys; unlike grouping, joins never need a null-key
     /// identity.
     pub fn build(key_cols: &[&Column], nrows: usize) -> KeyIndex {
-        let mut group_of: Vec<u32> = Vec::with_capacity(nrows);
-        let single_i64 = match key_cols {
-            [key] => match &key.data {
-                ColumnData::I64(vals) => Some((key, vals)),
-                _ => None,
-            },
-            _ => None,
+        let mut keys = match key_cols {
+            [key] if matches!(key.data, ColumnData::I64(_)) => KeyMap::direct_i64(),
+            _ => KeyMap::bytes(),
         };
-        let (groups, ngroups) = match single_i64 {
-            Some((key, vals)) => {
-                let mut map = HashMap::default();
-                for (row, &k) in vals.iter().enumerate().take(nrows) {
-                    group_of.push(if key.is_valid(row) {
-                        intern(&mut map, k)
-                    } else {
-                        NULL_KEY
-                    });
-                }
-                let n = map.len();
-                (Groups::I64(map), n)
-            }
-            None => {
-                let mut map: HashMap<Vec<u8>, u32, FastBuildHasher> = HashMap::default();
-                let mut scratch = Vec::new();
-                for row in 0..nrows {
-                    group_of.push(if key_cols.iter().all(|k| k.is_valid(row)) {
-                        encode_row_into(&mut scratch, key_cols, row);
-                        match map.get(scratch.as_slice()) {
-                            Some(&g) => g,
-                            None => intern(&mut map, scratch.clone()),
-                        }
-                    } else {
-                        NULL_KEY
-                    });
-                }
-                let n = map.len();
-                (Groups::Bytes(map), n)
-            }
-        };
+        let mut group_of = vec![NULL_KEY; nrows];
+        let valid_rows = (0..nrows).filter(|&row| key_cols.iter().all(|k| k.is_valid(row)));
+        keys.insert_rows(key_cols, valid_rows, |row, g, _| group_of[row] = g);
+        let ngroups = keys.len();
         // Counting pass: `starts[g + 1]` = rows in group `g`, then
         // prefix sums turn counts into offsets.
         let mut starts = vec![0u32; ngroups + 1];
@@ -114,11 +66,7 @@ impl KeyIndex {
                 *slot += 1;
             }
         }
-        KeyIndex {
-            groups,
-            starts,
-            rows,
-        }
+        KeyIndex { keys, starts, rows }
     }
 
     /// The build rows matching probe row `row`, or `None` for a null key
@@ -132,19 +80,8 @@ impl KeyIndex {
         if !key_cols.iter().all(|k| k.is_valid(row)) {
             return None;
         }
-        let g = match &self.groups {
-            Groups::I64(map) => *map.get(&key_cols[0].i64s()[row])?,
-            Groups::Bytes(map) => {
-                encode_row_into(scratch, key_cols, row);
-                *map.get(scratch.as_slice())?
-            }
-        } as usize;
+        let g = self.keys.get(key_cols, row, scratch)? as usize;
         Some(&self.rows[self.starts[g] as usize..self.starts[g + 1] as usize])
-    }
-
-    /// Number of distinct (non-null) keys indexed.
-    pub fn distinct_keys(&self) -> usize {
-        self.starts.len() - 1
     }
 }
 

@@ -19,11 +19,14 @@
 //! * [`scalar`] — the one binary-expression kernel (crate-private):
 //!   arithmetic and comparison over operands that are a column or an
 //!   unbroadcast literal, into a column or a keep-mask; plus `like_mask`.
-//! * [`agg`] — hash group-by: dense group-id assignment plus typed
-//!   per-group accumulators.
-//! * [`join`] — typed build-side key index and allocation-free probe.
+//! * [`agg`] — hash group-by: dense group-id assignment, typed group-key
+//!   columns gathered as each group first appears, and typed per-group
+//!   accumulators that finish straight into columns.
+//! * [`join`] — build-side key index and allocation-free probe.
 //! * [`sort`] — typed comparators and sort-by-permutation.
-//! * [`hash`] — the multiply-mix hasher behind the agg/join maps.
+//! * [`hash`] — the multiply-mix hasher, and [`hash::KeyMap`], the one
+//!   key → dense id map under the group-by, the join build and
+//!   COUNT(DISTINCT).
 
 pub mod agg;
 pub mod hash;

@@ -3,16 +3,17 @@
 //!
 //! Grouping and accumulation are delegated to the typed kernels in
 //! [`crate::kernels::agg`]: a [`Grouper`] assigns dense group ids per
-//! batch and each aggregate folds whole batches into typed per-group
-//! vectors. The row-at-a-time original survives as
+//! batch and gathers the group-key columns, and each aggregate folds
+//! whole batches into typed per-group vectors and finishes into a typed
+//! column. The row-at-a-time original survives as
 //! [`crate::reference::row_hash_aggregate`].
 
 use crate::batch::Batch;
-use crate::column::{Column, ColumnData, StrColumn};
+use crate::column::Column;
 use crate::expr::Expr;
 use crate::kernels::agg::{Accumulator, Grouper};
 use crate::schema::SchemaRef;
-use crate::types::{DataType, Value};
+use crate::types::DataType;
 use std::borrow::Cow;
 
 /// Aggregate functions.
@@ -112,7 +113,10 @@ pub fn hash_aggregate(
         .map(|(ai, a)| Accumulator::new(a.func, output.field(group_by.len() + ai).dtype))
         .collect();
 
-    let mut grouper = Grouper::for_keys(&key_refs_per_batch);
+    let key_types: Vec<DataType> = (0..group_by.len())
+        .map(|ci| output.field(ci).dtype)
+        .collect();
+    let mut grouper = Grouper::for_keys(&key_refs_per_batch, &key_types);
     let mut n_groups = if global { 1 } else { 0 };
     let mut ids: Vec<u32> = Vec::new();
     for (bi, b) in batches.iter().enumerate() {
@@ -121,7 +125,7 @@ pub fn hash_aggregate(
         if global {
             ids.resize(nrows, 0);
         } else {
-            grouper.assign(bi, &key_refs_per_batch[bi], nrows, &mut ids);
+            grouper.assign(&key_refs_per_batch[bi], nrows, &mut ids);
             n_groups = grouper.n_groups();
         }
         for (ai, acc) in accs.iter_mut().enumerate() {
@@ -135,94 +139,20 @@ pub fn hash_aggregate(
         acc.grow(n_groups);
     }
 
-    // Materialize output columns: group exemplars first, then finished
-    // aggregates, all through `values_to_column`.
-    let mut out_cols: Vec<Column> = Vec::with_capacity(output.len());
-    for (ci, _) in group_by.iter().enumerate() {
-        let values: Vec<Value> = grouper
-            .exemplars
-            .iter()
-            .map(|&(bi, row)| key_cols_per_batch[bi as usize][ci].value(row as usize))
-            .collect();
-        out_cols.push(values_to_column(&values, output.field(ci).dtype));
-    }
-    for (ai, acc) in accs.into_iter().enumerate() {
-        out_cols.push(acc.finish(output.field(group_by.len() + ai).dtype));
-    }
+    // Output columns: the group keys first, then the finished aggregates.
+    let mut out_cols: Vec<Column> = grouper.finish();
+    out_cols.extend(
+        accs.into_iter()
+            .enumerate()
+            .map(|(ai, acc)| acc.finish(output.field(group_by.len() + ai).dtype)),
+    );
     Batch::new(output, out_cols)
-}
-
-/// Build a column of `dtype` from owned values (nulls allowed).
-pub fn values_to_column(values: &[Value], dtype: DataType) -> Column {
-    let n = values.len();
-    let mut validity = vec![true; n];
-    let data = match dtype {
-        DataType::I64 => {
-            let mut v = vec![0i64; n];
-            for (i, val) in values.iter().enumerate() {
-                match val {
-                    Value::I64(x) => v[i] = *x,
-                    Value::Null => validity[i] = false,
-                    other => panic!("expected i64 value, got {other:?}"),
-                }
-            }
-            ColumnData::I64(v)
-        }
-        DataType::F64 => {
-            let mut v = vec![0f64; n];
-            for (i, val) in values.iter().enumerate() {
-                match val {
-                    Value::F64(x) => v[i] = *x,
-                    Value::I64(x) => v[i] = *x as f64,
-                    Value::Null => validity[i] = false,
-                    other => panic!("expected f64 value, got {other:?}"),
-                }
-            }
-            ColumnData::F64(v)
-        }
-        DataType::Str => {
-            let mut v = StrColumn::with_capacity(n, 0);
-            for (i, val) in values.iter().enumerate() {
-                match val {
-                    Value::Str(x) => v.push(x),
-                    Value::Null => {
-                        v.push("");
-                        validity[i] = false;
-                    }
-                    other => panic!("expected str value, got {other:?}"),
-                }
-            }
-            ColumnData::Str(v)
-        }
-        DataType::Date => {
-            let mut v = vec![0i32; n];
-            for (i, val) in values.iter().enumerate() {
-                match val {
-                    Value::Date(x) => v[i] = *x,
-                    Value::Null => validity[i] = false,
-                    other => panic!("expected date value, got {other:?}"),
-                }
-            }
-            ColumnData::Date(v)
-        }
-        DataType::Bool => {
-            let mut v = vec![false; n];
-            for (i, val) in values.iter().enumerate() {
-                match val {
-                    Value::Bool(x) => v[i] = *x,
-                    Value::Null => validity[i] = false,
-                    other => panic!("expected bool value, got {other:?}"),
-                }
-            }
-            ColumnData::Bool(v)
-        }
-    };
-    Column::with_validity(data, validity)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
     use crate::schema::Schema;
 
     fn lineitem_like() -> Vec<Batch> {
@@ -291,8 +221,8 @@ mod tests {
             out,
         );
         assert_eq!(b.num_rows(), 1);
-        assert_eq!(b.columns[0].value(0), Value::Null); // SUM of nothing is NULL
-        assert_eq!(b.columns[1].value(0), Value::I64(0)); // COUNT(*) is 0
+        assert!(!b.columns[0].is_valid(0)); // SUM of nothing is NULL
+        assert_eq!(b.columns[1].i64s(), &[0]); // COUNT(*) is 0
     }
 
     #[test]

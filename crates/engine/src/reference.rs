@@ -17,7 +17,7 @@
 use crate::batch::Batch;
 use crate::column::{Column, ColumnData};
 use crate::expr::{BinOp, Expr};
-use crate::ops::aggregate::{values_to_column, AggExpr, AggFunc};
+use crate::ops::aggregate::{AggExpr, AggFunc};
 use crate::ops::join::JoinType;
 use crate::ops::sort::SortKey;
 use crate::rowkey::encode_row;
@@ -191,6 +191,17 @@ fn row_data_from_values(dtype: DataType, rows: &[Value]) -> ColumnData {
         DataType::Str => unwrap_rows!(Str, String::as_str),
         DataType::Date => unwrap_rows!(Date, |x: &i32| *x),
         DataType::Bool => unwrap_rows!(Bool, |x: &bool| *x),
+    }
+}
+
+/// The placeholder a null row of `dtype` holds.
+fn row_zero(dtype: DataType) -> Value {
+    match dtype {
+        DataType::I64 => Value::I64(0),
+        DataType::F64 => Value::F64(0.0),
+        DataType::Str => Value::Str(String::new()),
+        DataType::Date => Value::Date(0),
+        DataType::Bool => Value::Bool(false),
     }
 }
 
@@ -379,14 +390,7 @@ fn row_eval_case(
         .1
         .data_type();
     // Unmatched and null-result rows keep the type's zero placeholder.
-    let zero = match dtype {
-        DataType::I64 => Value::I64(0),
-        DataType::F64 => Value::F64(0.0),
-        DataType::Str => Value::Str(String::new()),
-        DataType::Date => Value::Date(0),
-        DataType::Bool => Value::Bool(false),
-    };
-    let mut rows = vec![zero; n];
+    let mut rows = vec![row_zero(dtype); n];
     let mut validity = vec![false; n];
     #[allow(clippy::needless_range_loop)] // indexes three parallel structures
     for i in 0..n {
@@ -652,6 +656,21 @@ pub fn row_hash_aggregate(
         out_cols.push(values_to_column(&values, dtype));
     }
     Batch::new(output, out_cols)
+}
+
+/// A column of `dtype` from owned values, nulls allowed: a null row
+/// holds the type's zero, and an `i64` widens into an `f64` column.
+fn values_to_column(values: &[Value], dtype: DataType) -> Column {
+    let validity = values.iter().map(|v| *v != Value::Null).collect();
+    let rows: Vec<Value> = values
+        .iter()
+        .map(|v| match (v, dtype) {
+            (Value::Null, _) => row_zero(dtype),
+            (Value::I64(x), DataType::F64) => Value::F64(*x as f64),
+            (v, _) => v.clone(),
+        })
+        .collect();
+    Column::with_validity(row_data_from_values(dtype, &rows), validity)
 }
 
 /// The legacy hash join: byte keys on both sides, an owned key encoded

@@ -452,6 +452,8 @@ fn agg_specs() -> (Vec<AggExpr>, Vec<(&'static str, DataType)>) {
         AggExpr::new(AggFunc::CountStar, Expr::col(0)),
         AggExpr::new(AggFunc::Avg, Expr::col(0)),
         AggExpr::new(AggFunc::CountDistinct, Expr::col(2)),
+        // q21's shape: COUNT(DISTINCT) over a nullable i64.
+        AggExpr::new(AggFunc::CountDistinct, Expr::col(0)),
     ];
     let out_fields = vec![
         ("sum_f", DataType::F64),
@@ -462,6 +464,7 @@ fn agg_specs() -> (Vec<AggExpr>, Vec<(&'static str, DataType)>) {
         ("cnt", DataType::I64),
         ("avg_i", DataType::F64),
         ("dist_s", DataType::I64),
+        ("dist_i", DataType::I64),
     ];
     (aggs, out_fields)
 }
@@ -472,9 +475,14 @@ fn aggregate_kernel_matches_row_reference() {
     let (aggs, out_fields) = agg_specs();
     let batches = test_batches(47, "");
     let cases: Vec<(Vec<Expr>, Vec<(&str, DataType)>)> = vec![
-        // Single nullable i64 key: the typed Grouper fast path is only
-        // legal for all-valid i64 keys, so this exercises the guard too.
+        // Single nullable i64 key: the direct i64 key map is only legal
+        // for all-valid i64 keys, so this takes the byte-key path.
         (vec![Expr::col(0)], vec![("k", DataType::I64)]),
+        // Single all-valid i64 key: the direct i64 key map.
+        (
+            vec![Expr::Coalesce(vec![Expr::col(0), Expr::lit_i64(9)])],
+            vec![("k", DataType::I64)],
+        ),
         // Two-column key: canonical byte-key path.
         (
             vec![Expr::col(0), Expr::col(2)],

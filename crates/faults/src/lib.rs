@@ -272,90 +272,49 @@ impl FaultSpec {
 }
 
 /// How runners recover from injected faults: bounded retry with
-/// deterministic exponential backoff, optional straggler duplicate
-/// launch with first-wins.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// deterministic exponential backoff, and a duplicate launch of every
+/// detected straggler on the pool, first copy wins. Only the retry bound
+/// is a knob; the backoff and the straggler patience are constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Maximum retries per operation after the first attempt. Transient
     /// store/transport faults clear within this bound (that is what
     /// "transient" means here); pool invoke exhaustion surfaces as a
     /// typed run error.
     pub max_retries: u32,
-    /// Backoff before the first retry, in simulated milliseconds.
-    pub backoff_base_ms: u64,
-    /// Multiplier applied per subsequent retry (deterministic, no
-    /// jitter: backoff for retry `n` is `base · multiplier^n`).
-    pub backoff_multiplier: u32,
-    /// Launch a duplicate of a detected straggler on the pool and take
-    /// whichever copy finishes first.
-    pub duplicate_stragglers: bool,
-    /// A task is declared a straggler once it runs past
-    /// `nominal_duration · straggler_patience`.
-    pub straggler_patience: f64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 4,
-            backoff_base_ms: 250,
-            backoff_multiplier: 2,
-            duplicate_stragglers: true,
-            straggler_patience: 1.25,
-        }
+        RecoveryPolicy { max_retries: 4 }
     }
 }
 
 impl RecoveryPolicy {
+    /// Backoff before the first retry, in simulated milliseconds.
+    pub const BACKOFF_BASE_MS: u64 = 250;
+    /// Backoff growth per retry: retry `n` waits
+    /// `BACKOFF_BASE_MS · BACKOFF_MULTIPLIER^min(n, 32)` (no jitter).
+    pub const BACKOFF_MULTIPLIER: u64 = 2;
+    /// A task is declared a straggler, and duplicated, once it runs past
+    /// `nominal_duration · STRAGGLER_PATIENCE`.
+    pub const STRAGGLER_PATIENCE: f64 = 1.25;
+
     /// Builder: retry bound.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
     }
 
-    /// Builder: backoff schedule (`base · multiplier^n`).
-    pub fn with_backoff(mut self, base_ms: u64, multiplier: u32) -> Self {
-        self.backoff_base_ms = base_ms;
-        self.backoff_multiplier = multiplier;
-        self
-    }
-
-    /// Builder: straggler duplicate-launch switch and patience factor.
-    pub fn with_duplicates(mut self, enabled: bool, patience: f64) -> Self {
-        self.duplicate_stragglers = enabled;
-        self.straggler_patience = patience;
-        self
-    }
-
-    /// Deterministic backoff before retry number `attempt` (0-based),
-    /// saturating instead of overflowing.
+    /// Deterministic backoff before retry number `attempt` (0-based).
+    /// The exponent stops at 32, so the product cannot overflow.
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let mult = (self.backoff_multiplier.max(1) as u64)
-            .saturating_pow(attempt.min(32))
-            .max(1);
-        self.backoff_base_ms.saturating_mul(mult)
+        Self::BACKOFF_BASE_MS * Self::BACKOFF_MULTIPLIER.pow(attempt.min(32))
     }
 
     /// Whether retry number `attempt` (0-based) is within the bound.
     pub fn allows_retry(&self, attempt: u32) -> bool {
         attempt < self.max_retries
-    }
-
-    /// Range-check the policy knobs.
-    pub fn validate(&self) -> Result<(), FaultError> {
-        if !self.straggler_patience.is_finite() || self.straggler_patience < 1.0 {
-            return Err(FaultError::InvalidRate {
-                knob: "recovery.straggler_patience",
-                value: self.straggler_patience,
-            });
-        }
-        if self.backoff_multiplier < 1 {
-            return Err(FaultError::InvalidRate {
-                knob: "recovery.backoff_multiplier",
-                value: self.backoff_multiplier as f64,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -985,21 +944,16 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_saturating() {
-        let p = RecoveryPolicy::default().with_backoff(100, 3);
-        assert_eq!(p.backoff_ms(0), 100);
-        assert_eq!(p.backoff_ms(1), 300);
-        assert_eq!(p.backoff_ms(2), 900);
-        let huge = RecoveryPolicy::default().with_backoff(u64::MAX / 2, 4);
-        assert_eq!(huge.backoff_ms(40), u64::MAX); // saturates, no overflow
-        let flat = RecoveryPolicy::default().with_backoff(50, 1);
-        assert_eq!(flat.backoff_ms(7), 50);
+        let p = RecoveryPolicy::default();
+        assert_eq!(p.backoff_ms(0), 250);
+        for attempt in 0..32 {
+            assert_eq!(p.backoff_ms(attempt + 1), 2 * p.backoff_ms(attempt));
+        }
+        // The exponent is capped at 32: later retries wait no longer.
+        assert_eq!(p.backoff_ms(32), 250 << 32);
+        assert_eq!(p.backoff_ms(u32::MAX), p.backoff_ms(32));
         assert!(p.allows_retry(0));
         assert!(!p.allows_retry(p.max_retries));
-        assert!(RecoveryPolicy::default().validate().is_ok());
-        assert!(RecoveryPolicy::default()
-            .with_duplicates(true, 0.5)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -252,9 +252,8 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
     let mut rejected = vec![0u64; n];
     let mut deferrals = vec![0u64; n];
 
-    // The scheduler dispatches at least one query every `quantum`-bound
-    // window while backlogged, so the drain horizon is finite; the cap
-    // only guards against knob combinations that break that argument.
+    // The scheduler dispatches at least one query every second while
+    // backlogged, so the drain horizon is finite; the cap is a guard.
     let last_arrival = arrivals.last().map_or(0, |q| q.arrival_s);
     let horizon_cap = last_arrival
         .saturating_add((total as u64).saturating_mul(1000))

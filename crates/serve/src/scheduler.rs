@@ -3,11 +3,12 @@
 //! Admitted queries queue per class; once per simulated second the
 //! scheduler dispatches up to [`SchedulerConfig::dispatch_per_s`]
 //! queries to the shared fleet. Classes are visited in fixed priority
-//! order and each backlogged class accrues `weight × quantum`
-//! milli-credits per round; dispatching one query spends 1000. An
-//! `Interactive` class (weight 4) therefore drains four queries for
-//! every one a backlogged `Batch` class (weight 1) drains, while an
-//! idle class's deficit resets so it cannot hoard credit.
+//! order and each backlogged class accrues its weight in dispatches per
+//! round; dispatching one query spends one. An `Interactive` class
+//! (weight 4) therefore drains four queries for every one a backlogged
+//! `Batch` class (weight 1) drains, every backlogged class dispatches in
+//! every round, and an idle class's deficit resets so it cannot hoard
+//! credit.
 //!
 //! Everything is integer state visited in a fixed order, so dispatch
 //! order is byte-identical across reruns; the loop bodies allocate
@@ -22,16 +23,12 @@ use std::collections::VecDeque;
 pub struct SchedulerConfig {
     /// Maximum queries dispatched to the fleet per simulated second.
     pub dispatch_per_s: u32,
-    /// Milli-credits granted per weight unit per round-robin round
-    /// (1000 = one query per weight unit per round).
-    pub quantum_milli: u64,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             dispatch_per_s: 256,
-            quantum_milli: 1000,
         }
     }
 }
@@ -55,15 +52,13 @@ pub struct QueuedQuery {
     pub seq: usize,
 }
 
-/// Milli-credits one dispatch costs.
-const DISPATCH_MILLI: u64 = 1000;
-
 /// The weighted deficit round-robin scheduler.
 #[derive(Debug, Clone)]
 pub struct WdrrScheduler {
     config: SchedulerConfig,
     queues: [VecDeque<QueuedQuery>; 3],
-    deficit_milli: [u64; 3],
+    /// Dispatches each class may still make.
+    deficit: [u64; 3],
 }
 
 impl WdrrScheduler {
@@ -72,7 +67,7 @@ impl WdrrScheduler {
         WdrrScheduler {
             config,
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            deficit_milli: [0; 3],
+            deficit: [0; 3],
         }
     }
 
@@ -92,31 +87,22 @@ impl WdrrScheduler {
         let mut budget = self.config.dispatch_per_s;
         let start = out.len();
         while budget > 0 && self.queued() > 0 {
-            let mut progressed = false;
             for class in PriorityClass::ALL {
                 let c = class.index();
                 if self.queues[c].is_empty() {
                     // An idle class may not hoard credit.
-                    self.deficit_milli[c] = 0;
+                    self.deficit[c] = 0;
                     continue;
                 }
-                self.deficit_milli[c] = self.deficit_milli[c]
-                    .saturating_add(class.weight().saturating_mul(self.config.quantum_milli));
-                while budget > 0 && self.deficit_milli[c] >= DISPATCH_MILLI {
+                self.deficit[c] = self.deficit[c].saturating_add(class.weight());
+                while budget > 0 && self.deficit[c] > 0 {
                     let Some(q) = self.queues[c].pop_front() else {
                         break;
                     };
                     out.push(q);
-                    self.deficit_milli[c] -= DISPATCH_MILLI;
+                    self.deficit[c] -= 1;
                     budget -= 1;
-                    progressed = true;
                 }
-            }
-            if !progressed {
-                // Sub-1000 quanta can need several rounds to accrue one
-                // dispatch; carry the deficit into the next second
-                // instead of spinning.
-                break;
             }
         }
         out.len() - start
@@ -192,29 +178,7 @@ mod tests {
         s.dispatch_second(&mut out);
         s.dispatch_second(&mut out);
         s.enqueue(PriorityClass::Interactive, q(1, 0));
-        assert_eq!(s.deficit_milli[PriorityClass::Interactive.index()], 0);
-    }
-
-    #[test]
-    fn sub_query_quantum_carries_deficit_across_seconds() {
-        let cfg = SchedulerConfig {
-            dispatch_per_s: 4,
-            quantum_milli: 400,
-        };
-        let mut s = WdrrScheduler::new(cfg);
-        for i in 0..3 {
-            s.enqueue(PriorityClass::Batch, q(0, i));
-        }
-        let mut out = Vec::new();
-        // Batch accrues 400 milli-credits per round; rounds stop when no
-        // class dispatches, so progress spans seconds without spinning.
-        let mut seconds = 0;
-        while s.queued() > 0 && seconds < 20 {
-            s.dispatch_second(&mut out);
-            seconds += 1;
-        }
-        assert_eq!(out.len(), 3);
-        assert!(seconds > 1, "sub-query quantum should need several seconds");
+        assert_eq!(s.deficit[PriorityClass::Interactive.index()], 0);
     }
 
     #[test]
