@@ -41,7 +41,7 @@ for run in 1 2 3 4 5 6 7 8 9 10; do
         || { echo "executor_stress: failed on run $run of 10" >&2; exit 1; }
 done
 
-echo "==> exactness gates (quantile value list, fleet advance, decision pin)"
+echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels)"
 # The strategy tick's fast paths against their references, bit for bit:
 # the quantile value list against sorted brute force, `advance` over
 # random slices against the per-VM fleet, and the full family's
@@ -49,6 +49,15 @@ echo "==> exactness gates (quantile value list, fleet advance, decision pin)"
 cargo test -q -p cackle differential_quantile_value_list_vs_sorted
 cargo test -q -p cackle --lib differential_advance_vs_per_vm_fleet
 cargo test -q -p cackle --lib full_family_decision_trace_is_pinned
+# The engine's batch key kernels against their row-at-a-time references:
+# group-by, COUNT(DISTINCT) and joins against the reference operators,
+# the pinned seven-way placement of string keys, and the batch
+# partitioner against `partition_of` row by row.
+cargo test -q -p cackle-engine --test kernel_differential aggregate_kernel_matches_row_reference
+cargo test -q -p cackle-engine --test kernel_differential join_kernel_matches_row_reference
+cargo test -q -p cackle-engine --test kernel_differential negative_zero_is_a_key_of_its_own
+cargo test -q -p cackle-engine --test string_columns wire_bytes_sizes_and_placement_are_pinned
+cargo test -q -p cackle-engine --lib batch_partitions_match_partition_of
 
 echo "==> repro (every experiment regenerates its committed outputs byte for byte)"
 # One run of every experiment, fanned out over the host's cores. repro

@@ -72,6 +72,15 @@ impl StrColumn {
         }
     }
 
+    /// The rows in order as bytes, without `str` slicing's character
+    /// boundary checks: the byte-key kernels' view.
+    pub(crate) fn byte_rows(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let bytes = self.bytes.as_bytes();
+        self.offsets
+            .windows(2)
+            .map(move |w| &bytes[w[0] as usize..w[1] as usize])
+    }
+
     /// Append one row. Panics when the column would outgrow its `u32`
     /// offsets (4 GiB of string data; batches are chunked far below).
     pub fn push(&mut self, s: &str) {

@@ -1,25 +1,33 @@
 //! Hash-group-by kernel: group-id assignment plus typed accumulators.
 //!
-//! A [`Grouper`] maps rows to dense group ids through a [`KeyMap`] (a
-//! direct `i64` map for the dominant single-integer-key case, canonical
-//! key bytes otherwise) and gathers each new group's key row into typed
-//! output columns as it first sees it. Each [`Accumulator`] holds its
-//! state as typed parallel vectors indexed by group id, updated in one
-//! columnar pass per batch, and finishes into a typed column.
+//! A [`Grouper`] maps each batch's rows to dense group ids through one
+//! [`KeyMap::insert_batch`] call (a direct `i64` map for the dominant
+//! single-integer-key case, byte keys stored once in the map's arena
+//! otherwise) and gathers the key rows of each batch's new groups into
+//! typed output columns. Each [`Accumulator`] holds its state as
+//! typed parallel vectors indexed by group id, updated in one columnar
+//! pass per batch, and finishes into a typed column. COUNT(DISTINCT)
+//! keeps one set of `(group id, value)` pairs: a fixed-width value is
+//! keyed by its bits with no encoding, a string through a byte-key
+//! arena.
 //!
 //! Group ids are assigned in first-encounter order and a null output
 //! slot holds its type's zero, so output bytes are identical to the
 //! row-at-a-time oracle in [`crate::reference`].
 
 use crate::column::{Column, ColumnData, StrColumn};
-use crate::kernels::hash::KeyMap;
+use crate::kernels::hash::{hash_bytes, ByteKeys, FastBuildHasher, KeyMap, KeyScratch, Nulls};
 use crate::ops::aggregate::AggFunc;
 use crate::types::DataType;
+use std::collections::HashSet;
 
 /// Maps rows to dense group ids in first-encounter order, and keeps the
 /// group-key columns of the output.
 pub struct Grouper {
     keys: KeyMap,
+    scratch: KeyScratch,
+    /// The rows of the current batch that opened a group.
+    fresh: Vec<usize>,
     /// One output key column per group-by expression, one row per group.
     out: Vec<KeyColumn>,
 }
@@ -41,8 +49,10 @@ impl Grouper {
             keys: if single_i64 {
                 KeyMap::direct_i64()
             } else {
-                KeyMap::bytes()
+                KeyMap::bytes(Nulls::Key)
             },
+            scratch: KeyScratch::default(),
+            fresh: Vec::new(),
             out: dtypes.iter().map(|&t| KeyColumn::new(t)).collect(),
         }
     }
@@ -52,19 +62,24 @@ impl Grouper {
         self.keys.len()
     }
 
-    /// Append the group id of every row of one batch to `ids`; a new
-    /// group's key row is copied into the output key columns.
+    /// Append the group id of every row of one batch to `ids`; the key
+    /// rows of the batch's new groups are then gathered into the output
+    /// key columns, one column at a time.
     pub fn assign(&mut self, key_cols: &[&Column], nrows: usize, ids: &mut Vec<u32>) {
-        let out = &mut self.out;
-        self.keys
-            .insert_rows(key_cols, 0..nrows, |row, gid, fresh| {
-                if fresh {
-                    for (out, col) in out.iter_mut().zip(key_cols) {
-                        out.push_row(col, row);
-                    }
-                }
-                ids.push(gid);
-            });
+        let mut next = self.keys.len() as u32;
+        let got = self.keys.insert_batch(key_cols, nrows, &mut self.scratch);
+        ids.extend_from_slice(got);
+        // Ids are dense: a row opens a group when its id is the next one.
+        self.fresh.clear();
+        for (row, &id) in got.iter().enumerate() {
+            if id == next {
+                self.fresh.push(row);
+                next += 1;
+            }
+        }
+        for (out, col) in self.out.iter_mut().zip(key_cols) {
+            out.extend_rows(col, &self.fresh);
+        }
     }
 
     /// The group-key columns, one row per group in group-id order.
@@ -79,7 +94,7 @@ impl Grouper {
     }
 }
 
-/// An output key column grown one gathered row per new group.
+/// An output key column grown by the rows of each batch's new groups.
 struct KeyColumn {
     data: ColumnData,
     /// Allocated at the first null key.
@@ -94,25 +109,41 @@ impl KeyColumn {
         }
     }
 
-    /// Append row `i` of `col`: a null appends the type's zero, whatever
-    /// `col` holds there, and an `i64` widens into an `f64` output.
-    fn push_row(&mut self, col: &Column, i: usize) {
-        let valid = col.is_valid(i);
-        if !valid && self.validity.is_none() {
+    /// Append rows `rows` of `col`: a null appends the type's zero,
+    /// whatever `col` holds there, and an `i64` widens into an `f64`
+    /// output.
+    fn extend_rows(&mut self, col: &Column, rows: &[usize]) {
+        let valid = |i: usize| col.is_valid(i);
+        if self.validity.is_none() && !rows.iter().all(|&i| valid(i)) {
             self.validity = Some(vec![true; self.data.len()]);
         }
         if let Some(validity) = &mut self.validity {
-            validity.push(valid);
+            validity.extend(rows.iter().map(|&i| valid(i)));
         }
         match (&mut self.data, &col.data) {
-            (ColumnData::I64(out), ColumnData::I64(v)) => out.push(if valid { v[i] } else { 0 }),
-            (ColumnData::F64(out), ColumnData::F64(v)) => out.push(if valid { v[i] } else { 0.0 }),
-            (ColumnData::F64(out), ColumnData::I64(v)) => {
-                out.push(if valid { v[i] as f64 } else { 0.0 })
+            (ColumnData::I64(out), ColumnData::I64(v)) => {
+                out.extend(rows.iter().map(|&i| if valid(i) { v[i] } else { 0 }))
             }
-            (ColumnData::Str(out), ColumnData::Str(v)) => out.push(if valid { &v[i] } else { "" }),
-            (ColumnData::Date(out), ColumnData::Date(v)) => out.push(if valid { v[i] } else { 0 }),
-            (ColumnData::Bool(out), ColumnData::Bool(v)) => out.push(valid && v[i]),
+            (ColumnData::F64(out), ColumnData::F64(v)) => {
+                out.extend(rows.iter().map(|&i| if valid(i) { v[i] } else { 0.0 }))
+            }
+            (ColumnData::F64(out), ColumnData::I64(v)) => {
+                out.extend(
+                    rows.iter()
+                        .map(|&i| if valid(i) { v[i] as f64 } else { 0.0 }),
+                )
+            }
+            (ColumnData::Date(out), ColumnData::Date(v)) => {
+                out.extend(rows.iter().map(|&i| if valid(i) { v[i] } else { 0 }))
+            }
+            (ColumnData::Bool(out), ColumnData::Bool(v)) => {
+                out.extend(rows.iter().map(|&i| valid(i) && v[i]))
+            }
+            (ColumnData::Str(out), ColumnData::Str(v)) => {
+                for &i in rows {
+                    out.push(if valid(i) { &v[i] } else { "" });
+                }
+            }
             (out, other) => panic!(
                 "expected {} group key, got {}",
                 out.data_type(),
@@ -139,9 +170,87 @@ pub enum Accumulator {
         seen: Vec<bool>,
         is_min: bool,
     },
-    /// COUNT(DISTINCT): one map over every (group, value) pair; a
-    /// pair's first insertion counts against its group.
-    Distinct { seen: KeyMap, counts: Vec<i64> },
+    /// COUNT(DISTINCT): one set of every (group, value) pair, typed
+    /// lazily from the first input batch; a pair's first insertion
+    /// counts against its group.
+    Distinct {
+        seen: Option<DistinctPairs>,
+        counts: Vec<i64>,
+    },
+}
+
+/// COUNT(DISTINCT)'s `(group id, value)` pairs.
+pub struct DistinctPairs(Pairs);
+
+enum Pairs {
+    /// A fixed-width value keyed by its bits: an `f64` by its bit
+    /// pattern, as the row-key encoding does, so `0.0` and `-0.0` differ.
+    Fixed(HashSet<(u32, u64), FastBuildHasher>),
+    /// A string keyed by the group id's bytes then its own, stored once
+    /// in the arena; the buffer is the reused encoding.
+    Str(ByteKeys, Vec<u8>),
+}
+
+impl DistinctPairs {
+    fn for_column(data: &ColumnData) -> DistinctPairs {
+        DistinctPairs(match data {
+            ColumnData::Str(_) => Pairs::Str(ByteKeys::new(), Vec::new()),
+            _ => Pairs::Fixed(HashSet::default()),
+        })
+    }
+
+    /// Insert the pair of each valid row, and `counts[g] += 1` for each
+    /// new one.
+    fn update(&mut self, ids: &[u32], col: &Column, counts: &mut [i64]) {
+        let valid = col.validity.as_deref();
+        match (&mut self.0, &col.data) {
+            (Pairs::Fixed(set), ColumnData::I64(v)) => {
+                insert_fixed(set, ids, valid, v, |x| x as u64, counts)
+            }
+            (Pairs::Fixed(set), ColumnData::F64(v)) => {
+                insert_fixed(set, ids, valid, v, f64::to_bits, counts)
+            }
+            (Pairs::Fixed(set), ColumnData::Date(v)) => {
+                insert_fixed(set, ids, valid, v, |x| x as u64, counts)
+            }
+            (Pairs::Fixed(set), ColumnData::Bool(v)) => {
+                insert_fixed(set, ids, valid, v, u64::from, counts)
+            }
+            (Pairs::Str(keys, buf), ColumnData::Str(v)) => {
+                for (i, (&g, s)) in ids.iter().zip(v.byte_rows()).enumerate() {
+                    if valid.is_none_or(|m| m[i]) {
+                        buf.clear();
+                        buf.extend_from_slice(&g.to_le_bytes());
+                        buf.extend_from_slice(s);
+                        if keys.insert(buf, hash_bytes(buf)).1 {
+                            counts[g as usize] += 1;
+                        }
+                    }
+                }
+            }
+            (_, other) => panic!(
+                "COUNT(DISTINCT) input type changed mid-stream to {}",
+                other.data_type()
+            ),
+        }
+    }
+}
+
+/// [`DistinctPairs::update`] for one fixed-width column.
+#[inline]
+fn insert_fixed<T: Copy>(
+    set: &mut HashSet<(u32, u64), FastBuildHasher>,
+    ids: &[u32],
+    valid: Option<&[bool]>,
+    vals: &[T],
+    bits: impl Fn(T) -> u64,
+    counts: &mut [i64],
+) {
+    for (i, (&g, &x)) in ids.iter().zip(vals).enumerate() {
+        if valid.is_none_or(|m| m[i]) && set.insert((g, bits(x))) {
+            counts[g as usize] += 1;
+        }
+    }
 }
 
 /// Typed best-value storage for MIN/MAX.
@@ -223,7 +332,7 @@ impl Accumulator {
                 counts: Vec::new(),
             },
             AggFunc::CountDistinct => Accumulator::Distinct {
-                seen: KeyMap::bytes(),
+                seen: None,
                 counts: Vec::new(),
             },
         }
@@ -327,11 +436,8 @@ impl Accumulator {
             }
             Accumulator::Distinct { seen, counts } => {
                 let col = col.expect("COUNT DISTINCT input column");
-                for (i, &g) in ids.iter().enumerate() {
-                    if col.is_valid(i) && seen.insert_scoped(g, col, i) {
-                        counts[g as usize] += 1;
-                    }
-                }
+                seen.get_or_insert_with(|| DistinctPairs::for_column(&col.data))
+                    .update(ids, col, counts);
             }
         }
     }

@@ -1,6 +1,16 @@
-//! A fast, non-cryptographic hasher for the engine's hot hash maps, and
-//! [`KeyMap`], the one key → dense id map under group-by, the join's
-//! build index and COUNT(DISTINCT).
+//! The engine's key → id maps, and the fast hasher under them.
+//!
+//! [`KeyMap`] is the one key → dense id map under group-by and the
+//! join's build index. Every call maps a whole batch: the key
+//! representation is matched, the key slice borrowed and the key
+//! columns' validity combined once per batch, not once per row. A single `i64` key goes to a std `HashMap<i64, u32>`
+//! (one `entry` per inserted row); any other key is a *byte key*, its
+//! canonical [`crate::rowkey`] encoding. A batch's byte keys are encoded
+//! one column at a time into one reused buffer, and each distinct key is
+//! stored once, back to back in one arena behind a hand-written
+//! open-addressing table of `(hash, id)` slots (`ByteKeys`, which also
+//! holds the string half of COUNT(DISTINCT)), so the map allocates
+//! nothing per key: its three vectors grow by doubling.
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3, whose keyed
 //! DoS resistance costs real throughput on the group-by and join probe
@@ -11,12 +21,12 @@
 //! [`Hasher::finish`] runs a SplitMix64-style finalizer so all input
 //! bits avalanche into the bucket-index bits.
 //!
-//! Swapping the hasher cannot change engine output: [`KeyMap`] assigns
-//! ids in first-encounter order and nothing iterates it, so map order is
-//! never observed.
+//! Neither the hasher nor the table layout can change engine output:
+//! ids are assigned in first-encounter order and nothing iterates a
+//! map, so map order is never observed.
 
-use crate::column::Column;
-use crate::rowkey::{encode_row_into, encode_value};
+use crate::column::{Column, ColumnData};
+use crate::rowkey::encode_rows_into;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -31,6 +41,28 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Fold one word into a hash state: xor, odd-constant multiply, rotate.
+#[inline]
+fn fold(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(K).rotate_left(29)
+}
+
+/// Fold `bytes` into `h` a word at a time, the short tail as one
+/// zero-padded word, then the length, so `"ab" + "c"` and `"a" + "bc"`
+/// differ.
+#[inline]
+fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in words.by_ref() {
+        h = fold(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        h = fold(h, tail.iter().rev().fold(0, |x, &b| x << 8 | b as u64));
+    }
+    fold(h, bytes.len() as u64)
+}
+
 /// Multiply-mix [`Hasher`]; see the module docs for the trade-off.
 #[derive(Default)]
 pub struct FastHasher {
@@ -40,7 +72,7 @@ pub struct FastHasher {
 impl FastHasher {
     #[inline]
     fn fold(&mut self, x: u64) {
-        self.h = (self.h ^ x).wrapping_mul(K).rotate_left(29);
+        self.h = fold(self.h, x);
     }
 }
 
@@ -52,18 +84,7 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.fold(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.fold(u64::from_le_bytes(buf));
-        }
-        // Fold in the length so `"ab" + "c"` and `"a" + "bc"` differ.
-        self.h ^= bytes.len() as u64;
+        self.h = fold_bytes(self.h, bytes);
     }
 
     #[inline]
@@ -95,41 +116,187 @@ impl Hasher for FastHasher {
 /// `BuildHasher` for [`FastHasher`]; the state the kernels' maps carry.
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// Maps a row of evaluated key columns to a dense id, assigned in
-/// first-encounter order from 0.
+/// [`FastHasher`] over one byte string.
+#[inline]
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
+    mix(fold_bytes(0, bytes))
+}
+
+/// What a null value folds into a row's key hash.
+const NULL_WORD: u64 = 0x6E75_6C6C;
+
+/// Each row's key hash before its finishing [`mix`], folded one column at
+/// a time from its typed values — a fixed-width value as one word, a
+/// string as [`fold_bytes`]. Rows with equal canonical encodings
+/// have equal values, so they hash equal; the table compares the bytes.
+fn hash_rows_into(cols: &[&Column], nrows: usize, hashes: &mut Vec<u64>) {
+    hashes.clear();
+    hashes.resize(nrows, 0);
+    for col in cols {
+        let valid = col.validity.as_deref();
+        match &col.data {
+            ColumnData::I64(v) => fold_words(hashes, valid, v, |x| x as u64),
+            ColumnData::F64(v) => fold_words(hashes, valid, v, f64::to_bits),
+            ColumnData::Date(v) => fold_words(hashes, valid, v, |x| x as u64),
+            ColumnData::Bool(v) => fold_words(hashes, valid, v, u64::from),
+            ColumnData::Str(v) => {
+                for (row, (h, s)) in hashes.iter_mut().zip(v.byte_rows()).enumerate() {
+                    *h = if valid.is_none_or(|m| m[row]) {
+                        fold_bytes(*h, s)
+                    } else {
+                        fold(*h, NULL_WORD)
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// [`hash_rows_into`] for one fixed-width column.
+#[inline]
+fn fold_words<T: Copy>(
+    hashes: &mut [u64],
+    valid: Option<&[bool]>,
+    vals: &[T],
+    word: impl Fn(T) -> u64,
+) {
+    for (row, (h, &x)) in hashes.iter_mut().zip(vals).enumerate() {
+        // `black_box`: no SSE2 vectorization of the 64-bit multiply (see
+        // `rowkey::fold_fixed`).
+        let x = word(std::hint::black_box(x));
+        let w = if valid.is_none_or(|m| m[row]) {
+            x
+        } else {
+            NULL_WORD
+        };
+        *h = fold(*h, w);
+    }
+}
+
+/// Whether a null key column value is a key of its own (the group-by)
+/// or makes the row keyless (the join, where null matches nothing).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Nulls {
+    /// Null is a value: `(1, null)` and `(1, null)` are one key.
+    Key,
+    /// A row with any null key column has no key: it is never inserted
+    /// and never found.
+    Skip,
+}
+
+/// Maps the key of each row of a batch of evaluated key columns to a
+/// dense id, assigned in first-encounter order from 0.
 ///
 /// The caller picks the representation, because callers treat nulls
 /// differently. [`KeyMap::direct_i64`] maps a single `i64` column's
-/// values and never reads validity, so the caller keeps null rows out:
-/// the group-by takes it only for an all-valid key (null is a group),
-/// and the join drops null keys before it looks anything up.
-/// [`KeyMap::bytes`] maps canonical [`crate::rowkey`] bytes, in which
-/// null is a value of its own; it owns one key per distinct key.
+/// values and has no null key: a null row is keyless, so the group-by takes
+/// it only for an all-valid key (null is a group) and the join for any
+/// `i64` key. [`KeyMap::bytes`] maps canonical [`crate::rowkey`] bytes
+/// under the given [`Nulls`] rule.
 pub struct KeyMap {
     keys: Keys,
-    /// Reused insert-side encoding; cloned only when a key is new.
-    scratch: Vec<u8>,
 }
 
 enum Keys {
     I64(HashMap<i64, u32, FastBuildHasher>),
-    Bytes(HashMap<Vec<u8>, u32, FastBuildHasher>),
+    Bytes(ByteKeys, Nulls),
+}
+
+/// The id of a row that has no key, or whose key a probe did not find.
+pub const NO_ID: u32 = u32::MAX;
+
+/// Reused per-batch buffers of [`KeyMap`]'s batch calls; one per caller,
+/// so a shared map can be probed.
+#[derive(Default)]
+pub struct KeyScratch {
+    /// The batch's byte keys.
+    keys: Encoded,
+    /// The batch's ids, one per row.
+    ids: Vec<u32>,
+}
+
+/// One batch's byte keys, as [`Encoded::prepare`] leaves them.
+#[derive(Default)]
+struct Encoded {
+    /// The keys back to back; row `i`'s ends at `ends[i]`.
+    enc: Vec<u8>,
+    ends: Vec<usize>,
+    /// Row `i`'s key hash, unmixed: the mix runs per lookup, where no
+    /// vectorizer reaches it.
+    hashes: Vec<u64>,
+    /// The AND of the key columns' validity, when more than one has a mask.
+    valid: Vec<bool>,
+}
+
+impl Encoded {
+    /// Encode and hash the batch's byte keys, and find the rows whose
+    /// key columns are all valid (`None`: every row) under `nulls`.
+    fn prepare<'s>(
+        &'s mut self,
+        cols: &'s [&'s Column],
+        nrows: usize,
+        nulls: Nulls,
+    ) -> (BatchKeys<'s>, Option<&'s [bool]>) {
+        encode_rows_into(cols, nrows, &mut self.enc, &mut self.ends);
+        hash_rows_into(cols, nrows, &mut self.hashes);
+        let keys = BatchKeys {
+            enc: &self.enc,
+            ends: &self.ends,
+            hashes: &self.hashes,
+        };
+        let valid = match nulls {
+            Nulls::Key => None,
+            Nulls::Skip => all_valid(cols, &mut self.valid),
+        };
+        (keys, valid)
+    }
+}
+
+/// One batch's encoded byte keys and their hashes.
+struct BatchKeys<'s> {
+    enc: &'s [u8],
+    ends: &'s [usize],
+    hashes: &'s [u64],
+}
+
+impl BatchKeys<'_> {
+    /// Row `row`'s key and its hash.
+    #[inline]
+    fn get(&self, row: usize) -> (&[u8], u64) {
+        let start = if row == 0 { 0 } else { self.ends[row - 1] };
+        (&self.enc[start..self.ends[row]], mix(self.hashes[row]))
+    }
+}
+
+/// The rows whose every column in `cols` is valid, or `None` when no
+/// column has a validity mask; `buf` holds the AND of two or more masks.
+fn all_valid<'a>(cols: &[&'a Column], buf: &'a mut Vec<bool>) -> Option<&'a [bool]> {
+    let mut masks = cols.iter().filter_map(|c| c.validity.as_deref());
+    let first = masks.next()?;
+    let Some(second) = masks.next() else {
+        return Some(first);
+    };
+    buf.clear();
+    buf.extend(first.iter().zip(second).map(|(&a, &b)| a & b));
+    for m in masks {
+        buf.iter_mut().zip(m).for_each(|(v, &ok)| *v &= ok);
+    }
+    Some(buf)
 }
 
 impl KeyMap {
-    /// A map over a single `i64` key column with no null row.
+    /// A map over a single `i64` key column; null rows have no key.
     pub fn direct_i64() -> KeyMap {
         KeyMap {
             keys: Keys::I64(HashMap::default()),
-            scratch: Vec::new(),
         }
     }
 
-    /// A map over canonical row-key bytes: any key shape, nulls included.
-    pub fn bytes() -> KeyMap {
+    /// A map over canonical row-key bytes: any key shape, with null keys
+    /// handled by `nulls`.
+    pub fn bytes(nulls: Nulls) -> KeyMap {
         KeyMap {
-            keys: Keys::Bytes(HashMap::default()),
-            scratch: Vec::new(),
+            keys: Keys::Bytes(ByteKeys::new(), nulls),
         }
     }
 
@@ -137,7 +304,7 @@ impl KeyMap {
     pub fn len(&self) -> usize {
         match &self.keys {
             Keys::I64(map) => map.len(),
-            Keys::Bytes(map) => map.len(),
+            Keys::Bytes(map, _) => map.len(),
         }
     }
 
@@ -146,86 +313,203 @@ impl KeyMap {
         self.len() == 0
     }
 
-    /// Look up the key of each row of `rows` in order, assigning the next
-    /// id on a key's first sight, and hand `f(row, id, fresh)`, `fresh`
-    /// when the key is new. The representation is matched once per call,
-    /// not per row.
-    #[inline]
-    pub fn insert_rows(
+    /// Room for `additional` more keys, so that a build whose row count
+    /// bounds its keys never rehashes while it grows.
+    pub fn reserve(&mut self, additional: usize) {
+        match &mut self.keys {
+            Keys::I64(map) => map.reserve(additional),
+            Keys::Bytes(map, _) => map.reserve(additional),
+        }
+    }
+
+    /// The id of the key of each row of `0..nrows`, in row order, with
+    /// the next id assigned on a key's first sight: ids are dense, so a
+    /// row opens a new key exactly when its id is the count of keys
+    /// before it. A keyless row (see [`Nulls`]) gets [`NO_ID`].
+    pub fn insert_batch<'s>(
         &mut self,
         cols: &[&Column],
-        rows: impl IntoIterator<Item = usize>,
-        mut f: impl FnMut(usize, u32, bool),
-    ) {
+        nrows: usize,
+        scratch: &'s mut KeyScratch,
+    ) -> &'s [u32] {
+        let KeyScratch { keys, ids } = scratch;
+        ids.clear();
         match &mut self.keys {
             Keys::I64(map) => {
-                let keys = cols[0].i64s();
-                for row in rows {
-                    let k = keys[row];
-                    match map.get(&k) {
-                        Some(&id) => f(row, id, false),
-                        None => {
-                            let id = map.len() as u32;
-                            map.insert(k, id);
-                            f(row, id, true);
-                        }
+                let valid = cols[0].validity.as_deref();
+                let rows = cols[0].i64s()[..nrows].iter().enumerate();
+                ids.extend(rows.map(|(row, &k)| {
+                    if !valid.is_none_or(|m| m[row]) {
+                        return NO_ID;
                     }
-                }
+                    let next = map.len() as u32;
+                    *map.entry(k).or_insert(next)
+                }));
             }
-            Keys::Bytes(map) => {
-                for row in rows {
-                    encode_row_into(&mut self.scratch, cols, row);
-                    let (id, fresh) = insert_bytes(map, &self.scratch);
-                    f(row, id, fresh);
-                }
+            Keys::Bytes(map, nulls) => {
+                let (keys, valid) = keys.prepare(cols, nrows, *nulls);
+                ids.extend((0..nrows).map(|row| {
+                    if !valid.is_none_or(|m| m[row]) {
+                        return NO_ID;
+                    }
+                    let (key, hash) = keys.get(row);
+                    map.insert(key, hash).0
+                }));
             }
         }
+        ids
     }
 
-    /// Insert the pair `(scope, row of col)`; `true` when it is new. One
-    /// map keeps a key set per scope, as COUNT(DISTINCT) does per group.
-    /// Bytes maps only.
-    #[inline]
-    pub fn insert_scoped(&mut self, scope: u32, col: &Column, row: usize) -> bool {
-        let Keys::Bytes(map) = &mut self.keys else {
-            panic!("scoped keys need a bytes KeyMap");
-        };
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&scope.to_le_bytes());
-        encode_value(&mut self.scratch, col, row);
-        insert_bytes(map, &self.scratch).1
-    }
-
-    /// The id of row `row`'s key, if it was inserted. `scratch` is the
-    /// caller's reused encoding buffer, so a shared map can be probed.
-    #[inline]
-    pub fn get(&self, cols: &[&Column], row: usize, scratch: &mut Vec<u8>) -> Option<u32> {
+    /// The id of the key of each row of `0..nrows`, in row order:
+    /// [`NO_ID`] for a key never inserted or a keyless row.
+    pub fn probe_batch<'s>(
+        &self,
+        cols: &[&Column],
+        nrows: usize,
+        scratch: &'s mut KeyScratch,
+    ) -> &'s [u32] {
+        let KeyScratch { keys, ids } = scratch;
+        ids.clear();
         match &self.keys {
-            Keys::I64(map) => map.get(&cols[0].i64s()[row]).copied(),
-            Keys::Bytes(map) => {
-                encode_row_into(scratch, cols, row);
-                map.get(scratch.as_slice()).copied()
+            Keys::I64(map) => {
+                let valid = cols[0].validity.as_deref();
+                let rows = cols[0].i64s()[..nrows].iter().enumerate();
+                ids.extend(rows.map(|(row, k)| {
+                    let found = valid.is_none_or(|m| m[row]).then(|| map.get(k).copied());
+                    found.flatten().unwrap_or(NO_ID)
+                }));
+            }
+            Keys::Bytes(map, nulls) => {
+                let (keys, valid) = keys.prepare(cols, nrows, *nulls);
+                ids.extend((0..nrows).map(|row| {
+                    let (key, hash) = keys.get(row);
+                    let found = valid.is_none_or(|m| m[row]).then(|| map.get(key, hash));
+                    found.flatten().unwrap_or(NO_ID)
+                }));
             }
         }
+        ids
     }
 }
 
-/// The id of `key`, assigning the next one on first sight; the map owns
-/// a copy of the key only when it is new.
-#[inline]
-fn insert_bytes(map: &mut HashMap<Vec<u8>, u32, FastBuildHasher>, key: &[u8]) -> (u32, bool) {
-    if let Some(&id) = map.get(key) {
-        return (id, false);
+/// Byte keys → dense ids, each distinct key stored once.
+///
+/// Key `id` is `arena[ends[id - 1]..ends[id]]` (from 0 for id 0). The
+/// index is open addressing with linear probing over a power-of-two
+/// number of slots, at most half full; a slot holds the low 32 bits of
+/// the key's hash, which both places it and screens byte comparisons,
+/// and the key's id. Callers hash: a batch's keys one column at a time,
+/// a lone key with [`hash_bytes`]; either way equal keys hash equal.
+pub(crate) struct ByteKeys {
+    arena: Vec<u8>,
+    ends: Vec<u32>,
+    slots: Vec<Slot>,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u32,
+    id: u32,
+}
+
+/// The id of an empty slot.
+const EMPTY: u32 = u32::MAX;
+
+impl ByteKeys {
+    pub(crate) fn new() -> ByteKeys {
+        ByteKeys {
+            arena: Vec::new(),
+            ends: Vec::new(),
+            slots: vec![Slot { hash: 0, id: EMPTY }; 16],
+        }
     }
-    let id = map.len() as u32;
-    map.insert(key.to_vec(), id);
-    (id, true)
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn key(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        let start = if id == 0 {
+            0
+        } else {
+            self.ends[id - 1] as usize
+        };
+        &self.arena[start..self.ends[id] as usize]
+    }
+
+    /// `Ok(id)` of `key`, or `Err(slot)`: the empty slot it would take.
+    #[inline]
+    fn find(&self, key: &[u8], hash: u32) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY {
+                return Err(i);
+            }
+            if slot.hash == hash && self.key(slot.id) == key {
+                return Ok(slot.id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The id of `key`, whose hash is `hash`, if it was inserted.
+    #[inline]
+    pub(crate) fn get(&self, key: &[u8], hash: u64) -> Option<u32> {
+        self.find(key, hash as u32).ok()
+    }
+
+    /// The id of `key`, whose hash is `hash`, assigning the next one on
+    /// first sight (one probe sequence either way); `true` when it is new.
+    #[inline]
+    pub(crate) fn insert(&mut self, key: &[u8], hash: u64) -> (u32, bool) {
+        let hash = hash as u32;
+        match self.find(key, hash) {
+            Ok(id) => (id, false),
+            Err(i) => {
+                let id = self.ends.len() as u32;
+                self.slots[i] = Slot { hash, id };
+                self.arena.extend_from_slice(key);
+                let end = u32::try_from(self.arena.len()).expect("key arena exceeds u32 offsets");
+                self.ends.push(end);
+                if 2 * self.ends.len() > self.slots.len() {
+                    self.rehash(2 * self.slots.len());
+                }
+                (id, true)
+            }
+        }
+    }
+
+    /// Room for `additional` more keys without growing the slots.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let slots = (2 * (self.len() + additional)).next_power_of_two();
+        if slots > self.slots.len() {
+            self.rehash(slots);
+        }
+        self.ends.reserve(additional);
+    }
+
+    /// Move to `slots` slots, re-placing every key by its stored hash.
+    fn rehash(&mut self, slots: usize) {
+        let empty = vec![Slot { hash: 0, id: EMPTY }; slots];
+        let old = std::mem::replace(&mut self.slots, empty);
+        let mask = slots - 1;
+        for slot in old.into_iter().filter(|s| s.id != EMPTY) {
+            let mut i = slot.hash as usize & mask;
+            while self.slots[i].id != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::column::ColumnData;
 
     #[test]
     fn distributes_sequential_keys() {
@@ -244,65 +528,84 @@ mod tests {
     fn key_map_ids_are_dense_in_first_encounter_order() {
         let ints = Column::from_i64(vec![7, 3, 7, 9, 3]);
         let strs = Column::with_validity(
-            crate::column::ColumnData::Str(vec!["a".to_string(); 5].into()),
+            ColumnData::Str(vec!["a".to_string(); 5].into()),
             vec![true, false, true, true, false],
         );
+        let mut scratch = KeyScratch::default();
         let mut direct = KeyMap::direct_i64();
-        let mut bytes = KeyMap::bytes();
-        let (mut direct_ids, mut bytes_ids) = (Vec::new(), Vec::new());
-        direct.insert_rows(&[&ints], 0..5, |row, id, fresh| {
-            direct_ids.push((row, id, fresh))
-        });
-        // (7,a) (3,null) (7,a) (9,a) (3,null): null is a key of its own.
-        bytes.insert_rows(&[&ints, &strs], [0, 1, 2, 3, 4], |_, id, fresh| {
-            bytes_ids.push((id, fresh))
-        });
+        let mut bytes = KeyMap::bytes(Nulls::Key);
+        let mut skip = KeyMap::bytes(Nulls::Skip);
         assert_eq!(
-            direct_ids,
-            [
-                (0, 0, true),
-                (1, 1, true),
-                (2, 0, false),
-                (3, 2, true),
-                (4, 1, false)
-            ]
+            direct.insert_batch(&[&ints], 5, &mut scratch),
+            [0, 1, 0, 2, 1]
         );
+        // (7,a) (3,null) (7,a) (9,a) (3,null): null is a key of its own,
+        // or makes the row keyless.
+        let both = [&ints, &strs];
+        assert_eq!(bytes.insert_batch(&both, 5, &mut scratch), [0, 1, 0, 2, 1]);
         assert_eq!(
-            bytes_ids,
-            [(0, true), (1, true), (0, false), (2, true), (1, false)]
+            skip.insert_batch(&both, 5, &mut scratch),
+            [0, NO_ID, 0, 1, NO_ID]
         );
-        assert_eq!((direct.len(), bytes.len()), (3, 3));
-        let mut scratch = Vec::new();
-        assert_eq!(direct.get(&[&ints], 3, &mut scratch), Some(2));
-        assert_eq!(bytes.get(&[&ints, &strs], 4, &mut scratch), Some(1));
-        let other = Column::from_i64(vec![8]);
-        assert_eq!(direct.get(&[&other], 0, &mut scratch), None);
+        assert_eq!((direct.len(), bytes.len(), skip.len()), (3, 3, 2));
+        // A second batch continues the numbering.
+        let more = Column::from_i64(vec![9, 4]);
+        assert_eq!(direct.insert_batch(&[&more], 2, &mut scratch), [2, 3]);
+
+        let keys = Column::with_validity(ColumnData::I64(vec![9, 8, 7]), vec![true, true, false]);
+        assert_eq!(
+            direct.probe_batch(&[&keys], 3, &mut scratch),
+            [2, NO_ID, NO_ID]
+        );
+        assert_eq!(bytes.probe_batch(&both, 5, &mut scratch), [0, 1, 0, 2, 1]);
+        assert_eq!(
+            skip.probe_batch(&both, 5, &mut scratch),
+            [0, NO_ID, 0, 1, NO_ID]
+        );
     }
 
     #[test]
-    fn scoped_keys_are_distinct_per_scope() {
-        let vals = Column::from_i64(vec![5, 5, 6]);
-        let mut seen = KeyMap::bytes();
-        let fresh: Vec<bool> = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
-            .iter()
-            .map(|&(scope, row)| seen.insert_scoped(scope, &vals, row))
-            .collect();
-        assert_eq!(fresh, [true, false, true, true, true]);
+    fn byte_keys_store_each_key_once_and_keep_ids_across_growth() {
+        let mut keys = ByteKeys::new();
+        let key = |i: u32| format!("key-{}", i % 1000).into_bytes();
+        let insert = |keys: &mut ByteKeys, k: &[u8]| keys.insert(k, hash_bytes(k));
+        let get = |keys: &ByteKeys, k: &[u8]| keys.get(k, hash_bytes(k));
+        for i in 0..3000 {
+            assert_eq!(
+                insert(&mut keys, &key(i)),
+                (i % 1000, i < 1000),
+                "insert {i}"
+            );
+        }
+        assert_eq!(keys.len(), 1000);
+        // Each distinct key once, back to back.
+        let stored: usize = (0..1000).map(|i| key(i).len()).sum();
+        assert_eq!(keys.arena.len(), stored);
+        assert!(keys.slots.len() >= 2 * keys.len());
+        // A reservation sizes the slots once for what is to come.
+        let mut reserved = ByteKeys::new();
+        reserved.reserve(1000);
+        let slots = reserved.slots.len();
+        for i in 0..1000 {
+            insert(&mut reserved, &key(i));
+        }
+        assert_eq!((reserved.slots.len(), slots), (2048, 2048));
+        assert_eq!(get(&keys, b"key-999"), Some(999));
+        assert_eq!(get(&keys, b"key-1000"), None);
+        // The empty key is a key like any other.
+        assert_eq!(insert(&mut keys, b""), (1000, true));
+        assert_eq!(get(&keys, b""), Some(1000));
     }
 
     #[test]
-    fn usable_as_map_hasher() {
-        let mut m: HashMap<Vec<u8>, u32, FastBuildHasher> = HashMap::default();
-        m.insert(b"alpha".to_vec(), 1);
-        m.insert(b"beta".to_vec(), 2);
-        assert_eq!(m.get(b"alpha".as_slice()), Some(&1));
-        assert_eq!(m.get(b"gamma".as_slice()), None);
-        // Length folding: same concatenation, different split points.
+    fn hasher_folds_the_length() {
+        // Same concatenation, different split points.
         let mut a = FastHasher::default();
         a.write(b"ab");
         let mut b = FastHasher::default();
         b.write(b"a");
         b.write(b"b");
         assert_ne!(a.finish(), b.finish());
+        assert_ne!(hash_bytes(b"ab"), hash_bytes(b"ab\0"));
     }
 }

@@ -22,11 +22,11 @@
 //! * [`agg`] — hash group-by: dense group-id assignment, typed group-key
 //!   columns gathered as each group first appears, and typed per-group
 //!   accumulators that finish straight into columns.
-//! * [`join`] — build-side key index and allocation-free probe.
+//! * [`join`] — build-side key index, probed a whole batch per call.
 //! * [`sort`] — typed comparators and sort-by-permutation.
 //! * [`hash`] — the multiply-mix hasher, and [`hash::KeyMap`], the one
-//!   key → dense id map under the group-by, the join build and
-//!   COUNT(DISTINCT).
+//!   key → dense id map under the group-by and the join, mapping a batch
+//!   of keys per call and storing each distinct key once.
 
 pub mod agg;
 pub mod hash;

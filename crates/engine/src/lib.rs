@@ -88,8 +88,8 @@ pub mod prelude {
 /// layout may shift.
 pub mod kernel_prelude {
     pub use crate::kernels::agg::{Accumulator, Grouper};
-    pub use crate::kernels::hash::{FastBuildHasher, FastHasher, KeyMap};
-    pub use crate::kernels::join::{probe_pairs, semi_anti_mask, KeyIndex};
+    pub use crate::kernels::hash::{FastBuildHasher, FastHasher, KeyMap, KeyScratch, Nulls};
+    pub use crate::kernels::join::{probe_pairs, semi_anti_rows, KeyIndex};
     pub use crate::kernels::pool::{PoolStats, ScratchArena};
     pub use crate::kernels::scalar::like_mask;
     pub use crate::kernels::select::{filter_batch, filter_project, selection_from_mask};

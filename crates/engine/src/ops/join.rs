@@ -11,7 +11,8 @@
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::expr::Expr;
-use crate::kernels::join::{probe_pairs, semi_anti_mask, KeyIndex};
+use crate::kernels::hash::KeyScratch;
+use crate::kernels::join::{probe_pairs, semi_anti_rows, KeyIndex};
 use crate::schema::SchemaRef;
 
 /// Supported join types.
@@ -67,24 +68,24 @@ impl JoinHashTable {
         let key_cols: Vec<_> = probe_keys.iter().map(|e| e.eval_borrowed(probe)).collect();
         let key_refs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
         let n = probe.num_rows();
-        // One key-encoding scratch per probe batch, reused across rows
-        // inside the kernels.
-        let mut scratch: Vec<u8> = Vec::new();
+        // The probe batch's encoded keys (byte keys only); the table is
+        // shared across tasks, so the scratch is the caller's.
+        let mut scratch = KeyScratch::default();
 
         match join_type {
             JoinType::Semi | JoinType::Anti => {
                 let want_match = join_type == JoinType::Semi;
-                let mut mask: Vec<bool> = Vec::with_capacity(n);
-                semi_anti_mask(
+                // One selection for every column, sized to the probe side.
+                let mut rows: Vec<usize> = Vec::with_capacity(n);
+                semi_anti_rows(
                     &self.index,
                     &key_refs,
                     n,
                     want_match,
-                    &mut mask,
+                    &mut rows,
                     &mut scratch,
                 );
-                let filtered = probe.filter(&mask);
-                Batch::new(output, filtered.columns)
+                Batch::new(output, probe.take(&rows).columns)
             }
             JoinType::Inner | JoinType::Left => {
                 // Pre-size to the probe side: the common join shape is

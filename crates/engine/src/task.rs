@@ -28,7 +28,7 @@ use crate::ops::aggregate::hash_aggregate;
 use crate::ops::join::hash_join;
 use crate::ops::sort::sort;
 use crate::plan::{ExchangeMode, PlanNode, StageDag, StageId};
-use crate::rowkey::partition_of;
+use crate::rowkey::partitions_into;
 use crate::schema::SchemaRef;
 use crate::shuffle::{ShuffleKey, ShuffleReader, ShuffleTransport};
 use crate::table::Catalog;
@@ -178,18 +178,17 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
                 let key_refs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
                 let nparts = *partitions as usize;
                 let nrows = combined.num_rows();
-                // Counting sort on pooled buffers: assign a partition per
-                // row, prefix-sum the counts into per-partition extents,
-                // then place rows — stable, so rows stay in input order
-                // within each partition (byte-identical chunks to the old
-                // per-partition row lists) and nothing reallocates however
-                // skewed the hash is.
+                // Counting sort on pooled buffers: assign every row its
+                // partition in one batch call, prefix-sum the counts into
+                // per-partition extents, then place rows — stable, so rows
+                // stay in input order within each partition (byte-identical
+                // chunks to the old per-partition row lists) and nothing
+                // reallocates however skewed the hash is.
                 let mut arena = ctx.scratch.borrow_mut();
                 arena.with_idx(nrows, |assigned, arena| {
+                    partitions_into(&key_refs, nrows, *partitions, assigned);
                     let mut counts: Vec<usize> = vec![0; nparts];
-                    for row in 0..nrows {
-                        let p = partition_of(&key_refs, row, *partitions) as usize;
-                        assigned.push(p);
+                    for &p in assigned.iter() {
                         counts[p] += 1;
                     }
                     let mut offsets: Vec<usize> = Vec::with_capacity(nparts + 1);

@@ -454,6 +454,9 @@ fn agg_specs() -> (Vec<AggExpr>, Vec<(&'static str, DataType)>) {
         AggExpr::new(AggFunc::CountDistinct, Expr::col(2)),
         // q21's shape: COUNT(DISTINCT) over a nullable i64.
         AggExpr::new(AggFunc::CountDistinct, Expr::col(0)),
+        // The other fixed-width inputs, keyed by their bits.
+        AggExpr::new(AggFunc::CountDistinct, Expr::col(1)),
+        AggExpr::new(AggFunc::CountDistinct, Expr::col(3)),
     ];
     let out_fields = vec![
         ("sum_f", DataType::F64),
@@ -465,6 +468,8 @@ fn agg_specs() -> (Vec<AggExpr>, Vec<(&'static str, DataType)>) {
         ("avg_i", DataType::F64),
         ("dist_s", DataType::I64),
         ("dist_i", DataType::I64),
+        ("dist_f", DataType::I64),
+        ("dist_d", DataType::I64),
     ];
     (aggs, out_fields)
 }
@@ -488,6 +493,17 @@ fn aggregate_kernel_matches_row_reference() {
             vec![Expr::col(0), Expr::col(2)],
             vec![("k", DataType::I64), ("s", DataType::Str)],
         ),
+        // q03's fixed-width three-column shape.
+        (
+            vec![Expr::col(0), Expr::col(3), Expr::col(1)],
+            vec![
+                ("k", DataType::I64),
+                ("d", DataType::Date),
+                ("f", DataType::F64),
+            ],
+        ),
+        // Single bool key.
+        (vec![Expr::col(4)], vec![("b", DataType::Bool)]),
         // Global aggregation.
         (vec![], vec![]),
     ];
@@ -529,13 +545,17 @@ fn join_kernel_matches_row_reference() {
     .to_vec();
     let wide = Schema::shared(&inner_fields);
     let narrow = Schema::shared(&inner_fields[..5]);
-    // Single nullable i64 key (typed-index path, null keys excluded) and
-    // a two-column key (byte-key path).
-    let key_sets: [(Vec<Expr>, Vec<Expr>); 2] = [
+    // Single nullable i64 key (typed-index path, null keys excluded), a
+    // two-column key with a string and a fixed-width one (byte-key path).
+    let key_sets: [(Vec<Expr>, Vec<Expr>); 3] = [
         (vec![Expr::col(0)], vec![Expr::col(0)]),
         (
             vec![Expr::col(0), Expr::col(2)],
             vec![Expr::col(0), Expr::col(2)],
+        ),
+        (
+            vec![Expr::col(0), Expr::col(3)],
+            vec![Expr::col(0), Expr::col(3)],
         ),
     ];
     for (build_keys, probe_keys) in &key_sets {
@@ -569,6 +589,84 @@ fn join_kernel_matches_row_reference() {
             );
             assert_eq!(fast, slow, "{jt:?} with {} key(s)", build_keys.len());
         }
+    }
+}
+
+/// `0.0` and `-0.0` are distinct keys: the row-key encoding keys an
+/// `f64` by its bits, so a typed `==` (which merges them) must never
+/// stand in for it in a group-by, a COUNT(DISTINCT) or a join.
+#[test]
+fn negative_zero_is_a_key_of_its_own() {
+    use cackle_engine::ops::aggregate::hash_aggregate;
+    use cackle_engine::ops::join::hash_join;
+    let schema = Schema::shared(&[("i", DataType::I64), ("f", DataType::F64)]);
+    let batch = Batch::new(
+        schema.clone(),
+        vec![
+            Column::from_i64(vec![1, 1, 2, 1, 2]),
+            Column::from_f64(vec![0.0, -0.0, 0.0, -0.0, 1.5]),
+        ],
+    );
+    let batches = [batch];
+    // Group by f and by (i, f), with COUNT(DISTINCT f) per group and
+    // over everything.
+    let aggs = [AggExpr::new(AggFunc::CountDistinct, Expr::col(1))];
+    let cases = [
+        (vec![Expr::col(1)], vec![("f", DataType::F64)], 3),
+        (
+            vec![Expr::col(0), Expr::col(1)],
+            vec![("i", DataType::I64), ("f", DataType::F64)],
+            4,
+        ),
+        (vec![], vec![], 1),
+    ];
+    for (group_by, mut fields, groups) in cases {
+        fields.push(("dist", DataType::I64));
+        let output = Schema::shared(&fields);
+        let fast = hash_aggregate(&batches, &group_by, &aggs, output.clone());
+        let slow = reference_impl::row_hash_aggregate(&batches, &group_by, &aggs, output);
+        assert_eq!(fast, slow, "group_by width {}", group_by.len());
+        assert_eq!(fast.num_rows(), groups, "group_by width {}", group_by.len());
+        if group_by.is_empty() {
+            assert_eq!(fast.columns[0].i64s(), &[3], "0.0, -0.0 and 1.5");
+        }
+    }
+    // Join on f, and on (i, f): the 0.0 build row matches 0.0 probe rows only.
+    let build = [Batch::new(
+        schema.clone(),
+        vec![Column::from_i64(vec![1]), Column::from_f64(vec![0.0])],
+    )];
+    let wide = Schema::shared(&[
+        ("pi", DataType::I64),
+        ("pf", DataType::F64),
+        ("bi", DataType::I64),
+        ("bf", DataType::F64),
+    ]);
+    for (keys, matched) in [
+        (vec![Expr::col(1)], 2),
+        (vec![Expr::col(0), Expr::col(1)], 1),
+    ] {
+        let jt = JoinType::Inner;
+        let fast = hash_join(
+            schema.clone(),
+            &build,
+            &batches,
+            &keys,
+            &keys,
+            jt,
+            wide.clone(),
+        );
+        let slow = reference_impl::row_hash_join(
+            schema.clone(),
+            &build,
+            &batches,
+            &keys,
+            &keys,
+            jt,
+            wide.clone(),
+        );
+        assert_eq!(fast, slow, "{} key(s)", keys.len());
+        assert_eq!(fast[0].num_rows(), matched, "{} key(s)", keys.len());
     }
 }
 
