@@ -41,7 +41,7 @@ for run in 1 2 3 4 5 6 7 8 9 10; do
         || { echo "executor_stress: failed on run $run of 10" >&2; exit 1; }
 done
 
-echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels)"
+echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, cost rows)"
 # The strategy tick's fast paths against their references, bit for bit:
 # the quantile value list against sorted brute force, `advance` over
 # random slices against the per-VM fleet, and the full family's
@@ -58,6 +58,9 @@ cargo test -q -p cackle-engine --test kernel_differential join_kernel_matches_ro
 cargo test -q -p cackle-engine --test kernel_differential negative_zero_is_a_key_of_its_own
 cargo test -q -p cackle-engine --test string_columns wire_bytes_sizes_and_placement_are_pinned
 cargo test -q -p cackle-engine --lib batch_partitions_match_partition_of
+# Every runner's dump against its own result: each cost row that mirrors
+# a `RunResult` field is that field, bit for bit.
+cargo test -q --test cost_rows every_runner_dumps_the_costs_it_reports
 
 echo "==> repro (every experiment regenerates its committed outputs byte for byte)"
 # One run of every experiment, fanned out over the host's cores. repro

@@ -163,13 +163,12 @@ pub(crate) fn bench_env_grid() -> Report {
                 r.total_cost_micros(),
                 "layer totals must sum to the bill at {env_name}/{label}"
             );
-            // The result's egress component is the instrumented env
-            // ledger, read back through telemetry: both views must agree
-            // exactly, and the component must be populated iff the
-            // environment has a remote region.
+            // The dump's egress row is the env ledger's total, the same
+            // bits as the result's egress component, and the component
+            // must be populated iff the environment has a remote region.
             assert_eq!(
-                micro_dollars(telemetry.cost("env", "egress")),
-                micro_dollars(r.shuffle.egress_cost),
+                telemetry.cost("env", "egress").to_bits(),
+                r.shuffle.egress_cost.to_bits(),
                 "egress ledger views must agree at {env_name}/{label}"
             );
             if env.remote_vm_fraction > 0.0 {

@@ -153,18 +153,11 @@ impl std::error::Error for ChargeError {}
 
 /// Accumulated money and usage counters for one simulation run.
 ///
-/// When instrumented (see [`CostLedger::instrument`]) every accepted
-/// charge is mirrored into the telemetry cost-attribution table under the
-/// owning component's name, in `f64` dollars (telemetry sits below this
-/// crate); rejected charges reach neither. Equality compares accumulated
-/// data only, never the telemetry wiring.
-#[derive(Debug, Clone, Default)]
+/// A plain accumulator: runners write its totals into telemetry once,
+/// when the run ends, with [`CostLedger::record`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostLedger {
     money: [Money; 6],
-    /// Component name this ledger reports costs under (e.g. `fleet`).
-    component: &'static str,
-    /// Telemetry sink mirroring accepted charges (disabled by default).
-    telemetry: Telemetry,
     /// Billed VM-seconds on the execution layer.
     pub vm_seconds: f64,
     /// Billed elastic-pool slot-seconds.
@@ -192,30 +185,10 @@ fn idx(c: CostCategory) -> usize {
     }
 }
 
-impl PartialEq for CostLedger {
-    fn eq(&self, other: &Self) -> bool {
-        self.money == other.money
-            && self.vm_seconds == other.vm_seconds
-            && self.pool_seconds == other.pool_seconds
-            && self.shuffle_seconds == other.shuffle_seconds
-            && self.put_requests == other.put_requests
-            && self.get_requests == other.get_requests
-            && self.bytes_put == other.bytes_put
-            && self.bytes_get == other.bytes_get
-    }
-}
-
 impl CostLedger {
     /// An empty ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Mirror every subsequent accepted charge into `telemetry`'s
-    /// cost-attribution table under `component`.
-    pub fn instrument(&mut self, component: &'static str, telemetry: &Telemetry) {
-        self.component = component;
-        self.telemetry = telemetry.clone();
     }
 
     /// Charge `amount` against `category`: the one way product code
@@ -223,9 +196,18 @@ impl CostLedger {
     /// method.
     pub fn bill(&mut self, category: CostCategory, amount: Money) {
         self.money[idx(category)] += amount;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .add_cost(self.component, category.as_str(), amount.dollars());
+    }
+
+    /// Write this ledger's totals into `telemetry`'s cost-attribution
+    /// table under `component`: one cell per category that holds money,
+    /// each the category's exact total in dollars. Runners call it once
+    /// per ledger, so a dump's cost rows are the figures the run reports.
+    pub fn record(&self, component: &'static str, telemetry: &Telemetry) {
+        for c in CostCategory::ALL {
+            let m = self.category(c);
+            if m > Money::ZERO {
+                telemetry.add_cost(component, c.as_str(), m.dollars());
+            }
         }
     }
 
@@ -300,20 +282,6 @@ impl CostLedger {
     pub fn total_micros(&self) -> i64 {
         self.total().micros()
     }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, other: &CostLedger) {
-        for (a, &b) in self.money.iter_mut().zip(other.money.iter()) {
-            *a += b;
-        }
-        self.vm_seconds += other.vm_seconds;
-        self.pool_seconds += other.pool_seconds;
-        self.shuffle_seconds += other.shuffle_seconds;
-        self.put_requests += other.put_requests;
-        self.get_requests += other.get_requests;
-        self.bytes_put += other.bytes_put;
-        self.bytes_get += other.bytes_get;
-    }
 }
 
 impl fmt::Display for CostLedger {
@@ -359,39 +327,30 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_everything() {
-        let mut a = CostLedger::new();
-        a.bill(CostCategory::VmCompute, nanos(1));
-        a.put_requests = 3;
-        a.vm_seconds = 10.0;
-        let mut b = CostLedger::new();
-        b.bill(CostCategory::VmCompute, nanos(2));
-        b.bill(CostCategory::Egress, nanos(5));
-        b.put_requests = 4;
-        b.vm_seconds = 5.0;
-        a.merge(&b);
-        assert_eq!(a.category(CostCategory::VmCompute), nanos(3));
-        assert_eq!(a.total(), nanos(8));
-        assert_eq!(a.put_requests, 7);
-        assert_eq!(a.vm_seconds, 15.0);
-    }
-
-    #[test]
-    fn instrumented_ledger_mirrors_accepted_charges_only() {
+    fn record_writes_each_category_total_once() {
         let telemetry = Telemetry::new();
         let mut l = CostLedger::new();
-        l.instrument("fleet", &telemetry);
-        l.bill(CostCategory::VmCompute, nanos(2_000_000_000));
+        // Three charges whose f64 running sum drifts off the exact total.
+        for _ in 0..3 {
+            l.bill(CostCategory::VmCompute, nanos(100_000_000));
+        }
         l.charge_requests(CostCategory::S3Put, 4, 0.25);
         let _ = l.try_charge(CostCategory::VmCompute, f64::NAN); // rejected
-        assert_eq!(telemetry.cost("fleet", "vm_compute"), 2.0);
+        l.bill(CostCategory::S3Get, Money::ZERO);
+        l.record("fleet", &telemetry);
+        assert_eq!(
+            telemetry.cost("fleet", "vm_compute").to_bits(),
+            0.3f64.to_bits()
+        );
         assert_eq!(telemetry.cost("fleet", "s3_put"), 1.0);
-        // Equality ignores the wiring: an uninstrumented ledger with the
-        // same charges compares equal.
-        let mut bare = CostLedger::new();
-        bare.charge(CostCategory::VmCompute, 2.0);
-        bare.bill(CostCategory::S3Put, nanos(1_000_000_000));
-        assert_eq!(l, bare);
+        // A category without money writes no row.
+        let rows: Vec<_> = telemetry
+            .snapshot()
+            .unwrap()
+            .costs()
+            .map(|(_, c, _)| c.to_string())
+            .collect();
+        assert_eq!(rows, ["s3_put", "vm_compute"]);
     }
 
     #[test]

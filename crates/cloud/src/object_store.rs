@@ -48,9 +48,8 @@ fn lock_faults(l: &Mutex<TaskFaults>) -> MutexGuard<'_, TaskFaults> {
 
 /// What concurrent requests touch under the store lock is integer
 /// counters only: integer adds commute, so the totals do not depend on
-/// the order tasks reach the store. The ledger's telemetry mirror adds
-/// `f64` dollars, whose sums do depend on order, so requests are priced
-/// in bulk by [`ObjectStore::ledger`], never one by one.
+/// the order tasks reach the store. Requests are priced in bulk by
+/// [`ObjectStore::ledger`], never one by one.
 #[derive(Debug, Default)]
 struct Billing {
     /// Request and byte counters, plus every request priced so far.
@@ -81,15 +80,6 @@ impl ObjectStore {
             billing: Mutex::new(Billing::default()),
             faults: Mutex::new(TaskFaults::default()),
         }
-    }
-
-    /// Report the store's request charges to `telemetry` under the `store`
-    /// component, written when [`ObjectStore::ledger`] prices them.
-    /// Instrument before sharing the store with tasks.
-    pub fn instrument(&self, telemetry: &cackle_telemetry::Telemetry) {
-        lock_billing(&self.billing)
-            .ledger
-            .instrument("store", telemetry);
     }
 
     /// Consult `faults` on every subsequent request: an injected
@@ -174,10 +164,9 @@ impl ObjectStore {
 
     /// Snapshot of the billing ledger. The requests counted since the
     /// previous call are priced here, each category in one
-    /// [`Pricing::requests`] charge (mirrored to telemetry on an instrumented
-    /// store), so a run that takes the ledger once, when it finishes,
-    /// bills every category exactly once and the same at any worker
-    /// count. Call it from serial code only.
+    /// [`Pricing::requests`] charge, so a run that takes the ledger once,
+    /// when it finishes, bills every category exactly once and the same
+    /// at any worker count. Call it from serial code only.
     pub fn ledger(&self) -> CostLedger {
         let mut b = lock_billing(&self.billing);
         let puts = std::mem::take(&mut b.pending_puts);
@@ -268,12 +257,9 @@ mod tests {
     #[test]
     fn billing_is_independent_of_request_order() {
         use cackle_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
-        use cackle_telemetry::Telemetry;
         // One fixed multiset of keyed requests whose attempt counts vary
         // (1–4 per request), issued in two orders — what two worker
-        // counts do to the store. Per-request charges mirrored to
-        // telemetry would sum f64 dollars in arrival order, which differ
-        // in the last digits between the two.
+        // counts do to the store.
         let spec = FaultSpec::default().with_store_errors(0.2, 0.2);
         let inj = FaultInjector::new(
             FaultPlan::compile(&spec, 29).unwrap(),
@@ -283,9 +269,7 @@ mod tests {
             .flat_map(|i| [(true, format!("q{}/t{i}", i % 7)), (false, format!("k{i}"))])
             .collect();
         let run = |order: &mut dyn Iterator<Item = &(bool, String)>| {
-            let t = Telemetry::new();
             let s = ObjectStore::new(Pricing::default());
-            s.instrument(&t);
             s.inject_faults(&inj);
             for (put, key) in order {
                 if *put {
@@ -294,31 +278,12 @@ mod tests {
                     s.get(key);
                 }
             }
-            (s.ledger(), t)
+            s.ledger()
         };
-        let (a, ta) = run(&mut requests.iter());
-        let (b, tb) = run(&mut requests.iter().rev());
+        let a = run(&mut requests.iter());
+        let b = run(&mut requests.iter().rev());
         assert!(a.put_requests > 800 && a.get_requests > 800, "no retries");
-        assert_eq!(
-            (a.put_requests, a.get_requests, a.bytes_put, a.bytes_get),
-            (b.put_requests, b.get_requests, b.bytes_put, b.bytes_get)
-        );
-        for (category, name) in [
-            (CostCategory::S3Put, "s3_put"),
-            (CostCategory::S3Get, "s3_get"),
-        ] {
-            assert_eq!(a.category(category), b.category(category), "{name}");
-            assert_eq!(
-                ta.cost("store", name).to_bits(),
-                tb.cost("store", name).to_bits()
-            );
-            // The telemetry row is the ledger's dollars, not a second sum.
-            assert_eq!(
-                ta.cost("store", name).to_bits(),
-                a.category(category).dollars().to_bits()
-            );
-        }
-        assert_eq!(a.total(), b.total());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -43,11 +43,10 @@ impl ElasticPool {
         }
     }
 
-    /// Report the pool's charges, invocation counts, and billed-duration
-    /// histogram to `telemetry` under the `pool` component.
+    /// Report the pool's invocation count and billed-duration histogram
+    /// to `telemetry`.
     pub fn instrument(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
-        self.ledger.instrument("pool", telemetry);
     }
 
     /// Request a slot at `now`. Returns the invocation id and the time the

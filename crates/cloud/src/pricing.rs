@@ -145,12 +145,6 @@ impl Pricing {
         self
     }
 
-    /// Replace the VM startup latency (used by the Figure 9 sweep).
-    pub fn with_vm_startup(mut self, startup: SimDuration) -> Self {
-        self.vm_startup = startup;
-        self
-    }
-
     /// Per-second VM price in dollars.
     pub fn vm_per_sec(&self) -> f64 {
         self.vm_per_hour / 3600.0

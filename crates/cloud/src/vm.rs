@@ -29,39 +29,36 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u64);
 
-/// The fleet's metrics for one telemetry component, as catalogue
-/// handles: `fleet` and `shuffle_fleet` record the same four.
+/// The fleet's metrics, as catalogue handles: the execution fleet and
+/// the shuffle fleet record the same four under their own component.
 #[derive(Debug, Clone, Copy)]
 struct FleetMetrics {
+    /// `fleet` or `shuffle_fleet`: the `vm.interrupted` event's detail.
+    component: &'static str,
     vms_started_total: Counter,
     vms_reclaimed_total: Counter,
     vms_terminated_total: Counter,
     vm_billed_seconds: catalog::Histogram,
 }
 
-const FLEET_METRICS: FleetMetrics = FleetMetrics {
-    vms_started_total: catalog::FLEET_VMS_STARTED_TOTAL,
-    vms_reclaimed_total: catalog::FLEET_VMS_RECLAIMED_TOTAL,
-    vms_terminated_total: catalog::FLEET_VMS_TERMINATED_TOTAL,
-    vm_billed_seconds: catalog::FLEET_VM_BILLED_SECONDS,
-};
-
-const SHUFFLE_FLEET_METRICS: FleetMetrics = FleetMetrics {
-    vms_started_total: catalog::SHUFFLE_FLEET_VMS_STARTED_TOTAL,
-    vms_reclaimed_total: catalog::SHUFFLE_FLEET_VMS_RECLAIMED_TOTAL,
-    vms_terminated_total: catalog::SHUFFLE_FLEET_VMS_TERMINATED_TOTAL,
-    vm_billed_seconds: catalog::SHUFFLE_FLEET_VM_BILLED_SECONDS,
-};
-
-fn fleet_metrics(component: &str) -> FleetMetrics {
-    match component {
-        "shuffle_fleet" => SHUFFLE_FLEET_METRICS,
-        other => {
-            debug_assert_eq!(
-                other, "fleet",
-                "unknown fleet component `{other}`: add its metrics to the catalogue"
-            );
-            FLEET_METRICS
+impl FleetMetrics {
+    /// The metrics of a fleet billing `category`.
+    fn of(category: CostCategory) -> Self {
+        match category {
+            CostCategory::ShuffleNode => FleetMetrics {
+                component: "shuffle_fleet",
+                vms_started_total: catalog::SHUFFLE_FLEET_VMS_STARTED_TOTAL,
+                vms_reclaimed_total: catalog::SHUFFLE_FLEET_VMS_RECLAIMED_TOTAL,
+                vms_terminated_total: catalog::SHUFFLE_FLEET_VMS_TERMINATED_TOTAL,
+                vm_billed_seconds: catalog::SHUFFLE_FLEET_VM_BILLED_SECONDS,
+            },
+            _ => FleetMetrics {
+                component: "fleet",
+                vms_started_total: catalog::FLEET_VMS_STARTED_TOTAL,
+                vms_reclaimed_total: catalog::FLEET_VMS_RECLAIMED_TOTAL,
+                vms_terminated_total: catalog::FLEET_VMS_TERMINATED_TOTAL,
+                vm_billed_seconds: catalog::FLEET_VM_BILLED_SECONDS,
+            },
         }
     }
 }
@@ -139,10 +136,6 @@ pub struct VmFleet {
     terminated_total: u64,
     /// Telemetry sink (disabled by default); see [`VmFleet::instrument`].
     telemetry: Telemetry,
-    /// Telemetry component name, e.g. `fleet` or `shuffle_fleet`.
-    component: &'static str,
-    /// Metric handles for `component` (see [`fleet_metrics`]).
-    metrics: FleetMetrics,
 }
 
 impl VmFleet {
@@ -169,8 +162,6 @@ impl VmFleet {
             started_total: 0,
             terminated_total: 0,
             telemetry: Telemetry::disabled(),
-            component: "fleet",
-            metrics: FLEET_METRICS,
         }
     }
 
@@ -190,14 +181,15 @@ impl VmFleet {
         }
     }
 
-    /// Report this fleet's charges and lifecycle counters to `telemetry`
-    /// under `component` (the simulator uses `fleet` for the execution
-    /// layer and `shuffle_fleet` for shuffle nodes).
-    pub fn instrument(&mut self, component: &'static str, telemetry: &Telemetry) {
-        self.component = component;
-        self.metrics = fleet_metrics(component);
+    /// Report this fleet's lifecycle counters to `telemetry`, as `fleet.*`
+    /// for execution-layer VMs and `shuffle_fleet.*` for shuffle nodes
+    /// (the fleet's [`CostCategory`] picks which).
+    pub fn instrument(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
-        self.ledger.instrument(component, telemetry);
+    }
+
+    fn metrics(&self) -> FleetMetrics {
+        FleetMetrics::of(self.billing.category)
     }
 
     /// The current provisioning target.
@@ -295,7 +287,7 @@ impl VmFleet {
         }
         if !started.is_empty() && self.telemetry.is_enabled() {
             let n = started.len() as u64;
-            self.telemetry.add(self.metrics.vms_started_total, n);
+            self.telemetry.add(self.metrics().vms_started_total, n);
         }
         started
     }
@@ -330,56 +322,12 @@ impl VmFleet {
         if self.running.contains_key(&id) {
             self.terminate(now, id);
             if self.telemetry.is_enabled() {
-                self.telemetry.add(self.metrics.vms_reclaimed_total, 1);
+                let metrics = self.metrics();
+                self.telemetry.add(metrics.vms_reclaimed_total, 1);
                 self.telemetry
-                    .event(now.as_millis(), "vm.interrupted", self.component);
+                    .event(now.as_millis(), "vm.interrupted", metrics.component);
             }
         }
-    }
-
-    /// Spot-interruption sweep (the §7.2 ablation): every running VM is
-    /// independently reclaimed with probability `per_vm_probability`,
-    /// drawn from the caller's seed-threaded generator so the sweep is
-    /// reproducible. The provider reclaims at some instant inside the
-    /// swept window `[window_start, now]`, not at the sweep boundary: a
-    /// reclaimed-while-idle VM stops accruing billing at its drawn
-    /// reclaim time instead of quietly billing until the caller's next
-    /// tick. Busy VMs bill to `now` — their task only reschedules when
-    /// the sweep runs, so the slot genuinely ran that long. Returns the
-    /// reclaimed ids in deterministic (id) order; the caller reschedules
-    /// their tasks.
-    pub fn reclaim_random(
-        &mut self,
-        window_start: SimTime,
-        now: SimTime,
-        per_vm_probability: f64,
-        rng: &mut cackle_prng::Pcg32,
-    ) -> Vec<VmId> {
-        let ids: Vec<VmId> = self.running.keys().copied().collect();
-        let mut reclaimed = Vec::new();
-        for id in ids {
-            if !rng.gen_bool(per_vm_probability) {
-                continue;
-            }
-            let at = match self.running.get(&id) {
-                Some(vm) if self.idle.contains(&(vm.started_at, id)) => {
-                    // Draw the exact reclaim instant inside the window,
-                    // clamped so a VM started mid-window never bills a
-                    // negative interval.
-                    let span = (now - window_start).as_millis();
-                    let offset = if span == 0 {
-                        0
-                    } else {
-                        rng.gen_range(0..=span)
-                    };
-                    (window_start + SimDuration::from_millis(offset)).max(vm.started_at)
-                }
-                _ => now,
-            };
-            self.reclaim(at, id);
-            reclaimed.push(id);
-        }
-        reclaimed
     }
 
     /// Bill and drop a running VM, idle or busy.
@@ -392,8 +340,9 @@ impl VmFleet {
         let secs = self.billing.charge(&mut self.ledger, &vm, now);
         self.terminated_total += 1;
         if self.telemetry.is_enabled() {
-            self.telemetry.add(self.metrics.vms_terminated_total, 1);
-            self.telemetry.record(self.metrics.vm_billed_seconds, secs);
+            let metrics = self.metrics();
+            self.telemetry.add(metrics.vms_terminated_total, 1);
+            self.telemetry.record(metrics.vm_billed_seconds, secs);
         }
     }
 
@@ -418,7 +367,7 @@ impl VmFleet {
 mod reference {
     use super::{Billing, RunningVm, VmId};
     use crate::ledger::CostLedger;
-    use crate::time::{SimDuration, SimTime};
+    use crate::time::SimTime;
     use std::collections::{BTreeMap, VecDeque};
 
     pub struct ScanFleet {
@@ -521,37 +470,6 @@ mod reference {
             }
         }
 
-        pub fn reclaim_random(
-            &mut self,
-            window_start: SimTime,
-            now: SimTime,
-            per_vm_probability: f64,
-            rng: &mut cackle_prng::Pcg32,
-        ) -> Vec<VmId> {
-            let ids: Vec<VmId> = self.running.keys().copied().collect();
-            let mut reclaimed = Vec::new();
-            for id in ids {
-                if !rng.gen_bool(per_vm_probability) {
-                    continue;
-                }
-                let at = match self.running.get(&id) {
-                    Some((vm, false)) => {
-                        let span = (now - window_start).as_millis();
-                        let offset = if span == 0 {
-                            0
-                        } else {
-                            rng.gen_range(0..=span)
-                        };
-                        (window_start + SimDuration::from_millis(offset)).max(vm.started_at)
-                    }
-                    _ => now,
-                };
-                self.reclaim(at, id);
-                reclaimed.push(id);
-            }
-            reclaimed
-        }
-
         pub fn set_vm_rate_milli(&mut self, id: VmId, rate_milli: u32) {
             if let Some((vm, _)) = self.running.get_mut(&id) {
                 vm.rate_milli = rate_milli.max(1);
@@ -624,8 +542,8 @@ mod tests {
     /// every step of 36 seeded op streams: targets up, down and to 0,
     /// polls, assignment on empty / partly busy / fully busy fleets,
     /// releases above and below the target and of idle and unknown ids,
-    /// reclaims of busy and idle VMs, reclaim sweeps, regional rates, a
-    /// market price timeline on and off, and a `finalize` mid-run.
+    /// reclaims of busy and idle VMs, regional rates, a market price
+    /// timeline on and off, and a `finalize` mid-run.
     #[test]
     fn differential_idle_set_vs_linear_scan() {
         use cackle_faults::EnvironmentSpec;
@@ -657,7 +575,7 @@ mod tests {
             let finalize_at = rng.gen_range(100..300);
             for step in 0..400 {
                 now += SimDuration::from_millis(rng.gen_range(0u64..40_000));
-                match rng.gen_range(0u32..10) {
+                match rng.gen_range(0u32..9) {
                     0 => {
                         let target = match rng.gen_range(0u32..4) {
                             0 => 0,
@@ -710,18 +628,6 @@ mod tests {
                         held.retain(|&h| h != id);
                     }
                     7 => {
-                        let seed = rng.next_u64();
-                        let back = SimDuration::from_millis(rng.gen_range(0u64..60_000));
-                        let start = now.saturating_sub(back);
-                        let p = f64::from(rng.gen_range(0u32..4)) * 0.2;
-                        let got =
-                            f.reclaim_random(start, now, p, &mut Pcg32::new(Seed::root(seed)));
-                        let want =
-                            r.reclaim_random(start, now, p, &mut Pcg32::new(Seed::root(seed)));
-                        assert_eq!(got, want, "reclaim_random {stream}/{step}");
-                        held.retain(|h| !got.contains(h));
-                    }
-                    8 => {
                         let id = VmId(rng.gen_range(0..f.next_id + 1));
                         let rate = rng.gen_range(500u32..1500);
                         f.set_vm_rate_milli(id, rate);
@@ -860,43 +766,6 @@ mod tests {
         // Reclaiming an unknown id is a no-op.
         f.reclaim(SimTime::from_secs(401), vm);
         assert_eq!(f.terminated_total(), 1);
-    }
-
-    #[test]
-    fn idle_reclaim_bills_at_drawn_time_not_sweep_boundary() {
-        let mut f = fleet();
-        f.set_target(SimTime::ZERO, 1);
-        f.poll(SimTime::from_secs(180));
-        // Idle VM swept with p=1 over the window [600, 900]: billing must
-        // stop at the drawn reclaim instant inside the window. Billing at
-        // the sweep boundary instead would charge the full 720 s.
-        let mut rng = cackle_prng::Pcg32::new(cackle_prng::Seed::root(42));
-        let reclaimed = f.reclaim_random(
-            SimTime::from_secs(600),
-            SimTime::from_secs(900),
-            1.0,
-            &mut rng,
-        );
-        assert_eq!(reclaimed.len(), 1);
-        let billed = f.ledger().vm_seconds;
-        assert!(
-            (420.0..720.0).contains(&billed),
-            "idle VM billed {billed}s: reclaim must land inside the window"
-        );
-        // A busy VM, by contrast, bills to the sweep boundary: its task
-        // only reschedules once the sweep observes the reclaim.
-        let mut f = fleet();
-        f.set_target(SimTime::ZERO, 1);
-        f.poll(SimTime::from_secs(180));
-        f.try_assign(SimTime::from_secs(180)).unwrap();
-        let mut rng = cackle_prng::Pcg32::new(cackle_prng::Seed::root(42));
-        f.reclaim_random(
-            SimTime::from_secs(600),
-            SimTime::from_secs(900),
-            1.0,
-            &mut rng,
-        );
-        assert!((f.ledger().vm_seconds - 720.0).abs() < 1e-9);
     }
 
     #[test]

@@ -390,7 +390,7 @@ mod tests {
         let cfg = DatabricksConfig::fixed(WarehouseSize::Small, 2).with_telemetry(&t);
         let r = run_databricks(&w, &cfg);
         assert_eq!(t.counter("run.queries_total"), 5);
-        assert!((t.cost("warehouse", "vm_compute") - r.compute.vm_cost).abs() < 1e-12);
+        assert_eq!(t.cost("warehouse", "vm_compute"), r.compute.vm_cost);
         assert_eq!(
             t.histogram("run.query_latency_seconds").map(|h| h.count),
             Some(5)

@@ -182,7 +182,6 @@ impl<'a> QueuedRun<'a> {
             },
             shuffle: Default::default(),
             latencies: self.latencies,
-            timeseries: None,
             duration_s: self.makespan_s,
             strategy: label,
             telemetry: self.telemetry,
@@ -213,7 +212,7 @@ pub fn try_run_delaying(
             value: 0.0,
         });
     }
-    let mut run = QueuedRun::try_new(workload, &spec.effective_telemetry())?;
+    let mut run = QueuedRun::try_new(workload, &spec.telemetry)?;
     // Ready stages as (query arrival, query, stage, tasks not yet launched).
     let mut ready: BinaryHeap<Reverse<(u64, usize, usize, u32)>> = BinaryHeap::new();
     let mut free = slots;
@@ -361,7 +360,7 @@ mod tests {
         let spec = RunSpec::new().with_telemetry(&t);
         let r = run_delaying(&w, 2, &spec);
         assert_eq!(t.counter("run.queries_total"), 1);
-        assert!((t.cost("fleet", "vm_compute") - r.compute.vm_cost).abs() < 1e-12);
+        assert_eq!(t.cost("fleet", "vm_compute"), r.compute.vm_cost);
         assert_eq!(t.gauge("run.duration_seconds"), Some(r.duration_s as f64));
     }
 }

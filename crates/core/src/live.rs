@@ -204,7 +204,6 @@ fn live(
     let source = |telemetry: &Telemetry, faults: &FaultInjector| {
         let pricing = &spec.env.pricing;
         let store = Arc::new(ObjectStore::new(pricing.clone()));
-        store.instrument(telemetry);
         store.inject_faults(faults);
         // The transport holds the provisioner's floor of shuffle nodes for
         // the whole run rather than being rebuilt as the shuffle fleet's
@@ -325,9 +324,9 @@ mod tests {
         // Engine task counters recorded at the stage barrier.
         assert!(t.counter("engine.tasks_total") > 0);
         // Store request charges attributed to the store component.
-        assert!((t.cost("store", "s3_put") - r.shuffle.s3_put_cost).abs() < 1e-12);
+        assert_eq!(t.cost("store", "s3_put"), r.shuffle.s3_put_cost);
         // Pool charges attributed (pool-only run).
-        assert!((t.cost("pool", "elastic_pool") - r.compute.pool_cost).abs() < 1e-12);
+        assert_eq!(t.cost("pool", "elastic_pool"), r.compute.pool_cost);
         assert_eq!(t.counter("run.queries_total"), 2);
     }
 }

@@ -182,11 +182,6 @@ impl MetaStrategy {
         &self.lookbacks
     }
 
-    /// The currently selected expert.
-    pub fn current_expert(&self) -> Expert {
-        self.experts[self.current]
-    }
-
     /// How many times the selection changed between ticks.
     pub fn switch_count(&self) -> u64 {
         self.switches

@@ -11,7 +11,7 @@ use crate::allocsim::AllocationSim;
 use crate::config::Env;
 use crate::factory::try_make_strategy;
 use crate::history::WorkloadHistory;
-use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
+use crate::report::{ComputeCost, RunResult, ShuffleCost};
 use crate::runloop::record_query_done;
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
@@ -225,7 +225,7 @@ pub fn simulate_compute_with_timeline(
     timeline: &PriceTimeline,
 ) -> RunResult {
     let env = &spec.env;
-    let telemetry = spec.effective_telemetry();
+    let telemetry = spec.telemetry.clone();
     strategy.set_telemetry(&telemetry);
     // `AllocationSim::new` starts at the base rate (1000‰); the rate in
     // force at second 0 applies before the first step.
@@ -284,11 +284,6 @@ pub fn simulate_compute_with_timeline(
         compute,
         shuffle: ShuffleCost::default(),
         latencies: Vec::new(),
-        timeseries: if spec.record_timeseries {
-            Timeseries::from_telemetry(&telemetry)
-        } else {
-            None
-        },
         duration_s: horizon,
         strategy: strategy.name(),
         telemetry,
@@ -366,6 +361,7 @@ pub fn predict_cost_from_history(demand: &[u32], targets: &[u32], env: &Env) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Timeseries;
     use crate::strategy::FixedStrategy;
     use cackle_workload::profile::{QueryProfile, StageProfile};
     use std::sync::Arc;
@@ -465,24 +461,27 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_recorded_when_asked() {
+    fn timeseries_read_back_from_the_sink() {
         let w = vec![QueryArrival {
             at_s: 5,
             profile: profile(3, 10),
         }];
         let mut s = FixedStrategy { vms: 2 };
-        let spec = RunSpec::new().with_timeseries(true).with_compute_only(true);
+        let spec = RunSpec::new()
+            .with_telemetry(&Telemetry::new())
+            .with_compute_only(true);
         let r = run_model_with(&w, &mut s, &spec);
-        let ts = r.timeseries.expect("requested");
+        let ts = Timeseries::from_telemetry(&r.telemetry).expect("recorded");
         assert_eq!(ts.demand.len(), ts.target.len());
         assert_eq!(ts.demand[6], 3);
         assert!(ts.target.iter().all(|&t| t == 2));
-        // The series behind the timeseries live in the telemetry registry.
-        assert!(r.telemetry.is_enabled());
-        assert_eq!(
-            r.telemetry.series("run.demand").map(|s| s.len()),
-            Some(ts.demand.len())
+        // Without a sink there is nothing to read back.
+        let bare = run_model_with(
+            &w,
+            &mut s,
+            &spec.clone().with_telemetry(&Telemetry::disabled()),
         );
+        assert!(Timeseries::from_telemetry(&bare.telemetry).is_none());
     }
 
     #[test]
@@ -610,9 +609,11 @@ mod tests {
         ];
         let env = Env::default();
         let mut s = FixedStrategy { vms: 4 };
-        let spec = RunSpec::new().with_timeseries(true).with_compute_only(true);
+        let spec = RunSpec::new()
+            .with_telemetry(&Telemetry::new())
+            .with_compute_only(true);
         let r = run_model_with(&w, &mut s, &spec);
-        let ts = r.timeseries.as_ref().expect("ts");
+        let ts = Timeseries::from_telemetry(&r.telemetry).expect("ts");
         let predicted = predict_cost_from_history(&ts.demand, &ts.target, &env);
         // The replay stops at the demand horizon while the run winds down
         // beyond it; both bill the same pool seconds and the replay's VM
@@ -667,10 +668,8 @@ mod tests {
         let spec = RunSpec::new().with_strategy("fixed_0").with_telemetry(&t);
         let r = run_model(&w, &spec);
         // Compute cost mirrored into the registry, split by component.
-        let pool = t.cost("pool", "elastic_pool");
-        assert!((pool - r.compute.pool_cost).abs() < 1e-12);
-        let put = t.cost("store", "s3_put");
-        assert!((put - r.shuffle.s3_put_cost).abs() < 1e-12);
+        assert_eq!(t.cost("pool", "elastic_pool"), r.compute.pool_cost);
+        assert_eq!(t.cost("store", "s3_put"), r.shuffle.s3_put_cost);
         // Query spans and the latency histogram are present.
         assert_eq!(t.counter("run.queries_total"), 1);
         let h = t.histogram("run.query_latency_seconds").expect("histogram");

@@ -1,10 +1,9 @@
 //! Result types shared by the analytical model and the full system.
 //!
 //! Every runner returns the same [`RunResult`]: cost splits, per-query
-//! latencies, the optional per-second [`Timeseries`], and the telemetry
-//! handle the run recorded into. The timeseries is no longer collected by
-//! ad-hoc vectors inside each runner — it is rebuilt from the telemetry
-//! registry's `run.demand` / `run.target` / `run.active` series via
+//! latencies, and the telemetry handle the run recorded into. The
+//! per-second [`Timeseries`] is read back from that handle's
+//! `run.demand` / `run.target` / `run.active` series with
 //! [`Timeseries::from_telemetry`], so plots and exports read one store.
 
 use cackle_telemetry::Telemetry;
@@ -103,14 +102,12 @@ pub struct RunResult {
     pub shuffle: ShuffleCost,
     /// Per-query latencies in seconds.
     pub latencies: Vec<f64>,
-    /// Recorded series, when requested.
-    pub timeseries: Option<Timeseries>,
     /// Simulated workload span in seconds.
     pub duration_s: u64,
     /// Label of the strategy that produced this run.
     pub strategy: String,
     /// The telemetry handle the run recorded into (disabled when the spec
-    /// attached no sink and requested no timeseries). Export with
+    /// attached no sink). Export with
     /// [`Telemetry::export_jsonl`] / [`Telemetry::export_series_csv`].
     pub telemetry: Telemetry,
 }
@@ -193,7 +190,6 @@ mod tests {
                 gets: 20,
             },
             latencies: (1..=100).map(|x| x as f64).collect(),
-            timeseries: None,
             duration_s: 3600,
             strategy: "test".into(),
             telemetry: Telemetry::disabled(),

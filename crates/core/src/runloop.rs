@@ -16,7 +16,7 @@
 
 use crate::factory::try_make_strategy;
 use crate::history::WorkloadHistory;
-use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
+use crate::report::{ComputeCost, RunResult, ShuffleCost};
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
@@ -82,6 +82,13 @@ pub(crate) trait TaskSource {
 
     /// The object-store ledger, taken once, when the run finishes.
     fn store_ledger(&mut self) -> CostLedger;
+
+    /// Store requests the source retried under injected faults, for the
+    /// `recovery` cost component; `None` where the store retries out of
+    /// the loop's sight.
+    fn recovery_ledger(&self) -> Option<&CostLedger> {
+        None
+    }
 }
 
 /// One stage of a query's graph.
@@ -343,7 +350,7 @@ pub(crate) fn run<'a, S: TaskSource>(
     };
     let env = &spec.env;
     let pricing = &env.pricing;
-    let telemetry = spec.effective_telemetry();
+    let telemetry = spec.telemetry.clone();
     strategy.set_telemetry(&telemetry);
     let faults = spec.fault_injector(&telemetry)?;
     let mut st = Coordinator {
@@ -363,11 +370,9 @@ pub(crate) fn run<'a, S: TaskSource>(
         queries,
         fatal: None,
     };
-    st.fleet.instrument("fleet", &telemetry);
+    st.fleet.instrument(&telemetry);
     st.pool.instrument(&telemetry);
-    st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
-    st.recovery_ledger.instrument("recovery", &telemetry);
-    st.env_ledger.instrument("env", &telemetry);
+    st.shuffle_fleet.instrument(&telemetry);
     // Both fleets integrate the run's price timeline (flat without
     // spot-market motion) at termination time.
     let market = spec.price_timeline();
@@ -525,8 +530,10 @@ pub(crate) fn run<'a, S: TaskSource>(
             }
         }
         // An event that exhausted a recovery bound is still handled to
-        // its end, so the sink counts everything it injected.
+        // its end, so the sink counts everything it injected, and the
+        // dump keeps the spend so far.
         if let Some(e) = st.fatal.take() {
+            st.record_costs(&telemetry);
             return Err(e);
         }
     }
@@ -535,14 +542,14 @@ pub(crate) fn run<'a, S: TaskSource>(
     st.fleet.set_target(end, 0);
     st.fleet.finalize(end);
     st.shuffle_fleet.finalize(end);
+    let store_ledger = st.record_costs(&telemetry);
     let vm_ledger = st.fleet.ledger();
     let pool_ledger = st.pool.ledger();
     let node_ledger = st.shuffle_fleet.ledger();
-    let store_ledger = st.source.store_ledger();
     telemetry.gauge_set(catalog::RUN_DURATION_SECONDS, history.len() as f64);
 
     // The result's cost fields are f64 dollars: the ledgers' money is
-    // converted here, once.
+    // converted here, once, exactly as `record_costs` wrote it.
     let result = RunResult {
         compute: ComputeCost {
             vm_cost: vm_ledger.category(CostCategory::VmCompute).dollars(),
@@ -559,11 +566,6 @@ pub(crate) fn run<'a, S: TaskSource>(
             gets: store_ledger.get_requests,
         },
         latencies,
-        timeseries: if spec.record_timeseries {
-            Timeseries::from_telemetry(&telemetry)
-        } else {
-            None
-        },
         duration_s: history.len() as u64,
         strategy: strategy.name(),
         telemetry,
@@ -591,12 +593,12 @@ struct Coordinator<'a, S> {
     /// Task attempts in flight, by token.
     attempts: AttemptWindow,
     /// Extra compute attributable to fault recovery — duplicate launches
-    /// and spot re-executions. Telemetry attribution only; the pool's own
-    /// ledger already bills the real resources, so this is never added to
-    /// the `RunResult` totals.
+    /// and spot re-executions. Telemetry attribution only (component
+    /// `recovery`); the pool's own ledger already bills the real
+    /// resources, so this is never added to the `RunResult` totals.
     recovery_ledger: CostLedger,
     /// Cross-region shuffle-egress charges from the environment model's
-    /// second region, instrumented as component `env`. Its `Egress`
+    /// second region, recorded as component `env`. Its `Egress`
     /// category becomes [`ShuffleCost::egress_cost`] in the result.
     env_ledger: CostLedger,
     queries: Vec<QueryGraph<'a>>,
@@ -606,6 +608,25 @@ struct Coordinator<'a, S> {
 }
 
 impl<S: TaskSource> Coordinator<'_, S> {
+    /// Write every ledger's totals into the run's cost table, once per
+    /// run: from the finished run, or from an aborted one before its
+    /// error returns. Returns the store ledger, taken for the result.
+    fn record_costs(&mut self, telemetry: &Telemetry) -> CostLedger {
+        let store = self.source.store_ledger();
+        self.fleet.ledger().record("fleet", telemetry);
+        self.pool.ledger().record("pool", telemetry);
+        self.shuffle_fleet
+            .ledger()
+            .record("shuffle_fleet", telemetry);
+        store.record("store", telemetry);
+        self.env_ledger.record("env", telemetry);
+        self.recovery_ledger.record("recovery", telemetry);
+        if let Some(retried) = self.source.recovery_ledger() {
+            retried.record("recovery", telemetry);
+        }
+        store
+    }
+
     /// Poll the execution fleet and tag every newly started VM with its
     /// persistent environment traits: records the `env.vm_slowdown`
     /// histogram and regional counters, and installs the remote-region

@@ -28,12 +28,14 @@ use std::fmt;
 /// Construct with [`RunSpec::new`] and chain `with_*` builders:
 ///
 /// ```
-/// use cackle::RunSpec;
+/// use cackle::{RunSpec, Telemetry};
+/// let sink = Telemetry::new();
 /// let spec = RunSpec::new()
 ///     .with_strategy("mean_2")
 ///     .with_seed(7)
-///     .with_timeseries(true);
+///     .with_telemetry(&sink);
 /// assert_eq!(spec.strategy, "mean_2");
+/// assert!(spec.telemetry.is_enabled());
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunSpec {
@@ -50,8 +52,6 @@ pub struct RunSpec {
     pub pool_slowdown: f64,
     /// Relative task-duration jitter applied by the system runner.
     pub duration_jitter: f64,
-    /// Record per-second demand/target/active series into the result.
-    pub record_timeseries: bool,
     /// Model runner only: skip the shuffle model, compute costs only.
     pub compute_only: bool,
     /// Live runner only: task throughput used to convert row counts into
@@ -66,8 +66,10 @@ pub struct RunSpec {
     /// deterministic backoff, straggler duplicate-launch.
     pub recovery: RecoveryPolicy,
     /// Telemetry sink. Disabled by default; pass an enabled handle with
-    /// [`RunSpec::with_telemetry`] to collect metrics, traces, and cost
-    /// attribution (see `crates/telemetry`).
+    /// [`RunSpec::with_telemetry`] to collect metrics, traces, cost
+    /// attribution and the per-second series behind
+    /// [`Timeseries::from_telemetry`](crate::Timeseries::from_telemetry)
+    /// (see `crates/telemetry`).
     pub telemetry: Telemetry,
     /// Worker threads for the live runner's stage execution
     /// (`cackle_engine::executor`; the profile replay has no per-task
@@ -86,7 +88,6 @@ impl Default for RunSpec {
             seed: 42,
             pool_slowdown: 1.25,
             duration_jitter: 0.08,
-            record_timeseries: false,
             compute_only: false,
             rows_per_task_second: 400_000.0,
             faults: FaultSpec::default(),
@@ -130,12 +131,6 @@ impl RunSpec {
     /// Set the relative task-duration jitter.
     pub fn with_duration_jitter(mut self, jitter: f64) -> Self {
         self.duration_jitter = jitter;
-        self
-    }
-
-    /// Record per-second timeseries into the result.
-    pub fn with_timeseries(mut self, record: bool) -> Self {
-        self.record_timeseries = record;
         self
     }
 
@@ -202,20 +197,6 @@ impl RunSpec {
         )]
         let seed = Seed::root(self.seed);
         PriceTimeline::compile(&self.faults.environment, seed)
-    }
-
-    /// The sink runners actually record into: the attached sink when one
-    /// is enabled, a fresh registry when timeseries were requested (the
-    /// series back the rebuilt [`Timeseries`](crate::Timeseries)), and a
-    /// no-op handle otherwise.
-    pub fn effective_telemetry(&self) -> Telemetry {
-        if self.telemetry.is_enabled() {
-            self.telemetry.clone()
-        } else if self.record_timeseries {
-            Telemetry::new()
-        } else {
-            Telemetry::disabled()
-        }
     }
 
     /// Check every numeric knob for finiteness and range.
@@ -312,7 +293,6 @@ mod tests {
         assert!((s.pool_slowdown - 1.25).abs() < 1e-12);
         assert!((s.duration_jitter - 0.08).abs() < 1e-12);
         assert!(s.faults.is_zero());
-        assert!(!s.record_timeseries);
         assert!(!s.compute_only);
         assert!((s.rows_per_task_second - 400_000.0).abs() < 1e-9);
         assert!(!s.telemetry.is_enabled());
@@ -327,7 +307,6 @@ mod tests {
             .with_pool_slowdown(2.0)
             .with_duration_jitter(0.0)
             .with_faults(FaultSpec::default().with_spot_reclaims(0.5))
-            .with_timeseries(true)
             .with_compute_only(true)
             .with_rows_per_task_second(1e6)
             .with_telemetry(&t);
@@ -335,21 +314,6 @@ mod tests {
         assert_eq!(s.seed, 9);
         assert!(s.telemetry.is_enabled());
         assert!(s.validate().is_ok());
-    }
-
-    #[test]
-    fn effective_telemetry_rules() {
-        // Disabled sink, no timeseries: no-op handle.
-        assert!(!RunSpec::new().effective_telemetry().is_enabled());
-        // Timeseries requested: a fresh registry is provisioned.
-        let s = RunSpec::new().with_timeseries(true);
-        assert!(s.effective_telemetry().is_enabled());
-        // An attached sink wins and is shared, not copied.
-        let t = Telemetry::new();
-        let s = RunSpec::new().with_telemetry(&t);
-        s.effective_telemetry()
-            .add(cackle_telemetry::catalog::RUN_QUERIES_TOTAL, 1);
-        assert_eq!(t.counter("run.queries_total"), 1);
     }
 
     #[test]

@@ -180,6 +180,10 @@ impl TaskSource for ProfileSource<'_> {
     fn store_ledger(&mut self) -> CostLedger {
         self.s3_ledger.clone()
     }
+
+    fn recovery_ledger(&self) -> Option<&CostLedger> {
+        Some(&self.recovery_ledger)
+    }
 }
 
 /// Run the full system over a workload; the strategy comes from
@@ -237,19 +241,14 @@ pub fn try_run_system_with(
         reason = "mint: run_system receives the RunSpec seed"
     )]
     let seed = Seed::root(spec.seed);
-    let source = |telemetry: &Telemetry, faults: &FaultInjector| {
-        let mut source = ProfileSource {
-            workload,
-            spec,
-            rng: Pcg32::new(seed),
-            faults: faults.clone(),
-            resident_total: 0,
-            s3_ledger: CostLedger::new(),
-            recovery_ledger: CostLedger::new(),
-        };
-        source.s3_ledger.instrument("store", telemetry);
-        source.recovery_ledger.instrument("recovery", telemetry);
-        source
+    let source = |_: &Telemetry, faults: &FaultInjector| ProfileSource {
+        workload,
+        spec,
+        rng: Pcg32::new(seed),
+        faults: faults.clone(),
+        resident_total: 0,
+        s3_ledger: CostLedger::new(),
+        recovery_ledger: CostLedger::new(),
     };
     runloop::run(spec, profile_graphs(workload), Some(strategy), source).map(|(run, _)| run)
 }
@@ -362,7 +361,7 @@ mod tests {
         let mut s2 = FixedStrategy { vms: 2 };
         let b = run_system_with(&w, &mut s2, &spec);
         assert_eq!(a.latencies, b.latencies);
-        assert!((a.total_cost() - b.total_cost()).abs() < 1e-12);
+        assert_eq!(a.total_cost(), b.total_cost());
     }
 
     #[test]
@@ -371,10 +370,10 @@ mod tests {
             at_s: 0,
             profile: profile(6, 300),
         }];
-        let spec = noiseless().with_timeseries(true);
+        let spec = noiseless().with_telemetry(&Telemetry::new());
         let mut s = FixedStrategy { vms: 3 };
         let r = run_system_with(&w, &mut s, &spec);
-        let ts = r.timeseries.expect("requested");
+        let ts = crate::Timeseries::from_telemetry(&r.telemetry).expect("recorded");
         assert!(ts.demand.iter().take(100).any(|&d| d == 6));
         // Active VMs reach the target after the 180 s startup.
         assert_eq!(ts.active[250.min(ts.active.len() - 1)], 3);
@@ -563,11 +562,13 @@ mod tests {
         let t = Telemetry::new();
         let spec = noiseless().with_strategy("fixed_2").with_telemetry(&t);
         let r = run_system(&w, &spec);
-        // Per-component dollars in the registry equal the result's splits.
-        assert!((t.cost("fleet", "vm_compute") - r.compute.vm_cost).abs() < 1e-12);
-        assert!((t.cost("pool", "elastic_pool") - r.compute.pool_cost).abs() < 1e-12);
-        assert!((t.cost("shuffle_fleet", "shuffle_node") - r.shuffle.node_cost).abs() < 1e-12);
-        assert!((t.cost("store", "s3_put") - r.shuffle.s3_put_cost).abs() < 1e-12);
+        // Per-component dollars in the registry are the result's splits.
+        assert_eq!(t.cost("fleet", "vm_compute"), r.compute.vm_cost);
+        assert_eq!(t.cost("pool", "elastic_pool"), r.compute.pool_cost);
+        assert_eq!(t.cost("shuffle_fleet", "shuffle_node"), r.shuffle.node_cost);
+        assert_eq!(t.cost("store", "s3_put"), r.shuffle.s3_put_cost);
+        assert_eq!(t.cost("store", "s3_get"), r.shuffle.s3_get_cost);
+        assert_eq!(t.cost("env", "egress"), r.shuffle.egress_cost);
         // Query accounting and the demand series were recorded.
         assert_eq!(t.counter("run.queries_total"), 10);
         let h = t.histogram("run.query_latency_seconds").expect("histogram");
@@ -660,5 +661,31 @@ mod tests {
             ),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn an_aborted_run_dumps_its_partial_spend() {
+        use cackle_faults::{FaultSpec, RecoveryPolicy};
+        // Queries far apart, so some finish and bill before an invoke
+        // failure exhausts the (zero) retry bound.
+        let w: Vec<QueryArrival> = (0..40)
+            .map(|i| QueryArrival {
+                at_s: i * 60,
+                profile: profile(2, 5),
+            })
+            .collect();
+        let t = Telemetry::new();
+        let spec = noiseless()
+            .with_faults(FaultSpec::default().with_pool_invoke_failures(0.05))
+            .with_recovery(RecoveryPolicy::default().with_max_retries(0))
+            .with_telemetry(&t);
+        let mut s = FixedStrategy { vms: 0 };
+        let out = try_run_system_with(&w, &mut s, &spec);
+        assert!(
+            matches!(out, Err(RunError::FaultUnrecovered { .. })),
+            "{out:?}"
+        );
+        assert!(t.counter("run.queries_total") > 0, "no query finished");
+        assert!(t.cost("pool", "elastic_pool") > 0.0, "spend so far lost");
     }
 }

@@ -191,10 +191,9 @@ impl ShuffleTransport for HybridShuffle {
         let object_key = Self::object_key(key, producer_task);
         // An injected transport drop that survives the retry bound skips
         // the node tier entirely; the durable object store absorbs it.
-        // The draw is keyed by the chunk's stable identity — writes are
-        // published from the executor's barrier, but the engine's serial
-        // driver publishes inline from task code, and either way the
-        // outcome must not depend on publication order.
+        // The draw is keyed by the chunk's stable identity, so the
+        // outcome does not depend on the order the executor's stage
+        // barrier publishes in.
         let dropped = self
             .faults
             .transport_write_fallback_keyed(cackle_faults::op_key(object_key.as_bytes()));

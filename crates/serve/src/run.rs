@@ -214,7 +214,7 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
         return Err(RunError::InvalidWorkload(problem));
     }
     spec.run.validate()?;
-    let telemetry = spec.run.effective_telemetry();
+    let telemetry = &spec.run.telemetry;
 
     let tenants = spec.tenants.tenants();
     let n = tenants.len();
@@ -282,7 +282,7 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
                 &mut sched,
                 &mut buckets,
                 &mut deferred,
-                &telemetry,
+                telemetry,
                 &mut admitted,
                 &mut rejected,
                 &mut deferrals,
@@ -299,7 +299,7 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
                 &mut sched,
                 &mut buckets,
                 &mut deferred,
-                &telemetry,
+                telemetry,
                 &mut admitted,
                 &mut rejected,
                 &mut deferrals,
@@ -344,11 +344,9 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
         });
     }
 
-    let mut run_spec = spec.run.clone();
-    run_spec.telemetry = telemetry.clone();
     let result = match spec.runner {
-        Runner::Model => try_run_model(&workload, &run_spec)?,
-        Runner::System => try_run_system(&workload, &run_spec)?,
+        Runner::Model => try_run_model(&workload, &spec.run)?,
+        Runner::System => try_run_system(&workload, &spec.run)?,
     };
 
     let shares = attribute(&result, &meter);

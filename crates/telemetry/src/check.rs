@@ -11,16 +11,20 @@
 //! * histogram invariants hold (`counts.len() == bounds.len() + 1`,
 //!   bucket counts sum to `count`);
 //! * series points are `[t_ms, value]` pairs with non-decreasing `t_ms`;
+//! * a cost row's `dollars` is finite and not negative, and no
+//!   `(component, category)` pair has two rows;
 //! * every counter, gauge, histogram and series names a [`catalog`]
 //!   entry of its kind, and a histogram carries that entry's bounds.
 
 use crate::catalog::{self, Kind};
 use crate::json::{self, Value};
+use std::collections::BTreeSet;
 
 /// Validate a full dump; returns `line: message` strings (1-based lines).
 pub fn check_dump(text: &str) -> Vec<String> {
     let mut errors = Vec::new();
     let mut saw_meta = false;
+    let mut cost_rows: BTreeSet<(String, String)> = BTreeSet::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
         let mut fail = |msg: String| errors.push(format!("{lineno}: {msg}"));
@@ -70,14 +74,26 @@ pub fn check_dump(text: &str) -> Vec<String> {
                 check_histogram(&v, &mut fail);
             }
             "cost" => {
-                if v.get("component").and_then(Value::as_str).is_none() {
+                let component = v.get("component").and_then(Value::as_str);
+                let category = v.get("category").and_then(Value::as_str);
+                if component.is_none() {
                     fail("cost needs string `component`".to_string());
                 }
-                if v.get("category").and_then(Value::as_str).is_none() {
+                if category.is_none() {
                     fail("cost needs string `category`".to_string());
                 }
-                if v.get("dollars").and_then(Value::as_f64).is_none() {
-                    fail("cost.dollars must be a number".to_string());
+                match v.get("dollars").and_then(Value::as_f64) {
+                    None => fail("cost.dollars must be a number".to_string()),
+                    Some(d) if !d.is_finite() || d < 0.0 => fail(format!(
+                        "cost.dollars must be finite and non-negative, got {d}"
+                    )),
+                    Some(_) => {}
+                }
+                if let (Some(component), Some(category)) = (component, category) {
+                    let row = (component.to_string(), category.to_string());
+                    if !cost_rows.insert(row) {
+                        fail(format!("repeated cost row `{component}`/`{category}`"));
+                    }
                 }
             }
             "series" => {
@@ -246,6 +262,44 @@ mod tests {
         let backwards = "{\"type\":\"meta\",\"schema\":\"cackle-telemetry\",\"version\":1}\n\
              {\"type\":\"series\",\"name\":\"s\",\"points\":[[5,1.0],[3,2.0]]}\n";
         assert!(!check_dump(backwards).is_empty());
+    }
+
+    fn cost_row(component: &str, category: &str, dollars: &str) -> String {
+        format!(
+            "{{\"type\":\"cost\",\"component\":\"{component}\",\
+             \"category\":\"{category}\",\"dollars\":{dollars}}}\n"
+        )
+    }
+
+    #[test]
+    fn rejects_a_negative_cost() {
+        let dump = format!("{META}{}", cost_row("fleet", "vm_compute", "-0.5"));
+        assert_eq!(
+            check_dump(&dump),
+            ["2: cost.dollars must be finite and non-negative, got -0.5"]
+        );
+    }
+
+    #[test]
+    fn rejects_a_non_finite_cost() {
+        // 1e999 parses to infinity: the writer never emits it, a file
+        // from elsewhere can.
+        let dump = format!("{META}{}", cost_row("pool", "elastic_pool", "1e999"));
+        assert_eq!(
+            check_dump(&dump),
+            ["2: cost.dollars must be finite and non-negative, got inf"]
+        );
+    }
+
+    #[test]
+    fn rejects_a_repeated_cost_row() {
+        let dump = format!(
+            "{META}{}{}{}",
+            cost_row("store", "s3_put", "0.25"),
+            cost_row("store", "s3_get", "0.25"),
+            cost_row("store", "s3_put", "0.5")
+        );
+        assert_eq!(check_dump(&dump), ["4: repeated cost row `store`/`s3_put`"]);
     }
 
     #[test]

@@ -163,9 +163,10 @@ enum Slot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Registry {
     slots: Vec<Slot>,
-    /// Accumulated dollars by component, then category — fed by
-    /// `CostLedger` charges in `cackle-cloud`. Iterates in the same
-    /// `(component, category)` order a tuple-keyed map would.
+    /// Dollars by component, then category — each cell written once per
+    /// run from a ledger's exact total (`CostLedger::record` in
+    /// `cackle-cloud`) or from a runner's reported estimate. Iterates in
+    /// the same `(component, category)` order a tuple-keyed map would.
     costs: BTreeMap<String, BTreeMap<String, f64>>,
     events: Vec<TraceEvent>,
 }
@@ -529,16 +530,18 @@ impl Telemetry {
         }
     }
 
-    /// Attribute `dollars` to `(component, category)` — the cost-attribution
-    /// feed called by `CostLedger` on every accepted charge. Rejected
-    /// charges never reach telemetry either.
+    /// Attribute `dollars` to `(component, category)`. Runners call it
+    /// once per cell, when a run ends, with the figure the run reports:
+    /// `CostLedger::record` writes a ledger's exact category totals, and
+    /// the analytical model and the work-delaying baselines write their
+    /// estimates. A non-finite amount is dropped.
     pub fn add_cost(&self, component: &str, category: &str, dollars: f64) {
         if !dollars.is_finite() {
             return;
         }
         if let Some(mut r) = self.lock() {
             update(&mut r.costs, component, |cells| {
-                // A mirror of money the ledger already billed, never a bill.
+                // A report of money already billed, never a bill.
                 update(cells, category, |total| *total += dollars);
             });
         }

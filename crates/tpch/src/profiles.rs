@@ -186,7 +186,6 @@ pub fn measured_profile(
 
     let mut stage_rows = vec![0u64; dag.stages.len()];
     let mut stage_bytes = vec![0u64; dag.stages.len()];
-    let mut stage_writes = vec![0u64; dag.stages.len()];
     let (telemetry, faults) = (Telemetry::disabled(), FaultInjector::disabled());
     for stage in &dag.stages {
         let results = Executor::new(1)
@@ -194,7 +193,6 @@ pub fn measured_profile(
         for r in results {
             stage_rows[stage.id] += r.rows_in;
             stage_bytes[stage.id] += r.shuffle_bytes_written;
-            stage_writes[stage.id] += r.shuffle_writes;
         }
     }
     shuffle.delete_query(99);
@@ -207,9 +205,6 @@ pub fn measured_profile(
             let secs = (rows / stage.tasks as f64 / ROWS_PER_TASK_SECOND).ceil();
             let deps = stage.dependencies();
             let (writes, reads) = request_counts(&target_dag, stage, &deps);
-            // Blend structural request counts with the measured write count
-            // scaled: structure dominates (it reflects the target layout).
-            let _ = stage_writes;
             StageProfile {
                 tasks: stage.tasks,
                 // `f64 as u32` saturates; the clamp caps it at the model's range.

@@ -9,7 +9,7 @@
 
 use cackle::model::QueryArrival;
 use cackle::system::run_system;
-use cackle::RunSpec;
+use cackle::{RunSpec, Telemetry, Timeseries};
 use cackle_prng::{Pcg32, Seed};
 use cackle_tpch::profiles::profile_set;
 
@@ -51,9 +51,9 @@ fn main() {
     }
     workload.sort_by_key(|q| q.at_s);
 
-    let spec = RunSpec::new().with_timeseries(true);
+    let spec = RunSpec::new().with_telemetry(&Telemetry::new());
     let r = run_system(&workload, &spec);
-    let ts = r.timeseries.as_ref().expect("recorded");
+    let ts = Timeseries::from_telemetry(&r.telemetry).expect("recorded");
 
     println!("minute | demand(max) target active  (# = active VMs, + = pool overflow)");
     for m in 0..ts.demand.len().div_ceil(60) {

@@ -24,12 +24,11 @@ pub fn chaos() -> FaultSpec {
 /// drift in any float shows up in the comparison.
 pub fn report(r: &RunResult) -> String {
     format!(
-        "compute {:?}\nshuffle {:?}\ntotal {:?}\nlatencies {:?}\ntimeseries {:?}\n",
+        "compute {:?}\nshuffle {:?}\ntotal {:?}\nlatencies {:?}\n",
         r.compute,
         r.shuffle,
         r.total_cost(),
         r.latencies,
-        r.timeseries
     )
 }
 

@@ -1,0 +1,132 @@
+//! Every runner writes its cost table once, from the figures its
+//! `RunResult` reports: each `"type":"cost"` row that mirrors a result
+//! field equals that field bit for bit, so a dump states the run's bill
+//! exactly rather than a re-summed float near it. The only other rows a
+//! dump may carry are the `recovery` component's, which attribute spend
+//! the mirrored rows already contain.
+
+mod common;
+
+use cackle::delaying::run_delaying;
+use cackle::model::{build_workload, run_model};
+use cackle::system::run_system;
+use cackle::{run_live, EnvironmentSpec, FaultSpec, RunResult, RunSpec, Telemetry};
+use cackle_comparators::{
+    run_databricks, run_redshift, DatabricksConfig, RedshiftConfig, WarehouseSize,
+};
+use cackle_serve::{run_serve, Runner, ServeSpec, TenantRegistry};
+use cackle_tpch::profiles::profile_set;
+use cackle_workload::arrivals::WorkloadSpec;
+use common::{chaos, live_catalog, live_workload, report};
+
+/// The cost rows the model, system, live and serve runners write, each
+/// with the result field it mirrors.
+fn mirrored(r: &RunResult) -> Vec<(&'static str, &'static str, f64)> {
+    vec![
+        ("fleet", "vm_compute", r.compute.vm_cost),
+        ("pool", "elastic_pool", r.compute.pool_cost),
+        ("shuffle_fleet", "shuffle_node", r.shuffle.node_cost),
+        ("store", "s3_put", r.shuffle.s3_put_cost),
+        ("store", "s3_get", r.shuffle.s3_get_cost),
+        ("env", "egress", r.shuffle.egress_cost),
+    ]
+}
+
+/// Each of `rows` reads exactly its field in `t`, and `t` holds no cost
+/// row outside `rows` but the `recovery` component's.
+fn assert_rows(name: &str, t: &Telemetry, r: &RunResult, rows: &[(&str, &str, f64)]) {
+    assert!(r.total_cost() > 0.0, "{name}: the run billed nothing");
+    for &(component, category, field) in rows {
+        let row = t.cost(component, category);
+        assert_eq!(
+            row.to_bits(),
+            field.to_bits(),
+            "{name}: {component}/{category} reads {row:?}, the run reports {field:?}\n{}",
+            report(r)
+        );
+    }
+    let registry = t.snapshot().expect("an enabled sink");
+    for (component, category, _) in registry.costs() {
+        let known = rows
+            .iter()
+            .any(|&(c, k, _)| (c, k) == (component, category));
+        assert!(
+            known || component == "recovery",
+            "{name}: unexpected cost row {component}/{category}"
+        );
+    }
+}
+
+fn sink() -> (Telemetry, RunSpec) {
+    let t = Telemetry::new();
+    let spec = RunSpec::new().with_strategy("dynamic").with_telemetry(&t);
+    (t, spec)
+}
+
+fn remote_region() -> FaultSpec {
+    FaultSpec::default().with_environment(
+        EnvironmentSpec::default()
+            .with_vm_heterogeneity(0.25, 2.0, 0.5)
+            .with_market_motion(0.3, 900)
+            .with_remote_region(0.5, 700, 20_000),
+    )
+}
+
+#[test]
+fn every_runner_dumps_the_costs_it_reports() {
+    let mix = profile_set(10.0);
+    let workload = build_workload(&WorkloadSpec::hour_long(250, 29), &mix);
+
+    for (name, faults) in [
+        ("model", FaultSpec::default()),
+        ("model/remote-region", remote_region()),
+    ] {
+        let (t, spec) = sink();
+        let r = run_model(&workload, &spec.with_faults(faults));
+        assert_rows(name, &t, &r, &mirrored(&r));
+    }
+
+    for (name, faults) in [
+        ("system/fault-free", FaultSpec::default()),
+        ("system/chaos", chaos()),
+        ("system/remote-region", remote_region()),
+    ] {
+        let (t, spec) = sink();
+        let r = run_system(&workload, &spec.with_faults(faults));
+        assert_rows(name, &t, &r, &mirrored(&r));
+    }
+
+    for (name, faults) in [
+        ("live/fault-free", FaultSpec::default()),
+        ("live/chaos", chaos()),
+    ] {
+        let (t, spec) = sink();
+        let spec = spec.with_rows_per_task_second(5_000.0).with_faults(faults);
+        let r = run_live(&live_workload(), &live_catalog(), &spec);
+        assert_rows(name, &t, &r, &mirrored(&r));
+    }
+
+    let (t, spec) = sink();
+    let r = run_delaying(&workload, 64, &spec);
+    let rows = [("fleet", "vm_compute", r.compute.vm_cost)];
+    assert_rows("delaying", &t, &r, &rows);
+
+    let t = Telemetry::new();
+    let r = run_redshift(&workload, &RedshiftConfig::default().with_telemetry(&t));
+    let rows = [("endpoint", "vm_compute", r.compute.vm_cost)];
+    assert_rows("redshift", &t, &r, &rows);
+
+    let t = Telemetry::new();
+    let cfg = DatabricksConfig::autoscaling(WarehouseSize::Small, 4).with_telemetry(&t);
+    let r = run_databricks(&workload, &cfg);
+    let rows = [("warehouse", "vm_compute", r.compute.vm_cost)];
+    assert_rows("databricks", &t, &r, &rows);
+
+    let (t, spec) = sink();
+    let tenants = TenantRegistry::homogeneous(7, &WorkloadSpec::hour_long(100, 23));
+    let serve = ServeSpec::new(tenants)
+        .with_run(spec)
+        .with_runner(Runner::System);
+    let r = run_serve(&serve, &mix).expect("serve run must succeed").run;
+    assert_rows("serve/system", &t, &r, &mirrored(&r));
+}

@@ -9,12 +9,14 @@
 
 use cackle::model::{build_workload, run_model_with};
 use cackle::system::{run_system, run_system_with};
-use cackle::{Env, FamilyConfig, FaultSpec, MetaStrategy, RunResult, RunSpec, Telemetry};
+use cackle::{
+    Env, FamilyConfig, FaultSpec, MetaStrategy, RunResult, RunSpec, Telemetry, Timeseries,
+};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
 /// Render a full run report: every cost field, every latency, the
-/// recorded timeseries. `{:?}` on `f64` prints the shortest exact
+/// timeseries read back from the run's sink. `{:?}` on `f64` prints the shortest exact
 /// round-trip decimal, so any drift in any float shows up here.
 fn report(r: &RunResult) -> String {
     let mut out = String::new();
@@ -24,7 +26,8 @@ fn report(r: &RunResult) -> String {
     out.push_str(&format!("shuffle     {:?}\n", r.shuffle));
     out.push_str(&format!("total       {:?}\n", r.total_cost()));
     out.push_str(&format!("latencies   {:?}\n", r.latencies));
-    out.push_str(&format!("timeseries  {:?}\n", r.timeseries));
+    let timeseries = Timeseries::from_telemetry(&r.telemetry);
+    out.push_str(&format!("timeseries  {timeseries:?}\n"));
     out
 }
 
@@ -38,11 +41,12 @@ fn workload(seed: u64) -> Vec<cackle::QueryArrival> {
 
 #[test]
 fn model_runs_are_byte_identical_across_repeats() {
-    let spec = RunSpec::new().with_timeseries(true);
+    // A fresh sink per run, so each report reads only its own series.
+    let spec = || RunSpec::new().with_telemetry(&Telemetry::new());
     let run = || {
         let w = workload(11);
-        let mut s = strategy(&spec.env);
-        report(&run_model_with(&w, &mut s, &spec))
+        let mut s = strategy(&spec().env);
+        report(&run_model_with(&w, &mut s, &spec()))
     };
     let first = run();
     let second = run();
@@ -53,8 +57,8 @@ fn model_runs_are_byte_identical_across_repeats() {
     // A different seed must actually change the report, or the check
     // above is vacuous.
     let w = workload(12);
-    let mut s = strategy(&spec.env);
-    let other = report(&run_model_with(&w, &mut s, &spec));
+    let mut s = strategy(&spec().env);
+    let other = report(&run_model_with(&w, &mut s, &spec()));
     assert!(first != other, "seed change did not move the report");
 }
 
