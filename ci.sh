@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Each example rewrites its dump under results/ in place; the dump must
+# read byte for byte as the index has it (stage a deliberate re-record
+# first), so a change to a runner's output cannot pass unnoticed.
+dump_unchanged() {
+    git diff --exit-code --stat -- "results/$1" \
+        || { echo "results/$1 differs from the committed dump" >&2; exit 1; }
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -77,16 +85,19 @@ echo "==> telemetry dump round-trip"
 cargo run -q --release --example quickstart
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/quickstart_telemetry.jsonl
+dump_unchanged quickstart_telemetry.jsonl
 
 echo "==> multi-tenant serving smoke (per-tenant ledger + serve.* telemetry)"
 cargo run -q --release --example multi_tenant
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/multi_tenant_telemetry.jsonl
+dump_unchanged multi_tenant_telemetry.jsonl
 
 echo "==> chaos smoke (seeded fault plan, bounded recovery)"
 cargo run -q --release --example fault_injection
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/fault_injection_telemetry.jsonl
+dump_unchanged fault_injection_telemetry.jsonl
 
 echo "==> bench_all smoke (the benchmark's correctness gate on all four workloads)"
 # ~10 ops per workload, ~20 s, writes only under target/smoke/. A pass

@@ -4,7 +4,9 @@
 //! per request, which is the property that makes exclusive S3 shuffling
 //! expensive at high query volumes (§7.1.3): a 128×128 shuffle costs 256
 //! PUTs and 128 GETs-per-task, and those request charges can reach half of
-//! total query cost.
+//! total query cost. A runner that replays profiles instead of moving
+//! bytes counts its modeled requests here too, so every task runner's
+//! requests are retried, priced and attributed in one place.
 //!
 //! The store is internally synchronized so it can be shared (`Arc`) between
 //! the coordinator and concurrently executing tasks. Keys live in a
@@ -52,12 +54,27 @@ fn lock_faults(l: &Mutex<TaskFaults>) -> MutexGuard<'_, TaskFaults> {
 /// [`ObjectStore::ledger`], never one by one.
 #[derive(Debug, Default)]
 struct Billing {
-    /// Request and byte counters, plus every request priced so far.
-    ledger: CostLedger,
-    /// PUT attempts counted but not yet priced.
-    pending_puts: u64,
-    /// GET attempts counted but not yet priced.
-    pending_gets: u64,
+    /// Request and byte counters of every attempt; no money.
+    counts: CostLedger,
+    /// Request counters of the attempts beyond each request's first.
+    retried: CostLedger,
+}
+
+impl Billing {
+    fn count(&mut self, op: StoreOp, requests: u64, attempts: u64) {
+        let (all, retried) = match op {
+            StoreOp::Put => (
+                &mut self.counts.put_requests,
+                &mut self.retried.put_requests,
+            ),
+            StoreOp::Get => (
+                &mut self.counts.get_requests,
+                &mut self.retried.get_requests,
+            ),
+        };
+        *all += attempts;
+        *retried += attempts - requests;
+    }
 }
 
 /// A shared, internally synchronized object store with request billing.
@@ -107,9 +124,8 @@ impl ObjectStore {
         let len = data.len() as u64;
         write_objects(&self.objects).insert(key.to_string(), Bytes::from(data));
         let mut b = lock_billing(&self.billing);
-        b.pending_puts += attempts;
-        b.ledger.put_requests += attempts;
-        b.ledger.bytes_put += len;
+        b.count(StoreOp::Put, 1, attempts);
+        b.counts.bytes_put += len;
     }
 
     /// GET an object, counting one billable request per attempt. Returns
@@ -120,12 +136,30 @@ impl ObjectStore {
         let attempts = self.attempts(StoreOp::Get, key);
         let out = read_objects(&self.objects).get(key).cloned();
         let mut b = lock_billing(&self.billing);
-        b.pending_gets += attempts;
-        b.ledger.get_requests += attempts;
+        b.count(StoreOp::Get, 1, attempts);
         if let Some(data) = &out {
-            b.ledger.bytes_get += data.len() as u64;
+            b.counts.bytes_get += data.len() as u64;
         }
         out
+    }
+
+    /// Count `requests` modeled requests of `op` that carry no payload:
+    /// the shuffle traffic of stage `stage` of query `query`, for a runner
+    /// that replays byte counts instead of moving bytes. Each request
+    /// retries and bills like [`put`](ObjectStore::put) and
+    /// [`get`](ObjectStore::get), its attempts drawn under the key
+    /// `(query, stage, request index)`, so the draws do not depend on the
+    /// order stages reach the store.
+    pub fn modeled_requests(&self, op: StoreOp, query: u64, stage: u64, requests: u64) {
+        let mut id = [0u8; 16];
+        id[..8].copy_from_slice(&query.to_le_bytes());
+        id[8..].copy_from_slice(&stage.to_le_bytes());
+        let scope = op_key(&id);
+        let faults = lock_faults(&self.faults).clone();
+        let attempts = (0..requests)
+            .map(|i| faults.store_attempts_keyed(op, scope.wrapping_add(i)))
+            .sum();
+        lock_billing(&self.billing).count(op, requests, attempts);
     }
 
     /// DELETE an object. S3 DELETE requests are free.
@@ -162,24 +196,31 @@ impl ObjectStore {
             .sum()
     }
 
-    /// Snapshot of the billing ledger. The requests counted since the
-    /// previous call are priced here, each category in one
-    /// [`Pricing::requests`] charge, so a run that takes the ledger once,
-    /// when it finishes, bills every category exactly once and the same
-    /// at any worker count. Call it from serial code only.
+    /// Snapshot of the billing ledger: the request and byte counters,
+    /// and each request category priced in one [`Pricing::requests`]
+    /// charge over its total. The price is linear in the count, so the
+    /// snapshot bills exactly what pricing each request alone would, the
+    /// same at any worker count.
     pub fn ledger(&self) -> CostLedger {
-        let mut b = lock_billing(&self.billing);
-        let puts = std::mem::take(&mut b.pending_puts);
-        if puts > 0 {
-            let cost = self.pricing.requests(StoreOp::Put, puts);
-            b.ledger.bill(CostCategory::S3Put, cost);
+        self.priced(lock_billing(&self.billing).counts.clone())
+    }
+
+    /// The share of [`ledger`](ObjectStore::ledger) that injected
+    /// transient errors caused: the attempts beyond each request's first,
+    /// counted and priced the same way. Attribution only — the ledger
+    /// already bills them.
+    pub fn retried(&self) -> CostLedger {
+        self.priced(lock_billing(&self.billing).retried.clone())
+    }
+
+    fn priced(&self, mut ledger: CostLedger) -> CostLedger {
+        for (op, category, count) in [
+            (StoreOp::Put, CostCategory::S3Put, ledger.put_requests),
+            (StoreOp::Get, CostCategory::S3Get, ledger.get_requests),
+        ] {
+            ledger.bill(category, self.pricing.requests(op, count));
         }
-        let gets = std::mem::take(&mut b.pending_gets);
-        if gets > 0 {
-            let cost = self.pricing.requests(StoreOp::Get, gets);
-            b.ledger.bill(CostCategory::S3Get, cost);
-        }
-        b.ledger.clone()
+        ledger
     }
 }
 
@@ -284,6 +325,56 @@ mod tests {
         let b = run(&mut requests.iter().rev());
         assert!(a.put_requests > 800 && a.get_requests > 800, "no retries");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn modeled_requests_retry_bill_and_attribute_like_real_ones() {
+        use cackle_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
+        let pricing = Pricing::default();
+        // Fault-free: exactly the requests asked for, nothing retried.
+        let s = ObjectStore::new(pricing.clone());
+        s.modeled_requests(StoreOp::Put, 3, 1, 200);
+        s.modeled_requests(StoreOp::Get, 3, 2, 50);
+        let l = s.ledger();
+        assert_eq!((l.put_requests, l.get_requests, l.bytes_put), (200, 50, 0));
+        assert_eq!(
+            l.total(),
+            pricing.requests(StoreOp::Put, 200) + pricing.requests(StoreOp::Get, 50)
+        );
+        assert_eq!(s.retried(), CostLedger::new());
+        // Under store errors: the retried share is every attempt beyond
+        // the first, priced like the rest, and the same in any order.
+        let spec = FaultSpec::default().with_store_errors(0.5, 0.5);
+        let inj = FaultInjector::new(
+            FaultPlan::compile(&spec, 17).unwrap(),
+            RecoveryPolicy::default(),
+        );
+        let stages = [
+            (StoreOp::Put, 0, 0, 300),
+            (StoreOp::Get, 0, 1, 120),
+            (StoreOp::Put, 1, 0, 80),
+        ];
+        let run = |order: &mut dyn Iterator<Item = &(StoreOp, u64, u64, u64)>| {
+            let s = ObjectStore::new(pricing.clone());
+            s.inject_faults(&inj);
+            for &(op, query, stage, n) in order {
+                s.modeled_requests(op, query, stage, n);
+            }
+            (s.ledger(), s.retried())
+        };
+        let (l, retried) = run(&mut stages.iter());
+        assert_eq!(run(&mut stages.iter().rev()), (l.clone(), retried.clone()));
+        assert!(
+            retried.put_requests > 0 && retried.get_requests > 0,
+            "no retries"
+        );
+        assert_eq!(l.put_requests, 380 + retried.put_requests);
+        assert_eq!(l.get_requests, 120 + retried.get_requests);
+        assert_eq!(
+            retried.total(),
+            pricing.requests(StoreOp::Put, retried.put_requests)
+                + pricing.requests(StoreOp::Get, retried.get_requests)
+        );
     }
 
     #[test]

@@ -23,19 +23,20 @@
 //! slowdowns, pool invoke failures/throttles (bounded retry with
 //! deterministic backoff; exhaustion surfaces
 //! [`RunError::FaultUnrecovered`] through [`try_run_live`]), object-store
-//! transient errors (retried and billed inside [`ObjectStore`]), and
-//! transport drops (recovered by S3 fallback on writes and bounded
-//! retries on reads). Spot reclaims and duplicate launches never happen
-//! here: a live task executes eagerly when it is launched, so it hands
-//! the loop no recovery data and there is no mid-flight copy to reclaim
-//! or duplicate.
+//! transient errors (retried and billed inside the run's [`ObjectStore`],
+//! which attributes the retried attempts to the `recovery` cost
+//! component, as it does for the profile replay), and transport drops
+//! (recovered by S3 fallback on writes and bounded retries on reads).
+//! Spot reclaims and duplicate launches never happen here: a live task
+//! executes eagerly when it is launched, so it hands the loop no recovery
+//! data and there is no mid-flight copy to reclaim or duplicate.
 
 use crate::report::RunResult;
 use crate::runloop::{self, QueryGraph, Stage, TaskLaunch, TaskSource};
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use crate::transport::HybridShuffle;
-use cackle_cloud::{CostLedger, ObjectStore};
+use cackle_cloud::ObjectStore;
 use cackle_engine::batch::Batch;
 use cackle_engine::executor::Executor;
 use cackle_engine::plan::StageDag;
@@ -61,7 +62,6 @@ struct LiveSource<'a> {
     workload: &'a [LiveQuery],
     catalog: &'a Catalog,
     spec: &'a RunSpec,
-    store: Arc<ObjectStore>,
     shuffle: HybridShuffle,
     telemetry: Telemetry,
     faults: FaultInjector,
@@ -113,10 +113,6 @@ impl TaskSource for LiveSource<'_> {
     /// *real* resident bytes on the transport.
     fn resident_bytes(&self) -> u64 {
         self.shuffle.node_resident_bytes()
-    }
-
-    fn store_ledger(&mut self) -> CostLedger {
-        self.store.ledger()
     }
 }
 
@@ -201,23 +197,19 @@ fn live(
             stages: stages.collect(),
         }
     });
-    let source = |telemetry: &Telemetry, faults: &FaultInjector| {
-        let pricing = &spec.env.pricing;
-        let store = Arc::new(ObjectStore::new(pricing.clone()));
-        store.inject_faults(faults);
+    let source = |telemetry: &Telemetry, faults: &FaultInjector, store: &Arc<ObjectStore>| {
         // The transport holds the provisioner's floor of shuffle nodes for
         // the whole run rather than being rebuilt as the shuffle fleet's
         // target moves each second: nodes beyond the floor would only
         // reduce S3 traffic further, so sizing placement to the floor
         // keeps the cost accounting conservative.
-        let node_bytes = pricing.shuffle_node_capacity_bytes;
+        let node_bytes = spec.env.pricing.shuffle_node_capacity_bytes;
         let floor_nodes = (spec.env.shuffle_min_bytes / node_bytes).max(1) as usize;
         LiveSource {
             workload,
             catalog,
             spec,
             shuffle: HybridShuffle::new(floor_nodes, node_bytes, store.clone()).with_faults(faults),
-            store,
             telemetry: telemetry.clone(),
             faults: faults.clone(),
             results: keep_results.then(|| vec![Vec::new(); workload.len()]),

@@ -21,12 +21,13 @@ use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use cackle_cloud::{
-    CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, Pricing, SimDuration, SimTime,
-    VmFleet, VmId,
+    CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, ObjectStore, Pricing,
+    SimDuration, SimTime, VmFleet, VmId,
 };
 use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint, RecoveryPolicy};
 use cackle_telemetry::{catalog, Telemetry};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One task handed to the loop: how long it occupies whichever slot the
 /// scheduler finds for it.
@@ -54,8 +55,9 @@ pub(crate) struct Recovery {
     pub unstraggled_secs: Option<f64>,
 }
 
-/// What a stage *is*: how long its tasks run, where its intermediate
-/// state lives, and what it costs the object store.
+/// What a stage *is*: how long its tasks run and where its intermediate
+/// state lives. Its object-store requests go through the run's
+/// [`ObjectStore`], which the loop hands the source when it is made.
 pub(crate) trait TaskSource {
     /// Start every task of a stage, with `shuffle_nodes` nodes running,
     /// and return one launch per task in task order. Sequential draws
@@ -79,16 +81,6 @@ pub(crate) trait TaskSource {
 
     /// Intermediate bytes the shuffle-node provisioner should size for.
     fn resident_bytes(&self) -> u64;
-
-    /// The object-store ledger, taken once, when the run finishes.
-    fn store_ledger(&mut self) -> CostLedger;
-
-    /// Store requests the source retried under injected faults, for the
-    /// `recovery` cost component; `None` where the store retries out of
-    /// the loop's sight.
-    fn recovery_ledger(&self) -> Option<&CostLedger> {
-        None
-    }
 }
 
 /// One stage of a query's graph.
@@ -327,13 +319,14 @@ impl AttemptWindow {
 /// query's stage graph before any event is scheduled, then drive the
 /// event loop. Without a `strategy` one is built from the spec's label
 /// (after validation, so a malformed workload is reported first).
-/// `make_source` gets the run's telemetry sink and fault injector; the
-/// finished source comes back beside the result.
+/// `make_source` gets the run's telemetry sink, fault injector and
+/// object store (faults injected); the finished source comes back beside
+/// the result.
 pub(crate) fn run<'a, S: TaskSource>(
     spec: &RunSpec,
     workload: impl Iterator<Item = QueryGraph<'a>>,
     strategy: Option<&mut dyn ProvisioningStrategy>,
-    make_source: impl FnOnce(&Telemetry, &FaultInjector) -> S,
+    make_source: impl FnOnce(&Telemetry, &FaultInjector, &Arc<ObjectStore>) -> S,
 ) -> Result<(RunResult, S), RunError> {
     spec.validate()?;
     let queries: Vec<_> = workload.collect();
@@ -353,9 +346,12 @@ pub(crate) fn run<'a, S: TaskSource>(
     let telemetry = spec.telemetry.clone();
     strategy.set_telemetry(&telemetry);
     let faults = spec.fault_injector(&telemetry)?;
+    let store = Arc::new(ObjectStore::new(pricing.clone()));
+    store.inject_faults(&faults);
     let mut st = Coordinator {
         spec,
-        source: make_source(&telemetry, &faults),
+        source: make_source(&telemetry, &faults, &store),
+        store,
         events: EventQueue::new(),
         fleet: VmFleet::new(pricing.clone()),
         pool: ElasticPool::new(pricing.clone()),
@@ -577,6 +573,9 @@ pub(crate) fn run<'a, S: TaskSource>(
 struct Coordinator<'a, S> {
     spec: &'a RunSpec,
     source: S,
+    /// Every object-store request of the run, counted, retried and
+    /// priced in one place.
+    store: Arc<ObjectStore>,
     events: EventQueue<Ev>,
     fleet: VmFleet,
     pool: ElasticPool,
@@ -610,9 +609,11 @@ struct Coordinator<'a, S> {
 impl<S: TaskSource> Coordinator<'_, S> {
     /// Write every ledger's totals into the run's cost table, once per
     /// run: from the finished run, or from an aborted one before its
-    /// error returns. Returns the store ledger, taken for the result.
+    /// error returns. The store also states its request counts and the
+    /// retried share of its bill. Returns the store ledger, taken for the
+    /// result.
     fn record_costs(&mut self, telemetry: &Telemetry) -> CostLedger {
-        let store = self.source.store_ledger();
+        let store = self.store.ledger();
         self.fleet.ledger().record("fleet", telemetry);
         self.pool.ledger().record("pool", telemetry);
         self.shuffle_fleet
@@ -621,9 +622,9 @@ impl<S: TaskSource> Coordinator<'_, S> {
         store.record("store", telemetry);
         self.env_ledger.record("env", telemetry);
         self.recovery_ledger.record("recovery", telemetry);
-        if let Some(retried) = self.source.recovery_ledger() {
-            retried.record("recovery", telemetry);
-        }
+        self.store.retried().record("recovery", telemetry);
+        telemetry.add(catalog::STORE_PUT_REQUESTS_TOTAL, store.put_requests);
+        telemetry.add(catalog::STORE_GET_REQUESTS_TOTAL, store.get_requests);
         store
     }
 

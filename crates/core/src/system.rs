@@ -15,7 +15,8 @@
 //! is the crate-private `runloop` module, shared with [`crate::live`].
 //! This module is its profile-replay task source: what a profiled stage's
 //! tasks cost in simulated seconds, the modeled resident bytes behind the
-//! shuffle-node tier, and the object-store bill.
+//! shuffle-node tier, and the object-store requests that miss it, which
+//! the run's [`ObjectStore`] counts, retries and prices.
 //!
 //! Entry points: [`run_system`] builds the strategy from the spec label;
 //! [`run_system_with`] takes an explicit strategy; the `try_` variants
@@ -26,8 +27,9 @@
 //!
 //! Fault injection: the spec's [`FaultSpec`](cackle_faults::FaultSpec)
 //! compiles into a seeded [`FaultInjector`] whose per-injection-point
-//! streams drive spot reclaims, pool invoke failures/throttles, modeled
-//! object-store transient errors, and straggler slowdowns. A replayed
+//! streams drive spot reclaims, pool invoke failures/throttles and
+//! straggler slowdowns; the store draws its modeled requests' transient
+//! errors keyed by `(query, stage, request)`. A replayed
 //! task is still running while its slot is occupied, so every launch
 //! carries the recovery data the loop needs to re-execute or duplicate
 //! it. Fault draws never touch the runner's main RNG, so a zero-rate plan
@@ -49,11 +51,11 @@ use crate::report::RunResult;
 use crate::runloop::{self, QueryGraph, Recovery, Stage, TaskLaunch, TaskSource};
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
-use cackle_cloud::{CostCategory, CostLedger};
+use cackle_cloud::ObjectStore;
 use cackle_faults::{FaultInjector, StoreOp};
 use cackle_prng::{Pcg32, Seed};
-use cackle_telemetry::Telemetry;
 use cackle_workload::profile::StageProfile;
+use std::sync::Arc;
 
 /// Profile replay: stage durations from measured profiles plus noise,
 /// intermediate state as modeled byte counts.
@@ -65,13 +67,8 @@ struct ProfileSource<'a> {
     faults: FaultInjector,
     /// Modeled shuffle bytes of finished stages of unfinished queries.
     resident_total: u64,
-    /// Object-store request counts and charges (priced by
-    /// [`Pricing::requests`](cackle_cloud::Pricing::requests)).
-    s3_ledger: CostLedger,
-    /// Retried store requests, attributed to the `recovery` component.
-    /// Telemetry attribution only; `s3_ledger` already bills every
-    /// attempt, so this is never added to the `RunResult` totals.
-    recovery_ledger: CostLedger,
+    /// The run's store, which takes the modeled requests.
+    store: Arc<ObjectStore>,
 }
 
 impl<'a> ProfileSource<'a> {
@@ -79,32 +76,24 @@ impl<'a> ProfileSource<'a> {
         &self.workload[query].profile.stages[stage]
     }
 
-    /// Bill the object store for the share of `requests` that misses the
-    /// node tier right now. Injected transient 5xx errors retry
-    /// internally within the recovery bound, and every attempt bills (S3
-    /// bills errored requests too); the extra attempts are attributed to
-    /// the recovery ledger. Returns the billed request count.
-    fn bill_overflow(&mut self, requests: u64, op: StoreOp, shuffle_nodes: usize) -> u64 {
-        let pricing = &self.spec.env.pricing;
-        let cap = shuffle_nodes as u64 * pricing.shuffle_node_capacity_bytes;
+    /// Send the store the share of a stage's `op` requests that misses
+    /// the node tier right now; the store retries injected transient
+    /// errors and bills every attempt (S3 bills errored requests too).
+    fn bill_overflow(&self, query: usize, stage: usize, op: StoreOp, shuffle_nodes: usize) {
+        let profile = self.stage(query, stage);
+        let requests = match op {
+            StoreOp::Get => profile.shuffle_reads,
+            StoreOp::Put => profile.shuffle_writes,
+        };
+        let cap = shuffle_nodes as u64 * self.spec.env.pricing.shuffle_node_capacity_bytes;
         let overflow = if self.resident_total > cap && self.resident_total > 0 {
             (self.resident_total - cap) as f64 / self.resident_total as f64
         } else {
             0.0
         };
         let n = (requests as f64 * overflow).round() as u64;
-        let category = match op {
-            StoreOp::Get => CostCategory::S3Get,
-            StoreOp::Put => CostCategory::S3Put,
-        };
-        let mut billed = n;
-        if self.faults.is_enabled() {
-            billed = (0..n).map(|_| self.faults.store_attempts(op)).sum();
-            let retried = pricing.requests(op, billed - n);
-            self.recovery_ledger.bill(category, retried);
-        }
-        self.s3_ledger.bill(category, pricing.requests(op, billed));
-        billed
+        self.store
+            .modeled_requests(op, query as u64, stage as u64, n);
     }
 }
 
@@ -115,10 +104,9 @@ impl TaskSource for ProfileSource<'_> {
         stage: usize,
         shuffle_nodes: usize,
     ) -> Vec<TaskLaunch> {
-        let stage = self.stage(query, stage);
         // Reads happen at stage start; the node tier serves what fits.
-        self.s3_ledger.get_requests +=
-            self.bill_overflow(stage.shuffle_reads, StoreOp::Get, shuffle_nodes);
+        self.bill_overflow(query, stage, StoreOp::Get, shuffle_nodes);
+        let stage = self.stage(query, stage);
         let base = stage.task_seconds as f64;
         let pool_slowdown = self.spec.pool_slowdown;
         // Every stochastic draw whose stream position matters, serially
@@ -159,10 +147,8 @@ impl TaskSource for ProfileSource<'_> {
     /// Stage output lands in the shuffle tier; what the nodes cannot hold
     /// is written to the object store.
     fn stage_finished(&mut self, query: usize, stage: usize, shuffle_nodes: usize) {
-        let stage = self.stage(query, stage);
-        self.resident_total += stage.shuffle_bytes;
-        self.s3_ledger.put_requests +=
-            self.bill_overflow(stage.shuffle_writes, StoreOp::Put, shuffle_nodes);
+        self.resident_total += self.stage(query, stage).shuffle_bytes;
+        self.bill_overflow(query, stage, StoreOp::Put, shuffle_nodes);
     }
 
     /// Every stage of the query has finished, so what it holds is the
@@ -175,14 +161,6 @@ impl TaskSource for ProfileSource<'_> {
 
     fn resident_bytes(&self) -> u64 {
         self.resident_total
-    }
-
-    fn store_ledger(&mut self) -> CostLedger {
-        self.s3_ledger.clone()
-    }
-
-    fn recovery_ledger(&self) -> Option<&CostLedger> {
-        Some(&self.recovery_ledger)
     }
 }
 
@@ -241,14 +219,13 @@ pub fn try_run_system_with(
         reason = "mint: run_system receives the RunSpec seed"
     )]
     let seed = Seed::root(spec.seed);
-    let source = |_: &Telemetry, faults: &FaultInjector| ProfileSource {
+    let source = |_: &_, faults: &FaultInjector, store: &Arc<ObjectStore>| ProfileSource {
         workload,
         spec,
         rng: Pcg32::new(seed),
         faults: faults.clone(),
         resident_total: 0,
-        s3_ledger: CostLedger::new(),
-        recovery_ledger: CostLedger::new(),
+        store: store.clone(),
     };
     runloop::run(spec, profile_graphs(workload), Some(strategy), source).map(|(run, _)| run)
 }

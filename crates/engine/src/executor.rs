@@ -53,15 +53,10 @@ use crate::plan::{StageDag, StageId};
 use crate::shuffle::ShuffleTransport;
 use crate::table::Catalog;
 use crate::task::{TaskContext, TaskExecution, TaskResult};
-use cackle_faults::TaskFaults;
-use cackle_telemetry::catalog;
+use cackle_faults::{FaultInjector, TaskFaults};
+use cackle_telemetry::{catalog, Telemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// The handles [`Executor::execute_stage`] takes, for callers that
-/// depend on the engine alone.
-pub use cackle_faults::FaultInjector;
-pub use cackle_telemetry::Telemetry;
 
 // Compile-time proof that everything a worker closure captures can cross
 // threads (`dyn ShuffleTransport` is `Send + Sync` by declaration).

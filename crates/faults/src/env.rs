@@ -33,7 +33,7 @@ use crate::{keyed_stream, FaultError};
 use cackle_prng::Seed;
 
 /// Keyed-draw salts for the environment artifacts. Disjoint from the
-/// fault plan's sequential salts (0xFA01–0xFA06) and keyed salts
+/// fault plan's sequential salts (0xFA01, 0xFA02, 0xFA06) and keyed salts
 /// (0xFA13–0xFA16) so environment draws never collide with fault draws.
 pub const SALT_ENV_VM: u64 = 0xFA21;
 /// Salt for per-interval market multiplier draws.

@@ -34,7 +34,10 @@
 //!    shuffle transport hold its [`TaskFaults`] view
 //!    ([`FaultInjector::keyed`]), which has only the draws keyed by the
 //!    operation's identity — the ones whose result cannot depend on
-//!    which thread got there first.
+//!    which thread got there first. Every object-store request of every
+//!    task runner — a live task's, or a replayed stage's modeled one —
+//!    draws its retries there, and the store attributes the retried
+//!    attempts to the `recovery` cost component.
 //!
 //! Injected faults and recoveries are counted through `cackle-telemetry`
 //! under the `fault.*` / `recovery.*` prefixes (DESIGN.md §8 tabulates
@@ -353,8 +356,6 @@ pub struct FaultPlan {
     seed: Seed,
     spot: Pcg32,
     pool: Pcg32,
-    store_get: Pcg32,
-    store_put: Pcg32,
     straggler: Pcg32,
     /// Seed-compiled reclaim-storm schedule (`None` when storms are
     /// off).
@@ -370,7 +371,8 @@ fn stream(seed: Seed, salt: u64) -> Pcg32 {
 /// Point salts for the *keyed* injection points — the ones consulted from
 /// parallel task code, where a shared sequential stream would make draw
 /// results depend on thread scheduling. Disjoint from the sequential
-/// salts (0xFA01–0xFA06) so keyed and sequential draws never collide.
+/// salts (0xFA01, 0xFA02, 0xFA06) so keyed and sequential draws never
+/// collide.
 const SALT_TRANSPORT_READ: u64 = 0xFA13;
 const SALT_TRANSPORT_WRITE: u64 = 0xFA14;
 const SALT_STORE_GET: u64 = 0xFA15;
@@ -411,8 +413,6 @@ impl FaultPlan {
             seed,
             spot: stream(seed, 0xFA01),
             pool: stream(seed, 0xFA02),
-            store_get: stream(seed, 0xFA03),
-            store_put: stream(seed, 0xFA04),
             straggler: stream(seed, 0xFA06),
             storm: ReclaimStorm::compile(&spec.environment, seed),
         })
@@ -487,34 +487,6 @@ struct Keyed {
     telemetry: Telemetry,
 }
 
-impl Keyed {
-    /// Total attempts needed for one store request under injected
-    /// transient errors, drawn from `rng`: `1` plus up to `max_retries`
-    /// failed attempts (the transient clears within the bound —
-    /// billing-wise every attempt is a billable request). Counts
-    /// `fault.store_{get,put}_errors_total` per injected error and
-    /// `recovery.retries_total` per retry. A zero rate draws nothing.
-    fn store_attempts(&self, op: StoreOp, rng: &mut Pcg32) -> u64 {
-        let (rate, counter) = match op {
-            StoreOp::Get => (
-                self.spec.store_get_error_rate,
-                catalog::FAULT_STORE_GET_ERRORS_TOTAL,
-            ),
-            StoreOp::Put => (
-                self.spec.store_put_error_rate,
-                catalog::FAULT_STORE_PUT_ERRORS_TOTAL,
-            ),
-        };
-        let mut failed = 0u32;
-        while failed < self.policy.max_retries && rate > 0.0 && rng.gen_bool(rate) {
-            failed += 1;
-            self.telemetry.add(counter, 1);
-            self.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
-        }
-        1 + failed as u64
-    }
-}
-
 /// The keyed-only view of a fault plan: the handle task code, the object
 /// store and the shuffle transport hold. Every draw it offers comes from
 /// a fresh stream keyed by `(run seed, point, key)`, so the result
@@ -530,19 +502,39 @@ pub struct TaskFaults {
 }
 
 impl TaskFaults {
-    /// Attempts (1 + injected transient failures, within the retry
-    /// bound) for one store request identified by `key`; counts the same
-    /// `fault.*` / `recovery.*` metrics as the coordinator's sequential
-    /// [`FaultInjector::store_attempts`].
+    /// Attempts for one store request identified by `key` under injected
+    /// transient errors: `1` plus up to `max_retries` failed attempts
+    /// (the transient clears within the bound — billing-wise every
+    /// attempt is a billable request). Counts
+    /// `fault.store_{get,put}_errors_total` per injected error and
+    /// `recovery.retries_total` per retry. A zero rate draws nothing.
     pub fn store_attempts_keyed(&self, op: StoreOp, key: u64) -> u64 {
         let Some(k) = &self.inner else {
             return 1;
         };
-        let salt = match op {
-            StoreOp::Get => SALT_STORE_GET,
-            StoreOp::Put => SALT_STORE_PUT,
+        let (rate, salt, counter) = match op {
+            StoreOp::Get => (
+                k.spec.store_get_error_rate,
+                SALT_STORE_GET,
+                catalog::FAULT_STORE_GET_ERRORS_TOTAL,
+            ),
+            StoreOp::Put => (
+                k.spec.store_put_error_rate,
+                SALT_STORE_PUT,
+                catalog::FAULT_STORE_PUT_ERRORS_TOTAL,
+            ),
         };
-        k.store_attempts(op, &mut keyed_stream(k.seed, salt, key))
+        if rate <= 0.0 {
+            return 1;
+        }
+        let mut rng = keyed_stream(k.seed, salt, key);
+        let mut failed = 0;
+        while failed < k.policy.max_retries && rng.gen_bool(rate) {
+            failed += 1;
+            k.telemetry.add(counter, 1);
+            k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
+        }
+        1 + u64::from(failed)
     }
 
     /// Decide whether the node-tier transport write identified by `key`
@@ -771,21 +763,6 @@ impl FaultInjector {
         decision
     }
 
-    /// Attempts (1 + injected transient failures, within the retry
-    /// bound) for the coordinator's next store request, drawn from the
-    /// operation's sequential stream — serial code only. Same loop and
-    /// counters as [`TaskFaults::store_attempts_keyed`].
-    pub fn store_attempts(&self, op: StoreOp) -> u64 {
-        let Some((mut plan, k)) = self.parts() else {
-            return 1;
-        };
-        let rng = match op {
-            StoreOp::Get => &mut plan.store_get,
-            StoreOp::Put => &mut plan.store_put,
-        };
-        k.store_attempts(op, rng)
-    }
-
     /// [`TaskFaults::store_attempts_keyed`] on this handle's keyed view.
     pub fn store_attempts_keyed(&self, op: StoreOp, key: u64) -> u64 {
         self.tasks.store_attempts_keyed(op, key)
@@ -862,8 +839,8 @@ mod tests {
         for k in 0..100 {
             assert_eq!(inj.vm_interrupt_at(k * 60, 1000.0), None);
             assert_eq!(inj.pool_invoke(), PoolDecision::Proceed);
-            assert_eq!(inj.store_attempts(StoreOp::Get), 1);
-            assert_eq!(inj.store_attempts(StoreOp::Put), 1);
+            assert_eq!(inj.store_attempts_keyed(StoreOp::Get, k), 1);
+            assert_eq!(inj.store_attempts_keyed(StoreOp::Put, k), 1);
             assert!(!inj.keyed().transport_write_fallback_keyed(k));
             assert_eq!(inj.keyed().transport_read_retries_keyed(k), 0);
             assert_eq!(inj.straggler(), None);
@@ -872,8 +849,6 @@ mod tests {
         let plan = inj.plan.as_ref().unwrap().borrow();
         assert_eq!(plan.spot, before.spot);
         assert_eq!(plan.pool, before.pool);
-        assert_eq!(plan.store_get, before.store_get);
-        assert_eq!(plan.store_put, before.store_put);
         assert_eq!(plan.straggler, before.straggler);
     }
 
@@ -887,7 +862,7 @@ mod tests {
                     "{:?}|{:?}|{}|{}|{:?}\n",
                     inj.vm_interrupt_at(k * 60, 120.0),
                     inj.pool_invoke(),
-                    inj.store_attempts(StoreOp::Get),
+                    inj.store_attempts_keyed(StoreOp::Get, k),
                     inj.keyed().transport_read_retries_keyed(k),
                     inj.straggler(),
                 ));
@@ -908,7 +883,7 @@ mod tests {
             let mut decisions = Vec::new();
             for k in 0..100 {
                 if interleave {
-                    let _ = inj.store_attempts(StoreOp::Get);
+                    let _ = inj.store_attempts_keyed(StoreOp::Get, k);
                     let _ = inj.keyed().transport_write_fallback_keyed(k);
                 }
                 decisions.push(inj.pool_invoke());
@@ -961,8 +936,8 @@ mod tests {
         let spec = FaultSpec::default().with_store_errors(0.95, 0.95);
         let policy = RecoveryPolicy::default().with_max_retries(3);
         let inj = FaultInjector::new(FaultPlan::compile(&spec, 9).unwrap(), policy);
-        for _ in 0..500 {
-            let attempts = inj.store_attempts(StoreOp::Get);
+        for k in 0..500 {
+            let attempts = inj.store_attempts_keyed(StoreOp::Get, k);
             assert!((1..=4).contains(&attempts), "attempts {attempts}");
         }
     }
@@ -1027,8 +1002,9 @@ mod tests {
             let _ = inj.keyed().transport_read_retries_keyed(k);
         }
         let plan = inj.plan.as_ref().unwrap().borrow();
-        assert_eq!(plan.store_get, before.store_get);
-        assert_eq!(plan.store_put, before.store_put);
+        assert_eq!(plan.spot, before.spot);
+        assert_eq!(plan.pool, before.pool);
+        assert_eq!(plan.straggler, before.straggler);
     }
 
     #[test]
@@ -1132,7 +1108,7 @@ mod tests {
         let inj = FaultInjector::disabled();
         assert!(!inj.is_enabled());
         assert_eq!(inj.pool_invoke(), PoolDecision::Proceed);
-        assert_eq!(inj.store_attempts(StoreOp::Put), 1);
+        assert_eq!(inj.store_attempts_keyed(StoreOp::Put, 7), 1);
         assert_eq!(inj.store_attempts_keyed(StoreOp::Get, 7), 1);
         // The same view, not just the same answers: `execute_query` hands
         // tasks `FaultInjector::disabled().keyed()` for the default.
@@ -1161,9 +1137,9 @@ mod tests {
             RecoveryPolicy::default(),
         )
         .instrumented(&t);
-        for _ in 0..50 {
+        for k in 0..50 {
             let _ = inj.pool_invoke();
-            let _ = inj.store_attempts(StoreOp::Get);
+            let _ = inj.store_attempts_keyed(StoreOp::Get, k);
         }
         inj.note_retry(250);
         inj.note_duplicate();

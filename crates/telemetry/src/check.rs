@@ -13,6 +13,9 @@
 //! * series points are `[t_ms, value]` pairs with non-decreasing `t_ms`;
 //! * a cost row's `dollars` is finite and not negative, and no
 //!   `(component, category)` pair has two rows;
+//! * a `store/s3_put` or `store/s3_get` row above zero comes with a
+//!   positive `store.put_requests_total` / `store.get_requests_total`
+//!   counter, the requests it paid for;
 //! * every counter, gauge, histogram and series names a [`catalog`]
 //!   entry of its kind, and a histogram carries that entry's bounds.
 
@@ -25,6 +28,9 @@ pub fn check_dump(text: &str) -> Vec<String> {
     let mut errors = Vec::new();
     let mut saw_meta = false;
     let mut cost_rows: BTreeSet<(String, String)> = BTreeSet::new();
+    // Positive `store` request rows, by line, and the request counters.
+    let mut store_rows: Vec<(usize, &'static str, &'static str)> = Vec::new();
+    let mut counted: BTreeSet<String> = BTreeSet::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
         let mut fail = |msg: String| errors.push(format!("{lineno}: {msg}"));
@@ -59,8 +65,14 @@ pub fn check_dump(text: &str) -> Vec<String> {
             "meta" => fail("duplicate meta record".to_string()),
             "counter" => {
                 check_name(&v, ty, Kind::Counter, &mut fail);
-                if v.get("value").and_then(Value::as_u64).is_none() {
-                    fail("counter.value must be a non-negative integer".to_string());
+                match v.get("value").and_then(Value::as_u64) {
+                    None => fail("counter.value must be a non-negative integer".to_string()),
+                    Some(0) => {}
+                    Some(_) => {
+                        if let Some(name) = v.get("name").and_then(Value::as_str) {
+                            counted.insert(name.to_string());
+                        }
+                    }
                 }
             }
             "gauge" => {
@@ -87,6 +99,16 @@ pub fn check_dump(text: &str) -> Vec<String> {
                     Some(d) if !d.is_finite() || d < 0.0 => fail(format!(
                         "cost.dollars must be finite and non-negative, got {d}"
                     )),
+                    Some(d) if d > 0.0 && component == Some("store") => {
+                        let counter = match category {
+                            Some("s3_put") => Some(("s3_put", "store.put_requests_total")),
+                            Some("s3_get") => Some(("s3_get", "store.get_requests_total")),
+                            _ => None,
+                        };
+                        if let Some((category, counter)) = counter {
+                            store_rows.push((lineno, category, counter));
+                        }
+                    }
                     Some(_) => {}
                 }
                 if let (Some(component), Some(category)) = (component, category) {
@@ -112,6 +134,13 @@ pub fn check_dump(text: &str) -> Vec<String> {
                 }
             }
             other => fail(format!("unknown record type `{other}`")),
+        }
+    }
+    for (lineno, category, counter) in store_rows {
+        if !counted.contains(counter) {
+            errors.push(format!(
+                "{lineno}: cost row `store`/`{category}` bills requests, but no positive `{counter}` counts them"
+            ));
         }
     }
     if !saw_meta && !text.trim().is_empty() && errors.is_empty() {
@@ -291,15 +320,43 @@ mod tests {
         );
     }
 
+    fn counter(name: &str, value: u64) -> String {
+        format!("{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}\n")
+    }
+
     #[test]
     fn rejects_a_repeated_cost_row() {
         let dump = format!(
-            "{META}{}{}{}",
+            "{META}{}{}{}{}{}",
             cost_row("store", "s3_put", "0.25"),
             cost_row("store", "s3_get", "0.25"),
-            cost_row("store", "s3_put", "0.5")
+            cost_row("store", "s3_put", "0.5"),
+            counter("store.get_requests_total", 625_000),
+            counter("store.put_requests_total", 150_000),
         );
         assert_eq!(check_dump(&dump), ["4: repeated cost row `store`/`s3_put`"]);
+    }
+
+    #[test]
+    fn rejects_a_store_bill_without_its_request_count() {
+        let dump = format!(
+            "{META}{}{}{}{}{}",
+            counter("store.get_requests_total", 10),
+            counter("store.put_requests_total", 0),
+            cost_row("store", "s3_put", "0.25"),
+            cost_row("store", "s3_get", "0.000004"),
+            cost_row("recovery", "s3_put", "0.05"),
+        );
+        assert_eq!(
+            check_dump(&dump),
+            [
+                "4: cost row `store`/`s3_put` bills requests, but no positive \
+              `store.put_requests_total` counts them"
+            ]
+        );
+        // A zero row needs no counter; the get row has its ten requests.
+        let quiet = format!("{META}{}", cost_row("store", "s3_put", "0"));
+        assert!(check_dump(&quiet).is_empty());
     }
 
     #[test]

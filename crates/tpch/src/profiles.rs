@@ -24,10 +24,12 @@
 
 use crate::dbgen::DbGenConfig;
 use crate::plans::{self, Par};
-use cackle_engine::executor::{Executor, FaultInjector, Telemetry};
+use cackle_engine::executor::Executor;
 use cackle_engine::plan::{ExchangeMode, PlanNode, Stage, StageDag};
 use cackle_engine::shuffle::{MemoryShuffle, ShuffleTransport};
 use cackle_engine::table::Catalog;
+use cackle_faults::FaultInjector;
+use cackle_telemetry::Telemetry;
 use cackle_workload::profile::{ProfileRef, QueryProfile, StageProfile};
 use std::sync::Arc;
 

@@ -3,7 +3,10 @@
 //! field equals that field bit for bit, so a dump states the run's bill
 //! exactly rather than a re-summed float near it. The only other rows a
 //! dump may carry are the `recovery` component's, which attribute spend
-//! the mirrored rows already contain.
+//! the mirrored rows already contain. The runners that move store
+//! requests also count them: each `store` row is the price of the
+//! `store.*_requests_total` counter beside it, and a chaos run that
+//! injected store errors attributes the retried requests to `recovery`.
 
 mod common;
 
@@ -11,9 +14,11 @@ use cackle::delaying::run_delaying;
 use cackle::model::{build_workload, run_model};
 use cackle::system::run_system;
 use cackle::{run_live, EnvironmentSpec, FaultSpec, RunResult, RunSpec, Telemetry};
+use cackle_cloud::Pricing;
 use cackle_comparators::{
     run_databricks, run_redshift, DatabricksConfig, RedshiftConfig, WarehouseSize,
 };
+use cackle_faults::StoreOp;
 use cackle_serve::{run_serve, Runner, ServeSpec, TenantRegistry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
@@ -57,6 +62,48 @@ fn assert_rows(name: &str, t: &Telemetry, r: &RunResult, rows: &[(&str, &str, f6
     }
 }
 
+/// Each `store` row is what its request counter costs, by `to_bits`,
+/// and where injected store errors were counted their retries carry a
+/// `recovery` row of the same category. Returns the injected store
+/// errors, so a caller can tell the second relation was exercised.
+fn assert_store_rows(name: &str, t: &Telemetry) -> u64 {
+    let pricing = Pricing::default();
+    let mut injected = 0;
+    for (op, category, requests, errors) in [
+        (
+            StoreOp::Put,
+            "s3_put",
+            "store.put_requests_total",
+            "fault.store_put_errors_total",
+        ),
+        (
+            StoreOp::Get,
+            "s3_get",
+            "store.get_requests_total",
+            "fault.store_get_errors_total",
+        ),
+    ] {
+        let row = t.cost("store", category);
+        let priced = pricing.requests(op, t.counter(requests)).dollars();
+        assert_eq!(
+            row.to_bits(),
+            priced.to_bits(),
+            "{name}: store/{category} reads {row:?}, {requests} {} prices to {priced:?}",
+            t.counter(requests)
+        );
+        injected += t.counter(errors);
+        if t.counter(errors) > 0 {
+            let retried = t.cost("recovery", category);
+            assert!(
+                retried > 0.0,
+                "{name}: {errors} {} but recovery/{category} reads {retried:?}",
+                t.counter(errors)
+            );
+        }
+    }
+    injected
+}
+
 fn sink() -> (Telemetry, RunSpec) {
     let t = Telemetry::new();
     let spec = RunSpec::new().with_strategy("dynamic").with_telemetry(&t);
@@ -94,17 +141,28 @@ fn every_runner_dumps_the_costs_it_reports() {
         let (t, spec) = sink();
         let r = run_system(&workload, &spec.with_faults(faults));
         assert_rows(name, &t, &r, &mirrored(&r));
+        assert_store_rows(name, &t);
     }
 
+    // The chaos plan's transport drops almost never exhaust their retry
+    // bound on this small workload, so its store sees no request; the
+    // third run drops most node writes and sends them to the store.
+    let store_errors = FaultSpec::default()
+        .with_transport_drops(0.9)
+        .with_store_errors(0.5, 0.5);
+    let mut live_store_errors = 0;
     for (name, faults) in [
         ("live/fault-free", FaultSpec::default()),
         ("live/chaos", chaos()),
+        ("live/store-errors", store_errors),
     ] {
         let (t, spec) = sink();
         let spec = spec.with_rows_per_task_second(5_000.0).with_faults(faults);
         let r = run_live(&live_workload(), &live_catalog(), &spec);
         assert_rows(name, &t, &r, &mirrored(&r));
+        live_store_errors += assert_store_rows(name, &t);
     }
+    assert!(live_store_errors > 0, "no live run retried a store request");
 
     let (t, spec) = sink();
     let r = run_delaying(&workload, 64, &spec);
@@ -129,4 +187,5 @@ fn every_runner_dumps_the_costs_it_reports() {
         .with_runner(Runner::System);
     let r = run_serve(&serve, &mix).expect("serve run must succeed").run;
     assert_rows("serve/system", &t, &r, &mirrored(&r));
+    assert_store_rows("serve/system", &t);
 }
