@@ -49,7 +49,7 @@ for run in 1 2 3 4 5 6 7 8 9 10; do
         || { echo "executor_stress: failed on run $run of 10" >&2; exit 1; }
 done
 
-echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, cost rows)"
+echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, cost rows, target replay)"
 # The strategy tick's fast paths against their references, bit for bit:
 # the quantile value list against sorted brute force, `advance` over
 # random slices against the per-VM fleet, and the full family's
@@ -69,6 +69,10 @@ cargo test -q -p cackle-engine --lib batch_partitions_match_partition_of
 # Every runner's dump against its own result: each cost row that mirrors
 # a `RunResult` field is that field, bit for bit.
 cargo test -q --test cost_rows every_runner_dumps_the_costs_it_reports
+# Every strategy-driven runner's recorded demand, replayed through a fresh
+# strategy on the one strategy clock, reproduces its recorded targets bit
+# for bit (model, system, system under market motion, live, serve).
+cargo test -q --test replay
 
 echo "==> repro (every experiment regenerates its committed outputs byte for byte)"
 # One run of every experiment, fanned out over the host's cores. repro

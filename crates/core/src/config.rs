@@ -10,7 +10,9 @@ use cackle_cloud::{Pricing, SimDuration};
 pub struct Env {
     /// Cloud pricing and timing.
     pub pricing: Pricing,
-    /// How often the meta-strategy re-evaluates (5 s in Cackle, §4.4.4).
+    /// How often the meta-strategy re-evaluates (5 s in Cackle, §4.4.4):
+    /// a positive whole number of seconds, which
+    /// [`RunSpec::validate`](crate::RunSpec::validate) checks.
     pub strategy_tick: SimDuration,
     /// Shuffle-node lookback for the max-intermediate-state rule (§5.6).
     pub shuffle_lookback: SimDuration,

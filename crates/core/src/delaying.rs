@@ -16,7 +16,7 @@
 
 use crate::model::QueryArrival;
 use crate::report::{ComputeCost, RunResult};
-use crate::runloop::{record_query_done, validate_stage_graph, Progress, QueryGraph};
+use crate::runloop::{record_query_done, validate_stage_graph, Progress, QueryGraph, Stage};
 use crate::spec::{RunError, RunSpec};
 use crate::system::profile_graphs;
 use cackle_telemetry::{catalog, Telemetry};
@@ -66,7 +66,7 @@ impl<'a> QueuedRun<'a> {
     pub fn try_new(workload: &'a [QueryArrival], telemetry: &Telemetry) -> Result<Self, RunError> {
         let queries: Vec<_> = profile_graphs(workload).collect();
         for (qi, q) in queries.iter().enumerate() {
-            validate_stage_graph(qi, &q.stages)?;
+            validate_stage_graph(qi, q.stages.iter().map(Stage::shape))?;
         }
         let mut arrival_order: Vec<usize> = (0..queries.len()).collect();
         arrival_order.sort_by_key(|&q| queries[q].at_s);

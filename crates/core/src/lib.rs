@@ -23,6 +23,7 @@
 //!   noise — the "real execution" side of Figures 12–14.
 
 pub mod allocsim;
+mod clock;
 pub mod config;
 pub mod delaying;
 pub mod factory;

@@ -8,11 +8,11 @@
 //! volume, and per-request shuffle-layer cost exactly as §5.6 describes.
 
 use crate::allocsim::AllocationSim;
+use crate::clock::StrategyClock;
 use crate::config::Env;
 use crate::factory::try_make_strategy;
-use crate::history::WorkloadHistory;
 use crate::report::{ComputeCost, RunResult, ShuffleCost};
-use crate::runloop::record_query_done;
+use crate::runloop::{record_query_done, validate_stage_graph};
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
@@ -116,32 +116,18 @@ pub fn try_run_model(workload: &[QueryArrival], spec: &RunSpec) -> Result<RunRes
     Ok(run_model_with(workload, strategy.as_mut(), spec))
 }
 
-/// Check every profile against [`QueryProfile::new`]'s contract, which
-/// the model's curves rely on: at least one stage, every stage with
-/// tasks and a nonzero duration, and every dependency an earlier stage
-/// (which also rules out cycles). O(stages) per query, allocating
-/// nothing unless a query is rejected.
-///
-/// [`QueryProfile::new`]: cackle_workload::QueryProfile::new
+/// Check every profile's stage graph with the run loop's validator, and
+/// that no stage has a zero duration, which the model's curves rely on
+/// (`QueryProfile::new` asserts both). Allocates nothing unless a query
+/// is rejected.
 fn validate_profiles(workload: &[QueryArrival]) -> Result<(), RunError> {
     for (query, q) in workload.iter().enumerate() {
-        let invalid =
-            |what: String| Err(RunError::InvalidWorkload(format!("query {query} {what}")));
-        if q.profile.stages.is_empty() {
-            return invalid("has no stages".to_string());
-        }
-        for (si, stage) in q.profile.stages.iter().enumerate() {
-            if stage.tasks == 0 {
-                return invalid(format!("stage {si} has zero tasks"));
-            }
-            if stage.task_seconds == 0 {
-                return invalid(format!("stage {si} has zero duration"));
-            }
-            if let Some(d) = stage.deps.iter().find(|&&d| d >= si) {
-                return invalid(format!(
-                    "stage {si} depends on stage {d}, not an earlier one"
-                ));
-            }
+        let stages = &q.profile.stages;
+        validate_stage_graph(query, stages.iter().map(|s| (s.tasks, &s.deps[..])))?;
+        if let Some(si) = stages.iter().position(|s| s.task_seconds == 0) {
+            return Err(RunError::InvalidWorkload(format!(
+                "query {query} stage {si} has zero duration"
+            )));
         }
     }
     Ok(())
@@ -224,49 +210,24 @@ pub fn simulate_compute_with_timeline(
     spec: &RunSpec,
     timeline: &PriceTimeline,
 ) -> RunResult {
-    let env = &spec.env;
     let telemetry = spec.telemetry.clone();
-    strategy.set_telemetry(&telemetry);
-    // `AllocationSim::new` starts at the base rate (1000‰); the rate in
-    // force at second 0 applies before the first step.
-    let mut milli = 1000;
-    let mut next_change = Some(0);
-    let tick = env.strategy_tick.as_secs().max(1);
-    let mut history = WorkloadHistory::new();
-    let mut fleet = AllocationSim::new(env);
-    let mut target = 0u32;
+    let mut clock = StrategyClock::new(strategy, spec, timeline.clone());
+    let mut fleet = AllocationSim::new(&spec.env);
     // Run past the demand end until the fleet drains.
     let horizon = demand.len() as u64;
-    let mut t = 0u64;
     loop {
-        let d = if t < horizon { demand[t as usize] } else { 0 };
-        history.push(d);
-        if next_change.is_some_and(|at| t >= at) {
-            let now_milli = timeline.multiplier_milli(t);
-            if now_milli != milli {
-                milli = now_milli;
-                let (vm, pool) = (env.pricing.vm_per_sec_at(milli), env.pricing.pool_per_sec());
-                fleet.set_rates(vm, pool);
-                strategy.on_rates_changed(vm, pool);
-            }
-            next_change = timeline.next_change_after(t);
-        }
-        if t.is_multiple_of(tick) {
-            target = strategy.target(t, &history, env);
+        let t = clock.seconds();
+        let d = demand.get(t as usize).copied().unwrap_or(0);
+        if let Some((vm, pool)) = clock.second(d).rates {
+            fleet.set_rates(vm, pool);
         }
         // Past the workload end, wind the fleet down.
-        if t >= horizon {
-            target = 0;
-        }
+        let target = if t < horizon { clock.target() } else { 0 };
         fleet.step(target, d);
-        if telemetry.is_enabled() && t < horizon {
-            let t_ms = t * 1000;
-            telemetry.sample(catalog::RUN_DEMAND, t_ms, d as f64);
-            telemetry.sample(catalog::RUN_TARGET, t_ms, target as f64);
-            telemetry.sample(catalog::RUN_ACTIVE, t_ms, fleet.active_count() as f64);
+        if t < horizon {
+            clock.record(fleet.active_count());
         }
-        t += 1;
-        if t >= horizon && fleet.active_count() == 0 && fleet.pending_count() == 0 {
+        if t + 1 >= horizon && fleet.active_count() == 0 && fleet.pending_count() == 0 {
             break;
         }
     }
@@ -285,7 +246,7 @@ pub fn simulate_compute_with_timeline(
         shuffle: ShuffleCost::default(),
         latencies: Vec::new(),
         duration_s: horizon,
-        strategy: strategy.name(),
+        strategy: clock.strategy_name(),
         telemetry,
     }
 }

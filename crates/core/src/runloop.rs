@@ -3,10 +3,10 @@
 //!
 //! The loop owns what the paper's coordinator owns: the event queue, the
 //! execution [`VmFleet`] and the [`ElasticPool`] it overflows to, the
-//! shuffle-node fleet and its provisioner, the [`WorkloadHistory`] the
-//! strategy ticks off, per-query stage counters, and the table of task
-//! attempts with its recovery (see [`TaskAttempt`]). It is also the one
-//! place a [`RunResult`] is assembled.
+//! shuffle-node fleet and its provisioner, the [`StrategyClock`] its one
+//! `Second` event advances, per-query stage counters, and the table of
+//! task attempts with its recovery (see [`TaskAttempt`]). It is also the
+//! one place a [`RunResult`] is assembled.
 //!
 //! What a task *is* does not enter into any of that: a [`TaskSource`] —
 //! profile replay in [`crate::system`], real engine plans in
@@ -14,8 +14,8 @@
 //! is generic over the source (no dispatch on the per-task path) and
 //! selects events by the data a launch carries, never by who is calling.
 
+use crate::clock::StrategyClock;
 use crate::factory::try_make_strategy;
-use crate::history::WorkloadHistory;
 use crate::report::{ComputeCost, RunResult, ShuffleCost};
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
@@ -89,6 +89,13 @@ pub(crate) struct Stage {
     pub remaining_tasks: u32,
     /// Upstream stages.
     pub deps: Vec<usize>,
+}
+
+impl Stage {
+    /// `(tasks, dependencies)`, as [`validate_stage_graph`] reads it.
+    pub(crate) fn shape(&self) -> (u32, &[usize]) {
+        (self.remaining_tasks, &self.deps)
+    }
 }
 
 /// One query as the loop sees it.
@@ -168,42 +175,32 @@ pub(crate) fn record_query_done(
     );
 }
 
-/// Check that query number `query`'s stage graph can actually execute: at
-/// least one stage, at least one task per stage, dependency indices in
-/// range, and no cycle (a cycle would deadlock the event loop).
-pub(crate) fn validate_stage_graph(query: usize, stages: &[Stage]) -> Result<(), RunError> {
+/// Check that query number `query`'s stage graph, given as each stage's
+/// `(tasks, dependencies)`, can actually execute: at least one stage, at
+/// least one task per stage, and every dependency an earlier stage — the
+/// contract `QueryProfile::new` and `StageDag::new` assert, which rules
+/// out missing stages and cycles (a cycle would deadlock the event loop).
+/// A stage may name one upstream twice: every runner reads a stage's
+/// dependencies as a set. Allocates nothing unless the graph is rejected.
+pub(crate) fn validate_stage_graph<'s>(
+    query: usize,
+    stages: impl IntoIterator<Item = (u32, &'s [usize])>,
+) -> Result<(), RunError> {
     let invalid = |what: String| Err(RunError::InvalidWorkload(format!("query {query} {what}")));
-    let n = stages.len();
-    if n == 0 {
-        return invalid("has no stages".to_string());
-    }
-    for (si, stage) in stages.iter().enumerate() {
-        if stage.remaining_tasks == 0 {
+    let mut count = 0;
+    for (si, (tasks, deps)) in stages.into_iter().enumerate() {
+        if tasks == 0 {
             return invalid(format!("stage {si} has zero tasks"));
         }
-        if let Some(d) = stage.deps.iter().find(|&&d| d >= n) {
-            return invalid(format!("stage {si} depends on missing stage {d}"));
+        if let Some(d) = deps.iter().find(|&&d| d >= si) {
+            return invalid(format!(
+                "stage {si} depends on stage {d}, not an earlier one"
+            ));
         }
+        count += 1;
     }
-    // Kahn's algorithm over the stage DAG: anything left unprocessed sits
-    // on a dependency cycle (or names one upstream stage twice, which the
-    // comparator's per-stage dependency counters cannot run).
-    let mut indegree: Vec<usize> = stages.iter().map(|s| s.deps.len()).collect();
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut processed = 0usize;
-    while let Some(done) = ready.pop() {
-        processed += 1;
-        for (si, stage) in stages.iter().enumerate() {
-            if stage.deps.contains(&done) {
-                indegree[si] = indegree[si].saturating_sub(1);
-                if indegree[si] == 0 {
-                    ready.push(si);
-                }
-            }
-        }
-    }
-    if processed < n {
-        return invalid("has a stage dependency cycle".to_string());
+    if count == 0 {
+        return invalid("has no stages".to_string());
     }
     Ok(())
 }
@@ -243,8 +240,9 @@ enum Ev {
     DupCheck {
         token: u64,
     },
+    /// A whole second ended: the strategy clock advances and, on a tick
+    /// second, the fleet takes the new target.
     Second,
-    Tick,
 }
 
 /// One logical task in flight, possibly backed by several physical
@@ -331,7 +329,7 @@ pub(crate) fn run<'a, S: TaskSource>(
     spec.validate()?;
     let queries: Vec<_> = workload.collect();
     for (qi, q) in queries.iter().enumerate() {
-        validate_stage_graph(qi, &q.stages)?;
+        validate_stage_graph(qi, q.stages.iter().map(Stage::shape))?;
     }
     let mut from_label;
     let strategy = match strategy {
@@ -344,7 +342,8 @@ pub(crate) fn run<'a, S: TaskSource>(
     let env = &spec.env;
     let pricing = &env.pricing;
     let telemetry = spec.telemetry.clone();
-    strategy.set_telemetry(&telemetry);
+    let market = spec.price_timeline();
+    let mut clock = StrategyClock::new(strategy, spec, market.clone());
     let faults = spec.fault_injector(&telemetry)?;
     let store = Arc::new(ObjectStore::new(pricing.clone()));
     store.inject_faults(&faults);
@@ -370,12 +369,11 @@ pub(crate) fn run<'a, S: TaskSource>(
     st.pool.instrument(&telemetry);
     st.shuffle_fleet.instrument(&telemetry);
     // Both fleets integrate the run's price timeline (flat without
-    // spot-market motion) at termination time.
-    let market = spec.price_timeline();
+    // spot-market motion) at termination time; the clock reprices the
+    // strategy from the same timeline.
     st.fleet.set_price_timeline(market.clone());
     st.shuffle_fleet.set_price_timeline(market);
     let mut shuffle_prov = ShuffleProvisioner::new(env);
-    let mut history = WorkloadHistory::new();
     let total = st.queries.len();
     let mut latencies = vec![0.0f64; total];
     let mut done = 0usize;
@@ -386,9 +384,7 @@ pub(crate) fn run<'a, S: TaskSource>(
     }
     if total > 0 {
         st.events.schedule(SimTime::ZERO, Ev::Second);
-        st.events.schedule(SimTime::ZERO, Ev::Tick);
     }
-    let mut target = 0u32;
 
     while let Some((now, ev)) = st.events.pop() {
         match ev {
@@ -496,32 +492,23 @@ pub(crate) fn run<'a, S: TaskSource>(
                 }
             }
             Ev::Second => {
+                // The peak concurrency of the second that just ended.
+                let demand = st.max_since_sample.max(st.running);
+                st.max_since_sample = st.running;
+                if let Some(target) = clock.second(demand).target {
+                    st.fleet.set_target(now, target as usize);
+                }
                 st.poll_fleet(now);
                 st.shuffle_fleet.poll(now);
-                history.push(st.max_since_sample.max(st.running));
-                st.max_since_sample = st.running;
                 let shuffle_target = shuffle_prov.target_nodes(st.source.resident_bytes());
                 st.shuffle_fleet.set_target(now, shuffle_target as usize);
-                if telemetry.is_enabled() {
-                    let t_ms = now.as_millis();
-                    telemetry.sample(catalog::RUN_DEMAND, t_ms, history.latest() as f64);
-                    telemetry.sample(catalog::RUN_TARGET, t_ms, target as f64);
-                    telemetry.sample(catalog::RUN_ACTIVE, t_ms, st.fleet.running_count() as f64);
-                }
+                clock.record(st.fleet.running_count());
                 if done < total || st.running > 0 {
                     st.events
                         .schedule(now + SimDuration::from_secs(1), Ev::Second);
                 } else {
                     st.fleet.set_target(now, 0);
                     st.shuffle_fleet.set_target(now, 0);
-                }
-            }
-            Ev::Tick => {
-                target = strategy.target(now.as_secs(), &history, env);
-                st.fleet.set_target(now, target as usize);
-                st.poll_fleet(now);
-                if done < total || st.running > 0 {
-                    st.events.schedule(now + env.strategy_tick, Ev::Tick);
                 }
             }
         }
@@ -534,7 +521,7 @@ pub(crate) fn run<'a, S: TaskSource>(
         }
     }
 
-    let end = SimTime::from_secs(history.len() as u64);
+    let end = SimTime::from_secs(clock.seconds());
     st.fleet.set_target(end, 0);
     st.fleet.finalize(end);
     st.shuffle_fleet.finalize(end);
@@ -542,7 +529,7 @@ pub(crate) fn run<'a, S: TaskSource>(
     let vm_ledger = st.fleet.ledger();
     let pool_ledger = st.pool.ledger();
     let node_ledger = st.shuffle_fleet.ledger();
-    telemetry.gauge_set(catalog::RUN_DURATION_SECONDS, history.len() as f64);
+    telemetry.gauge_set(catalog::RUN_DURATION_SECONDS, clock.seconds() as f64);
 
     // The result's cost fields are f64 dollars: the ledgers' money is
     // converted here, once, exactly as `record_costs` wrote it.
@@ -562,8 +549,8 @@ pub(crate) fn run<'a, S: TaskSource>(
             gets: store_ledger.get_requests,
         },
         latencies,
-        duration_s: history.len() as u64,
-        strategy: strategy.name(),
+        duration_s: clock.seconds(),
+        strategy: clock.strategy_name(),
         telemetry,
     };
     Ok((result, st.source))

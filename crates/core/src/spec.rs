@@ -199,7 +199,8 @@ impl RunSpec {
         PriceTimeline::compile(&self.faults.environment, seed)
     }
 
-    /// Check every numeric knob for finiteness and range.
+    /// Check every numeric knob for finiteness and range, and that the
+    /// strategy tick is a positive whole number of seconds.
     pub fn validate(&self) -> Result<(), RunError> {
         let checks: [(&'static str, f64, f64); 3] = [
             ("pool_slowdown", self.pool_slowdown, 1.0),
@@ -210,6 +211,16 @@ impl RunSpec {
             if !value.is_finite() || value < min {
                 return Err(RunError::InvalidKnob { name, value });
             }
+        }
+        // The strategy decides on whole seconds of history, so a tick is
+        // a positive whole number of seconds.
+        let tick = self.env.strategy_tick;
+        if tick.as_millis() == 0 || !tick.as_millis().is_multiple_of(1000) {
+            let value = tick.as_secs_f64();
+            return Err(RunError::InvalidKnob {
+                name: "env.strategy_tick",
+                value,
+            });
         }
         self.faults.validate()?;
         Ok(())

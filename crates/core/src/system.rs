@@ -529,6 +529,86 @@ mod tests {
     }
 
     #[test]
+    fn try_run_rejects_a_tick_that_is_not_whole_seconds() {
+        use crate::live::{try_run_live, LiveQuery};
+        use crate::model::try_run_model;
+        use cackle_cloud::SimDuration;
+        use cackle_engine::plan::{ExchangeMode, PlanNode, Stage, StageDag};
+        use cackle_engine::schema::Schema;
+        use cackle_engine::table::Catalog;
+        let w = vec![QueryArrival {
+            at_s: 0,
+            profile: profile(2, 5),
+        }];
+        let stage = Stage {
+            id: 0,
+            root: PlanNode::Union { inputs: vec![] },
+            tasks: 1,
+            exchange: ExchangeMode::Gather,
+            output_schema: Arc::new(Schema::new(vec![])),
+        };
+        let live = vec![LiveQuery {
+            at_s: 0,
+            plan: Arc::new(StageDag::new("one", vec![stage])),
+        }];
+        let catalog = Catalog::new();
+        // The strategy decides on whole seconds of history: a zero tick
+        // never lets the clock advance, and a fractional one names no
+        // whole second.
+        for ms in [0, 500, 2_500] {
+            let mut spec = noiseless().with_strategy("fixed_1");
+            spec.env.strategy_tick = SimDuration::from_millis(ms);
+            let expected = RunError::InvalidKnob {
+                name: "env.strategy_tick",
+                value: ms as f64 / 1000.0,
+            };
+            let runs = [
+                ("model", try_run_model(&w, &spec)),
+                ("system", try_run_system(&w, &spec)),
+                ("live", try_run_live(&live, &catalog, &spec)),
+            ];
+            for (runner, run) in runs {
+                assert_eq!(run.err().as_ref(), Some(&expected), "{runner}, {ms} ms");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stage_may_name_one_upstream_twice() {
+        use crate::delaying::run_delaying;
+        use crate::model::run_model;
+        // Readiness reads dependencies as a set, so a repeated upstream
+        // runs exactly as the single one does.
+        let query = |deps: Vec<usize>| {
+            let stage = |tasks, deps| StageProfile {
+                tasks,
+                task_seconds: 4,
+                shuffle_bytes: 8 << 20,
+                shuffle_writes: 2,
+                shuffle_reads: 2,
+                deps,
+            };
+            let stages = vec![stage(3, vec![]), stage(2, vec![]), stage(1, deps)];
+            vec![QueryArrival {
+                at_s: 3,
+                profile: Arc::new(QueryProfile::new("q", stages)),
+            }]
+        };
+        let (once, twice) = (query(vec![0, 1]), query(vec![0, 1, 0, 1]));
+        let spec = noiseless().with_strategy("fixed_1");
+        let key = |r: RunResult| format!("{:?} {:?} {:?}", r.compute, r.shuffle, r.latencies);
+        assert_eq!(
+            key(run_system(&twice, &spec)),
+            key(run_system(&once, &spec))
+        );
+        assert_eq!(key(run_model(&twice, &spec)), key(run_model(&once, &spec)));
+        assert_eq!(
+            key(run_delaying(&twice, 2, &spec)),
+            key(run_delaying(&once, 2, &spec))
+        );
+    }
+
+    #[test]
     fn telemetry_attribution_matches_ledgers() {
         let w: Vec<QueryArrival> = (0..10)
             .map(|i| QueryArrival {

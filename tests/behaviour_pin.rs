@@ -25,7 +25,16 @@
 //! by `(query, stage, request)` instead of from sequential streams, the
 //! report's `puts`/`gets`, S3 costs and total, and the dump's
 //! `fault.store_*_errors_total`, `recovery.retries_total` and
-//! `store`/`recovery` S3 cost lines moved; no latency moved. A
+//! `store`/`recovery` S3 cost lines moved; no latency moved. All five
+//! were re-recorded once more, and `live/store-errors` added (the chaos
+//! plan's live run makes no store request), when both runners began
+//! driving the strategy through one clock and the loop's `Tick` event
+//! went: the strategy now sees the second that just ended at every tick,
+//! is repriced under market motion, `run.target` at second 0 is the
+//! target chosen then, and no tick fires after the last second. The
+//! live dumps moved only in that second-0 sample and the dropped late
+//! tick (`meta.ticks_total`, `meta.switches_total` and the last point
+//! of each `meta.*` series); the system runs moved throughout. A
 //! deliberate behaviour change re-records the constant it
 //! moves (the failure message prints the new value) and says why in
 //! CHANGES.md.
@@ -37,7 +46,7 @@ use cackle::system::run_system;
 use cackle::{run_live, EnvironmentSpec, FaultSpec, RunResult, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use common::{chaos, live_catalog, live_workload, report};
+use common::{chaos, live_catalog, live_workload, report, store_errors};
 
 /// FNV-1a over the report, then the dump.
 fn fnv1a(parts: [&str; 2]) -> u64 {
@@ -84,7 +93,7 @@ fn live_pinned(name: &str, pinned: u64, configure: impl Fn(RunSpec) -> RunSpec) 
 
 #[test]
 fn system_chaos_run_is_pinned() {
-    system_pinned("system/chaos", 0xe515_fabb_4a4f_47ab, |s| {
+    system_pinned("system/chaos", 0x42a9_4755_213d_7990, |s| {
         s.with_faults(chaos())
     });
 }
@@ -97,24 +106,33 @@ fn system_environment_run_is_pinned() {
         .with_market_motion(0.3, 900)
         .with_reclaim_storms(24.0, 600, 12.0)
         .with_remote_region(0.5, 700, 20_000);
-    system_pinned("system/environment", 0x1321_5bdf_5368_bde5, |s| {
+    system_pinned("system/environment", 0x033b_8f20_e09e_550b, |s| {
         s.with_faults(FaultSpec::default().with_environment(env.clone()))
     });
 }
 
 #[test]
 fn system_fault_free_run_is_pinned() {
-    system_pinned("system/fault-free", 0x40f2_78f9_f003_7ef7, |s| s);
+    system_pinned("system/fault-free", 0x0035_573a_202f_0b45, |s| s);
 }
 
 #[test]
 fn live_chaos_run_is_pinned() {
-    live_pinned("live/chaos", 0x2941_928d_ef77_4905, |s| {
+    live_pinned("live/chaos", 0xecd5_9750_6417_6db3, |s| {
         s.with_faults(chaos())
     });
 }
 
 #[test]
+fn live_store_errors_run_is_pinned() {
+    // The chaos plan's live run makes no store request; this one sends
+    // most node writes to the store and fails half its requests.
+    live_pinned("live/store-errors", 0x2a7e_9451_69f7_1ef5, |s| {
+        s.with_faults(store_errors())
+    });
+}
+
+#[test]
 fn live_fault_free_run_is_pinned() {
-    live_pinned("live/fault-free", 0x7b76_62b1_2ec9_46b1, |s| s);
+    live_pinned("live/fault-free", 0x93ef_f37e_3949_cdaa, |s| s);
 }

@@ -1,7 +1,8 @@
 //! Fixtures shared by the root tests that attack worker-count
-//! independence (`executor_stress`) and pin runner behaviour
-//! (`behaviour_pin`): one fault plan, one report rendering, one live
-//! catalog and workload.
+//! independence (`executor_stress`), pin runner behaviour
+//! (`behaviour_pin`), check cost rows (`cost_rows`) and replay targets
+//! (`replay`): two fault plans, one report rendering, one live catalog
+//! and workload.
 
 use cackle::{FaultSpec, LiveQuery, RunResult};
 use cackle_engine::table::Catalog;
@@ -18,6 +19,16 @@ pub fn chaos() -> FaultSpec {
         .with_store_errors(0.2, 0.2)
         .with_transport_drops(0.25)
         .with_stragglers(0.2, 3.0)
+}
+
+/// Transport drops that exhaust their retry bound on most node writes,
+/// so the live shuffle falls back to the billed store, where half of all
+/// requests fail. On [`live_workload`] the [`chaos`] plan's drops almost
+/// never exhaust that bound, so its live runs make no store request.
+pub fn store_errors() -> FaultSpec {
+    FaultSpec::default()
+        .with_transport_drops(0.9)
+        .with_store_errors(0.5, 0.5)
 }
 
 /// `{:?}` on `f64` prints the shortest exact round-trip decimal, so any

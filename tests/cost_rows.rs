@@ -22,7 +22,7 @@ use cackle_faults::StoreOp;
 use cackle_serve::{run_serve, Runner, ServeSpec, TenantRegistry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use common::{chaos, live_catalog, live_workload, report};
+use common::{chaos, live_catalog, live_workload, report, store_errors};
 
 /// The cost rows the model, system, live and serve runners write, each
 /// with the result field it mirrors.
@@ -147,14 +147,11 @@ fn every_runner_dumps_the_costs_it_reports() {
     // The chaos plan's transport drops almost never exhaust their retry
     // bound on this small workload, so its store sees no request; the
     // third run drops most node writes and sends them to the store.
-    let store_errors = FaultSpec::default()
-        .with_transport_drops(0.9)
-        .with_store_errors(0.5, 0.5);
     let mut live_store_errors = 0;
     for (name, faults) in [
         ("live/fault-free", FaultSpec::default()),
         ("live/chaos", chaos()),
-        ("live/store-errors", store_errors),
+        ("live/store-errors", store_errors()),
     ] {
         let (t, spec) = sink();
         let spec = spec.with_rows_per_task_second(5_000.0).with_faults(faults);

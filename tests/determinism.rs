@@ -10,7 +10,8 @@
 use cackle::model::{build_workload, run_model_with};
 use cackle::system::{run_system, run_system_with};
 use cackle::{
-    Env, FamilyConfig, FaultSpec, MetaStrategy, RunResult, RunSpec, Telemetry, Timeseries,
+    Env, FamilyConfig, FaultSpec, MetaStrategy, RecoveryPolicy, RunResult, RunSpec, Telemetry,
+    Timeseries,
 };
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
@@ -115,6 +116,10 @@ fn golden_fault_run_dumps_are_byte_identical() {
     // Same guarantee with an *active* fault plan: the injected reclaims,
     // invoke failures, throttles, store errors, and stragglers — and all
     // the recovery work they trigger — replay identically from the seed.
+    // A pool launch is lost only if its first invoke and every retry
+    // fail: over about 5 000 launches at a failure rate of 0.1, the
+    // default 4 retries expect 5 000 × 0.1⁵ ≈ 0.05 lost launches a run,
+    // and 8 retries expect 5 000 × 0.1⁹ ≈ 5e-6, so every run completes.
     let dump = |seed: u64| {
         let w = workload(seed);
         let t = Telemetry::new();
@@ -128,6 +133,7 @@ fn golden_fault_run_dumps_are_byte_identical() {
                     .with_store_errors(0.1, 0.1)
                     .with_stragglers(0.1, 2.5),
             )
+            .with_recovery(RecoveryPolicy::default().with_max_retries(8))
             .with_telemetry(&t);
         run_system(&w, &spec);
         t.export_jsonl()

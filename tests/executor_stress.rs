@@ -17,7 +17,7 @@ use cackle::system::run_system;
 use cackle::{run_live, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use common::{chaos, live_catalog, live_workload, report};
+use common::{chaos, live_catalog, live_workload, report, store_errors};
 
 /// Every fault and recovery counter the injector maintains.
 const COUNTERS: &[&str] = &[
@@ -45,40 +45,57 @@ fn counter_snapshot(t: &Telemetry) -> Vec<(&'static str, u64)> {
 fn live_fault_runs_are_worker_count_independent() {
     // Real queries through the engine: operator pipelines, hybrid
     // shuffle with transport drops and billed store fallback, straggler
-    // draws, pool invoke failures — all at once.
+    // draws, pool invoke failures — all at once. The chaos plan's drops
+    // almost never reach the store on this workload; the store-errors
+    // plan sends most node writes there, where half the requests fail.
     let (catalog, workload) = (live_catalog(), live_workload());
-    let run = |workers: u32| {
-        let t = Telemetry::new();
-        let spec = RunSpec::new()
-            .with_strategy("dynamic")
-            .with_rows_per_task_second(5_000.0)
-            .with_workers(workers)
-            .with_faults(chaos())
-            .with_telemetry(&t);
-        let r = run_live(&workload, &catalog, &spec);
-        (report(&r), counter_snapshot(&t), t.export_jsonl())
-    };
-    let (serial_report, serial_counters, serial_dump) = run(1);
-    assert!(
-        serial_counters.iter().any(|&(_, v)| v > 0),
-        "fault plan was not active: {serial_counters:?}"
-    );
-    for workers in [2u32, 8] {
-        let (parallel_report, parallel_counters, parallel_dump) = run(workers);
-        assert_eq!(
-            serial_counters, parallel_counters,
-            "counters diverged at {workers} workers"
-        );
+    for (plan, faults) in [("chaos", chaos()), ("store-errors", store_errors())] {
+        let run = |workers: u32| {
+            let t = Telemetry::new();
+            let spec = RunSpec::new()
+                .with_strategy("dynamic")
+                .with_rows_per_task_second(5_000.0)
+                .with_workers(workers)
+                .with_faults(faults.clone())
+                .with_telemetry(&t);
+            let r = run_live(&workload, &catalog, &spec);
+            (report(&r), counter_snapshot(&t), t.export_jsonl())
+        };
+        let (serial_report, serial_counters, serial_dump) = run(1);
         assert!(
-            serial_report == parallel_report,
-            "reports diverged:\n--- 1 worker\n{serial_report}\n--- {workers} workers\n{parallel_report}"
+            serial_counters.iter().any(|&(_, v)| v > 0),
+            "{plan}: fault plan was not active: {serial_counters:?}"
         );
-        assert!(
-            serial_dump == parallel_dump,
-            "dumps diverged at {workers} workers (lengths {} vs {})",
-            serial_dump.len(),
-            parallel_dump.len()
-        );
+        if plan == "store-errors" {
+            let store_errors = [
+                "fault.store_get_errors_total",
+                "fault.store_put_errors_total",
+            ];
+            let errors = serial_counters
+                .iter()
+                .filter(|(c, _)| store_errors.contains(c));
+            assert!(
+                errors.map(|&(_, v)| v).sum::<u64>() > 0,
+                "{plan}: no store request failed: {serial_counters:?}"
+            );
+        }
+        for workers in [2u32, 8] {
+            let (parallel_report, parallel_counters, parallel_dump) = run(workers);
+            assert_eq!(
+                serial_counters, parallel_counters,
+                "{plan}: counters diverged at {workers} workers"
+            );
+            assert!(
+                serial_report == parallel_report,
+                "{plan}: reports diverged:\n--- 1 worker\n{serial_report}\n--- {workers} workers\n{parallel_report}"
+            );
+            assert!(
+                serial_dump == parallel_dump,
+                "{plan}: dumps diverged at {workers} workers (lengths {} vs {})",
+                serial_dump.len(),
+                parallel_dump.len()
+            );
+        }
     }
 }
 
