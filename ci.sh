@@ -49,7 +49,7 @@ for run in 1 2 3 4 5 6 7 8 9 10; do
         || { echo "executor_stress: failed on run $run of 10" >&2; exit 1; }
 done
 
-echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, cost rows, target replay)"
+echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, string dictionaries, cost rows, target replay)"
 # The strategy tick's fast paths against their references, bit for bit:
 # the quantile value list against sorted brute force, `advance` over
 # random slices against the per-VM fleet, and the full family's
@@ -66,6 +66,14 @@ cargo test -q -p cackle-engine --test kernel_differential join_kernel_matches_ro
 cargo test -q -p cackle-engine --test kernel_differential negative_zero_is_a_key_of_its_own
 cargo test -q -p cackle-engine --test string_columns wire_bytes_sizes_and_placement_are_pinned
 cargo test -q -p cackle-engine --lib batch_partitions_match_partition_of
+# Dictionary-coded strings: string comparisons, IN and LIKE once per
+# dictionary entry against once per row, gathers and concat, the
+# group-by's code-tuple memo against the byte-key path, dbgen's shared
+# list dictionaries, and every byte dbgen generates.
+cargo test -q -p cackle-engine --test string_dictionary per_entry_and_per_row_paths_agree
+cargo test -q -p cackle-engine --test string_dictionary group_by_memo_matches_byte_keys
+cargo test -q -p cackle-tpch --test dbgen_proptests list_picked_columns_share_one_dictionary
+cargo test -q -p cackle-tpch --test dbgen_proptests generated_bytes_are_pinned
 # Every runner's dump against its own result: each cost row that mirrors
 # a `RunResult` field is that field, bit for bit.
 cargo test -q --test cost_rows every_runner_dumps_the_costs_it_reports

@@ -11,10 +11,13 @@
 //! ```
 //!
 //! A string column's payload is `u32 total | u32 length × rows | blob`:
-//! the lengths are the differences of the flat column's offsets and the
-//! blob is its byte buffer as it stands, so encoding is one pass over the
-//! offsets and one copy, decoding one prefix sum, one copy and one UTF-8
-//! validation.
+//! each row's length and then each row's bytes, looked up through its
+//! dictionary code, so the wire never sees the dictionary and a column
+//! writes the same bytes however it is coded. Encoding is one pass over
+//! the codes for the lengths (whose sum is patched in as `total`) and
+//! one copy per run of consecutive codes for the bytes (one for a
+//! decoded column); decoding is one prefix sum, one copy and one UTF-8
+//! validation, into a column coded against a dictionary of its rows.
 //!
 //! The decoder trusts nothing it reads. Tags are checked against the
 //! expected schema, every count against the bytes that remain *before*
@@ -168,12 +171,18 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
                 }
             }
             ColumnData::Str(v) => {
-                let total = u32::try_from(v.byte_len()).expect("string offsets are u32");
-                buf.put_u32_le(total);
+                let at = buf.len();
+                buf.put_u32_le(0);
+                let mut total = 0u64;
                 for len in v.lengths() {
+                    total += u64::from(len);
                     buf.put_u32_le(len);
                 }
-                buf.put_slice(v.bytes());
+                let total = u32::try_from(total).expect("string offsets are u32");
+                buf[at..at + 4].copy_from_slice(&total.to_le_bytes());
+                for run in v.byte_runs() {
+                    buf.put_slice(run);
+                }
             }
         }
     }

@@ -1,30 +1,141 @@
 //! Columnar storage: typed column vectors with optional validity masks.
 //!
 //! Four of the five types are a plain `Vec` of fixed-width values. Strings
-//! are a [`StrColumn`]: `len + 1` `u32` offsets over one UTF-8 buffer
-//! (Arrow's layout), so cloning, gathering, slicing, concatenating and
-//! decoding a string column copy two buffers and allocate nothing per
-//! row. There is one string representation — no dictionary form; see
-//! DESIGN.md §12 "String columns" for what would justify one.
+//! are a [`StrColumn`]: one `u32` code per row into a shared [`StrDict`],
+//! whose entries are `len + 1` `u32` offsets over one UTF-8 buffer
+//! (Arrow's layout). Cloning, gathering and slicing a string column copy
+//! its codes and share the dictionary, so they touch no string bytes and
+//! allocate nothing per row. A column built row by row or decoded from
+//! the wire codes against a dictionary of its own rows (the identity
+//! coding); `dbgen` codes each list-picked column against one dictionary
+//! of the list. There is one string representation; see DESIGN.md §12
+//! "String columns".
 
 use crate::types::{DataType, Value};
+use std::sync::Arc;
 
-/// A column of UTF-8 strings: row `i` is `bytes[offsets[i]..offsets[i + 1]]`.
-///
-/// Always canonical — `offsets[0] == 0`, offsets never decrease, the last
-/// one is `bytes.len()`, every one falls on a character boundary, and
-/// `bytes` holds exactly the rows' concatenation — so two columns with
-/// the same rows have the same buffers and the derived `PartialEq` is
-/// equality of content, whichever way each was built or cut. The fields
-/// are private to keep it so: rows are only ever appended ([`push`],
-/// [`extend_from_range`]) or checked as a whole (`from_lengths`).
-///
-/// [`push`]: StrColumn::push
-/// [`extend_from_range`]: StrColumn::extend_from_range
+/// The strings a [`StrColumn`] codes against: entry `i` is
+/// `bytes[offsets[i]..offsets[i + 1]]`. Entries may repeat and a column
+/// need not use them all; they are only ever appended.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrColumn {
+pub struct StrDict {
     offsets: Vec<u32>,
     bytes: String,
+}
+
+impl StrDict {
+    /// An empty dictionary with room for `entries` strings of `bytes`
+    /// bytes in total.
+    fn with_capacity(entries: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(entries + 1);
+        offsets.push(0);
+        StrDict {
+            offsets,
+            bytes: String::with_capacity(bytes),
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the dictionary has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry `code`. Panics if out of range.
+    pub fn get(&self, code: u32) -> &str {
+        let code = code as usize;
+        &self.bytes[self.offsets[code] as usize..self.offsets[code + 1] as usize]
+    }
+
+    /// Entry `code` as bytes, without `str` slicing's character boundary
+    /// checks.
+    #[inline]
+    fn bytes_of(&self, code: u32) -> &[u8] {
+        let code = code as usize;
+        &self.bytes.as_bytes()[self.offsets[code] as usize..self.offsets[code + 1] as usize]
+    }
+
+    /// Entry `code`'s length in bytes.
+    #[inline]
+    fn len_of(&self, code: u32) -> u32 {
+        self.offsets[code as usize + 1] - self.offsets[code as usize]
+    }
+
+    /// The entries in code order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Append `s` as a new entry and return its code. Panics when the
+    /// dictionary would outgrow its `u32` offsets (4 GiB of string data;
+    /// batches are chunked far below).
+    fn push(&mut self, s: &str) -> u32 {
+        let code = u32::try_from(self.len()).expect("string dictionary exceeds u32 codes");
+        self.bytes.push_str(s);
+        let end = u32::try_from(self.bytes.len()).expect("string dictionary exceeds u32 offsets");
+        self.offsets.push(end);
+        code
+    }
+
+    /// Append entries `first..first + count` of `other` — one copy of
+    /// their bytes, one pass rebasing their offsets — and return the
+    /// code of the first. Panics as [`StrDict::push`] does.
+    fn extend_from_entries(&mut self, other: &StrDict, first: u32, count: u32) -> u32 {
+        let code = u32::try_from(self.len() + count as usize)
+            .map(|end| end - count)
+            .expect("string dictionary exceeds u32 codes");
+        let window = &other.offsets[first as usize..=(first + count) as usize];
+        let (start, end) = (window[0], window[count as usize]);
+        let base = u32::try_from(self.bytes.len())
+            .ok()
+            .filter(|base| base.checked_add(end - start).is_some())
+            .expect("string dictionary exceeds u32 offsets");
+        self.bytes
+            .push_str(&other.bytes[start as usize..end as usize]);
+        self.offsets
+            .extend(window[1..].iter().map(|o| base + (o - start)));
+        code
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.bytes.shrink_to_fit();
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrDict {
+    fn from_iter<I: IntoIterator<Item = S>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        let mut out = StrDict::with_capacity(entries.size_hint().0, 0);
+        for s in entries {
+            out.push(s.as_ref());
+        }
+        out
+    }
+}
+
+/// A column of UTF-8 strings: row `i` is entry `codes[i]` of a shared
+/// [`StrDict`].
+///
+/// Every code is in range of the dictionary — the fields are private,
+/// and rows are only ever appended ([`push`], [`push_code`],
+/// [`extend_from_range`]) or cut from another column — and `PartialEq`
+/// is equality of content: the rows in order, whatever dictionary each
+/// side codes against.
+///
+/// [`push`]: StrColumn::push
+/// [`push_code`]: StrColumn::push_code
+/// [`extend_from_range`]: StrColumn::extend_from_range
+#[derive(Debug, Clone)]
+pub struct StrColumn {
+    codes: Vec<u32>,
+    dict: Arc<StrDict>,
 }
 
 impl StrColumn {
@@ -34,19 +145,23 @@ impl StrColumn {
     }
 
     /// An empty column with room for `rows` strings of `bytes` bytes in
-    /// total.
+    /// total, each of which [`StrColumn::push`] adds to a dictionary of
+    /// the column's own.
     pub fn with_capacity(rows: usize, bytes: usize) -> Self {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
+        StrColumn::with_dict(Arc::new(StrDict::with_capacity(rows, bytes)), rows)
+    }
+
+    /// An empty column coded against `dict`, with room for `rows` rows.
+    pub fn with_dict(dict: Arc<StrDict>, rows: usize) -> Self {
         StrColumn {
-            offsets,
-            bytes: String::with_capacity(bytes),
+            codes: Vec::with_capacity(rows),
+            dict,
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.codes.len()
     }
 
     /// True when the column has no rows.
@@ -54,105 +169,153 @@ impl StrColumn {
         self.len() == 0
     }
 
-    /// Total bytes of string data.
+    /// Total bytes of the rows' strings: an entry counts once per row
+    /// that uses it.
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.lengths().map(|len| len as usize).sum()
     }
 
     /// Row `i`. Panics if out of range.
     pub fn get(&self, i: usize) -> &str {
-        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.dict.get(self.codes[i])
     }
 
     /// The rows in order.
     pub fn iter(&self) -> StrIter<'_> {
         StrIter {
-            offsets: self.offsets.windows(2),
-            bytes: &self.bytes,
+            codes: self.codes.iter(),
+            dict: &self.dict,
         }
+    }
+
+    /// The dictionary the column codes against.
+    pub fn dict(&self) -> &Arc<StrDict> {
+        &self.dict
+    }
+
+    /// Each row's code into [`StrColumn::dict`].
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
     }
 
     /// The rows in order as bytes, without `str` slicing's character
     /// boundary checks: the byte-key kernels' view.
     pub(crate) fn byte_rows(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        let bytes = self.bytes.as_bytes();
-        self.offsets
-            .windows(2)
-            .map(move |w| &bytes[w[0] as usize..w[1] as usize])
+        self.codes.iter().map(|&c| self.dict.bytes_of(c))
     }
 
-    /// Append one row. Panics when the column would outgrow its `u32`
-    /// offsets (4 GiB of string data; batches are chunked far below).
+    /// Row `i` as bytes, as [`StrColumn::byte_rows`] has it.
+    pub(crate) fn row_bytes(&self, i: usize) -> &[u8] {
+        self.dict.bytes_of(self.codes[i])
+    }
+
+    /// Every row's bytes, concatenated, in as few pieces as runs allow:
+    /// rows that code to consecutive entries come as one slice, so an
+    /// identity-coded column is one.
+    pub(crate) fn byte_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let bytes = self.dict.bytes.as_bytes();
+        let offsets = &self.dict.offsets;
+        runs(&self.codes).map(move |(first, count)| {
+            let start = offsets[first as usize] as usize;
+            &bytes[start..offsets[(first + count) as usize] as usize]
+        })
+    }
+
+    /// Append one row as a new entry of the column's dictionary, which is
+    /// copied first if another column shares it. Panics when the
+    /// dictionary would outgrow its `u32` offsets.
     pub fn push(&mut self, s: &str) {
-        self.bytes.push_str(s);
-        let end = u32::try_from(self.bytes.len()).expect("string column exceeds u32 offsets");
-        self.offsets.push(end);
+        let code = Arc::make_mut(&mut self.dict).push(s);
+        self.codes.push(code);
     }
 
-    /// Append rows `start..end` of `other`: one copy of their bytes, one
-    /// pass rebasing their offsets. Panics if the range is out of bounds
-    /// or the column would outgrow its `u32` offsets.
+    /// Append one row: entry `code` of the column's dictionary. Panics if
+    /// `code` is out of range.
+    pub fn push_code(&mut self, code: u32) {
+        assert!(
+            (code as usize) < self.dict.len(),
+            "code {code} outside a dictionary of {}",
+            self.dict.len()
+        );
+        self.codes.push(code);
+    }
+
+    /// Append rows `start..end` of `other`: their codes when both columns
+    /// share one dictionary; otherwise their strings, as new entries of
+    /// this column's dictionary (copied first if shared), one copy per
+    /// run of rows that code to consecutive entries. Panics if the range
+    /// is out of bounds.
     pub fn extend_from_range(&mut self, other: &StrColumn, start: usize, end: usize) {
-        let window = &other.offsets[start..=end];
-        let (first, last) = (window[0], window[end - start]);
-        let base = u32::try_from(self.bytes.len())
-            .ok()
-            .filter(|base| base.checked_add(last - first).is_some())
-            .expect("string column exceeds u32 offsets");
-        self.bytes
-            .push_str(&other.bytes[first as usize..last as usize]);
-        self.offsets
-            .extend(window[1..].iter().map(|o| base + (o - first)));
+        let rows = &other.codes[start..end];
+        if Arc::ptr_eq(&self.dict, &other.dict) {
+            self.codes.extend_from_slice(rows);
+            return;
+        }
+        let dict = Arc::make_mut(&mut self.dict);
+        for (first, count) in runs(rows) {
+            let base = dict.extend_from_entries(&other.dict, first, count);
+            self.codes.extend(base..base + count);
+        }
     }
 
     /// Give back the capacity a builder reserved and did not fill.
     pub fn shrink_to_fit(&mut self) {
-        self.offsets.shrink_to_fit();
-        self.bytes.shrink_to_fit();
-    }
-
-    /// Gather the rows at `indices` into a new column.
-    pub fn take(&self, indices: &[usize]) -> StrColumn {
-        let bytes = indices
-            .iter()
-            .map(|&i| (self.offsets[i + 1] - self.offsets[i]) as usize)
-            .sum();
-        let mut out = StrColumn::with_capacity(indices.len(), bytes);
-        for &i in indices {
-            out.push(self.get(i));
+        self.codes.shrink_to_fit();
+        if let Some(dict) = Arc::get_mut(&mut self.dict) {
+            dict.shrink_to_fit();
         }
-        out
     }
 
-    /// Copy rows `start..end` into a new column.
+    /// Gather the rows at `indices` into a new column: their codes, over
+    /// the same dictionary.
+    pub fn take(&self, indices: &[usize]) -> StrColumn {
+        StrColumn {
+            codes: indices.iter().map(|&i| self.codes[i]).collect(),
+            dict: Arc::clone(&self.dict),
+        }
+    }
+
+    /// Rows `start..end` as a new column: their codes, over the same
+    /// dictionary.
     pub fn slice(&self, start: usize, end: usize) -> StrColumn {
-        let bytes = (self.offsets[end] - self.offsets[start]) as usize;
-        let mut out = StrColumn::with_capacity(end - start, bytes);
-        out.extend_from_range(self, start, end);
-        out
+        StrColumn {
+            codes: self.codes[start..end].to_vec(),
+            dict: Arc::clone(&self.dict),
+        }
     }
 
-    /// The rows' byte lengths in order — with [`StrColumn::bytes`], the
-    /// column as the shuffle codec writes it.
+    /// The rows' byte lengths in order — with [`StrColumn::byte_rows`],
+    /// the column as the shuffle codec writes it.
     pub(crate) fn lengths(&self) -> impl Iterator<Item = u32> + '_ {
-        self.offsets.windows(2).map(|w| w[1] - w[0])
+        self.codes.iter().map(|&c| self.dict.len_of(c))
     }
 
-    /// Every row's bytes, concatenated.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        self.bytes.as_bytes()
+    /// Append `f` of every row to `out`, in row order. When the
+    /// dictionary has no more entries than the column has rows, `f` runs
+    /// once per entry and each row looks its result up by code;
+    /// otherwise it runs once per row. Either way every row gets `f` of
+    /// its own string, so the choice, made by sizes alone, never shows.
+    pub(crate) fn map_rows<'a, T: Copy>(&'a self, out: &mut Vec<T>, f: impl Fn(&'a str) -> T) {
+        if self.dict.len() <= self.len() {
+            let per_entry: Vec<T> = self.dict.iter().map(f).collect();
+            out.extend(self.codes.iter().map(|&c| per_entry[c as usize]));
+        } else {
+            out.extend(self.iter().map(f));
+        }
     }
 
-    /// Rebuild a column from what the codec wrote: one prefix sum over
-    /// `lengths`, one copy of `bytes`, one UTF-8 validation of the whole
-    /// buffer and of every row boundary in it. `Err` names what is wrong
-    /// with the input; nothing about it is trusted.
+    /// Rebuild a column from what the codec wrote, coded against a
+    /// dictionary of its own rows: one prefix sum over `lengths`, one
+    /// copy of `bytes`, one UTF-8 validation of the whole buffer and of
+    /// every row boundary in it. `Err` names what is wrong with the
+    /// input; nothing about it is trusted.
     pub(crate) fn from_lengths(
         lengths: impl ExactSizeIterator<Item = u32>,
         bytes: &[u8],
     ) -> Result<StrColumn, &'static str> {
         let text = std::str::from_utf8(bytes).map_err(|_| "string data is not UTF-8")?;
-        let mut offsets = Vec::with_capacity(lengths.len() + 1);
+        let rows = lengths.len();
+        let mut offsets = Vec::with_capacity(rows + 1);
         let mut end = 0u32;
         offsets.push(end);
         for len in lengths {
@@ -168,12 +331,42 @@ impl StrColumn {
         if end as usize != text.len() {
             return Err("string lengths fall short of their total");
         }
-        Ok(StrColumn {
+        let dict = StrDict {
             offsets,
             bytes: text.to_owned(),
+        };
+        Ok(StrColumn {
+            codes: (0..rows as u32).collect(),
+            dict: Arc::new(dict),
         })
     }
 }
+
+/// `codes` as maximal runs of consecutive codes: `(first, count)` with
+/// `codes` continuing `first, first + 1, …, first + count - 1`.
+fn runs(codes: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut rest = codes;
+    std::iter::from_fn(move || {
+        let (&first, tail) = rest.split_first()?;
+        let follow = tail
+            .iter()
+            .zip(rest)
+            .take_while(|(&next, &prev)| next == prev.wrapping_add(1))
+            .count();
+        rest = &tail[follow..];
+        Some((first, follow as u32 + 1))
+    })
+}
+
+impl PartialEq for StrColumn {
+    fn eq(&self, other: &StrColumn) -> bool {
+        self.len() == other.len()
+            && ((Arc::ptr_eq(&self.dict, &other.dict) && self.codes == other.codes)
+                || self.byte_rows().eq(other.byte_rows()))
+    }
+}
+
+impl Eq for StrColumn {}
 
 impl Default for StrColumn {
     fn default() -> Self {
@@ -216,18 +409,17 @@ impl<'a> IntoIterator for &'a StrColumn {
 /// Iterator over a [`StrColumn`]'s rows.
 #[derive(Debug, Clone)]
 pub struct StrIter<'a> {
-    offsets: std::slice::Windows<'a, u32>,
-    bytes: &'a str,
+    codes: std::slice::Iter<'a, u32>,
+    dict: &'a StrDict,
 }
 
 impl<'a> Iterator for StrIter<'a> {
     type Item = &'a str;
     fn next(&mut self) -> Option<&'a str> {
-        let w = self.offsets.next()?;
-        Some(&self.bytes[w[0] as usize..w[1] as usize])
+        self.codes.next().map(|&c| self.dict.get(c))
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.offsets.size_hint()
+        self.codes.size_hint()
     }
 }
 
@@ -270,9 +462,11 @@ impl ColumnData {
         match dtype {
             DataType::I64 => ColumnData::I64(vec![0; len]),
             DataType::F64 => ColumnData::F64(vec![0.0; len]),
+            // One empty entry that every row codes to (none for no rows,
+            // so a builder grown from here stays the identity coding).
             DataType::Str => ColumnData::Str(StrColumn {
-                offsets: vec![0; len + 1],
-                bytes: String::new(),
+                codes: vec![0; len],
+                dict: Arc::new(std::iter::repeat_n("", len.min(1)).collect()),
             }),
             DataType::Date => ColumnData::Date(vec![0; len]),
             DataType::Bool => ColumnData::Bool(vec![false; len]),
@@ -485,8 +679,14 @@ impl Column {
                         other => panic!("concat type mismatch: {dt} vs {}", other.data_type()),
                     })
                     .collect();
-                let bytes = strs.iter().map(|v| v.byte_len()).sum();
-                let mut out = StrColumn::with_capacity(total, bytes);
+                // Parts that share one dictionary concatenate their codes;
+                // any others copy their rows into a fresh one.
+                let dict = strs[0].dict();
+                let mut out = if strs.iter().all(|v| Arc::ptr_eq(v.dict(), dict)) {
+                    StrColumn::with_dict(Arc::clone(dict), total)
+                } else {
+                    StrColumn::with_capacity(total, strs.iter().map(|v| v.byte_len()).sum())
+                };
                 for v in strs {
                     out.extend_from_range(v, 0, v.len());
                 }

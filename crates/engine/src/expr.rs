@@ -20,7 +20,7 @@
 use crate::batch::Batch;
 use crate::column::{Column, ColumnData};
 use crate::kernels::scalar::{
-    binary, compare_mask_into, like_mask, select_rows, Operand, NO_SOURCE,
+    binary, compare_mask_into, like_mask, member_rows_into, select_rows, Operand, NO_SOURCE,
 };
 use crate::types::{date, DataType, Value};
 use std::borrow::Cow;
@@ -277,22 +277,16 @@ impl Expr {
                 }
             }
             Expr::InList { input, list } => {
-                // The OR of one equality mask per item: a null row
-                // matches nothing and a null item is matched by nothing,
-                // as under `Value::sql_cmp`.
+                // A null row stays null over a `false` placeholder, and a
+                // null item is matched by nothing, as under
+                // `Value::sql_cmp`.
                 let c = input.eval_borrowed(batch);
-                let validity = c.validity.clone();
-                let probe = Operand::Col(c);
-                let mut vals = vec![false; n];
-                let mut hits = Vec::with_capacity(n);
-                for item in list.iter().filter(|item| !item.is_null()) {
-                    hits.clear();
-                    compare_mask_into(BinOp::Eq, &probe, &Operand::Lit(item), n, &mut hits);
-                    vals.iter_mut().zip(&hits).for_each(|(v, h)| *v |= h);
-                }
+                let mut vals = Vec::with_capacity(n);
+                member_rows_into(&c, list, &mut vals);
+                and_validity(&mut vals, c.validity.as_deref());
                 Column {
                     data: ColumnData::Bool(vals),
-                    validity,
+                    validity: c.validity.clone(),
                 }
             }
             Expr::ExtractYear(e) => {
@@ -508,11 +502,12 @@ pub fn predicate_mask_into(pred: &Expr, batch: &Batch, mask: &mut Vec<bool>) {
 /// (the result is true-and-valid only when both sides are) and
 /// `mask(a OR b) = mask(a) | mask(b)` (a true side forces true even
 /// against null). A comparison leaf compares its two operands straight
-/// into the mask; everything else evaluates normally and folds.
+/// into the mask, and an `IN` leaf tests its input's rows straight into
+/// it; everything else evaluates normally and folds.
 fn fill_pred_mask(pred: &Expr, batch: &Batch, mask: &mut Vec<bool>) {
     use BinOp::*;
-    if let Expr::Binary { op, lhs, rhs } = pred {
-        match op {
+    match pred {
+        Expr::Binary { op, lhs, rhs } => match op {
             And | Or => {
                 fill_pred_mask(lhs, batch, mask);
                 let mut rhs_mask = Vec::with_capacity(batch.num_rows());
@@ -530,13 +525,28 @@ fn fill_pred_mask(pred: &Expr, batch: &Batch, mask: &mut Vec<bool>) {
             }
             // Arithmetic is no predicate; `bools()` below says so.
             Add | Sub | Mul | Div | Mod => {}
+        },
+        Expr::InList { input, list } => {
+            let c = input.eval_borrowed(batch);
+            let start = mask.len();
+            member_rows_into(&c, list, mask);
+            and_validity(&mut mask[start..], c.validity.as_deref());
+            return;
         }
+        _ => {}
     }
     let c = pred.eval_borrowed(batch);
     let bools = c.bools();
     match &c.validity {
         None => mask.extend_from_slice(bools),
         Some(m) => mask.extend(m.iter().zip(bools).map(|(v, b)| *v && *b)),
+    }
+}
+
+/// Clear the entries of `mask` whose row is null.
+fn and_validity(mask: &mut [bool], validity: Option<&[bool]>) {
+    if let Some(valid) = validity {
+        mask.iter_mut().zip(valid).for_each(|(m, v)| *m &= v);
     }
 }
 

@@ -12,6 +12,11 @@
 //! holds the string half of COUNT(DISTINCT)), so the map allocates
 //! nothing per key: its three vectors grow by doubling.
 //!
+//! An insert whose key columns are all unmasked string columns, with
+//! no more code tuples than the batch has rows, encodes, hashes and
+//! looks up each distinct tuple of dictionary codes once (`CodeMemo`);
+//! the rows' ids are then one array lookup each.
+//!
 //! `std::collections::HashMap` defaults to SipHash-1-3, whose keyed
 //! DoS resistance costs real throughput on the group-by and join probe
 //! paths where the map lookup *is* the inner loop. The engine's maps
@@ -26,7 +31,7 @@
 //! map, so map order is never observed.
 
 use crate::column::{Column, ColumnData};
-use crate::rowkey::encode_rows_into;
+use crate::rowkey::{encode_rows_into, encode_value};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -211,8 +216,79 @@ pub const NO_ID: u32 = u32::MAX;
 pub struct KeyScratch {
     /// The batch's byte keys.
     keys: Encoded,
+    /// The batch's code tuples, when its keys are dictionary codes.
+    memo: CodeMemo,
     /// The batch's ids, one per row.
     ids: Vec<u32>,
+}
+
+/// One batch's string keys as tuples of dictionary codes: each distinct
+/// tuple is encoded, hashed and looked up once, at its first row.
+#[derive(Default)]
+struct CodeMemo {
+    /// Row `i`'s tuple: its codes in mixed radix, the first column's
+    /// dictionary size the lowest digit.
+    tuples: Vec<usize>,
+    /// Each tuple's id, [`NO_ID`] until its first row.
+    ids: Vec<u32>,
+    /// The key being encoded.
+    key: Vec<u8>,
+}
+
+impl CodeMemo {
+    /// The number of code tuples `cols` can form, when every column is a
+    /// string column with no validity mask and that number is at most
+    /// `nrows`: the sizes that make a tuple's lookup cheaper than a row's.
+    fn tuples(cols: &[&Column], nrows: usize) -> Option<usize> {
+        let mut tuples = 1usize;
+        for col in cols {
+            match (&col.data, &col.validity) {
+                (ColumnData::Str(v), None) => tuples = tuples.checked_mul(v.dict().len())?,
+                _ => return None,
+            }
+        }
+        (tuples <= nrows).then_some(tuples)
+    }
+
+    /// [`KeyMap::insert_batch`] over code tuples: in row order, so each
+    /// tuple's canonical byte key is inserted at the row that first has
+    /// it, and ids, their order and the stored keys are the byte path's.
+    fn insert(
+        &mut self,
+        map: &mut ByteKeys,
+        cols: &[&Column],
+        nrows: usize,
+        tuples: usize,
+        ids: &mut Vec<u32>,
+    ) {
+        let CodeMemo {
+            tuples: row_tuples,
+            ids: tuple_ids,
+            key,
+        } = self;
+        row_tuples.clear();
+        row_tuples.resize(nrows, 0);
+        let mut stride = 1;
+        for v in cols.iter().map(|c| c.strs()) {
+            for (t, &code) in row_tuples.iter_mut().zip(v.codes()) {
+                *t += code as usize * stride;
+            }
+            stride *= v.dict().len();
+        }
+        tuple_ids.clear();
+        tuple_ids.resize(tuples, NO_ID);
+        ids.extend(row_tuples.iter().enumerate().map(|(row, &t)| {
+            if tuple_ids[t] == NO_ID {
+                key.clear();
+                let hash = cols.iter().fold(0, |h, c| {
+                    encode_value(key, c, row);
+                    fold_bytes(h, c.strs().row_bytes(row))
+                });
+                tuple_ids[t] = map.insert(key, mix(hash)).0;
+            }
+            tuple_ids[t]
+        }));
+    }
 }
 
 /// One batch's byte keys, as [`Encoded::prepare`] leaves them.
@@ -332,7 +408,7 @@ impl KeyMap {
         nrows: usize,
         scratch: &'s mut KeyScratch,
     ) -> &'s [u32] {
-        let KeyScratch { keys, ids } = scratch;
+        let KeyScratch { keys, memo, ids } = scratch;
         ids.clear();
         match &mut self.keys {
             Keys::I64(map) => {
@@ -345,6 +421,9 @@ impl KeyMap {
                     let next = map.len() as u32;
                     *map.entry(k).or_insert(next)
                 }));
+            }
+            Keys::Bytes(map, _) if let Some(tuples) = CodeMemo::tuples(cols, nrows) => {
+                memo.insert(map, cols, nrows, tuples, ids);
             }
             Keys::Bytes(map, nulls) => {
                 let (keys, valid) = keys.prepare(cols, nrows, *nulls);
@@ -368,7 +447,7 @@ impl KeyMap {
         nrows: usize,
         scratch: &'s mut KeyScratch,
     ) -> &'s [u32] {
-        let KeyScratch { keys, ids } = scratch;
+        let KeyScratch { keys, ids, .. } = scratch;
         ids.clear();
         match &self.keys {
             Keys::I64(map) => {

@@ -17,6 +17,12 @@
 //! appends `valid AND result` to a keep-mask — the scan filter's inner
 //! loop — from the same comparison loop.
 //!
+//! A string column against a literal runs through
+//! `StrColumn::map_rows`: once per dictionary entry, then one lookup
+//! per row by code, whenever the dictionary is no larger than the
+//! column. `IN` lists (`member_rows_into`) and LIKE ([`like_mask`])
+//! take the same route.
+//!
 //! What stays outside: Kleene `AND`/`OR` need both validity masks per
 //! row (`expr::eval_kleene`), and a null literal has no type to dispatch
 //! on, so it arrives as the all-null I64 column `Expr::eval` makes of it
@@ -309,8 +315,8 @@ fn compare_rows<L, R, A: Copy, B: Copy, K: PartialOrd>(
     ka: impl Fn(A) -> K,
     kb: impl Fn(B) -> K,
 ) where
-    L: IntoIterator<Item = A>,
-    R: IntoIterator<Item = B>,
+    L: ColRows<Item = A>,
+    R: ColRows<Item = B>,
 {
     match op {
         BinOp::Eq => zip_rows(a, b, n, out, |x, y| ka(x) == kb(y)),
@@ -325,7 +331,7 @@ fn compare_rows<L, R, A: Copy, B: Copy, K: PartialOrd>(
     }
 }
 
-fn collect_rows<'a, A, B, O>(
+fn collect_rows<'a, A, B, O: Copy>(
     l: Slice<'a, A>,
     r: Slice<'a, B>,
     n: usize,
@@ -336,28 +342,105 @@ fn collect_rows<'a, A, B, O>(
     out
 }
 
+/// A column side of the row loop.
+trait ColRows: IntoIterator + Copy {
+    /// Append `f` of each row to `out`, in row order.
+    fn map_into<O: Copy>(self, out: &mut Vec<O>, f: impl Fn(Self::Item) -> O) {
+        out.extend(self.into_iter().map(f));
+    }
+}
+
+impl<T> ColRows for &[T] {}
+
+/// Once per dictionary entry where that is less work.
+impl<'a> ColRows for &'a StrColumn {
+    fn map_into<O: Copy>(self, out: &mut Vec<O>, f: impl Fn(&'a str) -> O) {
+        self.map_rows(out, f);
+    }
+}
+
 /// The row loop: append `f(l[i], r[i])` for each of `n` rows to `out`.
 /// Four copies per instantiation, one per side shape, so no row pays a
 /// branch on the shape.
-fn zip_rows<L, R, A: Copy, B: Copy, O>(
+fn zip_rows<L, R, A: Copy, B: Copy, O: Copy>(
     l: Rows<L, A>,
     r: Rows<R, B>,
     n: usize,
     out: &mut Vec<O>,
     f: impl Fn(A, B) -> O,
 ) where
-    L: IntoIterator<Item = A>,
-    R: IntoIterator<Item = B>,
+    L: ColRows<Item = A>,
+    R: ColRows<Item = B>,
 {
     match (l, r) {
         (Rows::Col(a), Rows::Col(b)) => out.extend(a.into_iter().zip(b).map(|(x, y)| f(x, y))),
-        (Rows::Col(a), Rows::Repeat(y)) => out.extend(a.into_iter().map(|x| f(x, y))),
-        (Rows::Repeat(x), Rows::Col(b)) => out.extend(b.into_iter().map(|y| f(x, y))),
+        (Rows::Col(a), Rows::Repeat(y)) => a.map_into(out, |x| f(x, y)),
+        (Rows::Repeat(x), Rows::Col(b)) => b.map_into(out, |y| f(x, y)),
         (Rows::Repeat(x), Rows::Repeat(y)) => out.extend((0..n).map(|_| f(x, y))),
     }
 }
 
 /// Columnar LIKE: match every string against the pattern.
 pub fn like_mask(strs: &StrColumn, pattern: &LikePattern, negated: bool) -> Vec<bool> {
-    strs.iter().map(|s| pattern.matches(s) != negated).collect()
+    let mut out = Vec::with_capacity(strs.len());
+    strs.map_rows(&mut out, |s| pattern.matches(s) != negated);
+    out
+}
+
+/// Append, for every row of `probe`, whether its value equals a non-null
+/// item of `list` — `=` as the comparison kernel has it, so mixed numeric
+/// pairs meet as f64 — to `out`. One pass over the rows, each tested
+/// against the whole list; a null row's placeholder is tested like any
+/// value, so the caller applies the validity.
+pub(crate) fn member_rows_into(probe: &Column, list: &[Value], out: &mut Vec<bool>) {
+    let items = list.iter().filter(|item| !item.is_null());
+    match &probe.data {
+        ColumnData::Str(v) => {
+            let items: Vec<&str> = items.map(Value::as_str).collect();
+            v.map_rows(out, |s| items.contains(&s));
+        }
+        ColumnData::Bool(v) => {
+            let items: Vec<bool> = items.map(Value::as_bool).collect();
+            out.extend(v.iter().map(|x| items.contains(x)));
+        }
+        ColumnData::I64(v) => numeric_members(v, items, out, |item| match item {
+            Value::I64(x) => Some(*x),
+            _ => None,
+        }),
+        ColumnData::F64(v) => numeric_members(v, items, out, |item| match item {
+            Value::F64(x) => Some(*x),
+            _ => None,
+        }),
+        ColumnData::Date(v) => numeric_members(v, items, out, |item| match item {
+            Value::Date(x) => Some(*x),
+            _ => None,
+        }),
+    }
+}
+
+/// [`member_rows_into`] for a numeric column: items of the column's own
+/// type compare natively, other numeric items through f64.
+fn numeric_members<'a, T: Num + PartialEq>(
+    vals: &[T],
+    items: impl Iterator<Item = &'a Value>,
+    out: &mut Vec<bool>,
+    own: impl Fn(&Value) -> Option<T>,
+) {
+    let (mut same, mut float) = (Vec::new(), Vec::new());
+    for item in items {
+        match (own(item), item) {
+            (Some(x), _) => same.push(x),
+            (None, Value::I64(x)) => float.push(*x as f64),
+            (None, Value::F64(x)) => float.push(*x),
+            (None, Value::Date(x)) => float.push(*x as f64),
+            (None, other) => panic!(
+                "cannot compare a number with {}",
+                other.data_type().expect("null items are skipped")
+            ),
+        }
+    }
+    out.extend(
+        vals.iter()
+            .map(|x| same.contains(x) || (!float.is_empty() && float.contains(&x.to_f64()))),
+    );
 }

@@ -7,9 +7,9 @@
 //! store). See `DESIGN.md` §3.2 for the inventory.
 //!
 //! Data is columnar: a [`Batch`] is a schema plus one [`Column`] per field,
-//! four of the five types a plain `Vec` and strings one flat
-//! [`StrColumn`] (offsets over a single UTF-8 buffer — no `String` per
-//! row, no dictionary form; `DESIGN.md` §12 "String columns"). The
+//! four of the five types a plain `Vec` and strings a [`StrColumn`]:
+//! `u32` codes into a shared [`StrDict`] (offsets over a single UTF-8
+//! buffer — no `String` per row; `DESIGN.md` §12 "String columns"). The
 //! [`codec`] turns batches into the bytes every exchange is billed on.
 //!
 //! ```
@@ -58,7 +58,7 @@ pub mod task;
 pub mod types;
 
 pub use batch::{Batch, BatchView, BATCH_SIZE};
-pub use column::{Column, ColumnData, ColumnSlice, StrColumn};
+pub use column::{Column, ColumnData, ColumnSlice, StrColumn, StrDict};
 pub use expr::{predicate_mask, predicate_mask_into, BinOp, Expr, LikePattern};
 pub use schema::{Field, Schema, SchemaRef};
 pub use types::{date, DataType, Value};
@@ -66,7 +66,7 @@ pub use types::{date, DataType, Value};
 /// Common imports for plan construction and execution.
 pub mod prelude {
     pub use crate::batch::Batch;
-    pub use crate::column::{Column, ColumnData, StrColumn};
+    pub use crate::column::{Column, ColumnData, StrColumn, StrDict};
     pub use crate::executor::Executor;
     pub use crate::expr::{BinOp, Expr, LikePattern};
     pub use crate::ops::aggregate::{AggExpr, AggFunc};

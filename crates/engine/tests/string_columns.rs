@@ -3,8 +3,8 @@
 //! Two halves. The *wire-and-placement pin* hashes what the rest of the
 //! system bills on — `encode_batch` bytes, `Batch::byte_size` and
 //! `partition_of` — over seeded batches with string columns. The
-//! constants were recorded while strings were a `Vec<String>`; the flat
-//! layout must reproduce them exactly, because shuffle bytes, partition
+//! constants were recorded while strings were a `Vec<String>`; every
+//! later layout must reproduce them exactly, because shuffle bytes, partition
 //! placement and therefore every simulated duration and dollar hang on
 //! them. The *oracle tests* run every column operation on string columns
 //! against the same operation done on a plain `Vec<String>` plus a

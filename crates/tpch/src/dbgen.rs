@@ -12,12 +12,13 @@
 
 use crate::schema;
 use cackle_engine::batch::Batch;
-use cackle_engine::column::{Column, ColumnData, StrColumn};
+use cackle_engine::column::{Column, ColumnData, StrColumn, StrDict};
 use cackle_engine::schema::{Field, Schema, SchemaRef};
 use cackle_engine::table::{Catalog, Table};
 use cackle_engine::types::{date, DataType};
 use cackle_prng::{Pcg32, Seed};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Configuration for one generation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,6 +137,9 @@ const SEGMENTS: [&str; 5] = [
     "MACHINERY",
     "HOUSEHOLD",
 ];
+const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
+const LINE_STATUSES: [&str; 2] = ["F", "O"];
+const ORDER_STATUSES: [&str; 3] = ["F", "O", "P"];
 const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 const SHIPMODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
 const INSTRUCTIONS: [&str; 4] = [
@@ -220,8 +224,10 @@ fn wrap_around(s: &mut String, phrase: &str) {
 
 /// Cuts a table into partitions while its rows are generated. Values are
 /// pushed one at a time in schema order; every `rows_per_partition`
-/// complete rows become one [`Batch`]. Strings go straight into the open
-/// partition's flat column (composed ones by way of one reused scratch
+/// complete rows become one [`Batch`]. A string picked from a fixed list
+/// is its index into one dictionary of the list, which every partition
+/// of the column shares; any other string goes straight into the open
+/// partition's column (composed ones by way of one reused scratch
 /// buffer), so the table never exists as one piece, nor any of its
 /// strings as a `String` of its own.
 struct TableWriter {
@@ -230,6 +236,9 @@ struct TableWriter {
     rows_per_partition: usize,
     /// The open partition, one builder per schema field.
     open: Vec<ColumnData>,
+    /// Per schema field, the list dictionary of a list-picked column,
+    /// made at its first pick.
+    dicts: Vec<Option<Arc<StrDict>>>,
     /// The column the next value belongs to.
     next: usize,
     partitions: Vec<Batch>,
@@ -237,24 +246,28 @@ struct TableWriter {
 }
 
 /// Empty builders for one partition of `schema`: fixed-width columns
-/// sized to the partition, string data left to grow.
-fn builders(schema: &Schema, rows: usize) -> Vec<ColumnData> {
-    let builder = |f: &Field| match f.dtype {
-        DataType::I64 => ColumnData::I64(Vec::with_capacity(rows)),
-        DataType::F64 => ColumnData::F64(Vec::with_capacity(rows)),
-        DataType::Str => ColumnData::Str(StrColumn::with_capacity(rows, 0)),
-        DataType::Date => ColumnData::Date(Vec::with_capacity(rows)),
-        DataType::Bool => ColumnData::Bool(Vec::with_capacity(rows)),
+/// sized to the partition, a list-picked column coded against its
+/// dictionary, other string data left to grow.
+fn builders(schema: &Schema, dicts: &[Option<Arc<StrDict>>], rows: usize) -> Vec<ColumnData> {
+    let builder = |(f, dict): (&Field, &Option<Arc<StrDict>>)| match (f.dtype, dict) {
+        (DataType::I64, _) => ColumnData::I64(Vec::with_capacity(rows)),
+        (DataType::F64, _) => ColumnData::F64(Vec::with_capacity(rows)),
+        (DataType::Str, Some(dict)) => ColumnData::Str(StrColumn::with_dict(dict.clone(), rows)),
+        (DataType::Str, None) => ColumnData::Str(StrColumn::with_capacity(rows, 0)),
+        (DataType::Date, _) => ColumnData::Date(Vec::with_capacity(rows)),
+        (DataType::Bool, _) => ColumnData::Bool(Vec::with_capacity(rows)),
     };
-    schema.fields.iter().map(builder).collect()
+    schema.fields.iter().zip(dicts).map(builder).collect()
 }
 
 impl TableWriter {
     fn new(name: &'static str, schema: SchemaRef, cfg: &DbGenConfig) -> Self {
+        let dicts = vec![None; schema.len()];
         TableWriter {
             name,
             rows_per_partition: cfg.rows_per_partition,
-            open: builders(&schema, cfg.rows_per_partition),
+            open: builders(&schema, &dicts, cfg.rows_per_partition),
+            dicts,
             next: 0,
             partitions: Vec::new(),
             scratch: String::new(),
@@ -276,7 +289,7 @@ impl TableWriter {
     }
 
     fn cut(&mut self) {
-        let fresh = builders(&self.schema, self.rows_per_partition);
+        let fresh = builders(&self.schema, &self.dicts, self.rows_per_partition);
         let columns = std::mem::replace(&mut self.open, fresh)
             .into_iter()
             .map(|mut data| {
@@ -324,6 +337,24 @@ impl TableWriter {
         });
     }
 
+    /// Entry `i` of `list`, a column's fixed list of values: its code
+    /// into the column's dictionary of the list.
+    fn pick<'l>(&mut self, list: impl IntoIterator<Item = &'l str>, i: usize) {
+        let col = self.next;
+        if self.dicts[col].is_none() {
+            // The column's first value: its open builder is still empty.
+            let dict = Arc::new(list.into_iter().collect::<StrDict>());
+            self.open[col] =
+                ColumnData::Str(StrColumn::with_dict(dict.clone(), self.rows_per_partition));
+            self.dicts[col] = Some(dict);
+        }
+        let code = u32::try_from(i).expect("a list index fits a code");
+        self.value(|c| match c {
+            ColumnData::Str(c) => c.push_code(code),
+            other => panic!("string pushed to a {} column", other.data_type()),
+        });
+    }
+
     /// A string `compose` writes into the scratch buffer it is handed
     /// empty.
     fn text(&mut self, compose: impl FnOnce(&mut String)) {
@@ -354,9 +385,9 @@ impl TableWriter {
 pub fn gen_region(cfg: &DbGenConfig) -> Table {
     let mut rng = cfg.stream(0x7265_6769);
     let mut w = TableWriter::new("region", schema::region(), cfg);
-    for (key, name) in (0..).zip(REGIONS) {
-        w.i64(key);
-        w.str(name);
+    for key in 0..REGIONS.len() {
+        w.i64(key as i64);
+        w.pick(REGIONS, key);
         w.text(|s| comment(s, &mut rng, 6));
     }
     w.finish()
@@ -366,9 +397,9 @@ pub fn gen_region(cfg: &DbGenConfig) -> Table {
 pub fn gen_nation(cfg: &DbGenConfig) -> Table {
     let mut rng = cfg.stream(0x6e61_7469);
     let mut w = TableWriter::new("nation", schema::nation(), cfg);
-    for (key, (name, region)) in (0..).zip(NATIONS) {
-        w.i64(key);
-        w.str(name);
+    for (key, (_, region)) in NATIONS.into_iter().enumerate() {
+        w.i64(key as i64);
+        w.pick(NATIONS.map(|(name, _)| name), key);
         w.i64(region);
         w.text(|s| comment(s, &mut rng, 8));
     }
@@ -427,7 +458,7 @@ pub fn gen_customer(cfg: &DbGenConfig) -> Table {
         w.i64(nk);
         w.text(|s| phone(s, &mut rng, nk));
         w.f64(money(&mut rng, -999.99, 9999.99));
-        w.str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]);
+        w.pick(SEGMENTS, rng.gen_range(0..SEGMENTS.len()));
         w.text(|s| {
             comment(s, &mut rng, 8);
             if rng.gen_ratio(1, 100) {
@@ -571,12 +602,13 @@ pub fn gen_orders_lineitem(cfg: &DbGenConfig) -> OrdersAndLineitem {
             let shipdate = odate + rng.gen_range(1..=121);
             let commitdate = odate + rng.gen_range(30..=90);
             let receiptdate = shipdate + rng.gen_range(1..=30);
+            // Indices into RETURN_FLAGS and LINE_STATUSES.
             let (rflag, lstatus) = if receiptdate <= current {
-                (if rng.gen_bool(0.5) { "R" } else { "A" }, "F")
+                (if rng.gen_bool(0.5) { 0 } else { 1 }, 0)
             } else {
-                ("N", "O")
+                (2, 1)
             };
-            if lstatus == "O" {
+            if LINE_STATUSES[lstatus] == "O" {
                 any_open = true;
             } else {
                 all_open = false;
@@ -590,13 +622,13 @@ pub fn gen_orders_lineitem(cfg: &DbGenConfig) -> OrdersAndLineitem {
             lineitem.f64(ext);
             lineitem.f64(disc);
             lineitem.f64(tax);
-            lineitem.str(rflag);
-            lineitem.str(lstatus);
+            lineitem.pick(RETURN_FLAGS, rflag);
+            lineitem.pick(LINE_STATUSES, lstatus);
             lineitem.date(shipdate);
             lineitem.date(commitdate);
             lineitem.date(receiptdate);
-            lineitem.str(INSTRUCTIONS[rng.gen_range(0..INSTRUCTIONS.len())]);
-            lineitem.str(SHIPMODES[rng.gen_range(0..SHIPMODES.len())]);
+            lineitem.pick(INSTRUCTIONS, rng.gen_range(0..INSTRUCTIONS.len()));
+            lineitem.pick(SHIPMODES, rng.gen_range(0..SHIPMODES.len()));
             lineitem.text(|s| comment(s, &mut rng, 4));
         }
         orders.i64(okey);
@@ -608,16 +640,18 @@ pub fn gen_orders_lineitem(cfg: &DbGenConfig) -> OrdersAndLineitem {
                 break c;
             }
         });
-        orders.str(if any_open && all_open {
-            "O"
+        // An index into ORDER_STATUSES: all lines open, some, none.
+        let status = if any_open && all_open {
+            1
         } else if any_open {
-            "P"
+            2
         } else {
-            "F"
-        });
+            0
+        };
+        orders.pick(ORDER_STATUSES, status);
         orders.f64((total * 100.0).round() / 100.0);
         orders.date(odate);
-        orders.str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]);
+        orders.pick(PRIORITIES, rng.gen_range(0..PRIORITIES.len()));
         orders.fmt(format_args!("Clerk#{:09}", rng.gen_range(1..=1000)));
         orders.i64(0);
         orders.text(|s| comment(s, &mut rng, 6));

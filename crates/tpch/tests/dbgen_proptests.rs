@@ -83,7 +83,8 @@ fn four_suppliers_per_part() {
 /// Per table: partition count and FNV-1a over every partition's encoded
 /// bytes (each partition's length, then its bytes). Recorded while string
 /// columns were a `Vec<String>` built whole and then chunked; generation
-/// straight into per-partition flat columns must reproduce every byte and
+/// straight into per-partition columns, list-picked ones coded against a
+/// shared dictionary, must reproduce every byte and
 /// every partition boundary — the second config's `customer`, `part`,
 /// `partsupp` and `orders` end exactly on one, where no empty tail may
 /// appear.
@@ -145,4 +146,78 @@ fn generated_bytes_are_pinned() {
         }
     }
     assert_eq!(got, PINNED, "recomputed table:\n{got:#x?}");
+}
+
+/// A column picked from a fixed list is coded against one dictionary of
+/// the list, which every partition shares; composed text is coded
+/// against each partition's own rows.
+#[test]
+fn list_picked_columns_share_one_dictionary() {
+    use cackle_tpch::dbgen::{generate_catalog, NATIONS};
+    use std::sync::Arc;
+
+    let catalog = generate_catalog(&DbGenConfig {
+        scale_factor: 0.002,
+        rows_per_partition: 100,
+        seed: 12,
+    });
+    let lists: [(&str, &str, &[&str]); 9] = [
+        ("lineitem", "l_returnflag", &["R", "A", "N"]),
+        ("lineitem", "l_linestatus", &["F", "O"]),
+        (
+            "lineitem",
+            "l_shipinstruct",
+            &[
+                "DELIVER IN PERSON",
+                "COLLECT COD",
+                "NONE",
+                "TAKE BACK RETURN",
+            ],
+        ),
+        (
+            "lineitem",
+            "l_shipmode",
+            &["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"],
+        ),
+        ("orders", "o_orderstatus", &["F", "O", "P"]),
+        (
+            "orders",
+            "o_orderpriority",
+            &["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"],
+        ),
+        (
+            "customer",
+            "c_mktsegment",
+            &[
+                "AUTOMOBILE",
+                "BUILDING",
+                "FURNITURE",
+                "MACHINERY",
+                "HOUSEHOLD",
+            ],
+        ),
+        (
+            "region",
+            "r_name",
+            &["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"],
+        ),
+        ("nation", "n_name", &NATIONS.map(|(name, _)| name)),
+    ];
+    for (table, column, list) in lists {
+        let partitions = &catalog.get(table).partitions;
+        let first = partitions[0].column_by_name(column).strs().dict().clone();
+        assert_eq!(first.iter().collect::<Vec<_>>(), list, "{column}");
+        for p in partitions {
+            assert!(
+                Arc::ptr_eq(p.column_by_name(column).strs().dict(), &first),
+                "{table}.{column}: a partition with a dictionary of its own"
+            );
+        }
+    }
+    assert_eq!(catalog.get("lineitem").partitions.len(), 122);
+    for p in &catalog.get("lineitem").partitions {
+        let comment = p.column_by_name("l_comment").strs();
+        assert_eq!(comment.dict().len(), p.num_rows());
+        assert!(comment.codes().iter().copied().eq(0..p.num_rows() as u32));
+    }
 }
