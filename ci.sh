@@ -13,6 +13,23 @@ dump_unchanged() {
         || { echo "results/$1 differs from the committed dump" >&2; exit 1; }
 }
 
+# One named gate: `cargo test -q <args>`, failing when it fails or when
+# it ran no test at all. A filter that matches nothing makes cargo exit
+# 0, so without the count a renamed or deleted test would pass its gate
+# silently.
+gate() {
+    out=$(cargo test -q "$@" 2>&1) \
+        || { printf '%s\n' "$out"; echo "gate failed: cargo test $*" >&2; return 1; }
+    passed=$(printf '%s\n' "$out" \
+        | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' \
+        | awk '{ n += $1 } END { print n + 0 }')
+    if [ "$passed" -eq 0 ]; then
+        echo "gate ran no test: cargo test $*" >&2
+        return 1
+    fi
+    echo "    $passed passed: $*"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -40,47 +57,59 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 echo "==> worker-count determinism (golden dumps, pinned behaviour, 10x executor stress)"
-cargo test -q --test determinism golden_dumps_are_byte_identical_across_worker_counts
-cargo test -q --test behaviour_pin
+gate --test determinism golden_dumps_are_byte_identical_across_worker_counts
+gate --test behaviour_pin
 # Green on every run, not on most runs: thread scheduling differs from
 # run to run, so one pass proves little about a worker-count race.
 for run in 1 2 3 4 5 6 7 8 9 10; do
-    cargo test -q --test executor_stress \
+    gate --test executor_stress \
         || { echo "executor_stress: failed on run $run of 10" >&2; exit 1; }
 done
+
+echo "==> one retry rule (typed errors at the bound, fault budgets)"
+# Every retried point allows max_retries retries and has one outcome at
+# the bound: a store request that fails every attempt ends both task
+# runners with FaultUnrecovered (the live one alike at 1 and 3 workers),
+# and every pinned fault run above asserts a fault budget of at most
+# 1e-6, as does the golden fault run here.
+gate -p cackle-faults --lib every_point_allows_max_retries_and_counts_the_same
+gate -p cackle-faults --lib the_lowest_exhausted_point_wins_in_any_order
+gate -p cackle-faults --lib recovered_operations_never_record_an_exhaustion
+gate --test unrecovered
+gate --test determinism golden_fault_run_dumps_are_byte_identical
 
 echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, string dictionaries, cost rows, target replay)"
 # The strategy tick's fast paths against their references, bit for bit:
 # the quantile value list against sorted brute force, `advance` over
 # random slices against the per-VM fleet, and the full family's
 # decisions against hashes recorded from per-second steps.
-cargo test -q -p cackle differential_quantile_value_list_vs_sorted
-cargo test -q -p cackle --lib differential_advance_vs_per_vm_fleet
-cargo test -q -p cackle --lib full_family_decision_trace_is_pinned
+gate -p cackle differential_quantile_value_list_vs_sorted
+gate -p cackle --lib differential_advance_vs_per_vm_fleet
+gate -p cackle --lib full_family_decision_trace_is_pinned
 # The engine's batch key kernels against their row-at-a-time references:
 # group-by, COUNT(DISTINCT) and joins against the reference operators,
 # the pinned seven-way placement of string keys, and the batch
 # partitioner against `partition_of` row by row.
-cargo test -q -p cackle-engine --test kernel_differential aggregate_kernel_matches_row_reference
-cargo test -q -p cackle-engine --test kernel_differential join_kernel_matches_row_reference
-cargo test -q -p cackle-engine --test kernel_differential negative_zero_is_a_key_of_its_own
-cargo test -q -p cackle-engine --test string_columns wire_bytes_sizes_and_placement_are_pinned
-cargo test -q -p cackle-engine --lib batch_partitions_match_partition_of
+gate -p cackle-engine --test kernel_differential aggregate_kernel_matches_row_reference
+gate -p cackle-engine --test kernel_differential join_kernel_matches_row_reference
+gate -p cackle-engine --test kernel_differential negative_zero_is_a_key_of_its_own
+gate -p cackle-engine --test string_columns wire_bytes_sizes_and_placement_are_pinned
+gate -p cackle-engine --lib batch_partitions_match_partition_of
 # Dictionary-coded strings: string comparisons, IN and LIKE once per
 # dictionary entry against once per row, gathers and concat, the
 # group-by's code-tuple memo against the byte-key path, dbgen's shared
 # list dictionaries, and every byte dbgen generates.
-cargo test -q -p cackle-engine --test string_dictionary per_entry_and_per_row_paths_agree
-cargo test -q -p cackle-engine --test string_dictionary group_by_memo_matches_byte_keys
-cargo test -q -p cackle-tpch --test dbgen_proptests list_picked_columns_share_one_dictionary
-cargo test -q -p cackle-tpch --test dbgen_proptests generated_bytes_are_pinned
+gate -p cackle-engine --test string_dictionary per_entry_and_per_row_paths_agree
+gate -p cackle-engine --test string_dictionary group_by_memo_matches_byte_keys
+gate -p cackle-tpch --test dbgen_proptests list_picked_columns_share_one_dictionary
+gate -p cackle-tpch --test dbgen_proptests generated_bytes_are_pinned
 # Every runner's dump against its own result: each cost row that mirrors
 # a `RunResult` field is that field, bit for bit.
-cargo test -q --test cost_rows every_runner_dumps_the_costs_it_reports
+gate --test cost_rows every_runner_dumps_the_costs_it_reports
 # Every strategy-driven runner's recorded demand, replayed through a fresh
 # strategy on the one strategy clock, reproduces its recorded targets bit
 # for bit (model, system, system under market motion, live, serve).
-cargo test -q --test replay
+gate --test replay
 
 echo "==> repro (every experiment regenerates its committed outputs byte for byte)"
 # One run of every experiment, fanned out over the host's cores. repro

@@ -9,6 +9,9 @@ use cackle::{make_strategy, EnvironmentSpec, FaultSpec, MetaStrategy, RecoveryPo
 use cackle_cloud::micro_dollars;
 use cackle_serve::{run_serve, ServeSpec, TenantRegistry};
 
+#[path = "../../../tests/common/budget.rs"]
+mod budget;
+
 /// Chaos sweep: fault intensity vs recovered cost and latency.
 ///
 /// Scales a composite fault plan — spot reclaims, pool invoke
@@ -18,12 +21,13 @@ use cackle_serve::{run_serve, ServeSpec, TenantRegistry};
 /// re-execution, first-wins duplicates); the table reports how much
 /// latency and attributed recovery spend that resilience costs.
 ///
-/// That assert holds by design, not by luck of the draw: a pool launch
-/// is lost only when its first invoke and every retry fail. At intensity
-/// 2 invokes fail at 0.1 and the run makes about 39 000 launches, so the
-/// default bound of 4 retries expects 39 000 × 0.1⁵ ≈ 0.39 lost launches
-/// per run (the assert would hold on about 68 % of realizations); the
-/// sweep's bound of 8 expects 39 000 × 0.1⁹ ≈ 4e-5.
+/// That assert holds by design, not by luck of the draw: an operation is
+/// lost only when its first attempt and every retry fail, and every row
+/// asserts its fault budget (the expected count of such operations) is
+/// at most 1e-6. At intensity 2 invokes and store requests fail at 0.1
+/// over about 39 000 launches and 278 000 store requests, so the default
+/// bound of 4 retries would expect ≈ 3 lost operations per run, and the
+/// sweep's bound of 11 expects ≈ 3e-7.
 pub(crate) fn chaos_fault_sweep() -> Report {
     let w = hour_workload(600, 47);
     let mut t = ResultTable::new(
@@ -50,10 +54,11 @@ pub(crate) fn chaos_fault_sweep() -> Report {
         let telemetry = Telemetry::new();
         let spec = RunSpec::new()
             .with_faults(faults)
-            .with_recovery(RecoveryPolicy::default().with_max_retries(8))
+            .with_recovery(RecoveryPolicy::default().with_max_retries(11))
             .with_telemetry(&telemetry);
         let mut s = MetaStrategy::new(&spec.env);
         let r = run_system_with(&w, &mut s, &spec);
+        budget::assert_fault_budget(&format!("chaos_fault_sweep at {k}"), &spec);
         let faults_total = telemetry.counter("fault.spot_reclaims_total")
             + telemetry.counter("fault.pool_invoke_failures_total")
             + telemetry.counter("fault.pool_throttles_total")

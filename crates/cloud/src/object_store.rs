@@ -100,15 +100,16 @@ impl ObjectStore {
     }
 
     /// Consult `faults` on every subsequent request: an injected
-    /// transient 5xx is recovered in-store by bounded retry (the fault
-    /// plan guarantees transients clear within the policy's retry
-    /// bound), with each failed attempt billed as a real request — S3
-    /// bills errored requests too. Set before sharing the store.
+    /// transient 5xx is retried in-store up to the policy's
+    /// `max_retries`, with each attempt billed as a real request — S3
+    /// bills errored requests too. A request whose every attempt fails is
+    /// recorded on the plan's shared handle, and the run loop ends the
+    /// run with a typed error. Set before sharing the store.
     pub fn inject_faults(&self, faults: &FaultInjector) {
         *lock_faults(&self.faults) = faults.keyed();
     }
 
-    /// Attempts (1 + injected transient failures) for one request. Draws
+    /// Billed attempts for one request (1 + injected retries). Draws
     /// are keyed by the object key: tasks hit the store concurrently, so
     /// a shared sequential fault stream would make attempt counts depend
     /// on thread scheduling (requests for the same key draw identically —

@@ -21,12 +21,12 @@
 //!
 //! Fault injection (`crates/faults`): the spec's plan drives straggler
 //! slowdowns, pool invoke failures/throttles (bounded retry with
-//! deterministic backoff; exhaustion surfaces
-//! [`RunError::FaultUnrecovered`] through [`try_run_live`]), object-store
-//! transient errors (retried and billed inside the run's [`ObjectStore`],
-//! which attributes the retried attempts to the `recovery` cost
-//! component, as it does for the profile replay), and transport drops
-//! (recovered by S3 fallback on writes and bounded retries on reads).
+//! deterministic backoff), object-store transient errors (retried and
+//! billed inside the run's [`ObjectStore`], which attributes the retried
+//! attempts to the `recovery` cost component, as it does for the profile
+//! replay), and drops of node-tier transport writes (recovered by S3
+//! fallback). A pool invoke or a store request that fails every attempt
+//! surfaces [`RunError::FaultUnrecovered`] through [`try_run_live`].
 //! Spot reclaims and duplicate launches never happen here: a live task
 //! executes eagerly when it is launched, so it hands the loop no recovery
 //! data and there is no mid-flight copy to reclaim or duplicate.
@@ -117,14 +117,14 @@ impl TaskSource for LiveSource<'_> {
 }
 
 /// Execute a live workload; the strategy comes from `spec.strategy`.
-/// Panics on a malformed spec or workload — use [`try_run_live`] to handle
-/// those gracefully.
+/// Panics on a malformed spec or workload or an unrecovered injected
+/// fault — use [`try_run_live`] to handle those gracefully.
 pub fn run_live(workload: &[LiveQuery], catalog: &Catalog, spec: &RunSpec) -> RunResult {
     try_run_live(workload, catalog, spec).unwrap_or_else(|e| e.raise())
 }
 
-/// [`run_live`], reporting malformed specs and workloads instead of
-/// panicking.
+/// [`run_live`], reporting malformed specs and workloads and unrecovered
+/// faults instead of panicking.
 pub fn try_run_live(
     workload: &[LiveQuery],
     catalog: &Catalog,
@@ -134,16 +134,15 @@ pub fn try_run_live(
 }
 
 /// Execute a live workload under an explicitly constructed strategy.
-/// Returns the default (empty) result on a malformed spec/workload or an
-/// unrecovered injected fault — use [`try_run_live`] to observe those as
-/// errors.
+/// Panics where [`run_live`] does.
 pub fn run_live_with(
     workload: &[LiveQuery],
     catalog: &Catalog,
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> RunResult {
-    live_or_empty(workload, catalog, strategy, spec, false).0
+    let run = live(workload, catalog, Some(strategy), spec, false);
+    run.unwrap_or_else(|e| e.raise()).0
 }
 
 /// [`run_live_with`], additionally gathering each query's final output
@@ -154,26 +153,7 @@ pub fn run_live_collect(
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> (RunResult, Vec<Vec<Batch>>) {
-    live_or_empty(workload, catalog, strategy, spec, true)
-}
-
-/// The infallible entry points: a malformed spec or workload trips a
-/// debug assertion, and any error yields an empty result with one empty
-/// output per query.
-fn live_or_empty(
-    workload: &[LiveQuery],
-    catalog: &Catalog,
-    strategy: &mut dyn ProvisioningStrategy,
-    spec: &RunSpec,
-    keep_results: bool,
-) -> (RunResult, Vec<Vec<Batch>>) {
-    let outcome = live(workload, catalog, Some(strategy), spec, keep_results);
-    debug_assert!(
-        matches!(outcome, Ok(_) | Err(RunError::FaultUnrecovered { .. })),
-        "invalid live run: {:?}",
-        outcome.as_ref().err()
-    );
-    outcome.unwrap_or_else(|_| (RunResult::default(), vec![Vec::new(); workload.len()]))
+    live(workload, catalog, Some(strategy), spec, true).unwrap_or_else(|e| e.raise())
 }
 
 /// Every live entry point: hand the plans' stage graphs to the run loop

@@ -514,7 +514,11 @@ pub(crate) fn run<'a, S: TaskSource>(
         }
         // An event that exhausted a recovery bound is still handled to
         // its end, so the sink counts everything it injected, and the
-        // dump keeps the spend so far.
+        // dump keeps the spend so far. A store request that failed every
+        // attempt during the event ends the run like a pool chain does.
+        if let (None, Some(point)) = (&st.fatal, st.faults.keyed_exhaustion()) {
+            st.unrecovered(point, st.faults.policy().max_retries.saturating_add(1));
+        }
         if let Some(e) = st.fatal.take() {
             st.record_costs(&telemetry);
             return Err(e);
@@ -668,6 +672,16 @@ impl<S: TaskSource> Coordinator<'_, S> {
         self.launch_on_pool(now, token, dur_s, 0, dup);
     }
 
+    /// An operation at `point` failed all `attempts`: count it and end
+    /// the run with a typed error once the current event is handled.
+    fn unrecovered(&mut self, point: InjectionPoint, attempts: u32) {
+        self.faults.note_unrecovered(point);
+        self.fatal = Some(RunError::FaultUnrecovered {
+            point: point.as_str(),
+            attempts,
+        });
+    }
+
     /// Launch (or relaunch) a copy of `token` on the elastic pool. An
     /// injected invoke failure retries with deterministic backoff via a
     /// [`Ev::PoolLaunch`] event; once the policy's bound is exhausted the
@@ -683,11 +697,7 @@ impl<S: TaskSource> Coordinator<'_, S> {
         }
         let policy = self.faults.policy();
         if !policy.allows_retry(attempt) {
-            self.faults.note_unrecovered(InjectionPoint::PoolInvoke);
-            self.fatal = Some(RunError::FaultUnrecovered {
-                point: InjectionPoint::PoolInvoke.as_str(),
-                attempts: attempt + 1,
-            });
+            self.unrecovered(InjectionPoint::PoolInvoke, attempt + 1);
             return;
         }
         let backoff = policy.backoff_ms(attempt);

@@ -165,30 +165,29 @@ impl TaskSource for ProfileSource<'_> {
 }
 
 /// Run the full system over a workload; the strategy comes from
-/// `spec.strategy`. Panics on a malformed spec or workload — use
-/// [`try_run_system`] to handle those gracefully.
+/// `spec.strategy`. Panics on a malformed spec or workload or an
+/// unrecovered injected fault — use [`try_run_system`] to handle those
+/// gracefully.
 pub fn run_system(workload: &[QueryArrival], spec: &RunSpec) -> RunResult {
     try_run_system(workload, spec).unwrap_or_else(|e| e.raise())
 }
 
-/// [`run_system`], reporting malformed specs and workloads instead of
-/// panicking.
+/// [`run_system`], reporting malformed specs and workloads and
+/// unrecovered faults instead of panicking.
 pub fn try_run_system(workload: &[QueryArrival], spec: &RunSpec) -> Result<RunResult, RunError> {
     let mut strategy = try_make_strategy(&spec.strategy, &spec.env)?;
     try_run_system_with(workload, strategy.as_mut(), spec)
 }
 
-/// Run the full system under an explicitly constructed strategy. A
-/// malformed spec or workload trips a debug assertion and yields an empty
-/// result; use [`try_run_system_with`] to observe the error.
+/// Run the full system under an explicitly constructed strategy.
+/// Panics where [`run_system`] does; use [`try_run_system_with`] to
+/// observe the error.
 pub fn run_system_with(
     workload: &[QueryArrival],
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> RunResult {
-    let outcome = try_run_system_with(workload, strategy, spec);
-    debug_assert!(outcome.is_ok(), "invalid system run: {outcome:?}");
-    outcome.unwrap_or_default()
+    try_run_system_with(workload, strategy, spec).unwrap_or_else(|e| e.raise())
 }
 
 /// The stage graphs of a profile workload, as the run loop and the

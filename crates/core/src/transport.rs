@@ -334,8 +334,13 @@ mod tests {
             h.write(key(3, 1), task, vec![task as u8; 10]);
         }
         assert_eq!(h.read(key(3, 1)).len(), 40);
-        let retried = t.counter("fault.store_get_errors_total");
-        assert!(retried > 0, "the plan should inject GET errors");
+        assert!(
+            t.counter("fault.store_get_errors_total") > 0,
+            "the plan should inject GET errors"
+        );
+        // Every attempt after a request's first is a retry, including
+        // those of a request that failed all of its attempts.
+        let retried = t.counter("recovery.retries_total");
         assert_eq!(s.ledger().get_requests, 40 + retried);
     }
 

@@ -26,9 +26,10 @@
 //!   first-come-first-served, so publication order must not depend on
 //!   thread scheduling. Every worker count — including 1 — goes through
 //!   the same barrier, so the registry is identical at `workers = 1, 2, 8`.
-//! * **Keyed fault draws.** Task code, the object store and the shuffle
-//!   transport hold a [`TaskFaults`] view, whose only draws are keyed by
-//!   the operation's stable identity and so are dispatch-order-
+//! * **Keyed fault draws.** Task code draws no fault. The object store
+//!   and the shuffle transport it reaches hold a
+//!   [`TaskFaults`](cackle_faults::TaskFaults) view, whose only draws are
+//!   keyed by the operation's stable identity and so are dispatch-order-
 //!   independent. The coordinator's `FaultInjector`, with its shared
 //!   sequential streams, is `!Sync`: a worker closure that captures one
 //!   does not compile (see [`Executor::run_indexed`]).
@@ -53,7 +54,7 @@ use crate::plan::{StageDag, StageId};
 use crate::shuffle::ShuffleTransport;
 use crate::table::Catalog;
 use crate::task::{TaskContext, TaskExecution, TaskResult};
-use cackle_faults::{FaultInjector, TaskFaults};
+use cackle_faults::FaultInjector;
 use cackle_telemetry::{catalog, Telemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -67,7 +68,6 @@ const _: () = {
     let _ = assert_sync::<Catalog>;
     let _ = assert_sync::<dyn ShuffleTransport>;
     let _ = assert_sync::<Telemetry>;
-    let _ = assert_sync::<TaskFaults>;
 };
 
 /// A deterministic worker pool. Cheap to construct; holds no threads —
@@ -171,8 +171,9 @@ impl Executor {
     /// records its engine counters into `telemetry`, in task-index order.
     /// This barrier is the engine's only caller of
     /// [`ShuffleTransport::write`]. Returns the per-task results in task
-    /// order. Tasks get the keyed view of `faults`, never the handle
-    /// itself.
+    /// order. Tasks draw no fault, so `_faults` goes unread: the run's
+    /// plan reaches the transport and the object store through their own
+    /// keyed views.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_stage(
         &self,
@@ -182,13 +183,11 @@ impl Executor {
         catalog: &Catalog,
         shuffle: &dyn ShuffleTransport,
         telemetry: &Telemetry,
-        faults: &FaultInjector,
+        _faults: &FaultInjector,
     ) -> Vec<TaskResult> {
-        let faults = faults.keyed();
         let tasks = dag.stages[stage_id].tasks as usize;
         let ran = self.run_indexed(tasks, |i| {
-            let mut ctx = TaskContext::new(dag, stage_id, i as u32, query_id, catalog, shuffle);
-            ctx.faults = faults.clone();
+            let ctx = TaskContext::new(dag, stage_id, i as u32, query_id, catalog, shuffle);
             TaskExecution::new(&ctx).run_buffered()
         });
         let mut results = Vec::with_capacity(ran.len());

@@ -32,7 +32,6 @@ use crate::rowkey::partitions_into;
 use crate::schema::SchemaRef;
 use crate::shuffle::{ShuffleKey, ShuffleReader, ShuffleTransport};
 use crate::table::Catalog;
-use cackle_faults::{op_key, TaskFaults};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -50,11 +49,6 @@ pub struct TaskContext<'a> {
     pub catalog: &'a Catalog,
     /// Intermediate-data transport, read-only: a task never publishes.
     pub shuffle: ShuffleReader<'a>,
-    /// Keyed view of the fault plan (disabled by default). Injected
-    /// transport drops on shuffle reads are retried deterministically
-    /// inside its bounded recovery loop; the retries cost counters, never
-    /// data.
-    pub faults: TaskFaults,
     /// Reusable scratch buffers for this task's kernels. A `RefCell`
     /// rather than `&mut` because the context is otherwise shared
     /// immutably; tasks never share a context across threads (the
@@ -63,9 +57,7 @@ pub struct TaskContext<'a> {
 }
 
 impl<'a> TaskContext<'a> {
-    /// A context with faults disabled; assign the `faults` field for a
-    /// keyed view of a plan (it is plain data, like the rest of the
-    /// context).
+    /// A context for task `task` of stage `stage_id`.
     pub fn new(
         dag: &'a StageDag,
         stage_id: StageId,
@@ -81,7 +73,6 @@ impl<'a> TaskContext<'a> {
             query_id,
             catalog,
             shuffle: ShuffleReader::new(shuffle),
-            faults: TaskFaults::default(),
             scratch: RefCell::new(ScratchArena::new()),
         }
     }
@@ -241,19 +232,6 @@ impl<'a, 'c> TaskExecution<'a, 'c> {
     fn read_stage(&self, upstream: StageId, partition: u32, result: &mut TaskResult) -> Vec<Batch> {
         let ctx = self.ctx;
         let schema = ctx.dag.stages[upstream].output_schema.clone();
-        // Injected transport drops: each dropped fetch is retried within the
-        // recovery bound (transients clear by construction), so the read
-        // below always observes complete data; the retries are counted. The
-        // draw is keyed by the read's stable identity — tasks execute
-        // concurrently, so a shared sequential stream would make the outcome
-        // depend on thread scheduling.
-        ctx.faults.transport_read_retries_keyed(op_key(
-            format!(
-                "read/q{}/s{}/p{}/c{}/t{}",
-                ctx.query_id, upstream, partition, ctx.stage_id, ctx.task
-            )
-            .as_bytes(),
-        ));
         let chunks = ctx.shuffle.read(ShuffleKey {
             query: ctx.query_id,
             stage: upstream as u32,

@@ -21,33 +21,43 @@
 //!    no draw and records no metric, so a default (all-zero) spec is
 //!    bit-for-bit equivalent to running without the subsystem at all.
 //! 3. **Recovered or typed.** Every injected fault is either recovered —
-//!    bounded retry with deterministic backoff, duplicate launch with
-//!    first-wins, task re-execution — or surfaced as a typed error by
-//!    the caller. Never a panic (`[lints.clippy]` in this crate's
-//!    manifest denies `unwrap`, `expect` and `panic!`).
+//!    bounded retry, duplicate launch with first-wins, task
+//!    re-execution — or surfaced as a typed error by the caller. Never
+//!    a panic (`[lints.clippy]` in this crate's manifest denies
+//!    `unwrap`, `expect` and `panic!`). Every retried point follows one
+//!    rule: `max_retries` retries after the first attempt, and an
+//!    operation whose `max_retries + 1` attempts all fail has one stated
+//!    outcome — a transport write falls back to the object store; a
+//!    store request or a pool invoke ends the run with
+//!    `RunError::FaultUnrecovered`. Nothing succeeds silently at the
+//!    bound.
 //! 4. **Free when disabled.** Both handles are a cheap `Option` around
 //!    shared state, mirroring `Telemetry`: hot paths carry one
 //!    unconditionally and a disabled handle costs one branch.
 //! 5. **Phases are types.** The coordinator holds a [`FaultInjector`]:
 //!    every draw, sequential ones included, and `!Sync`, so a worker
-//!    closure cannot capture it. Task code, the object store and the
-//!    shuffle transport hold its [`TaskFaults`] view
+//!    closure cannot capture it. The object store and the shuffle
+//!    transport, which tasks reach concurrently, hold its [`TaskFaults`] view
 //!    ([`FaultInjector::keyed`]), which has only the draws keyed by the
 //!    operation's identity — the ones whose result cannot depend on
 //!    which thread got there first. Every object-store request of every
 //!    task runner — a live task's, or a replayed stage's modeled one —
 //!    draws its retries there, and the store attributes the retried
-//!    attempts to the `recovery` cost component.
+//!    attempts to the `recovery` cost component. The keyed points share
+//!    one bounded draw; what they write back is only the exhaustion
+//!    record the coordinator reads ([`FaultInjector::keyed_exhaustion`]).
 //!
 //! Injected faults and recoveries are counted through `cackle-telemetry`
 //! under the `fault.*` / `recovery.*` prefixes (DESIGN.md §8 tabulates
 //! the full set).
 
 use cackle_prng::{Pcg32, Seed};
-use cackle_telemetry::{catalog, Telemetry};
+use cackle_telemetry::catalog::{self, Counter};
+use cackle_telemetry::Telemetry;
 use std::cell::{RefCell, RefMut};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 mod env;
@@ -73,7 +83,7 @@ pub enum InjectionPoint {
     StoreGet,
     /// Object-store PUT transient error (5xx).
     StorePut,
-    /// Shuffle transport drop (node tier write/read).
+    /// Shuffle transport drop of a node-tier write.
     Transport,
     /// Straggler slowdown of one task.
     Straggler,
@@ -126,7 +136,10 @@ impl std::error::Error for FaultError {}
 
 /// Seeded description of which faults to inject and how often. All rates
 /// default to zero (no faults); a zero rate means the corresponding
-/// injection point never draws and never records a metric.
+/// injection point never draws and never records a metric. A per-attempt
+/// rate `p` under [`RecoveryPolicy::max_retries`] `r` fails an operation
+/// outright with probability `p^(r + 1)`; a plan that must complete keeps
+/// the sum of that over its operations at or below 1e-6 (DESIGN §8).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Spot reclaims per VM-busy-hour (Poisson: a task of duration `d`
@@ -146,8 +159,8 @@ pub struct FaultSpec {
     /// Probability an object-store PUT request attempt returns a
     /// transient 5xx (per attempt, `[0, 0.95]`).
     pub store_put_error_rate: f64,
-    /// Probability a shuffle-transport operation is dropped in transit
-    /// (per attempt, `[0, 0.95]`).
+    /// Probability a node-tier shuffle write attempt is dropped in
+    /// transit (per attempt, `[0, 0.95]`). Reads draw no drops.
     pub transport_drop_rate: f64,
     /// Probability a task is a straggler (per task, `[0, 1]`).
     pub straggler_rate: f64,
@@ -280,10 +293,11 @@ impl FaultSpec {
 /// is a knob; the backoff and the straggler patience are constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Maximum retries per operation after the first attempt. Transient
-    /// store/transport faults clear within this bound (that is what
-    /// "transient" means here); pool invoke exhaustion surfaces as a
-    /// typed run error.
+    /// Retries per operation after its first attempt, at every retried
+    /// point. An operation is lost only when all `max_retries + 1`
+    /// attempts fail: a transport write then falls back to the object
+    /// store, and a store request or a pool invoke ends the run with a
+    /// typed error.
     pub max_retries: u32,
 }
 
@@ -373,7 +387,6 @@ fn stream(seed: Seed, salt: u64) -> Pcg32 {
 /// results depend on thread scheduling. Disjoint from the sequential
 /// salts (0xFA01, 0xFA02, 0xFA06) so keyed and sequential draws never
 /// collide.
-const SALT_TRANSPORT_READ: u64 = 0xFA13;
 const SALT_TRANSPORT_WRITE: u64 = 0xFA14;
 const SALT_STORE_GET: u64 = 0xFA15;
 const SALT_STORE_PUT: u64 = 0xFA16;
@@ -477,19 +490,26 @@ impl FaultPlan {
     }
 }
 
-/// What a keyed draw reads. Fixed once the handle is instrumented, so
-/// tasks share it without a lock.
+/// What a keyed draw reads, fixed once the handle is instrumented so
+/// tasks share it without a lock, and the one thing keyed draws write:
+/// the lowest injection point (`as u8`) at which an operation failed
+/// every attempt, `NO_POINT` while none has, shared by every view.
 #[derive(Debug, Clone)]
 struct Keyed {
     seed: Seed,
     spec: FaultSpec,
     policy: RecoveryPolicy,
     telemetry: Telemetry,
+    exhausted: Arc<AtomicU8>,
 }
 
-/// The keyed-only view of a fault plan: the handle task code, the object
-/// store and the shuffle transport hold. Every draw it offers comes from
-/// a fresh stream keyed by `(run seed, point, key)`, so the result
+/// [`Keyed::exhausted`] before any keyed operation failed every attempt.
+const NO_POINT: u8 = u8::MAX;
+
+/// The keyed-only view of a fault plan: the handle the object store and
+/// the shuffle transport hold. Every draw it offers is the one
+/// bounded retry (at most `max_retries + 1` attempts) on a fresh stream
+/// keyed by `(run seed, point, key)`, so the result
 /// depends only on the operation's identity, never on dispatch order —
 /// which is why this handle, unlike [`FaultInjector`], is `Send + Sync`
 /// and may be captured by the executor's worker closures. Two operations
@@ -501,93 +521,88 @@ pub struct TaskFaults {
     inner: Option<Arc<Keyed>>,
 }
 
+impl Keyed {
+    /// The one bounded retry of every keyed fault point: attempt the
+    /// operation `key` until an attempt clears, at most `max_retries + 1`
+    /// times, each attempt failing with probability `rate`. Every failed
+    /// attempt counts `fault` and every retry `recovery.retries_total`.
+    /// Returns the attempts made, or [`Exhausted`] when all of them
+    /// failed. A zero rate draws nothing and takes one attempt.
+    fn bounded(&self, rate: f64, salt: u64, key: u64, fault: Counter) -> Result<u64, Exhausted> {
+        if rate <= 0.0 {
+            return Ok(1);
+        }
+        let mut rng = keyed_stream(self.seed, salt, key);
+        let retries = u64::from(self.policy.max_retries);
+        for attempt in 1..=retries + 1 {
+            if !rng.gen_bool(rate) {
+                return Ok(attempt);
+            }
+            self.telemetry.add(fault, 1);
+            if attempt <= retries {
+                self.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
+            }
+        }
+        Err(Exhausted)
+    }
+}
+
+/// Every attempt of a keyed operation failed.
+struct Exhausted;
+
 impl TaskFaults {
-    /// Attempts for one store request identified by `key` under injected
-    /// transient errors: `1` plus up to `max_retries` failed attempts
-    /// (the transient clears within the bound — billing-wise every
-    /// attempt is a billable request). Counts
-    /// `fault.store_{get,put}_errors_total` per injected error and
-    /// `recovery.retries_total` per retry. A zero rate draws nothing.
+    /// Billed attempts for one store request identified by `key` under
+    /// injected transient errors: the attempts of the one bounded retry,
+    /// `max_retries + 1` when every attempt failed — S3 bills errored
+    /// requests too. Such a request is not recovered: it records
+    /// `store.get` / `store.put` on the plan's shared handle (the lowest
+    /// point wins, so the record does not depend on which task got there
+    /// first), and the run loop ends the run with
+    /// `RunError::FaultUnrecovered` after the event that made it. Counts
+    /// `fault.store_{get,put}_errors_total` per failed attempt and
+    /// `recovery.retries_total` per retry.
     pub fn store_attempts_keyed(&self, op: StoreOp, key: u64) -> u64 {
         let Some(k) = &self.inner else {
             return 1;
         };
-        let (rate, salt, counter) = match op {
+        let (point, rate, salt, counter) = match op {
             StoreOp::Get => (
+                InjectionPoint::StoreGet,
                 k.spec.store_get_error_rate,
                 SALT_STORE_GET,
                 catalog::FAULT_STORE_GET_ERRORS_TOTAL,
             ),
             StoreOp::Put => (
+                InjectionPoint::StorePut,
                 k.spec.store_put_error_rate,
                 SALT_STORE_PUT,
                 catalog::FAULT_STORE_PUT_ERRORS_TOTAL,
             ),
         };
-        if rate <= 0.0 {
-            return 1;
-        }
-        let mut rng = keyed_stream(k.seed, salt, key);
-        let mut failed = 0;
-        while failed < k.policy.max_retries && rng.gen_bool(rate) {
-            failed += 1;
-            k.telemetry.add(counter, 1);
-            k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
-        }
-        1 + u64::from(failed)
+        k.bounded(rate, salt, key, counter)
+            .unwrap_or_else(|Exhausted| {
+                k.exhausted.fetch_min(point as u8, Ordering::AcqRel);
+                u64::from(k.policy.max_retries) + 1
+            })
     }
 
-    /// Decide whether the node-tier transport write identified by `key`
-    /// falls back to the object store: the write is retried up to the
-    /// policy bound and falls back only when every attempt is dropped.
-    /// Counts `fault.transport_drops_total` per drop,
-    /// `recovery.retries_total` per retry, and
+    /// Whether the node-tier transport write identified by `key` falls
+    /// back to the object store: it does when every attempt of the one
+    /// bounded retry is dropped. Counts `fault.transport_drops_total` per
+    /// drop, `recovery.retries_total` per retry, and
     /// `recovery.transport_fallbacks_total` on fallback.
     pub fn transport_write_fallback_keyed(&self, key: u64) -> bool {
         let Some(k) = &self.inner else {
             return false;
         };
+        let drops = catalog::FAULT_TRANSPORT_DROPS_TOTAL;
         let rate = k.spec.transport_drop_rate;
-        if rate <= 0.0 {
-            return false;
+        let fallback = k.bounded(rate, SALT_TRANSPORT_WRITE, key, drops).is_err();
+        if fallback {
+            k.telemetry
+                .add(catalog::RECOVERY_TRANSPORT_FALLBACKS_TOTAL, 1);
         }
-        let mut rng = keyed_stream(k.seed, SALT_TRANSPORT_WRITE, key);
-        let attempts = k.policy.max_retries.saturating_add(1);
-        for attempt in 0..attempts {
-            if !rng.gen_bool(rate) {
-                return false;
-            }
-            k.telemetry.add(catalog::FAULT_TRANSPORT_DROPS_TOTAL, 1);
-            if attempt + 1 < attempts {
-                k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
-            }
-        }
-        k.telemetry
-            .add(catalog::RECOVERY_TRANSPORT_FALLBACKS_TOTAL, 1);
-        true
-    }
-
-    /// Number of retries the transport read identified by `key` needed
-    /// before succeeding (bounded by the policy; a read always succeeds
-    /// within the bound — drops are transient). Counts
-    /// `fault.transport_drops_total` and `recovery.retries_total` per
-    /// retry.
-    pub fn transport_read_retries_keyed(&self, key: u64) -> u32 {
-        let Some(k) = &self.inner else {
-            return 0;
-        };
-        let rate = k.spec.transport_drop_rate;
-        if rate <= 0.0 {
-            return 0;
-        }
-        let mut rng = keyed_stream(k.seed, SALT_TRANSPORT_READ, key);
-        let mut retries = 0u32;
-        while retries < k.policy.max_retries && rng.gen_bool(rate) {
-            retries += 1;
-            k.telemetry.add(catalog::FAULT_TRANSPORT_DROPS_TOTAL, 1);
-            k.telemetry.add(catalog::RECOVERY_RETRIES_TOTAL, 1);
-        }
-        retries
+        fallback
     }
 }
 
@@ -626,6 +641,7 @@ impl FaultInjector {
             spec: plan.spec.clone(),
             policy,
             telemetry: Telemetry::disabled(),
+            exhausted: Arc::new(AtomicU8::new(NO_POINT)),
         };
         FaultInjector {
             plan: Some(Rc::new(RefCell::new(plan))),
@@ -701,6 +717,17 @@ impl FaultInjector {
             .as_ref()
             .map(|k| k.spec.environment.vm_traits(k.seed, vm))
             .unwrap_or_default()
+    }
+
+    /// The lowest injection point at which a keyed operation of this
+    /// plan — a store request from any task or view — has failed every
+    /// attempt. The coordinator asks after each event and ends the run
+    /// with a typed error.
+    pub fn keyed_exhaustion(&self) -> Option<InjectionPoint> {
+        let code = self.tasks.inner.as_ref()?.exhausted.load(Ordering::Acquire);
+        [InjectionPoint::StoreGet, InjectionPoint::StorePut]
+            .into_iter()
+            .find(|&point| point as u8 == code)
     }
 
     /// Record that VM `vm` started and return its persistent traits.
@@ -842,7 +869,6 @@ mod tests {
             assert_eq!(inj.store_attempts_keyed(StoreOp::Get, k), 1);
             assert_eq!(inj.store_attempts_keyed(StoreOp::Put, k), 1);
             assert!(!inj.keyed().transport_write_fallback_keyed(k));
-            assert_eq!(inj.keyed().transport_read_retries_keyed(k), 0);
             assert_eq!(inj.straggler(), None);
         }
         // No stream advanced: the zero plan made zero draws.
@@ -863,7 +889,7 @@ mod tests {
                     inj.vm_interrupt_at(k * 60, 120.0),
                     inj.pool_invoke(),
                     inj.store_attempts_keyed(StoreOp::Get, k),
-                    inj.keyed().transport_read_retries_keyed(k),
+                    inj.keyed().transport_write_fallback_keyed(k),
                     inj.straggler(),
                 ));
             }
@@ -943,18 +969,77 @@ mod tests {
     }
 
     #[test]
-    fn transport_recovery_is_bounded() {
-        let spec = FaultSpec::default().with_transport_drops(0.95);
+    fn every_point_allows_max_retries_and_counts_the_same() {
+        // Rate 0.95 at 2 retries: most operations fail all three
+        // attempts. Per operation, each failed attempt counts a fault and
+        // each retry a `recovery.retries_total`; an exhausted one bills
+        // three attempts, three faults and two retries.
+        let t = Telemetry::new();
+        let spec = FaultSpec::default()
+            .with_store_errors(0.95, 0.0)
+            .with_transport_drops(0.95);
         let policy = RecoveryPolicy::default().with_max_retries(2);
-        let tasks = FaultInjector::new(FaultPlan::compile(&spec, 11).unwrap(), policy).keyed();
-        let mut fallbacks = 0;
+        let inj =
+            FaultInjector::new(FaultPlan::compile(&spec, 11).unwrap(), policy).instrumented(&t);
+        let tasks = inj.keyed();
+        let (mut attempts, mut fallbacks) = (0, 0);
         for k in 0..500 {
-            assert!(tasks.transport_read_retries_keyed(k) <= 2);
-            if tasks.transport_write_fallback_keyed(k) {
-                fallbacks += 1;
-            }
+            let a = tasks.store_attempts_keyed(StoreOp::Get, k);
+            assert!((1..=3).contains(&a), "attempts {a}");
+            attempts += a;
+            fallbacks += u64::from(tasks.transport_write_fallback_keyed(k));
         }
         assert!(fallbacks > 0, "0.95^3 drops should force some fallbacks");
+        let errors = t.counter("fault.store_get_errors_total");
+        let drops = t.counter("fault.transport_drops_total");
+        // Failed store attempts: all but the one that cleared, and all
+        // three of an exhausted request.
+        let exhausted = errors + 500 - attempts;
+        assert!(exhausted > 0 && exhausted <= 500);
+        let retries = (errors - exhausted) + (drops - fallbacks);
+        assert_eq!(t.counter("recovery.retries_total"), retries);
+        assert_eq!(t.counter("recovery.transport_fallbacks_total"), fallbacks);
+        // Only the store's exhaustion is recorded; the writes fell back.
+        assert_eq!(inj.keyed_exhaustion(), Some(InjectionPoint::StoreGet));
+        assert_eq!(t.counter("recovery.unrecovered_total"), 0);
+    }
+
+    #[test]
+    fn recovered_operations_never_record_an_exhaustion() {
+        let spec = FaultSpec::default()
+            .with_store_errors(0.4, 0.4)
+            .with_transport_drops(0.95);
+        let policy = RecoveryPolicy::default().with_max_retries(40);
+        let inj = FaultInjector::new(FaultPlan::compile(&spec, 5).unwrap(), policy);
+        for k in 0..500 {
+            let _ = inj.store_attempts_keyed(StoreOp::Get, k);
+            let _ = inj.store_attempts_keyed(StoreOp::Put, k);
+        }
+        assert_eq!(inj.keyed_exhaustion(), None);
+        // A transport write that falls back records nothing either.
+        let dropped = FaultInjector::new(
+            FaultPlan::compile(&spec, 5).unwrap(),
+            RecoveryPolicy::default().with_max_retries(0),
+        );
+        assert!((0..500).any(|k| dropped.keyed().transport_write_fallback_keyed(k)));
+        assert_eq!(dropped.keyed_exhaustion(), None);
+    }
+
+    #[test]
+    fn the_lowest_exhausted_point_wins_in_any_order() {
+        // Every request fails every attempt at 0 retries and rate 0.95
+        // often enough; whichever op exhausts first, GET is recorded.
+        let spec = FaultSpec::default().with_store_errors(0.95, 0.95);
+        let policy = RecoveryPolicy::default().with_max_retries(0);
+        for ops in [[StoreOp::Put, StoreOp::Get], [StoreOp::Get, StoreOp::Put]] {
+            let inj = FaultInjector::new(FaultPlan::compile(&spec, 3).unwrap(), policy);
+            for op in ops {
+                for k in 0..20 {
+                    let _ = inj.keyed().store_attempts_keyed(op, k);
+                }
+            }
+            assert_eq!(inj.keyed_exhaustion(), Some(InjectionPoint::StoreGet));
+        }
     }
 
     #[test]
@@ -964,14 +1049,16 @@ mod tests {
         // keys — as concurrent tasks would — must not move it.
         let inj = || injector(&active_spec(), 33).keyed();
         let a = inj();
-        let direct: Vec<u32> = (0..50).map(|k| a.transport_read_retries_keyed(k)).collect();
+        let direct: Vec<u64> = (0..50)
+            .map(|k| a.store_attempts_keyed(StoreOp::Get, k))
+            .collect();
         let b = inj();
-        let interleaved: Vec<u32> = (0..50)
+        let interleaved: Vec<u64> = (0..50)
             .rev()
             .map(|k| {
-                let _ = b.store_attempts_keyed(StoreOp::Get, k * 7 + 1000);
+                let _ = b.store_attempts_keyed(StoreOp::Put, k * 7 + 1000);
                 let _ = b.transport_write_fallback_keyed(k + 5000);
-                b.transport_read_retries_keyed(k)
+                b.store_attempts_keyed(StoreOp::Get, k)
             })
             .collect();
         let mut reversed = interleaved.clone();
@@ -980,8 +1067,8 @@ mod tests {
         // Distinct keys must actually vary the outcome somewhere, or the
         // keying is vacuous.
         assert!(
-            direct.iter().any(|&r| r > 0),
-            "0.4 drop rate over 50 keys should hit at least once"
+            direct.iter().any(|&r| r > 1),
+            "0.4 error rate over 50 keys should hit at least once"
         );
         // Same key twice: identical result (and the sequential streams
         // are untouched by keyed draws).
@@ -999,7 +1086,7 @@ mod tests {
         for k in 0..20 {
             let _ = inj.store_attempts_keyed(StoreOp::Get, k);
             let _ = inj.keyed().store_attempts_keyed(StoreOp::Put, k);
-            let _ = inj.keyed().transport_read_retries_keyed(k);
+            let _ = inj.keyed().transport_write_fallback_keyed(k);
         }
         let plan = inj.plan.as_ref().unwrap().borrow();
         assert_eq!(plan.spot, before.spot);
@@ -1020,7 +1107,6 @@ mod tests {
             assert_eq!(inj.store_attempts_keyed(StoreOp::Get, k), 1);
             assert_eq!(inj.store_attempts_keyed(StoreOp::Put, k), 1);
             assert!(!inj.transport_write_fallback_keyed(k));
-            assert_eq!(inj.transport_read_retries_keyed(k), 0);
         }
         assert_eq!(t.export_jsonl().lines().count(), 1, "only the meta line");
     }
@@ -1116,7 +1202,6 @@ mod tests {
         for tasks in [inj.keyed(), TaskFaults::default()] {
             assert_eq!(tasks.store_attempts_keyed(StoreOp::Get, 7), 1);
             assert!(!tasks.transport_write_fallback_keyed(7));
-            assert_eq!(tasks.transport_read_retries_keyed(7), 0);
         }
         assert_eq!(inj.straggler(), None);
         assert_eq!(inj.policy(), RecoveryPolicy::default());
@@ -1124,6 +1209,7 @@ mod tests {
         assert_eq!(inj.vm_traits(3), VmTraits::default());
         assert_eq!(inj.vm_started(3), VmTraits::default());
         assert!(inj.environment().is_zero());
+        assert_eq!(inj.keyed_exhaustion(), None);
     }
 
     #[test]

@@ -109,14 +109,16 @@ handles! {
 /// Declare every metric: one `const` handle each, numbered by an enum so
 /// the indices are dense and follow declaration order, and one
 /// [`METRICS`] entry each, in the same order. A histogram names its
-/// bounds; other kinds have none.
+/// bounds; other kinds have none. An entry's doc comment, if any, follows
+/// the name in its handle's rustdoc.
 macro_rules! catalog {
-    ($($handle:ident: $kind:ident($name:literal, $unit:ident $(, $bounds:expr)?);)*) => {
+    ($($(#[$doc:meta])* $handle:ident: $kind:ident($name:literal, $unit:ident $(, $bounds:expr)?);)*) => {
         #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
         enum Index { $($handle),* }
 
         $(
             #[doc = concat!("`", $name, "`")]
+            $(#[$doc])*
             pub const $handle: $kind = $kind(Index::$handle as u16);
         )*
 
@@ -166,6 +168,10 @@ catalog! {
     FAULT_STORE_GET_ERRORS_TOTAL: Counter("fault.store_get_errors_total", Count);
     FAULT_STORE_PUT_ERRORS_TOTAL: Counter("fault.store_put_errors_total", Count);
     FAULT_STRAGGLERS_TOTAL: Counter("fault.stragglers_total", Count);
+    ///
+    /// One per dropped attempt of a node-tier shuffle write, under the one
+    /// bounded retry: a write whose `max_retries + 1` attempts all drop
+    /// falls back to the object store. Reads draw no drops.
     FAULT_TRANSPORT_DROPS_TOTAL: Counter("fault.transport_drops_total", Count);
     FLEET_VM_BILLED_SECONDS: Histogram("fleet.vm_billed_seconds", Seconds, &DEFAULT_BUCKETS);
     FLEET_VMS_RECLAIMED_TOTAL: Counter("fleet.vms_reclaimed_total", Count);

@@ -9,13 +9,19 @@
 //! ```
 //!
 //! The run is fully deterministic: same seed, same faults, same bill,
-//! byte-identical telemetry dump (`tests/determinism.rs` pins this).
+//! byte-identical telemetry dump (`tests/determinism.rs` pins this). It
+//! completes by design: its retry bound keeps the fault budget — the
+//! expected count of operations that fail every attempt — at or below
+//! 1e-6.
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
 use cackle::{FaultSpec, RecoveryPolicy, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
+
+#[path = "../tests/common/budget.rs"]
+mod budget;
 
 fn main() {
     // A half-hour bursty workload of TPC-H-SF100 queries.
@@ -39,7 +45,9 @@ fn main() {
         .with_pool_throttles(0.05, 500)
         .with_store_errors(0.05, 0.05)
         .with_stragglers(0.05, 3.0);
-    let recovery = RecoveryPolicy::default();
+    // Over ~775 000 store requests and pool invokes at a rate of 0.05,
+    // 9 retries budget ≈ 8e-8; the default 4 would budget ≈ 0.24.
+    let recovery = RecoveryPolicy::default().with_max_retries(9);
 
     let telemetry = Telemetry::new();
     let spec = RunSpec::new()
@@ -49,6 +57,7 @@ fn main() {
         .with_recovery(recovery)
         .with_telemetry(&telemetry);
     let r = run_system(&workload, &spec);
+    budget::assert_fault_budget("fault_injection", &spec);
 
     println!(
         "ran {} queries in {} simulated seconds; total bill ${:.2}",

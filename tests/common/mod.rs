@@ -1,16 +1,20 @@
 //! Fixtures shared by the root tests that attack worker-count
 //! independence (`executor_stress`), pin runner behaviour
 //! (`behaviour_pin`), check cost rows (`cost_rows`) and replay targets
-//! (`replay`): two fault plans, one report rendering, one live catalog
-//! and workload.
+//! (`replay`): two fault plans with the retry bounds that keep their runs
+//! within the fault budget (`budget.rs`), one report rendering, one live
+//! catalog and workload.
 
-use cackle::{FaultSpec, LiveQuery, RunResult};
+pub mod budget;
+
+use cackle::{FaultSpec, LiveQuery, RecoveryPolicy, RunResult};
 use cackle_engine::table::Catalog;
 use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
 use cackle_tpch::plans::{self, Par};
 use std::sync::Arc;
 
-/// Everything the fault layer can throw, at punishing rates.
+/// Everything the fault layer can throw, at punishing rates. Run it under
+/// [`chaos_recovery`].
 pub fn chaos() -> FaultSpec {
     FaultSpec::default()
         .with_spot_reclaims(6.0)
@@ -21,14 +25,23 @@ pub fn chaos() -> FaultSpec {
         .with_stragglers(0.2, 3.0)
 }
 
-/// Transport drops that exhaust their retry bound on most node writes,
-/// so the live shuffle falls back to the billed store, where half of all
-/// requests fail. On [`live_workload`] the [`chaos`] plan's drops almost
-/// never exhaust that bound, so its live runs make no store request.
+/// The retry bound of every [`chaos`] run: enough that no pool invoke or
+/// store request of the fixtures' workloads is expected to fail every
+/// attempt (`assert_fault_budget`).
+pub fn chaos_recovery() -> RecoveryPolicy {
+    RecoveryPolicy::default().with_max_retries(13)
+}
+
+/// Transport drops that exhaust the default retry bound on most node
+/// writes, so the live shuffle falls back to the billed store, where a
+/// few requests fail and retry. The store rate is what keeps the fault
+/// budget: raising the bound instead would stop the writes falling back.
+/// On [`live_workload`] the [`chaos`] plan's drops almost never exhaust
+/// their bound, so its live runs make no store request.
 pub fn store_errors() -> FaultSpec {
     FaultSpec::default()
         .with_transport_drops(0.9)
-        .with_store_errors(0.5, 0.5)
+        .with_store_errors(0.025, 0.025)
 }
 
 /// `{:?}` on `f64` prints the shortest exact round-trip decimal, so any

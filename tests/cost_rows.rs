@@ -13,7 +13,7 @@ mod common;
 use cackle::delaying::run_delaying;
 use cackle::model::{build_workload, run_model};
 use cackle::system::run_system;
-use cackle::{run_live, EnvironmentSpec, FaultSpec, RunResult, RunSpec, Telemetry};
+use cackle::{run_live, EnvironmentSpec, FaultSpec, RecoveryPolicy, RunResult, RunSpec, Telemetry};
 use cackle_cloud::Pricing;
 use cackle_comparators::{
     run_databricks, run_redshift, DatabricksConfig, RedshiftConfig, WarehouseSize,
@@ -22,7 +22,8 @@ use cackle_faults::StoreOp;
 use cackle_serve::{run_serve, Runner, ServeSpec, TenantRegistry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use common::{chaos, live_catalog, live_workload, report, store_errors};
+use common::budget::assert_fault_budget;
+use common::{chaos, chaos_recovery, live_catalog, live_workload, report, store_errors};
 
 /// The cost rows the model, system, live and serve runners write, each
 /// with the result field it mirrors.
@@ -133,13 +134,16 @@ fn every_runner_dumps_the_costs_it_reports() {
         assert_rows(name, &t, &r, &mirrored(&r));
     }
 
-    for (name, faults) in [
-        ("system/fault-free", FaultSpec::default()),
-        ("system/chaos", chaos()),
-        ("system/remote-region", remote_region()),
+    let default = RecoveryPolicy::default();
+    for (name, faults, recovery) in [
+        ("system/fault-free", FaultSpec::default(), default),
+        ("system/chaos", chaos(), chaos_recovery()),
+        ("system/remote-region", remote_region(), default),
     ] {
         let (t, spec) = sink();
-        let r = run_system(&workload, &spec.with_faults(faults));
+        let spec = spec.with_faults(faults).with_recovery(recovery);
+        let r = run_system(&workload, &spec);
+        assert_fault_budget(name, &spec);
         assert_rows(name, &t, &r, &mirrored(&r));
         assert_store_rows(name, &t);
     }
@@ -148,14 +152,17 @@ fn every_runner_dumps_the_costs_it_reports() {
     // bound on this small workload, so its store sees no request; the
     // third run drops most node writes and sends them to the store.
     let mut live_store_errors = 0;
-    for (name, faults) in [
-        ("live/fault-free", FaultSpec::default()),
-        ("live/chaos", chaos()),
-        ("live/store-errors", store_errors()),
+    for (name, faults, recovery) in [
+        ("live/fault-free", FaultSpec::default(), default),
+        ("live/chaos", chaos(), chaos_recovery()),
+        ("live/store-errors", store_errors(), default),
     ] {
         let (t, spec) = sink();
-        let spec = spec.with_rows_per_task_second(5_000.0).with_faults(faults);
+        let spec = (spec.with_rows_per_task_second(5_000.0))
+            .with_faults(faults)
+            .with_recovery(recovery);
         let r = run_live(&live_workload(), &live_catalog(), &spec);
+        assert_fault_budget(name, &spec);
         assert_rows(name, &t, &r, &mirrored(&r));
         live_store_errors += assert_store_rows(name, &t);
     }

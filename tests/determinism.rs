@@ -7,6 +7,10 @@
 //! the same report — and the same telemetry dump — byte for byte, run to
 //! run.
 
+// The shared fixtures; this file needs only the fault budget.
+#[allow(dead_code)]
+mod common;
+
 use cackle::model::{build_workload, run_model_with};
 use cackle::system::{run_system, run_system_with};
 use cackle::{
@@ -116,10 +120,8 @@ fn golden_fault_run_dumps_are_byte_identical() {
     // Same guarantee with an *active* fault plan: the injected reclaims,
     // invoke failures, throttles, store errors, and stragglers — and all
     // the recovery work they trigger — replay identically from the seed.
-    // A pool launch is lost only if its first invoke and every retry
-    // fail: over about 5 000 launches at a failure rate of 0.1, the
-    // default 4 retries expect 5 000 × 0.1⁵ ≈ 0.05 lost launches a run,
-    // and 8 retries expect 5 000 × 0.1⁹ ≈ 5e-6, so every run completes.
+    // The retry bound keeps the run's fault budget (an expected count of
+    // operations that fail every attempt) at or below 1e-6.
     let dump = |seed: u64| {
         let w = workload(seed);
         let t = Telemetry::new();
@@ -133,9 +135,10 @@ fn golden_fault_run_dumps_are_byte_identical() {
                     .with_store_errors(0.1, 0.1)
                     .with_stragglers(0.1, 2.5),
             )
-            .with_recovery(RecoveryPolicy::default().with_max_retries(8))
+            .with_recovery(RecoveryPolicy::default().with_max_retries(10))
             .with_telemetry(&t);
         run_system(&w, &spec);
+        common::budget::assert_fault_budget("golden fault run", &spec);
         t.export_jsonl()
     };
     let first = dump(19);
@@ -180,8 +183,10 @@ fn golden_dumps_are_byte_identical_across_worker_counts() {
                     .with_store_errors(0.1, 0.1)
                     .with_stragglers(0.1, 2.5),
             );
+            spec = spec.with_recovery(RecoveryPolicy::default().with_max_retries(10));
         }
         run_system(&w, &spec);
+        common::budget::assert_fault_budget("golden worker-count run", &spec);
         t.export_jsonl()
     };
     for faulted in [false, true] {

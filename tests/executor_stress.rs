@@ -14,10 +14,11 @@ mod common;
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
-use cackle::{run_live, RunSpec, Telemetry};
+use cackle::{run_live, RecoveryPolicy, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use common::{chaos, live_catalog, live_workload, report, store_errors};
+use common::budget::assert_fault_budget;
+use common::{chaos, chaos_recovery, live_catalog, live_workload, report, store_errors};
 
 /// Every fault and recovery counter the injector maintains.
 const COUNTERS: &[&str] = &[
@@ -47,9 +48,12 @@ fn live_fault_runs_are_worker_count_independent() {
     // shuffle with transport drops and billed store fallback, straggler
     // draws, pool invoke failures — all at once. The chaos plan's drops
     // almost never reach the store on this workload; the store-errors
-    // plan sends most node writes there, where half the requests fail.
+    // plan sends most node writes there, where a few requests fail.
     let (catalog, workload) = (live_catalog(), live_workload());
-    for (plan, faults) in [("chaos", chaos()), ("store-errors", store_errors())] {
+    for (plan, faults, recovery) in [
+        ("chaos", chaos(), chaos_recovery()),
+        ("store-errors", store_errors(), RecoveryPolicy::default()),
+    ] {
         let run = |workers: u32| {
             let t = Telemetry::new();
             let spec = RunSpec::new()
@@ -57,8 +61,10 @@ fn live_fault_runs_are_worker_count_independent() {
                 .with_rows_per_task_second(5_000.0)
                 .with_workers(workers)
                 .with_faults(faults.clone())
+                .with_recovery(recovery)
                 .with_telemetry(&t);
             let r = run_live(&workload, &catalog, &spec);
+            assert_fault_budget(plan, &spec);
             (report(&r), counter_snapshot(&t), t.export_jsonl())
         };
         let (serial_report, serial_counters, serial_dump) = run(1);
@@ -110,8 +116,10 @@ fn system_fault_runs_are_worker_count_independent() {
             .with_strategy("dynamic")
             .with_workers(workers)
             .with_faults(chaos())
+            .with_recovery(chaos_recovery())
             .with_telemetry(&t);
         let r = run_system(&workload, &spec);
+        assert_fault_budget("system/chaos", &spec);
         (report(&r), counter_snapshot(&t))
     };
     let (serial_report, serial_counters) = run(1);

@@ -3,7 +3,7 @@
 //!
 //! The environment pack's artifacts (`EnvironmentSpec::vm_traits`, the
 //! `PriceTimeline` and `ReclaimStorm` constructors and queries), the
-//! fault plan's storm lookup, the three keyed fault draws on
+//! fault plan's storm lookup, the two keyed fault draws on
 //! `TaskFaults` and `SimTime::saturating_sub` are each documented as a
 //! pure function of their arguments. That is what makes draws
 //! independent of worker count and arrival order. This test holds them
@@ -85,10 +85,6 @@ enum Job {
         key: u64,
     },
     WriteFallback {
-        seed: usize,
-        key: u64,
-    },
-    ReadRetries {
         seed: usize,
         key: u64,
     },
@@ -177,7 +173,6 @@ impl Grid {
                     jobs.push(Job::StoreAttempts { seed, get, key });
                 }
                 jobs.push(Job::WriteFallback { seed, key });
-                jobs.push(Job::ReadRetries { seed, key });
             }
         }
         for &t_ms in &[0, 5, 1_000, u64::MAX] {
@@ -240,9 +235,6 @@ impl Grid {
             Job::WriteFallback { seed, key } => {
                 vec![self.draws[seed].transport_write_fallback_keyed(key) as u64]
             }
-            Job::ReadRetries { seed, key } => {
-                vec![self.draws[seed].transport_read_retries_keyed(key) as u64]
-            }
             Job::SaturatingSub { t_ms, d_ms } => {
                 vec![SimTime(t_ms).saturating_sub(SimDuration(d_ms)).as_millis()]
             }
@@ -279,7 +271,6 @@ fn keyed_artifacts_answer_the_same_in_any_order_on_any_thread() {
     assert!(saw(
         |j, w| matches!(j, Job::StoreAttempts { .. }) && w[0] > 1
     ));
-    assert!(saw(|j, w| matches!(j, Job::ReadRetries { .. }) && w[0] > 0));
     let executor = Executor::new(4);
     for shuffle_seed in [1u64, 2, 3] {
         let order = permutation(jobs.len(), shuffle_seed);

@@ -12,12 +12,14 @@ mod common;
 
 use cackle::model::{build_workload, simulate_compute};
 use cackle::{
-    make_strategy, run_live, run_model, run_system, EnvironmentSpec, FaultSpec, RunSpec, Telemetry,
+    make_strategy, run_live, run_model, run_system, EnvironmentSpec, FaultSpec, RecoveryPolicy,
+    RunSpec, Telemetry,
 };
 use cackle_serve::{run_serve, Runner, ServeSpec, TenantRegistry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
-use common::{chaos, live_catalog, live_workload};
+use common::budget::assert_fault_budget;
+use common::{chaos, chaos_recovery, live_catalog, live_workload};
 
 /// A per-second series as the sink holds it: `(t_ms, value)`.
 fn series(t: &Telemetry, name: &str) -> Vec<(u64, f64)> {
@@ -28,7 +30,9 @@ fn series(t: &Telemetry, name: &str) -> Vec<(u64, f64)> {
 /// the targets its strategy chose.
 fn record(name: &str, spec: &RunSpec, run: impl FnOnce(&RunSpec)) -> (Vec<u32>, Vec<(u64, f64)>) {
     let recorded = Telemetry::new();
-    run(&spec.clone().with_telemetry(&recorded));
+    let spec = spec.clone().with_telemetry(&recorded);
+    run(&spec);
+    assert_fault_budget(name, &spec);
     let demand: Vec<u32> = (series(&recorded, "run.demand").iter())
         .map(|&(_, d)| d as u32)
         .collect();
@@ -102,7 +106,9 @@ fn system_targets_replay_from_its_demand() {
             run_system(&w, s);
         });
     }
-    let spec = RunSpec::new().with_faults(chaos());
+    let spec = RunSpec::new()
+        .with_faults(chaos())
+        .with_recovery(chaos_recovery());
     assert_replays("system/dynamic/chaos", spec, |s| {
         run_system(&w, s);
     });
@@ -135,13 +141,18 @@ fn system_targets_replay_under_market_motion() {
 #[test]
 fn live_targets_replay_from_its_demand() {
     let (catalog, w) = (live_catalog(), live_workload());
-    for (name, faults) in [
-        ("live/fault-free", FaultSpec::default()),
-        ("live/chaos", chaos()),
+    for (name, faults, recovery) in [
+        (
+            "live/fault-free",
+            FaultSpec::default(),
+            RecoveryPolicy::default(),
+        ),
+        ("live/chaos", chaos(), chaos_recovery()),
     ] {
         let spec = RunSpec::new()
             .with_rows_per_task_second(5_000.0)
-            .with_faults(faults);
+            .with_faults(faults)
+            .with_recovery(recovery);
         assert_replays(name, spec, |s| {
             run_live(&w, &catalog, s);
         });
