@@ -78,7 +78,7 @@ gate -p cackle-faults --lib recovered_operations_never_record_an_exhaustion
 gate --test unrecovered
 gate --test determinism golden_fault_run_dumps_are_byte_identical
 
-echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, string dictionaries, cost rows, target replay)"
+echo "==> exactness gates (quantile value list, fleet advance, decision pin, key kernels, string dictionaries, cost rows, plan shapes, target replay)"
 # The strategy tick's fast paths against their references, bit for bit:
 # the quantile value list against sorted brute force, `advance` over
 # random slices against the per-VM fleet, and the full family's
@@ -104,8 +104,16 @@ gate -p cackle-engine --test string_dictionary group_by_memo_matches_byte_keys
 gate -p cackle-tpch --test dbgen_proptests list_picked_columns_share_one_dictionary
 gate -p cackle-tpch --test dbgen_proptests generated_bytes_are_pinned
 # Every runner's dump against its own result: each cost row that mirrors
-# a `RunResult` field is that field, bit for bit.
+# a `RunResult` field is that field, bit for bit; a live run on
+# remote-region VMs bills the bytes its tasks publish as egress.
 gate --test cost_rows every_runner_dumps_the_costs_it_reports
+gate --test cost_rows live_remote_vms_bill_egress
+# Plans are data: every plan's `{:?}` at six parallelism settings against
+# the pinned table, and the builder's derived facts (a reader's task
+# count is its exchange's partition count; the final half of a two-phase
+# aggregate follows one split rule, which refuses AVG and COUNT DISTINCT).
+gate --test plan_shapes
+gate -p cackle-tpch --lib plans::builder
 # Every strategy-driven runner's recorded demand, replayed through a fresh
 # strategy on the one strategy clock, reproduces its recorded targets bit
 # for bit (model, system, system under market motion, live, serve).

@@ -1,7 +1,7 @@
 //! The workload history (§4.4.1) and an order-statistics structure for
 //! evaluating hundreds of percentile experts cheaply.
 
-use cackle_workload::demand::percentile_of_sorted;
+use cackle_workload::demand::percentile_of;
 
 /// Per-second record of the maximum number of concurrently requested task
 /// slots. Grows by one sample per second; strategies only ever look back,
@@ -50,9 +50,7 @@ impl WorkloadHistory {
 
     /// Nearest-rank percentile over the last `lookback` seconds.
     pub fn percentile(&self, lookback: usize, pct: u8) -> u32 {
-        let mut w = self.window(lookback).to_vec();
-        w.sort_unstable();
-        percentile_of_sorted(&w, pct)
+        percentile_of(self.window(lookback), pct)
     }
 
     /// Mean over the last `lookback` seconds.
@@ -150,8 +148,9 @@ impl SlidingQuantile {
     }
 
     /// Nearest-rank percentile (0–100) of the current window; 0 if empty.
-    /// Matches [`percentile_of_sorted`] bit-for-bit on every `(window,
-    /// pct)` pair.
+    /// Matches
+    /// [`percentile_of_sorted`](cackle_workload::demand::percentile_of_sorted)
+    /// bit-for-bit on every `(window, pct)` pair.
     pub fn percentile(&self, pct: u8) -> u32 {
         if self.window.is_empty() {
             return 0;
@@ -185,6 +184,7 @@ impl SlidingQuantile {
 mod tests {
     use super::*;
     use cackle_prng::{Pcg32, Seed};
+    use cackle_workload::demand::percentile_of_sorted;
 
     #[test]
     fn history_window_and_percentile() {

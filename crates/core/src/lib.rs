@@ -51,9 +51,7 @@ pub use model::{build_workload, run_model, run_model_with, try_run_model, QueryA
 pub use oracle::{oracle_cost, oracle_cost_without_pool, OracleCost};
 pub use report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
 pub use spec::{RunError, RunSpec};
-pub use strategy::{
-    FixedStrategy, MeanStrategy, PercentileStrategy, PredictiveStrategy, ProvisioningStrategy,
-};
+pub use strategy::{FixedStrategy, MeanStrategy, PredictiveStrategy, ProvisioningStrategy};
 pub use system::{run_system, run_system_with, try_run_system, try_run_system_with};
 pub use transport::HybridShuffle;
 

@@ -99,6 +99,7 @@ impl TaskSource for LiveSource<'_> {
             TaskLaunch {
                 vm_secs: work_s,
                 pool_secs: work_s * self.spec.pool_slowdown,
+                publish_bytes: r.shuffle_bytes_written,
                 recovery: None,
             }
         });

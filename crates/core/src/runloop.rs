@@ -37,6 +37,9 @@ pub(crate) struct TaskLaunch {
     pub vm_secs: f64,
     /// Simulated seconds on the elastic pool.
     pub pool_secs: f64,
+    /// Shuffle bytes the task publishes; a remote-region VM ships them
+    /// out of region.
+    pub publish_bytes: u64,
     /// `None` when the task has executed and published by the time it is
     /// launched: the loop then draws no spot hazard and schedules no
     /// duplicate check for it.
@@ -65,12 +68,6 @@ pub(crate) trait TaskSource {
     /// count.
     fn launch_stage(&mut self, query: usize, stage: usize, shuffle_nodes: usize)
         -> Vec<TaskLaunch>;
-
-    /// Bytes one task of the stage ships out of region when it publishes
-    /// from a remote-region VM; zero where regions are not modeled.
-    fn remote_egress_bytes(&self, _query: usize, _stage: usize) -> u64 {
-        0
-    }
 
     /// The last task of a stage published; nothing to account where
     /// tasks move their bytes as they run.
@@ -256,6 +253,8 @@ struct TaskAttempt {
     stage: usize,
     /// [`Recovery::base_secs`]; zero and unused without recovery data.
     base_secs: f64,
+    /// [`TaskLaunch::publish_bytes`].
+    publish_bytes: u64,
     /// A copy already completed and was credited to the stage.
     done: bool,
     /// Physical copies alive: scheduled completion/interruption events
@@ -409,7 +408,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                 a.copies = a.copies.saturating_sub(1);
                 let first = !a.done;
                 a.done = true;
-                let (query, stage) = (a.query, a.stage);
+                let (query, stage, bytes) = (a.query, a.stage, a.publish_bytes);
                 if a.copies == 0 {
                     st.attempts.retire(token);
                 }
@@ -423,7 +422,7 @@ pub(crate) fn run<'a, S: TaskSource>(
                     st.faults.note_duplicate_win();
                 }
                 if let Slot::Vm(id) = slot {
-                    st.bill_egress(&telemetry, id, query, stage);
+                    st.bill_egress(&telemetry, id, bytes);
                 }
                 let progress = st.queries[query].task_done(stage);
                 if progress == Progress::Running {
@@ -634,17 +633,16 @@ impl<S: TaskSource> Coordinator<'_, S> {
     }
 
     /// Cross-region egress: a remote VM publishing its shuffle output
-    /// ships the task's bytes out of region, billed through the env
+    /// ships the task's `bytes` out of region, billed through the env
     /// ledger (only the winning copy publishes, so egress is never
     /// double-charged).
-    fn bill_egress(&mut self, telemetry: &Telemetry, vm: VmId, query: usize, stage: usize) {
-        if self.environment.remote_vm_fraction > 0.0 && self.faults.vm_traits(vm.0).remote {
-            let bytes = self.source.remote_egress_bytes(query, stage);
-            if bytes > 0 {
-                telemetry.add(catalog::ENV_EGRESS_BYTES_TOTAL, bytes);
-                let cost = Pricing::egress(bytes, self.environment.egress_micros_per_gib);
-                self.env_ledger.bill(CostCategory::Egress, cost);
-            }
+    fn bill_egress(&mut self, telemetry: &Telemetry, vm: VmId, bytes: u64) {
+        let remote =
+            self.environment.remote_vm_fraction > 0.0 && self.faults.vm_traits(vm.0).remote;
+        if remote && bytes > 0 {
+            telemetry.add(catalog::ENV_EGRESS_BYTES_TOTAL, bytes);
+            let cost = Pricing::egress(bytes, self.environment.egress_micros_per_gib);
+            self.env_ledger.bill(CostCategory::Egress, cost);
         }
     }
 
@@ -724,6 +722,7 @@ impl<S: TaskSource> Coordinator<'_, S> {
                 query,
                 stage,
                 base_secs: launch.recovery.map_or(0.0, |r| r.base_secs),
+                publish_bytes: launch.publish_bytes,
                 done: false,
                 copies: 1,
             });
@@ -740,9 +739,9 @@ impl<S: TaskSource> Coordinator<'_, S> {
                     // Spot interruptions: a VM task survives its duration
                     // with probability exp(-rate × duration); otherwise
                     // the VM is reclaimed at a uniformly random point
-                    // through the task. Drawn from the plan's spot stream
-                    // (the legacy RunSpec knob folds into the plan); the
-                    // hazard rises inside compiled reclaim-storm windows.
+                    // through the task. Drawn from the plan's spot stream;
+                    // the hazard rises inside compiled reclaim-storm
+                    // windows.
                     let reclaimed_at = launch
                         .recovery
                         .and_then(|_| self.faults.vm_interrupt_at(now.as_secs(), dur_s));
@@ -786,6 +785,7 @@ mod tests {
             query: 0,
             stage,
             base_secs: 0.0,
+            publish_bytes: 0,
             done: false,
             copies: 1,
         }

@@ -1,5 +1,6 @@
 //! The provisioning-strategy interface and the simple strategy families
-//! (§4.2–§4.3): fixed, mean, percentile, and predictive.
+//! (§4.2–§4.3): fixed, mean and predictive. The percentile experts are
+//! the meta-strategy's ([`crate::meta`]), read from a sliding quantile.
 
 use crate::config::Env;
 use crate::history::WorkloadHistory;
@@ -74,32 +75,6 @@ impl ProvisioningStrategy for MeanStrategy {
 
     fn target(&mut self, _now: u64, history: &WorkloadHistory, _env: &Env) -> u32 {
         (history.mean(self.lookback_s) * self.multiplier).round() as u32
-    }
-}
-
-/// §4.4.5 — one percentile expert: the given percentile of the last
-/// `lookback_s` seconds of history, times a multiplier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PercentileStrategy {
-    /// Lookback window in seconds.
-    pub lookback_s: usize,
-    /// Percentile 1–100.
-    pub percentile: u8,
-    /// Multiplier (≥ 1 lets the family provision above anything seen).
-    pub multiplier: f64,
-}
-
-impl ProvisioningStrategy for PercentileStrategy {
-    fn name(&self) -> String {
-        format!(
-            "pct_{}_{}x{:.1}",
-            self.lookback_s, self.percentile, self.multiplier
-        )
-    }
-
-    fn target(&mut self, _now: u64, history: &WorkloadHistory, _env: &Env) -> u32 {
-        let p = history.percentile(self.lookback_s, self.percentile);
-        (p as f64 * self.multiplier).round() as u32
     }
 }
 
@@ -186,24 +161,6 @@ mod tests {
         assert_eq!(s.name(), "mean_2");
         assert_eq!(s.target(0, &hist(&[10; 100]), &env), 20);
         assert_eq!(s.target(0, &hist(&[]), &env), 0);
-    }
-
-    #[test]
-    fn percentile_strategy() {
-        let mut s = PercentileStrategy {
-            lookback_s: 100,
-            percentile: 50,
-            multiplier: 1.0,
-        };
-        let env = Env::default();
-        let vals: Vec<u32> = (1..=100).collect();
-        assert_eq!(s.target(0, &hist(&vals), &env), 50);
-        let mut s2 = PercentileStrategy {
-            lookback_s: 100,
-            percentile: 80,
-            multiplier: 1.5,
-        };
-        assert_eq!(s2.target(0, &hist(&vals), &env), 120);
     }
 
     #[test]

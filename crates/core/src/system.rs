@@ -109,6 +109,9 @@ impl TaskSource for ProfileSource<'_> {
         let stage = self.stage(query, stage);
         let base = stage.task_seconds as f64;
         let pool_slowdown = self.spec.pool_slowdown;
+        // A task's share of the stage's shuffle bytes, rounded to nearest.
+        let tasks = u64::from(stage.tasks.max(1));
+        let publish_bytes = (stage.shuffle_bytes + tasks / 2) / tasks;
         // Every stochastic draw whose stream position matters, serially
         // and in task order: jitter from the main RNG, stragglers from
         // the plan's dedicated stream (a zero-rate plan makes no straggler
@@ -128,6 +131,7 @@ impl TaskSource for ProfileSource<'_> {
                 TaskLaunch {
                     vm_secs: nominal * slowdown,
                     pool_secs: nominal * pool_slowdown * slowdown,
+                    publish_bytes,
                     recovery: Some(Recovery {
                         base_secs: base,
                         unstraggled_secs: (slowdown > 1.0).then_some(nominal),
@@ -135,13 +139,6 @@ impl TaskSource for ProfileSource<'_> {
                 }
             })
             .collect()
-    }
-
-    /// A task's share of the stage's shuffle bytes, rounded to nearest.
-    fn remote_egress_bytes(&self, query: usize, stage: usize) -> u64 {
-        let stage = self.stage(query, stage);
-        let tasks = u64::from(stage.tasks.max(1));
-        (stage.shuffle_bytes + tasks / 2) / tasks
     }
 
     /// Stage output lands in the shuffle tier; what the nodes cannot hold

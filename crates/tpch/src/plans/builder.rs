@@ -1,9 +1,19 @@
 //! A small DSL for constructing stage-DAG physical plans.
 //!
 //! Plans reference columns by name; the builder tracks schemas through
-//! operator composition, resolves names to ordinals, infers output types,
-//! and enforces the invariant that a hash exchange's partition count equals
-//! its consumer's task count.
+//! operator composition, resolves names to ordinals and infers output
+//! types. It also states two facts of every plan once:
+//!
+//! * A stage that reads a hash exchange runs one task per partition of
+//!   that exchange: its [`Node`] carries the count from [`DagBuilder::read`]
+//!   through every join and union, and co-partitioned inputs whose counts
+//!   differ fail when they are joined. Only a stage that reads no hash
+//!   exchange (scans, broadcast reads) states its count, with
+//!   [`Node::tasks`].
+//! * The final half of a two-phase aggregate is derived from its partial
+//!   by [`DagBuilder::two_phase_aggregate`]: SUM, COUNT and COUNT(*) are
+//!   summed, MIN and MAX repeat, and AVG and COUNT(DISTINCT), which do not
+//!   split, are refused.
 
 use crate::schema as tpch_schema;
 use cackle_engine::expr::{BinOp, Expr};
@@ -106,6 +116,32 @@ pub struct Node {
     pub plan: PlanNode,
     /// Its output schema.
     pub schema: SchemaRef,
+    /// The task count of the stage this tree runs in.
+    tasks: Tasks,
+}
+
+/// Where a tree's task count comes from.
+#[derive(Clone, Copy)]
+enum Tasks {
+    /// Nothing yet: the tree reads no hash exchange and states no count.
+    Unknown,
+    /// The partition count of the hash exchanges the tree reads.
+    Read(u32),
+    /// The count [`Node::tasks`] stated for a tree that reads none.
+    Stated(u32),
+}
+
+/// The task count of a tree built from inputs counted `a` and `b`:
+/// co-partitioned inputs must agree, and a stated count closes its tree.
+fn co_partitioned(a: Tasks, b: Tasks) -> Tasks {
+    match (a, b) {
+        (Tasks::Read(x), Tasks::Read(y)) => {
+            assert_eq!(x, y, "co-partitioned inputs have {x} and {y} partitions");
+            a
+        }
+        (t, Tasks::Unknown) | (Tasks::Unknown, t) => t,
+        _ => panic!("a stated task count goes on a stage's whole tree"),
+    }
 }
 
 /// f64 literal shorthand.
@@ -139,6 +175,21 @@ impl Node {
                 projection: Some(projection),
             },
             schema,
+            tasks: Tasks::Unknown,
+        }
+    }
+
+    /// Run this tree's stage on `tasks` tasks. Only a tree that reads no
+    /// hash exchange states its count; one that does runs one task per
+    /// partition of the exchange.
+    pub fn tasks(self, tasks: u32) -> Node {
+        assert!(
+            matches!(self.tasks, Tasks::Unknown),
+            "a stage reading a hash exchange runs one task per partition"
+        );
+        Node {
+            tasks: Tasks::Stated(tasks),
+            ..self
         }
     }
 
@@ -159,7 +210,7 @@ impl Node {
                 input: Box::new(self.plan),
                 predicate,
             },
-            schema: self.schema,
+            ..self
         }
     }
 
@@ -177,6 +228,7 @@ impl Node {
                 schema: schema.clone(),
             },
             schema,
+            tasks: self.tasks,
         }
     }
 
@@ -203,6 +255,7 @@ impl Node {
                 schema: schema.clone(),
             },
             schema,
+            tasks: self.tasks,
         }
     }
 
@@ -227,6 +280,7 @@ impl Node {
             fields.extend(build.schema.fields.clone());
         }
         let schema = Arc::new(Schema::new(fields));
+        let tasks = co_partitioned(self.tasks, build.tasks);
         Node {
             plan: PlanNode::HashJoin {
                 build: Box::new(build.plan),
@@ -237,6 +291,7 @@ impl Node {
                 schema: schema.clone(),
             },
             schema,
+            tasks,
         }
     }
 
@@ -248,25 +303,28 @@ impl Node {
                 keys,
                 limit,
             },
-            schema: self.schema,
+            ..self
         }
     }
 
     /// Union with other nodes sharing this schema.
     pub fn union(self, others: Vec<Node>) -> Node {
         let schema = self.schema.clone();
+        let mut tasks = self.tasks;
         for o in &others {
             assert_eq!(
                 o.schema.fields.len(),
                 schema.fields.len(),
                 "union width mismatch"
             );
+            tasks = co_partitioned(tasks, o.tasks);
         }
         let mut inputs = vec![self.plan];
         inputs.extend(others.into_iter().map(|o| o.plan));
         Node {
             plan: PlanNode::Union { inputs },
             schema,
+            tasks,
         }
     }
 }
@@ -294,33 +352,49 @@ impl DagBuilder {
     }
 
     /// Add a stage whose output is hash-partitioned on `keys` (names over
-    /// the stage's output schema) into `partitions` partitions — the
-    /// consuming stage must run exactly `partitions` tasks.
-    pub fn stage_hash(
-        &mut self,
-        node: Node,
-        tasks: u32,
-        keys: &[&str],
-        partitions: u32,
-    ) -> StageHandle {
-        let key_exprs: Vec<Expr> = keys.iter().map(|k| node.c(k)).collect();
-        self.push(
-            node,
-            tasks,
-            ExchangeMode::Hash {
-                keys: key_exprs,
-                partitions,
-            },
-        )
+    /// the stage's output schema) into `partitions` partitions; every
+    /// stage that reads it runs `partitions` tasks.
+    pub fn stage_hash(&mut self, node: Node, keys: &[&str], partitions: u32) -> StageHandle {
+        let keys = keys.iter().map(|k| node.c(k)).collect();
+        self.push(node, ExchangeMode::Hash { keys, partitions })
     }
 
     /// Add a stage whose output is broadcast to every consuming task.
-    pub fn stage_broadcast(&mut self, node: Node, tasks: u32) -> StageHandle {
-        self.push(node, tasks, ExchangeMode::Broadcast)
+    pub fn stage_broadcast(&mut self, node: Node) -> StageHandle {
+        self.push(node, ExchangeMode::Broadcast)
     }
 
-    fn push(&mut self, node: Node, tasks: u32, exchange: ExchangeMode) -> StageHandle {
+    /// Aggregate `node` in two phases across a hash exchange. The partial
+    /// aggregate closes `node`'s stage, hash-partitioned on the group keys
+    /// into `partitions` partitions (one when the aggregate is global);
+    /// the returned final aggregate reads that exchange, regroups by the
+    /// same names and combines each partial column by `final_func`.
+    pub fn two_phase_aggregate(
+        &mut self,
+        node: Node,
+        group: Vec<(&str, Expr)>,
+        aggs: Vec<(&str, AggFunc, Expr)>,
+        partitions: u32,
+    ) -> Node {
+        assert!(
+            !group.is_empty() || partitions == 1,
+            "a global aggregate exchanges into one partition"
+        );
+        let keys: Vec<&str> = group.iter().map(|(k, _)| *k).collect();
+        let finals: Vec<(&str, AggFunc)> =
+            aggs.iter().map(|(n, f, _)| (*n, final_func(*f))).collect();
+        let s = self.stage_hash(node.aggregate(group, aggs), &keys, partitions);
+        let read = self.read(s);
+        let group = keys.iter().map(|k| (*k, read.c(k))).collect();
+        let aggs = finals.into_iter().map(|(n, f)| (n, f, read.c(n))).collect();
+        read.aggregate(group, aggs)
+    }
+
+    fn push(&mut self, node: Node, exchange: ExchangeMode) -> StageHandle {
         let id = self.stages.len();
+        let (Tasks::Read(tasks) | Tasks::Stated(tasks)) = node.tasks else {
+            panic!("a stage reading no hash exchange states its task count (Node::tasks)");
+        };
         self.stages.push(Stage {
             id,
             root: node.plan,
@@ -331,11 +405,17 @@ impl DagBuilder {
         StageHandle { id }
     }
 
-    /// A node reading this task's partition of an upstream stage.
+    /// A node reading this task's partition of an upstream stage; its
+    /// stage runs one task per partition.
     pub fn read(&self, h: StageHandle) -> Node {
+        let stage = &self.stages[h.id];
+        let ExchangeMode::Hash { partitions, .. } = stage.exchange else {
+            panic!("stage {} does not hash-exchange", h.id);
+        };
         Node {
             plan: PlanNode::ShuffleRead { stage: h.id },
-            schema: self.stages[h.id].output_schema.clone(),
+            schema: stage.output_schema.clone(),
+            tasks: Tasks::Read(partitions),
         }
     }
 
@@ -344,13 +424,27 @@ impl DagBuilder {
         Node {
             plan: PlanNode::BroadcastRead { stage: h.id },
             schema: self.stages[h.id].output_schema.clone(),
+            tasks: Tasks::Unknown,
         }
     }
 
     /// Add the final gather stage and validate the DAG.
-    pub fn finish(mut self, node: Node, tasks: u32) -> StageDag {
-        self.push(node, tasks, ExchangeMode::Gather);
+    pub fn finish(mut self, node: Node) -> StageDag {
+        self.push(node, ExchangeMode::Gather);
         StageDag::new(self.name, self.stages)
+    }
+}
+
+/// The function that combines partial results of `f` into its final
+/// result: SUM, COUNT and COUNT(*) are summed, MIN and MAX repeat. AVG and
+/// COUNT(DISTINCT) cannot be combined from partial results.
+fn final_func(f: AggFunc) -> AggFunc {
+    match f {
+        AggFunc::Sum | AggFunc::Count | AggFunc::CountStar => AggFunc::Sum,
+        AggFunc::Min | AggFunc::Max => f,
+        AggFunc::Avg | AggFunc::CountDistinct => {
+            panic!("{f:?} does not split into a partial and a final aggregate")
+        }
     }
 }
 
@@ -481,16 +575,102 @@ mod tests {
     fn dag_builder_roundtrip() {
         let mut dag = DagBuilder::new("test");
         let scan = Node::scan("orders", &["o_orderkey", "o_custkey"], None);
-        let s0 = dag.stage_hash(scan, 4, &["o_custkey"], 2);
+        let s0 = dag.stage_hash(scan.tasks(4), &["o_custkey"], 2);
         let read = dag.read(s0);
         let cust = read.c("o_custkey");
         let agg = read.aggregate(
             vec![("o_custkey", cust)],
             vec![("cnt", AggFunc::CountStar, liti(1))],
         );
-        let plan = dag.finish(agg, 2);
+        let plan = dag.finish(agg);
         assert_eq!(plan.stages.len(), 2);
+        assert_eq!(plan.stages[0].tasks, 4);
+        assert_eq!(
+            plan.stages[1].tasks, 2,
+            "the reader runs one task per partition"
+        );
         assert_eq!(plan.stages[1].dependencies(), vec![0]);
+    }
+
+    fn line_counts(dag: &mut DagBuilder, agg: AggFunc) -> Node {
+        let scan = Node::scan("lineitem", &["l_returnflag", "l_quantity"], None).tasks(3);
+        let (flag, qty) = (scan.c("l_returnflag"), scan.c("l_quantity"));
+        dag.two_phase_aggregate(scan, vec![("flag", flag)], vec![("q", agg, qty)], 2)
+    }
+
+    #[test]
+    fn two_phase_aggregate_derives_the_final_half() {
+        let mut dag = DagBuilder::new("test");
+        let fin = line_counts(&mut dag, AggFunc::Count);
+        let PlanNode::HashAggregate { group_by, aggs, .. } = &fin.plan else {
+            panic!("the final half is an aggregate");
+        };
+        assert_eq!(group_by, &vec![Expr::Col(0)]);
+        assert_eq!(aggs, &vec![AggExpr::new(AggFunc::Sum, Expr::Col(1))]);
+        assert_eq!(fin.schema.field(1).dtype, DataType::I64);
+        let plan = dag.finish(fin);
+        assert_eq!(plan.stages[1].tasks, 2);
+        for (f, fin) in [
+            (AggFunc::Sum, AggFunc::Sum),
+            (AggFunc::CountStar, AggFunc::Sum),
+            (AggFunc::Min, AggFunc::Min),
+            (AggFunc::Max, AggFunc::Max),
+        ] {
+            assert_eq!(final_func(f), fin);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Avg does not split")]
+    fn two_phase_aggregate_refuses_avg() {
+        line_counts(&mut DagBuilder::new("test"), AggFunc::Avg);
+    }
+
+    #[test]
+    #[should_panic(expected = "CountDistinct does not split")]
+    fn two_phase_aggregate_refuses_count_distinct() {
+        line_counts(&mut DagBuilder::new("test"), AggFunc::CountDistinct);
+    }
+
+    #[test]
+    #[should_panic(expected = "co-partitioned inputs have 3 and 2 partitions")]
+    fn joining_hash_inputs_of_different_widths_fails() {
+        let mut dag = DagBuilder::new("test");
+        let orders = Node::scan("orders", &["o_orderkey"], None).tasks(4);
+        let s_orders = dag.stage_hash(orders, &["o_orderkey"], 2);
+        let line = Node::scan("lineitem", &["l_orderkey"], None).tasks(4);
+        let s_line = dag.stage_hash(line, &["l_orderkey"], 3);
+        let _ = dag.read(s_line).join(
+            dag.read(s_orders),
+            &[("l_orderkey", "o_orderkey")],
+            JoinType::Semi,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs one task per partition")]
+    fn a_reading_stage_states_no_task_count() {
+        let mut dag = DagBuilder::new("test");
+        let orders = Node::scan("orders", &["o_orderkey"], None).tasks(4);
+        let s = dag.stage_hash(orders, &["o_orderkey"], 2);
+        let _ = dag.read(s).tasks(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "a stated task count goes on a stage's whole tree")]
+    fn a_stated_count_cannot_join_a_reader() {
+        let mut dag = DagBuilder::new("test");
+        let orders = Node::scan("orders", &["o_orderkey"], None).tasks(2);
+        let s = dag.stage_hash(orders, &["o_orderkey"], 2);
+        let line = Node::scan("lineitem", &["l_orderkey"], None).tasks(2);
+        let _ = line.join(dag.read(s), &[("l_orderkey", "o_orderkey")], JoinType::Semi);
+    }
+
+    #[test]
+    #[should_panic(expected = "states its task count")]
+    fn a_source_stage_states_its_task_count() {
+        let mut dag = DagBuilder::new("test");
+        dag.stage_broadcast(Node::scan("nation", &["n_nationkey"], None));
     }
 
     #[test]

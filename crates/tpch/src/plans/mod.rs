@@ -17,47 +17,50 @@ pub use tpcds::{ds24_iterative, ds58_reporting, ds81_multifact};
 
 use cackle_engine::plan::StageDag;
 
-/// Names of every query in the evaluation mix.
-pub const QUERY_NAMES: [&str; 25] = [
-    "q01", "q02", "q03", "q04", "q05", "q06", "q07", "q08", "q09", "q10", "q11", "q12", "q13",
-    "q14", "q15", "q16", "q17", "q18", "q19", "q20", "q21", "q22", "ds24", "ds58", "ds81",
+/// Builds one query's plan at a parallelism.
+pub type PlanFn = fn(Par) -> StageDag;
+
+/// Every query in the evaluation mix, by name, with its plan builder.
+pub const QUERIES: [(&str, PlanFn); 25] = [
+    ("q01", q01),
+    ("q02", q02),
+    ("q03", q03),
+    ("q04", q04),
+    ("q05", q05),
+    ("q06", q06),
+    ("q07", q07),
+    ("q08", q08),
+    ("q09", q09),
+    ("q10", q10),
+    ("q11", q11),
+    ("q12", q12),
+    ("q13", q13),
+    ("q14", q14),
+    ("q15", q15),
+    ("q16", q16),
+    ("q17", q17),
+    ("q18", q18),
+    ("q19", q19),
+    ("q20", q20),
+    ("q21", q21),
+    ("q22", q22),
+    ("ds24", ds24_iterative),
+    ("ds58", ds58_reporting),
+    ("ds81", ds81_multifact),
 ];
 
 /// Build the plan for a query by name.
 pub fn plan(name: &str, par: Par) -> StageDag {
-    match name {
-        "q01" => q01(par),
-        "q02" => q02(par),
-        "q03" => q03(par),
-        "q04" => q04(par),
-        "q05" => q05(par),
-        "q06" => q06(par),
-        "q07" => q07(par),
-        "q08" => q08(par),
-        "q09" => q09(par),
-        "q10" => q10(par),
-        "q11" => q11(par),
-        "q12" => q12(par),
-        "q13" => q13(par),
-        "q14" => q14(par),
-        "q15" => q15(par),
-        "q16" => q16(par),
-        "q17" => q17(par),
-        "q18" => q18(par),
-        "q19" => q19(par),
-        "q20" => q20(par),
-        "q21" => q21(par),
-        "q22" => q22(par),
-        "ds24" => ds24_iterative(par),
-        "ds58" => ds58_reporting(par),
-        "ds81" => ds81_multifact(par),
-        other => panic!("unknown query '{other}'"),
-    }
+    let (_, build) = QUERIES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("unknown query '{name}'"));
+    build(par)
 }
 
 /// Build every plan in the mix.
 pub fn all_plans(par: Par) -> Vec<StageDag> {
-    QUERY_NAMES.iter().map(|n| plan(n, par)).collect()
+    QUERIES.iter().map(|(_, build)| build(par)).collect()
 }
 
 #[cfg(test)]
@@ -84,7 +87,7 @@ mod tests {
 
     #[test]
     fn plan_names_match_registry() {
-        for name in QUERY_NAMES {
+        for (name, _) in QUERIES {
             assert_eq!(plan(name, Par::for_scale(1.0)).name, name);
         }
     }

@@ -1,8 +1,10 @@
 //! TPC-H queries 1–6 as physical stage DAGs.
 //!
-//! All joins are broadcast or partitioned hash joins (§7.1.4). Stage task
-//! counts come from [`Par`], hand-tuned per stage size exactly as the paper
-//! tunes its plans.
+//! All joins are broadcast or partitioned hash joins (§7.1.4). Scan stages
+//! take their task counts, and exchanges their partition counts, from
+//! [`Par`], hand-tuned per stage size exactly as the paper tunes its
+//! plans; every other stage runs one task per partition of the hash
+//! exchange it reads.
 
 use super::builder::*;
 use cackle_engine::expr::LikePattern;
@@ -31,7 +33,8 @@ pub fn q01(par: Par) -> StageDag {
     let c = scan.cols();
     let disc_price = c.c("l_extendedprice").mul(lit(1.0).sub(c.c("l_discount")));
     let charge = disc_price.clone().mul(lit(1.0).add(c.c("l_tax")));
-    let partial = scan.aggregate(
+    let fin = dag.two_phase_aggregate(
+        scan.tasks(par.fact),
         vec![
             ("l_returnflag", c.c("l_returnflag")),
             ("l_linestatus", c.c("l_linestatus")),
@@ -44,23 +47,7 @@ pub fn q01(par: Par) -> StageDag {
             ("sum_disc", Sum, c.c("l_discount")),
             ("count_order", CountStar, liti(1)),
         ],
-    );
-    let s0 = dag.stage_hash(partial, par.fact, &["l_returnflag", "l_linestatus"], 1);
-    let r = dag.read(s0);
-    let rc = r.cols();
-    let fin = r.aggregate(
-        vec![
-            ("l_returnflag", rc.c("l_returnflag")),
-            ("l_linestatus", rc.c("l_linestatus")),
-        ],
-        vec![
-            ("sum_qty", Sum, rc.c("sum_qty")),
-            ("sum_base_price", Sum, rc.c("sum_base_price")),
-            ("sum_disc_price", Sum, rc.c("sum_disc_price")),
-            ("sum_charge", Sum, rc.c("sum_charge")),
-            ("sum_disc", Sum, rc.c("sum_disc")),
-            ("count_order", Sum, rc.c("count_order")),
-        ],
+        1,
     );
     let fc = fin.cols();
     let cnt = fc.c("count_order");
@@ -84,7 +71,7 @@ pub fn q01(par: Par) -> StageDag {
             ],
             None,
         );
-    dag.finish(report, 1)
+    dag.finish(report)
 }
 
 /// Q2 — minimum-cost supplier. Dimension chain broadcast, partsupp joined
@@ -98,13 +85,13 @@ pub fn q02(par: Par) -> StageDag {
         &["r_regionkey"],
         Some(t("region").c("r_name").eq(lits("EUROPE"))),
     );
-    let b_region = dag.stage_broadcast(region, 1);
+    let b_region = dag.stage_broadcast(region.tasks(1));
     let nation = Node::scan("nation", &["n_nationkey", "n_name", "n_regionkey"], None).join(
         dag.read_broadcast(b_region),
         &[("n_regionkey", "r_regionkey")],
         Semi,
     );
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supplier = Node::scan(
         "supplier",
         &[
@@ -123,7 +110,7 @@ pub fn q02(par: Par) -> StageDag {
         &[("s_nationkey", "n_nationkey")],
         Inner,
     );
-    let b_supp = dag.stage_broadcast(supplier, 1);
+    let b_supp = dag.stage_broadcast(supplier.tasks(1));
     // Filtered part, broadcast (small after the size/type filter).
     let pt = t("part");
     let part = Node::scan(
@@ -135,7 +122,7 @@ pub fn q02(par: Par) -> StageDag {
                 .and(like(pt.c("p_type"), LikePattern::Suffix("BRASS".into()))),
         ),
     );
-    let b_part = dag.stage_broadcast(part, 1);
+    let b_part = dag.stage_broadcast(part.tasks(1));
     // Fact side: partsupp joined to part + qualified suppliers.
     let ps = Node::scan(
         "partsupp",
@@ -152,7 +139,7 @@ pub fn q02(par: Par) -> StageDag {
         &[("ps_suppkey", "s_suppkey")],
         Inner,
     );
-    let s_fact = dag.stage_hash(ps, par.mid, &["ps_partkey"], par.join);
+    let s_fact = dag.stage_hash(ps.tasks(par.mid), &["ps_partkey"], par.join);
     // Per-part minimum cost, joined back within the partition.
     let rows = dag.read(s_fact);
     let mins = dag.read(s_fact).aggregate(
@@ -182,7 +169,7 @@ pub fn q02(par: Par) -> StageDag {
         ],
         Some(100),
     );
-    let s_top = dag.stage_hash(top, par.join, &[], 1);
+    let s_top = dag.stage_hash(top, &[], 1);
     let fin = dag.read(s_top);
     let fc = fin.cols();
     let fin = fin.sort(
@@ -194,7 +181,7 @@ pub fn q02(par: Par) -> StageDag {
         ],
         Some(100),
     );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q3 — shipping priority: BUILDING customers broadcast, orders and
@@ -206,7 +193,7 @@ pub fn q03(par: Par) -> StageDag {
         &["c_custkey"],
         Some(t("customer").c("c_mktsegment").eq(lits("BUILDING"))),
     );
-    let b_cust = dag.stage_broadcast(cust, par.mid.min(4));
+    let b_cust = dag.stage_broadcast(cust.tasks(par.mid.min(4)));
     let orders = Node::scan(
         "orders",
         &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
@@ -217,13 +204,13 @@ pub fn q03(par: Par) -> StageDag {
         &[("o_custkey", "c_custkey")],
         Semi,
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
     let li = Node::scan(
         "lineitem",
         &["l_orderkey", "l_extendedprice", "l_discount"],
         Some(t("lineitem").c("l_shipdate").gt(litd("1995-03-15"))),
     );
-    let s_li = dag.stage_hash(li, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(li.tasks(par.fact), &["l_orderkey"], par.join);
     let joined = dag
         .read(s_li)
         .join(dag.read(s_orders), &[("l_orderkey", "o_orderkey")], Inner);
@@ -247,7 +234,7 @@ pub fn q03(par: Par) -> StageDag {
         ],
         Some(10),
     );
-    let s_top = dag.stage_hash(top, par.join, &[], 1);
+    let s_top = dag.stage_hash(top, &[], 1);
     let fin = dag.read(s_top);
     let fc = fin.cols();
     let fin = fin.sort(
@@ -257,7 +244,7 @@ pub fn q03(par: Par) -> StageDag {
         ],
         Some(10),
     );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q4 — order priority checking: late lineitems and a quarter of orders
@@ -270,7 +257,7 @@ pub fn q04(par: Par) -> StageDag {
         &["l_orderkey"],
         Some(li.c("l_commitdate").lt(li.c("l_receiptdate"))),
     );
-    let s_late = dag.stage_hash(late, par.fact, &["l_orderkey"], par.join);
+    let s_late = dag.stage_hash(late.tasks(par.fact), &["l_orderkey"], par.join);
     let o = t("orders");
     let orders = Node::scan(
         "orders",
@@ -281,25 +268,20 @@ pub fn q04(par: Par) -> StageDag {
                 .and(o.c("o_orderdate").lt(litd("1993-10-01"))),
         ),
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
     let joined = dag
         .read(s_orders)
         .join(dag.read(s_late), &[("o_orderkey", "l_orderkey")], Semi);
     let jc = joined.cols();
-    let agg = joined.aggregate(
-        vec![("o_orderpriority", jc.c("o_orderpriority"))],
-        vec![("order_count", CountStar, liti(1))],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &["o_orderpriority"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("o_orderpriority", fc.c("o_orderpriority"))],
-            vec![("order_count", Sum, fc.c("order_count"))],
+    let fin = dag
+        .two_phase_aggregate(
+            joined,
+            vec![("o_orderpriority", jc.c("o_orderpriority"))],
+            vec![("order_count", CountStar, liti(1))],
+            1,
         )
         .sort(vec![SortKey::asc(cackle_engine::expr::Expr::Col(0))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q5 — local supplier volume in ASIA: nation chain broadcast, customer and
@@ -312,15 +294,15 @@ pub fn q05(par: Par) -> StageDag {
         &["r_regionkey"],
         Some(t("region").c("r_name").eq(lits("ASIA"))),
     );
-    let b_region = dag.stage_broadcast(region, 1);
+    let b_region = dag.stage_broadcast(region.tasks(1));
     let nation = Node::scan("nation", &["n_nationkey", "n_name", "n_regionkey"], None).join(
         dag.read_broadcast(b_region),
         &[("n_regionkey", "r_regionkey")],
         Semi,
     );
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supplier = Node::scan("supplier", &["s_suppkey", "s_nationkey"], None);
-    let b_supp = dag.stage_broadcast(supplier, par.mid.min(4));
+    let b_supp = dag.stage_broadcast(supplier.tasks(par.mid.min(4)));
 
     let o = t("orders");
     let orders = Node::scan(
@@ -332,24 +314,24 @@ pub fn q05(par: Par) -> StageDag {
                 .and(o.c("o_orderdate").lt(litd("1995-01-01"))),
         ),
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_custkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_custkey"], par.join);
     let cust = Node::scan("customer", &["c_custkey", "c_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("c_nationkey", "n_nationkey")],
         Inner,
     );
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
     let o_with_c = dag
         .read(s_orders)
         .join(dag.read(s_cust), &[("o_custkey", "c_custkey")], Inner);
-    let s_oc = dag.stage_hash(o_with_c, par.join, &["o_orderkey"], par.join);
+    let s_oc = dag.stage_hash(o_with_c, &["o_orderkey"], par.join);
 
     let li = Node::scan(
         "lineitem",
         &["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
         None,
     );
-    let s_li = dag.stage_hash(li, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(li.tasks(par.fact), &["l_orderkey"], par.join);
 
     let joined = dag
         .read(s_li)
@@ -365,20 +347,15 @@ pub fn q05(par: Par) -> StageDag {
     let rev = lc
         .c("l_extendedprice")
         .mul(lit(1.0).sub(lc.c("l_discount")));
-    let agg = local.aggregate(
-        vec![("n_name", lc.c("n_name"))],
-        vec![("revenue", Sum, rev)],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &["n_name"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("n_name", fc.c("n_name"))],
-            vec![("revenue", Sum, fc.c("revenue"))],
+    let fin = dag
+        .two_phase_aggregate(
+            local,
+            vec![("n_name", lc.c("n_name"))],
+            vec![("revenue", Sum, rev)],
+            1,
         )
         .sort(vec![SortKey::desc(cackle_engine::expr::Expr::Col(1))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q6 — forecasting revenue change: a single filtered scan with a global
@@ -395,17 +372,15 @@ pub fn q06(par: Par) -> StageDag {
         .and(li.c("l_quantity").lt(lit(24.0)));
     let scan = Node::scan("lineitem", &["l_extendedprice", "l_discount"], Some(filter));
     let c = scan.cols();
-    let partial = scan.aggregate(
+    let fin = dag.two_phase_aggregate(
+        scan.tasks(par.fact),
         vec![],
         vec![(
             "revenue",
             Sum,
             c.c("l_extendedprice").mul(c.c("l_discount")),
         )],
+        1,
     );
-    let s0 = dag.stage_hash(partial, par.fact, &[], 1);
-    let fin = dag.read(s0);
-    let fc = fin.cols();
-    let fin = fin.aggregate(vec![], vec![("revenue", Sum, fc.c("revenue"))]);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }

@@ -15,7 +15,7 @@ pub fn q07(par: Par) -> StageDag {
         &["n_nationkey", "n_name"],
         Some(in_strs(t("nation").c("n_name"), &["FRANCE", "GERMANY"])),
     );
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supp = Node::scan("supplier", &["s_suppkey", "s_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("s_nationkey", "n_nationkey")],
@@ -26,7 +26,7 @@ pub fn q07(par: Par) -> StageDag {
         ("s_suppkey", sc.c("s_suppkey")),
         ("supp_nation", sc.c("n_name")),
     ]);
-    let b_supp = dag.stage_broadcast(supp, 1);
+    let b_supp = dag.stage_broadcast(supp.tasks(1));
 
     let cust = Node::scan("customer", &["c_custkey", "c_nationkey"], None).join(
         dag.read_broadcast(b_nation),
@@ -38,14 +38,14 @@ pub fn q07(par: Par) -> StageDag {
         ("c_custkey", cc.c("c_custkey")),
         ("cust_nation", cc.c("n_name")),
     ]);
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
 
     let orders = Node::scan("orders", &["o_orderkey", "o_custkey"], None);
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_custkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_custkey"], par.join);
     let o_c = dag
         .read(s_orders)
         .join(dag.read(s_cust), &[("o_custkey", "c_custkey")], Inner);
-    let s_oc = dag.stage_hash(o_c, par.join, &["o_orderkey"], par.join);
+    let s_oc = dag.stage_hash(o_c, &["o_orderkey"], par.join);
 
     let li = t("lineitem");
     let line = Node::scan(
@@ -68,7 +68,7 @@ pub fn q07(par: Par) -> StageDag {
         &[("l_suppkey", "s_suppkey")],
         Inner,
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_orderkey"], par.join);
 
     let joined = dag
         .read(s_li)
@@ -87,25 +87,16 @@ pub fn q07(par: Par) -> StageDag {
     let volume = pc
         .c("l_extendedprice")
         .mul(lit(1.0).sub(pc.c("l_discount")));
-    let agg = pairs.aggregate(
-        vec![
-            ("supp_nation", pc.c("supp_nation")),
-            ("cust_nation", pc.c("cust_nation")),
-            ("l_year", Expr::ExtractYear(Box::new(pc.c("l_shipdate")))),
-        ],
-        vec![("revenue", Sum, volume)],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &["supp_nation", "cust_nation", "l_year"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
+    let fin = dag
+        .two_phase_aggregate(
+            pairs,
             vec![
-                ("supp_nation", fc.c("supp_nation")),
-                ("cust_nation", fc.c("cust_nation")),
-                ("l_year", fc.c("l_year")),
+                ("supp_nation", pc.c("supp_nation")),
+                ("cust_nation", pc.c("cust_nation")),
+                ("l_year", Expr::ExtractYear(Box::new(pc.c("l_shipdate")))),
             ],
-            vec![("revenue", Sum, fc.c("revenue"))],
+            vec![("revenue", Sum, volume)],
+            1,
         )
         .sort(
             vec![
@@ -115,7 +106,7 @@ pub fn q07(par: Par) -> StageDag {
             ],
             None,
         );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q8 — national market share of BRAZIL in AMERICA for a part type.
@@ -126,21 +117,21 @@ pub fn q08(par: Par) -> StageDag {
         &["r_regionkey"],
         Some(t("region").c("r_name").eq(lits("AMERICA"))),
     );
-    let b_region = dag.stage_broadcast(region, 1);
+    let b_region = dag.stage_broadcast(region.tasks(1));
     let am_nation = Node::scan("nation", &["n_nationkey", "n_regionkey"], None).join(
         dag.read_broadcast(b_region),
         &[("n_regionkey", "r_regionkey")],
         Semi,
     );
-    let b_am_nation = dag.stage_broadcast(am_nation, 1);
+    let b_am_nation = dag.stage_broadcast(am_nation.tasks(1));
     let all_nation = Node::scan("nation", &["n_nationkey", "n_name"], None);
-    let b_all_nation = dag.stage_broadcast(all_nation, 1);
+    let b_all_nation = dag.stage_broadcast(all_nation.tasks(1));
     let part = Node::scan(
         "part",
         &["p_partkey"],
         Some(t("part").c("p_type").eq(lits("ECONOMY ANODIZED STEEL"))),
     );
-    let b_part = dag.stage_broadcast(part, 1);
+    let b_part = dag.stage_broadcast(part.tasks(1));
     let supp = Node::scan("supplier", &["s_suppkey", "s_nationkey"], None).join(
         dag.read_broadcast(b_all_nation),
         &[("s_nationkey", "n_nationkey")],
@@ -151,14 +142,14 @@ pub fn q08(par: Par) -> StageDag {
         ("s_suppkey", sc.c("s_suppkey")),
         ("supp_nation", sc.c("n_name")),
     ]);
-    let b_supp = dag.stage_broadcast(supp, 1);
+    let b_supp = dag.stage_broadcast(supp.tasks(1));
 
     let cust = Node::scan("customer", &["c_custkey", "c_nationkey"], None).join(
         dag.read_broadcast(b_am_nation),
         &[("c_nationkey", "n_nationkey")],
         Semi,
     );
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
     let o = t("orders");
     let orders = Node::scan(
         "orders",
@@ -169,11 +160,11 @@ pub fn q08(par: Par) -> StageDag {
                 .and(o.c("o_orderdate").lt_eq(litd("1996-12-31"))),
         ),
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_custkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_custkey"], par.join);
     let oc = dag
         .read(s_orders)
         .join(dag.read(s_cust), &[("o_custkey", "c_custkey")], Semi);
-    let s_oc = dag.stage_hash(oc, par.join, &["o_orderkey"], par.join);
+    let s_oc = dag.stage_hash(oc, &["o_orderkey"], par.join);
 
     let line = Node::scan(
         "lineitem",
@@ -196,7 +187,7 @@ pub fn q08(par: Par) -> StageDag {
         &[("l_suppkey", "s_suppkey")],
         Inner,
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_orderkey"], par.join);
 
     let joined = dag
         .read(s_li)
@@ -210,22 +201,14 @@ pub fn q08(par: Par) -> StageDag {
         volume.clone(),
         lit(0.0),
     );
-    let agg = joined.aggregate(
+    let fin = dag.two_phase_aggregate(
+        joined,
         vec![("o_year", Expr::ExtractYear(Box::new(jc.c("o_orderdate"))))],
         vec![
             ("brazil_volume", Sum, brazil),
             ("total_volume", Sum, volume),
         ],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &["o_year"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin.aggregate(
-        vec![("o_year", fc.c("o_year"))],
-        vec![
-            ("brazil_volume", Sum, fc.c("brazil_volume")),
-            ("total_volume", Sum, fc.c("total_volume")),
-        ],
+        1,
     );
     let fc = fin.cols();
     let fin = fin
@@ -234,7 +217,7 @@ pub fn q08(par: Par) -> StageDag {
             ("mkt_share", fc.c("brazil_volume").div(fc.c("total_volume"))),
         ])
         .sort(vec![SortKey::asc(Expr::Col(0))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q9 — product type profit for green parts; lineitem ⋈ partsupp
@@ -249,9 +232,9 @@ pub fn q09(par: Par) -> StageDag {
             LikePattern::Contains("green".into()),
         )),
     );
-    let b_part = dag.stage_broadcast(part, 1);
+    let b_part = dag.stage_broadcast(part.tasks(1));
     let nation = Node::scan("nation", &["n_nationkey", "n_name"], None);
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supp = Node::scan("supplier", &["s_suppkey", "s_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("s_nationkey", "n_nationkey")],
@@ -262,7 +245,7 @@ pub fn q09(par: Par) -> StageDag {
         ("s_suppkey", sc.c("s_suppkey")),
         ("nation", sc.c("n_name")),
     ]);
-    let b_supp = dag.stage_broadcast(supp, 1);
+    let b_supp = dag.stage_broadcast(supp.tasks(1));
 
     let line = Node::scan(
         "lineitem",
@@ -281,7 +264,7 @@ pub fn q09(par: Par) -> StageDag {
         &[("l_partkey", "p_partkey")],
         Semi,
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_partkey", "l_suppkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_partkey", "l_suppkey"], par.join);
     let ps = Node::scan(
         "partsupp",
         &["ps_partkey", "ps_suppkey", "ps_supplycost"],
@@ -292,16 +275,16 @@ pub fn q09(par: Par) -> StageDag {
         &[("ps_partkey", "p_partkey")],
         Semi,
     );
-    let s_ps = dag.stage_hash(ps, par.mid, &["ps_partkey", "ps_suppkey"], par.join);
+    let s_ps = dag.stage_hash(ps.tasks(par.mid), &["ps_partkey", "ps_suppkey"], par.join);
 
     let li_ps = dag.read(s_li).join(
         dag.read(s_ps),
         &[("l_partkey", "ps_partkey"), ("l_suppkey", "ps_suppkey")],
         Inner,
     );
-    let s_lips = dag.stage_hash(li_ps, par.join, &["l_orderkey"], par.join);
+    let s_lips = dag.stage_hash(li_ps, &["l_orderkey"], par.join);
     let orders = Node::scan("orders", &["o_orderkey", "o_orderdate"], None);
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
 
     let joined = dag
         .read(s_lips)
@@ -316,33 +299,28 @@ pub fn q09(par: Par) -> StageDag {
         .c("l_extendedprice")
         .mul(lit(1.0).sub(jc.c("l_discount")))
         .sub(jc.c("ps_supplycost").mul(jc.c("l_quantity")));
-    let agg = joined.aggregate(
-        vec![
-            ("nation", jc.c("nation")),
-            ("o_year", Expr::ExtractYear(Box::new(jc.c("o_orderdate")))),
-        ],
-        vec![("sum_profit", Sum, amount)],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &["nation", "o_year"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("nation", fc.c("nation")), ("o_year", fc.c("o_year"))],
-            vec![("sum_profit", Sum, fc.c("sum_profit"))],
+    let fin = dag
+        .two_phase_aggregate(
+            joined,
+            vec![
+                ("nation", jc.c("nation")),
+                ("o_year", Expr::ExtractYear(Box::new(jc.c("o_orderdate")))),
+            ],
+            vec![("sum_profit", Sum, amount)],
+            1,
         )
         .sort(
             vec![SortKey::asc(Expr::Col(0)), SortKey::desc(Expr::Col(1))],
             None,
         );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q10 — returned-item reporting, top 20 customers by lost revenue.
 pub fn q10(par: Par) -> StageDag {
     let mut dag = DagBuilder::new("q10");
     let nation = Node::scan("nation", &["n_nationkey", "n_name"], None);
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let o = t("orders");
     let orders = Node::scan(
         "orders",
@@ -353,13 +331,13 @@ pub fn q10(par: Par) -> StageDag {
                 .and(o.c("o_orderdate").lt(litd("1994-01-01"))),
         ),
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
     let line = Node::scan(
         "lineitem",
         &["l_orderkey", "l_extendedprice", "l_discount"],
         Some(t("lineitem").c("l_returnflag").eq(lits("R"))),
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_orderkey"], par.join);
     let li_o = dag
         .read(s_li)
         .join(dag.read(s_orders), &[("l_orderkey", "o_orderkey")], Inner);
@@ -371,7 +349,7 @@ pub fn q10(par: Par) -> StageDag {
         vec![("o_custkey", lc.c("o_custkey"))],
         vec![("revenue", Sum, rev)],
     );
-    let s_rev = dag.stage_hash(partial, par.join, &["o_custkey"], par.join);
+    let s_rev = dag.stage_hash(partial, &["o_custkey"], par.join);
 
     let cust = Node::scan(
         "customer",
@@ -391,7 +369,7 @@ pub fn q10(par: Par) -> StageDag {
         &[("c_nationkey", "n_nationkey")],
         Inner,
     );
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
 
     let joined = dag
         .read(s_rev)
@@ -411,11 +389,11 @@ pub fn q10(par: Par) -> StageDag {
     );
     let ac = agg.cols();
     let top = agg.sort(vec![SortKey::desc(ac.c("revenue"))], Some(20));
-    let s_top = dag.stage_hash(top, par.join, &[], 1);
+    let s_top = dag.stage_hash(top, &[], 1);
     let fin = dag.read(s_top);
     let fc = fin.cols();
     let fin = fin.sort(vec![SortKey::desc(fc.c("revenue"))], Some(20));
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q11 — important stock identification in GERMANY, with the
@@ -427,13 +405,13 @@ pub fn q11(par: Par) -> StageDag {
         &["n_nationkey"],
         Some(t("nation").c("n_name").eq(lits("GERMANY"))),
     );
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supp = Node::scan("supplier", &["s_suppkey", "s_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("s_nationkey", "n_nationkey")],
         Semi,
     );
-    let b_supp = dag.stage_broadcast(supp, 1);
+    let b_supp = dag.stage_broadcast(supp.tasks(1));
     let ps = Node::scan(
         "partsupp",
         &["ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"],
@@ -446,18 +424,13 @@ pub fn q11(par: Par) -> StageDag {
     );
     let pc = ps.cols();
     let value = pc.c("ps_supplycost").mul(pc.c("ps_availqty"));
-    let partial = ps.aggregate(
+    let per_part = dag.two_phase_aggregate(
+        ps.tasks(par.mid),
         vec![("ps_partkey", pc.c("ps_partkey"))],
         vec![("value", Sum, value)],
+        par.join,
     );
-    let s_partial = dag.stage_hash(partial, par.mid, &["ps_partkey"], par.join);
-    let per_part = dag.read(s_partial);
-    let ppc = per_part.cols();
-    let per_part = per_part.aggregate(
-        vec![("ps_partkey", ppc.c("ps_partkey"))],
-        vec![("value", Sum, ppc.c("value"))],
-    );
-    let s_parts = dag.stage_hash(per_part, par.join, &[], 1);
+    let s_parts = dag.stage_hash(per_part, &[], 1);
     // Final: compute the global total and join it back on a constant key.
     let rows = dag.read(s_parts);
     let total = dag.read(s_parts);
@@ -485,5 +458,5 @@ pub fn q11(par: Par) -> StageDag {
         ]);
     let fc = fin.cols();
     let fin = fin.sort(vec![SortKey::desc(fc.c("value"))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }

@@ -23,38 +23,30 @@ pub fn q12(par: Par) -> StageDag {
                 .and(li.c("l_receiptdate").lt(litd("1995-01-01"))),
         ),
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_orderkey"], par.join);
     let orders = Node::scan("orders", &["o_orderkey", "o_orderpriority"], None);
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
     let joined = dag
         .read(s_li)
         .join(dag.read(s_orders), &[("l_orderkey", "o_orderkey")], Inner);
     let jc = joined.cols();
     let is_high = in_strs(jc.c("o_orderpriority"), &["1-URGENT", "2-HIGH"]);
-    let agg = joined.aggregate(
-        vec![("l_shipmode", jc.c("l_shipmode"))],
-        vec![
-            (
-                "high_line_count",
-                Sum,
-                case_when(is_high.clone(), liti(1), liti(0)),
-            ),
-            ("low_line_count", Sum, case_when(is_high, liti(0), liti(1))),
-        ],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &["l_shipmode"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("l_shipmode", fc.c("l_shipmode"))],
+    let fin = dag
+        .two_phase_aggregate(
+            joined,
+            vec![("l_shipmode", jc.c("l_shipmode"))],
             vec![
-                ("high_line_count", Sum, fc.c("high_line_count")),
-                ("low_line_count", Sum, fc.c("low_line_count")),
+                (
+                    "high_line_count",
+                    Sum,
+                    case_when(is_high.clone(), liti(1), liti(0)),
+                ),
+                ("low_line_count", Sum, case_when(is_high, liti(0), liti(1))),
             ],
+            1,
         )
         .sort(vec![SortKey::asc(Expr::Col(0))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q13 — customer order-count distribution (LEFT OUTER JOIN).
@@ -68,9 +60,9 @@ pub fn q13(par: Par) -> StageDag {
             LikePattern::ContainsInOrder(vec!["special".into(), "requests".into()]),
         )),
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_custkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_custkey"], par.join);
     let cust = Node::scan("customer", &["c_custkey"], None);
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
     // customer LEFT JOIN orders, both partitioned on customer key: the
     // per-customer count is complete within the partition.
     let joined = dag
@@ -82,23 +74,18 @@ pub fn q13(par: Par) -> StageDag {
         vec![("c_count", Count, jc.c("o_orderkey"))],
     );
     let pc = per_cust.cols();
-    let dist = per_cust.aggregate(
-        vec![("c_count", pc.c("c_count"))],
-        vec![("custdist", CountStar, liti(1))],
-    );
-    let s_dist = dag.stage_hash(dist, par.join, &["c_count"], 1);
-    let fin = dag.read(s_dist);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("c_count", fc.c("c_count"))],
-            vec![("custdist", Sum, fc.c("custdist"))],
+    let fin = dag
+        .two_phase_aggregate(
+            per_cust,
+            vec![("c_count", pc.c("c_count"))],
+            vec![("custdist", CountStar, liti(1))],
+            1,
         )
         .sort(
             vec![SortKey::desc(Expr::Col(1)), SortKey::desc(Expr::Col(0))],
             None,
         );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q14 — promotion effect: partitioned lineitem ⋈ part.
@@ -114,9 +101,9 @@ pub fn q14(par: Par) -> StageDag {
                 .and(li.c("l_shipdate").lt(litd("1995-10-01"))),
         ),
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_partkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_partkey"], par.join);
     let part = Node::scan("part", &["p_partkey", "p_type"], None);
-    let s_part = dag.stage_hash(part, par.mid, &["p_partkey"], par.join);
+    let s_part = dag.stage_hash(part.tasks(par.mid), &["p_partkey"], par.join);
     let joined = dag
         .read(s_li)
         .join(dag.read(s_part), &[("l_partkey", "p_partkey")], Inner);
@@ -129,19 +116,11 @@ pub fn q14(par: Par) -> StageDag {
         rev.clone(),
         lit(0.0),
     );
-    let agg = joined.aggregate(
+    let fin = dag.two_phase_aggregate(
+        joined,
         vec![],
         vec![("promo_revenue", Sum, promo), ("total_revenue", Sum, rev)],
-    );
-    let s_agg = dag.stage_hash(agg, par.join, &[], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin.aggregate(
-        vec![],
-        vec![
-            ("promo_revenue", Sum, fc.c("promo_revenue")),
-            ("total_revenue", Sum, fc.c("total_revenue")),
-        ],
+        1,
     );
     let fc = fin.cols();
     let fin = fin.project(vec![(
@@ -150,7 +129,7 @@ pub fn q14(par: Par) -> StageDag {
             .mul(fc.c("promo_revenue"))
             .div(fc.c("total_revenue")),
     )]);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q15 — top supplier: per-supplier quarterly revenue, max via
@@ -171,24 +150,19 @@ pub fn q15(par: Par) -> StageDag {
     let rev = lc
         .c("l_extendedprice")
         .mul(lit(1.0).sub(lc.c("l_discount")));
-    let partial = line.aggregate(
+    let revenue = dag.two_phase_aggregate(
+        line.tasks(par.fact),
         vec![("supplier_no", lc.c("l_suppkey"))],
         vec![("total_revenue", Sum, rev)],
+        par.join,
     );
-    let s_partial = dag.stage_hash(partial, par.fact, &["supplier_no"], par.join);
-    let revenue = dag.read(s_partial);
-    let rc = revenue.cols();
-    let revenue = revenue.aggregate(
-        vec![("supplier_no", rc.c("supplier_no"))],
-        vec![("total_revenue", Sum, rc.c("total_revenue"))],
-    );
-    let s_rev = dag.stage_hash(revenue, par.join, &[], 1);
+    let s_rev = dag.stage_hash(revenue, &[], 1);
     let supp = Node::scan(
         "supplier",
         &["s_suppkey", "s_name", "s_address", "s_phone"],
         None,
     );
-    let b_supp = dag.stage_broadcast(supp, 1);
+    let b_supp = dag.stage_broadcast(supp.tasks(1));
     // Final: max via constant-key join, then equality filter.
     let rows = dag.read(s_rev);
     let rk = {
@@ -225,7 +199,7 @@ pub fn q15(par: Par) -> StageDag {
             ("total_revenue", fc.c("total_revenue")),
         ])
         .sort(vec![SortKey::asc(Expr::Col(0))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q16 — parts/supplier relationship: anti join against complained-about
@@ -240,7 +214,7 @@ pub fn q16(par: Par) -> StageDag {
             LikePattern::ContainsInOrder(vec!["Customer".into(), "Complaints".into()]),
         )),
     );
-    let b_compl = dag.stage_broadcast(complaints, 1);
+    let b_compl = dag.stage_broadcast(complaints.tasks(1));
     let p = t("part");
     let part = Node::scan(
         "part",
@@ -255,13 +229,13 @@ pub fn q16(par: Par) -> StageDag {
                 .and(in_i64s(p.c("p_size"), &[49, 14, 23, 45, 19, 3, 36, 9])),
         ),
     );
-    let s_part = dag.stage_hash(part, par.mid, &["p_partkey"], par.join);
+    let s_part = dag.stage_hash(part.tasks(par.mid), &["p_partkey"], par.join);
     let ps = Node::scan("partsupp", &["ps_partkey", "ps_suppkey"], None).join(
         dag.read_broadcast(b_compl),
         &[("ps_suppkey", "s_suppkey")],
         Anti,
     );
-    let s_ps = dag.stage_hash(ps, par.mid, &["ps_partkey"], par.join);
+    let s_ps = dag.stage_hash(ps.tasks(par.mid), &["ps_partkey"], par.join);
     let joined = dag
         .read(s_ps)
         .join(dag.read(s_part), &[("ps_partkey", "p_partkey")], Inner);
@@ -272,7 +246,7 @@ pub fn q16(par: Par) -> StageDag {
         ("p_size", jc.c("p_size")),
         ("ps_suppkey", jc.c("ps_suppkey")),
     ]);
-    let s_pairs = dag.stage_hash(pairs, par.join, &["p_brand", "p_type", "p_size"], par.join);
+    let s_pairs = dag.stage_hash(pairs, &["p_brand", "p_type", "p_size"], par.join);
     let grouped = dag.read(s_pairs);
     let gc = grouped.cols();
     let agg = grouped.aggregate(
@@ -283,7 +257,7 @@ pub fn q16(par: Par) -> StageDag {
         ],
         vec![("supplier_cnt", CountDistinct, gc.c("ps_suppkey"))],
     );
-    let s_agg = dag.stage_hash(agg, par.join, &[], 1);
+    let s_agg = dag.stage_hash(agg, &[], 1);
     let fin = dag.read(s_agg);
     let fc = fin.cols();
     let fin = fin.sort(
@@ -295,7 +269,7 @@ pub fn q16(par: Par) -> StageDag {
         ],
         None,
     );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q17 — small-quantity-order revenue: per-part average joined back
@@ -312,13 +286,13 @@ pub fn q17(par: Par) -> StageDag {
                 .and(p.c("p_container").eq(lits("MED BOX"))),
         ),
     );
-    let s_part = dag.stage_hash(part, par.mid, &["p_partkey"], par.join);
+    let s_part = dag.stage_hash(part.tasks(par.mid), &["p_partkey"], par.join);
     let line = Node::scan(
         "lineitem",
         &["l_partkey", "l_quantity", "l_extendedprice"],
         None,
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_partkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_partkey"], par.join);
 
     // Per-part average quantity over all lineitems (complete within the
     // partition), then join against qualifying parts and filter.
@@ -335,15 +309,16 @@ pub fn q17(par: Par) -> StageDag {
     let jc = joined.cols();
     let small = joined.filter(jc.c("l_quantity").lt(lit(0.2).mul(jc.c("avg_qty"))));
     let sc = small.cols();
-    let partial = small.aggregate(vec![], vec![("sum_price", Sum, sc.c("l_extendedprice"))]);
-    let s_partial = dag.stage_hash(partial, par.join, &[], 1);
-    let fin = dag.read(s_partial);
-    let fc = fin.cols();
-    let fin = fin.aggregate(vec![], vec![("sum_price", Sum, fc.c("sum_price"))]);
+    let fin = dag.two_phase_aggregate(
+        small,
+        vec![],
+        vec![("sum_price", Sum, sc.c("l_extendedprice"))],
+        1,
+    );
     let fc = fin.cols();
     let fin = fin.project(vec![(
         "avg_yearly",
         Expr::Coalesce(vec![fc.c("sum_price"), Expr::Lit(Value::F64(0.0))]).div(lit(7.0)),
     )]);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }

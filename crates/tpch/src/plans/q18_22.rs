@@ -16,13 +16,13 @@ pub fn q18(par: Par) -> StageDag {
         vec![("l_orderkey", lc.c("l_orderkey"))],
         vec![("sum_qty", Sum, lc.c("l_quantity"))],
     );
-    let s_qty = dag.stage_hash(partial, par.fact, &["l_orderkey"], par.join);
+    let s_qty = dag.stage_hash(partial.tasks(par.fact), &["l_orderkey"], par.join);
     let orders = Node::scan(
         "orders",
         &["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
         None,
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
 
     let big = dag.read(s_qty);
     let bc = big.cols();
@@ -33,10 +33,10 @@ pub fn q18(par: Par) -> StageDag {
     let bc = big.cols();
     let big = big.filter(bc.c("sum_qty").gt(lit(300.0)));
     let joined = dag.read(s_orders).join(big, &[("o_orderkey", "bk")], Inner);
-    let s_joined = dag.stage_hash(joined, par.join, &["o_custkey"], par.join);
+    let s_joined = dag.stage_hash(joined, &["o_custkey"], par.join);
 
     let cust = Node::scan("customer", &["c_custkey", "c_name"], None);
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
     let full = dag
         .read(s_joined)
         .join(dag.read(s_cust), &[("o_custkey", "c_custkey")], Inner);
@@ -57,7 +57,7 @@ pub fn q18(par: Par) -> StageDag {
         ],
         Some(100),
     );
-    let s_top = dag.stage_hash(top, par.join, &[], 1);
+    let s_top = dag.stage_hash(top, &[], 1);
     let fin = dag.read(s_top);
     let fc = fin.cols();
     let fin = fin.sort(
@@ -67,7 +67,7 @@ pub fn q18(par: Par) -> StageDag {
         ],
         Some(100),
     );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q19 — discounted revenue: partitioned lineitem ⋈ part with a
@@ -83,13 +83,13 @@ pub fn q19(par: Par) -> StageDag {
                 .and(li.c("l_shipinstruct").eq(lits("DELIVER IN PERSON"))),
         ),
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_partkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_partkey"], par.join);
     let part = Node::scan(
         "part",
         &["p_partkey", "p_brand", "p_size", "p_container"],
         None,
     );
-    let s_part = dag.stage_hash(part, par.mid, &["p_partkey"], par.join);
+    let s_part = dag.stage_hash(part.tasks(par.mid), &["p_partkey"], par.join);
     let joined = dag
         .read(s_li)
         .join(dag.read(s_part), &[("l_partkey", "p_partkey")], Inner);
@@ -129,12 +129,8 @@ pub fn q19(par: Par) -> StageDag {
     let rev = fc
         .c("l_extendedprice")
         .mul(lit(1.0).sub(fc.c("l_discount")));
-    let partial = filtered.aggregate(vec![], vec![("revenue", Sum, rev)]);
-    let s_partial = dag.stage_hash(partial, par.join, &[], 1);
-    let fin = dag.read(s_partial);
-    let fc = fin.cols();
-    let fin = fin.aggregate(vec![], vec![("revenue", Sum, fc.c("revenue"))]);
-    dag.finish(fin, 1)
+    let fin = dag.two_phase_aggregate(filtered, vec![], vec![("revenue", Sum, rev)], 1);
+    dag.finish(fin)
 }
 
 /// Q20 — potential part promotion: forest parts, 1994 shipments, availqty
@@ -149,7 +145,7 @@ pub fn q20(par: Par) -> StageDag {
             LikePattern::Prefix("forest".into()),
         )),
     );
-    let s_part = dag.stage_hash(part, par.mid, &["p_partkey"], par.join);
+    let s_part = dag.stage_hash(part.tasks(par.mid), &["p_partkey"], par.join);
     let li = t("lineitem");
     let line = Node::scan(
         "lineitem",
@@ -160,13 +156,13 @@ pub fn q20(par: Par) -> StageDag {
                 .and(li.c("l_shipdate").lt(litd("1995-01-01"))),
         ),
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_partkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_partkey"], par.join);
     let ps = Node::scan(
         "partsupp",
         &["ps_partkey", "ps_suppkey", "ps_availqty"],
         None,
     );
-    let s_ps = dag.stage_hash(ps, par.mid, &["ps_partkey"], par.join);
+    let s_ps = dag.stage_hash(ps.tasks(par.mid), &["ps_partkey"], par.join);
 
     // Within the part-key partition: shipped quantity per (part, supplier),
     // partsupp restricted to forest parts, availqty > 0.5 × shipped.
@@ -200,14 +196,14 @@ pub fn q20(par: Par) -> StageDag {
             vec![("suppkey", jc.c("ps_suppkey"))],
             vec![("n", CountStar, liti(1))],
         );
-    let s_keys = dag.stage_hash(qualified, par.join, &["suppkey"], par.join);
+    let s_keys = dag.stage_hash(qualified, &["suppkey"], par.join);
 
     let nation = Node::scan(
         "nation",
         &["n_nationkey"],
         Some(t("nation").c("n_name").eq(lits("CANADA"))),
     );
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supp = Node::scan(
         "supplier",
         &["s_suppkey", "s_name", "s_address", "s_nationkey"],
@@ -218,7 +214,7 @@ pub fn q20(par: Par) -> StageDag {
         &[("s_nationkey", "n_nationkey")],
         Semi,
     );
-    let s_supp = dag.stage_hash(supp, par.mid, &["s_suppkey"], par.join);
+    let s_supp = dag.stage_hash(supp.tasks(par.mid), &["s_suppkey"], par.join);
 
     let fin = dag
         .read(s_supp)
@@ -228,11 +224,11 @@ pub fn q20(par: Par) -> StageDag {
         ("s_name", fc.c("s_name")),
         ("s_address", fc.c("s_address")),
     ]);
-    let s_fin = dag.stage_hash(fin, par.join, &[], 1);
+    let s_fin = dag.stage_hash(fin, &[], 1);
     let gather = dag.read(s_fin);
     let gc = gather.cols();
     let gather = gather.sort(vec![SortKey::asc(gc.c("s_name"))], None);
-    dag.finish(gather, 1)
+    dag.finish(gather)
 }
 
 /// Q21 — suppliers who kept orders waiting, via the per-order
@@ -244,13 +240,13 @@ pub fn q21(par: Par) -> StageDag {
         &["n_nationkey"],
         Some(t("nation").c("n_name").eq(lits("SAUDI ARABIA"))),
     );
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supp = Node::scan("supplier", &["s_suppkey", "s_name", "s_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("s_nationkey", "n_nationkey")],
         Semi,
     );
-    let b_supp = dag.stage_broadcast(supp, 1);
+    let b_supp = dag.stage_broadcast(supp.tasks(1));
 
     let line = {
         let scan = Node::scan(
@@ -272,13 +268,13 @@ pub fn q21(par: Par) -> StageDag {
             ),
         ])
     };
-    let s_li = dag.stage_hash(line, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_orderkey"], par.join);
     let orders = Node::scan(
         "orders",
         &["o_orderkey"],
         Some(t("orders").c("o_orderstatus").eq(lits("F"))),
     );
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_orderkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_orderkey"], par.join);
 
     // Per-order supplier statistics within the order-key partition.
     let li_f = dag
@@ -306,29 +302,23 @@ pub fn q21(par: Par) -> StageDag {
     );
     let joined = candidates.join(stats, &[("l_orderkey", "ok")], Inner);
     let jc = joined.cols();
-    let waiting = joined
-        .filter(
-            jc.c("n_supp")
-                .gt(liti(1))
-                .and(jc.c("n_late_supp").eq(liti(1))),
-        )
-        .aggregate(
+    let waiting = joined.filter(
+        jc.c("n_supp")
+            .gt(liti(1))
+            .and(jc.c("n_late_supp").eq(liti(1))),
+    );
+    let fin = dag
+        .two_phase_aggregate(
+            waiting,
             vec![("s_name", jc.c("s_name"))],
             vec![("numwait", CountStar, liti(1))],
-        );
-    let s_agg = dag.stage_hash(waiting, par.join, &["s_name"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("s_name", fc.c("s_name"))],
-            vec![("numwait", Sum, fc.c("numwait"))],
+            1,
         )
         .sort(
             vec![SortKey::desc(Expr::Col(1)), SortKey::asc(Expr::Col(0))],
             Some(100),
         );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Q22 — global sales opportunity: country-code customers with above
@@ -353,14 +343,12 @@ pub fn q22(par: Par) -> StageDag {
         ),
     );
     let ac = avg_scan.cols();
-    let avg_partial = avg_scan.aggregate(
+    let avg_total = dag.two_phase_aggregate(
+        avg_scan.tasks(par.mid),
         vec![],
         vec![("s", Sum, ac.c("c_acctbal")), ("n", CountStar, liti(1))],
+        1,
     );
-    let s_avg = dag.stage_hash(avg_partial, par.mid, &[], 1);
-    let avg_total = dag.read(s_avg);
-    let tc = avg_total.cols();
-    let avg_total = avg_total.aggregate(vec![], vec![("s", Sum, tc.c("s")), ("n", Sum, tc.c("n"))]);
     let tc = avg_total.cols();
     let avg_total = avg_total.project(vec![
         (
@@ -372,16 +360,16 @@ pub fn q22(par: Par) -> StageDag {
         ),
         ("k2", liti(1)),
     ]);
-    let b_avg = dag.stage_broadcast(avg_total, 1);
+    let b_avg = dag.stage_broadcast(avg_total);
 
     let cust = Node::scan(
         "customer",
         &["c_custkey", "c_phone", "c_acctbal"],
         Some(in_strs(code(c.c("c_phone")), &CODES)),
     );
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
     let orders = Node::scan("orders", &["o_custkey"], None);
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_custkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_custkey"], par.join);
 
     let no_orders = dag
         .read(s_cust)
@@ -394,26 +382,16 @@ pub fn q22(par: Par) -> StageDag {
     ]);
     let joined = with_k.join(dag.read_broadcast(b_avg), &[("k", "k2")], Inner);
     let jc = joined.cols();
-    let agg = joined
-        .filter(jc.c("c_acctbal").gt(jc.c("avgbal")))
-        .aggregate(
+    let fin = dag
+        .two_phase_aggregate(
+            joined.filter(jc.c("c_acctbal").gt(jc.c("avgbal"))),
             vec![("cntrycode", jc.c("cntrycode"))],
             vec![
                 ("numcust", CountStar, liti(1)),
                 ("totacctbal", Sum, jc.c("c_acctbal")),
             ],
-        );
-    let s_agg = dag.stage_hash(agg, par.join, &["cntrycode"], 1);
-    let fin = dag.read(s_agg);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("cntrycode", fc.c("cntrycode"))],
-            vec![
-                ("numcust", Sum, fc.c("numcust")),
-                ("totacctbal", Sum, fc.c("totacctbal")),
-            ],
+            1,
         )
         .sort(vec![SortKey::asc(Expr::Col(0))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }

@@ -28,25 +28,25 @@ use cackle_engine::plan::StageDag;
 pub fn ds24_iterative(par: Par) -> StageDag {
     let mut dag = DagBuilder::new("ds24");
     let nation = Node::scan("nation", &["n_nationkey", "n_name"], None);
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let cust = Node::scan("customer", &["c_custkey", "c_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("c_nationkey", "n_nationkey")],
         Inner,
     );
-    let s_cust = dag.stage_hash(cust, par.mid, &["c_custkey"], par.join);
+    let s_cust = dag.stage_hash(cust.tasks(par.mid), &["c_custkey"], par.join);
     let orders = Node::scan("orders", &["o_orderkey", "o_custkey"], None);
-    let s_orders = dag.stage_hash(orders, par.mid, &["o_custkey"], par.join);
+    let s_orders = dag.stage_hash(orders.tasks(par.mid), &["o_custkey"], par.join);
     let o_c = dag
         .read(s_orders)
         .join(dag.read(s_cust), &[("o_custkey", "c_custkey")], Inner);
-    let s_oc = dag.stage_hash(o_c, par.join, &["o_orderkey"], par.join);
+    let s_oc = dag.stage_hash(o_c, &["o_orderkey"], par.join);
     let line = Node::scan(
         "lineitem",
         &["l_orderkey", "l_extendedprice", "l_discount"],
         None,
     );
-    let s_li = dag.stage_hash(line, par.fact, &["l_orderkey"], par.join);
+    let s_li = dag.stage_hash(line.tasks(par.fact), &["l_orderkey"], par.join);
     let joined = dag
         .read(s_li)
         .join(dag.read(s_oc), &[("l_orderkey", "o_orderkey")], Inner);
@@ -59,7 +59,7 @@ pub fn ds24_iterative(par: Par) -> StageDag {
         vec![("revenue", Sum, rev)],
     );
     // Pass 1 output: per-customer revenue, exchanged on nation for pass 2.
-    let s_pass1 = dag.stage_hash(per_cust, par.join, &["n_name"], par.join);
+    let s_pass1 = dag.stage_hash(per_cust, &["n_name"], par.join);
     // Pass 2: the same intermediate read twice — once aggregated to the
     // nation average, once as rows — exactly the iterative shape.
     let pass1 = dag.read(s_pass1);
@@ -76,28 +76,18 @@ pub fn ds24_iterative(par: Par) -> StageDag {
     );
     let joined = pass1.join(avg, &[("n_name", "an")], Inner);
     let jc = joined.cols();
-    let big = joined
-        .filter(jc.c("revenue").gt(lit(1.2).mul(jc.c("avg_rev"))))
-        .aggregate(
+    let fin = dag
+        .two_phase_aggregate(
+            joined.filter(jc.c("revenue").gt(lit(1.2).mul(jc.c("avg_rev")))),
             vec![("n_name", jc.c("n_name"))],
             vec![
                 ("big_spenders", CountStar, liti(1)),
                 ("their_revenue", Sum, jc.c("revenue")),
             ],
-        );
-    let s_big = dag.stage_hash(big, par.join, &["n_name"], 1);
-    let fin = dag.read(s_big);
-    let fc = fin.cols();
-    let fin = fin
-        .aggregate(
-            vec![("n_name", fc.c("n_name"))],
-            vec![
-                ("big_spenders", Sum, fc.c("big_spenders")),
-                ("their_revenue", Sum, fc.c("their_revenue")),
-            ],
+            1,
         )
         .sort(vec![SortKey::asc(Expr::Col(0))], None);
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Reporting query (DS q58 shape): brand revenue over three consecutive
@@ -105,7 +95,7 @@ pub fn ds24_iterative(par: Par) -> StageDag {
 pub fn ds58_reporting(par: Par) -> StageDag {
     let mut dag = DagBuilder::new("ds58");
     let part = Node::scan("part", &["p_partkey", "p_brand"], None);
-    let s_part = dag.stage_hash(part, par.mid, &["p_partkey"], par.join);
+    let s_part = dag.stage_hash(part.tasks(par.mid), &["p_partkey"], par.join);
     let windows = [
         ("1995-01-01", "1995-02-01"),
         ("1995-02-01", "1995-03-01"),
@@ -123,7 +113,7 @@ pub fn ds58_reporting(par: Par) -> StageDag {
                     .and(li.c("l_shipdate").lt(litd(hi))),
             ),
         );
-        let s_li = dag.stage_hash(line, par.fact, &["l_partkey"], par.join);
+        let s_li = dag.stage_hash(line.tasks(par.fact), &["l_partkey"], par.join);
         let joined = dag
             .read(s_li)
             .join(dag.read(s_part), &[("l_partkey", "p_partkey")], Inner);
@@ -140,7 +130,7 @@ pub fn ds58_reporting(par: Par) -> StageDag {
     let mut it = monthly.into_iter();
     let first = it.next().expect("three windows");
     let unioned = first.union(it.collect());
-    let s_union = dag.stage_hash(unioned, par.join, &["p_brand"], 1);
+    let s_union = dag.stage_hash(unioned, &["p_brand"], 1);
     let fin = dag.read(s_union);
     let fc = fin.cols();
     let fin = fin
@@ -152,7 +142,7 @@ pub fn ds58_reporting(par: Par) -> StageDag {
             vec![SortKey::desc(Expr::Col(2)), SortKey::asc(Expr::Col(0))],
             Some(100),
         );
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }
 
 /// Multi-fact-table query (DS q81 shape): sales (lineitem) and supply
@@ -174,7 +164,7 @@ pub fn ds81_multifact(par: Par) -> StageDag {
         vec![("l_suppkey", lc.c("l_suppkey"))],
         vec![("sales", Sum, rev)],
     );
-    let s_sales = dag.stage_hash(sales, par.fact, &["l_suppkey"], par.join);
+    let s_sales = dag.stage_hash(sales.tasks(par.fact), &["l_suppkey"], par.join);
     // Fact 2: partsupp supply value per supplier.
     let ps = Node::scan(
         "partsupp",
@@ -187,16 +177,16 @@ pub fn ds81_multifact(par: Par) -> StageDag {
         vec![("ps_suppkey", pc.c("ps_suppkey"))],
         vec![("supply_value", Sum, supply_value)],
     );
-    let s_supply = dag.stage_hash(supply, par.mid, &["ps_suppkey"], par.join);
+    let s_supply = dag.stage_hash(supply.tasks(par.mid), &["ps_suppkey"], par.join);
     // Shared dimension.
     let nation = Node::scan("nation", &["n_nationkey", "n_name"], None);
-    let b_nation = dag.stage_broadcast(nation, 1);
+    let b_nation = dag.stage_broadcast(nation.tasks(1));
     let supp = Node::scan("supplier", &["s_suppkey", "s_name", "s_nationkey"], None).join(
         dag.read_broadcast(b_nation),
         &[("s_nationkey", "n_nationkey")],
         Inner,
     );
-    let s_supp = dag.stage_hash(supp, par.mid, &["s_suppkey"], par.join);
+    let s_supp = dag.stage_hash(supp.tasks(par.mid), &["s_suppkey"], par.join);
 
     let sales_f = dag.read(s_sales);
     let sc = sales_f.cols();
@@ -225,9 +215,9 @@ pub fn ds81_multifact(par: Par) -> StageDag {
         ]);
     let oc = out.cols();
     let top = out.sort(vec![SortKey::desc(oc.c("sales"))], Some(100));
-    let s_top = dag.stage_hash(top, par.join, &[], 1);
+    let s_top = dag.stage_hash(top, &[], 1);
     let fin = dag.read(s_top);
     let fc = fin.cols();
     let fin = fin.sort(vec![SortKey::desc(fc.c("sales"))], Some(100));
-    dag.finish(fin, 1)
+    dag.finish(fin)
 }

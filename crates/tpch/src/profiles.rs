@@ -223,9 +223,9 @@ pub fn measured_profile(
 
 /// The calibrated profile set for one scale factor (all 25 queries).
 pub fn profile_set(scale_factor: f64) -> Vec<ProfileRef> {
-    plans::QUERY_NAMES
+    plans::QUERIES
         .iter()
-        .map(|n| Arc::new(calibrated_profile(n, scale_factor)))
+        .map(|(n, _)| Arc::new(calibrated_profile(n, scale_factor)))
         .collect()
 }
 

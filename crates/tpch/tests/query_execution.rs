@@ -144,7 +144,7 @@ fn q13_distribution_sums_to_customer_count() {
 
 #[test]
 fn all_queries_execute_and_produce_sane_results() {
-    for name in plans::QUERY_NAMES {
+    for (name, _) in plans::QUERIES {
         let result = run(name);
         // Global aggregates always produce exactly one row; others, bounded.
         match name {

@@ -1,13 +1,13 @@
 //! Fixtures shared by the root tests that attack worker-count
 //! independence (`executor_stress`), pin runner behaviour
 //! (`behaviour_pin`), check cost rows (`cost_rows`) and replay targets
-//! (`replay`): two fault plans with the retry bounds that keep their runs
+//! (`replay`): two fault plans with the retry bound that keeps their runs
 //! within the fault budget (`budget.rs`), one report rendering, one live
 //! catalog and workload.
 
 pub mod budget;
 
-use cackle::{FaultSpec, LiveQuery, RecoveryPolicy, RunResult};
+use cackle::{Env, FaultSpec, LiveQuery, RecoveryPolicy, RunResult, RunSpec};
 use cackle_engine::table::Catalog;
 use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
 use cackle_tpch::plans::{self, Par};
@@ -32,16 +32,22 @@ pub fn chaos_recovery() -> RecoveryPolicy {
     RecoveryPolicy::default().with_max_retries(13)
 }
 
-/// Transport drops that exhaust the default retry bound on most node
-/// writes, so the live shuffle falls back to the billed store, where a
-/// few requests fail and retry. The store rate is what keeps the fault
-/// budget: raising the bound instead would stop the writes falling back.
-/// On [`live_workload`] the [`chaos`] plan's drops almost never exhaust
-/// their bound, so its live runs make no store request.
-pub fn store_errors() -> FaultSpec {
-    FaultSpec::default()
-        .with_transport_drops(0.9)
-        .with_store_errors(0.025, 0.025)
+/// A live run whose every shuffle chunk goes through the object store,
+/// where store requests fail at [`chaos`]'s rate. Its shuffle nodes are
+/// too small to hold any chunk, so each write spills to the store on its
+/// own and each read fetches it back: on [`live_workload`], over a
+/// hundred requests, about one in five retried. There the [`chaos`]
+/// plan's transport drops almost never exhaust their bound, so its live
+/// runs make no store request.
+pub fn store_errors(spec: RunSpec) -> RunSpec {
+    let mut env = Env {
+        shuffle_min_bytes: 1,
+        ..Env::default()
+    };
+    env.pricing.shuffle_node_capacity_bytes = 1;
+    spec.with_env(env)
+        .with_faults(FaultSpec::default().with_store_errors(0.2, 0.2))
+        .with_recovery(chaos_recovery())
 }
 
 /// `{:?}` on `f64` prints the shortest exact round-trip decimal, so any

@@ -13,7 +13,9 @@ mod common;
 use cackle::delaying::run_delaying;
 use cackle::model::{build_workload, run_model};
 use cackle::system::run_system;
-use cackle::{run_live, EnvironmentSpec, FaultSpec, RecoveryPolicy, RunResult, RunSpec, Telemetry};
+use cackle::{
+    run_live, Env, EnvironmentSpec, FaultSpec, RecoveryPolicy, RunResult, RunSpec, Telemetry,
+};
 use cackle_cloud::Pricing;
 use cackle_comparators::{
     run_databricks, run_redshift, DatabricksConfig, RedshiftConfig, WarehouseSize,
@@ -65,11 +67,9 @@ fn assert_rows(name: &str, t: &Telemetry, r: &RunResult, rows: &[(&str, &str, f6
 
 /// Each `store` row is what its request counter costs, by `to_bits`,
 /// and where injected store errors were counted their retries carry a
-/// `recovery` row of the same category. Returns the injected store
-/// errors, so a caller can tell the second relation was exercised.
-fn assert_store_rows(name: &str, t: &Telemetry) -> u64 {
+/// `recovery` row of the same category.
+fn assert_store_rows(name: &str, t: &Telemetry) {
     let pricing = Pricing::default();
-    let mut injected = 0;
     for (op, category, requests, errors) in [
         (
             StoreOp::Put,
@@ -92,7 +92,6 @@ fn assert_store_rows(name: &str, t: &Telemetry) -> u64 {
             "{name}: store/{category} reads {row:?}, {requests} {} prices to {priced:?}",
             t.counter(requests)
         );
-        injected += t.counter(errors);
         if t.counter(errors) > 0 {
             let retried = t.cost("recovery", category);
             assert!(
@@ -102,7 +101,6 @@ fn assert_store_rows(name: &str, t: &Telemetry) -> u64 {
             );
         }
     }
-    injected
 }
 
 fn sink() -> (Telemetry, RunSpec) {
@@ -150,23 +148,30 @@ fn every_runner_dumps_the_costs_it_reports() {
 
     // The chaos plan's transport drops almost never exhaust their retry
     // bound on this small workload, so its store sees no request; the
-    // third run drops most node writes and sends them to the store.
-    let mut live_store_errors = 0;
-    for (name, faults, recovery) in [
-        ("live/fault-free", FaultSpec::default(), default),
-        ("live/chaos", chaos(), chaos_recovery()),
-        ("live/store-errors", store_errors(), default),
+    // store-errors run sends every chunk through the store, where many
+    // requests fail and retry.
+    let chaos_plan = |s: RunSpec| s.with_faults(chaos()).with_recovery(chaos_recovery());
+    for (name, configure) in [
+        ("live/fault-free", (|s| s) as fn(RunSpec) -> RunSpec),
+        ("live/chaos", chaos_plan),
+        ("live/store-errors", store_errors),
     ] {
         let (t, spec) = sink();
-        let spec = (spec.with_rows_per_task_second(5_000.0))
-            .with_faults(faults)
-            .with_recovery(recovery);
+        let spec = configure(spec.with_rows_per_task_second(5_000.0));
         let r = run_live(&live_workload(), &live_catalog(), &spec);
         assert_fault_budget(name, &spec);
         assert_rows(name, &t, &r, &mirrored(&r));
-        live_store_errors += assert_store_rows(name, &t);
+        assert_store_rows(name, &t);
+        if name == "live/store-errors" {
+            for c in ["store_get", "store_put"].map(|op| format!("fault.{op}_errors_total")) {
+                let n = t.counter(&c);
+                assert!(
+                    n >= 5,
+                    "{name}: {c} reads {n}; several requests should fail"
+                );
+            }
+        }
     }
-    assert!(live_store_errors > 0, "no live run retried a store request");
 
     let (t, spec) = sink();
     let r = run_delaying(&workload, 64, &spec);
@@ -192,4 +197,23 @@ fn every_runner_dumps_the_costs_it_reports() {
     let r = run_serve(&serve, &mix).expect("serve run must succeed").run;
     assert_rows("serve/system", &t, &r, &mirrored(&r));
     assert_store_rows("serve/system", &t);
+}
+
+#[test]
+fn live_remote_vms_bill_egress() {
+    // The live workload ends long before a VM boots, so this run's VMs
+    // are up at once; half of them are in the remote region, and each
+    // ships the bytes its tasks publish out of it.
+    let (t, spec) = sink();
+    let spec = spec
+        .with_strategy("fixed_4")
+        .with_env(Env::default().with_vm_startup_s(0))
+        .with_rows_per_task_second(5_000.0)
+        .with_faults(remote_region());
+    let r = run_live(&live_workload(), &live_catalog(), &spec);
+    assert_rows("live/remote-region", &t, &r, &mirrored(&r));
+    assert!(r.compute.vm_cost > 0.0, "no task ran on a VM");
+    let egress = t.cost("env", "egress");
+    assert!(egress > 0.0, "env/egress reads {egress:?}");
+    assert!(t.counter("env.egress_bytes_total") > 0);
 }
