@@ -56,7 +56,14 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> worker-count determinism (golden dumps, pinned behaviour, 10x executor stress)"
+echo "==> worker-count determinism (executor pool, golden dumps, pinned behaviour, 10x executor stress)"
+# The process-wide pool: a panic on any worker reaches the caller with its
+# payload and the pool survives it, a panicking caller still waits for the
+# pool threads, concurrent and nested calls get index-ordered results, and
+# a thousand two-worker calls spawn one thread. Its lifetime-erasing
+# handoff is the one `unsafe` under crates/*/src.
+gate -p cackle-engine --lib executor::tests::pool_
+gate --test atomics the_pool_handoff_is_the_only_unsafe
 gate --test determinism golden_dumps_are_byte_identical_across_worker_counts
 gate --test behaviour_pin
 # Green on every run, not on most runs: thread scheduling differs from

@@ -49,6 +49,10 @@ fn bump() {
 // whose contract is the one `GlobalAlloc` requires; `bump` allocates
 // nothing (const-initialised thread-locals with no destructor), so the
 // allocator never re-enters itself.
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; this one counts and forwards to System"
+)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();

@@ -14,6 +14,10 @@
 //!   two of them: each is taken through a one-line helper and dropped
 //!   before the next. A new lock joins the list with its acquisition
 //!   order argued in review.
+//! * `unsafe` is denied in every workspace manifest. Under `crates/*/src`
+//!   the one kept site is the executor pool's handoff, which erases the
+//!   lifetime of a caller's borrowed share so that threads outliving the
+//!   call can run it; its `// SAFETY:` argument sits at the site.
 //!
 //! The scan is textual over every `.rs` file under `crates/*/src`
 //! (test modules included), skipping `//` comment lines.
@@ -21,7 +25,13 @@
 use std::path::{Path, PathBuf};
 
 /// The engine and core lock declarations, as `(file, line text)`.
-const ENGINE_AND_CORE_LOCKS: [(&str, &str); 6] = [
+///
+/// The executor holds two. A call's result slots are taken by a worker
+/// only inside the call's share, to store one result. The pool's `state`
+/// is taken only by the pool's own bookkeeping (post, take a seat, leave,
+/// settle), never while a share runs, so no path holds it and a result
+/// slot together.
+const ENGINE_AND_CORE_LOCKS: [(&str, &str); 7] = [
     (
         "crates/core/src/transport.rs",
         "placement: Mutex<Placement>,",
@@ -31,6 +41,7 @@ const ENGINE_AND_CORE_LOCKS: [(&str, &str); 6] = [
         "crates/engine/src/executor.rs",
         "let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();",
     ),
+    ("crates/engine/src/executor.rs", "state: Mutex<PoolState>,"),
     (
         "crates/engine/src/shuffle.rs",
         "data: RwLock<BTreeMap<ShuffleKey, Vec<ShuffleChunk>>>,",
@@ -98,6 +109,22 @@ fn the_executor_claim_counter_is_the_only_relaxed_atomic() {
         )],
         "a new `Relaxed` atomic: use Acquire/Release (or SeqCst) when it \
          synchronizes anything"
+    );
+}
+
+#[test]
+fn the_pool_handoff_is_the_only_unsafe() {
+    let line = |l: &str| ("crates/engine/src/executor.rs".to_string(), l.to_string());
+    assert_eq!(
+        code_lines_containing(&["unsafe"]),
+        [
+            line(
+                "let erased = unsafe { std::mem::transmute::<&Share<'_>, &'static Share<'static>>(share) };"
+            ),
+            line("unsafe_code,"),
+        ],
+        "new `unsafe`: the executor pool's handoff is the one kept site, \
+         with its SAFETY argument"
     );
 }
 

@@ -4,9 +4,9 @@
 //! parallel executor specifically. A seeded workload runs under an
 //! aggressive fault plan — spot reclaims (system runner), stragglers,
 //! pool invoke failures and throttles, store errors, and transport
-//! drops — at 1, 2 and 8 workers (the system runner at 1 and 8), and
-//! must produce an identical report and identical fault/recovery
-//! counters: fault draws are keyed by operation identity and cross-task
+//! drops — and, live, with its tasks on VMs, at 1, 2 and 8 workers (the
+//! system runner at 1 and 8), and must produce an identical report and
+//! identical fault/recovery counters: fault draws are keyed by operation identity and cross-task
 //! effects merge in task-index order, so thread scheduling never leaks
 //! into results.
 
@@ -14,7 +14,7 @@ mod common;
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
-use cackle::{run_live, RunSpec, Telemetry};
+use cackle::{run_live, Env, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 use common::budget::assert_fault_budget;
@@ -48,29 +48,50 @@ fn live_fault_runs_are_worker_count_independent() {
     // shuffle with transport drops and billed store fallback, straggler
     // draws, pool invoke failures — all at once. The chaos plan's drops
     // almost never reach the store on this workload; the store-errors
-    // plan sends every chunk there, where many requests fail.
+    // plan sends every chunk there, where many requests fail. The VM plan
+    // boots four VMs at once, so tasks run on VM slots as well as on the
+    // pool (the workload ends before a default VM boots), under the
+    // chaos plan's stragglers.
     let (catalog, workload) = (live_catalog(), live_workload());
-    let chaos_plan = |s: RunSpec| s.with_faults(chaos()).with_recovery(chaos_recovery());
+    fn chaos_plan(s: RunSpec) -> RunSpec {
+        s.with_faults(chaos()).with_recovery(chaos_recovery())
+    }
+    let vm_plan = |s: RunSpec| {
+        chaos_plan(s)
+            .with_strategy("fixed_4")
+            .with_env(Env::default().with_vm_startup_s(0))
+    };
     for (plan, configure) in [
         ("chaos", chaos_plan as fn(RunSpec) -> RunSpec),
         ("store-errors", store_errors),
+        ("vms", vm_plan),
     ] {
         let run = |workers: u32| {
             let t = Telemetry::new();
-            let spec = configure(RunSpec::new())
-                .with_strategy("dynamic")
-                .with_rows_per_task_second(5_000.0)
-                .with_workers(workers)
-                .with_telemetry(&t);
+            let spec = configure(
+                RunSpec::new()
+                    .with_strategy("dynamic")
+                    .with_rows_per_task_second(5_000.0)
+                    .with_workers(workers)
+                    .with_telemetry(&t),
+            );
             let r = run_live(&workload, &catalog, &spec);
             assert_fault_budget(plan, &spec);
-            (report(&r), counter_snapshot(&t), t.export_jsonl())
+            (
+                r.compute.vm_cost,
+                report(&r),
+                counter_snapshot(&t),
+                t.export_jsonl(),
+            )
         };
-        let (serial_report, serial_counters, serial_dump) = run(1);
+        let (vm_cost, serial_report, serial_counters, serial_dump) = run(1);
         assert!(
             serial_counters.iter().any(|&(_, v)| v > 0),
             "{plan}: fault plan was not active: {serial_counters:?}"
         );
+        if plan == "vms" {
+            assert!(vm_cost > 0.0, "{plan}: no task ran on a VM");
+        }
         if plan == "store-errors" {
             let errors = serial_counters
                 .iter()
@@ -83,7 +104,7 @@ fn live_fault_runs_are_worker_count_independent() {
             }
         }
         for workers in [2u32, 8] {
-            let (parallel_report, parallel_counters, parallel_dump) = run(workers);
+            let (_, parallel_report, parallel_counters, parallel_dump) = run(workers);
             assert_eq!(
                 serial_counters, parallel_counters,
                 "{plan}: counters diverged at {workers} workers"
